@@ -1,13 +1,10 @@
 //! A fixed-capacity inline vector for traversal scratch state.
 //!
-//! Range scans and ordered iteration keep two kinds of short, hot scratch
-//! buffers: the child list of the inner node being expanded (≤ 16 entries
-//! for the common N4/N16 layouts) and the key-byte path accumulated above
-//! each stack frame (bounded by the key length, which the workloads keep
-//! under a couple dozen bytes). Allocating a fresh `Vec` for each of these
-//! per visited node dominated scan profiles; [`InlineVec`] keeps them on
-//! the stack and only spills to the heap for the rare deep/wide cases
-//! (N48/N256 fan-out, long string keys).
+//! Range scans and ordered iteration keep one short, hot scratch buffer:
+//! the stack of inner nodes on the current root-to-leaf path, bounded by
+//! the key length (which the workloads keep under a couple dozen bytes).
+//! [`InlineVec`] keeps it inside the cursor and only spills to the heap for
+//! the rare deep case (long string keys), so a scan allocates nothing.
 
 use std::ops::Deref;
 
@@ -51,20 +48,30 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
-    /// Appends every element of `values`.
-    pub(crate) fn extend_from_slice(&mut self, values: &[T]) {
+    /// Removes and returns the last element.
+    pub(crate) fn pop(&mut self) -> Option<T> {
         match self {
-            InlineVec::Inline { buf, len } if *len + values.len() <= N => {
-                buf[*len..*len + values.len()].copy_from_slice(values);
-                *len += values.len();
-            }
             InlineVec::Inline { buf, len } => {
-                let mut heap = Vec::with_capacity((*len + values.len()).max(2 * N));
-                heap.extend_from_slice(&buf[..*len]);
-                heap.extend_from_slice(values);
-                *self = InlineVec::Heap(heap);
+                *len = len.checked_sub(1)?;
+                Some(buf[*len])
             }
-            InlineVec::Heap(v) => v.extend_from_slice(values),
+            InlineVec::Heap(v) => v.pop(),
+        }
+    }
+
+    /// The last element, mutably.
+    pub(crate) fn last_mut(&mut self) -> Option<&mut T> {
+        match self {
+            InlineVec::Inline { buf, len } => buf[..*len].last_mut(),
+            InlineVec::Heap(v) => v.last_mut(),
+        }
+    }
+
+    /// Empties the vector, keeping whichever storage it has grown into.
+    pub(crate) fn clear(&mut self) {
+        match self {
+            InlineVec::Inline { len, .. } => *len = 0,
+            InlineVec::Heap(v) => v.clear(),
         }
     }
 }
@@ -77,16 +84,6 @@ impl<T: Copy + Default, const N: usize> Deref for InlineVec<T, N> {
             InlineVec::Inline { buf, len } => &buf[..*len],
             InlineVec::Heap(v) => v,
         }
-    }
-}
-
-impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut v = InlineVec::new();
-        for item in iter {
-            v.push(item);
-        }
-        v
     }
 }
 
@@ -115,26 +112,20 @@ mod tests {
     }
 
     #[test]
-    fn extend_matches_repeated_push() {
-        for chunk in [1usize, 3, 4, 5, 11] {
-            let mut a: InlineVec<u8, 4> = InlineVec::new();
-            let mut b: InlineVec<u8, 4> = InlineVec::new();
-            let data: Vec<u8> = (0..chunk as u8).collect();
-            a.extend_from_slice(&data);
-            a.extend_from_slice(&data);
-            for &x in data.iter().chain(&data) {
-                b.push(x);
+    fn pop_last_mut_and_clear_agree_across_the_spill() {
+        for count in [3u8, 9] {
+            let mut v: InlineVec<u8, 4> = InlineVec::new();
+            for b in 0..count {
+                v.push(b);
             }
-            assert_eq!(&*a, &*b, "chunk={chunk}");
+            *v.last_mut().unwrap() += 100;
+            assert_eq!(v.pop(), Some(count - 1 + 100));
+            assert_eq!(v.len(), usize::from(count) - 1);
+            v.clear();
+            assert_eq!(v.pop(), None);
+            assert!(v.last_mut().is_none());
+            v.push(7);
+            assert_eq!(&*v, &[7]);
         }
-    }
-
-    #[test]
-    fn collects_from_iterator_and_clones() {
-        let v: InlineVec<u16, 2> = (0..5u16).collect();
-        let w = v.clone();
-        assert_eq!(&*w, &[0, 1, 2, 3, 4]);
-        let small: InlineVec<u16, 8> = (0..3u16).collect();
-        assert!(matches!(small, InlineVec::Inline { len: 3, .. }));
     }
 }

@@ -58,5 +58,5 @@ pub use node::{NodeId, NodeType};
 pub use serde_impl::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use sync::{LockStats, SyncArt};
 pub use trace::{NodeVisit, NoopTracer, OpTrace, RecordingTracer, Tracer, VisitKind};
-pub use tree::{Art, ArtError, Range, TypeHistogram};
+pub use tree::{Art, ArtError, Range, ScanCursor, TypeHistogram};
 pub use validate::Violation;

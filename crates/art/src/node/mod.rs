@@ -298,12 +298,24 @@ impl Children {
 
     /// Iterates `(partial key, child)` pairs in ascending partial-key order.
     pub fn iter(&self) -> ChildIter<'_> {
-        ChildIter { children: self, pos: 0 }
+        ChildIter { children: self, next: 0 }
+    }
+
+    /// Returns the `(byte, child)` pair with the smallest partial key
+    /// `>= from` — the resumable step ordered traversals keep one byte of
+    /// state for, instead of materialising the child list.
+    pub fn next_from(&self, from: u8) -> Option<(u8, NodeId)> {
+        match self {
+            Children::N4(n) => n.next_from(from),
+            Children::N16(n) => n.next_from(from),
+            Children::N48(n) => n.next_from(from),
+            Children::N256(n) => n.next_from(from),
+        }
     }
 
     /// Returns the `(byte, child)` pair with the smallest partial key.
     pub fn min_child(&self) -> Option<(u8, NodeId)> {
-        self.iter().next()
+        self.next_from(0)
     }
 
     /// Returns the `(byte, child)` pair with the largest partial key.
@@ -325,15 +337,6 @@ impl Children {
             None
         }
     }
-
-    fn nth_in_order(&self, pos: usize) -> Option<(u8, NodeId)> {
-        match self {
-            Children::N4(n) => n.nth_in_order(pos),
-            Children::N16(n) => n.nth_in_order(pos),
-            Children::N48(n) => n.nth_in_order(pos),
-            Children::N256(n) => n.nth_in_order(pos),
-        }
-    }
 }
 
 /// Iterator over `(partial key, child)` pairs in ascending byte order.
@@ -342,16 +345,17 @@ impl Children {
 #[derive(Debug)]
 pub struct ChildIter<'a> {
     children: &'a Children,
-    pos: usize,
+    /// Smallest partial key not yet yielded; 256 once exhausted.
+    next: u16,
 }
 
 impl Iterator for ChildIter<'_> {
     type Item = (u8, NodeId);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let item = self.children.nth_in_order(self.pos)?;
-        self.pos += 1;
-        Some(item)
+        let item = self.children.next_from(u8::try_from(self.next).ok()?);
+        self.next = item.map_or(256, |(byte, _)| u16::from(byte) + 1);
+        item
     }
 }
 

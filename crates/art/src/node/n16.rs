@@ -130,9 +130,10 @@ impl Node16 {
         n
     }
 
-    /// Returns the `pos`-th child in ascending byte order.
-    pub(super) fn nth_in_order(&self, pos: usize) -> Option<(u8, NodeId)> {
-        (pos < self.len()).then(|| (self.keys[pos], self.children[pos]))
+    /// Returns the child with the smallest partial key `>= from`.
+    pub(super) fn next_from(&self, from: u8) -> Option<(u8, NodeId)> {
+        let pos = self.keys[..self.len()].iter().position(|&k| k >= from)?;
+        Some((self.keys[pos], self.children[pos]))
     }
 
     /// Returns the child with the largest partial key.

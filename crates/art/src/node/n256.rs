@@ -82,9 +82,11 @@ impl Node256 {
         n
     }
 
-    /// Returns the `pos`-th child in ascending byte order.
-    pub(super) fn nth_in_order(&self, pos: usize) -> Option<(u8, NodeId)> {
-        (0..=255u8).filter_map(|b| self.find(b).map(|c| (b, c))).nth(pos)
+    /// Returns the child with the smallest partial key `>= from`.
+    pub(super) fn next_from(&self, from: u8) -> Option<(u8, NodeId)> {
+        let from = usize::from(from);
+        let byte = from + self.children[from..].iter().position(|&c| c != NULL)?;
+        Some((byte as u8, self.children[byte]))
     }
 
     /// Returns the child with the largest partial key.

@@ -88,9 +88,10 @@ impl Node4 {
         n
     }
 
-    /// Returns the `pos`-th child in ascending byte order.
-    pub(super) fn nth_in_order(&self, pos: usize) -> Option<(u8, NodeId)> {
-        (pos < self.len()).then(|| (self.keys[pos], self.children[pos]))
+    /// Returns the child with the smallest partial key `>= from`.
+    pub(super) fn next_from(&self, from: u8) -> Option<(u8, NodeId)> {
+        let pos = self.keys[..self.len()].iter().position(|&k| k >= from)?;
+        Some((self.keys[pos], self.children[pos]))
     }
 
     /// Returns the child with the largest partial key.
@@ -110,8 +111,9 @@ mod tests {
         for (i, b) in [9u8, 3, 7, 1].into_iter().enumerate() {
             assert!(n.add(b, NodeId(i as u32)));
         }
-        let order: Vec<u8> = (0..4).map(|i| n.nth_in_order(i).unwrap().0).collect();
+        let order: Vec<u8> = [0u8, 2, 4, 8].map(|from| n.next_from(from).unwrap().0).to_vec();
         assert_eq!(order, vec![1, 3, 7, 9]);
+        assert_eq!(n.next_from(10), None);
         assert!(!n.add(5, NodeId(99)), "full node must refuse");
     }
 

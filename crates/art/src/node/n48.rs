@@ -101,9 +101,11 @@ impl Node48 {
         n
     }
 
-    /// Returns the `pos`-th child in ascending byte order.
-    pub(super) fn nth_in_order(&self, pos: usize) -> Option<(u8, NodeId)> {
-        self.iter_ordered().nth(pos)
+    /// Returns the child with the smallest partial key `>= from`.
+    pub(super) fn next_from(&self, from: u8) -> Option<(u8, NodeId)> {
+        let from = usize::from(from);
+        let byte = from + self.index[from..].iter().position(|&slot| slot != EMPTY)?;
+        Some((byte as u8, self.children[usize::from(self.index[byte])]))
     }
 
     /// Returns the child with the largest partial key.
@@ -157,8 +159,9 @@ mod tests {
         for b in [200u8, 3, 150] {
             n.add(b, NodeId(u32::from(b)));
         }
-        let order: Vec<u8> = (0..3).map(|i| n.nth_in_order(i).unwrap().0).collect();
+        let order: Vec<u8> = [0u8, 4, 151].map(|from| n.next_from(from).unwrap().0).to_vec();
         assert_eq!(order, vec![3, 150, 200]);
+        assert_eq!(n.next_from(201), None);
         assert_eq!(n.max_child(), Some((200, NodeId(200))));
     }
 }

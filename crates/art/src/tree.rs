@@ -7,14 +7,10 @@ use crate::node::{InnerNode, Node, NodeId, NodeType, HEADER_BYTES};
 use crate::trace::{NodeVisit, NoopTracer, Tracer, VisitKind};
 use crate::Key;
 
-/// Scratch buffer for the key bytes accumulated along a traversal path.
-/// The workloads' keys are 4–24 bytes, so paths almost never spill.
-type PathBytes = InlineVec<u8, 24>;
-
-/// Scratch buffer for an inner node's expanded child list. N4/N16 nodes —
-/// the overwhelming majority under real key distributions (paper Fig. 1) —
-/// fit inline; N48/N256 spill.
-type ChildList = InlineVec<(u8, NodeId), 16>;
+/// The inner nodes on a scan's current root-to-leaf path. Depth is bounded
+/// by the key length (4–24 bytes in the workloads, less with path
+/// compression), so the stack almost never spills to the heap.
+type FrameStack = InlineVec<ScanFrame, 16>;
 
 /// Errors returned by fallible tree operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -744,11 +740,9 @@ impl<V> Art<V> {
     /// # Ok::<(), dcart_art::ArtError>(())
     /// ```
     pub fn range<'a>(&'a self, start: &[u8], end: Option<&[u8]>) -> Range<'a, V> {
-        let mut stack = Vec::new();
-        if let Some(root) = self.root {
-            stack.push(Frame { node: root, path: PathBytes::new() });
-        }
-        Range { tree: self, stack, start: start.to_vec(), end: end.map(<[u8]>::to_vec) }
+        let mut cursor = ScanCursor::new();
+        cursor.reset(self);
+        Range { tree: self, cursor, start: start.to_vec(), end: end.map(<[u8]>::to_vec) }
     }
 
     /// Iterates all `(key, value)` pairs whose key starts with `prefix`,
@@ -807,9 +801,9 @@ impl<V> Art<V> {
     }
 
     /// [`scan_traced`](Art::scan_traced) into a caller-provided buffer:
-    /// `out` is cleared and refilled, keeping its allocation. The hot-path
-    /// variant for callers that scan in a loop (the CTT executor's
-    /// batch-end scan merge probes every bucket subtree per scan).
+    /// `out` is cleared and refilled, keeping its allocation. The variant
+    /// for callers that scan in a loop. One [`ScanCursor`] pass: a descent
+    /// to `start` plus the leaves the scan returns, no heap allocation.
     pub fn scan_traced_into<'a, T: Tracer>(
         &'a self,
         start: &[u8],
@@ -821,39 +815,12 @@ impl<V> Art<V> {
         if limit == 0 {
             return;
         }
-        let mut stack: Vec<(NodeId, PathBytes)> = Vec::new();
-        if let Some(root) = self.root {
-            stack.push((root, PathBytes::new()));
-        }
-        while let Some((id, path)) = stack.pop() {
-            match self.arena.get(id) {
-                node @ Node::Leaf { key, value } => {
-                    tracer.visit(visit_record(id, node, 0));
-                    if key.as_bytes() >= start {
-                        out.push((key, value));
-                        if out.len() >= limit {
-                            break;
-                        }
-                    }
-                }
-                node @ Node::Inner(inner) => {
-                    let mut base = path;
-                    base.extend_from_slice(&inner.prefix);
-                    if subtree_below_start(&base, start) {
-                        continue;
-                    }
-                    tracer.visit(visit_record(id, node, inner.prefix.len() as u32));
-                    tracer.partial_key_matches(inner.prefix.len() as u32 + 1);
-                    let children: ChildList = inner.children.iter().collect();
-                    for &(edge, child) in children.iter().rev() {
-                        let mut child_path = base.clone();
-                        child_path.push(edge);
-                        if subtree_below_start(&child_path, start) {
-                            continue;
-                        }
-                        stack.push((child, child_path));
-                    }
-                }
+        let mut cursor = ScanCursor::new();
+        cursor.reset(self);
+        while let Some(item) = cursor.next(self, start, tracer) {
+            out.push(item);
+            if out.len() >= limit {
+                break;
             }
         }
     }
@@ -901,19 +868,173 @@ impl Art<u64> {
     }
 }
 
-struct Frame {
+/// One inner node on a scan's current path; its children are consumed
+/// lazily, one [`Children::next_from`](crate::node::Children::next_from)
+/// step at a time.
+#[derive(Clone, Copy, Default, Debug)]
+struct ScanFrame {
     node: NodeId,
-    /// Key bytes accumulated on the path *above* this node (not including
-    /// its own prefix/edge handling; leaves carry full keys anyway).
-    path: PathBytes,
+    /// Smallest edge byte not yet tried; 256 once the node is exhausted.
+    next: u16,
+    /// `Some(d)` while the path down to this node's children equals
+    /// `start[..d]` and no child has been taken yet: the first child sits
+    /// at or above `start[d]` (`next` starts there, which prunes the
+    /// subtrees wholly below `start`) and only the child *at* `start[d]`
+    /// stays on the boundary. `None` once the path is past `start`: every
+    /// key below qualifies and no more bytes are compared.
+    boundary: Option<usize>,
+}
+
+/// A resumable traced range scan: the pre-order walk of
+/// [`Art::scan_traced`], suspended at every key it yields.
+///
+/// The cursor holds an explicit stack of `(inner node, next child)` frames
+/// and nothing borrowed, so a caller that scans in a loop keeps one around
+/// and pays no allocation per scan; [`next`](ScanCursor::next) takes the
+/// tree and the start key on every call, and both must be the ones the
+/// scan began with. Nodes are reported to the tracer exactly when a
+/// hardware walker would fetch them: subtrees wholly below `start` are
+/// never entered, and path bytes are compared against `start` only while
+/// the walk is still on the start boundary.
+///
+/// # Examples
+///
+/// ```
+/// use dcart_art::{Art, Key, NoopTracer, ScanCursor};
+///
+/// let art: Art<u64> = (0..10u64).map(|v| (Key::from_u64(v), v)).collect();
+/// let start = Key::from_u64(7);
+/// let mut cursor = ScanCursor::new();
+/// cursor.reset(&art);
+/// let mut seen = Vec::new();
+/// while let Some((_, &v)) = cursor.next(&art, start.as_bytes(), &mut NoopTracer) {
+///     seen.push(v);
+/// }
+/// assert_eq!(seen, vec![7, 8, 9]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct ScanCursor {
+    /// The root, until the first `next` enters it.
+    root: Option<NodeId>,
+    frames: FrameStack,
+    visits: usize,
+    matches: u64,
+}
+
+impl Default for ScanCursor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ScanCursor {
+    /// A cursor over nothing; [`reset`](ScanCursor::reset) points it at a
+    /// tree.
+    pub fn new() -> Self {
+        ScanCursor { root: None, frames: FrameStack::new(), visits: 0, matches: 0 }
+    }
+
+    /// Rewinds to the root of `tree`, keeping the frame storage.
+    pub fn reset<V>(&mut self, tree: &Art<V>) {
+        self.root = tree.root;
+        self.frames.clear();
+        self.visits = 0;
+        self.matches = 0;
+    }
+
+    /// `(node visits, partial-key matches)` reported since the last
+    /// [`reset`](ScanCursor::reset). Read right after
+    /// [`next`](ScanCursor::next) yields its `c`-th key, this is exactly
+    /// what `scan_traced(start, c)` reports in total: the watermark that
+    /// lets a caller who read ahead charge only for the keys it consumed.
+    pub fn watermark(&self) -> (usize, u64) {
+        (self.visits, self.matches)
+    }
+
+    /// Advances to the next key `>= start` in ascending order, reporting
+    /// every node fetched on the way to `tracer`.
+    pub fn next<'a, V, T: Tracer>(
+        &mut self,
+        tree: &'a Art<V>,
+        start: &[u8],
+        tracer: &mut T,
+    ) -> Option<(&'a Key, &'a V)> {
+        if let Some(root) = self.root.take() {
+            if let Some(item) = self.enter(tree, root, Some(0), start, tracer) {
+                return Some(item);
+            }
+        }
+        while let Some(top) = self.frames.last_mut() {
+            let children = &tree.arena.get(top.node).expect_inner().children;
+            let child = u8::try_from(top.next).ok().and_then(|from| children.next_from(from));
+            let Some((edge, child)) = child else {
+                self.frames.pop();
+                continue;
+            };
+            top.next = u16::from(edge) + 1;
+            // Later siblings lie strictly above `start[d]`: only this
+            // first child can still be on the boundary.
+            let boundary = top.boundary.take().filter(|&d| edge == start[d]).map(|d| d + 1);
+            if let Some(item) = self.enter(tree, child, boundary, start, tracer) {
+                return Some(item);
+            }
+        }
+        None
+    }
+
+    /// Fetches node `id`, reached along a path that equals `start[..d]`
+    /// (`boundary == Some(d)`) or is already past `start` (`None`): yields
+    /// a qualifying leaf, or pushes an inner node's frame.
+    fn enter<'a, V, T: Tracer>(
+        &mut self,
+        tree: &'a Art<V>,
+        id: NodeId,
+        boundary: Option<usize>,
+        start: &[u8],
+        tracer: &mut T,
+    ) -> Option<(&'a Key, &'a V)> {
+        match tree.arena.get(id) {
+            node @ Node::Leaf { key, value } => {
+                tracer.visit(visit_record(id, node, 0));
+                self.visits += 1;
+                (boundary.is_none() || key.as_bytes() >= start).then_some((key, value))
+            }
+            node @ Node::Inner(inner) => {
+                let boundary = match boundary {
+                    None => None,
+                    Some(d) => {
+                        let rest = &start[d..];
+                        let m = inner.prefix.len().min(rest.len());
+                        match inner.prefix[..m].cmp(&rest[..m]) {
+                            // Every key below is `< start`: not fetched.
+                            std::cmp::Ordering::Less => return None,
+                            std::cmp::Ordering::Greater => None,
+                            // Still on the boundary unless `start` ended
+                            // inside the prefix.
+                            std::cmp::Ordering::Equal => (m < rest.len()).then_some(d + m),
+                        }
+                    }
+                };
+                let compared = inner.prefix.len() as u32;
+                tracer.visit(visit_record(id, node, compared));
+                tracer.partial_key_matches(compared + 1);
+                self.visits += 1;
+                self.matches += u64::from(compared) + 1;
+                let next = boundary.map_or(0, |d| u16::from(start[d]));
+                self.frames.push(ScanFrame { node: id, next, boundary });
+                None
+            }
+        }
+    }
 }
 
 /// Ordered iterator over a key range of an [`Art`].
 ///
-/// Produced by [`Art::range`] and [`Art::iter`].
+/// Produced by [`Art::range`] and [`Art::iter`]: an untraced
+/// [`ScanCursor`] walk that stops at the first key `>= end`.
 pub struct Range<'a, V> {
     tree: &'a Art<V>,
-    stack: Vec<Frame>,
+    cursor: ScanCursor,
     start: Vec<u8>,
     end: Option<Vec<u8>>,
 }
@@ -931,61 +1052,15 @@ impl<'a, V> Iterator for Range<'a, V> {
     type Item = (&'a Key, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some(frame) = self.stack.pop() {
-            match self.tree.arena.get(frame.node) {
-                Node::Leaf { key, value } => {
-                    let k = key.as_bytes();
-                    if k >= self.start.as_slice() && self.end.as_deref().is_none_or(|e| k < e) {
-                        return Some((key, value));
-                    }
-                }
-                Node::Inner(inner) => {
-                    let mut path = frame.path;
-                    path.extend_from_slice(&inner.prefix);
-                    // Prune subtrees wholly outside [start, end).
-                    if subtree_below_start(&path, &self.start)
-                        || subtree_at_or_after_end(&path, self.end.as_deref())
-                    {
-                        continue;
-                    }
-                    // Push children in reverse so the smallest pops first.
-                    let children: ChildList = inner.children.iter().collect();
-                    for &(edge, child) in children.iter().rev() {
-                        let mut child_path = path.clone();
-                        child_path.push(edge);
-                        if subtree_below_start(&child_path, &self.start)
-                            || subtree_at_or_after_end(&child_path, self.end.as_deref())
-                        {
-                            continue;
-                        }
-                        self.stack.push(Frame { node: child, path: child_path });
-                    }
-                }
-            }
+        let (key, value) = self.cursor.next(self.tree, &self.start, &mut NoopTracer)?;
+        if self.end.as_deref().is_some_and(|end| key.as_bytes() >= end) {
+            // Keys ascend, so everything after this one is out of range
+            // too; dropping the frames keeps the iterator fused.
+            self.cursor.frames.clear();
+            return None;
         }
-        None
+        Some((key, value))
     }
-}
-
-/// `true` if every key beginning with `path` is `< start`.
-fn subtree_below_start(path: &[u8], start: &[u8]) -> bool {
-    let m = path.len().min(start.len());
-    // If the paths diverge, the whole subtree sits on one side.
-    // If `path` is a prefix of `start` (or equal up to m with path shorter),
-    // the subtree may still contain keys >= start.
-    path[..m] < start[..m]
-}
-
-/// `true` if every key beginning with `path` is `>= end`.
-fn subtree_at_or_after_end(path: &[u8], end: Option<&[u8]>) -> bool {
-    let Some(end) = end else { return false };
-    let m = path.len().min(end.len());
-    if path[..m] > end[..m] {
-        return true;
-    }
-    // path[..m] == end[..m]: if `end` is a prefix of `path`, every key in
-    // the subtree starts with `end` and is therefore >= end.
-    path[..m] == end[..m] && end.len() <= path.len()
 }
 
 impl<V> FromIterator<(Key, V)> for Art<V> {

@@ -27,8 +27,13 @@
 //! stats, digests, and report JSON are byte-identical at any thread count.
 //!
 //! Range scans are the one cross-bucket operation: they are deferred to the
-//! end of their batch and answered by a k-way merge over every shard's
-//! subtree (weakly consistent: a scan observes the end-of-batch state).
+//! end of their batch (weakly consistent: a scan observes the end-of-batch
+//! state) and answered in one pass by a lazy k-way merge over per-leaf
+//! scan cursors. The merge opens leaves by *prefix frontier* — only the
+//! bucket owning the current combining prefix, since buckets partition the
+//! prefixes modulo the bucket count — and charges each contributing leaf
+//! the visits its cursor recorded up to the last key the merge consumed
+//! from it; see `resolve_scans`.
 //!
 //! # Adaptive sub-sharding & work stealing
 //!
@@ -83,7 +88,8 @@
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use dcart_art::{Art, Key, LevelWiseScratch, NodeId, NodeVisit, NoopTracer, RecordingTracer};
+use dcart_art::node::Node;
+use dcart_art::{Art, Key, LevelWiseScratch, NodeId, NodeVisit, RecordingTracer, ScanCursor};
 use dcart_engine::{
     par_for_each_mut, par_for_each_mut_balanced, DegradationController, FaultInjector, FaultPlan,
     FaultSite, PoolStats,
@@ -999,6 +1005,38 @@ impl BucketShard {
     }
 }
 
+/// One leaf's side of the scan under resolution: a resumable cursor over
+/// its subtree, read one key ahead of what the merge has consumed.
+#[derive(Default)]
+struct LeafScan {
+    cursor: ScanCursor,
+    /// Every visit the cursor has reported so far, with shard-local ids.
+    tracer: RecordingTracer,
+    /// Cursor watermark at the current head (once exhausted: of the whole
+    /// walk).
+    head_mark: (usize, u64),
+    /// Watermark of the last key the merge consumed from this leaf — what
+    /// a scan that stopped there costs. `None`: nothing consumed.
+    charged: Option<(usize, u64)>,
+}
+
+impl LeafScan {
+    /// Starts a scan of `art` at `start`: one descent to its first head.
+    fn open<'a>(&mut self, art: &'a Art<u64>, start: &[u8]) -> Option<(&'a Key, &'a u64)> {
+        self.cursor.reset(art);
+        self.tracer.clear();
+        self.charged = None;
+        self.pull(art, start)
+    }
+
+    /// Reads the next head, recording the visits on the way to it.
+    fn pull<'a>(&mut self, art: &'a Art<u64>, start: &[u8]) -> Option<(&'a Key, &'a u64)> {
+        let head = self.cursor.next(art, start, &mut self.tracer);
+        self.head_mark = self.cursor.watermark();
+        head
+    }
+}
+
 /// Reusable buffers for the batch-end scan merge.
 #[derive(Default)]
 struct ScanScratch {
@@ -1009,8 +1047,10 @@ struct ScanScratch {
     order: Vec<(u32, u32, u32, u32)>,
     /// Merged `(key_id, value)` items of the scan under resolution.
     items: Vec<(u64, u64)>,
-    cursors: Vec<usize>,
-    consumed: Vec<u32>,
+    /// Per-leaf cursors, indexed like the executor's leaf vector.
+    leaves: Vec<LeafScan>,
+    /// Leaves the scan under resolution has opened.
+    open: Vec<usize>,
     /// Namespaced visits of every resolved scan, flat; per-scan ranges are
     /// carried by `resolved`, per-shard sub-ranges by `segments`.
     visit_buf: Vec<NodeVisit>,
@@ -1019,17 +1059,72 @@ struct ScanScratch {
     /// Per-scan merge outcome awaiting commit:
     /// `(answer, items returned, segments range start, segments range len)`.
     resolved: Vec<(u64, u64, u32, u32)>,
-    tracer: RecordingTracer,
 }
 
-/// Resolves every scan deferred during the worker phase: answers come from
-/// a k-way merge over all shard subtrees (end-of-batch state), visit costs
-/// from re-walking exactly the shards the merge consumed from.
+/// The smallest head among the cursors `among`, as `(cursor, key, value)`:
+/// the selection step of every k-way merge over shard subtrees. Shard key
+/// ranges are disjoint, so heads never tie.
+fn smallest_head<'a>(
+    heads: &[Option<(&'a Key, &'a u64)>],
+    among: impl Iterator<Item = usize>,
+) -> Option<(usize, &'a Key, &'a u64)> {
+    among.filter_map(|i| heads[i].map(|(k, v)| (i, k, v))).min_by_key(|&(_, k, _)| k)
+}
+
+/// The skipped key bytes (`prefix_skip_bytes` of them) that every stored
+/// key provably shares: a non-empty subtree's root proves its keys agree
+/// on them when its compressed path (for a single key, the key) covers
+/// them. A scan whose start key carries the same bytes sees combining
+/// prefixes in key order; `None` — some root falls short, two roots
+/// differ, or nothing is stored — proves nothing.
+fn common_skipped_bytes(shards: &[BucketShard], skip: usize) -> Option<&[u8]> {
+    let mut common = None;
+    for s in shards {
+        let bytes = match s.art.root().and_then(|root| s.art.node(root)) {
+            None => continue,
+            Some(Node::Inner(inner)) => inner.prefix.as_slice(),
+            Some(Node::Leaf { key, .. }) => key.as_bytes(),
+        };
+        let head = bytes.get(..skip)?;
+        if *common.get_or_insert(head) != head {
+            return None;
+        }
+    }
+    common
+}
+
+/// Resolves every scan deferred during the worker phase, one pass per
+/// scan: a lazy k-way merge over per-leaf [`ScanCursor`]s (end-of-batch
+/// state) yields the answer, and the visits each cursor recorded up to the
+/// last key the merge *consumed* from it are the cost.
+///
+/// Leaves are opened by **prefix frontier**. A key's bucket is its
+/// combining prefix modulo the bucket count, so while prefix order is key
+/// order (see [`common_skipped_bytes`]) the next key can only come from
+/// a bucket owning a prefix up to the current one: the merge opens the
+/// leaves of the bucket that owns `start`'s prefix (every sub-shard of a
+/// split bucket — the sub index folds the *next* key byte, which does not
+/// follow key order) and moves the frontier on, opening the next prefix's
+/// bucket, only once the smallest open head lies beyond it. When the order
+/// cannot be proven the same loop starts with every leaf open.
+///
+/// The charge is what re-walking would report: for every leaf that
+/// contributed `c > 0` keys the visits of `scan_traced(start, c)` — its
+/// recorded visits cut at the watermark of its `c`-th key — and for the
+/// scan's own shard when it contributed nothing, the descent to its first
+/// head. A leaf that was opened or read ahead but contributed nothing is
+/// charged nothing, so which leaves the frontier opened never shows in the
+/// event stream.
 ///
 /// Runs in two passes — merge every scan against the (now immutable)
-/// shard subtrees, then commit every outcome — so the per-shard scan
-/// buffers can be reused across scans instead of reallocated per scan.
-fn resolve_scans(shards: &mut [BucketShard], batch: &[Op], scratch: &mut ScanScratch) {
+/// shard subtrees, then commit every outcome.
+fn resolve_scans(
+    shards: &mut [BucketShard],
+    groups: &[BucketGroup],
+    config: &DcartConfig,
+    batch: &[Op],
+    scratch: &mut ScanScratch,
+) {
     scratch.order.clear();
     for (leaf, shard) in shards.iter().enumerate() {
         for s in &shard.scans {
@@ -1040,80 +1135,103 @@ fn resolve_scans(shards: &mut [BucketShard], batch: &[Op], scratch: &mut ScanScr
         return;
     }
     scratch.order.sort_unstable();
-    scratch.cursors.resize(shards.len(), 0);
-    scratch.consumed.resize(shards.len(), 0);
+    scratch.leaves.resize_with(shards.len(), LeafScan::default);
     scratch.visit_buf.clear();
     scratch.segments.clear();
     scratch.resolved.clear();
 
-    // Pass 1 — merge: shards are only read, so the scan buffers (which
-    // borrow the shard trees) persist across the whole pass.
-    let mut parts: Vec<Vec<(&Key, &u64)>> = vec![Vec::new(); shards.len()];
-    for &(_, _, leaf32, rec) in &scratch.order {
-        let b = leaf32 as usize;
-        let op = &batch[shards[b].records[rec as usize].op_index as usize];
-        let start = op.key.as_bytes();
-        let limit = op.value as usize;
+    // Pass 1 — merge: shards are only read, so the heads (which borrow the
+    // shard trees) persist across the whole pass.
+    {
+        let shards: &[BucketShard] = shards;
+        let skip = config.prefix_skip_bytes;
+        let prefix_of = |key: &Key| key.prefix_bits_at(skip, config.prefix_bits);
+        let max_prefix = u64::MAX.checked_shr(64 - config.prefix_bits).unwrap_or(0);
+        let leaves_of = |prefix: u64| {
+            let g = &groups[config.bucket_of(prefix)];
+            g.start..g.start + g.subs
+        };
+        let skipped = common_skipped_bytes(shards, skip);
+        let mut heads: Vec<Option<(&Key, &u64)>> = vec![None; shards.len()];
+        for &(_, _, leaf32, rec) in &scratch.order {
+            let own = leaf32 as usize;
+            let op = &batch[shards[own].records[rec as usize].op_index as usize];
+            let start = op.key.as_bytes();
+            let limit = op.value as usize;
 
-        // Phase A — answer: merge the per-shard scans by key and keep the
-        // first `limit` items, counting how many each shard contributed.
-        scratch.items.clear();
-        scratch.cursors.iter_mut().for_each(|c| *c = 0);
-        scratch.consumed.iter_mut().for_each(|c| *c = 0);
-        for (s, part) in shards.iter().zip(parts.iter_mut()) {
-            s.art.scan_traced_into(start, limit, &mut NoopTracer, part);
-        }
-        while scratch.items.len() < limit {
-            let mut best: Option<(usize, &[u8])> = None;
-            for (i, part) in parts.iter().enumerate() {
-                if let Some(&(k, _)) = part.get(scratch.cursors[i]) {
-                    let kb = k.as_bytes();
-                    if best.is_none_or(|(_, bb)| kb < bb) {
-                        best = Some((i, kb));
+            // `frontier == Some(p)`: every leaf that can hold a key whose
+            // prefix is at most `p` is open (or about to be: `to_open`).
+            // `None`: nothing is left to open.
+            let ordered = skipped.is_some_and(|head| start.get(..skip) == Some(head));
+            let (mut frontier, mut to_open) = if ordered {
+                let p = prefix_of(&op.key);
+                (Some(p), leaves_of(p))
+            } else {
+                (None, 0..shards.len())
+            };
+            let mut buckets_opened = 1;
+            scratch.items.clear();
+            loop {
+                for i in std::mem::take(&mut to_open) {
+                    heads[i] = scratch.leaves[i].open(&shards[i].art, start);
+                    scratch.open.push(i);
+                }
+                if scratch.items.len() >= limit {
+                    break;
+                }
+                let best = smallest_head(&heads, scratch.open.iter().copied());
+                if let Some(p) = frontier {
+                    if best.is_none_or(|(_, k, _)| prefix_of(k) > p) {
+                        // Consecutive prefixes own consecutive buckets, so
+                        // after `buckets` steps every leaf is open.
+                        if p == max_prefix || buckets_opened == config.buckets() {
+                            frontier = None;
+                        } else {
+                            frontier = Some(p + 1);
+                            to_open = leaves_of(p + 1);
+                            buckets_opened += 1;
+                        }
+                        continue;
                     }
                 }
+                let Some((i, k, &v)) = best else { break };
+                scratch.items.push((key_id(k), v));
+                let ls = &mut scratch.leaves[i];
+                ls.charged = Some(ls.head_mark);
+                heads[i] = ls.pull(&shards[i].art, start);
             }
-            let Some((i, _)) = best else { break };
-            let (k, &v) = parts[i][scratch.cursors[i]];
-            scratch.items.push((key_id(k), v));
-            scratch.cursors[i] += 1;
-            scratch.consumed[i] += 1;
-        }
-        // Same digest formula as a single-tree scan: length first, then
-        // every (key id, value) pair in key order.
-        let mut answer = fold_digest(DIGEST_BASE, scratch.items.len() as u64);
-        for &(kid, v) in &scratch.items {
-            answer = fold_digest(answer, kid);
-            answer = fold_digest(answer, v);
-        }
+            // Same digest formula as a single-tree scan: length first, then
+            // every (key id, value) pair in key order.
+            let mut answer = fold_digest(DIGEST_BASE, scratch.items.len() as u64);
+            for &(kid, v) in &scratch.items {
+                answer = fold_digest(answer, kid);
+                answer = fold_digest(answer, v);
+            }
 
-        // Phase B — cost: re-walk the shards the merge consumed from (and
-        // always the scan's own shard, which at minimum descends to the
-        // start position), collecting namespaced visits.
-        let seg_start = scratch.segments.len() as u32;
-        for (i, src) in shards.iter().enumerate() {
-            let consumed = scratch.consumed[i];
-            if consumed == 0 && i != b {
-                continue;
+            // Cost, in leaf order: each contributing leaf's visits up to
+            // its last consumed key; the scan's own shard always pays at
+            // least the descent to its first head.
+            let seg_start = scratch.segments.len() as u32;
+            scratch.open.sort_unstable();
+            for i in scratch.open.drain(..) {
+                let ls = &scratch.leaves[i];
+                let charge = ls.charged.or((i == own).then_some(ls.head_mark));
+                let Some((visits, matches)) = charge else { continue };
+                let src = &shards[i];
+                scratch.visit_buf.extend(
+                    ls.tracer.trace.visits[..visits]
+                        .iter()
+                        .map(|v| NodeVisit { node: namespaced(src.bucket, src.sub, v.node), ..*v }),
+                );
+                scratch.segments.push((visits, matches));
             }
-            scratch.tracer.clear();
-            let _ = src.art.scan_traced(start, (consumed as usize).max(1), &mut scratch.tracer);
-            let before = scratch.visit_buf.len();
-            for v in &scratch.tracer.trace.visits {
-                scratch
-                    .visit_buf
-                    .push(NodeVisit { node: namespaced(src.bucket, src.sub, v.node), ..*v });
-            }
-            scratch
-                .segments
-                .push((scratch.visit_buf.len() - before, scratch.tracer.trace.partial_key_matches));
+            scratch.resolved.push((
+                answer,
+                scratch.items.len() as u64,
+                seg_start,
+                scratch.segments.len() as u32 - seg_start,
+            ));
         }
-        scratch.resolved.push((
-            answer,
-            scratch.items.len() as u64,
-            seg_start,
-            scratch.segments.len() as u32 - seg_start,
-        ));
     }
 
     // Pass 2 — commit, in the same scan order: dedup each scan's visits
@@ -1159,20 +1277,8 @@ fn merge_art_trees<'a>(trees: impl Iterator<Item = &'a Art<u64>>) -> Result<Art<
     let mut pairs: Vec<(Key, u64)> = Vec::with_capacity(total);
     let mut iters: Vec<_> = trees.iter().map(|t| t.iter()).collect();
     let mut heads: Vec<Option<(&Key, &u64)>> = iters.iter_mut().map(Iterator::next).collect();
-    loop {
-        let mut best: Option<(usize, &[u8])> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some((k, _)) = head {
-                let kb = k.as_bytes();
-                if best.is_none_or(|(_, bb)| kb < bb) {
-                    best = Some((i, kb));
-                }
-            }
-        }
-        let Some((i, _)) = best else { break };
-        if let Some((k, &v)) = heads[i] {
-            pairs.push((k.clone(), v));
-        }
+    while let Some((i, k, &v)) = smallest_head(&heads, 0..heads.len()) {
+        pairs.push((k.clone(), v));
         heads[i] = iters[i].next();
     }
     Ok(Art::from_sorted(pairs)?)
@@ -1889,7 +1995,7 @@ impl CttSession {
             return Err(e);
         }
 
-        resolve_scans(&mut self.leaves, batch, &mut self.scan_scratch);
+        resolve_scans(&mut self.leaves, &self.groups, config, batch, &mut self.scan_scratch);
 
         // Serial replay: walk the records in the canonical round-robin
         // bucket order, so shared consumer-side resources (the Tree buffer

@@ -110,14 +110,14 @@ fn fault_injection_stays_deterministic_and_correct_under_threading() {
 /// schedule, digesting the full event stream.
 fn run_cell(
     workload: Workload,
+    mix: Mix,
     faults: FaultPlan,
     split: f64,
     threads: usize,
     steal: bool,
 ) -> (String, u64, u64, LoadReport, CttStats) {
     let keys = workload.generate(3_000, 17);
-    let ops =
-        generate_ops(&keys, &OpStreamConfig { count: 8_000, mix: Mix::E, theta: 0.99, seed: 17 });
+    let ops = generate_ops(&keys, &OpStreamConfig { count: 8_000, mix, theta: 0.99, seed: 17 });
     let mut cfg = DcartConfig::default().with_auto_prefix_skip(&keys);
     cfg.faults = faults;
     cfg.split_threshold = Some(split);
@@ -148,7 +148,7 @@ fn split_schedules_are_pinned_across_threads_and_stealing() {
             // 1.0 never splits; 0.02 splits any bucket above 2 % of a batch.
             for split in [1.0f64, 0.02] {
                 let (base_json, base_stream, base_tree, _, base_stats) =
-                    run_cell(workload, faults, split, 1, false);
+                    run_cell(workload, Mix::E, faults, split, 1, false);
                 if split < 0.5 {
                     assert!(
                         base_stats.shard_splits > 0,
@@ -159,7 +159,7 @@ fn split_schedules_are_pinned_across_threads_and_stealing() {
                 }
                 for (threads, steal) in SCHEDULES {
                     let (json, stream, tree, load, _) =
-                        run_cell(workload, faults, split, threads, steal);
+                        run_cell(workload, Mix::E, faults, split, threads, steal);
                     assert_eq!(
                         json, base_json,
                         "{workload:?} split {split}: stats differ at {threads} threads"
@@ -180,6 +180,76 @@ fn split_schedules_are_pinned_across_threads_and_stealing() {
                 per_split[0], per_split[1],
                 "{workload:?}: answers and final tree are split-invariant"
             );
+        }
+    }
+}
+
+/// Observables of a scan-heavy stream (`Mix::C`, 30 % of reads are range
+/// scans), captured on the commit before the batch-end scan merge became a
+/// single lazy pass: `(workload, split threshold, event-stream digest,
+/// tree digest, stats JSON)`. Constants, not regenerated — the merge's
+/// answers, visit counts and match charges must reproduce them exactly.
+const SCAN_PINS: [(Workload, f64, u64, u64, &str); 6] = [
+    (
+        Workload::Ipgeo,
+        1.0,
+        0x22c9942bf32b5aaf,
+        0x4a45812b5a64f43a,
+        r#"{"ops":8000,"reads":3973,"writes":4027,"batches":8,"shortcut":{"hits":4332,"misses":1346,"stale_invalidations":0,"generated":2096,"updated":395,"corruptions_injected":0,"corruption_fallbacks":0,"nodes_visited":9060,"ops_advanced":9206},"lock_groups":2693,"per_op_locks":4097,"shortcut_hash_collisions":3,"shortcut_disables":0,"shard_splits":0,"shard_merges":0,"answer_digest":1861469149533436525}"#,
+    ),
+    (
+        Workload::Ipgeo,
+        0.02,
+        0xd16f29983754a620,
+        0x4a45812b5a64f43a,
+        r#"{"ops":8000,"reads":3973,"writes":4027,"batches":8,"shortcut":{"hits":4314,"misses":1364,"stale_invalidations":0,"generated":2127,"updated":382,"corruptions_injected":0,"corruption_fallbacks":0,"nodes_visited":7765,"ops_advanced":7898},"lock_groups":2693,"per_op_locks":4097,"shortcut_hash_collisions":3,"shortcut_disables":0,"shard_splits":16,"shard_merges":0,"answer_digest":1861469149533436525}"#,
+    ),
+    (
+        Workload::Dict,
+        1.0,
+        0xe45dfad8c86a7664,
+        0x718650282caaa113,
+        r#"{"ops":8000,"reads":3973,"writes":4027,"batches":8,"shortcut":{"hits":4332,"misses":1346,"stale_invalidations":0,"generated":2096,"updated":395,"corruptions_injected":0,"corruption_fallbacks":0,"nodes_visited":10302,"ops_advanced":10510},"lock_groups":2708,"per_op_locks":4108,"shortcut_hash_collisions":1,"shortcut_disables":0,"shard_splits":0,"shard_merges":0,"answer_digest":10548478116866425114}"#,
+    ),
+    (
+        Workload::Dict,
+        0.02,
+        0x5c1418fa37680620,
+        0x718650282caaa113,
+        r#"{"ops":8000,"reads":3973,"writes":4027,"batches":8,"shortcut":{"hits":4320,"misses":1358,"stale_invalidations":0,"generated":2113,"updated":390,"corruptions_injected":0,"corruption_fallbacks":0,"nodes_visited":10139,"ops_advanced":10306},"lock_groups":2724,"per_op_locks":4110,"shortcut_hash_collisions":1,"shortcut_disables":0,"shard_splits":12,"shard_merges":0,"answer_digest":10548478116866425114}"#,
+    ),
+    (
+        Workload::DenseInt,
+        1.0,
+        0x19d1ad6d4fbad384,
+        0xebc1a56e0f6e9a8b,
+        r#"{"ops":8000,"reads":3973,"writes":4027,"batches":8,"shortcut":{"hits":4332,"misses":1346,"stale_invalidations":0,"generated":2096,"updated":395,"corruptions_injected":0,"corruption_fallbacks":0,"nodes_visited":4130,"ops_advanced":4232},"lock_groups":2064,"per_op_locks":4027,"shortcut_hash_collisions":0,"shortcut_disables":0,"shard_splits":0,"shard_merges":0,"answer_digest":6626304711118392762}"#,
+    ),
+    (
+        Workload::DenseInt,
+        0.02,
+        0xac47a11b4cd3dcf5,
+        0xebc1a56e0f6e9a8b,
+        r#"{"ops":8000,"reads":3973,"writes":4027,"batches":8,"shortcut":{"hits":4332,"misses":1346,"stale_invalidations":0,"generated":2096,"updated":395,"corruptions_injected":0,"corruption_fallbacks":0,"nodes_visited":4148,"ops_advanced":4232},"lock_groups":2445,"per_op_locks":4027,"shortcut_hash_collisions":0,"shortcut_disables":0,"shard_splits":15,"shard_merges":0,"answer_digest":6626304711118392762}"#,
+    ),
+];
+
+#[test]
+fn scan_heavy_stream_reproduces_its_pinned_observables() {
+    for (workload, split, stream, tree, json) in SCAN_PINS {
+        for (threads, steal) in SCHEDULES {
+            let (_, got_stream, got_tree, _, stats) = run_cell(
+                workload,
+                Mix::C.with_scans(0.3),
+                FaultPlan::none(),
+                split,
+                threads,
+                steal,
+            );
+            let cell = format!("{workload:?} split {split} threads {threads} steal {steal}");
+            assert_eq!(got_stream, stream, "{cell}: event stream");
+            assert_eq!(got_tree, tree, "{cell}: final tree");
+            assert_eq!(serde_json::to_string(&stats).expect("stats serialize"), json, "{cell}");
         }
     }
 }
