@@ -55,7 +55,10 @@ mod validate;
 pub use batch::LevelWiseScratch;
 pub use key::Key;
 pub use node::{NodeId, NodeType};
-pub use serde_impl::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use serde_impl::{
+    SnapshotEntries, SnapshotError, SnapshotWriter, WrittenSnapshot, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+};
 pub use sync::{LockStats, SyncArt};
 pub use trace::{NodeVisit, NoopTracer, OpTrace, RecordingTracer, Tracer, VisitKind};
 pub use tree::{Art, ArtError, Range, ScanCursor, TypeHistogram};

@@ -51,10 +51,10 @@
 //!   bit-identical to the unsplit one). Once the bucket cools — its op
 //!   count stays at or below half the split threshold for
 //!   [`MERGE_PATIENCE`] consecutive batches — the sub-shards re-merge
-//!   through the same validating k-way merge that produces the final
-//!   tree. Split and merge decisions depend only on per-batch op counts,
-//!   never on timing or thread identity, so the split schedule (and with
-//!   it every observable) is reproducible.
+//!   through the same ordered merge and validating bulk load that produce
+//!   the final tree. Split and merge decisions depend only on per-batch op
+//!   counts, never on timing or thread identity, so the split schedule
+//!   (and with it every observable) is reproducible.
 //! * **Work stealing** — with stealing enabled ([`set_work_stealing`], or
 //!   [`ExecOpts::steal`]), shards are dealt heaviest-first over per-worker
 //!   [`dcart_engine::StealQueue`] deques
@@ -89,7 +89,9 @@ use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use dcart_art::node::Node;
-use dcart_art::{Art, Key, LevelWiseScratch, NodeId, NodeVisit, RecordingTracer, ScanCursor};
+use dcart_art::{
+    Art, Key, LevelWiseScratch, NodeId, NodeVisit, Range, RecordingTracer, ScanCursor,
+};
 use dcart_engine::{
     par_for_each_mut, par_for_each_mut_balanced, DegradationController, FaultInjector, FaultPlan,
     FaultSite, PoolStats,
@@ -1265,29 +1267,68 @@ fn resolve_scans(
     }
 }
 
-/// Merges a set of disjoint subtrees into one: a k-way merge by key
-/// (shard key ranges interleave modulo the bucket count) bulk-loaded
-/// through the validating sorted constructor, which also enforces the
-/// *global* prefix-free invariant that per-shard inserts cannot see. Used
-/// both by the end-of-run merge over every leaf shard and by the re-merge
-/// of a cooled bucket's sub-shards.
-fn merge_art_trees<'a>(trees: impl Iterator<Item = &'a Art<u64>>) -> Result<Art<u64>, DcartError> {
-    let trees: Vec<&Art<u64>> = trees.collect();
-    let total: usize = trees.iter().map(|t| t.len()).sum();
-    let mut pairs: Vec<(Key, u64)> = Vec::with_capacity(total);
-    let mut iters: Vec<_> = trees.iter().map(|t| t.iter()).collect();
-    let mut heads: Vec<Option<(&Key, &u64)>> = iters.iter_mut().map(Iterator::next).collect();
-    while let Some((i, k, &v)) = smallest_head(&heads, 0..heads.len()) {
-        pairs.push((k.clone(), v));
-        heads[i] = iters[i].next();
-    }
-    Ok(Art::from_sorted(pairs)?)
+/// Every entry of a set of key-disjoint subtrees, ascending by key: a
+/// k-way merge that moves in *runs*. It picks the subtree with the
+/// smallest head, then drains that subtree for as long as its head stays
+/// below the runner-up's — shard key ranges interleave by combining
+/// prefix, so a run is a whole prefix's keys (hundreds at a time) and the
+/// scan over all heads happens once per run, not once per key.
+struct OrderedEntries<'a> {
+    iters: Vec<Range<'a, u64>>,
+    heads: Vec<Option<(&'a Key, &'a u64)>>,
+    /// The subtree being drained.
+    current: usize,
+    /// Where its run ends: the smallest head among the others (`None`:
+    /// no other subtree has anything left).
+    bound: Option<&'a Key>,
 }
 
-/// Merges the leaf-shard subtrees back into the one logical tree the run
-/// produces.
-fn merge_shard_trees(shards: &[BucketShard]) -> Result<Art<u64>, DcartError> {
-    merge_art_trees(shards.iter().map(|s| &s.art))
+impl<'a> OrderedEntries<'a> {
+    fn new(trees: impl Iterator<Item = &'a Art<u64>>) -> Self {
+        let mut iters: Vec<_> = trees.map(Art::iter).collect();
+        let heads = iters.iter_mut().map(Iterator::next).collect();
+        let mut merged = OrderedEntries { iters, heads, current: 0, bound: None };
+        merged.pick();
+        merged
+    }
+
+    /// Starts the next run: `current` becomes the subtree with the
+    /// smallest head, `bound` the runner-up's head.
+    fn pick(&mut self) {
+        let heads = &self.heads;
+        if let Some((best, _, _)) = smallest_head(heads, 0..heads.len()) {
+            self.current = best;
+            self.bound =
+                smallest_head(heads, (0..heads.len()).filter(|&i| i != best)).map(|(_, k, _)| k);
+        }
+    }
+}
+
+impl<'a> Iterator for OrderedEntries<'a> {
+    type Item = (&'a Key, u64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut head = self.heads.get(self.current).copied().flatten();
+        if head.is_none_or(|(k, _)| self.bound.is_some_and(|b| k >= b)) {
+            // Subtree exhausted, or its head has passed the runner-up's:
+            // the smallest head overall starts the next run and is inside
+            // it, keys being distinct across subtrees.
+            self.pick();
+            head = self.heads.get(self.current).copied().flatten();
+        }
+        let (key, &value) = head?;
+        self.heads[self.current] = self.iters[self.current].next();
+        Some((key, value))
+    }
+}
+
+/// Bulk-loads an ordered entry stream through the validating sorted
+/// constructor, which also enforces the *global* prefix-free invariant
+/// that per-shard inserts cannot see. Used both by the end-of-run merge
+/// over every leaf shard and by the re-merge of a cooled bucket's
+/// sub-shards.
+fn collect_tree<'a>(entries: impl Iterator<Item = (&'a Key, u64)>) -> Result<Art<u64>, DcartError> {
+    Ok(Art::from_sorted(entries.map(|(k, v)| (k.clone(), v)).collect())?)
 }
 
 /// Per-bucket adaptive-sharding state. The executor's shard vector holds
@@ -1406,9 +1447,9 @@ fn split_bucket(
 }
 
 /// Re-merges a cooled bucket's sub-shards into one leaf through the same
-/// validating k-way merge that produces the final tree. The merged shard's
-/// shortcut table restarts empty; its latch stays tripped if *any*
-/// sub-shard's was (sticky degradation never un-trips on merge).
+/// ordered merge and validating bulk load that produce the final tree. The
+/// merged shard's shortcut table restarts empty; its latch stays tripped
+/// if *any* sub-shard's was (sticky degradation never un-trips on merge).
 fn merge_bucket(
     g: &mut BucketGroup,
     leaves: &mut Vec<BucketShard>,
@@ -1419,7 +1460,7 @@ fn merge_bucket(
     for s in &subs {
         retire_shard(s, &mut g.retired, &mut g.retired_disables);
     }
-    let art = merge_art_trees(subs.iter().map(|s| &s.art))?;
+    let art = collect_tree(OrderedEntries::new(subs.iter().map(|s| &s.art)))?;
     leaves.insert(g.start, BucketShard::new_sub(g.bucket, 0, config, art, active));
     g.subs = 1;
     g.merges += 1;
@@ -1834,9 +1875,10 @@ fn run_batches<C: CttConsumer>(
 /// time (flushed on size or linger deadline) and vary in size — so the
 /// session exposes the loop body directly: construct once over the
 /// recovered tree state, call [`execute_batch`](CttSession::execute_batch)
-/// per coalesced batch, snapshot [`tree`](CttSession::tree) /
-/// [`answer_digest`](CttSession::answer_digest) for checkpoints whenever
-/// convenient, and [`finish`](CttSession::finish) at drain.
+/// per coalesced batch, read [`entries`](CttSession::entries) /
+/// [`get`](CttSession::get) / [`answer_digest`](CttSession::answer_digest)
+/// for checkpoints whenever convenient, and
+/// [`finish`](CttSession::finish) at drain.
 ///
 /// Determinism contract: driving a session with the same sequence of
 /// batch slices produces byte-identical events, digests, and stats as the
@@ -2097,16 +2139,43 @@ impl CttSession {
         &self.stats
     }
 
+    /// Keys the session holds, over all shards.
+    pub fn len(&self) -> usize {
+        self.leaves.iter().map(|leaf| leaf.art.len()).sum()
+    }
+
+    /// Whether the session holds no key at all.
+    pub fn is_empty(&self) -> bool {
+        self.leaves.iter().all(|leaf| leaf.art.is_empty())
+    }
+
+    /// The value stored under `key` right now, read from the one shard
+    /// the key routes to — no events, no stats, no shortcut traffic.
+    pub fn get(&self, key: &Key) -> Option<u64> {
+        let config = &self.config;
+        let prefix = key.prefix_bits_at(config.prefix_skip_bytes, config.prefix_bits);
+        let group = &self.groups[config.bucket_of(prefix)];
+        let sub = if group.subs == 1 { 0 } else { sub_of(key, self.policy.next_byte) };
+        self.leaves[group.start + sub].art.get(key).copied()
+    }
+
+    /// Every `(key, value)` the session holds, ascending by key, streamed
+    /// from the live shards — what a full-walk checkpoint encodes, and
+    /// what [`tree`](CttSession::tree) bulk-loads.
+    pub fn entries(&self) -> impl Iterator<Item = (&Key, u64)> + '_ {
+        OrderedEntries::new(self.leaves.iter().map(|leaf| &leaf.art))
+    }
+
     /// Merges the live shard subtrees into one logical tree *without*
-    /// ending the session — the checkpoint path: snapshot the tree, keep
-    /// serving.
+    /// ending the session. (Checkpoints do not need it: they encode
+    /// [`entries`](CttSession::entries).)
     ///
     /// # Errors
     ///
     /// [`DcartError::Art`] if the merged key set violates the prefix-free
     /// invariant (cannot happen for key sets the shards accepted).
     pub fn tree(&self) -> Result<Art<u64>, DcartError> {
-        merge_shard_trees(&self.leaves)
+        collect_tree(self.entries())
     }
 
     /// Ends the session: folds the per-shard traverse/shortcut counters
@@ -2151,7 +2220,7 @@ impl CttSession {
                 subs_at_end: g.subs,
             });
         }
-        let art = merge_shard_trees(&leaves)?;
+        let art = collect_tree(OrderedEntries::new(leaves.iter().map(|leaf| &leaf.art)))?;
         Ok((art, stats, load))
     }
 }
@@ -2545,6 +2614,42 @@ mod tests {
         // The deterministic half of the load report is threshold-independent.
         let ops_of = |load: &LoadReport| load.buckets.iter().map(|b| b.ops).collect::<Vec<_>>();
         assert_eq!(ops_of(&split_load), ops_of(&never_load), "routing histogram identical");
+    }
+
+    #[test]
+    fn session_entries_len_and_get_read_the_live_shards() {
+        // The read-side accessors against the merged tree, batch by batch,
+        // while buckets are split into sub-shards (and some re-merge).
+        let keys = Workload::Dict.generate(1_500, 9);
+        let ops = generate_ops(
+            &keys,
+            &OpStreamConfig { count: 6_000, mix: Mix::E, ..Default::default() },
+        );
+        let cfg = DcartConfig { split_threshold: Some(0.02), ..DcartConfig::default() };
+        let opts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
+        let pairs: Vec<(Key, u64)> = keys.keys.iter().cloned().zip(0u64..).collect();
+        let mut session = CttSession::from_pairs(&pairs, &cfg, &opts, 512, 0).expect("loads");
+        let loaded: std::collections::BTreeMap<&Key, u64> =
+            pairs.iter().map(|(k, v)| (k, *v)).collect();
+        assert!(session.entries().eq(loaded), "the load, in key order");
+        for batch in ops.chunks(512) {
+            session.execute_batch(batch, &mut Collector::default()).expect("runs clean");
+            let tree = session.tree().expect("merges");
+            assert_eq!(session.len(), tree.len());
+            assert!(!session.is_empty());
+            assert!(session.entries().eq(tree.iter().map(|(k, &v)| (k, v))));
+            for op in batch {
+                assert_eq!(session.get(&op.key), tree.get(&op.key).copied(), "{:?}", op.key);
+            }
+        }
+        assert!(session.groups.iter().any(|g| g.subs > 1), "some bucket is split right now");
+        let (_, stats, _) = session.finish().expect("finishes");
+        assert!(stats.shard_splits > 0 && stats.writes > 0);
+
+        let empty = CttSession::from_pairs(&[], &cfg, &opts, 512, 0).expect("opens empty");
+        assert!(empty.is_empty() && empty.entries().next().is_none());
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty.get(&keys.keys[0]), None);
     }
 
     #[test]

@@ -15,11 +15,24 @@
 //!    durability point: a batch without one is truncated at recovery,
 //!    never replayed.
 //!
-//! At each segment boundary the merged tree is checkpointed with the
+//! At each segment boundary the tree's entries are checkpointed with the
 //! classic temp-file protocol — write `checkpoint.tmp`, fsync, atomically
-//! rename over `checkpoint.snap` — and only then is the WAL reset. Every
-//! window between those steps is a distinct [`CrashSite`], and the
-//! crash-point matrix in `crates/bench` kills the run inside each one.
+//! rename over `checkpoint.snap`, fsync the directory — and only then is
+//! the WAL reset. Every window between those steps is a distinct
+//! [`CrashSite`], and the crash-point matrix in `crates/bench` kills the
+//! run inside each one.
+//!
+//! # Checkpoint files
+//!
+//! A checkpoint is a `DCARTCKP` prelude (`next_seq`, cumulative answer
+//! digest) around a binary `DCARTSNP` snapshot container (see
+//! `dcart_art`'s `serde_impl`), closed by a checksum chained over the
+//! prelude and the container's own checksum. [`write_checkpoint`] encodes
+//! a merged [`Art`]; a live [`CttSession`] goes through a
+//! [`Checkpointer`] instead, which encodes an ordered walk of the shards
+//! the first time and from then on merges the keys written since into
+//! the entries of the file it installed last — same bytes, at a cost
+//! that follows the writes rather than the tree.
 //!
 //! # Recovery
 //!
@@ -37,7 +50,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use dcart_art::{Art, Key};
+use dcart_art::{Art, Key, SnapshotEntries, SnapshotError, SnapshotWriter, WrittenSnapshot};
 use dcart_engine::{wal, CrashInjector, CrashSite, WalBatch, WalError, WalWriter};
 use dcart_mem::PersistStats;
 use dcart_workloads::{KeySet, Op, OpKind};
@@ -45,6 +58,7 @@ use dcart_workloads::{KeySet, Op, OpKind};
 use crate::config::DcartConfig;
 use crate::ctt::{
     fold_digest, tree_digest, try_execute_ctt_resumed, BatchEvent, CttConsumer, CttOpEvent,
+    CttSession,
 };
 use crate::error::DcartError;
 
@@ -211,25 +225,98 @@ pub fn decode_ops(bytes: &[u8]) -> Result<Vec<Op>, DcartError> {
 
 // --- checkpoint files ------------------------------------------------------
 
-/// Serialized checkpoint: `magic | next_seq u64 | digest u64 | snapshot |
-/// crc64` — the snapshot is the tree's own self-validating container, the
-/// outer crc additionally covers the prelude.
-fn encode_checkpoint(next_seq: u64, digest: u64, tree: &Art<u64>) -> Result<Vec<u8>, DcartError> {
-    let snapshot = tree.snapshot_bytes()?;
-    let mut bytes = Vec::with_capacity(CHECKPOINT_PRELUDE + snapshot.len() + 8);
-    bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-    bytes.extend_from_slice(&next_seq.to_le_bytes());
-    bytes.extend_from_slice(&digest.to_le_bytes());
-    bytes.extend_from_slice(&snapshot);
-    let crc = wal::checksum(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    Ok(bytes)
+/// The outer checksum: the WAL's FNV-1a over the prelude and the
+/// snapshot container's own checksum. The container's checksum already
+/// covers every payload byte, so chaining it extends the protection to
+/// the prelude without reading the payload a second time.
+fn chained_checksum(prelude: &[u8], snapshot_checksum: u64) -> u64 {
+    let mut chained = [0u8; CHECKPOINT_PRELUDE + 8];
+    chained[..CHECKPOINT_PRELUDE].copy_from_slice(prelude);
+    chained[CHECKPOINT_PRELUDE..].copy_from_slice(&snapshot_checksum.to_le_bytes());
+    wal::checksum(&chained)
 }
 
-/// Installs a checkpoint with the temp-file + atomic-rename protocol,
-/// exercising the three checkpoint crash sites. Public for the serving
-/// layer, which checkpoints a live [`CttSession`](crate::CttSession)
-/// snapshot on drain and during recovery.
+/// Serializes a checkpoint file into `out` (cleared first):
+/// `magic | next_seq u64 | digest u64 | snapshot container | checksum`,
+/// the container's entries being whatever `fill` writes.
+fn encode_checkpoint(
+    out: &mut Vec<u8>,
+    next_seq: u64,
+    digest: u64,
+    fill: impl FnOnce(&mut SnapshotWriter<'_>) -> Result<(), SnapshotError>,
+) -> Result<WrittenSnapshot, DcartError> {
+    out.clear();
+    out.extend_from_slice(&CHECKPOINT_MAGIC);
+    out.extend_from_slice(&next_seq.to_le_bytes());
+    out.extend_from_slice(&digest.to_le_bytes());
+    let mut writer = SnapshotWriter::begin(out);
+    fill(&mut writer)?;
+    let written = writer.finish();
+    let outer = chained_checksum(&out[..CHECKPOINT_PRELUDE], written.checksum);
+    out.extend_from_slice(&outer.to_le_bytes());
+    Ok(written)
+}
+
+/// Encodes `entries` (ascending by key) as a whole checkpoint file.
+fn encode_walk<'a>(
+    out: &mut Vec<u8>,
+    next_seq: u64,
+    digest: u64,
+    entries: impl IntoIterator<Item = (&'a Key, u64)>,
+) -> Result<WrittenSnapshot, DcartError> {
+    encode_checkpoint(out, next_seq, digest, |writer| {
+        entries.into_iter().try_for_each(|(key, value)| writer.push(key.as_bytes(), value))
+    })
+}
+
+/// Installs an encoded checkpoint with the temp-file + atomic-rename
+/// protocol — write `checkpoint.tmp`, fsync it, rename it over
+/// `checkpoint.snap`, fsync the directory — exercising the three
+/// checkpoint crash sites. Only after this returns may the WAL be reset.
+fn install_checkpoint(
+    dir: &Path,
+    bytes: &[u8],
+    crash: &mut CrashInjector,
+    persist: &mut PersistStats,
+) -> Result<(), DcartError> {
+    let tmp = dir.join(CHECKPOINT_TMP);
+    if crash.should_crash(CrashSite::MidCheckpoint) {
+        // Die mid-write: a deterministic prefix of the temp file lands.
+        let torn = crash.torn_len(bytes.len());
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes.get(..torn).unwrap_or(bytes))?;
+        f.sync_all()?;
+        persist.checkpoint_bytes += torn as u64;
+        return Err(WalError::InjectedCrash(CrashSite::MidCheckpoint).into());
+    }
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    persist.checkpoint_bytes += bytes.len() as u64;
+    if crash.should_crash(CrashSite::BeforeSwap) {
+        // Temp file complete and synced, rename never happened: the
+        // previous checkpoint (or none) stays live.
+        return Err(WalError::InjectedCrash(CrashSite::BeforeSwap).into());
+    }
+    fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
+    // The rename lives in the directory, not in the file: without this a
+    // power cut could keep the WAL reset that follows and lose the rename
+    // it relies on.
+    wal::sync_dir(dir)?;
+    persist.checkpoints += 1;
+    if crash.should_crash(CrashSite::AfterSwap) {
+        // New checkpoint live, WAL not yet reset: recovery must skip the
+        // already-absorbed batches still sitting in the log.
+        return Err(WalError::InjectedCrash(CrashSite::AfterSwap).into());
+    }
+    Ok(())
+}
+
+/// Encodes `tree` as a checkpoint and installs it. Public for callers
+/// that hold a merged tree (the offline durable executor, reports); a
+/// live [`CttSession`] checkpoints through a [`Checkpointer`], which
+/// needs no merged tree.
 ///
 /// # Errors
 ///
@@ -244,46 +331,32 @@ pub fn write_checkpoint(
     crash: &mut CrashInjector,
     persist: &mut PersistStats,
 ) -> Result<(), DcartError> {
-    let bytes = encode_checkpoint(next_seq, digest, tree)?;
-    let tmp = dir.join(CHECKPOINT_TMP);
-    if crash.should_crash(CrashSite::MidCheckpoint) {
-        // Die mid-write: a deterministic prefix of the temp file lands.
-        let torn = crash.torn_len(bytes.len());
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes.get(..torn).unwrap_or(&bytes))?;
-        f.sync_all()?;
-        persist.checkpoint_bytes += torn as u64;
-        return Err(WalError::InjectedCrash(CrashSite::MidCheckpoint).into());
-    }
-    let mut f = File::create(&tmp)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    drop(f);
-    persist.checkpoint_bytes += bytes.len() as u64;
-    if crash.should_crash(CrashSite::BeforeSwap) {
-        // Temp file complete and synced, rename never happened: the
-        // previous checkpoint (or none) stays live.
-        return Err(WalError::InjectedCrash(CrashSite::BeforeSwap).into());
-    }
-    fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
-    persist.checkpoints += 1;
-    if crash.should_crash(CrashSite::AfterSwap) {
-        // New checkpoint live, WAL not yet reset: recovery must skip the
-        // already-absorbed batches still sitting in the log.
-        return Err(WalError::InjectedCrash(CrashSite::AfterSwap).into());
-    }
-    Ok(())
+    let mut bytes = Vec::new();
+    encode_walk(&mut bytes, next_seq, digest, tree.iter().map(|(k, &v)| (k, v)))?;
+    install_checkpoint(dir, &bytes, crash, persist)
 }
 
-/// Loads the live checkpoint, if present:
-/// `(next_seq, cumulative digest, tree)`. Public for the serving layer's
-/// restart path.
+/// A checkpoint as it sits on disk, decoded but not yet loaded into a tree.
+#[derive(Debug)]
+pub struct CheckpointPairs {
+    /// Sequence number of the first batch the checkpoint does not contain.
+    pub next_seq: u64,
+    /// Cumulative answer digest as of `next_seq`.
+    pub digest: u64,
+    /// Every entry, ascending by key and prefix-free.
+    pub pairs: Vec<(Key, u64)>,
+}
+
+/// Loads the live checkpoint, if present, without building a tree — the
+/// restart path, which routes the entries straight into shards.
 ///
 /// # Errors
 ///
-/// I/O failures other than the file being absent, or
-/// [`DcartError::Recovery`] on a malformed/corrupt checkpoint.
-pub fn read_checkpoint(dir: &Path) -> Result<Option<(u64, u64, Art<u64>)>, DcartError> {
+/// I/O failures other than the file being absent,
+/// [`DcartError::Snapshot`] for a corrupt, truncated or other-version
+/// snapshot container, [`DcartError::Recovery`] for a file that is not a
+/// checkpoint or whose outer checksum does not match.
+pub fn read_checkpoint_pairs(dir: &Path) -> Result<Option<CheckpointPairs>, DcartError> {
     let path = dir.join(CHECKPOINT_FILE);
     let bytes = match fs::read(&path) {
         Ok(b) => b,
@@ -296,17 +369,175 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<(u64, u64, Art<u64>)>, Dcart
             path.display()
         )));
     }
-    let body_len = bytes.len() - 8;
-    let stored = u64::from_le_bytes(
-        bytes[body_len..].try_into().unwrap_or([0; 8]), // length checked above
-    );
-    if wal::checksum(&bytes[..body_len]) != stored {
+    let (prelude, rest) = bytes.split_at(CHECKPOINT_PRELUDE);
+    let (container, outer) = rest.split_at(rest.len() - 8);
+    // The container first: its version check is what tells an old-format
+    // file from a damaged one.
+    let (entries, snapshot_checksum) = SnapshotEntries::open(container)?;
+    let stored = u64::from_le_bytes(outer.try_into().unwrap_or([0; 8])); // split at len - 8
+    if chained_checksum(prelude, snapshot_checksum) != stored {
         return Err(DcartError::Recovery("checkpoint checksum mismatch".into()));
     }
-    let next_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap_or([0; 8]));
-    let digest = u64::from_le_bytes(bytes[16..24].try_into().unwrap_or([0; 8]));
-    let tree = Art::from_snapshot_bytes(&bytes[CHECKPOINT_PRELUDE..body_len])?;
-    Ok(Some((next_seq, digest, tree)))
+    Ok(Some(CheckpointPairs {
+        next_seq: u64::from_le_bytes(prelude[8..16].try_into().unwrap_or([0; 8])),
+        digest: u64::from_le_bytes(prelude[16..24].try_into().unwrap_or([0; 8])),
+        pairs: entries.collect_pairs()?,
+    }))
+}
+
+/// Loads the live checkpoint, if present:
+/// `(next_seq, cumulative digest, tree)`.
+///
+/// # Errors
+///
+/// Those of [`read_checkpoint_pairs`].
+pub fn read_checkpoint(dir: &Path) -> Result<Option<(u64, u64, Art<u64>)>, DcartError> {
+    let Some(ckpt) = read_checkpoint_pairs(dir)? else { return Ok(None) };
+    Ok(Some((ckpt.next_seq, ckpt.digest, Art::from_sorted(ckpt.pairs)?)))
+}
+
+// --- incremental checkpoints -------------------------------------------------
+
+/// How a [`Checkpointer`] produced the checkpoint it just installed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CheckpointKind {
+    /// Encoded from an ordered walk over every live shard.
+    Walked,
+    /// The previous checkpoint's entries with the current state of the
+    /// `dirty_keys` distinct keys written since merged in.
+    Merged {
+        /// Distinct keys written since the previous checkpoint.
+        dirty_keys: u64,
+    },
+}
+
+/// Checkpoints a live [`CttSession`] at a cost that follows what changed.
+///
+/// The tree stays the only truth: the checkpointer remembers *which* keys
+/// a cycle's write operations named, never what the operations did. At a
+/// checkpoint it sorts and deduplicates those keys — Combine, applied to
+/// durability — reads each key's current state back from the shard that
+/// owns it, and merges that sorted set into the entries of the checkpoint
+/// it installed last, in one sequential pass
+/// ([`SnapshotWriter::merge`]). The result is byte-identical to encoding
+/// an ordered walk over the whole session (asserted in debug builds), and
+/// its entry count is checked against the session's before anything
+/// touches the disk.
+///
+/// A checkpointer that has installed nothing yet — a fresh directory, or
+/// a restart, whose recovered state no image describes — walks, and so
+/// does a caller that asks for it (the drain checkpoint).
+pub struct Checkpointer {
+    dir: PathBuf,
+    /// The file this checkpointer installed last and where its entries
+    /// sit in it: the base of the next merge.
+    image: Option<(Vec<u8>, WrittenSnapshot)>,
+    /// The file under construction; trades places with the image on
+    /// install, so steady state allocates nothing.
+    next: Vec<u8>,
+    /// Keys of the write operations executed since the image was taken,
+    /// in arrival order, duplicates and all.
+    dirty: Vec<Key>,
+    /// `next_seq` of the checkpoint live in `dir`, when known.
+    installed_seq: Option<u64>,
+}
+
+impl Checkpointer {
+    /// A checkpointer for `dir`, where the checkpoint for `installed_seq`
+    /// is live (`None`: no checkpoint yet, or one older than the state
+    /// about to be served).
+    pub fn new(dir: &Path, installed_seq: Option<u64>) -> Self {
+        Checkpointer {
+            dir: dir.to_path_buf(),
+            image: None,
+            next: Vec::new(),
+            dirty: Vec::new(),
+            installed_seq,
+        }
+    }
+
+    /// `next_seq` of the checkpoint live in the directory, when known: a
+    /// caller whose own `next_seq` equals it has nothing to checkpoint.
+    pub fn installed_seq(&self) -> Option<u64> {
+        self.installed_seq
+    }
+
+    /// Records the keys `batch` writes. Call once for every batch handed
+    /// to [`CttSession::execute_batch`] between two checkpoints.
+    pub fn note_writes(&mut self, batch: &[Op]) {
+        // Without an image the next checkpoint walks and needs no keys.
+        if self.image.is_some() {
+            self.dirty
+                .extend(batch.iter().filter(|op| op.kind.is_write()).map(|op| op.key.clone()));
+        }
+    }
+
+    /// Checkpoints `session` as of `next_seq` and installs the file
+    /// (tmp → fsync → rename → directory fsync); the caller resets the WAL
+    /// afterwards. Merges into the last image unless there is none or
+    /// `walk` asks for the full walk.
+    ///
+    /// # Errors
+    ///
+    /// [`DcartError::CheckpointDiverged`] when the merged entry count is
+    /// not the session's (nothing is written then), encoding and I/O
+    /// failures, or an injected crash at one of the three checkpoint
+    /// sites. After any error the image is dropped: a later call walks.
+    pub fn checkpoint(
+        &mut self,
+        session: &CttSession,
+        next_seq: u64,
+        walk: bool,
+        crash: &mut CrashInjector,
+        persist: &mut PersistStats,
+    ) -> Result<CheckpointKind, DcartError> {
+        // Sizing hint: what an entry with an 8-byte key takes.
+        const ENTRY_HINT: usize = 18;
+        let image = self.image.take().filter(|_| !walk);
+        let digest = session.answer_digest();
+        self.next.clear();
+        let (written, kind) = match &image {
+            None => {
+                self.next.reserve(session.len() * ENTRY_HINT);
+                (
+                    encode_walk(&mut self.next, next_seq, digest, session.entries())?,
+                    CheckpointKind::Walked,
+                )
+            }
+            Some((file, base)) => {
+                self.dirty.sort_unstable();
+                self.dirty.dedup();
+                self.next.reserve(file.len() + self.dirty.len() * ENTRY_HINT);
+                let written = encode_checkpoint(&mut self.next, next_seq, digest, |writer| {
+                    writer.merge(
+                        SnapshotEntries::over(&file[base.entries.clone()], base.count),
+                        self.dirty.iter().map(|key| (key.as_bytes(), session.get(key))),
+                    )
+                })?;
+                if written.count != session.len() as u64 {
+                    return Err(DcartError::CheckpointDiverged {
+                        merged: written.count,
+                        live: session.len() as u64,
+                    });
+                }
+                debug_assert!(
+                    {
+                        let mut walked = Vec::new();
+                        encode_walk(&mut walked, next_seq, digest, session.entries()).is_ok()
+                            && walked == self.next
+                    },
+                    "merged checkpoint differs from the full walk"
+                );
+                (written, CheckpointKind::Merged { dirty_keys: self.dirty.len() as u64 })
+            }
+        };
+        self.dirty.clear();
+        install_checkpoint(&self.dir, &self.next, crash, persist)?;
+        self.installed_seq = Some(next_seq);
+        let recycled = image.map_or_else(Vec::new, |(file, _)| file);
+        self.image = Some((std::mem::replace(&mut self.next, recycled), written));
+        Ok(kind)
+    }
 }
 
 // --- WAL-writing consumer ---------------------------------------------------
@@ -464,10 +695,10 @@ pub fn recover(
         Err(e) => return Err(e.into()),
     }
 
-    let checkpoint = read_checkpoint(&dur.dir)?;
+    let checkpoint = read_checkpoint_pairs(&dur.dir)?;
     let used_checkpoint = checkpoint.is_some();
     let (start_seq, start_digest, pairs) = match checkpoint {
-        Some((seq, digest, tree)) => (seq, digest, tree_pairs(&tree)),
+        Some(ckpt) => (ckpt.next_seq, ckpt.digest, ckpt.pairs),
         None => (0, 0, initial_pairs(keys)),
     };
 
@@ -919,5 +1150,91 @@ mod tests {
             matches!(err, DcartError::Recovery(_) | DcartError::Snapshot(_)),
             "bit flip must be a typed error: {err}"
         );
+    }
+
+    /// A small real checkpoint file: `(directory, its bytes, its tree)`.
+    fn small_checkpoint(name: &str) -> (PathBuf, Vec<u8>, Art<u64>) {
+        let dir = tmpdir(name);
+        let mut tree = Art::new();
+        for v in 0..40u64 {
+            tree.insert(Key::from_u64(v.wrapping_mul(0x9E37_79B9_7F4A_7C15)), v).unwrap();
+        }
+        tree.insert(Key::from_str_bytes("a longer, string-shaped key"), 41).unwrap();
+        let mut persist = PersistStats::default();
+        write_checkpoint(&dir, 7, 0xD16E57, &tree, &mut CrashInjector::counting(), &mut persist)
+            .unwrap();
+        let bytes = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        assert_eq!(persist.checkpoint_bytes, bytes.len() as u64);
+        (dir, bytes, tree)
+    }
+
+    #[test]
+    fn checkpoint_file_roundtrips_through_both_readers() {
+        let (dir, bytes, tree) = small_checkpoint("ckpt-roundtrip");
+        assert_eq!(bytes[..8], CHECKPOINT_MAGIC);
+        let (seq, digest, back) = read_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!((seq, digest), (7, 0xD16E57));
+        assert!(back.iter().eq(tree.iter()));
+        let ckpt = read_checkpoint_pairs(&dir).unwrap().unwrap();
+        assert_eq!((ckpt.next_seq, ckpt.digest), (7, 0xD16E57));
+        assert!(ckpt.pairs.iter().map(|(k, v)| (k, v)).eq(tree.iter()));
+        assert!(read_checkpoint(&tmpdir("ckpt-absent")).unwrap().is_none());
+    }
+
+    #[test]
+    fn every_bitflip_of_a_checkpoint_file_is_a_typed_error() {
+        // Prelude, container header, count, entries, and both checksums:
+        // no bit of the file may flip unnoticed, and none may panic.
+        let (dir, bytes, _) = small_checkpoint("ckpt-bitflips");
+        let path = dir.join(CHECKPOINT_FILE);
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 1 << bit;
+                fs::write(&path, &corrupt).unwrap();
+                let err = read_checkpoint(&dir).expect_err("flipped bit went unnoticed");
+                assert!(
+                    matches!(err, DcartError::Recovery(_) | DcartError::Snapshot(_)),
+                    "byte {i} bit {bit}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_checkpoint_file_is_a_typed_error() {
+        let (dir, bytes, _) = small_checkpoint("ckpt-truncations");
+        let path = dir.join(CHECKPOINT_FILE);
+        for end in 0..bytes.len() {
+            fs::write(&path, &bytes[..end]).unwrap();
+            let err = read_checkpoint(&dir).expect_err("truncated file went unnoticed");
+            assert!(
+                matches!(err, DcartError::Recovery(_) | DcartError::Snapshot(_)),
+                "cut at {end}: {err}"
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        fs::write(&path, &longer).unwrap();
+        assert!(read_checkpoint(&dir).is_err(), "a trailing byte is not a checkpoint either");
+    }
+
+    #[test]
+    fn other_snapshot_versions_are_named_not_guessed_at() {
+        // Version 1 (the JSON payload) and a future 3: the error says
+        // which version the file carries, whatever its checksums say.
+        let (dir, bytes, _) = small_checkpoint("ckpt-versions");
+        let path = dir.join(CHECKPOINT_FILE);
+        for version in [1u32, 3] {
+            let mut other = bytes.clone();
+            let at = CHECKPOINT_PRELUDE + 8;
+            other[at..at + 4].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &other).unwrap();
+            let err = read_checkpoint(&dir).unwrap_err();
+            assert!(
+                matches!(err, DcartError::Snapshot(SnapshotError::UnsupportedVersion(v)) if v == version),
+                "{err}"
+            );
+        }
     }
 }

@@ -114,6 +114,18 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Fsyncs a directory, making the creations and renames inside it
+/// durable: a file's own `fsync` covers its bytes, not the directory entry
+/// that names it. Only Unix can open a directory as a file; elsewhere
+/// this is a no-op.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
+}
+
 /// One durably committed batch, as read back by [`scan`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalBatch {
@@ -165,7 +177,8 @@ fn encode_record(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
 }
 
 impl WalWriter {
-    /// Creates (truncating) a WAL at `path` and syncs its header.
+    /// Creates (truncating) a WAL at `path` and syncs its header and the
+    /// directory entry that names it.
     pub fn create(path: &Path, batch_size: u32) -> Result<Self, WalError> {
         let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
@@ -174,6 +187,9 @@ impl WalWriter {
         header.extend_from_slice(&batch_size.to_le_bytes());
         file.write_all(&header)?;
         file.sync_all()?;
+        // A bare file name has the empty parent: the current directory.
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        sync_dir(parent.unwrap_or(Path::new(".")))?;
         Ok(WalWriter { file, path: path.to_path_buf(), len: HEADER_LEN, dead: false })
     }
 
@@ -526,6 +542,19 @@ mod tests {
         bytes.extend_from_slice(&64u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(scan(&path), Err(WalError::UnsupportedVersion(99))));
+    }
+
+    #[test]
+    fn sync_dir_reaches_a_directory_and_reports_a_missing_one() {
+        let dir = tmp("syncdir");
+        std::fs::create_dir_all(&dir).unwrap();
+        sync_dir(&dir).unwrap();
+        #[cfg(unix)]
+        assert!(sync_dir(&dir.join("absent")).is_err());
+        // Creating a WAL syncs the directory it lands in; one that cannot
+        // be opened fails the creation rather than leaving it half-durable.
+        WalWriter::create(&dir.join("fresh.wal"), 64).unwrap();
+        assert!(WalWriter::create(&dir.join("absent").join("fresh.wal"), 64).is_err());
     }
 
     #[test]

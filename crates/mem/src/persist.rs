@@ -1,9 +1,13 @@
 //! Byte accounting for the durability layer (WAL + checkpoints).
 //!
 //! The durability layer in `crates/core` persists two artifact streams:
-//! append-only WAL records at every batch boundary, and whole-tree
-//! checkpoint snapshots at every checkpoint interval. This module counts
-//! both, so reports can put persistence traffic side by side with the
+//! append-only WAL records at every batch boundary, and a checkpoint file
+//! at every checkpoint interval. A checkpoint file always holds every
+//! entry of the tree (18 bytes per 8-byte key in the binary snapshot
+//! format) whether it was encoded from a full walk or merged from the
+//! interval's dirty keys — the two differ in CPU time, not in bytes
+//! written. This module counts both streams, so reports can put
+//! persistence traffic side by side with the
 //! simulated on-chip buffer traffic ([`BufferStats`](crate::BufferStats))
 //! and answer the sizing question the checkpoint interval poses: how many
 //! bytes of log does one checkpoint absorb, and how does a snapshot
@@ -26,7 +30,8 @@ pub struct PersistStats {
     /// Bytes of raw operation payload carried by the batch records —
     /// the denominator of [`write_amplification`](Self::write_amplification).
     pub payload_bytes: u64,
-    /// Bytes written as checkpoint snapshots (temp files included).
+    /// Bytes written as checkpoint files, whole files each time (the torn
+    /// prefix of an interrupted temp file included).
     pub checkpoint_bytes: u64,
     /// Checkpoints durably installed (atomic rename completed).
     pub checkpoints: u64,
@@ -56,7 +61,7 @@ impl PersistStats {
     /// Average installed-checkpoint size in bytes; `0` before the first
     /// checkpoint. Comparing this against an on-chip buffer capacity
     /// (e.g. the 4 MB Tree buffer) shows how much of the working set a
-    /// snapshot carries relative to what the accelerator keeps resident.
+    /// checkpoint carries relative to what the accelerator keeps resident.
     pub fn mean_checkpoint_bytes(&self) -> f64 {
         if self.checkpoints == 0 {
             0.0

@@ -15,8 +15,17 @@
 //! 4. only then send acknowledgements.
 //!
 //! A crash between 1 and 3 loses only *unacknowledged* requests — the
-//! chaos cell's invariant. Checkpoints (tree snapshot + WAL reset) run
-//! every [`ServerConfig::checkpoint_every`] batches and at drain.
+//! chaos cell's invariant.
+//!
+//! Checkpoints run on this loop too — every
+//! [`ServerConfig::checkpoint_every`] batches and at drain — through a
+//! [`Checkpointer`]: the loop tells it which keys each batch writes, and a
+//! steady-state checkpoint is the last one's entries with the current
+//! state of those keys merged in, so the stall follows the cycle's writes,
+//! not the tree. Install order is unchanged: tmp file → fsync → rename →
+//! directory fsync, and only then the WAL reset. The first checkpoint
+//! after an open and the one at drain encode a full ordered walk of the
+//! shards instead. What the stalls cost is in [`CoreSnapshot`].
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -27,8 +36,8 @@ use std::time::Duration;
 
 use dcart::durable::{decode_ops, encode_ops, CHECKPOINT_TMP, WAL_FILE};
 use dcart::{
-    read_checkpoint, write_checkpoint, CttConsumer, CttOpEvent, CttSession, DcartConfig,
-    DcartError, ExecOpts, TraverseMode,
+    read_checkpoint_pairs, CheckpointKind, Checkpointer, CttConsumer, CttOpEvent, CttSession,
+    DcartConfig, DcartError, ExecOpts, TraverseMode,
 };
 use dcart_art::Key;
 use dcart_engine::time::Clock;
@@ -241,7 +250,10 @@ pub struct ServerCore {
     shared: Arc<ServerShared>,
     config: ServerConfig,
     session: CttSession,
+    /// The log and the checkpointer: both present exactly when there is a
+    /// data directory.
     wal: Option<WalWriter>,
+    checkpointer: Option<Checkpointer>,
     crash: CrashInjector,
     persist: PersistStats,
     next_seq: u64,
@@ -272,7 +284,7 @@ impl ServerCore {
         };
         let mut persist = PersistStats::default();
         let mut snapshot = CoreSnapshot::default();
-        let (session, next_seq, wal) = match &config.data_dir {
+        let (session, next_seq, wal, checkpointer) = match &config.data_dir {
             None => {
                 let session = CttSession::from_pairs(
                     initial_pairs,
@@ -281,7 +293,7 @@ impl ServerCore {
                     config.batch_size,
                     0,
                 )?;
-                (session, 0, None)
+                (session, 0, None, None)
             }
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
@@ -291,19 +303,21 @@ impl ServerCore {
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                     Err(e) => return Err(e.into()),
                 }
-                let (start_seq, start_digest, pairs) = match read_checkpoint(dir)? {
-                    Some((seq, digest, tree)) => {
-                        (seq, digest, tree.iter().map(|(k, &v)| (k.clone(), v)).collect())
-                    }
-                    None => (0, 0, initial_pairs.to_vec()),
+                // The checkpoint's entries route straight into the shards.
+                let checkpoint = read_checkpoint_pairs(dir)?;
+                let installed_seq = checkpoint.as_ref().map(|ckpt| ckpt.next_seq);
+                let (start_seq, start_digest, pairs) = match &checkpoint {
+                    Some(ckpt) => (ckpt.next_seq, ckpt.digest, ckpt.pairs.as_slice()),
+                    None => (0, 0, initial_pairs),
                 };
                 let mut session = CttSession::from_pairs(
-                    &pairs,
+                    pairs,
                     &config.dcart,
                     &opts,
                     config.batch_size,
                     start_digest,
                 )?;
+                drop(checkpoint); // the decoded entries live in the shards now
                 let wal_path = dir.join(WAL_FILE);
                 let writer = if wal_path.exists() {
                     let scan = wal::recover(&wal_path)?;
@@ -344,7 +358,7 @@ impl ServerCore {
                     (start_seq, WalWriter::create(&wal_path, config.batch_size as u32)?)
                 };
                 let (seq, writer) = writer;
-                (session, seq, Some(writer))
+                (session, seq, Some(writer), Some(Checkpointer::new(dir, installed_seq)))
             }
         };
         snapshot.answer_digest = session.answer_digest();
@@ -358,6 +372,7 @@ impl ServerCore {
             config,
             session,
             wal,
+            checkpointer,
             persist,
             next_seq,
             batches_since_ckpt: 0,
@@ -420,7 +435,7 @@ impl ServerCore {
         // Drain complete: park a final checkpoint so restart needs no
         // replay.
         if !self.shared.is_dead() {
-            if let Err(e) = self.checkpoint() {
+            if let Err(e) = self.checkpoint(true) {
                 self.error.get_or_insert(e);
             }
         }
@@ -505,7 +520,11 @@ impl ServerCore {
             self.persist.wal_batches += 1;
         }
 
-        // 2. Execute, collecting each op's concrete answer.
+        // 2. Execute, collecting each op's concrete answer (and, for the
+        // next checkpoint, which keys the batch writes).
+        if let Some(checkpointer) = &mut self.checkpointer {
+            checkpointer.note_writes(&ops);
+        }
         let mut collector = ValueCollector { values: vec![None; ops.len()] };
         if let Err(e) = self.session.execute_batch(&ops, &mut collector) {
             // With fixed-width wire keys this cannot be a prefix
@@ -546,31 +565,49 @@ impl ServerCore {
         self.snapshot.persist = self.persist;
         *self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = self.snapshot;
 
-        if self.wal.is_some() && self.batches_since_ckpt >= self.config.checkpoint_every {
-            if let Err(e) = self.checkpoint() {
+        if self.batches_since_ckpt >= self.config.checkpoint_every {
+            if let Err(e) = self.checkpoint(false) {
                 self.error.get_or_insert(e);
                 self.shared.mark_dead();
             }
         }
     }
 
-    /// Snapshot the merged tree, install it atomically, reset the WAL.
-    fn checkpoint(&mut self) -> Result<(), DcartError> {
-        let Some(dir) = self.config.data_dir.clone() else { return Ok(()) };
-        let tree = self.session.tree()?;
-        write_checkpoint(
-            &dir,
+    /// Installs a checkpoint of the state as of `next_seq`, then resets
+    /// the WAL it absorbs. The loop serves nothing meanwhile; the stall
+    /// is timed on the injected clock. At `drain` the checkpoint is a
+    /// full walk — and is skipped when the installed one already stands
+    /// for `next_seq` (no batch committed since), except that a directory
+    /// without any checkpoint gets its first.
+    fn checkpoint(&mut self, drain: bool) -> Result<(), DcartError> {
+        let (Some(checkpointer), Some(writer)) = (&mut self.checkpointer, &mut self.wal) else {
+            return Ok(());
+        };
+        if drain && checkpointer.installed_seq() == Some(self.next_seq) {
+            return Ok(());
+        }
+        let started = self.shared.now_ns();
+        let kind = checkpointer.checkpoint(
+            &self.session,
             self.next_seq,
-            self.session.answer_digest(),
-            &tree,
+            drain,
             &mut self.crash,
             &mut self.persist,
         )?;
-        if let Some(writer) = &mut self.wal {
-            writer.reset()?;
-        }
+        writer.reset()?;
         self.batches_since_ckpt = 0;
-        self.snapshot.persist = self.persist;
+        let stall = self.shared.now_ns().saturating_sub(started);
+        let snap = &mut self.snapshot;
+        snap.checkpoint_stall_ns_total += stall;
+        snap.checkpoint_stall_ns_max = snap.checkpoint_stall_ns_max.max(stall);
+        match kind {
+            CheckpointKind::Walked => snap.checkpoints_walked += 1,
+            CheckpointKind::Merged { dirty_keys } => {
+                snap.checkpoints_merged += 1;
+                snap.checkpoint_dirty_keys += dirty_keys;
+            }
+        }
+        snap.persist = self.persist;
         *self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = self.snapshot;
         Ok(())
     }

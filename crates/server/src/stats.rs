@@ -28,6 +28,20 @@ pub struct CoreSnapshot {
     pub replayed_batches: u64,
     /// Storage-traffic accounting (WAL bytes, checkpoints, torn tails).
     pub persist: PersistStats,
+    /// Time the loop spent checkpointing instead of serving, summed over
+    /// every checkpoint: encode, write, fsync, rename, directory fsync and
+    /// WAL reset, on the injected clock.
+    pub checkpoint_stall_ns_total: u64,
+    /// The longest single checkpoint stall.
+    pub checkpoint_stall_ns_max: u64,
+    /// Checkpoints produced by merging the cycle's dirty keys into the
+    /// previous checkpoint's entries.
+    pub checkpoints_merged: u64,
+    /// Checkpoints produced by a full ordered walk of the shards (the
+    /// first after an open, and the one at drain).
+    pub checkpoints_walked: u64,
+    /// Distinct keys merged, summed over the merged checkpoints.
+    pub checkpoint_dirty_keys: u64,
 }
 
 /// The full stats answer: admission-side counters plus the core snapshot.

@@ -1,9 +1,13 @@
 //! Integration tests for the serving core: batch determinism against the
 //! offline repro path, zero acked-write loss across an injected kill,
-//! deadline enforcement under a hand-driven clock, drain behavior, and a
-//! TCP end-to-end smoke — all with `TestClock`, so nothing here depends
-//! on wall time.
+//! crashes inside a merged checkpoint, the drain checkpoint, deadline
+//! enforcement under a hand-driven clock, and a TCP end-to-end smoke —
+//! all with `TestClock` (or a clock that ticks per reading), so nothing
+//! here depends on wall time.
 
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -222,6 +226,213 @@ fn acked_writes_survive_injected_kill_and_restart() {
     let resp = rx2.try_recv().expect("answered");
     assert_eq!(resp.value, None, "an unacked (killed) write must not be replayed");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dcart_srv_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn durable_config(dir: &Path, crash: Option<CrashPlan>) -> ServerConfig {
+    ServerConfig {
+        batch_size: 16,
+        data_dir: Some(dir.to_path_buf()),
+        checkpoint_every: 3,
+        crash,
+        ..ServerConfig::default()
+    }
+}
+
+/// Advances by a fixed step on every reading, so an interval between two
+/// readings is visible without any wall time passing.
+struct TickingClock(AtomicU64);
+const TICK_NS: u64 = 1_000;
+
+impl Clock for TickingClock {
+    fn now_ns(&self) -> u64 {
+        self.0.fetch_add(TICK_NS, Ordering::SeqCst)
+    }
+}
+
+fn open_core(config: ServerConfig) -> (Arc<ServerShared>, ServerCore) {
+    let shared = ServerShared::new(config.admission, Arc::new(TickingClock(AtomicU64::new(0))));
+    let core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+    (shared, core)
+}
+
+/// Submits `triples` as 16-request batches starting at batch `first`,
+/// flushing each, and folds every acknowledged write into `acked`.
+/// Returns how many requests were answered with an error.
+fn drive(
+    shared: &Arc<ServerShared>,
+    core: &mut ServerCore,
+    triples: &[(RequestKind, u64, u64)],
+    acked: &mut BTreeMap<u64, Option<u64>>,
+) -> usize {
+    let (tx, rx) = mpsc::channel();
+    let mut errors = 0;
+    for chunk in triples.chunks(16) {
+        for (i, &(kind, key, value)) in chunk.iter().enumerate() {
+            let req = Request { req_id: i as u64, kind, budget_ns: 1 << 40, key, value };
+            if shared.submit(req, &tx).is_some() {
+                errors += 1; // a dead core answers at once
+            }
+        }
+        core.flush_now();
+        while let Ok(resp) = rx.try_recv() {
+            let (kind, key, value) = chunk[resp.req_id as usize];
+            match (resp.status, kind) {
+                (Status::Ok, RequestKind::Insert) => drop(acked.insert(key, Some(value))),
+                (Status::Ok, RequestKind::Remove) => drop(acked.insert(key, None)),
+                (Status::Ok, _) => {}
+                (Status::Error, _) => errors += 1,
+                (Status::Rejected, _) => panic!("nothing should be rejected here"),
+            }
+        }
+    }
+    errors
+}
+
+fn checkpoint_file(dir: &Path) -> Vec<u8> {
+    std::fs::read(dir.join(dcart::durable::CHECKPOINT_FILE)).expect("a checkpoint is installed")
+}
+
+/// Kill the core inside its *second* checkpoint — the first one that is
+/// merged from dirty keys rather than walked — at each of the three
+/// checkpoint crash sites, restart, and finish the stream. The restarted
+/// core must end with the digests of a core that never crashed, hold
+/// every acknowledged write, and its first checkpoint (a full walk: it
+/// has no image) must be, byte for byte, the merged one the uncrashed
+/// core wrote at the same sequence number.
+#[test]
+fn crash_inside_a_merged_checkpoint_recovers_to_the_uncrashed_state() {
+    let triples = mixed_ops(23, 9 * 16);
+
+    let clean_dir = scratch_dir("merged_clean");
+    let (clean_shared, mut clean) = open_core(durable_config(&clean_dir, None));
+    let mut clean_acked = BTreeMap::new();
+    assert_eq!(drive(&clean_shared, &mut clean, &triples, &mut clean_acked), 0);
+    let stats = clean_shared.stats().core;
+    assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 2), "{stats:?}");
+    assert!(stats.checkpoint_dirty_keys > 0 && stats.checkpoint_dirty_keys <= 6 * 16);
+    assert_eq!(stats.persist.checkpoints, 3);
+    // Each stall spans exactly two readings of the injected clock.
+    assert_eq!(stats.checkpoint_stall_ns_total, 3 * TICK_NS);
+    assert_eq!(stats.checkpoint_stall_ns_max, TICK_NS);
+    let clean_file = checkpoint_file(&clean_dir);
+    let clean_answer = clean.answer_digest();
+    let clean_tree = clean.into_tree_digest().expect("tree");
+
+    for site in [CrashSite::MidCheckpoint, CrashSite::BeforeSwap, CrashSite::AfterSwap] {
+        let dir = scratch_dir(&format!("merged_{}", site.name()));
+        let plan = CrashPlan { site, at: 1, seed: 5 };
+        let (shared, mut core) = open_core(durable_config(&dir, Some(plan)));
+        let mut acked = BTreeMap::new();
+        // Batches 0..6: the checkpoint after batch 5 is the second one.
+        let (before, after) = triples.split_at(6 * 16);
+        assert_eq!(drive(&shared, &mut core, before, &mut acked), 0, "acks precede the checkpoint");
+        assert!(shared.is_dead(), "{}: the planned crash kills the core", site.name());
+        let stats = shared.stats().core;
+        assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+        assert_eq!(stats.batches, 6);
+        assert_eq!(drive(&shared, &mut core, &after[..16], &mut acked), 16, "dead cores refuse");
+        drop(core);
+
+        let (shared, mut core) = open_core(durable_config(&dir, None));
+        let replayed = shared.stats().core.replayed_batches;
+        let expected = if site == CrashSite::AfterSwap { 0 } else { 3 };
+        assert_eq!(replayed, expected, "{}: WAL suffix past the live checkpoint", site.name());
+        assert_eq!(drive(&shared, &mut core, after, &mut acked), 0);
+        let stats = shared.stats().core;
+        assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+        assert!(
+            checkpoint_file(&dir) == clean_file,
+            "{}: walked checkpoint differs from the uncrashed core's merged one",
+            site.name()
+        );
+        assert_eq!(core.answer_digest(), clean_answer, "{}: answers diverged", site.name());
+        assert_eq!(acked, clean_acked, "{}: same acknowledged writes", site.name());
+
+        // Acked ⊆ recovered: every key reads back as its last
+        // acknowledged write left it.
+        let (tx, rx) = mpsc::channel();
+        let keys: Vec<u64> = acked.keys().copied().collect();
+        for chunk in keys.chunks(16) {
+            for &key in chunk {
+                let get = Request {
+                    req_id: key,
+                    kind: RequestKind::Get,
+                    budget_ns: 1 << 40,
+                    key,
+                    value: 0,
+                };
+                assert!(shared.submit(get, &tx).is_none());
+            }
+            core.flush_now();
+        }
+        let answers: BTreeMap<u64, Option<u64>> =
+            rx.try_iter().map(|resp| (resp.req_id, resp.value)).collect();
+        assert_eq!(answers, acked, "{}: acknowledged writes lost", site.name());
+        assert_eq!(core.into_tree_digest().expect("tree"), clean_tree, "{}", site.name());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&clean_dir);
+}
+
+/// The drain checkpoint, through `run()` with drain already requested:
+/// a directory without a checkpoint gets one; a core whose last batch was
+/// just checkpointed writes nothing more; a core with batches past its
+/// checkpoint walks once.
+#[test]
+fn drain_checkpoints_once_and_only_when_something_changed() {
+    let dir = scratch_dir("drain");
+    let drain = |core: &mut ServerCore, shared: &Arc<ServerShared>| {
+        shared.request_shutdown();
+        assert!(core.run().is_none(), "clean drain");
+        shared.stats().core
+    };
+
+    // Fresh directory, no request ever: the audit still finds a checkpoint.
+    let (shared, mut core) = open_core(durable_config(&dir, None));
+    let stats = drain(&mut core, &shared);
+    assert_eq!((stats.checkpoints_walked, stats.persist.checkpoints), (1, 1));
+    let empty = checkpoint_file(&dir);
+    drop(core);
+
+    // Reopened and drained again with nothing new: not rewritten.
+    let (shared, mut core) = open_core(durable_config(&dir, None));
+    let stats = drain(&mut core, &shared);
+    assert_eq!((stats.checkpoints_walked, stats.persist.checkpoint_bytes), (0, 0));
+    assert_eq!(checkpoint_file(&dir), empty);
+    drop(core);
+
+    // Three batches trip the periodic checkpoint; drain adds nothing.
+    let triples = mixed_ops(31, 4 * 16);
+    let (shared, mut core) = open_core(durable_config(&dir, None));
+    let mut acked = BTreeMap::new();
+    assert_eq!(drive(&shared, &mut core, &triples[..3 * 16], &mut acked), 0);
+    let periodic = checkpoint_file(&dir);
+    assert_ne!(periodic, empty);
+    let stats = drain(&mut core, &shared);
+    assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+    assert_eq!(stats.persist.checkpoints, 1);
+    assert_eq!(checkpoint_file(&dir), periodic);
+    drop(core);
+
+    // One batch past the checkpoint: drain walks, and restart replays
+    // nothing.
+    let (shared, mut core) = open_core(durable_config(&dir, None));
+    assert_eq!(drive(&shared, &mut core, &triples[3 * 16..], &mut acked), 0);
+    let stats = drain(&mut core, &shared);
+    assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+    assert_ne!(checkpoint_file(&dir), periodic);
+    let answer = core.answer_digest();
+    drop(core);
+    let (shared, core) = open_core(durable_config(&dir, None));
+    assert_eq!(shared.stats().core.replayed_batches, 0);
+    assert_eq!(core.answer_digest(), answer);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -23,6 +23,8 @@ enum Matcher {
     CalleeRecvLast(&'static str, &'static str),
     /// Callee name with this `::`-path qualifier (`Response::ok`).
     CalleeQual(&'static str, &'static str),
+    /// Any of these (one stage reached through differently shaped calls).
+    Any(&'static [Matcher]),
 }
 
 impl Matcher {
@@ -35,6 +37,7 @@ impl Matcher {
             Matcher::CalleeQual(name, qual) => {
                 c.callee == *name && c.path.last().map(String::as_str) == Some(qual)
             }
+            Matcher::Any(matchers) => matchers.iter().any(|m| m.hits(c)),
         }
     }
 }
@@ -71,13 +74,24 @@ static AUTOMATA: [Automaton; 3] = [
         ],
     },
     // PR-4's checkpoint install: the checkpoint file must be durably in
-    // place (tmp → fsync → atomic rename) before the WAL cursor resets —
-    // resetting first would leave a crash window with neither artifact.
+    // place (tmp → fsync → atomic rename → directory fsync) before the WAL
+    // cursor resets — resetting first would leave a crash window with
+    // neither artifact, and a rename whose directory entry is not synced
+    // can be lost by a power cut that keeps the reset. The first stage is
+    // the rename itself or any call that carries the install up to it.
     Automaton {
         name: "checkpoint-install",
         files: &["crates/server/src/core_loop.rs", "crates/core/src/durable.rs"],
         stages: &[
-            Stage { desc: "checkpoint write", m: Matcher::Callee(&["write_checkpoint"]) },
+            Stage {
+                desc: "checkpoint rename",
+                m: Matcher::Any(&[
+                    Matcher::CalleeQual("rename", "fs"),
+                    Matcher::Callee(&["install_checkpoint", "write_checkpoint"]),
+                    Matcher::CalleeRecvLast("checkpoint", "checkpointer"),
+                ]),
+            },
+            Stage { desc: "directory sync", m: Matcher::Callee(&["sync_dir"]) },
             Stage { desc: "WAL reset", m: Matcher::CalleeRecvLast("reset", "writer") },
         ],
     },

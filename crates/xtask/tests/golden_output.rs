@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-/// The fixed analysis: three bad fixtures at the paths their rules watch,
+/// The fixed analysis: four bad fixtures at the paths their rules watch,
 /// deliberately fed in non-sorted order to prove the output ordering is
 /// imposed by the analyzer, not inherited from the input.
 fn analysis() -> Vec<xtask::Diagnostic> {
@@ -18,6 +18,7 @@ fn analysis() -> Vec<xtask::Diagnostic> {
     let read = |f: &str| std::fs::read_to_string(dir.join(f)).expect("fixture readable");
     let inputs = vec![
         ("crates/server/src/core_loop.rs".to_string(), read("o2_bad.rs")),
+        ("crates/core/src/durable.rs".to_string(), read("o2_install_bad.rs")),
         ("crates/engine/src/fixture_under_test.rs".to_string(), read("a1_bad.rs")),
         ("crates/core/src/fixture_under_test.rs".to_string(), read("d1_bad.rs")),
     ];

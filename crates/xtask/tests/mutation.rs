@@ -118,9 +118,9 @@ fn wal_reset_before_checkpoint_is_caught_by_o2() {
     // leaves a crash window with neither artifact.
     let mutated = format!(
         "{source}\n\
-         pub fn install_backwards(&mut self) -> Result<(), WalError> {{\n\
+         pub fn install_backwards(&mut self) -> Result<(), DcartError> {{\n\
         \x20    self.writer.reset()?;\n\
-        \x20    write_checkpoint(&self.dir, &self.tree)?;\n\
+        \x20    install_checkpoint(&self.dir, &self.bytes, &mut self.crash, &mut self.persist)?;\n\
         \x20    Ok(())\n\
          }}\n"
     );
@@ -128,5 +128,45 @@ fn wal_reset_before_checkpoint_is_caught_by_o2() {
     assert!(
         fired.contains(&"O2"),
         "O2 must catch the reset-before-checkpoint reorder; fired: {fired:?}"
+    );
+}
+
+#[test]
+fn directory_sync_before_the_rename_is_caught_by_o2() {
+    let path = "crates/core/src/durable.rs";
+    let source = read_real(path);
+
+    // The mutation: in the real install function, fsync the directory
+    // *before* the rename it is there to make durable.
+    let mutated = swap_regions(
+        &source,
+        "    fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;",
+        "    wal::sync_dir(dir)?;",
+        "    persist.checkpoints += 1;",
+    );
+    let diags = xtask::analyze_source(path, &mutated);
+    assert!(
+        diags.iter().any(|d| d.rule == "O2" && d.msg.contains("checkpoint rename (stage 1)")),
+        "O2 must catch the sync-before-rename reorder; got: {diags:?}"
+    );
+}
+
+#[test]
+fn wal_reset_before_the_core_loop_checkpoint_is_caught_by_o2() {
+    let path = "crates/server/src/core_loop.rs";
+    let source = read_real(path);
+
+    // The mutation: in the real core loop, truncate the log before the
+    // checkpointer has installed the checkpoint that absorbs it.
+    let mutated = swap_regions(
+        &source,
+        "        let kind = checkpointer.checkpoint(",
+        "        writer.reset()?;",
+        "        self.batches_since_ckpt = 0;\n        let stall",
+    );
+    let diags = xtask::analyze_source(path, &mutated);
+    assert!(
+        diags.iter().any(|d| d.rule == "O2" && d.msg.contains("checkpoint-install")),
+        "O2 must catch the reset-before-checkpoint reorder in the core loop; got: {diags:?}"
     );
 }

@@ -169,6 +169,29 @@ fn d2_fires_in_the_server_library_but_not_its_binary() {
 }
 
 #[test]
+fn checkpoint_install_automaton_fires_on_its_own_fixture_pair() {
+    // O2's rule-ID fixtures exercise the durable-ack automaton; the
+    // checkpoint-install one (rename -> directory sync -> WAL reset) has
+    // its own pair, analyzed at both files it is armed on.
+    let bad = read_fixture("o2_install_bad.rs");
+    let good = read_fixture("o2_install_good.rs");
+    for path in ["crates/core/src/durable.rs", "crates/server/src/core_loop.rs"] {
+        let diags = xtask::analyze_source(path, &bad);
+        assert_eq!(diags.len(), 1, "exactly the misplaced directory sync: {diags:?}");
+        assert_eq!(diags[0].rule, "O2");
+        assert!(
+            diags[0].msg.contains("checkpoint-install")
+                && diags[0].msg.contains("directory sync (stage 2)")
+                && diags[0].msg.contains("WAL reset (stage 3)"),
+            "{}",
+            diags[0].msg
+        );
+        let diags = xtask::analyze_source(path, &good);
+        assert!(diags.is_empty(), "o2_install_good.rs should be fully clean: {diags:?}");
+    }
+}
+
+#[test]
 fn flow_rules_are_scoped_to_their_paths() {
     // The same bad sources are *quiet* outside the paths their rules
     // watch: the O2 automaton is not armed in `crates/core/src/lib.rs`,
