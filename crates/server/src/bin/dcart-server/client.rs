@@ -3,7 +3,7 @@
 //! by `req_id`, accumulating latencies and outcome counters.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -56,7 +56,9 @@ impl Client {
         stream.set_nodelay(true).ok();
         let pending: Arc<Mutex<BTreeMap<u64, Sent>>> = Arc::default();
         let accum: Arc<Mutex<Accum>> = Arc::default();
-        let mut read_half = stream.try_clone()?;
+        // Answers arrive many to a segment; `read_frame` on the bare socket
+        // would be four syscalls for each.
+        let mut read_half = BufReader::new(stream.try_clone()?);
         let reader_pending = Arc::clone(&pending);
         let reader_accum = Arc::clone(&accum);
         let reader_clock = Arc::clone(&clock);

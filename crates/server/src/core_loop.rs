@@ -2,20 +2,39 @@
 //! batches, makes them durable, and answers every submitter.
 //!
 //! The paper's Combine stage *is* request coalescing — this loop is where
-//! the serving layer meets it. Connection threads enqueue admitted
-//! requests into a shared inbox; the core drains the inbox into a batch
-//! when either the batch-size watermark or the max-linger deadline is
-//! reached, then runs the batch through the resumable executor seam
+//! the serving layer meets it, and the path into and out of the loop pays
+//! its fixed costs per group too. A connection thread hands over every
+//! request one `read` brought in through [`ServerShared::submit_group`]:
+//! one clock reading, the admission lock held once while
+//! [`Admission::admit`] runs per request in arrival order, then the inbox
+//! lock held once to append the admitted ones, and a wake-up only when the
+//! loop is asleep and the append changes what it would do (the inbox was
+//! empty, or it crossed the watermark). [`ServerShared::submit`] is the
+//! group of one.
+//! The two locks are taken one after the other, never nested; the only
+//! nesting in the crate is [`ServerShared::stats`]' admission → snapshot.
+//!
+//! The core sleeps on the inbox condvar until that wake-up — or, with
+//! requests queued below the watermark, until the oldest has lingered
+//! [`ServerConfig::linger_ns`] — never longer than the 25 ms `POLL`, so
+//! flags stored without the lock are still seen. It drains the inbox into
+//! a batch when either the batch-size watermark or the max-linger deadline
+//! is reached, then runs the batch through the resumable executor seam
 //! ([`CttSession`]) with the same WAL-before-acknowledge protocol the
 //! PR-4 durability layer pins:
 //!
 //! 1. append the batch record to the WAL;
 //! 2. execute the batch (collecting each op's concrete answer);
 //! 3. append + fsync the commit mark (the durability point);
-//! 4. only then send acknowledgements.
+//! 4. only then send acknowledgements — each answer goes to its
+//!    [`Reply`]: encoded straight into the owning connection's outbound
+//!    buffer, whose writer is woken once per batch, or sent on an
+//!    in-process channel.
 //!
 //! A crash between 1 and 3 loses only *unacknowledged* requests — the
-//! chaos cell's invariant.
+//! chaos cell's invariant. The vectors a flush works in (the drained
+//! batch, the ops, the collected answers, the connections to wake) are
+//! kept across flushes.
 //!
 //! Checkpoints run on this loop too — every
 //! [`ServerConfig::checkpoint_every`] batches and at drain — through a
@@ -46,8 +65,14 @@ use dcart_mem::PersistStats;
 use dcart_workloads::{Op, OpKind};
 
 use crate::admission::{Admission, AdmissionConfig};
+use crate::net::Outbox;
 use crate::stats::{CoreSnapshot, ServerStats};
 use crate::wire::{Request, RequestKind, Response};
+
+/// The longest any thread of the server sleeps without looking at the
+/// shutdown and dead flags: the acceptor between polls, a connection's
+/// reader on an idle socket, the core loop on its condvar.
+pub(crate) const POLL: Duration = Duration::from_millis(25);
 
 /// Everything the server needs to know to run.
 #[derive(Clone, Debug)]
@@ -95,21 +120,56 @@ impl Default for ServerConfig {
     }
 }
 
+/// Where an admitted request's answer goes.
+pub enum Reply {
+    /// An in-process submitter: tests, the benchmark's pipeline probe.
+    Channel(Sender<Response>),
+    /// A TCP connection: the answer is encoded into its outbound buffer.
+    Conn(Arc<Outbox>),
+}
+
+impl Reply {
+    /// Delivers `resp`. A connection whose writer has to be told about it
+    /// is added to `wake`, for one wake-up when the caller is done with
+    /// its batch. A submitter that has gone away is not an error.
+    fn deliver(&self, resp: Response, wake: &mut Vec<Arc<Outbox>>) {
+        match self {
+            Reply::Channel(tx) => drop(tx.send(resp)),
+            Reply::Conn(outbox) => {
+                if outbox.push_answer(&resp) {
+                    wake.push(Arc::clone(outbox));
+                }
+            }
+        }
+    }
+}
+
 /// An admitted request waiting in the inbox.
 pub struct PendingReq {
     /// The decoded request.
     pub req: Request,
-    /// When the request was admitted — the linger clock starts here.
+    /// When the request was admitted — the linger clock starts here. One
+    /// reading of the clock stamps every request of a group.
     pub arrival_ns: u64,
     /// Absolute deadline (clock origin), already clamped by admission.
     pub deadline_ns: u64,
-    /// Where the answer goes (the submitting connection's writer).
-    pub resp: Sender<Response>,
+    /// Where the answer goes.
+    pub resp: Reply,
+}
+
+/// The admitted requests in arrival order, and what the core loop asks of
+/// whoever appends to them.
+struct Inbox {
+    queue: VecDeque<PendingReq>,
+    /// The queue length the sleeping loop wants to be woken at: 1 while it
+    /// sleeps on an empty inbox, the flush watermark while it sleeps out
+    /// the linger of a short one, `usize::MAX` while it is not asleep.
+    wake_at: usize,
 }
 
 /// State shared between connection threads and the core loop.
 pub struct ServerShared {
-    inbox: Mutex<VecDeque<PendingReq>>,
+    inbox: Mutex<Inbox>,
     cond: Condvar,
     admission: Mutex<Admission>,
     snapshot: Mutex<CoreSnapshot>,
@@ -122,7 +182,7 @@ impl ServerShared {
     /// Fresh shared state around `clock`.
     pub fn new(admission: AdmissionConfig, clock: Arc<dyn Clock>) -> Arc<Self> {
         Arc::new(ServerShared {
-            inbox: Mutex::new(VecDeque::new()),
+            inbox: Mutex::new(Inbox { queue: VecDeque::new(), wake_at: usize::MAX }),
             cond: Condvar::new(),
             admission: Mutex::new(Admission::new(admission)),
             snapshot: Mutex::new(CoreSnapshot::default()),
@@ -140,37 +200,95 @@ impl ServerShared {
     /// Submits one decoded request. `None` means the request was admitted
     /// and its answer will arrive on `resp`; `Some` is an immediate
     /// response (rejection, stats, shutdown ack, or server-dead error).
+    /// This is [`ServerShared::submit_group`] for a group of one.
     pub fn submit(&self, req: Request, resp: &Sender<Response>) -> Option<Response> {
-        match req.kind {
-            RequestKind::Stats => {
-                let mut r = Response::ok(req.req_id, None);
-                r.payload = self.stats().to_json();
-                return Some(r);
+        let mut immediate = Vec::new();
+        self.submit_group(&[req], || Reply::Channel(resp.clone()), &mut immediate);
+        immediate.pop()
+    }
+
+    /// Submits the requests one `read` brought in, in arrival order. Each
+    /// admitted request will be answered through a `reply()` of its own;
+    /// every other one is answered at once, into `immediate`, in order:
+    /// rejections, `stats`, the `shutdown` ack, server-dead errors.
+    ///
+    /// A run of operations costs one reading of the clock, one hold of the
+    /// admission lock, one hold of the inbox lock and at most one wake-up
+    /// of the core loop. A `stats` or `shutdown` request in the middle
+    /// ends the run in front of it, so it sees exactly the admissions that
+    /// arrived before it.
+    pub fn submit_group(
+        &self,
+        reqs: &[Request],
+        reply: impl Fn() -> Reply,
+        immediate: &mut Vec<Response>,
+    ) {
+        let is_op = |r: &Request| !matches!(r.kind, RequestKind::Stats | RequestKind::Shutdown);
+        let mut rest = reqs;
+        while !rest.is_empty() {
+            let (ops, tail) =
+                rest.split_at(rest.iter().position(|r| !is_op(r)).unwrap_or(rest.len()));
+            if !ops.is_empty() {
+                self.admit_ops(ops, &reply, immediate);
             }
-            RequestKind::Shutdown => {
-                self.request_shutdown();
-                return Some(Response::ok(req.req_id, None));
+            rest = tail;
+            if let Some((control, tail)) = rest.split_first() {
+                let mut r = Response::ok(control.req_id, None);
+                if control.kind == RequestKind::Stats {
+                    r.payload = self.stats().to_json();
+                } else {
+                    self.request_shutdown();
+                }
+                immediate.push(r);
+                rest = tail;
             }
-            _ => {}
         }
+    }
+
+    /// The admission body: `ops` (no `stats`, no `shutdown`) are decided
+    /// in order under one hold of the admission lock and the admitted ones
+    /// appended to the inbox under one hold of its lock.
+    fn admit_ops(
+        &self,
+        ops: &[Request],
+        reply: &impl Fn() -> Reply,
+        immediate: &mut Vec<Response>,
+    ) {
         if self.dead.load(Ordering::Acquire) {
-            return Some(Response::error(req.req_id));
+            immediate.extend(ops.iter().map(|req| Response::error(req.req_id)));
+            return;
         }
         let now = self.now_ns();
-        let deadline_ns = {
-            let mut adm = self.admission.lock().unwrap_or_else(|e| e.into_inner());
-            let deadline = now.saturating_add(adm.effective_budget_ns(req.budget_ns));
-            if let Err((reason, retry)) = adm.admit(req.kind, now, deadline) {
-                return Some(Response::rejected(req.req_id, reason, retry));
-            }
-            deadline
-        };
+        let mut admitted = Vec::with_capacity(ops.len());
         {
-            let mut inbox = self.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            inbox.push_back(PendingReq { req, arrival_ns: now, deadline_ns, resp: resp.clone() });
+            let mut adm = self.admission.lock().unwrap_or_else(|e| e.into_inner());
+            for req in ops {
+                let deadline_ns = now.saturating_add(adm.effective_budget_ns(req.budget_ns));
+                match adm.admit(req.kind, now, deadline_ns) {
+                    Ok(()) => admitted.push(PendingReq {
+                        req: *req,
+                        arrival_ns: now,
+                        deadline_ns,
+                        resp: reply(),
+                    }),
+                    Err((reason, retry)) => {
+                        immediate.push(Response::rejected(req.req_id, reason, retry));
+                    }
+                }
+            }
         }
-        self.cond.notify_one();
-        None
+        if admitted.is_empty() {
+            return;
+        }
+        let wake = {
+            let mut inbox = self.inbox.lock().unwrap_or_else(|e| e.into_inner());
+            let before = inbox.queue.len();
+            inbox.queue.extend(admitted);
+            before < inbox.wake_at && inbox.queue.len() >= inbox.wake_at
+        };
+        if wake {
+            self.cond.notify_one();
+        }
     }
 
     /// Initiates graceful drain: admission bounces new work, the acceptor
@@ -216,11 +334,11 @@ impl ServerShared {
 /// Collects each operation's concrete answer during a batch, indexed by
 /// the op's position in the batch slice (events arrive in round-robin
 /// bucket order, not submission order).
-struct ValueCollector {
-    values: Vec<Option<u64>>,
+struct ValueCollector<'a> {
+    values: &'a mut [Option<u64>],
 }
 
-impl CttConsumer for ValueCollector {
+impl CttConsumer for ValueCollector<'_> {
     fn op(&mut self, ev: &CttOpEvent<'_>) {
         if let Some(slot) = self.values.get_mut(ev.op_index as usize) {
             *slot = ev.value;
@@ -245,6 +363,20 @@ fn op_of(req: &Request) -> Op {
     Op { kind, key: Key::from_u64(req.key), value: req.value }
 }
 
+/// Moves the next batch — the oldest requests, up to the watermark — out
+/// of the inbox.
+fn take_batch(inbox: &mut Inbox, watermark: usize, batch: &mut Vec<PendingReq>) {
+    let take = inbox.queue.len().min(watermark);
+    batch.extend(inbox.queue.drain(..take));
+}
+
+/// The one wake-up per batch that [`Reply::deliver`] left owing.
+fn wake_writers(wake: &mut Vec<Arc<Outbox>>) {
+    for outbox in wake.drain(..) {
+        outbox.wake_writer();
+    }
+}
+
 /// The core loop's owned state: session, WAL, crash injector, counters.
 pub struct ServerCore {
     shared: Arc<ServerShared>,
@@ -261,6 +393,21 @@ pub struct ServerCore {
     snapshot: CoreSnapshot,
     /// First durability failure, kept for the report.
     error: Option<DcartError>,
+    /// The vectors a flush works in, kept for their capacity.
+    scratch: FlushScratch,
+}
+
+/// What one flush fills and empties again.
+#[derive(Default)]
+struct FlushScratch {
+    /// The requests drained from the inbox; after the deadline check, the
+    /// live ones.
+    batch: Vec<PendingReq>,
+    ops: Vec<Op>,
+    /// Each op's answer, by position in `ops`.
+    values: Vec<Option<u64>>,
+    /// Connections that got an answer and whose writer is owed a wake-up.
+    wake: Vec<Arc<Outbox>>,
 }
 
 impl ServerCore {
@@ -378,6 +525,7 @@ impl ServerCore {
             batches_since_ckpt: 0,
             snapshot,
             error: None,
+            scratch: FlushScratch::default(),
         })
     }
 
@@ -385,52 +533,49 @@ impl ServerCore {
     /// completes or the durability layer dies. Returns the first
     /// durability error, if any (injected crashes land here too).
     pub fn run(&mut self) -> Option<DcartError> {
+        let watermark = self.config.batch_size;
         loop {
-            let batch = {
-                let mut inbox = self.shared.inbox.lock().unwrap_or_else(|e| e.into_inner());
+            {
+                let shared = &self.shared;
+                let mut inbox = shared.inbox.lock().unwrap_or_else(|e| e.into_inner());
                 loop {
-                    if self.shared.is_dead() {
-                        // Dead servers still drain the inbox below so
-                        // every queued submitter gets an error, then stop.
+                    // Dead servers still drain the inbox below so every
+                    // queued submitter gets an error, then stop; a drain
+                    // flushes whatever is queued without waiting for more.
+                    if shared.is_dead() || shared.is_shutdown() || inbox.queue.len() >= watermark {
                         break;
                     }
-                    let shutdown = self.shared.is_shutdown();
-                    if inbox.len() >= self.config.batch_size || (shutdown && !inbox.is_empty()) {
-                        break;
-                    }
-                    if !inbox.is_empty() {
-                        // Linger bound: flush once the oldest request has
-                        // waited `linger_ns` since admission, regardless
-                        // of its (possibly much longer) deadline budget.
-                        let oldest = inbox.front().map_or(u64::MAX, |p| p.arrival_ns);
-                        let now = self.shared.now_ns();
-                        if now >= oldest.saturating_add(self.config.linger_ns) {
+                    // Sleep until something can change the decision: an
+                    // arrival while the inbox is empty, else the watermark
+                    // or the moment the oldest request has waited
+                    // `linger_ns` since admission (regardless of its
+                    // possibly much longer deadline budget). A `TestClock`
+                    // that stands still keeps the loop here; tests move it,
+                    // reach the watermark, or call `flush_now`.
+                    let mut wait = POLL;
+                    if let Some(oldest) = inbox.queue.front() {
+                        let due = oldest.arrival_ns.saturating_add(self.config.linger_ns);
+                        let now = shared.now_ns();
+                        if now >= due {
                             break;
                         }
+                        wait = wait.min(Duration::from_nanos(due - now));
                     }
-                    if shutdown && inbox.is_empty() {
-                        break;
-                    }
-                    // Fixed 1 ms poll tick: re-checks clock + flags. (A
-                    // TestClock never advances during the wait, so tests
-                    // drive flushes via watermark or `flush_now`.)
-                    let (guard, _) = self
-                        .shared
-                        .cond
-                        .wait_timeout(inbox, Duration::from_millis(1))
-                        .unwrap_or_else(|e| e.into_inner());
+                    inbox.wake_at = if inbox.queue.is_empty() { 1 } else { watermark };
+                    let (guard, _) =
+                        shared.cond.wait_timeout(inbox, wait).unwrap_or_else(|e| e.into_inner());
                     inbox = guard;
+                    inbox.wake_at = usize::MAX;
                 }
-                let take = inbox.len().min(self.config.batch_size);
-                inbox.drain(..take).collect::<Vec<_>>()
-            };
-            if batch.is_empty() {
+                take_batch(&mut inbox, watermark, &mut self.scratch.batch);
+            }
+            if self.scratch.batch.is_empty() {
                 if self.shared.is_shutdown() || self.shared.is_dead() {
                     break;
                 }
                 continue;
             }
-            self.execute(batch);
+            self.execute();
         }
         // Drain complete: park a final checkpoint so restart needs no
         // replay.
@@ -445,13 +590,12 @@ impl ServerCore {
     /// Flushes up to one batch immediately, bypassing the wait loop —
     /// the deterministic test hook.
     pub fn flush_now(&mut self) {
-        let batch = {
+        {
             let mut inbox = self.shared.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            let take = inbox.len().min(self.config.batch_size);
-            inbox.drain(..take).collect::<Vec<_>>()
-        };
-        if !batch.is_empty() {
-            self.execute(batch);
+            take_batch(&mut inbox, self.config.batch_size, &mut self.scratch.batch);
+        }
+        if !self.scratch.batch.is_empty() {
+            self.execute();
         }
     }
 
@@ -470,35 +614,48 @@ impl ServerCore {
         Ok(dcart::tree_digest(&tree))
     }
 
-    fn execute(&mut self, batch: Vec<PendingReq>) {
+    /// Executes the batch in `scratch.batch` and answers every request in
+    /// it.
+    fn execute(&mut self) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.execute_in(&mut scratch);
+        // Whoever was answered on a way out other than stage 4.
+        wake_writers(&mut scratch.wake);
+        scratch.batch.clear();
+        scratch.ops.clear();
+        self.scratch = scratch;
+    }
+
+    fn execute_in(&mut self, scratch: &mut FlushScratch) {
+        let FlushScratch { batch: live, ops, values, wake } = scratch;
         let now = self.shared.now_ns();
         // Expired-in-queue requests are answered without executing: their
         // submitter stopped waiting, and running them anyway would spend
         // capacity the deadline already wrote off.
-        let (live, expired): (Vec<_>, Vec<_>) =
-            batch.into_iter().partition(|p| p.deadline_ns > now);
-        let released = (live.len() + expired.len()) as u64;
-        for p in &expired {
-            let _ = p.resp.send(Response::rejected(
-                p.req.req_id,
-                dcart_engine::RejectReason::DeadlineExceeded,
-                0,
-            ));
-            self.snapshot.expired_in_queue += 1;
-        }
+        let released = live.len() as u64;
+        live.retain(|p| {
+            let alive = p.deadline_ns > now;
+            if !alive {
+                let expired = dcart_engine::RejectReason::DeadlineExceeded;
+                p.resp.deliver(Response::rejected(p.req.req_id, expired, 0), wake);
+            }
+            alive
+        });
+        let expired = released - live.len() as u64;
+        self.snapshot.expired_in_queue += expired;
         {
             let mut adm = self.shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..expired.len() {
+            for _ in 0..expired {
                 adm.note_expired_in_queue();
             }
             adm.release(released);
         }
-        if !expired.is_empty() {
+        if expired > 0 {
             *self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = self.snapshot;
         }
         if self.shared.is_dead() {
-            for p in &live {
-                let _ = p.resp.send(Response::error(p.req.req_id));
+            for p in live.iter() {
+                p.resp.deliver(Response::error(p.req.req_id), wake);
             }
             return;
         }
@@ -506,15 +663,15 @@ impl ServerCore {
             return;
         }
 
-        let ops: Vec<Op> = live.iter().map(|p| op_of(&p.req)).collect();
+        ops.extend(live.iter().map(|p| op_of(&p.req)));
 
         // 1. WAL the batch before any effect becomes visible.
         if let Some(writer) = &mut self.wal {
-            let payload = encode_ops(&ops);
+            let payload = encode_ops(ops);
             self.persist.payload_bytes += payload.len() as u64;
             let before = writer.len();
             if let Err(e) = writer.append_batch(self.next_seq, &payload, &mut self.crash) {
-                return self.die(&live, e.into());
+                return self.die(live, wake, e.into());
             }
             self.persist.wal_bytes += writer.len() - before;
             self.persist.wal_batches += 1;
@@ -523,13 +680,14 @@ impl ServerCore {
         // 2. Execute, collecting each op's concrete answer (and, for the
         // next checkpoint, which keys the batch writes).
         if let Some(checkpointer) = &mut self.checkpointer {
-            checkpointer.note_writes(&ops);
+            checkpointer.note_writes(ops);
         }
-        let mut collector = ValueCollector { values: vec![None; ops.len()] };
-        if let Err(e) = self.session.execute_batch(&ops, &mut collector) {
+        values.clear();
+        values.resize(ops.len(), None);
+        if let Err(e) = self.session.execute_batch(ops, &mut ValueCollector { values }) {
             // With fixed-width wire keys this cannot be a prefix
             // violation; anything here means the session is torn.
-            return self.die(&live, e);
+            return self.die(live, wake, e);
         }
 
         // 3. Commit mark + fsync: the durability point. An injected crash
@@ -544,19 +702,22 @@ impl ServerCore {
                 self.config.sync_commits,
                 &mut self.crash,
             ) {
-                return self.die(&live, e.into());
+                return self.die(live, wake, e.into());
             }
             self.persist.wal_bytes += writer.len() - before;
             self.persist.wal_commits += 1;
         }
 
-        // 4. Acknowledge.
-        for (p, value) in live.iter().zip(&collector.values) {
-            let _ = p.resp.send(Response::ok(p.req.req_id, *value));
+        // 4. Acknowledge. An answer to a connection is encoded into that
+        // connection's outbound buffer here, and each touched connection's
+        // writer is woken once, after the last answer of the batch.
+        for (p, value) in live.iter().zip(values.iter()) {
+            p.resp.deliver(Response::ok(p.req.req_id, *value), wake);
             if p.req.kind.is_write() {
                 self.snapshot.acked_writes += 1;
             }
         }
+        wake_writers(wake);
         self.next_seq += 1;
         self.batches_since_ckpt += 1;
         self.snapshot.batches += 1;
@@ -615,9 +776,9 @@ impl ServerCore {
     /// Durability failed mid-batch: answer errors (the batch was never
     /// acknowledged, so clients know its outcome is void), latch the
     /// error, and mark the server dead.
-    fn die(&mut self, batch: &[PendingReq], e: DcartError) {
+    fn die(&mut self, batch: &[PendingReq], wake: &mut Vec<Arc<Outbox>>, e: DcartError) {
         for p in batch {
-            let _ = p.resp.send(Response::error(p.req.req_id));
+            p.resp.deliver(Response::error(p.req.req_id), wake);
         }
         self.error.get_or_insert(e);
         self.shared.mark_dead();

@@ -46,10 +46,11 @@ pub mod stats;
 pub mod wire;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionCounters};
-pub use core_loop::{PendingReq, ServerConfig, ServerCore, ServerShared};
+pub use core_loop::{PendingReq, Reply, ServerConfig, ServerCore, ServerShared};
 pub use net::{serve, serve_seeded, CoreReport, ServeHandle};
 pub use stats::{CoreSnapshot, ServerStats};
 pub use wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    Request, RequestKind, Response, Status, WireError, KEY_WIDTH, NET_MAGIC,
+    decode_request, decode_response, encode_request, encode_request_into, encode_response,
+    encode_response_into, read_frame, write_frame, FrameReader, Request, RequestKind, Response,
+    Status, WireError, KEY_WIDTH, NET_MAGIC,
 };

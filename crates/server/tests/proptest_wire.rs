@@ -4,12 +4,12 @@
 //! typed [`WireError`]. The peer is untrusted; a panic here is a
 //! remote-triggered crash.
 
-use std::io::Cursor;
+use std::io::{Cursor, Read};
 
 use dcart_engine::RejectReason;
 use dcart_server::wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, Request,
-    RequestKind, Response, Status, WireError,
+    decode_request, decode_response, encode_request, encode_response, read_frame, FrameReader,
+    Request, RequestKind, Response, Status, WireError, NET_MAGIC,
 };
 use proptest::prelude::*;
 
@@ -53,10 +53,86 @@ fn response_strategy() -> impl Strategy<Value = Response> {
     ]
 }
 
-/// De-frames `bytes` exactly as the connection reader does, returning the
-/// decoded body or the typed error.
+/// De-frames `bytes` one frame at a time, returning the decoded body or
+/// the typed error.
 fn deframe(bytes: &[u8]) -> Result<Option<Vec<u8>>, WireError> {
     read_frame(&mut Cursor::new(bytes))
+}
+
+/// What can follow the valid frames of a stream and end it in an error.
+fn bad_tail_strategy() -> impl Strategy<Value = Vec<u8>> {
+    let frame = || request_strategy().prop_map(|r| encode_request(&r));
+    prop_oneof![
+        // One flipped bit anywhere in a frame.
+        (frame(), any::<usize>(), 0u8..8).prop_map(|(mut f, at, bit)| {
+            let at = at % f.len();
+            f[at] ^= 1 << bit;
+            f
+        }),
+        // A frame cut short.
+        (frame(), any::<usize>()).prop_map(|(mut f, cut)| {
+            f.truncate(1 + cut % (f.len() - 1));
+            f
+        }),
+        // Garbage.
+        proptest::collection::vec(any::<u8>(), 1..96),
+        // A length prefix beyond the cap, and some bytes behind it.
+        ((1u32 << 20) + 1..=u32::MAX, proptest::collection::vec(any::<u8>(), 0..32))
+            .prop_map(|(len, rest)| [&NET_MAGIC[..], &len.to_le_bytes(), &rest].concat()),
+        // Well framed and checksummed, but not a request: wrong body
+        // length, or an unknown kind byte.
+        proptest::collection::vec(any::<u8>(), 0..80).prop_map(|body| {
+            let crc = dcart_engine::wal::checksum(&body);
+            [&NET_MAGIC[..], &(body.len() as u32).to_le_bytes(), &body, &crc.to_le_bytes()].concat()
+        }),
+    ]
+}
+
+/// Hands a stream out in reads of the given sizes, cycling through them.
+struct Chunked<'a> {
+    rest: &'a [u8],
+    sizes: &'a [usize],
+    next: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.next % self.sizes.len()];
+        self.next += 1;
+        let n = size.min(self.rest.len()).min(buf.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
+    }
+}
+
+/// The requests a stream yields and how it ends (`Ok` on a clean EOF),
+/// one frame at a time through `read_frame` + `decode_request`.
+fn requests_frame_by_frame(stream: &[u8]) -> (Vec<Request>, Result<(), WireError>) {
+    let mut cursor = Cursor::new(stream);
+    let mut reqs = Vec::new();
+    loop {
+        match read_frame(&mut cursor).and_then(|b| b.map(|b| decode_request(&b)).transpose()) {
+            Ok(Some(req)) => reqs.push(req),
+            Ok(None) => return (reqs, Ok(())),
+            Err(e) => return (reqs, Err(e)),
+        }
+    }
+}
+
+/// The same through the connection reader's `FrameReader`, the stream
+/// arriving in reads of `sizes` bytes.
+fn requests_read_by_read(stream: &[u8], sizes: &[usize]) -> (Vec<Request>, Result<(), WireError>) {
+    let mut source = Chunked { rest: stream, sizes, next: 0 };
+    let mut frames = FrameReader::default();
+    let mut reqs = Vec::new();
+    loop {
+        match frames.read_requests(&mut source, &mut reqs) {
+            Ok(true) => {}
+            Ok(false) => return (reqs, Ok(())),
+            Err(e) => return (reqs, Err(e)),
+        }
+    }
 }
 
 proptest! {
@@ -142,6 +218,30 @@ proptest! {
             prop_assert_eq!(&decode_request(&body).expect("decodes"), expected);
         }
         prop_assert!(read_frame(&mut cursor).expect("clean tail").is_none());
+    }
+
+    /// The connection reader against the frame-at-a-time reference: any
+    /// run of valid request frames, with or without a tail that ends the
+    /// stream in an error, arriving in reads of any sizes from one byte to
+    /// the whole stream, yields the same requests in the same order and
+    /// then the same clean EOF or the same `WireError` variant.
+    #[test]
+    fn frame_reader_agrees_with_read_frame_at_any_read_sizes(
+        reqs in proptest::collection::vec(request_strategy(), 0..12),
+        tail in prop_oneof![Just(None), bad_tail_strategy().prop_map(Some)],
+        sizes in prop_oneof![
+            Just(vec![1usize]),
+            Just(vec![usize::MAX]),
+            proptest::collection::vec(1usize..120, 1..8),
+        ],
+    ) {
+        let mut stream: Vec<u8> = reqs.iter().flat_map(encode_request).collect();
+        stream.extend_from_slice(tail.as_deref().unwrap_or(&[]));
+        let reference = requests_frame_by_frame(&stream);
+        if tail.is_none() {
+            prop_assert_eq!(&reference, &(reqs, Ok(())));
+        }
+        prop_assert_eq!(requests_read_by_read(&stream, &sizes), reference);
     }
 }
 

@@ -1,9 +1,12 @@
 //! Integration tests for the serving core: batch determinism against the
 //! offline repro path, zero acked-write loss across an injected kill,
 //! crashes inside a merged checkpoint, the drain checkpoint, deadline
-//! enforcement under a hand-driven clock, and a TCP end-to-end smoke —
-//! all with `TestClock` (or a clock that ticks per reading), so nothing
-//! here depends on wall time.
+//! enforcement under a hand-driven clock, group submission against
+//! one-at-a-time submission, when the sleeping loop flushes, and the TCP
+//! front end end to end (pipelining, slow frames, a peer that never
+//! reads, drain and death with requests in flight) — all with `TestClock`
+//! (or a clock that ticks per reading), so no decision here depends on
+//! wall time.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -15,8 +18,8 @@ use dcart::{CttConsumer, CttSession, DcartConfig, ExecOpts, TraverseMode};
 use dcart_art::Key;
 use dcart_engine::time::{Clock, TestClock};
 use dcart_engine::{CrashPlan, CrashSite, RejectReason};
-use dcart_server::wire::{Request, RequestKind, Status};
-use dcart_server::{ServerConfig, ServerCore, ServerShared};
+use dcart_server::wire::{Request, RequestKind, Response, Status};
+use dcart_server::{Reply, ServerConfig, ServerCore, ServerShared};
 use dcart_workloads::{Op, OpKind};
 
 struct Silent;
@@ -544,4 +547,435 @@ fn tcp_end_to_end_roundtrip() {
 
     let report = handle.shutdown_and_join().expect("drain");
     assert_ne!(report.answer_digest, 0, "batches executed");
+}
+
+/// One run of `group_vs_single`: the stream goes in `rounds` of requests,
+/// each round submitted whole — one request at a time, or in groups of
+/// `group_sizes` (cycled) — and then flushed until the inbox is empty.
+#[derive(Debug, PartialEq)]
+struct Driven {
+    batches: u64,
+    answer_digest: u64,
+    tree_digest: u64,
+    /// `AdmissionCounters`, by its `Debug` form.
+    admission: String,
+    /// Every immediate answer, in order.
+    immediate: Vec<Response>,
+    acked: usize,
+}
+
+fn drive_rounds(
+    triples: &[(RequestKind, u64, u64)],
+    round: usize,
+    queue_capacity: u64,
+    group_sizes: Option<&[usize]>,
+) -> Driven {
+    let mut config =
+        ServerConfig { batch_size: 128, linger_ns: u64::MAX, ..ServerConfig::default() };
+    config.admission.queue_capacity = queue_capacity;
+    let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+    let mut core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+    let (tx, rx) = mpsc::channel();
+    let mut immediate = Vec::new();
+    let mut next_size = 0;
+    for (r, chunk) in triples.chunks(round).enumerate() {
+        let reqs: Vec<Request> = chunk
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, key, value))| Request {
+                req_id: (r * round + i) as u64,
+                kind,
+                budget_ns: 1 << 40,
+                key,
+                value,
+            })
+            .collect();
+        match group_sizes {
+            None => {
+                for req in &reqs {
+                    immediate.extend(shared.submit(*req, &tx));
+                }
+            }
+            Some(sizes) => {
+                let mut rest = reqs.as_slice();
+                while !rest.is_empty() {
+                    let n = sizes[next_size % sizes.len()].min(rest.len());
+                    next_size += 1;
+                    let (group, tail) = rest.split_at(n);
+                    shared.submit_group(group, || Reply::Channel(tx.clone()), &mut immediate);
+                    rest = tail;
+                }
+            }
+        }
+        while shared.stats().queue_depth > 0 {
+            core.flush_now();
+        }
+    }
+    let stats = shared.stats();
+    let acked = rx.try_iter().filter(|resp| resp.status == Status::Ok).count();
+    Driven {
+        batches: stats.core.batches,
+        answer_digest: core.answer_digest(),
+        tree_digest: core.into_tree_digest().expect("tree"),
+        admission: format!("{:?}", stats.admission),
+        immediate,
+        acked,
+    }
+}
+
+/// Group submission is one-at-a-time submission: the same 1 024-op stream
+/// gives the same batches, answers and tree whichever way it is handed
+/// over, and the same admission decisions — reasons, retry hints, counters
+/// — when a queue smaller than a round forces rejections in mid-group.
+#[test]
+fn group_submission_decides_and_batches_like_single_submission() {
+    let triples = mixed_ops(11, 1_024);
+    // Seeded group sizes between one request and more than a batch.
+    let sizes: Vec<usize> = (0..37u64).map(|i| 1 + (splitmix64(i ^ 0x51) % 200) as usize).collect();
+
+    let single = drive_rounds(&triples, 1_024, 4_096, None);
+    let grouped = drive_rounds(&triples, 1_024, 4_096, Some(&sizes));
+    assert_eq!(single.batches, 8, "1 024 ops at a watermark of 128");
+    assert_eq!(single.acked, 1_024);
+    assert!(single.immediate.is_empty());
+    assert_eq!(
+        (single.answer_digest, single.tree_digest),
+        server_digests(&triples, mem_config(128, 1, false)),
+        "and both are the watermark-exact run"
+    );
+    assert_eq!(single, grouped);
+
+    // 100 slots against rounds of 150: a third of every round bounces off
+    // the full queue, the latches trip, scans and then reads are shed.
+    let single = drive_rounds(&triples, 150, 100, None);
+    let grouped = drive_rounds(&triples, 150, 100, Some(&sizes));
+    let reasons = |d: &Driven| -> Vec<RejectReason> {
+        let mut seen: Vec<RejectReason> = d.immediate.iter().filter_map(|r| r.reject).collect();
+        seen.dedup();
+        seen
+    };
+    assert!(reasons(&single).contains(&RejectReason::Overloaded), "{}", single.admission);
+    assert!(reasons(&single).contains(&RejectReason::ShedScan), "{}", single.admission);
+    assert_eq!(single.acked + single.immediate.len(), 1_024);
+    assert_eq!(single, grouped, "same decisions in the same order, same batches");
+}
+
+/// Runs the core loop on a thread of its own until drain.
+fn spawn_core(mut core: ServerCore) -> std::thread::JoinHandle<ServerCore> {
+    std::thread::spawn(move || {
+        assert!(core.run().is_none(), "clean drain");
+        core
+    })
+}
+
+/// Longer than the loop ever sleeps without looking at the clock again.
+const TWO_POLLS: std::time::Duration = std::time::Duration::from_millis(60);
+const SOON: std::time::Duration = std::time::Duration::from_secs(10);
+
+/// The sleeping loop and the linger deadline: one request below the
+/// watermark is flushed once the clock has passed `arrival + linger_ns`,
+/// and not before.
+#[test]
+fn a_short_batch_flushes_when_its_linger_has_passed_and_not_before() {
+    let config = ServerConfig { batch_size: 64, linger_ns: 1_000_000, ..ServerConfig::default() };
+    let clock = TestClock::new();
+    clock.advance(5_000);
+    let shared = ServerShared::new(config.admission, Arc::new(clock.clone()));
+    let core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+    let running = spawn_core(core);
+
+    let (tx, rx) = mpsc::channel();
+    let req =
+        Request { req_id: 1, kind: RequestKind::Insert, budget_ns: 1 << 40, key: 3, value: 4 };
+    assert!(shared.submit(req, &tx).is_none(), "admitted at t = 5 µs");
+    clock.advance(999_999);
+    assert!(rx.recv_timeout(TWO_POLLS).is_err(), "one nanosecond short of the linger");
+    assert_eq!(shared.stats().core.batches, 0);
+    clock.advance(1);
+    let resp = rx.recv_timeout(SOON).expect("flushed once the linger has passed");
+    assert_eq!((resp.req_id, resp.status), (1, Status::Ok));
+
+    shared.request_shutdown();
+    running.join().expect("core thread");
+    assert_eq!(shared.stats().core.batches, 1);
+}
+
+/// The sleeping loop and the watermark: while it sleeps out a 10 s linger
+/// on a clock that stands still, the append that reaches the watermark
+/// wakes it and the batch flushes whole.
+#[test]
+fn a_watermark_reached_while_the_loop_sleeps_on_a_long_linger_flushes_at_once() {
+    let config =
+        ServerConfig { batch_size: 4, linger_ns: 10_000_000_000, ..ServerConfig::default() };
+    let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+    let core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+    let running = spawn_core(core);
+
+    let (tx, rx) = mpsc::channel();
+    let get =
+        |req_id| Request { req_id, kind: RequestKind::Get, budget_ns: 1 << 40, key: 9, value: 0 };
+    assert!(shared.submit(get(0), &tx).is_none());
+    assert!(rx.recv_timeout(TWO_POLLS).is_err(), "below the watermark, linger far away");
+    let mut immediate = Vec::new();
+    shared.submit_group(&[get(1), get(2), get(3)], || Reply::Channel(tx.clone()), &mut immediate);
+    assert!(immediate.is_empty());
+    let mut ids: Vec<u64> =
+        (0..4).map(|_| rx.recv_timeout(SOON).expect("flushed on the watermark").req_id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, [0, 1, 2, 3]);
+
+    shared.request_shutdown();
+    running.join().expect("core thread");
+    let stats = shared.stats().core;
+    assert_eq!((stats.batches, stats.ops), (1, 4), "one whole batch, no partial one before it");
+}
+
+mod tcp {
+    //! The TCP front end, driven by real loopback clients.
+
+    use std::collections::BTreeMap;
+    use std::io::{BufReader, ErrorKind, Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
+    use dcart_server::wire::{decode_response, encode_request, read_frame, WireError};
+    use dcart_server::{serve, ServeHandle};
+
+    use super::*;
+
+    fn insert(req_id: u64) -> Request {
+        Request {
+            req_id,
+            kind: RequestKind::Insert,
+            budget_ns: 1 << 40,
+            key: req_id,
+            value: req_id + 1,
+        }
+    }
+
+    fn serve_with(config: ServerConfig, clock: Arc<dyn Clock>) -> (ServeHandle, SocketAddr) {
+        let handle = serve(config, "127.0.0.1:0", clock).expect("serve");
+        let addr = handle.local_addr();
+        (handle, addr)
+    }
+
+    /// Reads answers until the server closes the connection; any torn or
+    /// interleaved frame fails the magic or checksum test in `read_frame`.
+    fn answers_until_close(stream: &TcpStream) -> Vec<Response> {
+        let mut reader = BufReader::new(stream);
+        let mut answers = Vec::new();
+        while let Some(body) = read_frame(&mut reader).expect("well-formed frames only") {
+            answers.push(decode_response(&body).expect("a response"));
+        }
+        answers
+    }
+
+    fn round_trip(stream: &mut TcpStream, req: &Request) -> Result<Response, WireError> {
+        stream.write_all(&encode_request(req))?;
+        let body = read_frame(stream)?.ok_or(WireError::Truncated)?;
+        decode_response(&body)
+    }
+
+    /// One connection pipelines 2 000 requests — operations, `stats`
+    /// requests and requests whose one-nanosecond budget runs out in the
+    /// queue — in writes that cut frames anywhere: exactly one well-formed
+    /// answer per `req_id`, of the right kind.
+    #[test]
+    fn pipelined_requests_each_get_exactly_one_whole_answer() {
+        // Time passes with every reading, so a 1 ns budget is gone by the
+        // flush; no linger, so a short batch never waits on this clock.
+        let clock = Arc::new(TickingClock(AtomicU64::new(0)));
+        let mut config = ServerConfig { linger_ns: 0, ..mem_config(64, 1, false) };
+        config.admission.queue_capacity = 4_096; // nothing bounces off a full queue
+        let (handle, addr) = serve_with(config, clock);
+        let total = 2_000u64;
+        let is_stats = |i: u64| i % 50 == 7;
+        let over_budget = |i: u64| i % 31 == 3;
+        let mut bytes = Vec::new();
+        for (i, (kind, key, value)) in mixed_ops(5, total).into_iter().enumerate() {
+            let i = i as u64;
+            let req = if is_stats(i) {
+                Request { req_id: i, kind: RequestKind::Stats, budget_ns: 0, key: 0, value: 0 }
+            } else {
+                let budget_ns = if over_budget(i) { 1 } else { 1 << 40 };
+                Request { req_id: i, kind, budget_ns, key, value }
+            };
+            bytes.extend_from_slice(&encode_request(&req));
+        }
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        let answers = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut half = &stream;
+                for (n, chunk) in bytes.chunks(997).enumerate() {
+                    half.write_all(chunk).expect("send");
+                    if n % 16 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            let mut reader = BufReader::new(&stream);
+            let mut answers = BTreeMap::new();
+            for _ in 0..total {
+                let body = read_frame(&mut reader).expect("well-formed frame").expect("open");
+                let resp = decode_response(&body).expect("a response");
+                assert!(answers.insert(resp.req_id, resp).is_none(), "answered twice");
+            }
+            answers
+        });
+        assert_eq!(answers.len() as u64, total);
+        for (&i, resp) in &answers {
+            if is_stats(i) {
+                let text = std::str::from_utf8(&resp.payload).expect("utf8");
+                assert!(resp.status == Status::Ok && text.contains("\"accepted\":"), "{i}: {text}");
+            } else if over_budget(i) {
+                assert_eq!(resp.reject, Some(RejectReason::DeadlineExceeded), "{i}");
+            } else {
+                assert_eq!(resp.status, Status::Ok, "{i}");
+            }
+        }
+        drop(stream);
+        handle.shutdown_and_join().expect("drain");
+    }
+
+    /// A request whose bytes arrive more than a read timeout apart — cut
+    /// inside the magic, inside the length, inside the body, inside the
+    /// checksum — is one request: the bytes the timeout found are kept.
+    #[test]
+    fn a_frame_that_arrives_slower_than_the_read_timeout_is_still_answered() {
+        let (handle, addr) = serve_with(mem_config(1, 1, false), Arc::new(TestClock::new()));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let len = encode_request(&insert(0)).len();
+        for (req_id, cut) in [3, 10, 20, len - 2].into_iter().enumerate() {
+            let frame = encode_request(&insert(req_id as u64));
+            stream.write_all(&frame[..cut]).expect("first part");
+            std::thread::sleep(Duration::from_millis(80)); // three read timeouts
+            stream.write_all(&frame[cut..]).expect("second part");
+            let body = read_frame(&mut stream).expect("answered, not reset").expect("open");
+            let resp = decode_response(&body).expect("a response");
+            assert_eq!((resp.req_id, resp.status), (req_id as u64, Status::Ok), "cut at {cut}");
+        }
+        drop(stream);
+        handle.shutdown_and_join().expect("drain");
+    }
+
+    /// `shutdown` behind requests that are still queued: every admitted
+    /// request is answered before the server closes the connection.
+    #[test]
+    fn shutdown_answers_every_admitted_request_before_the_socket_closes() {
+        // Neither watermark nor linger is ever reached: only drain flushes.
+        let config = ServerConfig { linger_ns: u64::MAX, ..mem_config(64, 1, false) };
+        let (handle, addr) = serve_with(config, Arc::new(TestClock::new()));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut bytes: Vec<u8> = (0..40).flat_map(|i| encode_request(&insert(i))).collect();
+        let bye =
+            Request { req_id: 99, kind: RequestKind::Shutdown, budget_ns: 0, key: 0, value: 0 };
+        bytes.extend_from_slice(&encode_request(&bye));
+        stream.write_all(&bytes).expect("send");
+
+        let answers = answers_until_close(&stream);
+        let mut ids: Vec<u64> = answers.iter().map(|r| r.req_id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..40).chain([99]).collect::<Vec<u64>>());
+        assert!(answers.iter().all(|r| r.status == Status::Ok), "{answers:?}");
+        let report = handle.join().expect("drained by the wire request");
+        assert_ne!(report.answer_digest, 0, "the queued batch was executed");
+    }
+
+    /// A core killed by an injected `BeforeCommit` crash answers `Error`
+    /// to the batch it was in and to everything queued behind it.
+    #[test]
+    fn a_dead_core_answers_error_to_everything_queued() {
+        let dir = scratch_dir("tcp_dead");
+        let plan = CrashPlan { site: CrashSite::BeforeCommit, at: 2, seed: 3 };
+        let config = ServerConfig { linger_ns: u64::MAX, ..durable_config(&dir, Some(plan)) };
+        let (handle, addr) = serve_with(config, Arc::new(TestClock::new()));
+        let stream = TcpStream::connect(addr).expect("connect");
+        let bytes: Vec<u8> = (0..80).flat_map(|i| encode_request(&insert(i))).collect();
+        (&stream).write_all(&bytes).expect("send");
+
+        let mut reader = BufReader::new(&stream);
+        let mut by_status = BTreeMap::new();
+        for _ in 0..80 {
+            let body = read_frame(&mut reader).expect("well-formed frame").expect("open");
+            let resp = decode_response(&body).expect("a response");
+            assert!(by_status.insert(resp.req_id, resp.status).is_none(), "answered twice");
+        }
+        // Batches of 16: two committed and acknowledged, the third killed.
+        for (i, status) in by_status {
+            assert_eq!(status, if i < 32 { Status::Ok } else { Status::Error }, "request {i}");
+        }
+        assert!(handle.shared().is_dead());
+        assert!(handle.join().is_err(), "the injected crash is the core's report");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A peer that keeps sending and never reads: its answers pile up in
+    /// its outbound buffer only up to the cap, then the server hangs up on
+    /// it — while another connection is answered throughout (refused, as
+    /// long as the flood keeps the queue full), and the server drains
+    /// cleanly afterwards.
+    #[test]
+    fn a_peer_that_never_reads_is_disconnected_and_nobody_else_notices() {
+        let config = ServerConfig { linger_ns: 0, ..mem_config(64, 1, false) };
+        let (handle, addr) = serve_with(config, Arc::new(TestClock::new()));
+        let mut polite = TcpStream::connect(addr).expect("connect");
+        polite.set_nodelay(true).expect("nodelay");
+        assert_eq!(round_trip(&mut polite, &insert(1)).expect("answered").status, Status::Ok);
+
+        let deaf = TcpStream::connect(addr).expect("connect");
+        let hung_up = AtomicBool::new(false);
+        let served_meanwhile = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // 200 k answers are 10 MB: more than the kernel's buffers
+                // and the cap hold together. Far fewer gets are refused
+                // than executed, and a refusal is an answer too.
+                let get = |i| Request {
+                    req_id: i,
+                    kind: RequestKind::Get,
+                    budget_ns: 1 << 40,
+                    key: i % 512,
+                    value: 0,
+                };
+                let mut half = &deaf;
+                'flood: for burst in 0..20_000u64 {
+                    let bytes: Vec<u8> =
+                        (0..64).flat_map(|i| encode_request(&get(burst * 64 + i))).collect();
+                    if half.write_all(&bytes).is_err() {
+                        break 'flood;
+                    }
+                }
+                // The server's side is gone: the stream ends (in a reset,
+                // if requests were still unread) without 200 k answers.
+                let mut sink = [0u8; 1 << 16];
+                let mut received = 0usize;
+                loop {
+                    match half.read(&mut sink) {
+                        Ok(0) => break,
+                        Ok(n) => received += n,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(_) => break,
+                    }
+                }
+                assert!(received < 200_000 * 51, "the peer was never cut off: {received} bytes");
+                hung_up.store(true, Ordering::SeqCst);
+            });
+            let mut served = 0u64;
+            while !hung_up.load(Ordering::SeqCst) {
+                let resp = round_trip(&mut polite, &insert(2 + served)).expect("answered");
+                assert_eq!(resp.req_id, 2 + served);
+                served += 1;
+            }
+            served
+        });
+        assert!(served_meanwhile > 0);
+        // What the flood left in the queue drains; then writes get in again.
+        let admitted_again = (0..10_000)
+            .any(|_| round_trip(&mut polite, &insert(0)).expect("answered").status == Status::Ok);
+        assert!(admitted_again);
+        drop((polite, deaf));
+        handle.shutdown_and_join().expect("drains cleanly");
+    }
 }
