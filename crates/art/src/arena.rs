@@ -54,11 +54,13 @@ impl<V> Arena<V> {
     ///
     /// Used by the traversal loops to overlap the next level's memory
     /// latency with the current node's search; a hint only, so an invalid
-    /// id is silently ignored.
+    /// id is silently ignored. It takes the slot's address without reading
+    /// the slot: looking inside first would be the very load it is meant
+    /// to hide.
     #[inline]
     pub(crate) fn prefetch(&self, id: NodeId) {
-        if let Some(Some(node)) = self.slots.get(id.0 as usize) {
-            crate::simd::prefetch(node);
+        if let Some(slot) = self.slots.get(id.0 as usize) {
+            crate::simd::prefetch(slot);
         }
     }
 

@@ -218,9 +218,7 @@ impl<V> Art<V> {
                     let entry = cur[i];
                     if let Some(ahead) = cur.get(i + PF_DIST) {
                         self.arena.prefetch(ahead.node);
-                        if let Some(&b) = keys[ahead.op as usize].as_bytes().first() {
-                            crate::simd::prefetch(&b);
-                        }
+                        crate::simd::prefetch(&keys[ahead.op as usize]);
                     }
                     i += 1;
                     let bytes = keys[entry.op as usize].as_bytes();

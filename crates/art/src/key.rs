@@ -17,15 +17,28 @@
 //!
 //! [`Key::from_raw`] performs no transformation and is for callers that
 //! guarantee the two properties themselves.
+//!
+//! # Representation
+//!
+//! A [`Key`] is 24 bytes and holds up to [`Key::INLINE_CAP`] encoded bytes
+//! in place: every fixed-width constructor, the wire protocol's 8-byte keys
+//! and the workloads' short strings live inside the `Key` itself, so
+//! reading, comparing or hashing one touches no second cache line and
+//! building one allocates nothing. Longer keys spill to a shared heap
+//! buffer.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A byte-string key in binary-comparable, prefix-free form.
 ///
-/// The encoded bytes are reference-counted, so [`Clone`] is O(1) and does
-/// not copy the bytes: the bulk-load and op-replay hot paths clone every
-/// key once into the tree, and sharing the allocation keeps that free.
+/// Keys of at most [`Key::INLINE_CAP`] bytes are stored inline and
+/// [`Clone`] copies them (24 bytes, no allocation, no reference count);
+/// longer keys share one reference-counted buffer between clones.
+/// Equality, ordering and hashing are those of the encoded byte slice,
+/// whichever representation holds it.
 ///
 /// # Examples
 ///
@@ -37,10 +50,33 @@ use std::sync::Arc;
 /// // Big-endian encoding preserves integer order under bytewise comparison.
 /// assert!(a.as_bytes() < b.as_bytes());
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
-pub struct Key(Arc<[u8]>);
+#[derive(Clone)]
+pub struct Key(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the key; the tail stays zero.
+    Inline { len: u8, bytes: [u8; Key::INLINE_CAP] },
+    /// Keys longer than [`Key::INLINE_CAP`].
+    Spilled(Arc<[u8]>),
+}
 
 impl Key {
+    /// Longest encoded key stored inline: what is left of 24 bytes — the
+    /// size the spilled variant's fat pointer forces — after the variant
+    /// tag and the length byte.
+    pub const INLINE_CAP: usize = 22;
+
+    fn from_slice(bytes: &[u8]) -> Self {
+        if bytes.len() <= Self::INLINE_CAP {
+            let mut inline = [0u8; Self::INLINE_CAP];
+            inline[..bytes.len()].copy_from_slice(bytes);
+            Key(Repr::Inline { len: bytes.len() as u8, bytes: inline })
+        } else {
+            Key(Repr::Spilled(Arc::from(bytes)))
+        }
+    }
+
     /// Creates a key from raw bytes without any transformation.
     ///
     /// The caller is responsible for ensuring that the resulting key set is
@@ -54,12 +90,12 @@ impl Key {
     pub fn from_raw(bytes: impl Into<Box<[u8]>>) -> Self {
         let bytes = bytes.into();
         assert!(!bytes.is_empty(), "keys must be non-empty");
-        Key(Arc::from(bytes))
+        Self::from_slice(&bytes)
     }
 
     /// Encodes a `u32` as a 4-byte big-endian key.
     pub fn from_u32(v: u32) -> Self {
-        Key(Arc::from(v.to_be_bytes()))
+        Self::from_slice(&v.to_be_bytes())
     }
 
     /// Encodes a `u64` as an 8-byte big-endian key.
@@ -67,19 +103,19 @@ impl Key {
     /// This is the encoding used by the paper's synthetic workloads (50 M
     /// dense/sparse 8-byte integer keys).
     pub fn from_u64(v: u64) -> Self {
-        Key(Arc::from(v.to_be_bytes()))
+        Self::from_slice(&v.to_be_bytes())
     }
 
     /// Encodes a `u128` as a 16-byte big-endian key.
     pub fn from_u128(v: u128) -> Self {
-        Key(Arc::from(v.to_be_bytes()))
+        Self::from_slice(&v.to_be_bytes())
     }
 
     /// Encodes an `i64` as an order-preserving 8-byte key: flipping the
     /// sign bit maps the signed range onto the unsigned range
     /// monotonically, so bytewise order equals numeric order.
     pub fn from_i64(v: i64) -> Self {
-        Key(Arc::from(((v as u64) ^ (1 << 63)).to_be_bytes()))
+        Self::from_slice(&((v as u64) ^ (1 << 63)).to_be_bytes())
     }
 
     /// Encodes an `f64` as an order-preserving 8-byte key (IEEE-754 total
@@ -91,12 +127,12 @@ impl Key {
     pub fn from_f64(v: f64) -> Self {
         let bits = v.to_bits();
         let ordered = if bits >> 63 == 0 { bits ^ (1 << 63) } else { !bits };
-        Key(Arc::from(ordered.to_be_bytes()))
+        Self::from_slice(&ordered.to_be_bytes())
     }
 
     /// Encodes an IPv4 address as a 4-byte key (network byte order).
     pub fn from_ipv4(octets: [u8; 4]) -> Self {
-        Key(Arc::from(octets))
+        Self::from_slice(&octets)
     }
 
     /// Encodes a string as a NUL-terminated byte key.
@@ -111,28 +147,38 @@ impl Key {
     /// prefix-free guarantee.
     pub fn from_str_bytes(s: &str) -> Self {
         assert!(!s.as_bytes().contains(&0), "string keys must not contain NUL bytes");
+        if s.len() < Self::INLINE_CAP {
+            // Terminate on the stack: no allocation for an inline key.
+            let mut buf = [0u8; Self::INLINE_CAP];
+            buf[..s.len()].copy_from_slice(s.as_bytes());
+            return Self::from_slice(&buf[..=s.len()]);
+        }
         let mut v = Vec::with_capacity(s.len() + 1);
         v.extend_from_slice(s.as_bytes());
         v.push(0);
-        Key(Arc::from(v))
+        Self::from_slice(&v)
     }
 
     /// Returns the encoded bytes of this key.
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Spilled(bytes) => bytes,
+        }
     }
 
     /// Returns the encoded length in bytes.
     #[allow(clippy::len_without_is_empty)] // keys are never empty by construction
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// Decodes a key produced by [`Key::from_u64`] back into the integer.
     ///
     /// Returns `None` if the key is not exactly 8 bytes long.
     pub fn to_u64(&self) -> Option<u64> {
-        let bytes: [u8; 8] = self.0.as_ref().try_into().ok()?;
+        let bytes: [u8; 8] = self.as_bytes().try_into().ok()?;
         Some(u64::from_be_bytes(bytes))
     }
 
@@ -158,9 +204,10 @@ impl Key {
             "prefix width must be <= 64 and nibble-aligned"
         );
         let nbytes = bits.div_ceil(8) as usize;
+        let bytes = self.as_bytes();
         let mut acc: u64 = 0;
         for i in 0..nbytes {
-            acc = (acc << 8) | u64::from(self.0.get(skip_bytes + i).copied().unwrap_or(0));
+            acc = (acc << 8) | u64::from(bytes.get(skip_bytes + i).copied().unwrap_or(0));
         }
         if !bits.is_multiple_of(8) {
             acc >>= 8 - bits % 8;
@@ -169,10 +216,52 @@ impl Key {
     }
 }
 
+impl PartialEq for Key {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+/// Hashes exactly as the byte slice does: hash-map iteration order, where
+/// anything still depends on it, is a function of this.
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+/// A plain byte sequence, whichever representation holds the key.
+impl serde::Serialize for Key {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_newtype_struct("Key", self.as_bytes())
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for Key {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Vec::<u8>::deserialize(deserializer).map(|bytes| Self::from_slice(&bytes))
+    }
+}
+
 impl fmt::Debug for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Key(")?;
-        for (i, b) in self.0.iter().enumerate() {
+        for (i, b) in self.as_bytes().iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -184,7 +273,7 @@ impl fmt::Debug for Key {
 
 impl AsRef<[u8]> for Key {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        self.as_bytes()
     }
 }
 
@@ -319,11 +408,70 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_the_encoded_bytes() {
-        let a = Key::from_str_bytes("shared");
-        let b = a.clone();
-        // O(1) clone: both keys view the same reference-counted allocation.
-        assert!(std::ptr::eq(a.as_bytes(), b.as_bytes()));
+    fn a_spilled_clone_shares_and_an_inline_clone_is_equal() {
+        let long = Key::from_raw(vec![7u8; Key::INLINE_CAP + 1]);
+        assert!(std::ptr::eq(long.as_bytes(), long.clone().as_bytes()));
+        let short = Key::from_raw(vec![7u8; Key::INLINE_CAP]);
+        let copy = short.clone();
+        assert_eq!(short, copy);
+        assert!(!std::ptr::eq(short.as_bytes(), copy.as_bytes()));
+    }
+
+    #[test]
+    fn key_is_three_words() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Key>>(), 24);
+    }
+
+    /// Byte strings on both sides of the inline/spilled boundary, two per
+    /// length so that equal-length keys differ only in their last byte.
+    fn boundary_samples() -> Vec<Vec<u8>> {
+        [1, Key::INLINE_CAP - 1, Key::INLINE_CAP, Key::INLINE_CAP + 1, 64]
+            .into_iter()
+            .flat_map(|len| {
+                [1u8, 2].map(|last| {
+                    let mut bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+                    bytes[len - 1] = last;
+                    bytes
+                })
+            })
+            .collect()
+    }
+
+    fn default_hash(v: &impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn eq_ord_hash_and_serde_are_those_of_the_byte_slice() {
+        let samples = boundary_samples();
+        for a in &samples {
+            let ka = Key::from_raw(a.clone());
+            assert_eq!(ka.as_bytes(), a.as_slice());
+            assert_eq!(ka.len(), a.len());
+            assert_eq!(default_hash(&ka), default_hash(&a.as_slice()), "len {}", a.len());
+            let json = serde_json::to_string(&ka).unwrap();
+            assert_eq!(json, serde_json::to_string(a).unwrap());
+            assert_eq!(serde_json::from_str::<Key>(&json).unwrap(), ka);
+            for b in &samples {
+                let kb = Key::from_raw(b.clone());
+                assert_eq!(ka == kb, a == b, "{a:?} == {b:?}");
+                assert_eq!(ka.cmp(&kb), a.cmp(b), "{a:?} cmp {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn string_keys_cross_the_inline_boundary_intact() {
+        for len in [Key::INLINE_CAP - 2, Key::INLINE_CAP - 1, Key::INLINE_CAP, 40] {
+            let s = "x".repeat(len);
+            let k = Key::from_str_bytes(&s);
+            assert_eq!(k.len(), len + 1);
+            assert_eq!(&k.as_bytes()[..len], s.as_bytes());
+            assert_eq!(k.as_bytes()[len], 0);
+        }
     }
 
     #[test]

@@ -288,6 +288,15 @@ impl<V> Art<V> {
         }
     }
 
+    /// Hints that node `id` will be read soon ([`crate::simd::prefetch`]):
+    /// for callers that know a shortcut target some operations before they
+    /// [`read_leaf`](Art::read_leaf) it. Changes nothing observable; a
+    /// stale or fabricated id is ignored.
+    #[inline]
+    pub fn prefetch_node(&self, id: NodeId) {
+        self.arena.prefetch(id);
+    }
+
     /// Replaces the value stored at node `id`, if `id` is a live leaf
     /// holding exactly `key`; returns the previous value.
     ///
@@ -847,9 +856,9 @@ impl Art<u64> {
     /// executor in the reproduction (the record id is the key's rank in
     /// the workload's key file).
     ///
-    /// Takes an iterator of *borrows*: with [`Key`]'s reference-counted
-    /// O(1) clone, the load copies no key bytes, it only bumps refcounts.
-    /// Returns the number of keys inserted.
+    /// Takes an iterator of *borrows* and clones each key into its leaf: a
+    /// 24-byte copy for an inline key, a reference-count bump for a
+    /// spilled one. Returns the number of keys inserted.
     ///
     /// # Errors
     ///

@@ -559,6 +559,12 @@ fn sub_shard_seed(seed: u64, bucket: usize, sub: usize) -> u64 {
     shard_seed(seed, bucket).rotate_left(17) ^ 0xd1b5_4a32_d192_ed03u64.wrapping_mul(sub as u64 + 1)
 }
 
+/// How many of its own operations ahead a shard requests the cache lines
+/// of the shortcut path (see [`BucketShard::run_batch`]). A constant, not
+/// a knob: throughput was flat from 2 to 16 (DESIGN.md, "Host-side layout
+/// of the shortcut path").
+const LOOKAHEAD: usize = 4;
+
 /// Counts `node` into the shard's insertion-ordered lock-group table.
 fn note_write_target(
     index: &mut FxHashMap<NodeId, usize>,
@@ -651,7 +657,22 @@ impl BucketShard {
         self.begin_batch();
         // Detach the op slice so the loop can call `&mut self` helpers.
         let ops = std::mem::take(&mut self.ops);
-        'ops: for &(pos, op_i) in &ops {
+        'ops: for (i, &(pos, op_i)) in ops.iter().enumerate() {
+            // The slice is known in advance, so the two lines a shortcut
+            // hit needs are requested before the op that needs them runs:
+            // the table slot of the op `2 * LOOKAHEAD` ahead, and — that
+            // slot having arrived `LOOKAHEAD` ops later — the arena slot
+            // of the target it names. Hints only: `peek` counts and
+            // validates nothing, so no observable depends on them.
+            if let Some(&(_, far)) = ops.get(i + 2 * LOOKAHEAD) {
+                self.shortcuts.prefetch(key_id(&batch[far as usize].key));
+            }
+            if let Some(&(_, near)) = ops.get(i + LOOKAHEAD) {
+                let key = &batch[near as usize].key;
+                if let Some(target) = self.shortcuts.peek(key_id(key), key) {
+                    self.art.prefetch_node(target);
+                }
+            }
             let op = &batch[op_i as usize];
             let kid = key_id(&op.key);
 
@@ -921,8 +942,8 @@ impl BucketShard {
         if self.pending.is_empty() {
             return;
         }
-        // Gather the miss keys (cheap `Arc` clones) in arrival order; one
-        // wave walk resolves them all.
+        // Gather the miss keys in arrival order; one wave walk resolves
+        // them all.
         self.miss_keys.clear();
         for p in &self.pending {
             if matches!(p.kind, PendingKind::Miss { .. }) {
@@ -2425,19 +2446,31 @@ mod tests {
             &OpStreamConfig { count: 12_000, mix: Mix::E, ..Default::default() },
         );
         let cfg = DcartConfig::default().with_auto_prefix_skip(&keys);
-        let mut runs = [1usize, 2, 8].map(|threads| {
-            let mut d = StreamDigest::default();
-            let (tree, stats) = execute_ctt_threaded(&keys, &ops, &cfg, 1024, threads, &mut d);
-            let pairs: Vec<(Key, u64)> = tree.iter().map(|(k, &v)| (k.clone(), v)).collect();
-            (format!("{stats:?}"), d.h, pairs)
-        });
-        let (base_stats, base_digest, base_pairs) = runs[0].clone();
-        assert!(base_digest != 0, "stream digest actually folded events");
-        for (stats, digest, pairs) in runs.iter_mut().skip(1) {
-            assert_eq!(*stats, base_stats, "stats identical across thread counts");
-            assert_eq!(*digest, base_digest, "event stream identical across thread counts");
-            assert_eq!(*pairs, base_pairs, "final tree identical across thread counts");
+        for (batch_size, ops) in lookahead_batch_shapes(&ops) {
+            let mut runs = [1usize, 2, 8].map(|threads| {
+                let mut d = StreamDigest::default();
+                let (tree, stats) =
+                    execute_ctt_threaded(&keys, ops, &cfg, batch_size, threads, &mut d);
+                let pairs: Vec<(Key, u64)> = tree.iter().map(|(k, &v)| (k.clone(), v)).collect();
+                (format!("{stats:?}"), d.h, pairs)
+            });
+            let (base_stats, base_digest, base_pairs) = runs[0].clone();
+            assert!(base_digest != 0, "stream digest actually folded events");
+            for (stats, digest, pairs) in runs.iter_mut().skip(1) {
+                assert_eq!(*stats, base_stats, "stats identical across thread counts");
+                assert_eq!(*digest, base_digest, "event stream identical across thread counts");
+                assert_eq!(*pairs, base_pairs, "final tree identical across thread counts");
+            }
         }
+    }
+
+    /// The batch shapes the cross-configuration tests compare under: the
+    /// production-like 1024, and batches of 1, 3 and `2 * LOOKAHEAD + 1`
+    /// (over a prefix of the stream, to bound the per-batch overhead) so
+    /// that shard slices shorter than, as long as and just past the
+    /// prefetch window of `run_batch` all occur.
+    fn lookahead_batch_shapes(ops: &[Op]) -> [(usize, &[Op]); 4] {
+        [(1024, ops), (1, &ops[..200]), (3, &ops[..600]), (2 * LOOKAHEAD + 1, &ops[..1_800])]
     }
 
     /// The tentpole equivalence: level-wise and per-op Traverse must be
@@ -2456,30 +2489,36 @@ mod tests {
             for faults in [FaultPlan::none(), chaos] {
                 let cfg =
                     DcartConfig { faults, ..DcartConfig::default() }.with_auto_prefix_skip(&keys);
-                for threads in [1usize, 2, 8] {
-                    let mut results = [TraverseMode::LevelWise, TraverseMode::PerOp].map(|mode| {
-                        let mut d = StreamDigest::default();
-                        let (tree, mut stats) =
-                            execute_ctt_with(&keys, &ops, &cfg, 1024, threads, mode, &mut d);
-                        let loads = stats.shortcut.nodes_visited;
-                        // The node-load counter is the one sanctioned
-                        // difference; everything else must match exactly.
-                        stats.shortcut.nodes_visited = 0;
-                        let pairs: Vec<(Key, u64)> =
-                            tree.iter().map(|(k, &v)| (k.clone(), v)).collect();
-                        (format!("{stats:?}"), d.h, pairs, loads)
-                    });
-                    let (per_op_stats, per_op_digest, per_op_pairs, per_op_loads) =
-                        std::mem::take(&mut results[1]);
-                    let (lw_stats, lw_digest, lw_pairs, lw_loads) = std::mem::take(&mut results[0]);
-                    let ctx = format!("workload={workload:?} threads={threads}");
-                    assert_eq!(lw_stats, per_op_stats, "stats identical: {ctx}");
-                    assert_eq!(lw_digest, per_op_digest, "event stream identical: {ctx}");
-                    assert_eq!(lw_pairs, per_op_pairs, "final tree identical: {ctx}");
-                    assert!(
-                        lw_loads <= per_op_loads,
-                        "wave grouping never loads more: {lw_loads} > {per_op_loads} ({ctx})"
-                    );
+                for (batch_size, ops) in lookahead_batch_shapes(&ops) {
+                    for threads in [1usize, 2, 8] {
+                        let mut results =
+                            [TraverseMode::LevelWise, TraverseMode::PerOp].map(|mode| {
+                                let mut d = StreamDigest::default();
+                                let (tree, mut stats) = execute_ctt_with(
+                                    &keys, ops, &cfg, batch_size, threads, mode, &mut d,
+                                );
+                                let loads = stats.shortcut.nodes_visited;
+                                // The node-load counter is the one sanctioned
+                                // difference; everything else must match exactly.
+                                stats.shortcut.nodes_visited = 0;
+                                let pairs: Vec<(Key, u64)> =
+                                    tree.iter().map(|(k, &v)| (k.clone(), v)).collect();
+                                (format!("{stats:?}"), d.h, pairs, loads)
+                            });
+                        let (per_op_stats, per_op_digest, per_op_pairs, per_op_loads) =
+                            std::mem::take(&mut results[1]);
+                        let (lw_stats, lw_digest, lw_pairs, lw_loads) =
+                            std::mem::take(&mut results[0]);
+                        let ctx =
+                            format!("workload={workload:?} threads={threads} batch={batch_size}");
+                        assert_eq!(lw_stats, per_op_stats, "stats identical: {ctx}");
+                        assert_eq!(lw_digest, per_op_digest, "event stream identical: {ctx}");
+                        assert_eq!(lw_pairs, per_op_pairs, "final tree identical: {ctx}");
+                        assert!(
+                            lw_loads <= per_op_loads,
+                            "wave grouping never loads more: {lw_loads} > {per_op_loads} ({ctx})"
+                        );
+                    }
                 }
             }
         }

@@ -131,6 +131,21 @@ mod tests {
     }
 
     #[test]
+    fn a_key_hashes_as_its_bytes_on_both_sides_of_the_inline_boundary() {
+        // Map iteration order is a function of this hash (lint rule D1), so
+        // the key's representation must not leak into it.
+        use std::hash::Hash;
+        let cap = dcart_art::Key::INLINE_CAP;
+        for len in [1, cap - 1, cap, cap + 1, 64] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 5 + 1) as u8).collect();
+            let (mut of_key, mut of_bytes) = (FxHasher::default(), FxHasher::default());
+            dcart_art::Key::from_raw(bytes.clone()).hash(&mut of_key);
+            bytes.as_slice().hash(&mut of_bytes);
+            assert_eq!(of_key.finish(), of_bytes.finish(), "len {len}");
+        }
+    }
+
+    #[test]
     fn byte_slices_hash_consistently() {
         let mut a = FxHasher::default();
         a.write(b"combine-traverse-trigger");

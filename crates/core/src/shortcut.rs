@@ -12,7 +12,8 @@
 //! checking that the cached address still holds a leaf with the expected
 //! key.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::ctt::key_id;
+use crate::fxhash::FxHashSet;
 
 use dcart_art::{Art, Key, NodeId};
 use serde::{Deserialize, Serialize};
@@ -92,11 +93,45 @@ impl ShortcutStats {
     }
 }
 
+/// One slot of the host-side table: half a cache line, aligned so that no
+/// slot straddles two. The key is stored inline (`dcart_art::Key` is 24
+/// bytes), the parent as a [`NodeId`] whose null sentinel means "none".
+#[derive(Clone, Debug)]
+#[repr(align(32))]
+struct Slot {
+    key: Key,
+    target: NodeId,
+    parent: NodeId,
+}
+
+impl Slot {
+    fn entry(&self) -> ShortcutEntry {
+        let parent = (self.parent != NodeId::default()).then_some(self.parent);
+        ShortcutEntry { target: self.target, parent }
+    }
+}
+
+/// Smallest slot array; always a power of two.
+const MIN_SLOTS: usize = 16;
+
+/// Fibonacci multiplier (2^64 / φ): spreads the FNV Key_ID so that the
+/// *high* bits of the product, which index the slot array, depend on every
+/// bit of the id.
+const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// The shortcut hash table.
 ///
 /// Lives in off-chip memory in the hardware design (with hot entries cached
 /// in the 128 KB Shortcut buffer); this structure is the functional table,
-/// while the accelerator model charges the buffer/memory costs.
+/// while the accelerator model charges the buffer/memory costs
+/// ([`ENTRY_BYTES`], `HASH_BUCKETS`) independently of how the host lays its
+/// own copy out.
+///
+/// On the host it is one open-addressed array of 32-byte slots: linear
+/// probing from a multiplicative spread of the key's Key_ID
+/// ([`key_id`](crate::key_id)), backward-shift deletion (no tombstones),
+/// load factor at most ¾, power-of-two growth. A probe reads one cache
+/// line unless its run crosses into the next.
 ///
 /// # Examples
 ///
@@ -114,13 +149,26 @@ impl ShortcutStats {
 /// assert_eq!(art.read_leaf(entry.target, &Key::from_u64(7)), Some(&"seven"));
 /// # Ok::<(), dcart_art::ArtError>(())
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ShortcutTable {
-    entries: FxHashMap<Key, ShortcutEntry>,
+    /// Power-of-two length, never full: every probe run ends at a `None`.
+    slots: Vec<Option<Slot>>,
+    len: usize,
     /// Entries poisoned by fault injection: validation must fail on their
     /// next probe regardless of what the tree says.
     poisoned: FxHashSet<Key>,
     stats: ShortcutStats,
+}
+
+impl Default for ShortcutTable {
+    fn default() -> Self {
+        ShortcutTable {
+            slots: vec![None; MIN_SLOTS],
+            len: 0,
+            poisoned: FxHashSet::default(),
+            stats: ShortcutStats::default(),
+        }
+    }
 }
 
 impl ShortcutTable {
@@ -131,17 +179,87 @@ impl ShortcutTable {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// The accumulated statistics.
     pub fn stats(&self) -> ShortcutStats {
         self.stats
+    }
+
+    /// The slot a Key_ID's probe run starts at.
+    fn home(&self, key_id: u64) -> usize {
+        (key_id.wrapping_mul(SPREAD) >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Walks `key`'s probe run to the slot holding it, or to the empty slot
+    /// that ends the run.
+    fn find(&self, key_id: u64, key: &Key) -> Option<(usize, &Slot)> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key_id);
+        loop {
+            match &self.slots[at] {
+                None => return None,
+                Some(slot) if slot.key == *key => return Some((at, slot)),
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Empties slot `hole` and closes the gap: every later entry of the
+    /// run whose home lies at or before the hole shifts back into it, so
+    /// no probe run is ever cut short and no tombstone is left behind.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        self.slots[hole] = None;
+        self.len -= 1;
+        let mut at = (hole + 1) & mask;
+        while let Some(slot) = &self.slots[at] {
+            let from_home = at.wrapping_sub(self.home(key_id(&slot.key))) & mask;
+            if from_home >= (at.wrapping_sub(hole) & mask) {
+                self.slots.swap(hole, at);
+                hole = at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Stores an entry whose key the table does not hold, doubling the
+    /// slot array first if it would pass ¾ full.
+    fn insert_new(&mut self, slot: Slot) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let doubled = vec![None; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            self.len = 0;
+            old.into_iter().flatten().for_each(|slot| self.insert_new(slot));
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key_id(&slot.key));
+        while self.slots[at].is_some() {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = Some(slot);
+        self.len += 1;
+    }
+
+    /// Hints that `key_id`'s home slot will be probed soon. Changes no
+    /// state; a no-op where the target has no prefetch instruction.
+    #[inline]
+    pub fn prefetch(&self, key_id: u64) {
+        dcart_art::simd::prefetch(&self.slots[self.home(key_id)]);
+    }
+
+    /// The cached target for `key`, unvalidated: reads no tree, counts
+    /// nothing, removes nothing. For lookahead — prefetch the target ahead
+    /// of the [`probe`](Self::probe) that will validate it.
+    #[inline]
+    pub fn peek(&self, key_id: u64, key: &Key) -> Option<NodeId> {
+        self.find(key_id, key).map(|(_, slot)| slot.target)
     }
 
     /// Probes for `key`, validating the cached target against `tree`.
@@ -150,31 +268,28 @@ impl ShortcutTable {
     /// key) is removed and reported as a miss — exactly what the hardware's
     /// validation step does.
     pub fn probe<V>(&mut self, key: &Key, tree: &Art<V>) -> Option<ShortcutEntry> {
-        match self.entries.get(key) {
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-            Some(&entry) => {
-                if self.poisoned.remove(key) {
-                    // A corrupted entry never validates: drop it and fall
-                    // back to the root traversal (the same slow-but-correct
-                    // path a naturally stale entry takes).
-                    self.entries.remove(key);
-                    self.stats.corruption_fallbacks += 1;
-                    self.stats.stale_invalidations += 1;
-                    self.stats.misses += 1;
-                    None
-                } else if tree.read_leaf(entry.target, key).is_some() {
-                    self.stats.hits += 1;
-                    Some(entry)
-                } else {
-                    self.entries.remove(key);
-                    self.stats.stale_invalidations += 1;
-                    self.stats.misses += 1;
-                    None
-                }
-            }
+        let Some((at, slot)) = self.find(key_id(key), key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let entry = slot.entry();
+        if !self.poisoned.is_empty() && self.poisoned.remove(key) {
+            // A corrupted entry never validates: drop it and fall back to
+            // the root traversal (the same slow-but-correct path a
+            // naturally stale entry takes).
+            self.remove_at(at);
+            self.stats.corruption_fallbacks += 1;
+            self.stats.stale_invalidations += 1;
+            self.stats.misses += 1;
+            None
+        } else if tree.read_leaf(entry.target, key).is_some() {
+            self.stats.hits += 1;
+            Some(entry)
+        } else {
+            self.remove_at(at);
+            self.stats.stale_invalidations += 1;
+            self.stats.misses += 1;
+            None
         }
     }
 
@@ -183,7 +298,7 @@ impl ShortcutTable {
     /// its next probe fails validation and falls back to a full traversal.
     /// Returns `true` if an entry existed to corrupt.
     pub fn corrupt(&mut self, key: &Key) -> bool {
-        if self.entries.contains_key(key) && self.poisoned.insert(key.clone()) {
+        if self.find(key_id(key), key).is_some() && self.poisoned.insert(key.clone()) {
             self.stats.corruptions_injected += 1;
             true
         } else {
@@ -194,23 +309,29 @@ impl ShortcutTable {
     /// Records the result of a traversal as a new shortcut
     /// (the Generate_Shortcut stage).
     pub fn generate(&mut self, key: Key, target: NodeId, parent: Option<NodeId>) {
-        let prev = self.entries.insert(key, ShortcutEntry { target, parent });
-        if prev.is_some() {
+        let slot = Slot { key, target, parent: parent.unwrap_or_default() };
+        if let Some((at, _)) = self.find(key_id(&slot.key), &slot.key) {
+            self.slots[at] = Some(slot);
             self.stats.updated += 1;
         } else {
+            self.insert_new(slot);
             self.stats.generated += 1;
         }
     }
 
     /// Drops the entry for `key`, if any (e.g. after a remove).
     pub fn invalidate(&mut self, key: &Key) {
-        self.entries.remove(key);
-        self.poisoned.remove(key);
+        if let Some((at, _)) = self.find(key_id(key), key) {
+            self.remove_at(at);
+        }
+        if !self.poisoned.is_empty() {
+            self.poisoned.remove(key);
+        }
     }
 
     /// Total off-chip footprint of the table in bytes.
     pub fn footprint_bytes(&self) -> u64 {
-        self.entries.len() as u64 * u64::from(ENTRY_BYTES)
+        self.len as u64 * u64::from(ENTRY_BYTES)
     }
 }
 
@@ -325,6 +446,118 @@ mod tests {
         table.generate(key.clone(), leaf, parent);
         assert!(table.probe(&key, &art).is_some());
         assert_eq!(table.stats().corruption_fallbacks, 0);
+    }
+
+    #[test]
+    fn a_slot_is_half_an_aligned_cache_line() {
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 32);
+        assert_eq!(std::mem::align_of::<Option<Slot>>(), 32);
+    }
+
+    /// `count` distinct keys whose probe runs start at `home` in `table`.
+    fn keys_homed_at(table: &ShortcutTable, home: usize, count: usize) -> Vec<Key> {
+        (0u64..).map(Key::from_u64).filter(|k| table.home(key_id(k)) == home).take(count).collect()
+    }
+
+    /// Every entry must be reachable from its own home slot.
+    fn assert_all_reachable(table: &ShortcutTable) {
+        let live: Vec<(usize, &Slot)> =
+            table.slots.iter().enumerate().filter_map(|(at, s)| Some((at, s.as_ref()?))).collect();
+        assert_eq!(live.len(), table.len());
+        for (at, slot) in live {
+            let found = table.find(key_id(&slot.key), &slot.key).map(|(found_at, _)| found_at);
+            assert_eq!(found, Some(at), "{:?} is cut off from its home slot", slot.key);
+        }
+    }
+
+    #[test]
+    fn a_probe_run_wraps_around_and_closes_up_after_removal() {
+        let mut table = ShortcutTable::new();
+        let last = MIN_SLOTS - 1;
+        // Three keys homed at the last slot occupy `last`, 0 and 1; one
+        // homed at slot 0 is pushed on to slot 2.
+        let mut keys = keys_homed_at(&table, last, 3);
+        keys.extend(keys_homed_at(&table, 0, 1));
+        for (i, key) in keys.iter().enumerate() {
+            table.generate(key.clone(), NodeId::from_index(i as u32), None);
+        }
+        let occupied = |t: &ShortcutTable| -> Vec<usize> {
+            (0..MIN_SLOTS).filter(|&at| t.slots[at].is_some()).collect()
+        };
+        assert_eq!(occupied(&table), vec![0, 1, 2, last]);
+
+        // Removing the head of the run shifts every follower back by one,
+        // across the wrap, including the key homed at 0.
+        table.invalidate(&keys[0]);
+        assert_eq!(occupied(&table), vec![0, 1, last]);
+        assert_eq!(table.len(), 3);
+        assert_eq!(table.peek(key_id(&keys[0]), &keys[0]), None);
+        for (i, key) in keys.iter().enumerate().skip(1) {
+            assert_eq!(table.peek(key_id(key), key), Some(NodeId::from_index(i as u32)));
+        }
+        assert_all_reachable(&table);
+
+        // An entry sitting at its home slot is never pulled in front of
+        // it: once the run has shrunk to `last` (homed there) and 0 (homed
+        // at 0), emptying `last` leaves slot 0 alone.
+        table.invalidate(&keys[1]);
+        assert_eq!(occupied(&table), vec![0, last]);
+        table.invalidate(&keys[2]);
+        assert_eq!(occupied(&table), vec![0]);
+        assert_eq!(table.peek(key_id(&keys[3]), &keys[3]), Some(NodeId::from_index(3)));
+    }
+
+    #[test]
+    fn growth_keeps_every_entry_and_the_load_bound() {
+        let mut table = ShortcutTable::new();
+        for i in 0..1000u64 {
+            table.generate(Key::from_u64(i), NodeId::from_index(i as u32), None);
+            assert!(table.slots.len().is_power_of_two());
+            assert!(table.len() * 4 <= table.slots.len() * 3, "load factor above 3/4");
+        }
+        assert_eq!(table.len(), 1000);
+        assert_eq!(table.stats().generated, 1000);
+        assert_all_reachable(&table);
+        // Interleaved removals keep every survivor reachable.
+        for i in (0..1000u64).step_by(3) {
+            table.invalidate(&Key::from_u64(i));
+        }
+        assert_all_reachable(&table);
+        for i in 0..1000u64 {
+            let key = Key::from_u64(i);
+            let want = (i % 3 != 0).then(|| NodeId::from_index(i as u32));
+            assert_eq!(table.peek(key_id(&key), &key), want);
+        }
+    }
+
+    #[test]
+    fn peek_and_prefetch_change_nothing() {
+        let art = tree_with(&[50, 51]);
+        let key = Key::from_u64(50);
+        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        let mut table = ShortcutTable::new();
+        table.generate(key.clone(), leaf, parent);
+        table.corrupt(&key);
+        let before = table.stats();
+        table.prefetch(key_id(&key));
+        // Unvalidated: even a poisoned entry is still reported.
+        assert_eq!(table.peek(key_id(&key), &key), Some(leaf));
+        assert_eq!(table.peek(key_id(&Key::from_u64(51)), &Key::from_u64(51)), None);
+        assert_eq!(table.stats(), before);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.probe(&key, &art), None, "the poison is still in place");
+    }
+
+    #[test]
+    fn a_parentless_entry_round_trips() {
+        let mut art = Art::new();
+        art.insert(Key::from_u64(9), 9u64).unwrap();
+        let key = Key::from_u64(9);
+        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        assert_eq!(parent, None, "a single-key tree is a root leaf");
+        let mut table = ShortcutTable::new();
+        table.generate(key.clone(), leaf, parent);
+        assert_eq!(table.probe(&key, &art), Some(ShortcutEntry { target: leaf, parent: None }));
     }
 
     #[test]

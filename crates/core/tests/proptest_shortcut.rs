@@ -5,11 +5,16 @@
 //! returns an entry whose target holds the key's current value, or returns
 //! `None` (miss / stale invalidation / corruption fallback). It must never
 //! be *silently wrong*, and a corrupted entry must never be returned.
+//!
+//! A second property pins the table itself, independent of what the tree
+//! does to its targets: against a `HashMap` model, every probe result,
+//! `len()` and every statistic must agree, whatever the open-addressed
+//! layout had to do underneath (grow, wrap around, shift back).
 
 use std::collections::{HashMap, HashSet};
 
-use dcart::ShortcutTable;
-use dcart_art::{Art, Key, NoopTracer};
+use dcart::{key_id, ShortcutEntry, ShortcutStats, ShortcutTable};
+use dcart_art::{Art, Key, NodeId, NoopTracer};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -116,4 +121,101 @@ proptest! {
         prop_assert!(s.corruption_fallbacks <= s.corruptions_injected);
         prop_assert!(s.corruption_fallbacks <= s.stale_invalidations);
     }
+
+    /// The table against a `HashMap` model. 160 keys against a 16-slot
+    /// start force several doublings; half of all generates cache a wrong
+    /// target, so probes keep removing entries from the middle of probe
+    /// runs (backward shift) while neighbours with the same or a wrapped
+    /// home slot must stay reachable.
+    #[test]
+    fn table_agrees_with_a_hash_map_model(
+        steps in proptest::collection::vec((0u8..12, 0u16..160, any::<bool>()), 1..600),
+    ) {
+        let mut art: Art<u64> = Art::new();
+        let mut leaves: Vec<(NodeId, Option<NodeId>)> = Vec::new();
+        for i in 0..160u16 {
+            art.insert(model_key(i), u64::from(i)).unwrap();
+        }
+        for i in 0..160u16 {
+            leaves.push(art.locate_leaf(&model_key(i), &mut NoopTracer).unwrap());
+        }
+
+        let mut table = ShortcutTable::new();
+        let mut model: HashMap<Vec<u8>, ShortcutEntry> = HashMap::new();
+        let mut poisoned: HashSet<Vec<u8>> = HashSet::new();
+        let mut expect = ShortcutStats::default();
+
+        for &(action, i, truthful) in &steps {
+            let key = model_key(i);
+            let bytes = key.as_bytes().to_vec();
+            match action {
+                // Generate: the key's own leaf, or a neighbour's (an entry
+                // that is present but will not validate).
+                0..=4 => {
+                    let j = if truthful { i } else { (i + 1) % 160 };
+                    let (target, parent) = leaves[usize::from(j)];
+                    table.generate(key.clone(), target, parent);
+                    if model.insert(bytes, ShortcutEntry { target, parent }).is_some() {
+                        expect.updated += 1;
+                    } else {
+                        expect.generated += 1;
+                    }
+                }
+                5 => {
+                    table.invalidate(&key);
+                    model.remove(&bytes);
+                    poisoned.remove(&bytes);
+                }
+                6 => {
+                    let fresh = model.contains_key(&bytes) && poisoned.insert(bytes);
+                    prop_assert_eq!(table.corrupt(&key), fresh);
+                    expect.corruptions_injected += u64::from(fresh);
+                }
+                7..=8 => {
+                    let before = table.stats();
+                    let want = model.get(&bytes).map(|e| e.target);
+                    prop_assert_eq!(table.peek(key_id(&key), &key), want);
+                    table.prefetch(key_id(&key));
+                    prop_assert_eq!(table.stats(), before, "peek and prefetch count nothing");
+                }
+                _ => {
+                    let want = match model.get(&bytes).copied() {
+                        None => None,
+                        Some(_) if poisoned.remove(&bytes) => {
+                            model.remove(&bytes);
+                            expect.corruption_fallbacks += 1;
+                            expect.stale_invalidations += 1;
+                            None
+                        }
+                        Some(e) if art.read_leaf(e.target, &key).is_some() => Some(e),
+                        Some(_) => {
+                            model.remove(&bytes);
+                            expect.stale_invalidations += 1;
+                            None
+                        }
+                    };
+                    expect.hits += u64::from(want.is_some());
+                    expect.misses += u64::from(want.is_none());
+                    prop_assert_eq!(table.probe(&key, &art), want);
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.is_empty(), model.is_empty());
+            prop_assert_eq!(table.stats(), expect);
+        }
+
+        // Nothing was lost or duplicated along the way.
+        for i in 0..160u16 {
+            let key = model_key(i);
+            let want = model.get(key.as_bytes()).map(|e| e.target);
+            prop_assert_eq!(table.peek(key_id(&key), &key), want);
+        }
+    }
+}
+
+/// Keys of the model test: two bytes of rank, then a constant, so that
+/// the FNV Key_IDs differ in few input bits.
+fn model_key(i: u16) -> Key {
+    let [hi, lo] = i.to_be_bytes();
+    Key::from_raw(vec![hi, lo, 1])
 }

@@ -177,6 +177,13 @@ mod tests {
     use crate::synth;
 
     #[test]
+    fn an_op_is_five_words() {
+        // Kind + inline 24-byte key + value: a batch is walked in place, so
+        // its stride is what the executor's cache footprint is made of.
+        assert!(std::mem::size_of::<Op>() <= 40);
+    }
+
+    #[test]
     fn mix_fractions_hold() {
         let keys = synth::dense(1_000, 1);
         for (label, mix) in Mix::named() {
