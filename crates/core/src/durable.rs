@@ -171,6 +171,15 @@ fn op_kind_from(code: u8) -> Option<OpKind> {
 /// everything little-endian.
 pub fn encode_ops(batch: &[Op]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4 + batch.len() * 19);
+    encode_ops_into(batch, &mut buf);
+    buf
+}
+
+/// [`encode_ops`] into a buffer the caller keeps: `buf` is cleared and
+/// holds exactly the payload afterwards.
+pub fn encode_ops_into(batch: &[Op], buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.reserve(4 + batch.len() * 19);
     buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
     for op in batch {
         buf.push(op_kind_code(op.kind));
@@ -179,7 +188,6 @@ pub fn encode_ops(batch: &[Op]) -> Vec<u8> {
         buf.extend_from_slice(&(kb.len() as u16).to_le_bytes());
         buf.extend_from_slice(kb);
     }
-    buf
 }
 
 fn malformed(what: &str) -> DcartError {

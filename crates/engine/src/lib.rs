@@ -25,6 +25,11 @@
 //! * [`wal`] — a write-ahead log with length-prefixed, checksummed batch
 //!   records and torn-tail detection, the persistence substrate of the
 //!   durable executor in `crates/core`;
+//! * [`SyncHandoff`] — the bounded hand-off between a thread that writes
+//!   commit marks and the thread that fsyncs them: an item is released
+//!   only by a sync that began after it was queued (model-checked in
+//!   `tests/loom.rs`; `dcart-server`'s commit pipeline wraps the waits
+//!   around it);
 //! * [`time`] — the monotonic [`time::Clock`] trait the serving layer's
 //!   deadlines are written against ([`time::TestClock`] everywhere except
 //!   the server binary, which injects the real clock), and
@@ -40,6 +45,7 @@
 mod clock;
 mod event;
 pub mod faults;
+mod handoff;
 mod pipeline;
 mod pool;
 mod queueing;
@@ -52,6 +58,7 @@ pub use faults::{
     CrashInjector, CrashPlan, CrashSite, DegradationController, FaultInjector, FaultPlan,
     FaultSite, RecoveryStats, RetryOutcome, RetryPolicy,
 };
+pub use handoff::SyncHandoff;
 pub use pipeline::{Pipeline, PipelineRun};
 pub use pool::{par_for_each_mut, par_for_each_mut_balanced, PoolStats};
 pub use queueing::{mdc_wait, BoundedQueue, LatencyRecorder, RejectReason, StealQueue};

@@ -14,10 +14,15 @@
 //!
 //! * a **batch record** (`kind = 1`) whose payload is the encoded
 //!   operations of batch `seq`, appended at the batch boundary;
-//! * a **commit record** (`kind = 2`, the fsync mark) whose 12-byte
+//! * a **commit record** (`kind = 2`, the commit mark) whose 12-byte
 //!   payload carries the cumulative answer digest after the batch and the
-//!   batch's operation count, appended — and fsynced — only after every
-//!   event of the batch has been emitted.
+//!   batch's operation count, appended only after every event of the batch
+//!   has been emitted. The batch may be acknowledged once an fsync that
+//!   *began after* the mark was written has returned: [`WalWriter::commit`]
+//!   with `sync` set issues that fsync itself; a caller that passes
+//!   `sync = false` owes one, on this handle or on a
+//!   [`WalWriter::sync_handle`] from another thread — where one fsync then
+//!   covers every mark written before it began.
 //!
 //! A batch is durable if and only if its commit record is intact. The
 //! scanner walks records front to back, verifying each checksum; the first
@@ -162,18 +167,20 @@ pub struct WalWriter {
     path: PathBuf,
     len: u64,
     dead: bool,
+    /// The record being written, kept for its capacity.
+    rec: Vec<u8>,
 }
 
-/// Serializes one record frame (without writing it).
-fn encode_record(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(FRAME_LEN + payload.len());
+/// Serializes one record frame into `rec` (without writing it).
+fn encode_record(rec: &mut Vec<u8>, kind: u8, seq: u64, payload: &[u8]) {
+    rec.clear();
+    rec.reserve(FRAME_LEN + payload.len());
     rec.push(kind);
     rec.extend_from_slice(&seq.to_le_bytes());
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     rec.extend_from_slice(payload);
-    let crc = checksum(&rec);
+    let crc = checksum(rec);
     rec.extend_from_slice(&crc.to_le_bytes());
-    rec
 }
 
 impl WalWriter {
@@ -190,7 +197,13 @@ impl WalWriter {
         // A bare file name has the empty parent: the current directory.
         let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
         sync_dir(parent.unwrap_or(Path::new(".")))?;
-        Ok(WalWriter { file, path: path.to_path_buf(), len: HEADER_LEN, dead: false })
+        Ok(WalWriter {
+            file,
+            path: path.to_path_buf(),
+            len: HEADER_LEN,
+            dead: false,
+            rec: Vec::new(),
+        })
     }
 
     /// Opens an existing WAL for appending after `valid_len` bytes (as
@@ -198,7 +211,13 @@ impl WalWriter {
     /// the torn tail first, normally via [`recover`]).
     pub fn open_append(path: &Path, valid_len: u64) -> Result<Self, WalError> {
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(WalWriter { file, path: path.to_path_buf(), len: valid_len, dead: false })
+        Ok(WalWriter {
+            file,
+            path: path.to_path_buf(),
+            len: valid_len,
+            dead: false,
+            rec: Vec::new(),
+        })
     }
 
     /// Bytes appended so far (including the header).
@@ -214,6 +233,13 @@ impl WalWriter {
     /// The file path this writer appends to.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// A second handle to the log file, for a thread that issues the
+    /// fsyncs while this writer keeps appending. It names the same open
+    /// file, so it stays good across [`WalWriter::reset`].
+    pub fn sync_handle(&self) -> std::io::Result<File> {
+        self.file.try_clone()
     }
 
     fn check_dead(&self) -> Result<(), WalError> {
@@ -234,16 +260,16 @@ impl WalWriter {
         crash: &mut CrashInjector,
     ) -> Result<(), WalError> {
         self.check_dead()?;
-        let rec = encode_record(KIND_BATCH, seq, payload);
+        encode_record(&mut self.rec, KIND_BATCH, seq, payload);
         if crash.should_crash(CrashSite::MidRecord) {
-            let torn = crash.torn_len(rec.len());
-            self.file.write_all(&rec[..torn])?;
+            let torn = crash.torn_len(self.rec.len());
+            self.file.write_all(&self.rec[..torn])?;
             self.file.sync_all()?;
             self.dead = true;
             return Err(WalError::InjectedCrash(CrashSite::MidRecord));
         }
-        self.file.write_all(&rec)?;
-        self.len += rec.len() as u64;
+        self.file.write_all(&self.rec)?;
+        self.len += self.rec.len() as u64;
         Ok(())
     }
 
@@ -269,9 +295,9 @@ impl WalWriter {
         let mut payload = [0u8; COMMIT_PAYLOAD_LEN];
         payload[..8].copy_from_slice(&digest.to_le_bytes());
         payload[8..].copy_from_slice(&ops.to_le_bytes());
-        let rec = encode_record(KIND_COMMIT, seq, &payload);
-        self.file.write_all(&rec)?;
-        self.len += rec.len() as u64;
+        encode_record(&mut self.rec, KIND_COMMIT, seq, &payload);
+        self.file.write_all(&self.rec)?;
+        self.len += self.rec.len() as u64;
         if sync {
             self.file.sync_all()?;
         }

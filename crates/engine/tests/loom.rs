@@ -4,15 +4,16 @@
 //! The vendored loom explores every (preemption-bounded) thread
 //! interleaving of each model, so these tests pin properties that a single
 //! lucky schedule under `cargo test` cannot: the pool's exactly-once visit
-//! contract and panic propagation under arbitrary worker schedules, and
-//! the SOU response queue's backpressure latch never losing an overflow
-//! signal in a producer/consumer race.
+//! contract and panic propagation under arbitrary worker schedules, the
+//! SOU response queue's backpressure latch never losing an overflow
+//! signal in a producer/consumer race, and the commit hand-off releasing
+//! every item once, in order, only by a sync begun after it was queued.
 #![cfg(feature = "loom")]
 
 use dcart_engine::{
-    par_for_each_mut, par_for_each_mut_balanced, BoundedQueue, PoolStats, StealQueue,
+    par_for_each_mut, par_for_each_mut_balanced, BoundedQueue, PoolStats, StealQueue, SyncHandoff,
 };
-use loom::sync::atomic::{AtomicBool, Ordering};
+use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};
 
 /// The pool's determinism contract, under every schedule: each slot is
@@ -199,5 +200,105 @@ fn bounded_queue_backpressure_latch_never_loses_an_overflow() {
             q.rejected() > 0,
             "the latch fires iff an offer overflowed, in every schedule"
         );
+    });
+}
+
+/// What the hand-off model keeps beside the hand-off, under the same lock
+/// — an account of it made from outside.
+struct CommitModel {
+    /// Items are `(id, syncs begun when it was queued)`.
+    handoff: SyncHandoff<(u32, u32)>,
+    /// Syncs begun so far; sync `k` is the one that made this `k`.
+    begun: u32,
+    accepted: Vec<u32>,
+    released: Vec<u32>,
+}
+
+/// One round of the committer: take everything queued, "fsync" with the
+/// lock released, release what was taken, report back.
+fn commit_round(model: &Mutex<CommitModel>, disk: &AtomicUsize, taken: &mut Vec<(u32, u32)>) {
+    let sync = {
+        let mut m = model.lock().expect("no panics in the model");
+        if !m.handoff.begin_sync(taken) {
+            return;
+        }
+        m.begun += 1;
+        m.begun
+    };
+    // The sync itself: a decision point outside the lock, so the producer
+    // may queue more while it runs.
+    disk.fetch_add(1, Ordering::SeqCst);
+    let mut m = model.lock().expect("no panics in the model");
+    for (id, begun_when_queued) in taken.iter() {
+        assert!(*begun_when_queued < sync, "item {id} released by a sync begun before its push");
+        m.released.push(*id);
+    }
+    taken.clear();
+    m.handoff.end_sync(taken);
+}
+
+/// The commit hand-off (`dcart-server`'s pipelined durable commit) under
+/// every producer × committer × waiter schedule: an item is released
+/// exactly once, in push order, and only by a sync that began after its
+/// push; the bound refuses exactly when it is reached; and `is_idle` is
+/// never true while an accepted item is unreleased — queued, or taken by
+/// a sync still in flight.
+#[test]
+fn sync_handoff_releases_each_item_once_in_order_by_a_later_sync() {
+    const BOUND: usize = 2;
+    loom::model(|| {
+        let model = Arc::new(Mutex::new(CommitModel {
+            handoff: SyncHandoff::new(BOUND),
+            begun: 0,
+            accepted: Vec::new(),
+            released: Vec::new(),
+        }));
+        let disk = Arc::new(AtomicUsize::new(0));
+
+        let producer = {
+            let model = Arc::clone(&model);
+            loom::thread::spawn(move || {
+                for id in 0..3u32 {
+                    let mut m = model.lock().expect("no panics in the model");
+                    let unreleased = m.accepted.len() - m.released.len();
+                    let begun = m.begun;
+                    match m.handoff.enqueue((id, begun)) {
+                        Ok(()) => m.accepted.push(id),
+                        // Unreleased items are queued or held by the one
+                        // sync in flight; a refusal means BOUND are queued.
+                        Err(_) => assert!(unreleased >= BOUND, "refused below the bound"),
+                    }
+                }
+            })
+        };
+        let committer = {
+            let (model, disk) = (Arc::clone(&model), Arc::clone(&disk));
+            loom::thread::spawn(move || {
+                let mut taken = Vec::new();
+                for _ in 0..2 {
+                    commit_round(&model, &disk, &mut taken);
+                }
+            })
+        };
+        let waiter = {
+            let model = Arc::clone(&model);
+            loom::thread::spawn(move || {
+                let m = model.lock().expect("no panics in the model");
+                if m.handoff.is_idle() {
+                    assert_eq!(m.released, m.accepted, "idle with an item unreleased");
+                }
+            })
+        };
+        producer.join().expect("producer ran to completion");
+        committer.join().expect("committer ran to completion");
+        waiter.join().expect("waiter ran to completion");
+
+        // Whatever the committer's two rounds left is covered by one more.
+        commit_round(&model, &disk, &mut Vec::new());
+        let m = model.lock().expect("all users joined");
+        assert!(m.handoff.is_idle());
+        assert_eq!(m.released, m.accepted, "every accepted item once, in push order");
+        assert!(m.accepted.len() >= BOUND, "the first BOUND pushes are never refused");
+        assert_eq!(m.begun as usize, disk.load(Ordering::SeqCst));
     });
 }

@@ -25,16 +25,44 @@
 //!
 //! 1. append the batch record to the WAL;
 //! 2. execute the batch (collecting each op's concrete answer);
-//! 3. append + fsync the commit mark (the durability point);
+//! 3. append the commit mark, and **sync** it — the durability point is an
+//!    fsync that *began after* the mark was fully written;
 //! 4. only then send acknowledgements — each answer goes to its
 //!    [`Reply`]: encoded straight into the owning connection's outbound
 //!    buffer, whose writer is woken once per batch, or sent on an
 //!    in-process channel.
 //!
+//! Who issues the sync of step 3 depends on who drives the loop.
+//! [`ServerCore::run`] on a durable, `sync_commits` core is **pipelined**:
+//! the paper hides its slowest stage behind the next batch (the PCU
+//! combines batch N + 1 while the SOUs work on batch N), and the fsync is
+//! this loop's. `run` spawns one *committer* thread; the loop writes the
+//! mark without syncing, hands the batch — live requests and answers —
+//! over to a bounded queue ([`SyncHandoff`]) and goes straight back to the
+//! inbox. The committer takes *everything* queued, calls the sync once on
+//! a second handle to the WAL file, and answers every batch it took, in
+//! order. A batch is handed over only after its mark's write returned and
+//! taken before the sync is called, so no sync that began before a mark
+//! acknowledges it, and one sync releases every mark written while the
+//! previous one ran — group commit from the overlap, with no timer.
+//! Read-only batches take the same road: their answers saw the writes
+//! before them. At most `MAX_UNSYNCED_BATCHES` wait for the committer; then
+//! the hand-over blocks, and a slow disk backs up into the inbox and
+//! admission exactly as an inline fsync does. A failed sync is final: it is
+//! never called again, everything taken and everything queued later is
+//! answered `Error`, and the core is dead. The loop waits for the committer
+//! to go idle before a checkpoint (which truncates the file being synced)
+//! and before `run` returns. [`ServerCore::flush_now`] — the loop as a
+//! deterministic step function — as well as `sync_commits: false` and
+//! `data_dir: None` sync (or not) and answer **inline**, on the calling
+//! thread. Both ways answer through the same function and write the same
+//! WAL bytes.
+//!
 //! A crash between 1 and 3 loses only *unacknowledged* requests — the
 //! chaos cell's invariant. The vectors a flush works in (the drained
-//! batch, the ops, the collected answers, the connections to wake) are
-//! kept across flushes.
+//! batch, the ops, their WAL payload, the collected answers, the
+//! connections to wake) are kept across flushes; those handed to the
+//! committer come back emptied.
 //!
 //! Checkpoints run on this loop too — every
 //! [`ServerConfig::checkpoint_every`] batches and at drain — through a
@@ -53,14 +81,14 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use dcart::durable::{decode_ops, encode_ops, CHECKPOINT_TMP, WAL_FILE};
+use dcart::durable::{decode_ops, encode_ops_into, CHECKPOINT_TMP, WAL_FILE};
 use dcart::{
     read_checkpoint_pairs, CheckpointKind, Checkpointer, CttConsumer, CttOpEvent, CttSession,
     DcartConfig, DcartError, ExecOpts, TraverseMode,
 };
 use dcart_art::Key;
 use dcart_engine::time::Clock;
-use dcart_engine::{wal, CrashInjector, CrashPlan, WalWriter};
+use dcart_engine::{wal, CrashInjector, CrashPlan, SyncHandoff, WalWriter};
 use dcart_mem::PersistStats;
 use dcart_workloads::{Op, OpKind};
 
@@ -73,6 +101,17 @@ use crate::wire::{Request, RequestKind, Response};
 /// shutdown and dead flags: the acceptor between polls, a connection's
 /// reader on an idle socket, the core loop on its condvar.
 pub(crate) const POLL: Duration = Duration::from_millis(25);
+
+/// Most batches that wait for the committer with their marks written and
+/// not yet synced; the next hand-over blocks. Not a tunable: a closed loop
+/// of 256 requests in flight cannot queue more than 4 batches of 64, and a
+/// sync covers one or two, so this only caps memory under an open loop.
+const MAX_UNSYNCED_BATCHES: usize = 8;
+
+/// The fsync behind a commit mark, as [`ServerCore::run`]'s committer calls
+/// it: `sync_all` on a second handle to the WAL file, unless a test has
+/// put its own in ([`ServerCore::set_commit_sync`]).
+pub type CommitSync = Box<dyn FnMut() -> std::io::Result<()> + Send>;
 
 /// Everything the server needs to know to run.
 #[derive(Clone, Debug)]
@@ -95,7 +134,8 @@ pub struct ServerConfig {
     pub data_dir: Option<PathBuf>,
     /// Batches between checkpoints.
     pub checkpoint_every: u64,
-    /// Fsync every commit mark.
+    /// Acknowledge a batch only once an fsync covers its commit mark
+    /// (one fsync may cover several marks under [`ServerCore::run`]).
     pub sync_commits: bool,
     /// Admission tunables.
     pub admission: AdmissionConfig,
@@ -377,6 +417,185 @@ fn wake_writers(wake: &mut Vec<Arc<Outbox>>) {
     }
 }
 
+/// A batch between its commit mark and its acknowledgement.
+#[derive(Default)]
+struct Handed {
+    /// The requests drained from the inbox; after the deadline check, the
+    /// live ones.
+    live: Vec<PendingReq>,
+    /// Each live request's answer, by position.
+    values: Vec<Option<u64>>,
+}
+
+/// Answers `Error` to every request of a batch whose outcome is void.
+fn refuse(live: &[PendingReq], wake: &mut Vec<Arc<Outbox>>) {
+    for p in live {
+        p.resp.deliver(Response::error(p.req.req_id), wake);
+    }
+}
+
+/// Stage 4 on either commit path: releases the answers of `batches`, in
+/// order, after the sync that covers their marks has returned, with one
+/// wake-up per touched connection. `sync_ns` is what that sync took, if
+/// there was one. The counters are published first, so whoever has its
+/// answer finds itself counted.
+fn acknowledge(
+    shared: &ServerShared,
+    batches: &[Handed],
+    sync_ns: Option<u64>,
+    wake: &mut Vec<Arc<Outbox>>,
+) {
+    {
+        let writes = batches.iter().flat_map(|h| &h.live).filter(|p| p.req.kind.is_write());
+        let mut snap = shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+        snap.acked_writes += writes.count() as u64;
+        if let Some(ns) = sync_ns {
+            snap.commit_syncs += 1;
+            snap.commit_sync_ns_total += ns;
+            snap.commit_sync_ns_max = snap.commit_sync_ns_max.max(ns);
+        }
+    }
+    for h in batches {
+        for (p, value) in h.live.iter().zip(&h.values) {
+            p.resp.deliver(Response::ok(p.req.req_id, *value), wake);
+        }
+    }
+    wake_writers(wake);
+}
+
+/// What the loop and its committer share while [`ServerCore::run`] runs
+/// pipelined: the hand-off, and the two things each side sleeps on.
+struct CommitPipe {
+    state: Mutex<PipeState>,
+    /// The committer's: a batch was queued, or the pipe closed.
+    work: Condvar,
+    /// The loop's: the committer took what was queued (room), or finished
+    /// a sync (idle, perhaps).
+    progress: Condvar,
+}
+
+struct PipeState {
+    handoff: SyncHandoff<Handed>,
+    /// The loop has ended: the committer leaves once nothing is queued.
+    closed: bool,
+}
+
+impl CommitPipe {
+    fn new() -> Self {
+        CommitPipe {
+            state: Mutex::new(PipeState {
+                handoff: SyncHandoff::new(MAX_UNSYNCED_BATCHES),
+                closed: false,
+            }),
+            work: Condvar::new(),
+            progress: Condvar::new(),
+        }
+    }
+
+    /// The loop's stage 4: queues the batch in `handed`, whose commit mark
+    /// is written, for the committer to sync and answer, and leaves an
+    /// emptied one in its place. Blocks while `MAX_UNSYNCED_BATCHES` are
+    /// queued.
+    fn hand_over(&self, handed: &mut Handed) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut entry = state.handoff.recycled();
+        std::mem::swap(&mut entry, handed);
+        while let Err(back) = state.handoff.enqueue(entry) {
+            entry = back;
+            state = self.progress.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(state);
+        self.work.notify_one();
+    }
+
+    /// Blocks until nothing is queued and no sync is in flight: every
+    /// batch handed over so far has been answered.
+    fn wait_idle(&self) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        while !state.handoff.is_idle() {
+            state = self.progress.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    fn committer_idle(&self) -> bool {
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).handoff.is_idle()
+    }
+
+    /// No batch will follow. Also runs when the loop unwinds, so that the
+    /// scope joining the committer ends in that panic, not in a hang.
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
+        self.work.notify_one();
+    }
+}
+
+/// Closes the pipe when the loop's part of [`ServerCore::run`] ends, by
+/// return or by panic.
+struct CloseOnDrop<'a>(&'a CommitPipe);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The committer: until the pipe is closed and empty, take everything
+/// queued, sync once, answer every batch taken. Returns the sync function
+/// and the failure that ended its use, if one did.
+fn commit_loop(
+    pipe: &CommitPipe,
+    shared: &ServerShared,
+    mut commit_sync: CommitSync,
+) -> (CommitSync, Option<std::io::Error>) {
+    let mut taken: Vec<Handed> = Vec::new();
+    let mut wake = Vec::new();
+    let mut failure = None;
+    loop {
+        {
+            // Taken before the sync is called, and each batch was queued
+            // after its mark's write returned: the sync below began after
+            // every mark it is about to acknowledge.
+            let mut state = pipe.state.lock().unwrap_or_else(|e| e.into_inner());
+            while !state.handoff.begin_sync(&mut taken) {
+                if state.closed {
+                    return (commit_sync, failure);
+                }
+                state = pipe.work.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+        }
+        pipe.progress.notify_one();
+        // The sync. A failed one is final: what the file holds is unknown
+        // from then on (a second fsync may well return `Ok` over pages the
+        // kernel already dropped), so it is never called again — these
+        // batches and every later one are answered `Error`, and the core
+        // is dead.
+        let mut sync_ns = None;
+        if failure.is_none() {
+            let started = shared.now_ns();
+            match commit_sync() {
+                Ok(()) => sync_ns = Some(shared.now_ns().saturating_sub(started)),
+                Err(e) => {
+                    failure = Some(e);
+                    shared.mark_dead();
+                }
+            }
+        }
+        // The answers.
+        if failure.is_none() {
+            acknowledge(shared, &taken, sync_ns, &mut wake);
+        } else {
+            taken.iter().for_each(|h| refuse(&h.live, &mut wake));
+            wake_writers(&mut wake);
+        }
+        for h in &mut taken {
+            h.live.clear();
+            h.values.clear();
+        }
+        pipe.state.lock().unwrap_or_else(|e| e.into_inner()).handoff.end_sync(&mut taken);
+        pipe.progress.notify_one();
+    }
+}
+
 /// The core loop's owned state: session, WAL, crash injector, counters.
 pub struct ServerCore {
     shared: Arc<ServerShared>,
@@ -393,6 +612,9 @@ pub struct ServerCore {
     snapshot: CoreSnapshot,
     /// First durability failure, kept for the report.
     error: Option<DcartError>,
+    /// The commit fsync [`ServerCore::run`] gives its committer: present
+    /// exactly when there is a WAL and `sync_commits` is set.
+    commit_sync: Option<CommitSync>,
     /// The vectors a flush works in, kept for their capacity.
     scratch: FlushScratch,
 }
@@ -400,12 +622,11 @@ pub struct ServerCore {
 /// What one flush fills and empties again.
 #[derive(Default)]
 struct FlushScratch {
-    /// The requests drained from the inbox; after the deadline check, the
-    /// live ones.
-    batch: Vec<PendingReq>,
+    /// The batch being flushed and its answers.
+    handed: Handed,
     ops: Vec<Op>,
-    /// Each op's answer, by position in `ops`.
-    values: Vec<Option<u64>>,
+    /// `ops` as a WAL payload.
+    payload: Vec<u8>,
     /// Connections that got an answer and whose writer is owed a wake-up.
     wake: Vec<Arc<Outbox>>,
 }
@@ -510,6 +731,13 @@ impl ServerCore {
         };
         snapshot.answer_digest = session.answer_digest();
         *shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = snapshot;
+        let commit_sync: Option<CommitSync> = match &wal {
+            Some(writer) if config.sync_commits => {
+                let file = writer.sync_handle()?;
+                Some(Box::new(move || file.sync_all()))
+            }
+            _ => None,
+        };
         Ok(ServerCore {
             crash: match config.crash {
                 Some(plan) => CrashInjector::for_plan(plan),
@@ -525,14 +753,55 @@ impl ServerCore {
             batches_since_ckpt: 0,
             snapshot,
             error: None,
+            commit_sync,
             scratch: FlushScratch::default(),
         })
+    }
+
+    /// Replaces the fsync [`ServerCore::run`]'s committer calls — the seam
+    /// through which tests hold a sync back or make it fail without a
+    /// failing disk. Nothing to replace, and nothing happens, on a core
+    /// that does not sync commits.
+    pub fn set_commit_sync(&mut self, sync: CommitSync) {
+        if let Some(slot) = &mut self.commit_sync {
+            *slot = sync;
+        }
     }
 
     /// The blocking core loop: coalesce, flush, repeat — until drain
     /// completes or the durability layer dies. Returns the first
     /// durability error, if any (injected crashes land here too).
+    ///
+    /// On a core that syncs its commits the loop runs pipelined: a
+    /// committer thread, spawned here — from the core's own thread — and
+    /// joined before this returns, owns the fsync and the
+    /// acknowledgements (see the [module documentation](self)).
     pub fn run(&mut self) -> Option<DcartError> {
+        match self.commit_sync.take() {
+            None => self.serve(None),
+            Some(commit_sync) => {
+                let pipe = CommitPipe::new();
+                let shared = Arc::clone(&self.shared);
+                let (commit_sync, failure) = std::thread::scope(|scope| {
+                    let committer = scope.spawn(|| commit_loop(&pipe, &shared, commit_sync));
+                    {
+                        let _close = CloseOnDrop(&pipe);
+                        self.serve(Some(&pipe));
+                    }
+                    committer.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                });
+                self.commit_sync = Some(commit_sync);
+                if let Some(e) = failure {
+                    self.error.get_or_insert(wal::WalError::Io(e).into());
+                }
+            }
+        }
+        self.error.take()
+    }
+
+    /// [`ServerCore::run`]'s loop; with a `pipe`, batches are handed to
+    /// the committer behind it instead of being synced and answered here.
+    fn serve(&mut self, pipe: Option<&CommitPipe>) {
         let watermark = self.config.batch_size;
         loop {
             {
@@ -567,35 +836,33 @@ impl ServerCore {
                     inbox = guard;
                     inbox.wake_at = usize::MAX;
                 }
-                take_batch(&mut inbox, watermark, &mut self.scratch.batch);
+                take_batch(&mut inbox, watermark, &mut self.scratch.handed.live);
             }
-            if self.scratch.batch.is_empty() {
+            if self.scratch.handed.live.is_empty() {
                 if self.shared.is_shutdown() || self.shared.is_dead() {
                     break;
                 }
                 continue;
             }
-            self.execute();
+            self.execute(pipe);
         }
         // Drain complete: park a final checkpoint so restart needs no
         // replay.
-        if !self.shared.is_dead() {
-            if let Err(e) = self.checkpoint(true) {
-                self.error.get_or_insert(e);
-            }
+        if let Err(e) = self.checkpoint(true, pipe) {
+            self.error.get_or_insert(e);
         }
-        self.error.take()
     }
 
     /// Flushes up to one batch immediately, bypassing the wait loop —
-    /// the deterministic test hook.
+    /// the deterministic test hook. The batch is synced and answered
+    /// inline, before this returns.
     pub fn flush_now(&mut self) {
         {
             let mut inbox = self.shared.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            take_batch(&mut inbox, self.config.batch_size, &mut self.scratch.batch);
+            take_batch(&mut inbox, self.config.batch_size, &mut self.scratch.handed.live);
         }
-        if !self.scratch.batch.is_empty() {
-            self.execute();
+        if !self.scratch.handed.live.is_empty() {
+            self.execute(None);
         }
     }
 
@@ -614,20 +881,22 @@ impl ServerCore {
         Ok(dcart::tree_digest(&tree))
     }
 
-    /// Executes the batch in `scratch.batch` and answers every request in
-    /// it.
-    fn execute(&mut self) {
+    /// Executes the batch in `scratch.handed` and sees to it that every
+    /// request in it is answered: here, or — with a `pipe` — by the
+    /// committer once a sync covers the batch's mark.
+    fn execute(&mut self, pipe: Option<&CommitPipe>) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.execute_in(&mut scratch);
+        self.execute_in(&mut scratch, pipe);
         // Whoever was answered on a way out other than stage 4.
         wake_writers(&mut scratch.wake);
-        scratch.batch.clear();
+        scratch.handed.live.clear();
         scratch.ops.clear();
         self.scratch = scratch;
     }
 
-    fn execute_in(&mut self, scratch: &mut FlushScratch) {
-        let FlushScratch { batch: live, ops, values, wake } = scratch;
+    fn execute_in(&mut self, scratch: &mut FlushScratch, pipe: Option<&CommitPipe>) {
+        let FlushScratch { handed, ops, payload, wake } = scratch;
+        let Handed { live, values } = &mut *handed;
         let now = self.shared.now_ns();
         // Expired-in-queue requests are answered without executing: their
         // submitter stopped waiting, and running them anyway would spend
@@ -651,13 +920,10 @@ impl ServerCore {
             adm.release(released);
         }
         if expired > 0 {
-            *self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = self.snapshot;
+            self.publish();
         }
         if self.shared.is_dead() {
-            for p in live.iter() {
-                p.resp.deliver(Response::error(p.req.req_id), wake);
-            }
-            return;
+            return self.refuse_after_queued(live, wake, pipe);
         }
         if live.is_empty() {
             return;
@@ -667,11 +933,11 @@ impl ServerCore {
 
         // 1. WAL the batch before any effect becomes visible.
         if let Some(writer) = &mut self.wal {
-            let payload = encode_ops(ops);
+            encode_ops_into(ops, payload);
             self.persist.payload_bytes += payload.len() as u64;
             let before = writer.len();
-            if let Err(e) = writer.append_batch(self.next_seq, &payload, &mut self.crash) {
-                return self.die(live, wake, e.into());
+            if let Err(e) = writer.append_batch(self.next_seq, payload, &mut self.crash) {
+                return self.die(live, wake, pipe, e.into());
             }
             self.persist.wal_bytes += writer.len() - before;
             self.persist.wal_batches += 1;
@@ -687,51 +953,70 @@ impl ServerCore {
         if let Err(e) = self.session.execute_batch(ops, &mut ValueCollector { values }) {
             // With fixed-width wire keys this cannot be a prefix
             // violation; anything here means the session is torn.
-            return self.die(live, wake, e);
+            return self.die(live, wake, pipe, e);
         }
 
-        // 3. Commit mark + fsync: the durability point. An injected crash
-        // here is the chaos cell's kill — the batch was executed but
-        // never acknowledged, and recovery must not surface it.
+        // 3. Commit mark. Inline, `commit` fsyncs it here — the durability
+        // point; pipelined, the mark is only written and the committer's
+        // next sync is the durability point. An injected crash here is the
+        // chaos cell's kill — the batch was executed but never
+        // acknowledged, and recovery must not surface it.
+        let mut sync_ns = None;
         if let Some(writer) = &mut self.wal {
             let before = writer.len();
+            let sync = self.config.sync_commits && pipe.is_none();
+            let started = sync.then(|| self.shared.now_ns());
             if let Err(e) = writer.commit(
                 self.next_seq,
                 self.session.answer_digest(),
                 ops.len() as u32,
-                self.config.sync_commits,
+                sync,
                 &mut self.crash,
             ) {
-                return self.die(live, wake, e.into());
+                return self.die(live, wake, pipe, e.into());
             }
+            sync_ns = started.map(|started| self.shared.now_ns().saturating_sub(started));
             self.persist.wal_bytes += writer.len() - before;
             self.persist.wal_commits += 1;
         }
 
         // 4. Acknowledge. An answer to a connection is encoded into that
-        // connection's outbound buffer here, and each touched connection's
-        // writer is woken once, after the last answer of the batch.
-        for (p, value) in live.iter().zip(values.iter()) {
-            p.resp.deliver(Response::ok(p.req.req_id, *value), wake);
-            if p.req.kind.is_write() {
-                self.snapshot.acked_writes += 1;
-            }
+        // connection's outbound buffer, and each touched connection's
+        // writer is woken once, after the last answer of the batch — by
+        // the committer, once a sync that began after this point has
+        // returned, or right here.
+        match pipe {
+            Some(pipe) => pipe.hand_over(handed),
+            None => acknowledge(&self.shared, std::slice::from_ref(handed), sync_ns, wake),
         }
-        wake_writers(wake);
         self.next_seq += 1;
         self.batches_since_ckpt += 1;
         self.snapshot.batches += 1;
         self.snapshot.ops += ops.len() as u64;
         self.snapshot.answer_digest = self.session.answer_digest();
         self.snapshot.persist = self.persist;
-        *self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = self.snapshot;
+        self.publish();
 
         if self.batches_since_ckpt >= self.config.checkpoint_every {
-            if let Err(e) = self.checkpoint(false) {
+            if let Err(e) = self.checkpoint(false, pipe) {
                 self.error.get_or_insert(e);
                 self.shared.mark_dead();
             }
         }
+    }
+
+    /// Publishes the loop's counters. The ones counted where answers are
+    /// released ([`acknowledge`], possibly on the committer's thread) live
+    /// only in the shared snapshot and are left as they are.
+    fn publish(&self) {
+        let mut shared = self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+        *shared = CoreSnapshot {
+            acked_writes: shared.acked_writes,
+            commit_syncs: shared.commit_syncs,
+            commit_sync_ns_total: shared.commit_sync_ns_total,
+            commit_sync_ns_max: shared.commit_sync_ns_max,
+            ..self.snapshot
+        };
     }
 
     /// Installs a checkpoint of the state as of `next_seq`, then resets
@@ -740,7 +1025,18 @@ impl ServerCore {
     /// full walk — and is skipped when the installed one already stands
     /// for `next_seq` (no batch committed since), except that a directory
     /// without any checkpoint gets its first.
-    fn checkpoint(&mut self, drain: bool) -> Result<(), DcartError> {
+    ///
+    /// With a `pipe`, the checkpoint first waits for the committer to go
+    /// idle: `writer.reset()` truncates the file a sync would be running
+    /// on, and a sync that fails must find the old checkpoint and the
+    /// whole log still there — a dead core installs nothing.
+    fn checkpoint(&mut self, drain: bool, pipe: Option<&CommitPipe>) -> Result<(), DcartError> {
+        if let Some(pipe) = pipe {
+            pipe.wait_idle();
+        }
+        if self.shared.is_dead() {
+            return Ok(());
+        }
         let (Some(checkpointer), Some(writer)) = (&mut self.checkpointer, &mut self.wal) else {
             return Ok(());
         };
@@ -755,6 +1051,11 @@ impl ServerCore {
             &mut self.crash,
             &mut self.persist,
         )?;
+        // Only this thread hands batches over, so idle has stayed idle.
+        debug_assert!(
+            pipe.is_none_or(CommitPipe::committer_idle),
+            "WAL reset under a running sync"
+        );
         writer.reset()?;
         self.batches_since_ckpt = 0;
         let stall = self.shared.now_ns().saturating_sub(started);
@@ -769,18 +1070,38 @@ impl ServerCore {
             }
         }
         snap.persist = self.persist;
-        *self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = self.snapshot;
+        self.publish();
         Ok(())
     }
 
     /// Durability failed mid-batch: answer errors (the batch was never
     /// acknowledged, so clients know its outcome is void), latch the
     /// error, and mark the server dead.
-    fn die(&mut self, batch: &[PendingReq], wake: &mut Vec<Arc<Outbox>>, e: DcartError) {
-        for p in batch {
-            p.resp.deliver(Response::error(p.req.req_id), wake);
-        }
+    fn die(
+        &mut self,
+        live: &[PendingReq],
+        wake: &mut Vec<Arc<Outbox>>,
+        pipe: Option<&CommitPipe>,
+        e: DcartError,
+    ) {
         self.error.get_or_insert(e);
         self.shared.mark_dead();
+        self.refuse_after_queued(live, wake, pipe);
+    }
+
+    /// Answers `Error` to a batch that will not run — behind the answers
+    /// of the batches already handed over, whose marks are written and
+    /// which the committer syncs and acknowledges as usual, so that a
+    /// connection's answers stay in batch order.
+    fn refuse_after_queued(
+        &self,
+        live: &[PendingReq],
+        wake: &mut Vec<Arc<Outbox>>,
+        pipe: Option<&CommitPipe>,
+    ) {
+        if let Some(pipe) = pipe {
+            pipe.wait_idle();
+        }
+        refuse(live, wake);
     }
 }

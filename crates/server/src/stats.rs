@@ -8,7 +8,9 @@ use serde::Serialize;
 
 use crate::admission::AdmissionCounters;
 
-/// What the core loop has durably done so far (updated once per flush,
+/// What the core loop has durably done so far (updated once per flush —
+/// `acked_writes` and the `commit_sync*` counters where answers are
+/// released, which on a pipelined core is the committer's thread — and
 /// read by connection threads under a mutex).
 #[derive(Clone, Copy, Default, Debug, Serialize)]
 pub struct CoreSnapshot {
@@ -16,7 +18,8 @@ pub struct CoreSnapshot {
     pub batches: u64,
     /// Operations executed (accepted requests that reached the executor).
     pub ops: u64,
-    /// Writes acknowledged (durable in WAL-backed mode).
+    /// Writes acknowledged (durable in WAL-backed mode): counted when the
+    /// answer is released, not when the batch executes.
     pub acked_writes: u64,
     /// Cumulative answer digest — the value a checkpoint written now
     /// would record, and the cross-check for the determinism test.
@@ -42,6 +45,15 @@ pub struct CoreSnapshot {
     pub checkpoints_walked: u64,
     /// Distinct keys merged, summed over the merged checkpoints.
     pub checkpoint_dirty_keys: u64,
+    /// Commit fsyncs that returned `Ok`. `batches ÷ commit_syncs` is the
+    /// batches one sync covered: 1 inline, more when the pipelined commit
+    /// groups them.
+    pub commit_syncs: u64,
+    /// Time in those fsyncs on the injected clock (inline, the write of
+    /// the mark in front of the fsync is included).
+    pub commit_sync_ns_total: u64,
+    /// The longest single commit fsync.
+    pub commit_sync_ns_max: u64,
 }
 
 /// The full stats answer: admission-side counters plus the core snapshot.

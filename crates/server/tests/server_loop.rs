@@ -4,9 +4,13 @@
 //! enforcement under a hand-driven clock, group submission against
 //! one-at-a-time submission, when the sleeping loop flushes, and the TCP
 //! front end end to end (pipelining, slow frames, a peer that never
-//! reads, drain and death with requests in flight) — all with `TestClock`
+//! reads, drain and death with requests in flight), and the pipelined
+//! durable commit behind `run()` — which sync may acknowledge which batch,
+//! the bound on unsynced batches, its equivalence with the inline commit,
+//! the checkpoint barrier and a sync that fails — all with `TestClock`
 //! (or a clock that ticks per reading), so no decision here depends on
-//! wall time.
+//! wall time, and with the commit sync behind a gate the test holds, so
+//! none depends on a schedule.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -230,6 +234,17 @@ fn acked_writes_survive_injected_kill_and_restart() {
     assert_eq!(resp.value, None, "an unacked (killed) write must not be replayed");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An insert of `req_id + 1` under the key `req_id`.
+fn insert(req_id: u64) -> Request {
+    Request {
+        req_id,
+        kind: RequestKind::Insert,
+        budget_ns: 1 << 40,
+        key: req_id,
+        value: req_id + 1,
+    }
 }
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -730,6 +745,410 @@ fn a_watermark_reached_while_the_loop_sleeps_on_a_long_linger_flushes_at_once() 
     assert_eq!((stats.batches, stats.ops), (1, 4), "one whole batch, no partial one before it");
 }
 
+mod pipelined {
+    //! The pipelined durable commit: `run()` on a durable core, with the
+    //! committer's fsync replaced by one the test holds, releases, or fails.
+
+    use std::sync::{Condvar, Mutex};
+
+    use dcart::durable::WAL_FILE;
+    use dcart_server::CommitSync;
+
+    use super::*;
+
+    /// A commit sync behind a gate: every call reports itself, then waits
+    /// for a permit. So a test knows which sync the committer is in, and
+    /// decides what the loop gets to do before that sync returns.
+    #[derive(Default)]
+    struct SyncGate {
+        state: Mutex<GateState>,
+        changed: Condvar,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        entered: u64,
+        permits: u64,
+        /// Every call returns at once from here on.
+        open: bool,
+        /// This call (1-based), once let through, fails.
+        fail_at: Option<u64>,
+        /// The WAL's length when the last successful sync *began*: what a
+        /// disk that keeps nothing it was not told to would hold.
+        synced_len: u64,
+    }
+
+    impl SyncGate {
+        fn failing_at(call: u64) -> Arc<Self> {
+            let gate = Arc::new(SyncGate::default());
+            gate.state.lock().expect("gate").fail_at = Some(call);
+            gate
+        }
+
+        /// The sync to put into a core whose WAL is at `wal`.
+        fn sync_fn(self: &Arc<Self>, wal: PathBuf) -> CommitSync {
+            let gate = Arc::clone(self);
+            Box::new(move || {
+                let len = std::fs::metadata(&wal)?.len();
+                let mut state = gate.state.lock().expect("gate");
+                state.entered += 1;
+                let call = state.entered;
+                gate.changed.notify_all();
+                while !state.open && state.permits == 0 {
+                    state = gate.changed.wait(state).expect("gate");
+                }
+                state.permits = state.permits.saturating_sub(1);
+                if state.fail_at == Some(call) {
+                    return Err(std::io::Error::other("injected fsync failure"));
+                }
+                state.synced_len = len;
+                Ok(())
+            })
+        }
+
+        /// Blocks until the committer is inside its `n`-th sync (or past it).
+        fn wait_entered(&self, n: u64) {
+            let mut state = self.state.lock().expect("gate");
+            while state.entered < n {
+                let (guard, timeout) = self.changed.wait_timeout(state, SOON).expect("gate");
+                assert!(!timeout.timed_out(), "sync {n} never began");
+                state = guard;
+            }
+        }
+
+        /// Lets one held (or future) sync return.
+        fn permit(&self) {
+            self.state.lock().expect("gate").permits += 1;
+            self.changed.notify_all();
+        }
+
+        fn open(&self) {
+            self.state.lock().expect("gate").open = true;
+            self.changed.notify_all();
+        }
+
+        fn calls(&self) -> u64 {
+            self.state.lock().expect("gate").entered
+        }
+    }
+
+    /// A durable core with `slots` queue slots that flushes on the
+    /// watermark of 4 only, never checkpoints before drain, and syncs
+    /// through `gate`.
+    fn gated_core(dir: &Path, gate: &Arc<SyncGate>, slots: u64) -> (Arc<ServerShared>, ServerCore) {
+        let mut config = ServerConfig {
+            batch_size: 4,
+            linger_ns: u64::MAX,
+            checkpoint_every: u64::MAX,
+            ..durable_config(dir, None)
+        };
+        config.admission.queue_capacity = slots;
+        let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+        let mut core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+        core.set_commit_sync(gate.sync_fn(dir.join(WAL_FILE)));
+        (shared, core)
+    }
+
+    /// Submits batch `b` (of 4 inserts, `req_id`s `4b .. 4b + 4`) whole.
+    fn submit_batch(shared: &ServerShared, tx: &mpsc::Sender<Response>, b: u64) {
+        let reqs: Vec<Request> = (4 * b..4 * b + 4).map(insert).collect();
+        let mut immediate = Vec::new();
+        shared.submit_group(&reqs, || Reply::Channel(tx.clone()), &mut immediate);
+        assert!(immediate.is_empty(), "{immediate:?}");
+    }
+
+    /// Waits for something another thread is on its way to doing.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let started = std::time::Instant::now();
+        while !done() {
+            assert!(started.elapsed() < SOON, "never happened: {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    fn recv_n(rx: &mpsc::Receiver<Response>, n: usize) -> Vec<(u64, Status)> {
+        (0..n)
+            .map(|_| rx.recv_timeout(SOON).expect("answered"))
+            .map(|r| (r.req_id, r.status))
+            .collect()
+    }
+
+    fn all(ids: std::ops::Range<u64>, status: Status) -> Vec<(u64, Status)> {
+        ids.map(|id| (id, status)).collect()
+    }
+
+    /// The release rule. With sync 1 held, three batches go through the
+    /// loop and nobody is answered; sync 1 answers batch 1 only — batches
+    /// 2 and 3 had their marks written while it ran — and sync 2, which
+    /// began after both, answers them together.
+    #[test]
+    fn a_batch_is_answered_only_by_a_sync_that_began_after_its_mark() {
+        let dir = scratch_dir("pipe_release");
+        let gate = Arc::new(SyncGate::default());
+        let (shared, core) = gated_core(&dir, &gate, 1_024);
+        let running = spawn_core(core);
+        let (tx, rx) = mpsc::channel();
+
+        submit_batch(&shared, &tx, 0);
+        gate.wait_entered(1);
+        submit_batch(&shared, &tx, 1);
+        submit_batch(&shared, &tx, 2);
+        wait_until("three batches marked", || shared.stats().core.batches == 3);
+        let stats = shared.stats().core;
+        assert_eq!((stats.persist.wal_commits, stats.ops), (3, 12), "the loop ran ahead");
+        assert_eq!((stats.acked_writes, stats.commit_syncs), (0, 0), "{stats:?}");
+        assert!(rx.try_recv().is_err(), "answered under a sync that has not returned");
+
+        gate.permit();
+        assert_eq!(recv_n(&rx, 4), all(0..4, Status::Ok), "sync 1 covers batch 1");
+        gate.wait_entered(2);
+        // The committer is inside sync 2 and only it answers: whatever
+        // sync 1 released is in the channel by now.
+        assert!(rx.try_recv().is_err(), "sync 1 began before the marks of batches 2 and 3");
+        let stats = shared.stats().core;
+        assert_eq!((stats.acked_writes, stats.commit_syncs), (4, 1), "{stats:?}");
+
+        gate.permit();
+        assert_eq!(recv_n(&rx, 8), all(4..12, Status::Ok), "sync 2 covers both, in order");
+        let stats = shared.stats().core;
+        assert_eq!((stats.acked_writes, stats.commit_syncs, stats.batches), (12, 2, 3));
+        assert_eq!(gate.calls(), 2, "one sync for two batches");
+
+        gate.open();
+        shared.request_shutdown();
+        running.join().expect("core thread");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The bound. With the sync held, one batch is with the committer and
+    /// eight more queue behind it; the tenth is executed and then waits to
+    /// be handed over, the loop stops taking from the inbox, the inbox
+    /// fills, and admission says `Overloaded` — a slow disk is felt where a
+    /// slow inline fsync is. Released, every admitted request is answered
+    /// once.
+    #[test]
+    fn a_held_sync_stops_the_loop_at_the_bound_and_backs_up_into_admission() {
+        let dir = scratch_dir("pipe_bound");
+        let gate = Arc::new(SyncGate::default());
+        let (shared, core) = gated_core(&dir, &gate, 8);
+        let running = spawn_core(core);
+        let (tx, rx) = mpsc::channel();
+
+        submit_batch(&shared, &tx, 0);
+        gate.wait_entered(1);
+        // 1 in the held sync + MAX_UNSYNCED_BATCHES (8) queued = 9 handed
+        // over; the tenth leaves the inbox and gets no further.
+        for b in 1..10 {
+            submit_batch(&shared, &tx, b);
+            wait_until("the loop took the batch", || shared.stats().queue_depth == 0);
+        }
+        wait_until("nine hand-overs", || shared.stats().core.batches == 9);
+        // Two more batches fill the queue's eight slots, and stay.
+        submit_batch(&shared, &tx, 10);
+        submit_batch(&shared, &tx, 11);
+        let refused = shared.submit(insert(48), &tx).expect("no slot left");
+        assert_eq!(refused.reject, Some(RejectReason::Overloaded));
+        let stats = shared.stats();
+        assert_eq!((stats.core.batches, stats.queue_depth), (9, 8), "the loop stands still");
+        assert!(rx.try_recv().is_err(), "nothing is answered while the sync is held");
+
+        gate.open();
+        let mut answered = recv_n(&rx, 48);
+        answered.sort_unstable_by_key(|&(id, _)| id);
+        assert_eq!(answered, all(0..48, Status::Ok), "every admitted request, once");
+        shared.request_shutdown();
+        running.join().expect("core thread");
+        assert!(rx.try_recv().is_err(), "and no answer twice");
+        let stats = shared.stats().core;
+        assert_eq!((stats.batches, stats.acked_writes), (12, 48));
+        assert!(stats.commit_syncs >= 2 && stats.commit_syncs <= 12, "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What one way of driving a stream through a durable core leaves.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        answers: BTreeMap<u64, (Status, Option<u64>)>,
+        answer_digest: u64,
+        tree_digest: u64,
+        /// The log before the drain checkpoint truncates it.
+        wal: Vec<u8>,
+    }
+
+    fn stream_config(dir: &Path, checkpoint_every: u64) -> ServerConfig {
+        ServerConfig { linger_ns: u64::MAX, checkpoint_every, ..durable_config(dir, None) }
+    }
+
+    fn requests(triples: &[(RequestKind, u64, u64)]) -> Vec<Request> {
+        triples
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, key, value))| Request {
+                req_id: i as u64,
+                kind,
+                budget_ns: 1 << 40,
+                key,
+                value,
+            })
+            .collect()
+    }
+
+    /// `triples` in watermark-exact batches of 16 through `run()`: the
+    /// pipelined commit, with the production sync.
+    fn through_run(dir: &Path, triples: &[(RequestKind, u64, u64)], every: u64) -> Outcome {
+        let config = stream_config(dir, every);
+        let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+        let core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+        let running = spawn_core(core);
+        let (tx, rx) = mpsc::channel();
+        let mut immediate = Vec::new();
+        shared.submit_group(&requests(triples), || Reply::Channel(tx.clone()), &mut immediate);
+        assert!(immediate.is_empty(), "{immediate:?}");
+        let answers = (0..triples.len())
+            .map(|_| rx.recv_timeout(SOON).expect("answered"))
+            .map(|r| (r.req_id, (r.status, r.value)))
+            .collect();
+        // Every batch is answered, so the committer is idle and the loop
+        // asleep: the log is whole and still.
+        let wal = std::fs::read(dir.join(WAL_FILE)).expect("WAL");
+        shared.request_shutdown();
+        let core = running.join().expect("core thread");
+        let stats = shared.stats().core;
+        let batches = triples.len().div_ceil(16) as u64;
+        assert_eq!(stats.batches, batches);
+        assert!(stats.commit_syncs >= 1 && stats.commit_syncs <= batches, "{stats:?}");
+        Outcome {
+            answers,
+            answer_digest: core.answer_digest(),
+            tree_digest: core.into_tree_digest().expect("tree"),
+            wal,
+        }
+    }
+
+    /// The same through `flush_now`: the inline commit.
+    fn through_flush_now(dir: &Path, triples: &[(RequestKind, u64, u64)], every: u64) -> Outcome {
+        let config = stream_config(dir, every);
+        let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+        let mut core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+        let (tx, rx) = mpsc::channel();
+        for chunk in requests(triples).chunks(16) {
+            let mut immediate = Vec::new();
+            shared.submit_group(chunk, || Reply::Channel(tx.clone()), &mut immediate);
+            assert!(immediate.is_empty(), "{immediate:?}");
+            core.flush_now();
+        }
+        let answers = rx.try_iter().map(|r| (r.req_id, (r.status, r.value))).collect();
+        let stats = shared.stats().core;
+        assert_eq!(stats.commit_syncs, stats.batches, "inline: one sync per batch");
+        Outcome {
+            answers,
+            wal: std::fs::read(dir.join(WAL_FILE)).expect("WAL"),
+            answer_digest: core.answer_digest(),
+            tree_digest: core.into_tree_digest().expect("tree"),
+        }
+    }
+
+    /// Pipelined and inline commit are one protocol: the same stream gives
+    /// the same answer per `req_id`, the same digests and a byte-identical
+    /// log, whichever thread issues the fsync.
+    #[test]
+    fn pipelined_and_inline_commit_give_the_same_answers_digests_and_wal_bytes() {
+        let triples = mixed_ops(41, 20 * 16);
+        let (run_dir, flush_dir) = (scratch_dir("pipe_diff_run"), scratch_dir("pipe_diff_flush"));
+        let pipelined = through_run(&run_dir, &triples, u64::MAX);
+        let inline = through_flush_now(&flush_dir, &triples, u64::MAX);
+        assert_eq!(pipelined.answers.len(), triples.len());
+        assert!(pipelined.answers.values().all(|(status, _)| *status == Status::Ok));
+        assert!(pipelined.wal.len() > 20 * 16 * 19, "twenty batches are in the log");
+        assert!(pipelined == inline, "pipelined and inline commit diverged");
+        let _ = std::fs::remove_dir_all(&run_dir);
+        let _ = std::fs::remove_dir_all(&flush_dir);
+    }
+
+    /// A checkpoint every second batch, fifty batches: each one waits for
+    /// the committer to go idle before it truncates the log the committer
+    /// syncs (debug builds assert it at the reset), the run ends where the
+    /// inline one does, and a restart needs no replay to get there.
+    #[test]
+    fn checkpoints_wait_for_the_committer_and_a_restart_is_digest_identical() {
+        let triples = mixed_ops(43, 50 * 16);
+        let (run_dir, flush_dir) = (scratch_dir("pipe_ckpt_run"), scratch_dir("pipe_ckpt_flush"));
+        let pipelined = through_run(&run_dir, &triples, 2);
+        let inline = through_flush_now(&flush_dir, &triples, 2);
+        assert_eq!(pipelined.answers, inline.answers);
+        assert_eq!(
+            (pipelined.answer_digest, pipelined.tree_digest),
+            (inline.answer_digest, inline.tree_digest)
+        );
+        assert_eq!(checkpoint_file(&run_dir), checkpoint_file(&flush_dir));
+
+        let (shared, core) = open_core(stream_config(&run_dir, 2));
+        let stats = shared.stats().core;
+        assert_eq!(stats.replayed_batches, 0, "batch 50 was checkpointed");
+        assert_eq!(core.answer_digest(), pipelined.answer_digest);
+        assert_eq!(core.into_tree_digest().expect("tree"), pipelined.tree_digest);
+        let _ = std::fs::remove_dir_all(&run_dir);
+        let _ = std::fs::remove_dir_all(&flush_dir);
+    }
+
+    /// A failed sync is final. Sync 2 fails with batch 2 taken and batch 3
+    /// queued behind it: neither is acknowledged, both get `Error`, the
+    /// sync is never called again, the core is dead and says why. And on
+    /// a disk that kept nothing but what a successful sync covered, a
+    /// restart finds exactly the batch that was acknowledged.
+    #[test]
+    fn a_failed_sync_is_never_retried_and_nothing_after_it_is_acknowledged() {
+        let dir = scratch_dir("pipe_fail");
+        let gate = SyncGate::failing_at(2);
+        let (shared, mut core) = gated_core(&dir, &gate, 1_024);
+        let running = std::thread::spawn(move || core.run());
+        let (tx, rx) = mpsc::channel();
+
+        submit_batch(&shared, &tx, 0);
+        gate.wait_entered(1);
+        gate.permit();
+        assert_eq!(recv_n(&rx, 4), all(0..4, Status::Ok));
+        submit_batch(&shared, &tx, 1);
+        gate.wait_entered(2);
+        submit_batch(&shared, &tx, 2);
+        wait_until("batch 3 marked", || shared.stats().core.batches == 3);
+        gate.permit();
+        assert_eq!(recv_n(&rx, 8), all(4..12, Status::Error), "taken or queued, all void");
+        assert!(shared.is_dead());
+        let late = shared.submit(insert(12), &tx).expect("a dead core answers at once");
+        assert_eq!(late.status, Status::Error);
+
+        let error = running.join().expect("core thread").expect("the failure is the report");
+        assert!(error.to_string().contains("injected fsync failure"), "{error}");
+        assert_eq!(gate.calls(), 2, "no sync after the one that failed");
+        let stats = shared.stats().core;
+        assert_eq!((stats.acked_writes, stats.commit_syncs), (4, 1), "{stats:?}");
+        assert_eq!(stats.persist.checkpoints, 0, "a dead core installs nothing");
+
+        // The worst disk: everything no successful sync covered is gone.
+        let synced_len = gate.state.lock().expect("gate").synced_len;
+        let wal = std::fs::OpenOptions::new().write(true).open(dir.join(WAL_FILE)).expect("WAL");
+        assert!(wal.metadata().expect("WAL").len() > synced_len, "three batches were logged");
+        wal.set_len(synced_len).expect("truncate");
+        drop(wal);
+
+        let (shared, mut core) = open_core(durable_config(&dir, None));
+        assert_eq!(shared.stats().core.replayed_batches, 1, "exactly the acknowledged batch");
+        let (tx, rx) = mpsc::channel();
+        for key in 0..12 {
+            let get =
+                Request { req_id: key, kind: RequestKind::Get, budget_ns: 1 << 40, key, value: 0 };
+            assert!(shared.submit(get, &tx).is_none());
+        }
+        core.flush_now();
+        for resp in rx.try_iter() {
+            let expected = (resp.req_id < 4).then_some(resp.req_id + 1);
+            assert_eq!(resp.value, expected, "key {}", resp.req_id);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 mod tcp {
     //! The TCP front end, driven by real loopback clients.
 
@@ -743,16 +1162,6 @@ mod tcp {
     use dcart_server::{serve, ServeHandle};
 
     use super::*;
-
-    fn insert(req_id: u64) -> Request {
-        Request {
-            req_id,
-            kind: RequestKind::Insert,
-            budget_ns: 1 << 40,
-            key: req_id,
-            value: req_id + 1,
-        }
-    }
 
     fn serve_with(config: ServerConfig, clock: Arc<dyn Clock>) -> (ServeHandle, SocketAddr) {
         let handle = serve(config, "127.0.0.1:0", clock).expect("serve");
@@ -862,26 +1271,42 @@ mod tcp {
     }
 
     /// `shutdown` behind requests that are still queued: every admitted
-    /// request is answered before the server closes the connection.
+    /// request is answered before the server closes the connection —
+    /// from memory, and durably, where the answers come from the committer
+    /// thread, `run()` joins it before it returns, and the drain checkpoint
+    /// holds every acknowledged write.
     #[test]
     fn shutdown_answers_every_admitted_request_before_the_socket_closes() {
-        // Neither watermark nor linger is ever reached: only drain flushes.
-        let config = ServerConfig { linger_ns: u64::MAX, ..mem_config(64, 1, false) };
-        let (handle, addr) = serve_with(config, Arc::new(TestClock::new()));
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut bytes: Vec<u8> = (0..40).flat_map(|i| encode_request(&insert(i))).collect();
-        let bye =
-            Request { req_id: 99, kind: RequestKind::Shutdown, budget_ns: 0, key: 0, value: 0 };
-        bytes.extend_from_slice(&encode_request(&bye));
-        stream.write_all(&bytes).expect("send");
+        let dir = scratch_dir("tcp_shutdown");
+        for config in [mem_config(64, 1, false), durable_config(&dir, None)] {
+            let durable = config.data_dir.is_some();
+            // Neither watermark nor linger is ever reached: only drain flushes.
+            let config = ServerConfig { batch_size: 64, linger_ns: u64::MAX, ..config };
+            let (handle, addr) = serve_with(config, Arc::new(TestClock::new()));
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut bytes: Vec<u8> = (0..40).flat_map(|i| encode_request(&insert(i))).collect();
+            let bye =
+                Request { req_id: 99, kind: RequestKind::Shutdown, budget_ns: 0, key: 0, value: 0 };
+            bytes.extend_from_slice(&encode_request(&bye));
+            stream.write_all(&bytes).expect("send");
 
-        let answers = answers_until_close(&stream);
-        let mut ids: Vec<u64> = answers.iter().map(|r| r.req_id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..40).chain([99]).collect::<Vec<u64>>());
-        assert!(answers.iter().all(|r| r.status == Status::Ok), "{answers:?}");
-        let report = handle.join().expect("drained by the wire request");
-        assert_ne!(report.answer_digest, 0, "the queued batch was executed");
+            let answers = answers_until_close(&stream);
+            let mut ids: Vec<u64> = answers.iter().map(|r| r.req_id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..40).chain([99]).collect::<Vec<u64>>(), "durable: {durable}");
+            assert!(answers.iter().all(|r| r.status == Status::Ok), "{answers:?}");
+            let stats = handle.shared().stats().core;
+            let report = handle.join().expect("drained by the wire request");
+            assert_ne!(report.answer_digest, 0, "the queued batch was executed");
+            if durable {
+                assert_eq!((stats.acked_writes, stats.commit_syncs), (40, 1), "{stats:?}");
+                let (shared, core) = open_core(durable_config(&dir, None));
+                assert_eq!(shared.stats().core.replayed_batches, 0, "the checkpoint has it all");
+                assert_eq!(core.answer_digest(), report.answer_digest);
+                assert_eq!(core.into_tree_digest().expect("tree"), report.tree_digest);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A core killed by an injected `BeforeCommit` crash answers `Error`

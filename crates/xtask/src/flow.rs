@@ -59,7 +59,12 @@ struct Automaton {
 /// follow a higher-numbered one.
 static AUTOMATA: [Automaton; 3] = [
     // PR-8's durability contract: nothing is acknowledged before it is
-    // WAL-appended, executed, and fsync-committed.
+    // WAL-appended, executed, and fsync-committed. The fsync is `commit` on
+    // the writer where the core loop syncs inline, and the committer
+    // thread's `commit_sync()` where the commit is pipelined; the
+    // acknowledgement is `Response::ok` or a call that carries the batch
+    // to it — `acknowledge`, or the loop's `hand_over` to the committer,
+    // which may sync and answer from the moment it has the batch.
     Automaton {
         name: "durable-ack",
         files: &["crates/server/src/core_loop.rs", "crates/core/src/durable.rs"],
@@ -69,8 +74,20 @@ static AUTOMATA: [Automaton; 3] = [
                 desc: "execute",
                 m: Matcher::Callee(&["execute_batch", "try_execute_ctt_resumed"]),
             },
-            Stage { desc: "fsync commit", m: Matcher::CalleeRecvLast("commit", "writer") },
-            Stage { desc: "acknowledge", m: Matcher::CalleeQual("ok", "Response") },
+            Stage {
+                desc: "fsync commit",
+                m: Matcher::Any(&[
+                    Matcher::CalleeRecvLast("commit", "writer"),
+                    Matcher::Callee(&["commit_sync"]),
+                ]),
+            },
+            Stage {
+                desc: "acknowledge",
+                m: Matcher::Any(&[
+                    Matcher::CalleeQual("ok", "Response"),
+                    Matcher::Callee(&["acknowledge", "hand_over"]),
+                ]),
+            },
         ],
     },
     // PR-4's checkpoint install: the checkpoint file must be durably in

@@ -51,6 +51,47 @@ fn ack_before_fsync_reorder_is_caught_by_o2() {
 }
 
 #[test]
+fn ack_before_the_sync_in_the_committer_is_caught_by_o2() {
+    let path = "crates/server/src/core_loop.rs";
+    let source = read_real(path);
+
+    // The mutation: in the committer thread's loop, release the taken
+    // batches' answers first and call the sync afterwards — the same
+    // durability bug as above, on the pipelined commit path.
+    let mutated = swap_regions(
+        &source,
+        "        // The sync.",
+        "        // The answers.",
+        "        for h in &mut taken {",
+    );
+    let diags = xtask::analyze_source(path, &mutated);
+    assert!(
+        diags.iter().any(|d| d.rule == "O2" && d.msg.contains("fsync commit (stage 3)")),
+        "O2 must catch the committer answering before its sync; got: {diags:?}"
+    );
+}
+
+#[test]
+fn hand_over_before_the_commit_mark_is_caught_by_o2() {
+    let path = "crates/server/src/core_loop.rs";
+    let source = read_real(path);
+
+    // The mutation: the loop hands the batch to the committer — which may
+    // sync and answer it from that moment on — before the batch's commit
+    // mark is written, so the sync that releases it need not cover it.
+    let anchor = "        // 3. Commit";
+    let early =
+        "        if let Some(pipe) = pipe {\n            pipe.hand_over(handed);\n        }\n";
+    assert!(source.contains(anchor), "stage anchor present");
+    let mutated = source.replacen(anchor, &format!("{early}{anchor}"), 1);
+    let diags = xtask::analyze_source(path, &mutated);
+    assert!(
+        diags.iter().any(|d| d.rule == "O2" && d.msg.contains("fsync commit (stage 3)")),
+        "O2 must catch the hand-over before the commit mark; got: {diags:?}"
+    );
+}
+
+#[test]
 fn lock_order_inversion_is_caught_by_c1() {
     let path = "crates/server/src/core_loop.rs";
     let source = read_real(path);
