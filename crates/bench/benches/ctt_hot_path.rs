@@ -8,10 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcart::pcu::{combine_batch, combine_batch_into, CombinedBatch};
-use dcart::{
-    execute_ctt_threaded, try_execute_ctt_profiled, CttConsumer, DcartConfig, ExecOpts,
-    TraverseMode,
-};
+use dcart::{execute_ctt, CttConsumer, DcartConfig, ExecOpts, TraverseMode};
 use dcart_art::simd;
 use dcart_workloads::{generate_ops, synth, KeySet, Mix, Op, OpStreamConfig, Workload};
 
@@ -68,7 +65,9 @@ fn bench_execute(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &threads| {
             b.iter(|| {
                 let mut sink = Sink { visits: 0 };
-                let (_, stats) = execute_ctt_threaded(&keys, &ops, &cfg, 4_096, threads, &mut sink);
+                let opts = ExecOpts { threads, ..ExecOpts::default() };
+                let (_, stats, _) =
+                    execute_ctt(&keys, &ops, &cfg, 4_096, &opts, &mut sink).expect("fault-free");
                 (stats.ops, sink.visits)
             });
         });
@@ -106,9 +105,8 @@ fn bench_skew(c: &mut Criterion) {
                 |b, opts| {
                     b.iter(|| {
                         let mut sink = Sink { visits: 0 };
-                        let (_, stats, _) =
-                            try_execute_ctt_profiled(&keys, &ops, &cfg, 4_096, opts, &mut sink)
-                                .expect("fault-free");
+                        let (_, stats, _) = execute_ctt(&keys, &ops, &cfg, 4_096, opts, &mut sink)
+                            .expect("fault-free");
                         (stats.ops, sink.visits)
                     });
                 },

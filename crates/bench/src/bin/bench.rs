@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! bench [--scale smoke|default|full] [--out DIR] [--jobs N]
-//!       [--sou-threads N] [--steal] [--split-threshold F]
-//!       [--check-baseline FILE]
+//!       [--sou-threads N] [--steal] [--check-baseline FILE]
 //! ```
 //!
 //! Defaults to the smoke scale (the harness measures the *host*, not the
@@ -19,12 +18,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use dcart::ExecOpts;
 use dcart_bench::{perf, Scale};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: bench [--scale smoke|default|full] [--out DIR] [--jobs N] \
-         [--sou-threads N] [--steal] [--split-threshold F] [--check-baseline FILE]"
+         [--sou-threads N] [--steal] [--check-baseline FILE]"
     );
     ExitCode::FAILURE
 }
@@ -34,6 +34,8 @@ fn main() -> ExitCode {
     let mut scale = Scale::smoke();
     let mut out_dir = PathBuf::from(".");
     let mut baseline: Option<PathBuf> = None;
+    let mut jobs: Option<usize> = None;
+    let mut exec = ExecOpts::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -53,38 +55,25 @@ fn main() -> ExitCode {
             }
             "--jobs" => {
                 let Some(n) = args.get(i + 1) else { return usage() };
-                let Ok(n) = n.parse::<usize>() else {
+                let Some(n) = n.parse::<usize>().ok().filter(|&n| n > 0) else {
                     eprintln!("--jobs expects a positive integer, got {n}");
                     return usage();
                 };
-                dcart_bench::parallel::set_jobs(n);
+                jobs = Some(n);
                 i += 2;
             }
             "--sou-threads" => {
                 let Some(n) = args.get(i + 1) else { return usage() };
-                let Ok(n) = n.parse::<usize>() else {
+                let Some(n) = n.parse::<usize>().ok().filter(|&n| n > 0) else {
                     eprintln!("--sou-threads expects a positive integer, got {n}");
                     return usage();
                 };
-                dcart::set_sou_threads(n);
+                exec.threads = n;
                 i += 2;
             }
             "--steal" => {
-                dcart::set_work_stealing(true);
+                exec.steal = true;
                 i += 1;
-            }
-            "--split-threshold" => {
-                let Some(f) = args.get(i + 1) else { return usage() };
-                let Ok(f) = f.parse::<f64>() else {
-                    eprintln!("--split-threshold expects a number, got {f}");
-                    return usage();
-                };
-                if !(0.0..=1.0).contains(&f) {
-                    eprintln!("--split-threshold must be in [0, 1], got {f}");
-                    return usage();
-                }
-                dcart::set_split_threshold(f);
-                i += 2;
             }
             "--check-baseline" => {
                 let Some(path) = args.get(i + 1) else { return usage() };
@@ -98,12 +87,14 @@ fn main() -> ExitCode {
         }
     }
 
+    if let Some(n) = jobs {
+        scale.jobs = n;
+    }
+    scale.exec = exec;
+
     println!(
         "perf harness | {} keys, {} ops per cell | {} worker(s) | {} SOU thread(s)\n",
-        scale.keys,
-        scale.ops,
-        dcart_bench::parallel::jobs(),
-        dcart::sou_threads()
+        scale.keys, scale.ops, scale.jobs, scale.exec.threads
     );
     let t0 = std::time::Instant::now();
     let report = perf::run(&scale, &out_dir);

@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! repro <exhibit> [--scale smoke|default|full] [--out DIR] [--jobs N]
-//!                 [--sou-threads N] [--traverse level-wise|per-op]
-//!                 [--steal] [--split-threshold F]
-//!                 [--batches N] [--seed S]
+//!                 [--sou-threads N] [--steal] [--batches N] [--seed S]
 //!
 //! exhibits:
 //!   table1   Table I   — DCART configuration
@@ -23,6 +21,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use dcart::ExecOpts;
 use dcart_bench::{experiments, Scale};
 
 const EXHIBITS: &str = "table1|fig2|fig3|overall|fig7|fig8|fig9|fig11|fig10|fig12|ablate|\
@@ -32,8 +31,7 @@ fn print_usage() {
     eprintln!(
         "usage: repro <{EXHIBITS}> \
          [--scale smoke|default|full] [--out DIR] [--jobs N] [--sou-threads N] \
-         [--traverse level-wise|per-op] [--steal] [--split-threshold F] \
-         [--batches N] [--seed S]"
+         [--steal] [--batches N] [--seed S]"
     );
 }
 
@@ -94,6 +92,8 @@ fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("reports");
     let mut batches: u64 = 32;
     let mut seed_override: Option<u64> = None;
+    let mut jobs: Option<usize> = None;
+    let mut exec = ExecOpts::default();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -118,61 +118,27 @@ fn main() -> ExitCode {
                 let Some(n) = args.get(i + 1) else {
                     return fail("--jobs needs a positive integer");
                 };
-                let Ok(n) = n.parse::<usize>() else {
+                let Some(n) = n.parse::<usize>().ok().filter(|&n| n > 0) else {
                     return fail(&format!("--jobs expects a positive integer, got '{n}'"));
                 };
-                dcart_bench::parallel::set_jobs(n);
+                jobs = Some(n);
                 i += 2;
             }
             "--sou-threads" => {
                 let Some(n) = args.get(i + 1) else {
                     return fail("--sou-threads needs a positive integer");
                 };
-                let Ok(n) = n.parse::<usize>() else {
+                let Some(n) = n.parse::<usize>().ok().filter(|&n| n > 0) else {
                     return fail(&format!("--sou-threads expects a positive integer, got '{n}'"));
                 };
-                dcart::set_sou_threads(n);
-                i += 2;
-            }
-            "--traverse" => {
-                // Escape hatch for A/B runs: both modes produce identical
-                // reports, so this only ever changes wall-clock.
-                let Some(name) = args.get(i + 1) else {
-                    return fail("--traverse needs a mode: level-wise or per-op");
-                };
-                let mode = match name.as_str() {
-                    "level-wise" => dcart::TraverseMode::LevelWise,
-                    "per-op" => dcart::TraverseMode::PerOp,
-                    other => {
-                        return fail(&format!(
-                            "unknown traverse mode '{other}' (want level-wise or per-op)"
-                        ));
-                    }
-                };
-                dcart::set_traverse_mode(mode);
+                exec.threads = n;
                 i += 2;
             }
             "--steal" => {
                 // Work stealing moves shards between workers, never
                 // results: reports are byte-identical with it on or off.
-                dcart::set_work_stealing(true);
+                exec.steal = true;
                 i += 1;
-            }
-            "--split-threshold" => {
-                // Adaptive hot-bucket sub-sharding: a fixed threshold
-                // changes the (deterministic) split schedule, so reports
-                // are identical across thread counts for any one value.
-                let Some(f) = args.get(i + 1) else {
-                    return fail("--split-threshold needs a fraction in [0, 1]");
-                };
-                let Ok(f) = f.parse::<f64>() else {
-                    return fail(&format!("--split-threshold expects a number, got '{f}'"));
-                };
-                if !(0.0..=1.0).contains(&f) {
-                    return fail(&format!("--split-threshold must be in [0, 1], got {f}"));
-                }
-                dcart::set_split_threshold(f);
-                i += 2;
             }
             "--batches" => {
                 let Some(n) = args.get(i + 1) else {
@@ -205,6 +171,10 @@ fn main() -> ExitCode {
     if let Some(s) = seed_override {
         scale.seed = s;
     }
+    if let Some(n) = jobs {
+        scale.jobs = n;
+    }
+    scale.exec = exec;
 
     println!(
         "DCART reproduction | scale: {} keys, {} ops, {} in flight | {} worker(s) \
@@ -212,8 +182,8 @@ fn main() -> ExitCode {
         scale.keys,
         scale.ops,
         scale.concurrency,
-        dcart_bench::parallel::jobs(),
-        dcart::sou_threads(),
+        scale.jobs,
+        scale.exec.threads,
         out_dir.display()
     );
 
@@ -284,7 +254,7 @@ fn main() -> ExitCode {
     println!(
         "done: {exhibit} in {:.2} s wall with {} worker(s)",
         t0.elapsed().as_secs_f64(),
-        dcart_bench::parallel::jobs()
+        scale.jobs
     );
     ExitCode::SUCCESS
 }

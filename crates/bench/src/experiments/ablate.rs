@@ -96,8 +96,8 @@ pub fn run(scale: &Scale, out_dir: &Path) -> AblationReport {
         &keys,
         &OpStreamConfig { count: scale.ops, mix: Mix::C, theta: 0.99, seed: scale.seed },
     );
-    let points = crate::parallel::par_map(variants(base), |(variant, cfg)| {
-        let mut engine = DcartAccel::new(cfg.with_auto_prefix_skip(&keys));
+    let points = crate::parallel::par_map(scale.jobs, variants(base), |(variant, cfg)| {
+        let mut engine = DcartAccel::new(cfg.with_auto_prefix_skip(&keys)).with_exec(scale.exec);
         let r: RunReport = engine.run(&keys, &ops, &RunConfig { concurrency: scale.concurrency });
         AblationPoint {
             variant,

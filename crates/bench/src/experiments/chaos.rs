@@ -160,7 +160,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> ChaosReport {
         let run_cfg = RunConfig { concurrency: scale.concurrency };
 
         // Fault-free reference.
-        let mut engine = DcartAccel::new(cfg.with_auto_prefix_skip(&keys));
+        let mut engine = DcartAccel::new(cfg.with_auto_prefix_skip(&keys)).with_exec(scale.exec);
         let base: RunReport = engine.run(&keys, &ops, &run_cfg);
         let base_details = engine.last_details().clone();
         assert_eq!(
@@ -169,11 +169,13 @@ pub fn run(scale: &Scale, out_dir: &Path) -> ChaosReport {
             "fault-free run must not count recoveries"
         );
 
-        let faulted =
-            crate::parallel::par_map(fault_matrix(scale.seed), |(fault, intensity, plan)| {
+        let faulted = crate::parallel::par_map(
+            scale.jobs,
+            fault_matrix(scale.seed),
+            |(fault, intensity, plan)| {
                 let mut cfg = cfg.with_auto_prefix_skip(&keys);
                 cfg.faults = plan;
-                let mut engine = DcartAccel::new(cfg);
+                let mut engine = DcartAccel::new(cfg).with_exec(scale.exec);
                 let r: RunReport = engine.run(&keys, &ops, &run_cfg);
                 let d = engine.last_details();
                 ChaosCell {
@@ -188,7 +190,8 @@ pub fn run(scale: &Scale, out_dir: &Path) -> ChaosReport {
                     recoveries: recoveries_of(fault, &d.recovery),
                     recovery: d.recovery,
                 }
-            });
+            },
+        );
         cells.extend(faulted);
     }
 

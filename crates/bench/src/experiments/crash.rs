@@ -15,10 +15,9 @@
 use std::path::{Path, PathBuf};
 
 use dcart::{
-    run_durable, tree_digest, try_execute_ctt_threaded, CrashInjector, CrashPlan, CrashSite,
-    CttConsumer, DcartConfig, DurabilityConfig, PersistStats,
+    execute_ctt, run_durable, tree_digest, CrashInjector, CrashPlan, CrashSite, CttConsumer,
+    DcartConfig, DurabilityConfig, ExecOpts, PersistStats,
 };
-use dcart_art::Art;
 use dcart_workloads::{generate_ops, KeySet, Mix, Op, OpStreamConfig, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -81,11 +80,10 @@ fn plain_reference(
     ops: &[Op],
     config: &DcartConfig,
     batch: usize,
-    threads: usize,
+    opts: &ExecOpts,
 ) -> (u64, u64) {
-    let (tree, stats): (Art<u64>, _) =
-        try_execute_ctt_threaded(keys, ops, config, batch, threads, &mut Sink)
-            .expect("reference execution");
+    let (tree, stats, _) =
+        execute_ctt(keys, ops, config, batch, opts, &mut Sink).expect("reference execution");
     (stats.answer_digest, tree_digest(&tree))
 }
 
@@ -129,13 +127,16 @@ pub fn run(scale: &Scale, out_dir: &Path) -> CrashReport {
             |dir: PathBuf| DurabilityConfig { dir, checkpoint_every: 3, sync_commits: true };
 
         for threads in [1usize, 2] {
+            // The thread count is the matrix's own axis; the rest of the
+            // execution options (stealing) come from the command line.
+            let opts = ExecOpts { threads, ..scale.exec };
             // Uninterrupted durable run: establishes the reference digests
             // and counts every site's crash opportunities.
-            let (plain_answer, plain_tree) = plain_reference(&keys, &ops, &config, batch, threads);
+            let (plain_answer, plain_tree) = plain_reference(&keys, &ops, &config, batch, &opts);
             let ref_dir = scratch.join(format!("{wname}-t{threads}-reference"));
             let mut counting = CrashInjector::counting();
             let reference =
-                run_durable(&keys, &ops, &config, batch, threads, &dur_of(ref_dir), &mut counting)
+                run_durable(&keys, &ops, &config, batch, &opts, &dur_of(ref_dir), &mut counting)
                     .expect("uninterrupted durable run");
             assert_eq!(reference.crashed, None);
             assert_eq!(
@@ -153,16 +154,16 @@ pub fn run(scale: &Scale, out_dir: &Path) -> CrashReport {
                 }
             }
 
-            let done = crate::parallel::par_map(plans, |(site, at, opps)| {
+            let done = crate::parallel::par_map(scale.jobs, plans, |(site, at, opps)| {
                 let dir = cell_dir(&scratch, wname, threads, site, at);
                 let dur = dur_of(dir);
                 let seed = scale.seed ^ (at << 8) ^ site.index() as u64;
                 let mut crash = CrashInjector::for_plan(CrashPlan { site, at, seed });
-                let crashed = run_durable(&keys, &ops, &config, batch, threads, &dur, &mut crash)
+                let crashed = run_durable(&keys, &ops, &config, batch, &opts, &dur, &mut crash)
                     .expect("injected crashes are Ok outcomes, real errors are not");
                 // Restart: recover from the directory and run to completion.
                 let mut none = CrashInjector::counting();
-                let resumed = run_durable(&keys, &ops, &config, batch, threads, &dur, &mut none)
+                let resumed = run_durable(&keys, &ops, &config, batch, &opts, &dur, &mut none)
                     .expect("restart after crash");
                 let mut persist = crashed.persist;
                 persist.accumulate(&resumed.persist);

@@ -67,7 +67,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> Fig2Report {
     let engines = ["ART", "Heart", "SMART"];
 
     // (a)(b)(c): all six workloads at the default mix.
-    let data = crate::parallel::par_map(Workload::ALL.to_vec(), |w| {
+    let data = crate::parallel::par_map(scale.jobs, Workload::ALL.to_vec(), |w| {
         let keys = w.generate(scale.keys, scale.seed);
         let ops = generate_ops(
             &keys,
@@ -80,7 +80,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> Fig2Report {
         .enumerate()
         .flat_map(|(wi, &w)| engines.iter().map(move |&e| (wi, w, e)))
         .collect();
-    let matrix = crate::parallel::par_map(cells, |(wi, workload, name)| {
+    let matrix = crate::parallel::par_map(scale.jobs, cells, |(wi, workload, name)| {
         let (keys, ops) = &data[wi];
         let r = baseline(name, scale.keys).run(
             keys,
@@ -137,7 +137,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> Fig2Report {
     concs.dedup();
     let cells: Vec<(&str, usize)> =
         engines.iter().flat_map(|&e| concs.iter().map(move |&c| (e, c))).collect();
-    let sync_vs_concurrency = crate::parallel::par_map(cells, |(name, conc)| {
+    let sync_vs_concurrency = crate::parallel::par_map(scale.jobs, cells, |(name, conc)| {
         let r = baseline(name, scale.keys).run(
             &ipgeo_keys,
             &ipgeo_ops_c,
@@ -154,7 +154,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> Fig2Report {
 
     // (e): throughput vs write ratio on IPGEO.
     println!("-- Fig. 2(e): throughput vs write ratio (IPGEO) --");
-    let mix_ops = crate::parallel::par_map(Mix::named().to_vec(), |(label, mix)| {
+    let mix_ops = crate::parallel::par_map(scale.jobs, Mix::named().to_vec(), |(label, mix)| {
         let ops = generate_ops(
             &ipgeo_keys,
             &OpStreamConfig { count: scale.ops, mix, theta: 0.99, seed: scale.seed },
@@ -163,7 +163,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> Fig2Report {
     });
     let cells: Vec<(&str, usize)> =
         engines.iter().flat_map(|&e| (0..mix_ops.len()).map(move |mi| (e, mi))).collect();
-    let throughput_vs_mix = crate::parallel::par_map(cells, |(name, mi)| {
+    let throughput_vs_mix = crate::parallel::par_map(scale.jobs, cells, |(name, mi)| {
         let (label, ops) = &mix_ops[mi];
         let r = baseline(name, scale.keys).run(
             &ipgeo_keys,

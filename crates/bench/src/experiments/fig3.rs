@@ -93,7 +93,8 @@ pub fn run(scale: &Scale, out_dir: &Path) -> Fig3Report {
         "median ops/prefix",
         "top-5% node share %",
     ]);
-    let workloads = crate::parallel::par_map(Workload::REAL_WORLD.to_vec(), |w| analyze(w, scale));
+    let workloads =
+        crate::parallel::par_map(scale.jobs, Workload::REAL_WORLD.to_vec(), |w| analyze(w, scale));
     for a in &workloads {
         t.row(&[
             a.workload.clone(),

@@ -129,7 +129,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> IndexReport {
     let workloads = [Workload::Ipgeo, Workload::Dict, Workload::RandomSparse];
     // Stage 1: generate each workload's key set; stage 2: fan the
     // (workload, index family) cells over the worker pool.
-    let data = crate::parallel::par_map(workloads.to_vec(), |w| {
+    let data = crate::parallel::par_map(scale.jobs, workloads.to_vec(), |w| {
         w.generate(scale.keys.min(100_000), scale.seed)
     });
     let cells: Vec<(usize, Workload, usize)> = workloads
@@ -137,7 +137,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> IndexReport {
         .enumerate()
         .flat_map(|(wi, &w)| (0..3).map(move |family| (wi, w, family)))
         .collect();
-    let rows = crate::parallel::par_map(cells, |(wi, workload, family)| {
+    let rows = crate::parallel::par_map(scale.jobs, cells, |(wi, workload, family)| {
         let keys = &data[wi].keys;
         match family {
             0 => measure_art(workload, keys),

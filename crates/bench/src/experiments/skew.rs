@@ -71,7 +71,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> SkewReport {
             &keys,
             &OpStreamConfig { count: scale.ops, mix: Mix::C, theta, seed: scale.seed },
         );
-        let mut dcart = DcartAccel::new(dcfg);
+        let mut dcart = DcartAccel::new(dcfg).with_exec(scale.exec);
         let d = dcart.run(&keys, &ops, &run_cfg);
         let s = CpuBaseline::smart(cpu).run(&keys, &ops, &run_cfg);
         let p = SkewPoint {
@@ -106,9 +106,8 @@ pub fn run(scale: &Scale, out_dir: &Path) -> SkewReport {
     let opts = dcart::ExecOpts { threads: 2, mode: dcart::TraverseMode::LevelWise, steal: false };
     struct NoSink;
     impl dcart::CttConsumer for NoSink {}
-    let (_, _, load) =
-        dcart::try_execute_ctt_profiled(&keys, &ops, &prof_cfg, 4_096, &opts, &mut NoSink)
-            .expect("the profiled skew run injects no faults");
+    let (_, _, load) = dcart::execute_ctt(&keys, &ops, &prof_cfg, 4_096, &opts, &mut NoSink)
+        .expect("the profiled skew run injects no faults");
     let total: u64 = load.buckets.iter().map(|b| b.ops).sum();
     if let Some(hot) = load.buckets.iter().max_by_key(|b| b.ops) {
         println!(

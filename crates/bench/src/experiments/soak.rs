@@ -16,8 +16,8 @@
 use std::path::Path;
 
 use dcart::{
-    fold_digest, recover, run_durable, try_execute_ctt_threaded, CrashInjector, CrashPlan,
-    CrashSite, CttConsumer, CttOpEvent, DcartConfig, DurabilityConfig, FaultPlan, PersistStats,
+    execute_ctt, fold_digest, recover, run_durable, CrashInjector, CrashPlan, CrashSite,
+    CttConsumer, CttOpEvent, DcartConfig, DurabilityConfig, ExecOpts, FaultPlan, PersistStats,
 };
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
 use serde::{Deserialize, Serialize};
@@ -106,7 +106,8 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
     );
     let n_keys = scale.keys.min(20_000);
     let batch_size = scale.concurrency.min(4_096);
-    let threads = 2;
+    // Two SOU threads always; stealing as the command line says.
+    let opts = ExecOpts { threads: 2, ..scale.exec };
     let n_ops = (batches as usize) * batch_size;
 
     let keys = Workload::Ipgeo.generate(n_keys, seed);
@@ -118,9 +119,8 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
     // Fault-free, non-durable reference with a digest at every batch
     // boundary (the chaos invariant makes it comparable to faulted runs).
     let mut trace = DigestTrace::default();
-    let (ref_tree, ref_stats) =
-        try_execute_ctt_threaded(&keys, &ops, &clean, batch_size, threads, &mut trace)
-            .expect("reference execution");
+    let (ref_tree, ref_stats, _) = execute_ctt(&keys, &ops, &clean, batch_size, &opts, &mut trace)
+        .expect("reference execution");
     let ref_tree_digest = dcart::tree_digest(&ref_tree);
     let ref_per_batch = trace.per_batch;
 
@@ -141,7 +141,7 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
         // soak makes forward progress while still dying mid-stream.
         let at = 1 + cycle % 3;
         let mut crash = CrashInjector::for_plan(CrashPlan { site, at, seed: seed ^ cycle });
-        let out = run_durable(&keys, &ops, &faulted, batch_size, threads, &dur, &mut crash)
+        let out = run_durable(&keys, &ops, &faulted, batch_size, &opts, &dur, &mut crash)
             .expect("soak cycle");
         persist.accumulate(&out.persist);
 
@@ -160,7 +160,7 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
 
         // Simulated death: recover and check the mid-stream digest against
         // the reference trace at the last durable batch.
-        let st = recover(&keys, &faulted, threads, &dur).expect("recovery after soak crash");
+        let st = recover(&keys, &faulted, &opts, &dur).expect("recovery after soak crash");
         let expected = match st.next_seq {
             0 => 0,
             n => *ref_per_batch

@@ -101,10 +101,10 @@ pub fn run(scale: &Scale, out_dir: &Path) -> TimelineReport {
     let base = DcartConfig::default().scaled_for_keys(keys.len()).with_auto_prefix_skip(&keys);
 
     // The overlap-on and overlap-off runs are independent cells.
-    let mut schedules = crate::parallel::par_map(vec![true, false], |overlap| {
+    let mut schedules = crate::parallel::par_map(scale.jobs, vec![true, false], |overlap| {
         let mut cfg = base;
         cfg.overlap_enabled = overlap;
-        let mut engine = DcartAccel::new(cfg);
+        let mut engine = DcartAccel::new(cfg).with_exec(scale.exec);
         engine.run(&keys, &ops, &run_cfg);
         schedule(&engine.last_details().batches, overlap)
     });

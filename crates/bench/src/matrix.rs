@@ -1,6 +1,6 @@
 //! The engine × workload run matrix shared by Figs. 7, 8, 9, and 11.
 
-use dcart::{DcartAccel, DcartConfig, DcartSoftware};
+use dcart::{DcartAccel, DcartConfig, DcartSoftware, ExecOpts};
 use dcart_baselines::{
     CpuBaseline, CpuConfig, CuArt, GpuConfig, IndexEngine, RunConfig, RunReport,
 };
@@ -16,8 +16,13 @@ pub fn engine_names() -> [&'static str; 6] {
 
 /// Builds an engine by name, with platform models scaled to the key set
 /// (cache/buffer sizes) and DCART's combining prefix skipped past the key
-/// set's common prefix, as the host driver would program it.
-fn build_engine(name: &str, key_set: &dcart_workloads::KeySet) -> Box<dyn IndexEngine> {
+/// set's common prefix, as the host driver would program it. The DCART
+/// engines run their functional CTT pass under `exec`.
+fn build_engine(
+    name: &str,
+    key_set: &dcart_workloads::KeySet,
+    exec: ExecOpts,
+) -> Box<dyn IndexEngine> {
     let keys = key_set.len();
     let cpu = CpuConfig::xeon_8468().scaled_for_keys(keys);
     let dcart_cfg = DcartConfig::default().scaled_for_keys(keys).with_auto_prefix_skip(key_set);
@@ -26,8 +31,8 @@ fn build_engine(name: &str, key_set: &dcart_workloads::KeySet) -> Box<dyn IndexE
         "Heart" => Box::new(CpuBaseline::heart(cpu)),
         "SMART" => Box::new(CpuBaseline::smart(cpu)),
         "CuART" => Box::new(CuArt::new(GpuConfig::a100().scaled_for_keys(keys))),
-        "DCART-C" => Box::new(DcartSoftware::new(dcart_cfg, cpu)),
-        "DCART" => Box::new(DcartAccel::new(dcart_cfg)),
+        "DCART-C" => Box::new(DcartSoftware::new(dcart_cfg, cpu).with_exec(exec)),
+        "DCART" => Box::new(DcartAccel::new(dcart_cfg).with_exec(exec)),
         other => panic!("unknown engine {other}"),
     }
 }
@@ -50,7 +55,7 @@ pub fn run_engine(engine: &str, workload: Workload, scale: &Scale, mix: Mix) -> 
         &keys,
         &OpStreamConfig { count: scale.ops, mix, theta: 0.99, seed: scale.seed },
     );
-    let mut e = build_engine(engine, &keys);
+    let mut e = build_engine(engine, &keys, scale.exec);
     e.run(&keys, &ops, &RunConfig { concurrency: scale.concurrency })
 }
 
@@ -62,7 +67,7 @@ pub fn run_engine(engine: &str, workload: Workload, scale: &Scale, mix: Mix) -> 
 /// collected in matrix order (workload-major, then engine), independent of
 /// which worker finishes first, so the report is identical at any `--jobs`.
 pub fn run_matrix(engines: &[&str], workloads: &[Workload], scale: &Scale) -> Vec<MatrixEntry> {
-    let data = crate::parallel::par_map(workloads.to_vec(), |workload| {
+    let data = crate::parallel::par_map(scale.jobs, workloads.to_vec(), |workload| {
         let keys = workload.generate(scale.keys, scale.seed);
         let ops = generate_ops(
             &keys,
@@ -76,9 +81,9 @@ pub fn run_matrix(engines: &[&str], workloads: &[Workload], scale: &Scale) -> Ve
         .enumerate()
         .flat_map(|(wi, &w)| engines.iter().map(move |&e| (wi, w, e)))
         .collect();
-    let timed = crate::parallel::par_map_timed(cells, |(wi, workload, engine)| {
+    let timed = crate::parallel::par_map_timed(scale.jobs, cells, |(wi, workload, engine)| {
         let (keys, ops) = &data[wi];
-        let mut e = build_engine(engine, keys);
+        let mut e = build_engine(engine, keys, scale.exec);
         let report = e.run(keys, ops, &RunConfig { concurrency: scale.concurrency });
         MatrixEntry { engine: engine.to_string(), workload: workload.name().to_string(), report }
     });
@@ -110,7 +115,8 @@ mod tests {
 
     #[test]
     fn matrix_covers_all_cells() {
-        let scale = Scale { keys: 2_000, ops: 6_000, concurrency: 2_048, seed: 1 };
+        let scale =
+            Scale { keys: 2_000, ops: 6_000, concurrency: 2_048, seed: 1, ..Scale::smoke() };
         let m = run_matrix(&["ART", "DCART"], &[Workload::DenseInt], &scale);
         assert_eq!(m.len(), 2);
         assert_eq!(find(&m, "ART", "DE").counters.ops, 6_000);

@@ -6,34 +6,21 @@
 //! same report no matter when or where it runs. That makes the fan-out
 //! trivially safe — the only discipline required is *collection order*.
 //!
-//! [`par_map`] runs cells on up to [`jobs`] scoped worker threads pulling
-//! from a shared atomic cursor, and writes each result into the slot of its
-//! input index. Output order is input order, never completion order, so
-//! `repro --jobs 1` and `repro --jobs 8` emit byte-identical reports.
+//! [`par_map`] runs cells on up to `jobs` workers of the executor's own
+//! scoped pool ([`dcart_engine::par_for_each_mut`]), each cell writing its
+//! result into the slot of its input index. Output order is input order,
+//! never completion order, so `repro --jobs 1` and `repro --jobs 8` emit
+//! byte-identical reports. The worker count is [`Scale::jobs`](crate::Scale),
+//! passed explicitly by every exhibit.
 //!
 //! Per-cell wall-clock (the harness's own cost, not the simulated time) is
 //! measured by [`par_map_timed`] for the perf harness and progress lines.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-/// Configured worker count; 0 means "not set, use the host parallelism".
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the worker count used by [`par_map`] (the `repro --jobs N` flag).
-/// Values are clamped to at least 1.
-pub fn set_jobs(n: usize) {
-    JOBS.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The current worker count: the value set via [`set_jobs`], or the host's
-/// available parallelism when unset.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
+/// The default worker count: the host's available parallelism.
+pub(crate) fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// One cell's result plus the wall-clock seconds the cell took to compute
@@ -46,106 +33,65 @@ pub struct Timed<R> {
     pub seconds: f64,
 }
 
-/// Runs `f` over `inputs` on up to [`jobs`] worker threads and returns the
+/// Runs `f` over `inputs` on up to `jobs` worker threads and returns the
 /// results in input order. Panics in a cell propagate to the caller.
-pub fn par_map<I, R, F>(inputs: Vec<I>, f: F) -> Vec<R>
+pub fn par_map<I, R, F>(jobs: usize, inputs: Vec<I>, f: F) -> Vec<R>
 where
     I: Send,
     R: Send,
     F: Fn(I) -> R + Sync,
 {
-    par_map_timed(inputs, f).into_iter().map(|t| t.value).collect()
+    par_map_timed(jobs, inputs, f).into_iter().map(|t| t.value).collect()
 }
 
 /// [`par_map`], with per-cell wall-clock timing attached to each result.
-pub fn par_map_timed<I, R, F>(inputs: Vec<I>, f: F) -> Vec<Timed<R>>
+pub fn par_map_timed<I, R, F>(jobs: usize, inputs: Vec<I>, f: F) -> Vec<Timed<R>>
 where
     I: Send,
     R: Send,
     F: Fn(I) -> R + Sync,
 {
-    let n = inputs.len();
-    let workers = jobs().min(n.max(1));
-    if workers <= 1 {
-        return inputs
-            .into_iter()
-            .map(|item| {
-                let t0 = Instant::now();
-                let value = f(item);
-                Timed { value, seconds: t0.elapsed().as_secs_f64() }
-            })
-            .collect();
-    }
-
-    // Input cells and index-keyed result slots. Workers claim cells via an
-    // atomic cursor; each result lands in the slot of its input index, so
-    // collection order never depends on completion order.
-    let items: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let slots: Vec<Mutex<Option<Timed<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = items[i]
-                    .lock()
-                    .expect("cell input poisoned")
-                    .take()
-                    .expect("cell claimed twice");
-                let t0 = Instant::now();
-                let value = f(item);
-                let seconds = t0.elapsed().as_secs_f64();
-                *slots[i].lock().expect("cell slot poisoned") = Some(Timed { value, seconds });
-            });
-        }
+    // One `(input, result)` slot per cell; the pool hands each slot to
+    // exactly one worker, so results land by input index.
+    let mut slots: Vec<(Option<I>, Option<Timed<R>>)> =
+        inputs.into_iter().map(|i| (Some(i), None)).collect();
+    dcart_engine::par_for_each_mut(&mut slots, jobs, |_, (input, result)| {
+        let item = input.take().expect("the pool visits every slot once");
+        let t0 = Instant::now();
+        let value = f(item);
+        *result = Some(Timed { value, seconds: t0.elapsed().as_secs_f64() });
     });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("cell slot poisoned").expect("scope joined all workers")
-        })
-        .collect()
+    slots.into_iter().map(|(_, result)| result.expect("the pool joined every cell")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // `set_jobs` mutates process-global state, so everything that observes
-    // it lives in one sequential test; other tests in this binary only
-    // *read* the worker count, which never affects results.
     #[test]
     fn pool_is_deterministic_and_clamped() {
-        set_jobs(0);
-        assert_eq!(jobs(), 1, "worker count clamps to at least 1");
+        // Zero workers still runs every cell (inline, like one).
+        assert_eq!(par_map(0, vec![1u64, 2, 3], |i| i * 10), vec![10, 20, 30]);
 
-        set_jobs(4);
         // Make early cells the slowest so completion order inverts input
         // order; the output must still be input-ordered.
-        let out = par_map((0..32u64).collect(), |i| {
+        let out = par_map(4, (0..32u64).collect(), |i| {
             std::thread::sleep(std::time::Duration::from_micros((32 - i) * 50));
             i * i
         });
         assert_eq!(out, (0..32u64).map(|i| i * i).collect::<Vec<_>>());
 
-        set_jobs(2);
-        let timed = par_map_timed(vec![1u64, 2, 3], |i| {
+        let timed = par_map_timed(2, vec![1u64, 2, 3], |i| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             i
         });
         assert_eq!(timed.iter().map(|t| t.value).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert!(timed.iter().all(|t| t.seconds > 0.0));
-        set_jobs(1);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = par_map(Vec::<u32>::new(), |i| i);
+        let out: Vec<u32> = par_map(4, Vec::<u32>::new(), |i| i);
         assert!(out.is_empty());
     }
 }

@@ -18,7 +18,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use dcart::{execute_ctt, try_execute_ctt_profiled, CttConsumer, DcartConfig, ExecOpts};
+use dcart::{execute_ctt, CttConsumer, DcartConfig, ExecOpts};
 use dcart_art::node::{binary_search_lane, masked_search_lane};
 use dcart_baselines::execute_with_traces;
 use dcart_indexes::{BPlusTree, HashIndex};
@@ -116,7 +116,7 @@ pub struct PerfReport {
     /// Worker threads the cells were fanned over.
     pub jobs: usize,
     /// SOU worker threads inside each CTT execution
-    /// ([`dcart::sou_threads`]) — results are identical at any setting,
+    /// ([`ExecOpts::threads`]) — results are identical at any setting,
     /// only the CTT cells' wall-clock moves.
     pub sou_threads: usize,
     /// Every timed executor × workload cell.
@@ -168,7 +168,7 @@ impl Timing {
     }
 }
 
-fn time_ctt(keys: &dcart_workloads::KeySet, ops: &[Op]) -> Timing {
+fn time_ctt(keys: &dcart_workloads::KeySet, ops: &[Op], exec: &ExecOpts) -> Timing {
     let cfg = DcartConfig::default().scaled_for_keys(keys.len()).with_auto_prefix_skip(keys);
     let mut counter = VisitCounter::default();
     // The executor bulk-loads internally; time an explicit load on a
@@ -179,7 +179,8 @@ fn time_ctt(keys: &dcart_workloads::KeySet, ops: &[Op]) -> Timing {
     let load_wall_s = t_load.elapsed().as_secs_f64();
     drop(probe);
     let t0 = Instant::now();
-    let (art, stats) = execute_ctt(keys, ops, &cfg, 4_096, &mut counter);
+    let (art, stats, _) =
+        execute_ctt(keys, ops, &cfg, 4_096, exec, &mut counter).expect("CTT cells run fault-free");
     let wall_s = (t0.elapsed().as_secs_f64() - load_wall_s).max(1e-9);
     Timing {
         wall_s,
@@ -355,9 +356,8 @@ pub fn run_skew_sweep(scale: &Scale) -> (Vec<SkewCell>, dcart::LoadReport) {
                     ExecOpts { threads, mode: dcart::TraverseMode::LevelWise, steal: adaptive };
                 let mut sink = VisitCounter::default();
                 let t0 = Instant::now();
-                let (_, stats, load) =
-                    try_execute_ctt_profiled(&keys, &ops, &cfg, 4_096, &opts, &mut sink)
-                        .expect("skew sweep executes fault-free");
+                let (_, stats, load) = execute_ctt(&keys, &ops, &cfg, 4_096, &opts, &mut sink)
+                    .expect("skew sweep executes fault-free");
                 let wall_s = (t0.elapsed().as_secs_f64() - load_wall_s).max(1e-9);
                 let total: u64 = load.buckets.iter().map(|b| b.ops).sum();
                 let hottest = load.buckets.iter().map(|b| b.ops).max().unwrap_or(0);
@@ -389,7 +389,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> PerfReport {
     let workloads = [Workload::Ipgeo, Workload::Dict, Workload::RandomSparse];
     let engines = ["CTT", "ART-trace", "B+tree", "hash"];
 
-    let data = crate::parallel::par_map(workloads.to_vec(), |w| {
+    let data = crate::parallel::par_map(scale.jobs, workloads.to_vec(), |w| {
         let keys = w.generate(scale.keys, scale.seed);
         let ops = generate_ops(
             &keys,
@@ -402,10 +402,10 @@ pub fn run(scale: &Scale, out_dir: &Path) -> PerfReport {
         .enumerate()
         .flat_map(|(wi, &w)| engines.iter().map(move |&e| (wi, w, e)))
         .collect();
-    let timed = crate::parallel::par_map_timed(cells, |(wi, workload, engine)| {
+    let timed = crate::parallel::par_map_timed(scale.jobs, cells, |(wi, workload, engine)| {
         let (keys, ops) = &data[wi];
         let t = match engine {
-            "CTT" => time_ctt(keys, ops),
+            "CTT" => time_ctt(keys, ops, &scale.exec),
             "ART-trace" => time_art_trace(keys, ops),
             "B+tree" => time_bptree(keys, ops),
             _ => time_hash(keys, ops),
@@ -486,8 +486,8 @@ pub fn run(scale: &Scale, out_dir: &Path) -> PerfReport {
     let report = PerfReport {
         keys: scale.keys,
         ops: scale.ops,
-        jobs: crate::parallel::jobs(),
-        sou_threads: dcart::sou_threads(),
+        jobs: scale.jobs,
+        sou_threads: scale.exec.threads,
         cells,
         n16_search,
         skew,
@@ -557,7 +557,8 @@ mod tests {
 
     #[test]
     fn harness_times_every_cell_and_agrees_on_n16() {
-        let scale = Scale { keys: 1_000, ops: 3_000, concurrency: 1_024, seed: 11 };
+        let scale =
+            Scale { keys: 1_000, ops: 3_000, concurrency: 1_024, seed: 11, ..Scale::smoke() };
         let tmp = std::env::temp_dir().join("dcart-perf-test");
         let r = run(&scale, &tmp);
         assert_eq!(r.cells.len(), 12, "4 executors x 3 workloads");
@@ -610,7 +611,7 @@ mod tests {
 
     #[test]
     fn baseline_check_accepts_itself_and_flags_collapses() {
-        let scale = Scale { keys: 500, ops: 1_000, concurrency: 1_024, seed: 3 };
+        let scale = Scale { keys: 500, ops: 1_000, concurrency: 1_024, seed: 3, ..Scale::smoke() };
         let tmp = std::env::temp_dir().join("dcart-baseline-test");
         let report = run(&scale, &tmp);
         let path = tmp.join("BENCH_ctt.json");

@@ -1,14 +1,20 @@
 //! Experiment scale presets.
 
-use serde::{Deserialize, Serialize};
+use dcart::ExecOpts;
 
-/// The size of a reproduction run.
+use crate::parallel::host_parallelism;
+
+/// The size of a reproduction run, plus how the harness executes it.
 ///
 /// The paper loads 50 M keys and issues up to 50 M operations per run; the
 /// `default` preset shrinks both by 50× (with caches/buffers shrunk in
 /// proportion by the platform models) so the complete exhibit suite runs in
 /// minutes. Reported *ratios* are stable across scales; see EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+///
+/// `jobs` and `exec` are the host-side execution options the binaries
+/// parse (`--jobs`, `--sou-threads`, `--steal`). Every exhibit receives
+/// them here and passes them on explicitly; neither changes a report byte.
+#[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// Keys loaded before the measured stream.
     pub keys: usize,
@@ -18,23 +24,39 @@ pub struct Scale {
     pub concurrency: usize,
     /// Seed for all generators.
     pub seed: u64,
+    /// Worker threads the experiment cells fan over (the host's available
+    /// parallelism by default).
+    pub jobs: usize,
+    /// How every CTT run inside the cells executes.
+    pub exec: ExecOpts,
 }
 
 impl Scale {
+    fn preset(keys: usize, ops: usize, concurrency: usize) -> Self {
+        Scale {
+            keys,
+            ops,
+            concurrency,
+            seed: 42,
+            jobs: host_parallelism(),
+            exec: ExecOpts::default(),
+        }
+    }
+
     /// Tiny runs for CI and smoke testing (~seconds).
     pub fn smoke() -> Self {
-        Scale { keys: 10_000, ops: 60_000, concurrency: 8_192, seed: 42 }
+        Self::preset(10_000, 60_000, 8_192)
     }
 
     /// The default reproduction scale (~minutes for the full suite).
     pub fn default_scale() -> Self {
-        Scale { keys: 200_000, ops: 2_000_000, concurrency: 65_536, seed: 42 }
+        Self::preset(200_000, 2_000_000, 65_536)
     }
 
     /// Paper scale: 50 M keys, 50 M operations. Hours of runtime and
     /// ~10 GB of memory; use on a large machine only.
     pub fn paper() -> Self {
-        Scale { keys: 50_000_000, ops: 50_000_000, concurrency: 1 << 20, seed: 42 }
+        Self::preset(50_000_000, 50_000_000, 1 << 20)
     }
 
     /// Parses `smoke` / `default` / `full`.

@@ -43,6 +43,10 @@ fn invalid_flag_values_are_errors_with_the_expected_type() {
         (vec!["table1", "--scale"], "--scale needs a value"),
         (vec!["table1", "--jobs", "many"], "positive integer"),
         (vec!["table1", "--sou-threads", "-1"], "positive integer"),
+        (vec!["table1", "--jobs", "0"], "positive integer"),
+        (vec!["table1", "--sou-threads", "0"], "positive integer"),
+        (vec!["table1", "--traverse", "per-op"], "unknown option '--traverse'"),
+        (vec!["table1", "--split-threshold", "0.5"], "unknown option '--split-threshold'"),
         (vec!["soak", "--batches", "0"], "--batches must be at least 1"),
         (vec!["soak", "--batches", "x"], "positive integer"),
         (vec!["crash", "--seed", "abc"], "unsigned integer"),

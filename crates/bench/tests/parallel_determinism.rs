@@ -1,11 +1,14 @@
 //! The parallel experiment engine must be invisible in the reports:
 //! `repro --jobs 1` and `repro --jobs 8` write byte-identical JSON for a
 //! fixed seed, because cells are pure functions of their inputs and are
-//! collected by input index, never by completion order.
+//! collected by input index, never by completion order. The same holds
+//! for the executor options (`--sou-threads 2 --steal`): they reach every
+//! engine and change no byte.
 
 use std::path::Path;
 
-use dcart_bench::{experiments, parallel, Scale};
+use dcart::{ExecOpts, TraverseMode};
+use dcart_bench::{experiments, Scale};
 
 fn report_bytes(dir: &Path, name: &str) -> Vec<u8> {
     let path = dir.join(format!("{name}.json"));
@@ -23,21 +26,25 @@ fn run_all(scale: &Scale, dir: &Path) {
 
 #[test]
 fn jobs_1_and_jobs_8_write_byte_identical_reports() {
-    let scale = Scale { keys: 2_000, ops: 6_000, concurrency: 2_048, seed: 7 };
-    let base = std::env::temp_dir().join("dcart-jobs-determinism");
-    let sequential_dir = base.join("jobs1");
-    let parallel_dir = base.join("jobs8");
+    let base = Scale { keys: 2_000, ops: 6_000, concurrency: 2_048, seed: 7, ..Scale::smoke() };
+    let stealing = ExecOpts { threads: 2, mode: TraverseMode::LevelWise, steal: true };
+    let runs = [
+        ("jobs1", Scale { jobs: 1, ..base }),
+        ("jobs8", Scale { jobs: 8, ..base }),
+        ("jobs8-sou2-steal", Scale { jobs: 8, exec: stealing, ..base }),
+    ];
+    let root = std::env::temp_dir().join("dcart-jobs-determinism");
+    for (dir, scale) in &runs {
+        run_all(scale, &root.join(dir));
+    }
 
-    parallel::set_jobs(1);
-    run_all(&scale, &sequential_dir);
-    parallel::set_jobs(8);
-    run_all(&scale, &parallel_dir);
-    parallel::set_jobs(1);
-
+    let (first, _) = runs[0];
     for name in ["fig2", "fig3", "overall", "ablations", "indexes", "timeline"] {
-        let a = report_bytes(&sequential_dir, name);
-        let b = report_bytes(&parallel_dir, name);
+        let a = report_bytes(&root.join(first), name);
         assert!(!a.is_empty(), "{name}.json is empty");
-        assert_eq!(a, b, "{name}.json differs between --jobs 1 and --jobs 8");
+        for (dir, _) in &runs[1..] {
+            let b = report_bytes(&root.join(dir), name);
+            assert_eq!(a, b, "{name}.json differs between {first} and {dir}");
+        }
     }
 }

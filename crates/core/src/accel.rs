@@ -29,7 +29,9 @@ use dcart_workloads::{KeySet, Op, OpKind};
 use serde::{Deserialize, Serialize};
 
 use crate::config::DcartConfig;
-use crate::ctt::{execute_ctt, tree_digest, BatchEvent, CttConsumer, CttOpEvent, LockGroup};
+use crate::ctt::{
+    execute_ctt, tree_digest, BatchEvent, CttConsumer, CttOpEvent, ExecOpts, LockGroup,
+};
 use crate::dispatcher::Dispatch;
 use crate::pcu::{scan_capacity_ops, OP_STREAM_BYTES};
 
@@ -80,6 +82,7 @@ pub struct AccelDetails {
 #[derive(Debug)]
 pub struct DcartAccel {
     config: DcartConfig,
+    exec: ExecOpts,
     hbm: MemoryConfig,
     details: AccelDetails,
 }
@@ -87,7 +90,19 @@ pub struct DcartAccel {
 impl DcartAccel {
     /// Creates the accelerator model over a configuration.
     pub fn new(config: DcartConfig) -> Self {
-        DcartAccel { config, hbm: MemoryConfig::hbm_u280(), details: AccelDetails::default() }
+        DcartAccel {
+            config,
+            exec: ExecOpts::default(),
+            hbm: MemoryConfig::hbm_u280(),
+            details: AccelDetails::default(),
+        }
+    }
+
+    /// Overrides how the host executes the functional CTT run (default
+    /// [`ExecOpts::default`]); the simulated results never depend on it.
+    pub fn with_exec(mut self, exec: ExecOpts) -> Self {
+        self.exec = exec;
+        self
     }
 
     /// The configuration in use.
@@ -417,7 +432,9 @@ impl IndexEngine for DcartAccel {
             response_queue: BoundedQueue::new(scan_capacity_ops(self.config.scan_buffer_bytes)),
         };
 
-        let (tree, stats) = execute_ctt(keys, ops, &self.config, run.concurrency, &mut consumer);
+        let (tree, stats, _) =
+            execute_ctt(keys, ops, &self.config, run.concurrency, &self.exec, &mut consumer)
+                .expect("IndexEngine contract: a positive concurrency over a prefix-free key set");
 
         // Assemble cycle timeline with (or without) PCU/SOU overlap.
         let mut pcu_done: u64 = 0;

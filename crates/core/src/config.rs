@@ -1,5 +1,9 @@
 //! DCART configuration — the parameters of the paper's Table I, plus the
 //! fault-injection plan and graceful-degradation thresholds.
+//!
+//! A [`DcartConfig`] says *what* the model computes; how the host executes
+//! it (worker threads, traverse mode, stealing) is the separate
+//! [`ExecOpts`](crate::ExecOpts), which changes no result.
 
 use dcart_engine::FaultPlan;
 use dcart_mem::BufferPolicy;
@@ -51,13 +55,12 @@ pub struct DcartConfig {
     /// `threshold × batch_size` splits into sub-shards on the next prefix
     /// byte, and re-merges once it cools (see the executor docs in
     /// `dcart::ctt`). `1.0` never splits; `0.0` splits every active
-    /// bucket. `None` (the default) defers to the process-global
-    /// [`split_threshold`](crate::split_threshold) knob, which the
-    /// binaries set via `--split-threshold`.
+    /// bucket. `None` (the default) never splits, like `1.0`.
     ///
-    /// Split decisions depend only on op counts, so the split schedule —
-    /// and every observable of the run — is identical at any thread count
-    /// and steal setting.
+    /// The threshold changes the split schedule and with it the event
+    /// stream and stats — never answers or the final tree. Split decisions
+    /// depend only on op counts, so for a fixed threshold every observable
+    /// of the run is identical at any thread count and steal setting.
     #[serde(default)]
     pub split_threshold: Option<f64>,
     /// Deterministic fault-injection plan (default: inject nothing). See
@@ -188,7 +191,7 @@ mod tests {
         assert_eq!(c.prefix_bits, 8);
         assert_eq!(c.tree_buffer_policy, BufferPolicy::ValueAware);
         assert!(!c.faults.is_active(), "no faults by default");
-        assert!(c.split_threshold.is_none(), "adaptive splitting defers to the global knob");
+        assert!(c.split_threshold.is_none(), "an unset split threshold never splits");
         assert!(c.degrade.enabled);
         assert!(c.degrade.shortcut_stale_threshold > 0.5, "far above natural stale rates");
     }

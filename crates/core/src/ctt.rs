@@ -19,7 +19,10 @@
 //! The executor mirrors that ownership on the host: every bucket gets its
 //! own *shard* — subtree, shortcut-table shard, fault stream, and scratch
 //! arenas — and a batch's shards run concurrently on a scoped worker pool
-//! ([`dcart_engine::par_for_each_mut`], sized by [`set_sou_threads`]).
+//! ([`dcart_engine::par_for_each_mut`], sized by [`ExecOpts::threads`]).
+//! How a run executes is fixed once, by the [`ExecOpts`] its caller passes
+//! to [`execute_ctt`] or [`CttSession::from_pairs`]; nothing is read from
+//! process-global state.
 //! Workers record per-operation outcomes instead of talking to the
 //! consumer directly; after the pool joins, a serial *replay* walks the
 //! records in the canonical round-robin bucket order and emits the exact
@@ -43,7 +46,7 @@
 //!
 //! * **Sub-sharding** — when a bucket's per-batch op count exceeds
 //!   `split_threshold × batch_size` (see
-//!   [`DcartConfig::split_threshold`] and [`set_split_threshold`]), the
+//!   [`DcartConfig::split_threshold`]; unset never splits), the
 //!   bucket splits on the *next* prefix byte into [`SPLIT_FANOUT`]
 //!   sub-shards, each owning a disjoint subtree, a fresh shortcut shard, a
 //!   derived-seed fault stream, and its own scratch arenas. Namespaced
@@ -55,8 +58,8 @@
 //!   the final tree. Split and merge decisions depend only on per-batch op
 //!   counts, never on timing or thread identity, so the split schedule
 //!   (and with it every observable) is reproducible.
-//! * **Work stealing** — with stealing enabled ([`set_work_stealing`], or
-//!   [`ExecOpts::steal`]), shards are dealt heaviest-first over per-worker
+//! * **Work stealing** — with stealing enabled ([`ExecOpts::steal`]),
+//!   shards are dealt heaviest-first over per-worker
 //!   [`dcart_engine::StealQueue`] deques
 //!   ([`dcart_engine::par_for_each_mut_balanced`]); a worker that drains
 //!   its own deque steals the front half of the longest sibling's instead
@@ -67,7 +70,8 @@
 //!
 //! # Level-wise Traverse
 //!
-//! By default ([`TraverseMode::LevelWise`]) each shard advances its reads
+//! By default ([`ExecOpts::mode`] = [`TraverseMode::LevelWise`]) each
+//! shard advances its reads
 //! level-synchronously: read traversals are deferred into a *pending
 //! group*, and when the group flushes, one wave walk
 //! ([`Art::locate_leaves_level_wise`]) advances every deferred read one
@@ -86,7 +90,6 @@
 //! and every lock group, and attach platform-specific costs.
 
 use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use dcart_art::node::Node;
 use dcart_art::{
@@ -108,29 +111,6 @@ use crate::shortcut::{hash_bucket as hash_bucket_of, ShortcutStats, ShortcutTabl
 /// FNV-1a offset basis, the seed of every digest in this module.
 const DIGEST_BASE: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Worker threads the SOU bucket executor fans a batch's shards over.
-///
-/// Defaults to 1 (not host parallelism): the harness already fans whole
-/// experiments over `--jobs` workers, and nesting both at full width would
-/// oversubscribe the host. Binaries raise it via `--sou-threads`.
-static SOU_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-global SOU worker-thread count (clamped to at least 1).
-///
-/// Results are byte-identical at any setting; only wall-clock speed
-/// changes. Tests that need a specific count without racing on the global
-/// should call [`execute_ctt_threaded`] instead.
-pub fn set_sou_threads(n: usize) {
-    // dcart_lint::atomic(config knob set before workers spawn; read once per execution)
-    SOU_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current SOU worker-thread count.
-pub fn sou_threads() -> usize {
-    // dcart_lint::atomic(config knob; any torn-free read is fine, result is thread-count independent)
-    SOU_THREADS.load(Ordering::Relaxed)
-}
-
 /// How a shard's Traverse stage resolves the operations that miss the
 /// shortcut table.
 ///
@@ -149,78 +129,33 @@ pub enum TraverseMode {
     PerOp,
 }
 
-/// Process-global traverse mode (0 = level-wise, 1 = per-op), read once at
-/// the start of each execution.
-static TRAVERSE_MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-global [`TraverseMode`] used by executions that do not
-/// pass one explicitly. Results are byte-identical in either mode; only
-/// traversal node loads (and wall-clock) change. Tests that need a
-/// specific mode without racing on the global should call
-/// [`execute_ctt_with`] instead.
-pub fn set_traverse_mode(mode: TraverseMode) {
-    // dcart_lint::atomic(config knob; both modes are byte-identical, no ordering with data needed)
-    TRAVERSE_MODE.store(matches!(mode, TraverseMode::PerOp) as usize, Ordering::Relaxed);
+/// How a CTT run executes on the host, fixed for the whole run: plain data
+/// each caller passes explicitly (the binaries build it from
+/// `--sou-threads` / `--steal`).
+///
+/// No field changes a result: stats, digests, event streams and trees are
+/// byte-identical at any thread count, steal setting and traverse mode
+/// (pinned by tests); only wall-clock and the schedule-dependent steal
+/// counters of [`LoadReport`] move.
+#[derive(Clone, Copy, Debug)]
+pub struct ExecOpts {
+    /// Worker threads the shard pool fans a batch over (`<= 1` runs the
+    /// identical sharded code inline).
+    pub threads: usize,
+    /// How each shard's Traverse stage resolves shortcut misses.
+    pub mode: TraverseMode,
+    /// Whether idle workers steal shards from the pool's per-worker deques.
+    pub steal: bool,
 }
 
-/// The current process-global [`TraverseMode`].
-pub fn traverse_mode() -> TraverseMode {
-    // dcart_lint::atomic(config knob read once at execution start; no data depends on it)
-    if TRAVERSE_MODE.load(Ordering::Relaxed) == 0 {
-        TraverseMode::LevelWise
-    } else {
-        TraverseMode::PerOp
+impl Default for ExecOpts {
+    /// One thread, level-wise Traverse, no stealing. One thread, not host
+    /// parallelism: the harness already fans whole experiments over
+    /// `--jobs` workers, and nesting both at full width would
+    /// oversubscribe the host.
+    fn default() -> Self {
+        ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false }
     }
-}
-
-/// Process-global work-stealing switch (0 = off), read once per execution.
-static WORK_STEALING: AtomicUsize = AtomicUsize::new(0);
-
-/// Enables or disables work stealing in the SOU worker pool for executions
-/// that do not pass an explicit [`ExecOpts`]. Off by default; the binaries
-/// raise it via `--steal`.
-///
-/// Stealing only changes *where* a shard runs, never what it computes:
-/// results are byte-identical with stealing on or off (pinned by
-/// `tests/parallel_determinism.rs`). Tests that need a specific setting
-/// without racing on the global should call [`try_execute_ctt_profiled`]
-/// with explicit [`ExecOpts`] instead.
-pub fn set_work_stealing(on: bool) {
-    // dcart_lint::atomic(config knob; stealing changes placement only, results byte-identical)
-    WORK_STEALING.store(usize::from(on), Ordering::Relaxed);
-}
-
-/// The current process-global work-stealing setting.
-pub fn work_stealing() -> bool {
-    // dcart_lint::atomic(config knob read once per execution; no ordering with shard data)
-    WORK_STEALING.load(Ordering::Relaxed) != 0
-}
-
-/// Process-global split threshold in millionths of the batch size
-/// (1_000_000 = 1.0 = never split), read once per execution by configs
-/// whose [`DcartConfig::split_threshold`] is `None`.
-static SPLIT_THRESHOLD_MILLIONTHS: AtomicU64 = AtomicU64::new(1_000_000);
-
-/// Sets the process-global hot-bucket split threshold (clamped to
-/// `[0, 1]`; resolution 1e-6) used by executions whose config leaves
-/// [`DcartConfig::split_threshold`] unset. `1.0` (the default) never
-/// splits; the binaries lower it via `--split-threshold`.
-///
-/// The threshold changes the split schedule and with it the event stream
-/// and stats — but never answers or the final tree — and the schedule is
-/// a pure function of the op stream, so any fixed threshold stays
-/// byte-identical across thread counts and steal settings.
-pub fn set_split_threshold(fraction: f64) {
-    let clamped = if fraction.is_finite() { fraction.clamp(0.0, 1.0) } else { 1.0 };
-    // dcart_lint::atomic(config knob; split schedule is a pure function of the op stream)
-    SPLIT_THRESHOLD_MILLIONTHS.store((clamped * 1e6).round() as u64, Ordering::Relaxed);
-}
-
-/// The current process-global split threshold as a fraction of the batch
-/// size.
-pub fn split_threshold() -> f64 {
-    // dcart_lint::atomic(config knob read once per execution start; racy reads see old or new value)
-    SPLIT_THRESHOLD_MILLIONTHS.load(Ordering::Relaxed) as f64 / 1e6
 }
 
 /// FNV-1a over the key bytes: the hardware's Key_ID.
@@ -1411,7 +1346,7 @@ struct SplitPolicy {
 
 impl SplitPolicy {
     fn resolve(config: &DcartConfig, batch_size: usize) -> Self {
-        let frac = config.split_threshold.unwrap_or_else(split_threshold);
+        let frac = config.split_threshold.unwrap_or(1.0);
         let frac = if frac.is_finite() { frac.clamp(0.0, 1.0) } else { 1.0 };
         SplitPolicy {
             enabled: frac < 1.0 && config.buckets() <= MAX_SPLIT_BUCKETS,
@@ -1545,9 +1480,11 @@ fn adapt_and_route(
 }
 
 /// Executes `ops` over a tree loaded with `keys` under the CTT model,
-/// streaming events to `consumer`. Buckets run on [`sou_threads`] workers.
+/// streaming events to `consumer`, and returns the final tree, the
+/// aggregate statistics and the per-bucket [`LoadReport`].
 ///
-/// Returns the final tree and the aggregate statistics.
+/// The one-shot entry point: a bulk load into a [`CttSession`], then
+/// [`CttSession::execute_all`]. Every knob comes from `config` and `opts`.
 ///
 /// Shortcuts accelerate reads and updates (the operations of the paper's
 /// workloads); inserts and removes always traverse, and removes invalidate
@@ -1556,7 +1493,7 @@ fn adapt_and_route(
 /// # Examples
 ///
 /// ```
-/// use dcart::{execute_ctt, CttConsumer, DcartConfig};
+/// use dcart::{execute_ctt, CttConsumer, DcartConfig, ExecOpts};
 /// use dcart_workloads::{generate_ops, synth, OpStreamConfig};
 ///
 /// struct Sink;
@@ -1565,164 +1502,19 @@ fn adapt_and_route(
 /// let keys = synth::dense(500, 1);
 /// let ops = generate_ops(&keys, &OpStreamConfig { count: 2_000, ..Default::default() });
 /// let cfg = DcartConfig::default().with_auto_prefix_skip(&keys);
-/// let (tree, stats) = execute_ctt(&keys, &ops, &cfg, 512, &mut Sink);
+/// let (tree, stats, _) = execute_ctt(&keys, &ops, &cfg, 512, &ExecOpts::default(), &mut Sink)?;
 /// assert_eq!(stats.ops, 2_000);
 /// assert!(stats.lock_groups < stats.per_op_locks, "coalescing saves locks");
 /// assert!(tree.len() >= 500);
+/// # Ok::<(), dcart::DcartError>(())
 /// ```
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a zero `batch_size` or keys the tree rejects; use
-/// [`try_execute_ctt`] for a `Result`-returning variant.
-// The one sanctioned panic in this crate: a convenience wrapper whose
-// panicking contract is documented above; all other callers go through
-// `try_execute_ctt`.
-#[allow(clippy::panic)]
+/// * [`DcartError::InvalidBatchSize`] when `batch_size == 0`;
+/// * [`DcartError::Art`] when the key set or an insert violates the
+///   tree's prefix-free requirement.
 pub fn execute_ctt<C: CttConsumer>(
-    keys: &KeySet,
-    ops: &[Op],
-    config: &DcartConfig,
-    batch_size: usize,
-    consumer: &mut C,
-) -> (Art<u64>, CttStats) {
-    assert!(batch_size > 0, "batch size must be positive");
-    match try_execute_ctt(keys, ops, config, batch_size, consumer) {
-        Ok(r) => r,
-        // Documented infallible wrapper: the `try_` variant is the library
-        // surface, and this panic is the advertised contract (`# Panics`).
-        // dcart_lint::allow(P1) -- panic documented in the wrapper contract
-        Err(e) => panic!("CTT execution failed: {e}"),
-    }
-}
-
-/// [`execute_ctt`] with an explicit worker-thread count, bypassing the
-/// process-global [`sou_threads`] knob (useful for tests that must not
-/// race on global state).
-///
-/// # Panics
-///
-/// Panics on a zero `batch_size` or keys the tree rejects.
-#[allow(clippy::panic)]
-pub fn execute_ctt_threaded<C: CttConsumer>(
-    keys: &KeySet,
-    ops: &[Op],
-    config: &DcartConfig,
-    batch_size: usize,
-    threads: usize,
-    consumer: &mut C,
-) -> (Art<u64>, CttStats) {
-    assert!(batch_size > 0, "batch size must be positive");
-    match try_execute_ctt_threaded(keys, ops, config, batch_size, threads, consumer) {
-        Ok(r) => r,
-        // Documented infallible wrapper: the `try_` variant is the library
-        // surface, and this panic is the advertised contract (`# Panics`).
-        // dcart_lint::allow(P1) -- panic documented in the wrapper contract
-        Err(e) => panic!("CTT execution failed: {e}"),
-    }
-}
-
-/// [`execute_ctt`] with an explicit worker-thread count *and*
-/// [`TraverseMode`], bypassing both process-global knobs (useful for tests
-/// that pin the two modes against each other without racing on globals).
-///
-/// # Panics
-///
-/// Panics on a zero `batch_size` or keys the tree rejects.
-#[allow(clippy::panic)]
-pub fn execute_ctt_with<C: CttConsumer>(
-    keys: &KeySet,
-    ops: &[Op],
-    config: &DcartConfig,
-    batch_size: usize,
-    threads: usize,
-    mode: TraverseMode,
-    consumer: &mut C,
-) -> (Art<u64>, CttStats) {
-    assert!(batch_size > 0, "batch size must be positive");
-    match try_execute_ctt_with(keys, ops, config, batch_size, threads, mode, consumer) {
-        Ok(r) => r,
-        // Documented infallible wrapper: the `try_` variant is the library
-        // surface, and this panic is the advertised contract (`# Panics`).
-        // dcart_lint::allow(P1) -- panic documented in the wrapper contract
-        Err(e) => panic!("CTT execution failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`execute_ctt`]: returns [`DcartError`] instead of
-/// panicking on a zero batch size or keys the tree rejects
-/// (prefix-violating or unsorted bulk loads).
-///
-/// # Errors
-///
-/// * [`DcartError::InvalidBatchSize`] when `batch_size == 0`;
-/// * [`DcartError::Art`] when the key set or an insert violates the
-///   tree's prefix-free requirement.
-pub fn try_execute_ctt<C: CttConsumer>(
-    keys: &KeySet,
-    ops: &[Op],
-    config: &DcartConfig,
-    batch_size: usize,
-    consumer: &mut C,
-) -> Result<(Art<u64>, CttStats), DcartError> {
-    try_execute_ctt_threaded(keys, ops, config, batch_size, sou_threads(), consumer)
-}
-
-/// Fallible variant of [`execute_ctt_threaded`].
-///
-/// Single-threaded (`threads <= 1`) runs execute the identical sharded
-/// code inline, so any two thread counts produce byte-identical stats,
-/// digests, and event streams.
-///
-/// # Errors
-///
-/// * [`DcartError::InvalidBatchSize`] when `batch_size == 0`;
-/// * [`DcartError::Art`] when the key set or an insert violates the
-///   tree's prefix-free requirement.
-pub fn try_execute_ctt_threaded<C: CttConsumer>(
-    keys: &KeySet,
-    ops: &[Op],
-    config: &DcartConfig,
-    batch_size: usize,
-    threads: usize,
-    consumer: &mut C,
-) -> Result<(Art<u64>, CttStats), DcartError> {
-    try_execute_ctt_with(keys, ops, config, batch_size, threads, traverse_mode(), consumer)
-}
-
-/// Fallible variant of [`execute_ctt_with`]: explicit worker-thread count
-/// and [`TraverseMode`]. The mode is fixed for the whole execution (the
-/// process-global knob is read once by the callers that use it).
-///
-/// # Errors
-///
-/// * [`DcartError::InvalidBatchSize`] when `batch_size == 0`;
-/// * [`DcartError::Art`] when the key set or an insert violates the
-///   tree's prefix-free requirement.
-pub fn try_execute_ctt_with<C: CttConsumer>(
-    keys: &KeySet,
-    ops: &[Op],
-    config: &DcartConfig,
-    batch_size: usize,
-    threads: usize,
-    mode: TraverseMode,
-    consumer: &mut C,
-) -> Result<(Art<u64>, CttStats), DcartError> {
-    let opts = ExecOpts { threads, mode, steal: work_stealing() };
-    try_execute_ctt_profiled(keys, ops, config, batch_size, &opts, consumer)
-        .map(|(art, stats, _)| (art, stats))
-}
-
-/// The fully-explicit entry point: every knob comes from `opts` (no
-/// process-global reads), and the result carries the [`LoadReport`] the
-/// bench harness turns into per-bucket skew histograms.
-///
-/// # Errors
-///
-/// * [`DcartError::InvalidBatchSize`] when `batch_size == 0`;
-/// * [`DcartError::Art`] when the key set or an insert violates the
-///   tree's prefix-free requirement.
-pub fn try_execute_ctt_profiled<C: CttConsumer>(
     keys: &KeySet,
     ops: &[Op],
     config: &DcartConfig,
@@ -1738,43 +1530,7 @@ pub fn try_execute_ctt_profiled<C: CttConsumer>(
     // its *global* load index as the value — identical values to a
     // single-tree `load_indexed`.
     let shards = load_shards(config, keys.keys.iter().enumerate().map(|(i, k)| (k, i as u64)))?;
-    let knobs = RunKnobs { batch_size, threads: opts.threads, mode: opts.mode, steal: opts.steal };
-    run_batches(shards, ops, config, knobs, 0, consumer)
-}
-
-/// Resumes a CTT execution from a known tree state instead of a fresh key
-/// set: the shards are seeded with `pairs` (routed by the same combining
-/// prefixes as a bulk load) and the answer digest continues folding from
-/// `initial_digest`.
-///
-/// This is the durability layer's replay entry point: running a prefix of
-/// an op stream, capturing the merged tree and digest, and resuming over
-/// the suffix produces the *same final tree and cumulative answer digest*
-/// as one uninterrupted run — answers depend only on tree contents, never
-/// on shortcut-table, fault-stream, or degradation state (which reset at
-/// the seam; timing and hit-rate stats therefore differ, answers cannot).
-///
-/// # Errors
-///
-/// * [`DcartError::InvalidBatchSize`] when `batch_size == 0`;
-/// * [`DcartError::Art`] when `pairs` or an insert violates the tree's
-///   prefix-free requirement.
-pub fn try_execute_ctt_resumed<C: CttConsumer>(
-    pairs: &[(Key, u64)],
-    ops: &[Op],
-    config: &DcartConfig,
-    batch_size: usize,
-    threads: usize,
-    initial_digest: u64,
-    consumer: &mut C,
-) -> Result<(Art<u64>, CttStats), DcartError> {
-    if batch_size == 0 {
-        return Err(DcartError::InvalidBatchSize);
-    }
-    let shards = load_shards(config, pairs.iter().map(|(k, v)| (k, *v)))?;
-    let knobs = RunKnobs { batch_size, threads, mode: traverse_mode(), steal: work_stealing() };
-    run_batches(shards, ops, config, knobs, initial_digest, consumer)
-        .map(|(art, stats, _)| (art, stats))
+    CttSession::from_shards(shards, config, opts, batch_size, 0).execute_all(ops, consumer)
 }
 
 /// Builds the per-bucket shards and routes every `(key, value)` entry to
@@ -1790,35 +1546,6 @@ fn load_shards<'a>(
         shards[config.bucket_of(prefix)].art.insert(key.clone(), value)?;
     }
     Ok(shards)
-}
-
-/// The execution knobs fixed for a whole run, bundled so the batch loop's
-/// signature stays readable as knobs accrete.
-struct RunKnobs {
-    batch_size: usize,
-    threads: usize,
-    mode: TraverseMode,
-    steal: bool,
-}
-
-/// Explicit execution options for [`try_execute_ctt_profiled`], bypassing
-/// every process-global knob (useful for tests and benches that must not
-/// race on globals). [`ExecOpts::default`] snapshots the globals.
-#[derive(Clone, Copy, Debug)]
-pub struct ExecOpts {
-    /// Worker threads the shard pool fans over ([`sou_threads`]).
-    pub threads: usize,
-    /// Traverse mode ([`traverse_mode`]).
-    pub mode: TraverseMode,
-    /// Whether the pool's work-stealing deques are active
-    /// ([`work_stealing`]).
-    pub steal: bool,
-}
-
-impl Default for ExecOpts {
-    fn default() -> Self {
-        ExecOpts { threads: sou_threads(), mode: traverse_mode(), steal: work_stealing() }
-    }
 }
 
 /// Per-bucket load observed over a whole run, for the skew histograms in
@@ -1860,59 +1587,34 @@ pub struct LoadReport {
     pub shards_stolen: u64,
 }
 
-/// The batch loop shared by the fresh and resumed entry points: Combine,
-/// adapt + route, Traverse + Trigger on the worker pool, serial replay,
-/// batch-end merge. A thin driver over [`CttSession`] — one
-/// `execute_batch` per fixed-size chunk, then `finish`.
-fn run_batches<C: CttConsumer>(
-    shards: Vec<BucketShard>,
-    ops: &[Op],
-    config: &DcartConfig,
-    knobs: RunKnobs,
-    initial_digest: u64,
-    consumer: &mut C,
-) -> Result<(Art<u64>, CttStats, LoadReport), DcartError> {
-    let batch_size = knobs.batch_size;
-    let mut session = CttSession::from_shards(shards, config, knobs, initial_digest);
-    for batch in ops.chunks(batch_size) {
-        session.execute_batch(batch, consumer)?;
-        if consumer.abort() {
-            // The consumer can no longer make further batches durable
-            // (crash, dead log): stop here rather than execute work whose
-            // effects would be lost. Everything up to and including this
-            // batch is already reflected in the shards and stats.
-            break;
-        }
-    }
-    session.finish()
-}
-
 /// A resumable, incrementally-driven CTT execution: the seam the online
 /// serving layer coalesces requests onto.
 ///
-/// The one-shot entry points ([`try_execute_ctt_profiled`] and friends)
-/// chunk a known op slice into fixed-size batches and drive this struct to
-/// completion. A server cannot do that — its batches materialize one at a
-/// time (flushed on size or linger deadline) and vary in size — so the
-/// session exposes the loop body directly: construct once over the
-/// recovered tree state, call [`execute_batch`](CttSession::execute_batch)
-/// per coalesced batch, read [`entries`](CttSession::entries) /
-/// [`get`](CttSession::get) / [`answer_digest`](CttSession::answer_digest)
-/// for checkpoints whenever convenient, and
-/// [`finish`](CttSession::finish) at drain.
+/// This is the only way a CTT run executes. A known op slice goes through
+/// [`execute_all`](CttSession::execute_all) (which [`execute_ctt`] and the
+/// durability layer use): fixed-size batches, then
+/// [`finish`](CttSession::finish). A server cannot do that — its batches
+/// materialize one at a time (flushed on size or linger deadline) and vary
+/// in size — so the session exposes the loop body directly: construct once
+/// over the recovered tree state, call
+/// [`execute_batch`](CttSession::execute_batch) per coalesced batch, read
+/// [`entries`](CttSession::entries) / [`get`](CttSession::get) /
+/// [`answer_digest`](CttSession::answer_digest) for checkpoints whenever
+/// convenient, and [`finish`](CttSession::finish) at drain.
 ///
 /// Determinism contract: driving a session with the same sequence of
-/// batch slices produces byte-identical events, digests, and stats as the
-/// one-shot entry points fed the concatenated ops at the same batch
-/// boundaries — `run_batches` *is* this struct. (The split policy is
-/// resolved once from the construction-time `batch_size`, so a server's
-/// variable-size flushes keep a stable split schedule input.)
+/// batch slices produces byte-identical events, digests, and stats as
+/// [`execute_all`](CttSession::execute_all) fed the concatenated ops at the
+/// same batch boundaries. (The split policy is resolved once from the
+/// construction-time `batch_size`, so a server's variable-size flushes keep
+/// a stable split schedule input.)
 pub struct CttSession {
     config: DcartConfig,
     policy: SplitPolicy,
-    threads: usize,
-    mode: TraverseMode,
-    steal: bool,
+    opts: ExecOpts,
+    /// The nominal batch size [`execute_all`](CttSession::execute_all)
+    /// chunks by.
+    batch_size: usize,
     stats: CttStats,
     /// The leaf vector starts as one shard per bucket; splits and merges
     /// reshape it between batches. `groups` tracks each bucket's slice.
@@ -1931,12 +1633,20 @@ pub struct CttSession {
 impl CttSession {
     /// Opens a session over an explicit tree state (`pairs`, routed by the
     /// same combining prefixes as a bulk load), continuing the answer
-    /// digest from `initial_digest` — the serving layer's recovery seam,
-    /// mirroring [`try_execute_ctt_resumed`].
+    /// digest from `initial_digest` — the serving layer's and the
+    /// durability layer's recovery seam.
     ///
-    /// `batch_size` is the *nominal* batch size: it only seeds the split
-    /// policy (and must be positive); actual batches are whatever slices
-    /// are passed to [`execute_batch`](CttSession::execute_batch).
+    /// Resuming is exact: running a prefix of an op stream, capturing the
+    /// merged tree and digest, and resuming over the suffix produces the
+    /// *same final tree and cumulative answer digest* as one uninterrupted
+    /// run — answers depend only on tree contents, never on shortcut-table,
+    /// fault-stream, or degradation state (which reset at the seam; timing
+    /// and hit-rate stats therefore differ, answers cannot).
+    ///
+    /// `batch_size` is the *nominal* batch size: it seeds the split policy
+    /// and the chunking of [`execute_all`](CttSession::execute_all) (and
+    /// must be positive); [`execute_batch`](CttSession::execute_batch)
+    /// takes whatever slices it is given.
     ///
     /// # Errors
     ///
@@ -1954,24 +1664,22 @@ impl CttSession {
             return Err(DcartError::InvalidBatchSize);
         }
         let shards = load_shards(config, pairs.iter().map(|(k, v)| (k, *v)))?;
-        let knobs =
-            RunKnobs { batch_size, threads: opts.threads, mode: opts.mode, steal: opts.steal };
-        Ok(Self::from_shards(shards, config, knobs, initial_digest))
+        Ok(Self::from_shards(shards, config, opts, batch_size, initial_digest))
     }
 
+    /// `batch_size` must already be checked positive.
     fn from_shards(
         shards: Vec<BucketShard>,
         config: &DcartConfig,
-        knobs: RunKnobs,
+        opts: &ExecOpts,
+        batch_size: usize,
         initial_digest: u64,
     ) -> Self {
-        let RunKnobs { batch_size, threads, mode, steal } = knobs;
         CttSession {
             config: *config,
             policy: SplitPolicy::resolve(config, batch_size),
-            threads,
-            mode,
-            steal,
+            opts: *opts,
+            batch_size,
             stats: CttStats { answer_digest: initial_digest, ..CttStats::default() },
             leaves: shards,
             groups: (0..config.buckets()).map(BucketGroup::new).collect(),
@@ -2024,19 +1732,19 @@ impl CttSession {
         // outcomes land in per-shard records, not in shared state. With
         // stealing on, leaves deal heaviest-first over per-worker deques
         // and idle workers steal — which moves work, never results.
-        let mode = self.mode;
-        if self.steal {
+        let ExecOpts { threads, mode, steal } = self.opts;
+        if steal {
             self.leaf_weights.clear();
             self.leaf_weights.extend(self.leaves.iter().map(|l| l.ops.len() as u64));
             par_for_each_mut_balanced(
                 &mut self.leaves,
-                self.threads,
+                threads,
                 &self.leaf_weights,
                 Some(&self.pool_stats),
                 |_, shard| shard.run_batch(batch, &plan, mode),
             );
         } else {
-            par_for_each_mut(&mut self.leaves, self.threads, |_, shard| {
+            par_for_each_mut(&mut self.leaves, threads, |_, shard| {
                 shard.run_batch(batch, &plan, mode);
             });
         }
@@ -2140,6 +1848,30 @@ impl CttSession {
         }
         consumer.batch_end(batch_idx);
         Ok(())
+    }
+
+    /// Executes `ops` in consecutive chunks of the nominal batch size, then
+    /// [`finish`](CttSession::finish)es. Stops early, after the batch whose
+    /// [`CttConsumer::abort`] said so — a durability consumer whose log
+    /// died must not run batches it can no longer make durable; everything
+    /// up to and including that batch is in the result.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`execute_batch`](CttSession::execute_batch) or
+    /// [`finish`](CttSession::finish) returns.
+    pub fn execute_all<C: CttConsumer>(
+        mut self,
+        ops: &[Op],
+        consumer: &mut C,
+    ) -> Result<(Art<u64>, CttStats, LoadReport), DcartError> {
+        for batch in ops.chunks(self.batch_size) {
+            self.execute_batch(batch, consumer)?;
+            if consumer.abort() {
+                break;
+            }
+        }
+        self.finish()
     }
 
     /// The cumulative answer digest after every batch executed so far —
@@ -2251,6 +1983,21 @@ mod tests {
     use super::*;
     use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
 
+    /// [`execute_ctt`] under `opts`, for runs that must come back clean.
+    fn exec<C: CttConsumer>(
+        keys: &KeySet,
+        ops: &[Op],
+        cfg: &DcartConfig,
+        batch_size: usize,
+        opts: ExecOpts,
+        consumer: &mut C,
+    ) -> (Art<u64>, CttStats, LoadReport) {
+        execute_ctt(keys, ops, cfg, batch_size, &opts, consumer).expect("runs clean")
+    }
+
+    /// One thread, level-wise Traverse, no stealing.
+    const SERIAL: ExecOpts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
+
     #[derive(Default)]
     struct Collector {
         ops: u64,
@@ -2290,7 +2037,7 @@ mod tests {
         let ops = generate_ops(&keys, &OpStreamConfig { count: 20_000, mix, ..Default::default() });
         let cfg = DcartConfig { shortcuts_enabled: shortcuts, ..Default::default() };
         let mut c = Collector::default();
-        let (_, stats) = execute_ctt(&keys, &ops, &cfg, 4096, &mut c);
+        let (_, stats, _) = exec(&keys, &ops, &cfg, 4096, SERIAL, &mut c);
         (stats, c)
     }
 
@@ -2302,7 +2049,7 @@ mod tests {
         let keys = Workload::Ipgeo.generate(500, 9);
         let cfg = DcartConfig::default();
         let mut c = Collector::default();
-        let (art, stats) = execute_ctt(&keys, &[], &cfg, 4096, &mut c);
+        let (art, stats, _) = exec(&keys, &[], &cfg, 4096, SERIAL, &mut c);
         assert_eq!(art.len(), 500, "bulk load runs even with no operations");
         assert_eq!(stats.ops, 0);
         assert_eq!(stats.lock_groups, 0);
@@ -2317,19 +2064,11 @@ mod tests {
         let op = Op { kind: OpKind::Read, key: keys.keys[0].clone(), value: 0 };
         let cfg = DcartConfig::default();
         let mut c = Collector::default();
-        let (_, stats) = execute_ctt(&keys, std::slice::from_ref(&op), &cfg, 4096, &mut c);
+        let (_, stats, _) = exec(&keys, std::slice::from_ref(&op), &cfg, 4096, SERIAL, &mut c);
         assert_eq!(stats.ops, 1);
         assert_eq!(c.ops, 1);
         assert_eq!(c.batches, vec![0], "one partial batch, index 0");
         assert!(c.visits >= 1, "the read fetches at least one node");
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_size_rejected() {
-        let keys = Workload::Ipgeo.generate(100, 9);
-        let cfg = DcartConfig::default();
-        let _ = execute_ctt(&keys, &[], &cfg, 0, &mut Collector::default());
     }
 
     #[test]
@@ -2375,7 +2114,7 @@ mod tests {
             &OpStreamConfig { count: 10_000, mix: Mix::C, ..Default::default() },
         );
         let mut c = Collector::default();
-        let (ctt_tree, _) = execute_ctt(&keys, &ops, &DcartConfig::default(), 1024, &mut c);
+        let (ctt_tree, _, _) = exec(&keys, &ops, &DcartConfig::default(), 1024, SERIAL, &mut c);
         let plain = dcart_baselines::execute_with_traces(&keys, &ops, |_| {});
         assert_eq!(ctt_tree.len(), plain.len());
         let a: Vec<_> = ctt_tree.iter().map(|(k, _)| k.clone()).collect();
@@ -2391,10 +2130,9 @@ mod tests {
 
     #[test]
     fn try_variant_returns_typed_errors() {
-        use crate::error::DcartError;
         let keys = Workload::Ipgeo.generate(100, 9);
         let cfg = DcartConfig::default();
-        let err = try_execute_ctt(&keys, &[], &cfg, 0, &mut Collector::default()).unwrap_err();
+        let err = execute_ctt(&keys, &[], &cfg, 0, &SERIAL, &mut Collector::default()).unwrap_err();
         assert!(matches!(err, DcartError::InvalidBatchSize), "{err}");
     }
 
@@ -2449,8 +2187,8 @@ mod tests {
         for (batch_size, ops) in lookahead_batch_shapes(&ops) {
             let mut runs = [1usize, 2, 8].map(|threads| {
                 let mut d = StreamDigest::default();
-                let (tree, stats) =
-                    execute_ctt_threaded(&keys, ops, &cfg, batch_size, threads, &mut d);
+                let (tree, stats, _) =
+                    exec(&keys, ops, &cfg, batch_size, ExecOpts { threads, ..SERIAL }, &mut d);
                 let pairs: Vec<(Key, u64)> = tree.iter().map(|(k, &v)| (k.clone(), v)).collect();
                 (format!("{stats:?}"), d.h, pairs)
             });
@@ -2494,9 +2232,9 @@ mod tests {
                         let mut results =
                             [TraverseMode::LevelWise, TraverseMode::PerOp].map(|mode| {
                                 let mut d = StreamDigest::default();
-                                let (tree, mut stats) = execute_ctt_with(
-                                    &keys, ops, &cfg, batch_size, threads, mode, &mut d,
-                                );
+                                let opts = ExecOpts { threads, mode, steal: false };
+                                let (tree, mut stats, _) =
+                                    exec(&keys, ops, &cfg, batch_size, opts, &mut d);
                                 let loads = stats.shortcut.nodes_visited;
                                 // The node-load counter is the one sanctioned
                                 // difference; everything else must match exactly.
@@ -2538,8 +2276,8 @@ mod tests {
         // stage, as the bench cells do).
         let cfg = DcartConfig { shortcuts_enabled: false, ..DcartConfig::default() };
         let run = |mode| {
-            let (_, stats) =
-                execute_ctt_with(&keys, &ops, &cfg, 4096, 1, mode, &mut Collector::default());
+            let opts = ExecOpts { mode, ..SERIAL };
+            let (_, stats, _) = exec(&keys, &ops, &cfg, 4096, opts, &mut Collector::default());
             stats.shortcut
         };
         let per_op = run(TraverseMode::PerOp);
@@ -2557,7 +2295,7 @@ mod tests {
     fn digests(mix: Mix, cfg: DcartConfig) -> (CttStats, Vec<(Key, u64)>) {
         let keys = Workload::Ipgeo.generate(5_000, 1);
         let ops = generate_ops(&keys, &OpStreamConfig { count: 20_000, mix, ..Default::default() });
-        let (tree, stats) = execute_ctt(&keys, &ops, &cfg, 4096, &mut Collector::default());
+        let (tree, stats, _) = exec(&keys, &ops, &cfg, 4096, SERIAL, &mut Collector::default());
         (stats, tree.iter().map(|(k, &v)| (k.clone(), v)).collect())
     }
 
@@ -2637,10 +2375,8 @@ mod tests {
         let base = DcartConfig::default().with_auto_prefix_skip(&keys);
         let run = |threshold: f64| {
             let cfg = DcartConfig { split_threshold: Some(threshold), ..base };
-            let opts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
             let (tree, stats, load) =
-                try_execute_ctt_profiled(&keys, &ops, &cfg, 1024, &opts, &mut Collector::default())
-                    .expect("runs clean");
+                exec(&keys, &ops, &cfg, 1024, SERIAL, &mut Collector::default());
             (tree_digest(&tree), stats, load)
         };
         let (never_tree, never_stats, never_load) = run(1.0);
@@ -2665,9 +2401,8 @@ mod tests {
             &OpStreamConfig { count: 6_000, mix: Mix::E, ..Default::default() },
         );
         let cfg = DcartConfig { split_threshold: Some(0.02), ..DcartConfig::default() };
-        let opts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
         let pairs: Vec<(Key, u64)> = keys.keys.iter().cloned().zip(0u64..).collect();
-        let mut session = CttSession::from_pairs(&pairs, &cfg, &opts, 512, 0).expect("loads");
+        let mut session = CttSession::from_pairs(&pairs, &cfg, &SERIAL, 512, 0).expect("loads");
         let loaded: std::collections::BTreeMap<&Key, u64> =
             pairs.iter().map(|(k, v)| (k, *v)).collect();
         assert!(session.entries().eq(loaded), "the load, in key order");
@@ -2685,7 +2420,7 @@ mod tests {
         let (_, stats, _) = session.finish().expect("finishes");
         assert!(stats.shard_splits > 0 && stats.writes > 0);
 
-        let empty = CttSession::from_pairs(&[], &cfg, &opts, 512, 0).expect("opens empty");
+        let empty = CttSession::from_pairs(&[], &cfg, &SERIAL, 512, 0).expect("opens empty");
         assert!(empty.is_empty() && empty.entries().next().is_none());
         assert_eq!(empty.len(), 0);
         assert_eq!(empty.get(&keys.keys[0]), None);
@@ -2708,9 +2443,7 @@ mod tests {
         let cfg = DcartConfig { split_threshold: Some(0.5), ..DcartConfig::default() }
             .with_auto_prefix_skip(&keys);
         let opts = ExecOpts { threads: 2, mode: TraverseMode::LevelWise, steal: true };
-        let (_, stats, load) =
-            try_execute_ctt_profiled(&keys, &ops, &cfg, 256, &opts, &mut Collector::default())
-                .expect("runs clean");
+        let (_, stats, load) = exec(&keys, &ops, &cfg, 256, opts, &mut Collector::default());
         assert!(stats.shard_splits >= 1, "hot bucket split: {load:?}");
         assert!(stats.shard_merges >= 1, "cooled bucket re-merged: {load:?}");
         let hottest = load.buckets.iter().max_by_key(|b| b.ops).expect("non-empty");
@@ -2735,9 +2468,7 @@ mod tests {
             [(1usize, false), (2, false), (2, true), (8, true)].map(|(threads, steal)| {
                 let mut d = StreamDigest::default();
                 let opts = ExecOpts { threads, mode: TraverseMode::LevelWise, steal };
-                let (tree, stats, load) =
-                    try_execute_ctt_profiled(&keys, &ops, &cfg, 1024, &opts, &mut d)
-                        .expect("runs clean");
+                let (tree, stats, load) = exec(&keys, &ops, &cfg, 1024, opts, &mut d);
                 assert!(stats.shard_splits > 0, "the aggressive threshold actually splits");
                 if !steal {
                     assert_eq!(load.steal_events, 0, "no steals with stealing off");

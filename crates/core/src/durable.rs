@@ -38,7 +38,7 @@
 //!
 //! [`recover`] rebuilds the pre-crash state: load the checkpoint (if any),
 //! truncate the WAL's torn tail, and replay the committed suffix batches
-//! through the normal executor ([`try_execute_ctt_resumed`]). Replay is
+//! through the normal executor ([`CttSession::execute_all`]). Replay is
 //! *verified*: each replayed batch must reproduce exactly the cumulative
 //! answer digest its commit record promised, so silent divergence is a
 //! typed error, not a wrong answer. Correctness rests on the chaos
@@ -57,8 +57,7 @@ use dcart_workloads::{KeySet, Op, OpKind};
 
 use crate::config::DcartConfig;
 use crate::ctt::{
-    fold_digest, tree_digest, try_execute_ctt_resumed, BatchEvent, CttConsumer, CttOpEvent,
-    CttSession,
+    fold_digest, tree_digest, BatchEvent, CttConsumer, CttOpEvent, CttSession, ExecOpts,
 };
 use crate::error::DcartError;
 
@@ -691,7 +690,7 @@ fn tree_pairs(tree: &Art<u64>) -> Vec<(Key, u64)> {
 pub fn recover(
     keys: &KeySet,
     config: &DcartConfig,
-    threads: usize,
+    opts: &ExecOpts,
     dur: &DurabilityConfig,
 ) -> Result<RecoveredState, DcartError> {
     // A leftover temp file is crash residue (mid-checkpoint or
@@ -742,11 +741,12 @@ pub fn recover(
         ops.extend(batch_ops);
     }
 
-    let (tree, stats) = if replay.is_empty() {
+    let (tree, stats, _) = if replay.is_empty() {
         // Nothing to replay; still run the (empty) executor to get the
         // canonical merged tree out of the seeded shards.
         let mut sink = VerifyConsumer { expected: &[], digest: start_digest, mismatch: None };
-        try_execute_ctt_resumed(&pairs, &[], config, 1, threads, start_digest, &mut sink)?
+        CttSession::from_pairs(&pairs, config, opts, 1, start_digest)?
+            .execute_all(&[], &mut sink)?
     } else {
         let batch_size = scan.batch_size as usize;
         if batch_size == 0 {
@@ -755,15 +755,8 @@ pub fn recover(
         let expected: Vec<WalBatch> = replay.iter().map(|b| (*b).clone()).collect();
         let mut verify =
             VerifyConsumer { expected: &expected, digest: start_digest, mismatch: None };
-        let result = try_execute_ctt_resumed(
-            &pairs,
-            &ops,
-            config,
-            batch_size,
-            threads,
-            start_digest,
-            &mut verify,
-        )?;
+        let result = CttSession::from_pairs(&pairs, config, opts, batch_size, start_digest)?
+            .execute_all(&ops, &mut verify)?;
         if let Some(msg) = verify.mismatch {
             return Err(DcartError::Recovery(msg));
         }
@@ -807,7 +800,7 @@ pub fn run_durable(
     ops: &[Op],
     config: &DcartConfig,
     batch_size: usize,
-    threads: usize,
+    opts: &ExecOpts,
     dur: &DurabilityConfig,
     crash: &mut CrashInjector,
 ) -> Result<DurableOutcome, DcartError> {
@@ -820,7 +813,7 @@ pub fn run_durable(
 
     // Open existing state (recover) or initialize a fresh directory.
     let (mut tree, mut digest, mut next_seq, replayed, torn, mut writer) = if wal_path.exists() {
-        let st = recover(keys, config, threads, dur)?;
+        let st = recover(keys, config, opts, dur)?;
         let scan_batch = wal::scan(&wal_path)?.batch_size as usize;
         if scan_batch != batch_size {
             return Err(DcartError::Recovery(format!(
@@ -835,7 +828,8 @@ pub fn run_durable(
         let writer = WalWriter::create(&wal_path, batch_size as u32)?;
         let pairs = initial_pairs(keys);
         let mut sink = VerifyConsumer { expected: &[], digest: 0, mismatch: None };
-        let (tree, _) = try_execute_ctt_resumed(&pairs, &[], config, 1, threads, 0, &mut sink)?;
+        let (tree, _, _) =
+            CttSession::from_pairs(&pairs, config, opts, 1, 0)?.execute_all(&[], &mut sink)?;
         (tree, 0u64, 0u64, 0u64, 0u64, writer)
     };
 
@@ -874,15 +868,8 @@ pub fn run_durable(
             committed: 0,
             error: None,
         };
-        let (seg_tree, _stats) = try_execute_ctt_resumed(
-            &pairs,
-            segment,
-            config,
-            batch_size,
-            threads,
-            digest,
-            &mut consumer,
-        )?;
+        let (seg_tree, _, _) = CttSession::from_pairs(&pairs, config, opts, batch_size, digest)?
+            .execute_all(segment, &mut consumer)?;
         let committed = consumer.committed;
         let seg_digest = consumer.digest;
         if let Some(e) = consumer.error {
@@ -924,9 +911,12 @@ pub fn run_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctt::{try_execute_ctt_threaded, CttStats};
+    use crate::ctt::{execute_ctt, TraverseMode};
     use dcart_engine::CrashPlan;
     use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
+
+    /// One thread, level-wise Traverse, no stealing.
+    const SERIAL: ExecOpts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("dcart-durable-tests").join(name);
@@ -948,8 +938,7 @@ mod tests {
     fn reference(keys: &KeySet, ops: &[Op], config: &DcartConfig) -> (u64, u64) {
         struct Sink;
         impl CttConsumer for Sink {}
-        let (tree, stats): (Art<u64>, CttStats) =
-            try_execute_ctt_threaded(keys, ops, config, 512, 1, &mut Sink).unwrap();
+        let (tree, stats, _) = execute_ctt(keys, ops, config, 512, &SERIAL, &mut Sink).unwrap();
         (stats.answer_digest, tree_digest(&tree))
     }
 
@@ -990,7 +979,7 @@ mod tests {
         let (ref_answer, ref_tree) = reference(&keys, &ops, &config);
         let dur = DurabilityConfig::new(tmpdir("clean"));
         let mut crash = CrashInjector::counting();
-        let out = run_durable(&keys, &ops, &config, 512, 1, &dur, &mut crash).unwrap();
+        let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, None);
         assert_eq!(out.answer_digest, ref_answer, "answer digest must match plain execution");
         assert_eq!(out.tree_digest, ref_tree, "tree digest must match plain execution");
@@ -1010,19 +999,14 @@ mod tests {
         for split in [512usize, 2048, 4096] {
             struct Sink;
             impl CttConsumer for Sink {}
-            let (t1, s1) =
-                try_execute_ctt_threaded(&keys, &ops[..split], &config, 512, 1, &mut Sink).unwrap();
+            let (t1, s1, _) =
+                execute_ctt(&keys, &ops[..split], &config, 512, &SERIAL, &mut Sink).unwrap();
             let pairs = tree_pairs(&t1);
-            let (t2, s2) = try_execute_ctt_resumed(
-                &pairs,
-                &ops[split..],
-                &config,
-                512,
-                2,
-                s1.answer_digest,
-                &mut Sink,
-            )
-            .unwrap();
+            let two = ExecOpts { threads: 2, ..SERIAL };
+            let (t2, s2, _) = CttSession::from_pairs(&pairs, &config, &two, 512, s1.answer_digest)
+                .unwrap()
+                .execute_all(&ops[split..], &mut Sink)
+                .unwrap();
             assert_eq!(s2.answer_digest, ref_answer, "split at {split}");
             assert_eq!(tree_digest(&t2), ref_tree, "split at {split}");
         }
@@ -1038,11 +1022,11 @@ mod tests {
         for site in CrashSite::ALL {
             let dur = DurabilityConfig::new(tmpdir(&format!("site-{}", site.name())));
             let mut crash = CrashInjector::for_plan(CrashPlan { site, at: 1, seed: 5 });
-            let out = run_durable(&keys, &ops, &config, 512, 1, &dur, &mut crash).unwrap();
+            let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
             assert_eq!(out.crashed, Some(site), "the planned crash must fire");
             // Restart: recover + finish.
             let mut none = CrashInjector::counting();
-            let resumed = run_durable(&keys, &ops, &config, 512, 1, &dur, &mut none).unwrap();
+            let resumed = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut none).unwrap();
             assert_eq!(resumed.crashed, None);
             assert_eq!(resumed.answer_digest, ref_answer, "{}: answers diverged", site.name());
             assert_eq!(resumed.tree_digest, ref_tree, "{}: tree diverged", site.name());
@@ -1056,9 +1040,9 @@ mod tests {
         let dur = DurabilityConfig::new(tmpdir("torn"));
         let mut crash =
             CrashInjector::for_plan(CrashPlan { site: CrashSite::BeforeCommit, at: 2, seed: 9 });
-        let out = run_durable(&keys, &ops, &config, 512, 1, &dur, &mut crash).unwrap();
+        let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, Some(CrashSite::BeforeCommit));
-        let st = recover(&keys, &config, 1, &dur).unwrap();
+        let st = recover(&keys, &config, &SERIAL, &dur).unwrap();
         assert!(st.torn_bytes > 0, "the uncommitted batch record is torn residue");
         assert_eq!(st.replayed_batches, 2, "exactly the two committed batches replay");
         let rescan = wal::scan(&dur.dir.join(WAL_FILE)).unwrap();
@@ -1078,9 +1062,9 @@ mod tests {
         let dur = DurabilityConfig::new(tmpdir("post-ckpt-replay"));
         let mut crash =
             CrashInjector::for_plan(CrashPlan { site: CrashSite::MidRecord, at: 6, seed: 21 });
-        let out = run_durable(&keys, &ops, &config, 512, 1, &dur, &mut crash).unwrap();
+        let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, Some(CrashSite::MidRecord));
-        let st = recover(&keys, &config, 1, &dur).unwrap();
+        let st = recover(&keys, &config, &SERIAL, &dur).unwrap();
         assert!(st.used_checkpoint, "the seq-4 checkpoint must load");
         assert_eq!(st.next_seq, 6, "both post-checkpoint commits are durable");
         assert_eq!(st.replayed_batches, 2, "seqs 4 and 5 replay from the WAL");
@@ -1098,7 +1082,7 @@ mod tests {
         let dur = DurabilityConfig { checkpoint_every: u64::MAX, ..DurabilityConfig::new(&dir) };
         let mut crash =
             CrashInjector::for_plan(CrashPlan { site: CrashSite::BeforeCommit, at: 3, seed: 1 });
-        let out = run_durable(&keys, &ops, &config, 512, 1, &dur, &mut crash).unwrap();
+        let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, Some(CrashSite::BeforeCommit));
         // Forge: truncate the tail, then append a commit for a batch that
         // never ran with a bogus digest.
@@ -1109,7 +1093,7 @@ mod tests {
         let forged = encode_ops(&ops[3 * 512..4 * 512]);
         w.append_batch(3, &forged, &mut none).unwrap();
         w.commit(3, 0xDEAD_BEEF, 512, true, &mut none).unwrap();
-        let err = recover(&keys, &config, 1, &dur).unwrap_err();
+        let err = recover(&keys, &config, &SERIAL, &dur).unwrap_err();
         assert!(matches!(err, DcartError::Recovery(_)), "{err}");
         assert!(err.to_string().contains("digest"), "{err}");
     }
@@ -1121,10 +1105,10 @@ mod tests {
         let dur = DurabilityConfig::new(tmpdir("batchsize"));
         let mut crash =
             CrashInjector::for_plan(CrashPlan { site: CrashSite::MidRecord, at: 4, seed: 2 });
-        let out = run_durable(&keys, &ops, &config, 512, 1, &dur, &mut crash).unwrap();
+        let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, Some(CrashSite::MidRecord));
         let mut none = CrashInjector::counting();
-        let err = run_durable(&keys, &ops, &config, 256, 1, &dur, &mut none).unwrap_err();
+        let err = run_durable(&keys, &ops, &config, 256, &SERIAL, &dur, &mut none).unwrap_err();
         assert!(matches!(err, DcartError::Recovery(_)), "{err}");
         assert!(err.to_string().contains("batch size"), "{err}");
     }
@@ -1134,7 +1118,7 @@ mod tests {
         let (keys, _) = workload();
         let config = DcartConfig::default();
         let dur = DurabilityConfig::new(tmpdir("fresh"));
-        let st = recover(&keys, &config, 1, &dur).unwrap();
+        let st = recover(&keys, &config, &SERIAL, &dur).unwrap();
         assert_eq!(st.next_seq, 0);
         assert_eq!(st.replayed_batches, 0);
         assert!(!st.used_checkpoint);
@@ -1147,13 +1131,13 @@ mod tests {
         let config = DcartConfig::default();
         let dur = DurabilityConfig::new(tmpdir("ckpt-corrupt"));
         let mut crash = CrashInjector::counting();
-        run_durable(&keys, &ops, &config, 512, 1, &dur, &mut crash).unwrap();
+        run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         let path = dur.dir.join(CHECKPOINT_FILE);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        let err = recover(&keys, &config, 1, &dur).unwrap_err();
+        let err = recover(&keys, &config, &SERIAL, &dur).unwrap_err();
         assert!(
             matches!(err, DcartError::Recovery(_) | DcartError::Snapshot(_)),
             "bit flip must be a typed error: {err}"

@@ -53,12 +53,9 @@ mod software;
 pub use accel::{AccelDetails, BatchTiming, DcartAccel};
 pub use config::{DcartConfig, DegradeConfig};
 pub use ctt::{
-    execute_ctt, execute_ctt_threaded, execute_ctt_with, fold_digest, key_id, set_sou_threads,
-    set_split_threshold, set_traverse_mode, set_work_stealing, sou_threads, split_threshold,
-    traverse_mode, tree_digest, try_execute_ctt, try_execute_ctt_profiled, try_execute_ctt_resumed,
-    try_execute_ctt_threaded, try_execute_ctt_with, work_stealing, BatchEvent, BucketLoad,
-    CttConsumer, CttOpEvent, CttSession, CttStats, ExecOpts, LoadReport, LockGroup, TraverseMode,
-    MERGE_PATIENCE, SPLIT_FANOUT,
+    execute_ctt, fold_digest, key_id, tree_digest, BatchEvent, BucketLoad, CttConsumer, CttOpEvent,
+    CttSession, CttStats, ExecOpts, LoadReport, LockGroup, TraverseMode, MERGE_PATIENCE,
+    SPLIT_FANOUT,
 };
 pub use dcart_engine::{CrashInjector, CrashPlan, CrashSite, FaultPlan, RecoveryStats, WalError};
 pub use dcart_mem::PersistStats;

@@ -26,7 +26,7 @@ use dcart_workloads::{KeySet, Op, OpKind};
 use serde::{Deserialize, Serialize};
 
 use crate::config::DcartConfig;
-use crate::ctt::{execute_ctt, BatchEvent, CttConsumer, CttOpEvent, LockGroup};
+use crate::ctt::{execute_ctt, BatchEvent, CttConsumer, CttOpEvent, ExecOpts, LockGroup};
 
 /// Software overhead costs of the CTT runtime on a CPU, in nanoseconds.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -78,17 +78,30 @@ pub struct DcartSoftware {
     dcart: DcartConfig,
     cpu: CpuConfig,
     overheads: SoftwareOverheads,
+    exec: ExecOpts,
 }
 
 impl DcartSoftware {
     /// Creates DCART-C with the given DCART and CPU configurations.
     pub fn new(dcart: DcartConfig, cpu: CpuConfig) -> Self {
-        DcartSoftware { dcart, cpu, overheads: SoftwareOverheads::default() }
+        DcartSoftware {
+            dcart,
+            cpu,
+            overheads: SoftwareOverheads::default(),
+            exec: ExecOpts::default(),
+        }
     }
 
     /// Overrides the software overhead model.
     pub fn with_overheads(mut self, overheads: SoftwareOverheads) -> Self {
         self.overheads = overheads;
+        self
+    }
+
+    /// Overrides how the host executes the functional CTT run (default
+    /// [`ExecOpts::default`]); the modelled results never depend on it.
+    pub fn with_exec(mut self, exec: ExecOpts) -> Self {
+        self.exec = exec;
         self
     }
 }
@@ -242,7 +255,9 @@ impl IndexEngine for DcartSoftware {
             line_hits: 0,
             line_misses: 0,
         };
-        let (_tree, stats) = execute_ctt(keys, ops, &self.dcart, run.concurrency, &mut consumer);
+        let (_, stats, _) =
+            execute_ctt(keys, ops, &self.dcart, run.concurrency, &self.exec, &mut consumer)
+                .expect("IndexEngine contract: a positive concurrency over a prefix-free key set");
 
         let mut counters = consumer.counters;
         counters.redundant_node_visits = consumer.redundancy.redundant_visits;

@@ -3,7 +3,7 @@
 //! under randomized workloads, mixes, batch sizes, and config knobs.
 
 use dcart::{
-    execute_ctt, execute_ctt_with, fold_digest, BatchEvent, CttConsumer, CttOpEvent, DcartConfig,
+    execute_ctt, fold_digest, BatchEvent, CttConsumer, CttOpEvent, DcartConfig, ExecOpts,
     FaultPlan, LockGroup, TraverseMode,
 };
 use dcart_art::Key;
@@ -142,7 +142,8 @@ proptest! {
         };
 
         let mut audit = Audit::default();
-        let (ctt_tree, stats) = execute_ctt(&keys, &ops, &cfg, batch_size, &mut audit);
+        let (ctt_tree, stats, _) =
+            execute_ctt(&keys, &ops, &cfg, batch_size, &ExecOpts::default(), &mut audit).unwrap();
         let plain_tree = execute_with_traces(&keys, &ops, |_| {});
 
         // Functional equivalence: same keys, same order. (Values can differ
@@ -218,8 +219,9 @@ proptest! {
 
         let mut results = [TraverseMode::LevelWise, TraverseMode::PerOp].map(|mode| {
             let mut d = StreamDigest::default();
-            let (tree, mut stats) =
-                execute_ctt_with(&keys, &ops, &cfg, batch_size, threads, mode, &mut d);
+            let opts = ExecOpts { threads, mode, steal: false };
+            let (tree, mut stats, _) =
+                execute_ctt(&keys, &ops, &cfg, batch_size, &opts, &mut d).unwrap();
             let loads = stats.shortcut.nodes_visited;
             stats.shortcut.nodes_visited = 0;
             let pairs: Vec<(Key, u64)> = tree.iter().map(|(k, &v)| (k.clone(), v)).collect();
@@ -252,7 +254,10 @@ proptest! {
             })
             .collect();
         let mut audit = Audit::default();
-        let (_, stats) = execute_ctt(&keys, &ops, &DcartConfig::default(), batch_size, &mut audit);
+        let (_, stats, _) = execute_ctt(
+            &keys, &ops, &DcartConfig::default(), batch_size, &ExecOpts::default(), &mut audit,
+        )
+        .unwrap();
         prop_assert_eq!(stats.writes, n_ops as u64);
         prop_assert!(audit.group_members >= stats.writes,
             "members {} < writes {}", audit.group_members, stats.writes);

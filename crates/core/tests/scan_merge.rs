@@ -10,8 +10,8 @@
 use std::collections::BTreeMap;
 
 use dcart::{
-    fold_digest, tree_digest, try_execute_ctt_profiled, BatchEvent, CttConsumer, CttOpEvent,
-    CttSession, DcartConfig, ExecOpts, LockGroup, TraverseMode,
+    execute_ctt, fold_digest, tree_digest, BatchEvent, CttConsumer, CttOpEvent, CttSession,
+    DcartConfig, ExecOpts, LockGroup, TraverseMode,
 };
 use dcart_art::{Key, NodeType, VisitKind};
 use dcart_workloads::{generate_ops, Mix, Op, OpKind, OpStreamConfig, Workload};
@@ -98,7 +98,7 @@ fn run_cell(workload: Workload, split: f64, threads: usize) -> (u64, u64) {
     let opts = ExecOpts { threads, mode: TraverseMode::LevelWise, steal: false };
     let mut sink = FullStreamDigest::default();
     let (tree, stats, _) =
-        try_execute_ctt_profiled(&keys, &ops, &cfg, 1_024, &opts, &mut sink).expect("fault-free");
+        execute_ctt(&keys, &ops, &cfg, 1_024, &opts, &mut sink).expect("fault-free");
     assert_eq!(split < 0.5, stats.shard_splits > 0, "{workload:?}: split schedule as intended");
     (sink.h, tree_digest(&tree))
 }

@@ -4,9 +4,9 @@
 //! batch the shards are fully independent (prefix-disjoint buckets touch
 //! disjoint subtrees, shortcut shards, and scratch arenas). This helper
 //! fans a `&mut` slice of such shards over a bounded set of scoped threads
-//! with a work-stealing cursor — the same pattern as the bench harness's
-//! per-experiment pool, but over borrowed mutable state instead of owned
-//! inputs.
+//! with a work-stealing cursor. It is the workspace's one pool: the bench
+//! harness fans its experiment cells over it too, one `(input, result)`
+//! slot per cell.
 //!
 //! Determinism contract: the closure receives each shard exactly once, and
 //! because shards share nothing, the *outcome* per shard is independent of

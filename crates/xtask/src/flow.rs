@@ -70,10 +70,7 @@ static AUTOMATA: [Automaton; 3] = [
         files: &["crates/server/src/core_loop.rs", "crates/core/src/durable.rs"],
         stages: &[
             Stage { desc: "WAL append", m: Matcher::Callee(&["append_batch"]) },
-            Stage {
-                desc: "execute",
-                m: Matcher::Callee(&["execute_batch", "try_execute_ctt_resumed"]),
-            },
+            Stage { desc: "execute", m: Matcher::Callee(&["execute_batch", "execute_all"]) },
             Stage {
                 desc: "fsync commit",
                 m: Matcher::Any(&[

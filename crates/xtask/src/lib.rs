@@ -2,8 +2,8 @@
 //!
 //! Two entry points:
 //!
-//! * `cargo run -p xtask -- lint` — the fast lexical pass: five per-file
-//!   rules (D1 D2 P1 F1 O1) over the surface lexer in [`lexer`], plus S1
+//! * `cargo run -p xtask -- lint` — the fast lexical pass: six per-file
+//!   rules (D1 D2 P1 F1 O1 G1) over the surface lexer in [`lexer`], plus S1
 //!   stale-marker tracking for those rules. Results are content-hash
 //!   cached ([`cache`]) and the scan is parallel, so the in-`cargo test`
 //!   `workspace_lint_is_clean` check stays fast as rules grow.
@@ -55,6 +55,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     rules::p1(&ctx, &mut out);
     rules::f1(&ctx, &mut out);
     rules::o1(&ctx, &mut out);
+    rules::g1(&ctx, &mut out);
     rules::s1(&ctx, &LINT_RULE_IDS, &mut out);
     out.sort();
     out
@@ -88,6 +89,7 @@ pub fn analyze_sources(inputs: &[(String, String)]) -> Vec<Diagnostic> {
         rules::p1(ctx, &mut out);
         rules::f1(ctx, &mut out);
         rules::o1(ctx, &mut out);
+        rules::g1(ctx, &mut out);
         rules::a1(ctx, &mut out);
     }
     let g = graph::Graph::build(&files);

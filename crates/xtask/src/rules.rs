@@ -22,6 +22,8 @@
 //! |    | `unsafe` keyword is confined to [`UNSAFE_SANCTIONED`] files |
 //! | F1 | on-disk magic strings are defined in exactly one module |
 //! | O1 | no stdout/stderr prints in library crates |
+//! | G1 | no process-global mutable state: no `static mut`, no `static`
+//! |    | holding an atomic, lock, cell or once-cell, in any crate |
 //! | O2 | protocol call-order automata hold on every path (durable-ack,
 //! |    | checkpoint-install, drain) — see [`crate::flow`] |
 //! | C1 | lock discipline: no acquisition-order cycles, no double-acquire
@@ -60,21 +62,22 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// All rule IDs, in documentation order.
-pub const RULE_IDS: [&str; 9] = ["D1", "D2", "P1", "F1", "O1", "O2", "C1", "A1", "S1"];
+pub const RULE_IDS: [&str; 10] = ["D1", "D2", "P1", "F1", "O1", "G1", "O2", "C1", "A1", "S1"];
 
 /// The single-file lexical rules run by `xtask lint`.
-pub const LINT_RULE_IDS: [&str; 5] = ["D1", "D2", "P1", "F1", "O1"];
+pub const LINT_RULE_IDS: [&str; 6] = ["D1", "D2", "P1", "F1", "O1", "G1"];
 
 /// The flow-aware rules added by `xtask analyze`.
 pub const FLOW_RULE_IDS: [&str; 3] = ["O2", "C1", "A1"];
 
 /// One-line summaries per rule, for `--format sarif` metadata.
-pub const RULE_SUMMARIES: [(&str, &str); 9] = [
+pub const RULE_SUMMARIES: [(&str, &str); 10] = [
     ("D1", "no default-hasher HashMap/HashSet in deterministic code"),
     ("D2", "no wall-clock, OS-randomness, or environment reads in the functional layer"),
     ("P1", "uniform panic policy; unsafe confined to sanctioned kernel files"),
     ("F1", "on-disk magic strings have exactly one definition site"),
     ("O1", "no stdout/stderr prints in library crates"),
+    ("G1", "no process-global mutable state (interior-mutable or mut statics)"),
     ("O2", "protocol call-order automata hold on every path"),
     ("C1", "lock discipline: no acquisition-order cycles or double-acquires"),
     ("A1", "Relaxed/SeqCst atomic orderings carry a written justification"),
@@ -590,6 +593,67 @@ pub fn o1(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Types that make a `static` process-global mutable state (G1), besides
+/// every `Atomic*`.
+const G1_INTERIOR: [&str; 8] =
+    ["Mutex", "RwLock", "OnceLock", "OnceCell", "LazyLock", "Cell", "RefCell", "UnsafeCell"];
+
+/// G1 — no process-global mutable state, in any workspace crate.
+///
+/// Configuration travels as plain data from the flag parser to the code
+/// that uses it (`ExecOpts`, `Scale`). A `static mut`, or a `static`
+/// holding an atomic, lock, cell or once-cell, is a hidden second channel:
+/// callers pick it up silently and tests race on it (the executor's four
+/// knobs and the harness's `--jobs` worker count were once such globals).
+/// The one sanctioned site is the SIGINT latch in
+/// `crates/server/src/signal.rs` (a signal handler has no other channel),
+/// which carries an allow marker.
+pub fn g1(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
+    for (i, l) in ctx.lines.iter().enumerate() {
+        for col in ident_cols(&l.code, "static") {
+            // `&'static T` and `T: 'static` are lifetimes, not items.
+            if preceded_by(&l.code, col - 1, '\'') {
+                continue;
+            }
+            // The item's name and type run to its initializer or end,
+            // possibly across lines.
+            let mut decl = l.code[col - 1 + "static".len()..].to_string();
+            for next in ctx.lines.iter().skip(i + 1).take(8) {
+                if decl.contains(['=', ';']) {
+                    break;
+                }
+                decl.push(' ');
+                decl.push_str(&next.code);
+            }
+            let decl = decl.split(['=', ';']).next().unwrap_or_default();
+            let words: Vec<&str> = decl
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .collect();
+            let what = if words.first() == Some(&"mut") {
+                "is `static mut`".to_string()
+            } else if let Some(ty) =
+                words.iter().find(|w| w.starts_with("Atomic") || G1_INTERIOR.contains(w))
+            {
+                format!("holds `{ty}`")
+            } else {
+                continue;
+            };
+            let name = words.iter().find(|w| !matches!(**w, "mut" | "ref")).unwrap_or(&"");
+            ctx.emit(
+                out,
+                "G1",
+                i,
+                col,
+                format!("`static {name}` {what}: process-global mutable state"),
+                "pass the value explicitly (an options struct from the flag parser down); the \
+                 SIGINT latch in crates/server/src/signal.rs is the one sanctioned global — \
+                 silence a justified site with `// dcart_lint::allow(G1) -- reason`",
+            );
         }
     }
 }

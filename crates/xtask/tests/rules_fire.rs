@@ -142,6 +142,29 @@ fn per_rule_allow_markers_silence_bad_fixtures() {
 }
 
 #[test]
+fn g1_reports_every_global_and_spares_only_the_marked_signal_latch() {
+    // G1 is not scoped to library crates: the bench harness is checked too,
+    // and each finding points at its `static` token.
+    let source = read_fixture("g1_bad.rs");
+    let diags = xtask::lint_source("crates/bench/src/fixture_under_test.rs", &source);
+    assert_eq!(diags.len(), 6, "all six globals in the fixture are reported: {diags:?}");
+    for d in &diags {
+        let line = source.lines().nth(d.line - 1).expect("diagnostic line exists");
+        assert!(line[d.col - 1..].starts_with("static"), "span points at the token: {line:?}");
+    }
+
+    // The real SIGINT latch is the one sanctioned global: clean with its
+    // marker, and the only finding once the marker is gone.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../server/src/signal.rs");
+    let real = std::fs::read_to_string(&path).expect("signal.rs readable");
+    assert!(xtask::lint_source("crates/server/src/signal.rs", &real).is_empty());
+    let unmarked = real.replace("dcart_lint::allow(G1)", "marker removed");
+    let diags = xtask::lint_source("crates/server/src/signal.rs", &unmarked);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(diags[0].rule == "G1" && diags[0].msg.contains("SIGINT_SEEN"), "{diags:?}");
+}
+
+#[test]
 fn d2_fires_in_the_server_library_but_not_its_binary() {
     // The serving layer's whole determinism story rests on this scoping:
     // wall-clock reads are banned in `crates/server/src/` (deadlines go

@@ -2,7 +2,7 @@
 //! produces internally consistent reports, and the CTT execution is
 //! functionally equivalent to plain operation-centric execution.
 
-use dcart::{execute_ctt, DcartConfig};
+use dcart::{execute_ctt, DcartConfig, ExecOpts};
 use dcart_baselines::{
     execute_with_traces, CpuBaseline, CpuConfig, CuArt, GpuConfig, IndexEngine, RunConfig,
 };
@@ -59,7 +59,8 @@ fn ctt_execution_is_functionally_equivalent_to_plain() {
         struct Sink;
         impl dcart::CttConsumer for Sink {}
         let cfg = DcartConfig::default().with_auto_prefix_skip(&keys);
-        let (ctt_tree, stats) = execute_ctt(&keys, &ops, &cfg, 2_048, &mut Sink);
+        let (ctt_tree, stats, _) =
+            execute_ctt(&keys, &ops, &cfg, 2_048, &ExecOpts::default(), &mut Sink).unwrap();
         let plain_tree = execute_with_traces(&keys, &ops, |_| {});
         assert_eq!(stats.ops, OPS as u64);
         assert_eq!(ctt_tree.len(), plain_tree.len(), "{workload}");

@@ -20,7 +20,7 @@ fn band(x: f64, lo: f64, hi: f64, what: &str) {
 
 #[test]
 fn headline_ratios_match_the_paper() {
-    let scale = Scale { keys: 100_000, ops: 1_000_000, concurrency: 65_536, seed: 42 };
+    let scale = Scale { keys: 100_000, ops: 1_000_000, concurrency: 65_536, ..Scale::smoke() };
     let matrix =
         run_matrix(&["ART", "SMART", "CuART", "DCART-C", "DCART"], &[Workload::Ipgeo], &scale);
     let get = |engine: &str| {

@@ -8,8 +8,8 @@
 //! injected shortcut corruption.
 
 use dcart::{
-    execute_ctt_threaded, fold_digest, tree_digest, try_execute_ctt_profiled, CttConsumer,
-    CttOpEvent, CttStats, DcartConfig, ExecOpts, FaultPlan, LoadReport, TraverseMode,
+    execute_ctt, fold_digest, tree_digest, CttConsumer, CttOpEvent, CttStats, DcartConfig,
+    ExecOpts, FaultPlan, LoadReport, TraverseMode,
 };
 use dcart_art::Key;
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
@@ -52,7 +52,9 @@ fn run(
         generate_ops(&keys, &OpStreamConfig { count: 16_000, mix: Mix::E, theta: 0.99, seed: 17 });
     let mut cfg = DcartConfig::default().with_auto_prefix_skip(&keys);
     cfg.faults = faults;
-    let (tree, stats) = execute_ctt_threaded(&keys, &ops, &cfg, 2_048, threads, &mut Sink);
+    let opts = ExecOpts { threads, ..ExecOpts::default() };
+    let (tree, stats, _) = execute_ctt(&keys, &ops, &cfg, 2_048, &opts, &mut Sink)
+        .expect("fault plans are survivable");
     let json = serde_json::to_string_pretty(&stats).expect("stats serialize");
     (json, stats, tree.iter().map(|(k, &v)| (k.clone(), v)).collect())
 }
@@ -123,7 +125,7 @@ fn run_cell(
     cfg.split_threshold = Some(split);
     let opts = ExecOpts { threads, mode: TraverseMode::LevelWise, steal };
     let mut sink = StreamDigest::default();
-    let (tree, stats, load) = try_execute_ctt_profiled(&keys, &ops, &cfg, 1_024, &opts, &mut sink)
+    let (tree, stats, load) = execute_ctt(&keys, &ops, &cfg, 1_024, &opts, &mut sink)
         .expect("these fault plans never kill the run");
     let json = serde_json::to_string_pretty(&stats).expect("stats serialize");
     (json, sink.h, tree_digest(&tree), load, stats)
