@@ -20,7 +20,10 @@
 //! rename over `checkpoint.snap`, fsync the directory — and only then is
 //! the WAL reset. Every window between those steps is a distinct
 //! [`CrashSite`], and the crash-point matrix in `crates/bench` kills the
-//! run inside each one.
+//! run inside each one. The server runs the same install on a thread of
+//! its own ([`CheckpointJob::run`]) and keeps appending meanwhile, to the
+//! second of two WAL segments ([`WAL_SEGMENTS`]); the reset then empties
+//! the segment the checkpoint absorbed.
 //!
 //! # Checkpoint files
 //!
@@ -32,7 +35,9 @@
 //! [`Checkpointer`] instead, which encodes an ordered walk of the shards
 //! the first time and from then on merges the keys written since into
 //! the entries of the file it installed last — same bytes, at a cost
-//! that follows the writes rather than the tree.
+//! that follows the writes rather than the tree. Only the capture of
+//! those keys' current state needs the session; the merge and the install
+//! are a [`CheckpointJob`] that may run elsewhere.
 //!
 //! # Recovery
 //!
@@ -64,8 +69,13 @@ use crate::error::DcartError;
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DCARTCKP";
 
-/// File name of the WAL inside a durability directory.
+/// File name of the WAL inside a durability directory — the only one the
+/// offline executor writes, and the first of the server's two segments.
 pub const WAL_FILE: &str = "dcart.wal";
+
+/// The two WAL segments a server appends to in turn: while a checkpoint
+/// absorbs the batches of one, new batches go to the other.
+pub const WAL_SEGMENTS: [&str; 2] = [WAL_FILE, "dcart.wal.1"];
 
 /// File name of the live checkpoint inside a durability directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.snap";
@@ -75,6 +85,10 @@ pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 
 /// Checkpoint prelude: magic + next-batch seq + cumulative digest.
 const CHECKPOINT_PRELUDE: usize = 8 + 8 + 8;
+
+/// Sizing hint for checkpoint buffers: what an entry with an 8-byte key
+/// takes.
+const ENTRY_HINT: usize = 18;
 
 /// How and where a run persists its state.
 #[derive(Clone, Debug)]
@@ -276,13 +290,22 @@ fn encode_walk<'a>(
     })
 }
 
+/// The fsync of the checkpoint's temp file, as `install_checkpoint`
+/// calls it: `File::sync_all`, unless a caller has put its own in to hold
+/// an install back or make it fail.
+pub type SyncFile<'a> = &'a mut dyn FnMut(&File) -> std::io::Result<()>;
+
 /// Installs an encoded checkpoint with the temp-file + atomic-rename
-/// protocol — write `checkpoint.tmp`, fsync it, rename it over
-/// `checkpoint.snap`, fsync the directory — exercising the three
-/// checkpoint crash sites. Only after this returns may the WAL be reset.
+/// protocol — write `checkpoint.tmp`, fsync it (through `sync`), rename
+/// it over `checkpoint.snap`, fsync the directory — and only then resets
+/// `retired`, the WAL (segment) whose batches the checkpoint absorbs.
+/// Exercises the three checkpoint crash sites; after any error the log is
+/// untouched.
 fn install_checkpoint(
     dir: &Path,
     bytes: &[u8],
+    retired: Option<&mut WalWriter>,
+    sync: SyncFile<'_>,
     crash: &mut CrashInjector,
     persist: &mut PersistStats,
 ) -> Result<(), DcartError> {
@@ -298,7 +321,7 @@ fn install_checkpoint(
     }
     let mut f = File::create(&tmp)?;
     f.write_all(bytes)?;
-    f.sync_all()?;
+    sync(&f)?;
     drop(f);
     persist.checkpoint_bytes += bytes.len() as u64;
     if crash.should_crash(CrashSite::BeforeSwap) {
@@ -308,14 +331,17 @@ fn install_checkpoint(
     }
     fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
     // The rename lives in the directory, not in the file: without this a
-    // power cut could keep the WAL reset that follows and lose the rename
-    // it relies on.
+    // power cut could keep the WAL reset below and lose the rename it
+    // relies on.
     wal::sync_dir(dir)?;
     persist.checkpoints += 1;
     if crash.should_crash(CrashSite::AfterSwap) {
         // New checkpoint live, WAL not yet reset: recovery must skip the
         // already-absorbed batches still sitting in the log.
         return Err(WalError::InjectedCrash(CrashSite::AfterSwap).into());
+    }
+    if let Some(retired) = retired {
+        retired.reset()?;
     }
     Ok(())
 }
@@ -340,7 +366,7 @@ pub fn write_checkpoint(
 ) -> Result<(), DcartError> {
     let mut bytes = Vec::new();
     encode_walk(&mut bytes, next_seq, digest, tree.iter().map(|(k, &v)| (k, v)))?;
-    install_checkpoint(dir, &bytes, crash, persist)
+    install_checkpoint(dir, &bytes, None, &mut File::sync_all, crash, persist)
 }
 
 /// A checkpoint as it sits on disk, decoded but not yet loaded into a tree.
@@ -418,6 +444,13 @@ pub enum CheckpointKind {
     },
 }
 
+/// The file a [`Checkpointer`] installed last and where its entries sit in
+/// it: the base of the next merge.
+struct Image {
+    file: Vec<u8>,
+    written: WrittenSnapshot,
+}
+
 /// Checkpoints a live [`CttSession`] at a cost that follows what changed.
 ///
 /// The tree stays the only truth: the checkpointer remembers *which* keys
@@ -431,22 +464,62 @@ pub enum CheckpointKind {
 /// its entry count is checked against the session's before anything
 /// touches the disk.
 ///
+/// The work comes in two halves, so that only the first needs the
+/// session: [`capture`](Self::capture) reads what the checkpoint needs
+/// from it into a [`CheckpointJob`], and [`CheckpointJob::run`] — on
+/// whichever thread — merges, checks, installs and resets the log the
+/// checkpoint absorbs. The job takes the last image with it and
+/// [`finish`](Self::finish) takes the new one back; at most one job is
+/// out at a time.
+///
 /// A checkpointer that has installed nothing yet — a fresh directory, or
 /// a restart, whose recovered state no image describes — walks, and so
-/// does a caller that asks for it (the drain checkpoint).
+/// does a caller that asks for it (the drain checkpoint). A walk reads
+/// every shard, so a walk's capture is its whole encoding.
 pub struct Checkpointer {
     dir: PathBuf,
-    /// The file this checkpointer installed last and where its entries
-    /// sit in it: the base of the next merge.
-    image: Option<(Vec<u8>, WrittenSnapshot)>,
-    /// The file under construction; trades places with the image on
-    /// install, so steady state allocates nothing.
+    /// The file this checkpointer installed last; out with the job while
+    /// one runs.
+    image: Option<Image>,
+    /// The buffer the next file is built in; trades places with the image
+    /// on install, so steady state allocates nothing.
     next: Vec<u8>,
-    /// Keys of the write operations executed since the image was taken,
-    /// in arrival order, duplicates and all.
+    /// The next merge's updates, kept for their capacity.
+    updates: Vec<(Key, Option<u64>)>,
+    /// Keys of the write operations executed since the last capture, in
+    /// arrival order, duplicates and all.
     dirty: Vec<Key>,
+    /// The next capture merges: an image exists, or will once the job
+    /// out with it ends.
+    merging: bool,
     /// `next_seq` of the checkpoint live in `dir`, when known.
     installed_seq: Option<u64>,
+}
+
+/// One checkpoint between its capture and its install: the captured
+/// state, the image it merges into, and the buffers it writes. Made by
+/// [`Checkpointer::capture`], consumed by [`CheckpointJob::run`], handed
+/// back with [`Checkpointer::finish`].
+pub struct CheckpointJob {
+    dir: PathBuf,
+    next_seq: u64,
+    digest: u64,
+    /// Keys in the session at capture: what the merged file must hold.
+    live: u64,
+    kind: CheckpointKind,
+    /// A walk: the file to install, encoded at capture. A merge: the image
+    /// merged into. After a run, the file the run wrote.
+    image: Image,
+    /// The buffer a merge writes into.
+    next: Vec<u8>,
+    /// Each key written since the image, ascending, with its state at
+    /// capture (none for a walk).
+    updates: Vec<(Key, Option<u64>)>,
+    /// Debug builds: a walk of the captured state, which the merged file
+    /// must equal byte for byte.
+    expect: Option<Vec<u8>>,
+    /// A run installed the file.
+    installed: bool,
 }
 
 impl Checkpointer {
@@ -458,92 +531,164 @@ impl Checkpointer {
             dir: dir.to_path_buf(),
             image: None,
             next: Vec::new(),
+            updates: Vec::new(),
             dirty: Vec::new(),
+            merging: false,
             installed_seq,
         }
     }
 
-    /// `next_seq` of the checkpoint live in the directory, when known: a
-    /// caller whose own `next_seq` equals it has nothing to checkpoint.
+    /// `next_seq` of the checkpoint live in the directory, when known (a
+    /// job still out is not counted): a caller whose own `next_seq`
+    /// equals it has nothing to checkpoint.
     pub fn installed_seq(&self) -> Option<u64> {
         self.installed_seq
     }
 
     /// Records the keys `batch` writes. Call once for every batch handed
-    /// to [`CttSession::execute_batch`] between two checkpoints.
+    /// to [`CttSession::execute_batch`] between two captures.
     pub fn note_writes(&mut self, batch: &[Op]) {
-        // Without an image the next checkpoint walks and needs no keys.
-        if self.image.is_some() {
+        // When the next checkpoint walks it needs no keys.
+        if self.merging {
             self.dirty
                 .extend(batch.iter().filter(|op| op.kind.is_write()).map(|op| op.key.clone()));
         }
     }
 
-    /// Checkpoints `session` as of `next_seq` and installs the file
-    /// (tmp → fsync → rename → directory fsync); the caller resets the WAL
-    /// afterwards. Merges into the last image unless there is none or
-    /// `walk` asks for the full walk.
+    /// The half of a checkpoint of `session` as of `next_seq` that needs
+    /// the session: the digest, the key count and, for a merge, the
+    /// current state of every key written since the last capture — or,
+    /// when there is no image or `walk` asks for it, the whole file,
+    /// encoded from an ordered walk. The job takes the image along; call
+    /// [`finish`](Self::finish) with it before the next capture.
+    ///
+    /// # Errors
+    ///
+    /// Snapshot-encoding failures of a walk; the next capture walks then.
+    pub fn capture(
+        &mut self,
+        session: &CttSession,
+        next_seq: u64,
+        walk: bool,
+    ) -> Result<CheckpointJob, DcartError> {
+        let base = if walk || !self.merging { None } else { self.image.take() };
+        self.merging = false;
+        let digest = session.answer_digest();
+        let mut next = std::mem::take(&mut self.next);
+        let mut updates = std::mem::take(&mut self.updates);
+        updates.clear();
+        let mut expect = None;
+        let (kind, image) = match base {
+            None => {
+                next.clear();
+                next.reserve(session.len() * ENTRY_HINT);
+                let written = encode_walk(&mut next, next_seq, digest, session.entries())?;
+                // The old image's buffer, if any, is the next merge's.
+                let spare = self.image.take().map_or_else(Vec::new, |old| old.file);
+                (
+                    CheckpointKind::Walked,
+                    Image { file: std::mem::replace(&mut next, spare), written },
+                )
+            }
+            Some(base) => {
+                self.dirty.sort_unstable();
+                self.dirty.dedup();
+                updates.extend(self.dirty.drain(..).map(|key| {
+                    let state = session.get(&key);
+                    (key, state)
+                }));
+                if cfg!(debug_assertions) {
+                    let mut walked = Vec::new();
+                    encode_walk(&mut walked, next_seq, digest, session.entries())?;
+                    expect = Some(walked);
+                }
+                (CheckpointKind::Merged { dirty_keys: updates.len() as u64 }, base)
+            }
+        };
+        self.dirty.clear();
+        self.merging = true;
+        Ok(CheckpointJob {
+            dir: self.dir.clone(),
+            next_seq,
+            digest,
+            live: session.len() as u64,
+            kind,
+            image,
+            next,
+            updates,
+            expect,
+            installed: false,
+        })
+    }
+
+    /// Takes back a job that has run (or never will): a job that
+    /// installed its file leaves it as the base of the next merge; any
+    /// other leaves no image, and the next capture walks.
+    pub fn finish(&mut self, job: CheckpointJob) {
+        if job.installed {
+            self.installed_seq = Some(job.next_seq);
+            self.image = Some(job.image);
+        } else {
+            self.merging = false;
+            self.dirty.clear();
+        }
+        self.next = job.next;
+        self.updates = job.updates;
+    }
+}
+
+impl CheckpointJob {
+    /// The half of a checkpoint that does not need the session: merges the
+    /// captured updates into the image (a walk's file is complete
+    /// already), checks the merged entry count against the session's at
+    /// capture, and installs the file with `install_checkpoint`'s
+    /// protocol — tmp, `sync`, rename, directory fsync — and only then
+    /// resets `retired`, the log whose batches the checkpoint absorbs.
+    /// The checkpoint crash sites fire on the thread that calls this.
     ///
     /// # Errors
     ///
     /// [`DcartError::CheckpointDiverged`] when the merged entry count is
     /// not the session's (nothing is written then), encoding and I/O
     /// failures, or an injected crash at one of the three checkpoint
-    /// sites. After any error the image is dropped: a later call walks.
-    pub fn checkpoint(
+    /// sites; `retired` is untouched after any of them.
+    pub fn run(
         &mut self,
-        session: &CttSession,
-        next_seq: u64,
-        walk: bool,
+        retired: Option<&mut WalWriter>,
+        sync: SyncFile<'_>,
         crash: &mut CrashInjector,
         persist: &mut PersistStats,
     ) -> Result<CheckpointKind, DcartError> {
-        // Sizing hint: what an entry with an 8-byte key takes.
-        const ENTRY_HINT: usize = 18;
-        let image = self.image.take().filter(|_| !walk);
-        let digest = session.answer_digest();
-        self.next.clear();
-        let (written, kind) = match &image {
-            None => {
-                self.next.reserve(session.len() * ENTRY_HINT);
-                (
-                    encode_walk(&mut self.next, next_seq, digest, session.entries())?,
-                    CheckpointKind::Walked,
-                )
-            }
-            Some((file, base)) => {
-                self.dirty.sort_unstable();
-                self.dirty.dedup();
-                self.next.reserve(file.len() + self.dirty.len() * ENTRY_HINT);
-                let written = encode_checkpoint(&mut self.next, next_seq, digest, |writer| {
+        if let CheckpointKind::Merged { .. } = self.kind {
+            let base = &self.image;
+            self.next.clear();
+            self.next.reserve(base.file.len() + self.updates.len() * ENTRY_HINT);
+            let written =
+                encode_checkpoint(&mut self.next, self.next_seq, self.digest, |writer| {
                     writer.merge(
-                        SnapshotEntries::over(&file[base.entries.clone()], base.count),
-                        self.dirty.iter().map(|key| (key.as_bytes(), session.get(key))),
+                        SnapshotEntries::over(
+                            &base.file[base.written.entries.clone()],
+                            base.written.count,
+                        ),
+                        self.updates.iter().map(|(key, state)| (key.as_bytes(), *state)),
                     )
                 })?;
-                if written.count != session.len() as u64 {
-                    return Err(DcartError::CheckpointDiverged {
-                        merged: written.count,
-                        live: session.len() as u64,
-                    });
-                }
-                debug_assert!(
-                    {
-                        let mut walked = Vec::new();
-                        encode_walk(&mut walked, next_seq, digest, session.entries()).is_ok()
-                            && walked == self.next
-                    },
-                    "merged checkpoint differs from the full walk"
-                );
-                (written, CheckpointKind::Merged { dirty_keys: self.dirty.len() as u64 })
+            if written.count != self.live {
+                return Err(DcartError::CheckpointDiverged {
+                    merged: written.count,
+                    live: self.live,
+                });
             }
-        };
-        self.dirty.clear();
-        install_checkpoint(&self.dir, &self.next, crash, persist)?;
-        self.installed_seq = Some(next_seq);
-        let recycled = image.map_or_else(Vec::new, |(file, _)| file);
-        self.image = Some((std::mem::replace(&mut self.next, recycled), written));
-        Ok(kind)
+            debug_assert!(
+                self.expect.as_ref().is_none_or(|walked| *walked == self.next),
+                "merged checkpoint differs from the full walk"
+            );
+            std::mem::swap(&mut self.image.file, &mut self.next);
+            self.image.written = written;
+        }
+        install_checkpoint(&self.dir, &self.image.file, retired, sync, crash, persist)?;
+        self.installed = true;
+        Ok(self.kind)
     }
 }
 
@@ -850,6 +995,7 @@ pub fn run_durable(
     let mut remaining = ops.get(consumed..).unwrap_or(&[]);
     let mut committed_total = 0u64;
     let seg_ops_max = (dur.checkpoint_every.max(1) as usize).saturating_mul(batch_size);
+    let mut checkpoint = Vec::new();
 
     while !remaining.is_empty() {
         let seg_len = seg_ops_max.min(remaining.len());
@@ -886,13 +1032,16 @@ pub fn run_durable(
 
         // Segment complete: install a checkpoint, then (and only then)
         // reset the WAL it absorbs.
-        if let Err(e) = write_checkpoint(&dur.dir, next_seq, digest, &tree, crash, &mut persist) {
+        encode_walk(&mut checkpoint, next_seq, digest, tree.iter().map(|(k, &v)| (k, v)))?;
+        let sync = &mut File::sync_all;
+        let installed =
+            install_checkpoint(&dur.dir, &checkpoint, Some(&mut writer), sync, crash, &mut persist);
+        if let Err(e) = installed {
             return match e.injected_crash() {
                 Some(site) => Ok(crashed_outcome(site, committed_total, persist)),
                 None => Err(e),
             };
         }
-        writer.reset()?;
     }
 
     let td = tree_digest(&tree);

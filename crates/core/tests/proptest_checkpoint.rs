@@ -19,6 +19,22 @@ use proptest::prelude::*;
 struct Silent;
 impl CttConsumer for Silent {}
 
+/// A checkpoint on the calling thread: capture, run the job (no log to
+/// reset), take it back.
+fn checkpoint(
+    checkpointer: &mut Checkpointer,
+    session: &CttSession,
+    next_seq: u64,
+    walk: bool,
+    crash: &mut CrashInjector,
+    persist: &mut PersistStats,
+) -> Result<CheckpointKind, DcartError> {
+    let mut job = checkpointer.capture(session, next_seq, walk)?;
+    let kind = job.run(None, &mut std::fs::File::sync_all, crash, persist);
+    checkpointer.finish(job);
+    kind
+}
+
 /// A fresh directory per case (cases of one test run in sequence, tests in
 /// parallel).
 fn case_dir(test: &str) -> PathBuf {
@@ -106,7 +122,7 @@ proptest! {
         let mut persist = PersistStats::default();
 
         // The image every merge starts from.
-        let kind = checkpointer.checkpoint(&session, 0, false, &mut crash, &mut persist).unwrap();
+        let kind = checkpoint(&mut checkpointer, &session, 0, false, &mut crash, &mut persist).unwrap();
         prop_assert_eq!(kind, CheckpointKind::Walked);
 
         for (cycle, raw) in cycles.iter().enumerate() {
@@ -118,7 +134,7 @@ proptest! {
             }
             let seq = cycle as u64 + 1;
             let kind =
-                checkpointer.checkpoint(&session, seq, false, &mut crash, &mut persist).unwrap();
+                checkpoint(&mut checkpointer, &session, seq, false, &mut crash, &mut persist).unwrap();
             let mut written: Vec<&Key> =
                 ops.iter().filter(|op| op.kind.is_write()).map(|op| &op.key).collect();
             written.sort_unstable();
@@ -160,12 +176,13 @@ fn untracked_write_is_refused_not_installed() {
     let mut checkpointer = Checkpointer::new(&dir, None);
     let mut crash = CrashInjector::counting();
     let mut persist = PersistStats::default();
-    checkpointer.checkpoint(&session, 0, false, &mut crash, &mut persist).unwrap();
+    checkpoint(&mut checkpointer, &session, 0, false, &mut crash, &mut persist).unwrap();
     let installed = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
 
     let untracked = [Op { kind: OpKind::Insert, key: pool[0].clone(), value: 1 }];
     session.execute_batch(&untracked, &mut Silent).unwrap();
-    let err = checkpointer.checkpoint(&session, 1, false, &mut crash, &mut persist).unwrap_err();
+    let err =
+        checkpoint(&mut checkpointer, &session, 1, false, &mut crash, &mut persist).unwrap_err();
     let live = loaded.len() as u64 + 1;
     assert!(
         matches!(err, DcartError::CheckpointDiverged { merged, live: l } if merged + 1 == live && l == live),
@@ -175,7 +192,7 @@ fn untracked_write_is_refused_not_installed() {
     assert_eq!(checkpointer.installed_seq(), Some(0));
     assert_eq!(persist.checkpoints, 1);
 
-    let kind = checkpointer.checkpoint(&session, 1, false, &mut crash, &mut persist).unwrap();
+    let kind = checkpoint(&mut checkpointer, &session, 1, false, &mut crash, &mut persist).unwrap();
     assert_eq!(kind, CheckpointKind::Walked);
     let (_, _, on_disk) = read_checkpoint(&dir).unwrap().unwrap();
     assert_eq!(on_disk.get(&pool[0]), Some(&1));
@@ -192,18 +209,18 @@ fn forced_walk_replaces_the_image() {
     let mut checkpointer = Checkpointer::new(&dir, None);
     let mut crash = CrashInjector::counting();
     let mut persist = PersistStats::default();
-    checkpointer.checkpoint(&session, 0, false, &mut crash, &mut persist).unwrap();
+    checkpoint(&mut checkpointer, &session, 0, false, &mut crash, &mut persist).unwrap();
 
     let batch = [Op { kind: OpKind::Insert, key: pool[1].clone(), value: 9 }];
     checkpointer.note_writes(&batch);
     session.execute_batch(&batch, &mut Silent).unwrap();
-    let kind = checkpointer.checkpoint(&session, 1, true, &mut crash, &mut persist).unwrap();
+    let kind = checkpoint(&mut checkpointer, &session, 1, true, &mut crash, &mut persist).unwrap();
     assert_eq!(kind, CheckpointKind::Walked);
 
     let batch = [Op { kind: OpKind::Remove, key: pool[1].clone(), value: 0 }];
     checkpointer.note_writes(&batch);
     session.execute_batch(&batch, &mut Silent).unwrap();
-    let kind = checkpointer.checkpoint(&session, 2, false, &mut crash, &mut persist).unwrap();
+    let kind = checkpoint(&mut checkpointer, &session, 2, false, &mut crash, &mut persist).unwrap();
     assert_eq!(kind, CheckpointKind::Merged { dirty_keys: 1 });
     let (_, _, on_disk) = read_checkpoint(&dir).unwrap().unwrap();
     assert_eq!(on_disk.len(), loaded.len());

@@ -36,6 +36,15 @@
 //! leave the file in precisely the state a real process death would: a
 //! deterministic prefix of a record for [`CrashSite::MidRecord`], a
 //! committed-but-unmarked batch for [`CrashSite::BeforeCommit`].
+//!
+//! A log may be one of a *pair of segments* (`dcart-server` appends to
+//! one while a checkpoint absorbs the other, then truncates that one with
+//! [`WalWriter::reset`]); a reader then has to see both. Version 2 of the
+//! header says so: the record format is version 1's, version 1 is still
+//! read, and every file this build writes — or appends to, see
+//! [`WalWriter::open_append`] — carries version 2, so a build that knows
+//! only single-file logs refuses the directory instead of replaying half
+//! of it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -46,8 +55,9 @@ use crate::faults::{CrashInjector, CrashSite};
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"DCARTWAL";
 
-/// Current on-disk format version.
-pub const WAL_VERSION: u32 = 1;
+/// Current on-disk format version: 2, a file that may be one of a pair of
+/// segments. Version 1 (the same records, always a single file) is read.
+pub const WAL_VERSION: u32 = 2;
 
 /// Header bytes: magic + version + batch size.
 const HEADER_LEN: u64 = 16;
@@ -84,7 +94,7 @@ impl std::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "WAL I/O error: {e}"),
             WalError::BadMagic => write!(f, "not a WAL file (bad magic)"),
             WalError::UnsupportedVersion(v) => {
-                write!(f, "WAL format version {v} is newer than this build reads ({WAL_VERSION})")
+                write!(f, "WAL format version {v} is not one this build reads (1 to {WAL_VERSION})")
             }
             WalError::InjectedCrash(site) => {
                 write!(f, "injected crash at {}", site.name())
@@ -208,9 +218,20 @@ impl WalWriter {
 
     /// Opens an existing WAL for appending after `valid_len` bytes (as
     /// reported by a scan; the caller is responsible for having truncated
-    /// the torn tail first, normally via [`recover`]).
+    /// the torn tail first, normally via [`recover`]). A version-1 header
+    /// is rewritten to the current version, and synced, before anything
+    /// is appended.
     pub fn open_append(path: &Path, valid_len: u64) -> Result<Self, WalError> {
-        let file = OpenOptions::new().append(true).open(path)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut version = [0u8; 4];
+        file.seek(SeekFrom::Start(8))?;
+        file.read_exact(&mut version)?;
+        if u32::from_le_bytes(version) != WAL_VERSION {
+            file.seek(SeekFrom::Start(8))?;
+            file.write_all(&WAL_VERSION.to_le_bytes())?;
+            file.sync_all()?;
+        }
+        file.seek(SeekFrom::Start(valid_len))?;
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
@@ -312,7 +333,8 @@ impl WalWriter {
         // Rewind the cursor explicitly: `set_len` does not move it, and a
         // write-mode file would otherwise punch a zero-filled hole from the
         // header to the old offset on the next append (append-mode files
-        // ignore the cursor, but `create` opens in write mode).
+        // ignore the cursor, but `create` and `open_append` open in write
+        // mode).
         self.file.seek(SeekFrom::Start(HEADER_LEN))?;
         self.file.sync_all()?;
         self.len = HEADER_LEN;
@@ -350,7 +372,7 @@ pub fn scan(path: &Path) -> Result<WalScan, WalError> {
         return Err(WalError::BadMagic);
     }
     let version = read_u32(&bytes, 8).unwrap_or(0);
-    if version != WAL_VERSION {
+    if !(1..=WAL_VERSION).contains(&version) {
         return Err(WalError::UnsupportedVersion(version));
     }
     let batch_size = read_u32(&bytes, 12).unwrap_or(0);
@@ -568,6 +590,34 @@ mod tests {
         bytes.extend_from_slice(&64u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(scan(&path), Err(WalError::UnsupportedVersion(99))));
+    }
+
+    #[test]
+    fn a_version_1_log_is_read_and_upgraded_by_the_first_append() {
+        let path = tmp("version1.wal");
+        let mut crash = CrashInjector::counting();
+        let mut w = WalWriter::create(&path, 64).unwrap();
+        w.append_batch(0, &[5u8; 12], &mut crash).unwrap();
+        w.commit(0, 55, 12, true, &mut crash).unwrap();
+        drop(w);
+        // What a single-file build wrote: the same records under version 1.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let s = scan(&path).unwrap();
+        assert_eq!((s.batches.len(), s.batches[0].digest), (1, 55));
+
+        let mut w = WalWriter::open_append(&path, s.valid_len).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap()[8..12], WAL_VERSION.to_le_bytes());
+        w.append_batch(1, &[6u8; 12], &mut crash).unwrap();
+        w.commit(1, 66, 12, true, &mut crash).unwrap();
+        let s = scan(&path).unwrap();
+        assert_eq!(s.batches.iter().map(|b| b.seq).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(s.torn_bytes, 0);
+
+        bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(scan(&path), Err(WalError::UnsupportedVersion(0))));
     }
 
     #[test]

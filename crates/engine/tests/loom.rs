@@ -7,7 +7,9 @@
 //! contract and panic propagation under arbitrary worker schedules, the
 //! SOU response queue's backpressure latch never losing an overflow
 //! signal in a producer/consumer race, and the commit hand-off releasing
-//! every item once, in order, only by a sync begun after it was queued.
+//! every item once, in order, only by a sync begun after it was queued, and
+//! the one-job checkpoint hand-off never letting the loop append to a WAL
+//! segment a running job still absorbs.
 #![cfg(feature = "loom")]
 
 use dcart_engine::{
@@ -300,5 +302,93 @@ fn sync_handoff_releases_each_item_once_in_order_by_a_later_sync() {
         assert_eq!(m.released, m.accepted, "every accepted item once, in push order");
         assert!(m.accepted.len() >= BOUND, "the first BOUND pushes are never refused");
         assert_eq!(m.begun as usize, disk.load(Ordering::SeqCst));
+    });
+}
+
+/// What the checkpoint-job model keeps beside the capacity-1 hand-off,
+/// under the same lock.
+struct JobModel {
+    /// Items are `(job id, the WAL segment it retired)`.
+    handoff: SyncHandoff<Option<(u32, usize)>>,
+    /// Per segment: a job that retired it has not ended yet.
+    absorbing: [bool; 2],
+    accepted: Vec<u32>,
+    /// Job ids in the order the checkpoint thread ran them.
+    ran: Vec<u32>,
+}
+
+/// One round of the checkpoint thread: take the queued job, run it with
+/// the lock released, end it.
+fn job_round(model: &Mutex<JobModel>, taken: &mut Vec<Option<(u32, usize)>>) {
+    if !model.lock().expect("no panics in the model").handoff.begin_sync(taken) {
+        return;
+    }
+    // The job runs here, unlocked: the loop may append to the other
+    // segment meanwhile, and finds the hand-off busy.
+    let (id, segment) = taken[0].expect("a queued job");
+    let mut m = model.lock().expect("no panics in the model");
+    assert!(m.absorbing[segment], "job {id} absorbs a segment nobody retired");
+    m.ran.push(id);
+    m.absorbing[segment] = false;
+    m.handoff.end_sync(taken);
+}
+
+/// The checkpoint hand-off (`dcart-server`'s off-loop checkpoint) under
+/// every loop × checkpoint-thread schedule. At each of three rotations
+/// the loop looks at the hand-off: busy — the previous job has not ended —
+/// is where the real loop blocks, and the model moves on (loom's
+/// scheduler does not leave a spinning thread); idle, it takes the ended
+/// job back, retires the segment it appends to into a new job and moves
+/// to the other one. A segment is appended to again only after the job
+/// that retired it has ended, the bound of one is never exceeded, and
+/// every job runs exactly once, in order.
+#[test]
+fn checkpoint_jobs_run_once_in_order_and_a_segment_is_reused_only_after_its_job() {
+    loom::model(|| {
+        let model = Arc::new(Mutex::new(JobModel {
+            handoff: SyncHandoff::new(1),
+            absorbing: [false; 2],
+            accepted: Vec::new(),
+            ran: Vec::new(),
+        }));
+
+        let core = {
+            let model = Arc::clone(&model);
+            loom::thread::spawn(move || {
+                let mut active = 0usize;
+                for id in 0..3u32 {
+                    let mut m = model.lock().expect("no panics in the model");
+                    if !m.handoff.is_idle() {
+                        continue;
+                    }
+                    let _ended = m.handoff.recycled();
+                    let (retired, next) = (active, 1 - active);
+                    assert!(!m.absorbing[next], "appending to a segment a job still absorbs");
+                    m.absorbing[retired] = true;
+                    m.handoff.enqueue(Some((id, retired))).expect("idle, so there is room");
+                    m.accepted.push(id);
+                    active = next;
+                }
+            })
+        };
+        let checkpointer = {
+            let model = Arc::clone(&model);
+            loom::thread::spawn(move || {
+                let mut taken = Vec::new();
+                for _ in 0..2 {
+                    job_round(&model, &mut taken);
+                }
+            })
+        };
+        core.join().expect("core loop ran to completion");
+        checkpointer.join().expect("checkpoint thread ran to completion");
+
+        // Whatever is still queued runs in one more round.
+        job_round(&model, &mut Vec::new());
+        let m = model.lock().expect("all users joined");
+        assert!(m.handoff.is_idle());
+        assert_eq!(m.ran, m.accepted, "every accepted job once, in order");
+        assert_eq!(m.accepted.first(), Some(&0), "the first rotation finds the hand-off idle");
+        assert_eq!(m.absorbing, [false; 2]);
     });
 }

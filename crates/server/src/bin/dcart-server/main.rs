@@ -74,6 +74,18 @@ impl Flags {
         }
     }
 
+    /// A count that must be at least one: zero is an error, not a clamp.
+    fn parse_positive(&self, flag: &str, default: u64) -> Result<u64, String> {
+        match self.value_of(flag) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{flag} expects a positive integer, got '{v}'")),
+        }
+    }
+
     fn value_of(&self, flag: &str) -> Option<&str> {
         self.args
             .iter()
@@ -93,13 +105,13 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
     };
     let mut config = ServerConfig::default();
     match (|| -> Result<(), String> {
-        config.threads = flags.parse_u64("--sou-threads", 1)? as usize;
+        config.threads = flags.parse_positive("--sou-threads", 1)? as usize;
         config.steal = flags.has("--steal");
-        config.batch_size = flags.parse_u64("--batch-size", 64)?.max(1) as usize;
+        config.batch_size = flags.parse_positive("--batch-size", 64)? as usize;
         config.linger_ns = flags.parse_u64("--linger-us", 2_000)? * 1_000;
-        config.checkpoint_every = flags.parse_u64("--checkpoint-every", 64)?.max(1);
+        config.checkpoint_every = flags.parse_positive("--checkpoint-every", 64)?;
         config.sync_commits = !flags.has("--no-sync");
-        config.admission.queue_capacity = flags.parse_u64("--queue-capacity", 1_024)?.max(1);
+        config.admission.queue_capacity = flags.parse_positive("--queue-capacity", 1_024)?;
         config.data_dir = flags.value_of("--data-dir").map(PathBuf::from);
         Ok(())
     })() {

@@ -51,12 +51,12 @@
 //! admission exactly as an inline fsync does. A failed sync is final: it is
 //! never called again, everything taken and everything queued later is
 //! answered `Error`, and the core is dead. The loop waits for the committer
-//! to go idle before a checkpoint (which truncates the file being synced)
-//! and before `run` returns. [`ServerCore::flush_now`] — the loop as a
-//! deterministic step function — as well as `sync_commits: false` and
-//! `data_dir: None` sync (or not) and answer **inline**, on the calling
-//! thread. Both ways answer through the same function and write the same
-//! WAL bytes.
+//! to go idle before a checkpoint rotates the log to the other segment
+//! (the committer syncs the segment the loop appends to) and before `run`
+//! returns. [`ServerCore::flush_now`] — the loop as a deterministic step
+//! function — as well as `sync_commits: false` and `data_dir: None` sync
+//! (or not) and answer **inline**, on the calling thread. Both ways answer
+//! through the same function and write the same WAL bytes.
 //!
 //! A crash between 1 and 3 loses only *unacknowledged* requests — the
 //! chaos cell's invariant. The vectors a flush works in (the drained
@@ -64,31 +64,45 @@
 //! connections to wake) are kept across flushes; those handed to the
 //! committer come back emptied.
 //!
-//! Checkpoints run on this loop too — every
-//! [`ServerConfig::checkpoint_every`] batches and at drain — through a
-//! [`Checkpointer`]: the loop tells it which keys each batch writes, and a
-//! steady-state checkpoint is the last one's entries with the current
-//! state of those keys merged in, so the stall follows the cycle's writes,
-//! not the tree. Install order is unchanged: tmp file → fsync → rename →
-//! directory fsync, and only then the WAL reset. The first checkpoint
-//! after an open and the one at drain encode a full ordered walk of the
-//! shards instead. What the stalls cost is in [`CoreSnapshot`].
+//! Checkpoints are split the same way — every
+//! [`ServerConfig::checkpoint_every`] batches, at drain, and at an open
+//! that finds batches in both segments (below). A [`Checkpointer`] knows
+//! which keys each batch writes; the loop does only what needs the
+//! session: it waits for the previous checkpoint job to end (one in
+//! flight) and for the committer to go idle, **captures** `next_seq`, the
+//! digest, the key count and each dirty key's current state (a full
+//! walk — the first checkpoint after an open, and the one at drain — is
+//! encoded right there, since it reads every shard), **rotates** the log
+//! to its spare segment, and hands the job over. The log is two WAL
+//! segments ([`WAL_SEGMENTS`]) that alternate: while a job absorbs the
+//! batches of one, the loop appends to the other. The **job** — on a
+//! checkpoint thread [`ServerCore::run`] spawns beside the committer, or
+//! inline on the calling thread for `flush_now` and the drain — merges the
+//! captured state into the last image, checks the entry count, installs
+//! the file (tmp → fsync → rename → directory fsync) and only then
+//! truncates the retired segment, which becomes the spare. The checkpoint
+//! crash sites fire where the job runs, on an injector of its own built
+//! from the same plan. A failed job kills the core; the old checkpoint
+//! and both segments still hold every acknowledged batch, and
+//! [`ServerCore::open`] replays both, ordered by sequence number. What the
+//! loop still pays, and what the job takes, is in [`CoreSnapshot`].
 
 use std::collections::VecDeque;
+use std::fs::File;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use dcart::durable::{decode_ops, encode_ops_into, CHECKPOINT_TMP, WAL_FILE};
+use dcart::durable::{decode_ops, encode_ops_into, CHECKPOINT_TMP, WAL_SEGMENTS};
 use dcart::{
-    read_checkpoint_pairs, CheckpointKind, Checkpointer, CttConsumer, CttOpEvent, CttSession,
-    DcartConfig, DcartError, ExecOpts, TraverseMode,
+    read_checkpoint_pairs, CheckpointJob, CheckpointKind, Checkpointer, CttConsumer, CttOpEvent,
+    CttSession, DcartConfig, DcartError, ExecOpts, TraverseMode,
 };
 use dcart_art::Key;
 use dcart_engine::time::Clock;
-use dcart_engine::{wal, CrashInjector, CrashPlan, SyncHandoff, WalWriter};
+use dcart_engine::{wal, CrashInjector, CrashPlan, SyncHandoff, WalBatch, WalWriter};
 use dcart_mem::PersistStats;
 use dcart_workloads::{Op, OpKind};
 
@@ -108,10 +122,17 @@ pub(crate) const POLL: Duration = Duration::from_millis(25);
 /// sync covers one or two, so this only caps memory under an open loop.
 const MAX_UNSYNCED_BATCHES: usize = 8;
 
-/// The fsync behind a commit mark, as [`ServerCore::run`]'s committer calls
-/// it: `sync_all` on a second handle to the WAL file, unless a test has
-/// put its own in ([`ServerCore::set_commit_sync`]).
-pub type CommitSync = Box<dyn FnMut() -> std::io::Result<()> + Send>;
+/// An fsync the server issues on a thread beside its loop, given the file
+/// to sync: `File::sync_all`, unless a test has put its own in to hold it
+/// back or make it fail — the commit sync of [`ServerCore::run`]'s
+/// committer, on a second handle to the segment being appended to
+/// ([`ServerCore::set_commit_sync`]), and the checkpoint job's sync of its
+/// temp file ([`ServerCore::set_checkpoint_sync`]).
+pub type FileSync = Box<dyn FnMut(&File) -> std::io::Result<()> + Send>;
+
+fn sync_all() -> FileSync {
+    Box::new(|file: &File| file.sync_all())
+}
 
 /// Everything the server needs to know to run.
 #[derive(Clone, Debug)]
@@ -476,6 +497,9 @@ struct CommitPipe {
 
 struct PipeState {
     handoff: SyncHandoff<Handed>,
+    /// A handle to the segment the loop appends to since its last
+    /// rotation, for the committer to sync from its next batch on.
+    retarget: Option<File>,
     /// The loop has ended: the committer leaves once nothing is queued.
     closed: bool,
 }
@@ -485,6 +509,7 @@ impl CommitPipe {
         CommitPipe {
             state: Mutex::new(PipeState {
                 handoff: SyncHandoff::new(MAX_UNSYNCED_BATCHES),
+                retarget: None,
                 closed: false,
             }),
             work: Condvar::new(),
@@ -517,8 +542,13 @@ impl CommitPipe {
         }
     }
 
-    fn committer_idle(&self) -> bool {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).handoff.is_idle()
+    /// The loop appends to another segment from now on: every batch
+    /// handed over next is synced through `file`. Called with the
+    /// committer idle, so no sync ever covers marks of two segments.
+    fn retarget(&self, file: File) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        debug_assert!(state.handoff.is_idle(), "commit target changed under a running sync");
+        state.retarget = Some(file);
     }
 
     /// No batch will follow. Also runs when the loop unwinds, so that the
@@ -529,24 +559,15 @@ impl CommitPipe {
     }
 }
 
-/// Closes the pipe when the loop's part of [`ServerCore::run`] ends, by
-/// return or by panic.
-struct CloseOnDrop<'a>(&'a CommitPipe);
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
 /// The committer: until the pipe is closed and empty, take everything
-/// queued, sync once, answer every batch taken. Returns the sync function
-/// and the failure that ended its use, if one did.
+/// queued, sync `target` once, answer every batch taken. Returns the sync
+/// function and the failure that ended its use, if one did.
 fn commit_loop(
     pipe: &CommitPipe,
     shared: &ServerShared,
-    mut commit_sync: CommitSync,
-) -> (CommitSync, Option<std::io::Error>) {
+    mut commit_sync: FileSync,
+    mut target: File,
+) -> (FileSync, Option<std::io::Error>) {
     let mut taken: Vec<Handed> = Vec::new();
     let mut wake = Vec::new();
     let mut failure = None;
@@ -562,6 +583,9 @@ fn commit_loop(
                 }
                 state = pipe.work.wait(state).unwrap_or_else(|e| e.into_inner());
             }
+            if let Some(file) = state.retarget.take() {
+                target = file;
+            }
         }
         pipe.progress.notify_one();
         // The sync. A failed one is final: what the file holds is unknown
@@ -572,7 +596,7 @@ fn commit_loop(
         let mut sync_ns = None;
         if failure.is_none() {
             let started = shared.now_ns();
-            match commit_sync() {
+            match commit_sync(&target) {
                 Ok(()) => sync_ns = Some(shared.now_ns().saturating_sub(started)),
                 Err(e) => {
                     failure = Some(e);
@@ -596,16 +620,173 @@ fn commit_loop(
     }
 }
 
+/// What the checkpoint job brings to every run, wherever it runs: its own
+/// crash injector — the checkpoint sites fire on the job's thread, and an
+/// injector counts per site, so one built from the same plan fires at the
+/// same opportunity — and the fsync of the temp file.
+struct JobCtx {
+    crash: CrashInjector,
+    sync: FileSync,
+}
+
+/// A checkpoint on its way from the loop to the job and back.
+#[derive(Default)]
+struct Job {
+    checkpoint: Option<CheckpointJob>,
+    /// The segment the checkpoint absorbs; emptied — the spare — once the
+    /// checkpoint is installed.
+    retired: Option<WalWriter>,
+    /// Set where the job ran.
+    outcome: Option<Result<(), DcartError>>,
+}
+
+/// The checkpoint job, on the checkpoint thread or inline: merge, check,
+/// install, reset the retired segment — [`CheckpointJob::run`] — then
+/// publish what it did and, on any failure, mark the core dead.
+fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
+    let Some(checkpoint) = &mut job.checkpoint else { return };
+    let started = shared.now_ns();
+    let mut persist = PersistStats::default();
+    let result = checkpoint.run(job.retired.as_mut(), &mut *ctx.sync, &mut ctx.crash, &mut persist);
+    let ns = shared.now_ns().saturating_sub(started);
+    {
+        let mut snap = shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+        snap.persist.checkpoints += persist.checkpoints;
+        snap.persist.checkpoint_bytes += persist.checkpoint_bytes;
+        snap.checkpoint_job_ns_total += ns;
+        snap.checkpoint_job_ns_max = snap.checkpoint_job_ns_max.max(ns);
+        match result {
+            Ok(CheckpointKind::Walked) => snap.checkpoints_walked += 1,
+            Ok(CheckpointKind::Merged { dirty_keys }) => {
+                snap.checkpoints_merged += 1;
+                snap.checkpoint_dirty_keys += dirty_keys;
+            }
+            Err(_) => {}
+        }
+    }
+    if result.is_err() {
+        shared.mark_dead();
+    }
+    job.outcome = Some(result.map(drop));
+}
+
+/// What the loop and the checkpoint thread share while [`ServerCore::run`]
+/// runs: a hand-off of one job at a time, and what each side sleeps on.
+struct JobPipe {
+    slot: Mutex<JobSlot>,
+    /// The checkpoint thread's: a job was queued, or the pipe closed.
+    queued: Condvar,
+    /// The loop's: a job ended.
+    ended: Condvar,
+}
+
+struct JobSlot {
+    handoff: SyncHandoff<Job>,
+    /// The loop has ended: the thread leaves once nothing is queued.
+    closed: bool,
+}
+
+impl JobPipe {
+    fn new() -> Self {
+        JobPipe {
+            slot: Mutex::new(JobSlot { handoff: SyncHandoff::new(1), closed: false }),
+            queued: Condvar::new(),
+            ended: Condvar::new(),
+        }
+    }
+
+    /// Queues `job` for the checkpoint thread. The loop collects the last
+    /// job before it captures the next, so there is room.
+    fn submit_job(&self, mut job: Job) {
+        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        while let Err(back) = slot.handoff.enqueue(job) {
+            job = back;
+            slot = self.ended.wait(slot).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(slot);
+        self.queued.notify_one();
+    }
+
+    /// Blocks until no job is queued or running, and returns the one that
+    /// ended last, as the thread left it (an empty one if there is none
+    /// left to collect).
+    fn take_ended(&self) -> Job {
+        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        while !slot.handoff.is_idle() {
+            slot = self.ended.wait(slot).unwrap_or_else(|e| e.into_inner());
+        }
+        slot.handoff.recycled()
+    }
+
+    /// No job will follow; as [`CommitPipe::close`].
+    fn close(&self) {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
+        self.queued.notify_one();
+    }
+}
+
+/// The checkpoint thread: until the pipe is closed and empty, take the
+/// queued job, run it, give it back. Returns the job state it was given.
+fn job_loop(jobs: &JobPipe, shared: &ServerShared, mut ctx: JobCtx) -> JobCtx {
+    let mut taken: Vec<Job> = Vec::with_capacity(1);
+    loop {
+        {
+            let mut slot = jobs.slot.lock().unwrap_or_else(|e| e.into_inner());
+            while !slot.handoff.begin_sync(&mut taken) {
+                if slot.closed {
+                    return ctx;
+                }
+                slot = jobs.queued.wait(slot).unwrap_or_else(|e| e.into_inner());
+            }
+        }
+        for job in &mut taken {
+            run_job(job, &mut ctx, shared);
+        }
+        jobs.slot.lock().unwrap_or_else(|e| e.into_inner()).handoff.end_sync(&mut taken);
+        jobs.ended.notify_one();
+    }
+}
+
+/// The threads [`ServerCore::run`] puts beside the loop, by the queues
+/// that feed them; neither exists under `flush_now`.
+#[derive(Clone, Copy, Default)]
+struct Pipes<'a> {
+    commits: Option<&'a CommitPipe>,
+    checkpoints: Option<&'a JobPipe>,
+}
+
+/// Closes the pipes when the loop's part of [`ServerCore::run`] ends, by
+/// return or by panic.
+struct CloseOnDrop<'a>(Pipes<'a>);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        if let Some(pipe) = self.0.commits {
+            pipe.close();
+        }
+        if let Some(jobs) = self.0.checkpoints {
+            jobs.close();
+        }
+    }
+}
+
 /// The core loop's owned state: session, WAL, crash injector, counters.
 pub struct ServerCore {
     shared: Arc<ServerShared>,
     config: ServerConfig,
     session: CttSession,
-    /// The log and the checkpointer: both present exactly when there is a
-    /// data directory.
+    /// The WAL segment appended to, and the checkpointer: both present
+    /// exactly when there is a data directory.
     wal: Option<WalWriter>,
     checkpointer: Option<Checkpointer>,
+    /// The other segment, empty; away while a checkpoint job absorbs it.
+    spare_wal: Option<WalWriter>,
+    /// The injector of the WAL's crash sites; the checkpoint's are the
+    /// job's.
     crash: CrashInjector,
+    /// Present when there is a data directory, and not on the checkpoint
+    /// thread.
+    job_ctx: Option<JobCtx>,
     persist: PersistStats,
     next_seq: u64,
     batches_since_ckpt: u64,
@@ -614,7 +795,7 @@ pub struct ServerCore {
     error: Option<DcartError>,
     /// The commit fsync [`ServerCore::run`] gives its committer: present
     /// exactly when there is a WAL and `sync_commits` is set.
-    commit_sync: Option<CommitSync>,
+    commit_sync: Option<FileSync>,
     /// The vectors a flush works in, kept for their capacity.
     scratch: FlushScratch,
 }
@@ -631,11 +812,36 @@ struct FlushScratch {
     wake: Vec<Arc<Outbox>>,
 }
 
+/// One WAL segment found at open: its path and what a scan left of it.
+struct Found {
+    path: PathBuf,
+    scan: Option<wal::WalScan>,
+}
+
+impl Found {
+    fn last_seq(&self) -> Option<u64> {
+        self.scan.as_ref().and_then(|s| s.batches.last()).map(|b| b.seq)
+    }
+
+    /// A writer appending to the segment, which is created if missing.
+    fn writer(&self, batch_size: usize) -> Result<WalWriter, wal::WalError> {
+        match &self.scan {
+            Some(scan) => WalWriter::open_append(&self.path, scan.valid_len),
+            None => WalWriter::create(&self.path, batch_size as u32),
+        }
+    }
+}
+
 impl ServerCore {
     /// Opens the serving state: recovers from `data_dir` when it holds a
     /// WAL/checkpoint, otherwise seeds a fresh session from
-    /// `initial_pairs`. The recovered replay is digest-verified batch by
-    /// batch, exactly like the offline recovery path.
+    /// `initial_pairs`. Both WAL segments are scanned, their torn tails
+    /// cut, and their batches past the checkpoint replayed in sequence
+    /// order, digest-verified batch by batch exactly like the offline
+    /// recovery path; appends continue in the segment that holds the
+    /// newest batch. When the other one holds batches too — a crash inside
+    /// a checkpoint job — a checkpoint of the recovered state absorbs and
+    /// empties it before anything is served.
     ///
     /// # Errors
     ///
@@ -652,7 +858,7 @@ impl ServerCore {
         };
         let mut persist = PersistStats::default();
         let mut snapshot = CoreSnapshot::default();
-        let (session, next_seq, wal, checkpointer) = match &config.data_dir {
+        let (session, next_seq, segments, checkpointer) = match &config.data_dir {
             None => {
                 let session = CttSession::from_pairs(
                     initial_pairs,
@@ -686,85 +892,117 @@ impl ServerCore {
                     start_digest,
                 )?;
                 drop(checkpoint); // the decoded entries live in the shards now
-                let wal_path = dir.join(WAL_FILE);
-                let writer = if wal_path.exists() {
-                    let scan = wal::recover(&wal_path)?;
-                    persist.torn_bytes_truncated += scan.torn_bytes;
-                    // Batches the checkpoint already absorbed are skipped;
-                    // the rest must extend it contiguously, and each must
-                    // replay to exactly the digest its commit promised.
-                    // Unlike the offline path, server batches vary in
-                    // size, so each WAL record replays as ONE executor
-                    // batch — identical boundaries to the live run.
-                    let mut replayed = 0u64;
-                    for b in scan.batches.iter().filter(|b| b.seq >= start_seq) {
-                        if b.seq != start_seq + replayed {
-                            return Err(DcartError::Recovery(format!(
-                                "WAL batch sequence gap: expected {}, found {}",
-                                start_seq + replayed,
-                                b.seq
-                            )));
-                        }
-                        let ops = decode_ops(&b.payload)?;
-                        session.execute_batch(&ops, &mut NoopConsumer)?;
-                        if session.answer_digest() != b.digest {
-                            return Err(DcartError::Recovery(format!(
-                                "replayed batch {} produced digest {:#x}, commit promised {:#x}",
-                                b.seq,
-                                session.answer_digest(),
-                                b.digest
-                            )));
-                        }
-                        replayed += 1;
+                let mut found = Vec::with_capacity(WAL_SEGMENTS.len());
+                for name in WAL_SEGMENTS {
+                    let path = dir.join(name);
+                    let scan = if path.exists() { Some(wal::recover(&path)?) } else { None };
+                    persist.torn_bytes_truncated += scan.as_ref().map_or(0, |s| s.torn_bytes);
+                    found.push(Found { path, scan });
+                }
+                // Batches the checkpoint already absorbed are skipped;
+                // the rest must extend it contiguously, and each must
+                // replay to exactly the digest its commit promised.
+                // Unlike the offline path, server batches vary in size,
+                // so each WAL record replays as ONE executor batch —
+                // identical boundaries to the live run.
+                let mut batches: Vec<&WalBatch> = found
+                    .iter()
+                    .filter_map(|f| f.scan.as_ref())
+                    .flat_map(|scan| &scan.batches)
+                    .filter(|b| b.seq >= start_seq)
+                    .collect();
+                batches.sort_unstable_by_key(|b| b.seq);
+                let mut replayed = 0u64;
+                for b in batches {
+                    if b.seq != start_seq + replayed {
+                        return Err(DcartError::Recovery(format!(
+                            "WAL batch sequence gap: expected {}, found {}",
+                            start_seq + replayed,
+                            b.seq
+                        )));
                     }
-                    persist.replayed_batches += replayed;
-                    snapshot.replayed_batches = replayed;
-                    snapshot.batches = replayed;
-                    let writer = WalWriter::open_append(&wal_path, scan.valid_len)?;
-                    (start_seq + replayed, writer)
-                } else {
-                    (start_seq, WalWriter::create(&wal_path, config.batch_size as u32)?)
-                };
-                let (seq, writer) = writer;
-                (session, seq, Some(writer), Some(Checkpointer::new(dir, installed_seq)))
+                    let ops = decode_ops(&b.payload)?;
+                    session.execute_batch(&ops, &mut NoopConsumer)?;
+                    if session.answer_digest() != b.digest {
+                        return Err(DcartError::Recovery(format!(
+                            "replayed batch {} produced digest {:#x}, commit promised {:#x}",
+                            b.seq,
+                            session.answer_digest(),
+                            b.digest
+                        )));
+                    }
+                    replayed += 1;
+                }
+                persist.replayed_batches += replayed;
+                snapshot.replayed_batches = replayed;
+                snapshot.batches = replayed;
+                let active = usize::from(found[1].last_seq() > found[0].last_seq());
+                let writer = found[active].writer(config.batch_size)?;
+                let spare = found[1 - active].writer(config.batch_size)?;
+                let checkpointer = Checkpointer::new(dir, installed_seq);
+                (session, start_seq + replayed, Some((writer, spare)), Some(checkpointer))
             }
         };
         snapshot.answer_digest = session.answer_digest();
         *shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = snapshot;
-        let commit_sync: Option<CommitSync> = match &wal {
-            Some(writer) if config.sync_commits => {
-                let file = writer.sync_handle()?;
-                Some(Box::new(move || file.sync_all()))
-            }
-            _ => None,
+        let durable = segments.is_some();
+        let (wal, spare_wal) = segments.unzip();
+        let crash = || match config.crash {
+            Some(plan) => CrashInjector::for_plan(plan),
+            None => CrashInjector::counting(),
         };
-        Ok(ServerCore {
-            crash: match config.crash {
-                Some(plan) => CrashInjector::for_plan(plan),
-                None => CrashInjector::counting(),
-            },
+        let mut core = ServerCore {
+            crash: crash(),
+            job_ctx: durable.then(|| JobCtx { crash: crash(), sync: sync_all() }),
+            commit_sync: (durable && config.sync_commits).then(sync_all),
             shared,
             config,
             session,
             wal,
             checkpointer,
+            spare_wal,
             persist,
             next_seq,
             batches_since_ckpt: 0,
             snapshot,
             error: None,
-            commit_sync,
             scratch: FlushScratch::default(),
-        })
+        };
+        if core.spare_wal.as_ref().is_some_and(|spare| !spare.is_empty()) {
+            core.absorb_spare()?;
+        }
+        Ok(core)
+    }
+
+    /// The spare segment must be empty before the loop rotates onto it.
+    /// At an open that finds batches in it, a walked checkpoint of the
+    /// recovered state — the job, run here — absorbs them and resets it.
+    fn absorb_spare(&mut self) -> Result<(), DcartError> {
+        let (Some(checkpointer), Some(spare)) = (&mut self.checkpointer, self.spare_wal.take())
+        else {
+            return Ok(());
+        };
+        let checkpoint = checkpointer.capture(&self.session, self.next_seq, true)?;
+        self.run_inline(Job { checkpoint: Some(checkpoint), retired: Some(spare), outcome: None })
     }
 
     /// Replaces the fsync [`ServerCore::run`]'s committer calls — the seam
     /// through which tests hold a sync back or make it fail without a
     /// failing disk. Nothing to replace, and nothing happens, on a core
     /// that does not sync commits.
-    pub fn set_commit_sync(&mut self, sync: CommitSync) {
+    pub fn set_commit_sync(&mut self, sync: FileSync) {
         if let Some(slot) = &mut self.commit_sync {
             *slot = sync;
+        }
+    }
+
+    /// Replaces the fsync of the checkpoint's temp file, wherever the job
+    /// runs — the seam through which tests hold a checkpoint job back in
+    /// the middle of its install or make the install fail. Nothing
+    /// happens on a core without a data directory.
+    pub fn set_checkpoint_sync(&mut self, sync: FileSync) {
+        if let Some(ctx) = &mut self.job_ctx {
+            ctx.sync = sync;
         }
     }
 
@@ -772,36 +1010,70 @@ impl ServerCore {
     /// completes or the durability layer dies. Returns the first
     /// durability error, if any (injected crashes land here too).
     ///
-    /// On a core that syncs its commits the loop runs pipelined: a
-    /// committer thread, spawned here — from the core's own thread — and
-    /// joined before this returns, owns the fsync and the
-    /// acknowledgements (see the [module documentation](self)).
+    /// On a durable core the loop runs beside a checkpoint thread, and on
+    /// one that syncs its commits beside a committer thread too; both are
+    /// spawned here — from the core's own thread — and joined before the
+    /// drain checkpoint, which runs here, after the last job has ended
+    /// (see the [module documentation](self)).
     pub fn run(&mut self) -> Option<DcartError> {
-        match self.commit_sync.take() {
-            None => self.serve(None),
-            Some(commit_sync) => {
-                let pipe = CommitPipe::new();
-                let shared = Arc::clone(&self.shared);
-                let (commit_sync, failure) = std::thread::scope(|scope| {
-                    let committer = scope.spawn(|| commit_loop(&pipe, &shared, commit_sync));
-                    {
-                        let _close = CloseOnDrop(&pipe);
-                        self.serve(Some(&pipe));
-                    }
-                    committer.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                });
-                self.commit_sync = Some(commit_sync);
-                if let Some(e) = failure {
-                    self.error.get_or_insert(wal::WalError::Io(e).into());
-                }
+        let target = match (&self.commit_sync, &self.wal) {
+            (Some(_), Some(writer)) => match writer.sync_handle() {
+                Ok(file) => Some(file),
+                Err(e) => return Some(wal::WalError::Io(e).into()),
+            },
+            _ => None,
+        };
+        let committer = self.commit_sync.take().zip(target);
+        let job_ctx = self.job_ctx.take();
+        let (commit_pipe, job_pipe) = (CommitPipe::new(), JobPipe::new());
+        let pipes = Pipes {
+            commits: committer.is_some().then_some(&commit_pipe),
+            checkpoints: job_ctx.is_some().then_some(&job_pipe),
+        };
+        let shared = Arc::clone(&self.shared);
+        let (committed, ctx) = std::thread::scope(|scope| {
+            let committer = committer.map(|(sync, target)| {
+                let (pipe, shared) = (&commit_pipe, &shared);
+                scope.spawn(move || commit_loop(pipe, shared, sync, target))
+            });
+            let checkpointer = job_ctx.map(|ctx| {
+                let (jobs, shared) = (&job_pipe, &shared);
+                scope.spawn(move || job_loop(jobs, shared, ctx))
+            });
+            {
+                let _close = CloseOnDrop(pipes);
+                self.serve(pipes);
             }
+            let committed = committer.map(|thread| {
+                thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            let ctx = checkpointer.map(|thread| {
+                thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            (committed, ctx)
+        });
+        if let Some((sync, failure)) = committed {
+            self.commit_sync = Some(sync);
+            if let Some(e) = failure {
+                self.error.get_or_insert(wal::WalError::Io(e).into());
+            }
+        }
+        if ctx.is_some() {
+            self.job_ctx = ctx;
+        }
+        // The job that ended last, then — drain complete — a final
+        // checkpoint, so that restart needs no replay.
+        let last = self.finish_job(job_pipe.take_ended());
+        if let Err(e) = last.and_then(|()| self.checkpoint(true, Pipes::default())) {
+            self.error.get_or_insert(e);
         }
         self.error.take()
     }
 
-    /// [`ServerCore::run`]'s loop; with a `pipe`, batches are handed to
-    /// the committer behind it instead of being synced and answered here.
-    fn serve(&mut self, pipe: Option<&CommitPipe>) {
+    /// [`ServerCore::run`]'s loop; with `pipes`, batches are handed to
+    /// the committer behind them instead of being synced and answered
+    /// here, and checkpoint jobs to the checkpoint thread.
+    fn serve(&mut self, pipes: Pipes<'_>) {
         let watermark = self.config.batch_size;
         loop {
             {
@@ -844,25 +1116,21 @@ impl ServerCore {
                 }
                 continue;
             }
-            self.execute(pipe);
-        }
-        // Drain complete: park a final checkpoint so restart needs no
-        // replay.
-        if let Err(e) = self.checkpoint(true, pipe) {
-            self.error.get_or_insert(e);
+            self.execute(pipes);
         }
     }
 
     /// Flushes up to one batch immediately, bypassing the wait loop —
     /// the deterministic test hook. The batch is synced and answered
-    /// inline, before this returns.
+    /// inline, before this returns, and a checkpoint it triggers is
+    /// installed inline too.
     pub fn flush_now(&mut self) {
         {
             let mut inbox = self.shared.inbox.lock().unwrap_or_else(|e| e.into_inner());
             take_batch(&mut inbox, self.config.batch_size, &mut self.scratch.handed.live);
         }
         if !self.scratch.handed.live.is_empty() {
-            self.execute(None);
+            self.execute(Pipes::default());
         }
     }
 
@@ -882,11 +1150,11 @@ impl ServerCore {
     }
 
     /// Executes the batch in `scratch.handed` and sees to it that every
-    /// request in it is answered: here, or — with a `pipe` — by the
+    /// request in it is answered: here, or — with a committer — by the
     /// committer once a sync covers the batch's mark.
-    fn execute(&mut self, pipe: Option<&CommitPipe>) {
+    fn execute(&mut self, pipes: Pipes<'_>) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.execute_in(&mut scratch, pipe);
+        self.execute_in(&mut scratch, pipes);
         // Whoever was answered on a way out other than stage 4.
         wake_writers(&mut scratch.wake);
         scratch.handed.live.clear();
@@ -894,7 +1162,7 @@ impl ServerCore {
         self.scratch = scratch;
     }
 
-    fn execute_in(&mut self, scratch: &mut FlushScratch, pipe: Option<&CommitPipe>) {
+    fn execute_in(&mut self, scratch: &mut FlushScratch, pipes: Pipes<'_>) {
         let FlushScratch { handed, ops, payload, wake } = scratch;
         let Handed { live, values } = &mut *handed;
         let now = self.shared.now_ns();
@@ -923,7 +1191,7 @@ impl ServerCore {
             self.publish();
         }
         if self.shared.is_dead() {
-            return self.refuse_after_queued(live, wake, pipe);
+            return self.refuse_after_queued(live, wake, pipes.commits);
         }
         if live.is_empty() {
             return;
@@ -937,7 +1205,7 @@ impl ServerCore {
             self.persist.payload_bytes += payload.len() as u64;
             let before = writer.len();
             if let Err(e) = writer.append_batch(self.next_seq, payload, &mut self.crash) {
-                return self.die(live, wake, pipe, e.into());
+                return self.die(live, wake, pipes.commits, e.into());
             }
             self.persist.wal_bytes += writer.len() - before;
             self.persist.wal_batches += 1;
@@ -953,7 +1221,7 @@ impl ServerCore {
         if let Err(e) = self.session.execute_batch(ops, &mut ValueCollector { values }) {
             // With fixed-width wire keys this cannot be a prefix
             // violation; anything here means the session is torn.
-            return self.die(live, wake, pipe, e);
+            return self.die(live, wake, pipes.commits, e);
         }
 
         // 3. Commit mark. Inline, `commit` fsyncs it here — the durability
@@ -964,7 +1232,7 @@ impl ServerCore {
         let mut sync_ns = None;
         if let Some(writer) = &mut self.wal {
             let before = writer.len();
-            let sync = self.config.sync_commits && pipe.is_none();
+            let sync = self.config.sync_commits && pipes.commits.is_none();
             let started = sync.then(|| self.shared.now_ns());
             if let Err(e) = writer.commit(
                 self.next_seq,
@@ -973,7 +1241,7 @@ impl ServerCore {
                 sync,
                 &mut self.crash,
             ) {
-                return self.die(live, wake, pipe, e.into());
+                return self.die(live, wake, pipes.commits, e.into());
             }
             sync_ns = started.map(|started| self.shared.now_ns().saturating_sub(started));
             self.persist.wal_bytes += writer.len() - before;
@@ -985,7 +1253,7 @@ impl ServerCore {
         // writer is woken once, after the last answer of the batch — by
         // the committer, once a sync that began after this point has
         // returned, or right here.
-        match pipe {
+        match pipes.commits {
             Some(pipe) => pipe.hand_over(handed),
             None => acknowledge(&self.shared, std::slice::from_ref(handed), sync_ns, wake),
         }
@@ -994,11 +1262,10 @@ impl ServerCore {
         self.snapshot.batches += 1;
         self.snapshot.ops += ops.len() as u64;
         self.snapshot.answer_digest = self.session.answer_digest();
-        self.snapshot.persist = self.persist;
         self.publish();
 
         if self.batches_since_ckpt >= self.config.checkpoint_every {
-            if let Err(e) = self.checkpoint(false, pipe) {
+            if let Err(e) = self.checkpoint(false, pipes) {
                 self.error.get_or_insert(e);
                 self.shared.mark_dead();
             }
@@ -1006,32 +1273,51 @@ impl ServerCore {
     }
 
     /// Publishes the loop's counters. The ones counted where answers are
-    /// released ([`acknowledge`], possibly on the committer's thread) live
-    /// only in the shared snapshot and are left as they are.
+    /// released ([`acknowledge`], possibly on the committer's thread) and
+    /// where checkpoint jobs end ([`run_job`], possibly on the checkpoint
+    /// thread) live only in the shared snapshot and are left as they are.
     fn publish(&self) {
         let mut shared = self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+        let persist = PersistStats {
+            checkpoints: shared.persist.checkpoints,
+            checkpoint_bytes: shared.persist.checkpoint_bytes,
+            ..self.persist
+        };
         *shared = CoreSnapshot {
             acked_writes: shared.acked_writes,
             commit_syncs: shared.commit_syncs,
             commit_sync_ns_total: shared.commit_sync_ns_total,
             commit_sync_ns_max: shared.commit_sync_ns_max,
+            checkpoints_merged: shared.checkpoints_merged,
+            checkpoints_walked: shared.checkpoints_walked,
+            checkpoint_dirty_keys: shared.checkpoint_dirty_keys,
+            checkpoint_job_ns_total: shared.checkpoint_job_ns_total,
+            checkpoint_job_ns_max: shared.checkpoint_job_ns_max,
+            persist,
             ..self.snapshot
         };
     }
 
-    /// Installs a checkpoint of the state as of `next_seq`, then resets
-    /// the WAL it absorbs. The loop serves nothing meanwhile; the stall
-    /// is timed on the injected clock. At `drain` the checkpoint is a
-    /// full walk — and is skipped when the installed one already stands
-    /// for `next_seq` (no batch committed since), except that a directory
-    /// without any checkpoint gets its first.
-    ///
-    /// With a `pipe`, the checkpoint first waits for the committer to go
-    /// idle: `writer.reset()` truncates the file a sync would be running
-    /// on, and a sync that fails must find the old checkpoint and the
-    /// whole log still there — a dead core installs nothing.
-    fn checkpoint(&mut self, drain: bool, pipe: Option<&CommitPipe>) -> Result<(), DcartError> {
-        if let Some(pipe) = pipe {
+    /// The loop's half of a checkpoint of the state as of `next_seq`:
+    /// wait for the previous job to end — its segment is the spare again —
+    /// and for the committer to go idle, capture what the checkpoint needs
+    /// from the session, rotate the log onto the spare, and hand the job
+    /// to the checkpoint thread (or, without one, run it right here). That
+    /// much, on the injected clock, is the loop's stall; the job times
+    /// itself. At `drain` the checkpoint is a full walk — and is skipped
+    /// when the installed one already stands for `next_seq` (no batch
+    /// committed since), except that a directory without any checkpoint
+    /// gets its first. A dead core checkpoints nothing: a failed sync or
+    /// job must find the old checkpoint and both segments still there.
+    fn checkpoint(&mut self, walk: bool, pipes: Pipes<'_>) -> Result<(), DcartError> {
+        if self.checkpointer.is_none() {
+            return Ok(());
+        }
+        let started = self.shared.now_ns();
+        if let Some(jobs) = pipes.checkpoints {
+            self.finish_job(jobs.take_ended())?;
+        }
+        if let Some(pipe) = pipes.commits {
             pipe.wait_idle();
         }
         if self.shared.is_dead() {
@@ -1040,38 +1326,58 @@ impl ServerCore {
         let (Some(checkpointer), Some(writer)) = (&mut self.checkpointer, &mut self.wal) else {
             return Ok(());
         };
-        if drain && checkpointer.installed_seq() == Some(self.next_seq) {
+        if walk && checkpointer.installed_seq() == Some(self.next_seq) {
             return Ok(());
         }
-        let started = self.shared.now_ns();
-        let kind = checkpointer.checkpoint(
-            &self.session,
-            self.next_seq,
-            drain,
-            &mut self.crash,
-            &mut self.persist,
-        )?;
-        // Only this thread hands batches over, so idle has stayed idle.
-        debug_assert!(
-            pipe.is_none_or(CommitPipe::committer_idle),
-            "WAL reset under a running sync"
-        );
-        writer.reset()?;
+        let Some(spare) = self.spare_wal.take() else {
+            return Err(DcartError::Recovery("no spare WAL segment to rotate onto".into()));
+        };
+        let target = pipes.commits.map(|_| spare.sync_handle()).transpose()?;
+        let checkpoint = checkpointer.capture(&self.session, self.next_seq, walk)?;
+        // Rotate: the loop appends to the spare from here on, and the old
+        // segment goes with the job, which empties it once the checkpoint
+        // that absorbs it is installed.
+        debug_assert!(spare.is_empty(), "rotated onto a segment that holds batches");
+        let retired = std::mem::replace(writer, spare);
+        if let (Some(pipe), Some(target)) = (pipes.commits, target) {
+            pipe.retarget(target);
+        }
         self.batches_since_ckpt = 0;
         let stall = self.shared.now_ns().saturating_sub(started);
-        let snap = &mut self.snapshot;
-        snap.checkpoint_stall_ns_total += stall;
-        snap.checkpoint_stall_ns_max = snap.checkpoint_stall_ns_max.max(stall);
-        match kind {
-            CheckpointKind::Walked => snap.checkpoints_walked += 1,
-            CheckpointKind::Merged { dirty_keys } => {
-                snap.checkpoints_merged += 1;
-                snap.checkpoint_dirty_keys += dirty_keys;
-            }
-        }
-        snap.persist = self.persist;
+        self.snapshot.checkpoint_stall_ns_total += stall;
+        self.snapshot.checkpoint_stall_ns_max = self.snapshot.checkpoint_stall_ns_max.max(stall);
         self.publish();
-        Ok(())
+        let job = Job { checkpoint: Some(checkpoint), retired: Some(retired), outcome: None };
+        match pipes.checkpoints {
+            Some(jobs) => {
+                jobs.submit_job(job);
+                Ok(())
+            }
+            None => self.run_inline(job),
+        }
+    }
+
+    /// Runs a checkpoint job on the calling thread and takes it back.
+    fn run_inline(&mut self, mut job: Job) -> Result<(), DcartError> {
+        let Some(ctx) = &mut self.job_ctx else {
+            return Err(DcartError::Recovery("checkpoint job state is away".into()));
+        };
+        run_job(&mut job, ctx, &self.shared);
+        self.finish_job(job)
+    }
+
+    /// Takes back a job that has ended: the checkpointer its image, the
+    /// loop its retired segment — the spare — and the job's error, if it
+    /// failed.
+    fn finish_job(&mut self, job: Job) -> Result<(), DcartError> {
+        let Job { checkpoint, retired, outcome } = job;
+        if let (Some(checkpointer), Some(checkpoint)) = (&mut self.checkpointer, checkpoint) {
+            checkpointer.finish(checkpoint);
+        }
+        if retired.is_some() {
+            self.spare_wal = retired;
+        }
+        outcome.unwrap_or(Ok(()))
     }
 
     /// Durability failed mid-batch: answer errors (the batch was never

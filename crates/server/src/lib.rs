@@ -46,7 +46,7 @@ pub mod stats;
 pub mod wire;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionCounters};
-pub use core_loop::{CommitSync, PendingReq, Reply, ServerConfig, ServerCore, ServerShared};
+pub use core_loop::{FileSync, PendingReq, Reply, ServerConfig, ServerCore, ServerShared};
 pub use net::{serve, serve_seeded, CoreReport, ServeHandle};
 pub use stats::{CoreSnapshot, ServerStats};
 pub use wire::{

@@ -10,8 +10,10 @@ use crate::admission::AdmissionCounters;
 
 /// What the core loop has durably done so far (updated once per flush —
 /// `acked_writes` and the `commit_sync*` counters where answers are
-/// released, which on a pipelined core is the committer's thread — and
-/// read by connection threads under a mutex).
+/// released, which on a pipelined core is the committer's thread, and the
+/// checkpoint counters other than the stall, `persist.checkpoints` and
+/// `persist.checkpoint_bytes` where a checkpoint job ends — and read by
+/// connection threads under a mutex).
 #[derive(Clone, Copy, Default, Debug, Serialize)]
 pub struct CoreSnapshot {
     /// Coalesced batches executed.
@@ -32,11 +34,19 @@ pub struct CoreSnapshot {
     /// Storage-traffic accounting (WAL bytes, checkpoints, torn tails).
     pub persist: PersistStats,
     /// Time the loop spent checkpointing instead of serving, summed over
-    /// every checkpoint: encode, write, fsync, rename, directory fsync and
-    /// WAL reset, on the injected clock.
+    /// every checkpoint, on the injected clock: the wait for the previous
+    /// checkpoint job and for the committer, the capture (a walk's whole
+    /// encoding) and the rotation to the other WAL segment. The job itself
+    /// is not in it, even where it runs on the loop's thread.
     pub checkpoint_stall_ns_total: u64,
     /// The longest single checkpoint stall.
     pub checkpoint_stall_ns_max: u64,
+    /// Time in checkpoint jobs, summed: merge, entry-count check, temp
+    /// file write and fsync, rename, directory fsync and the retired
+    /// segment's reset — on the checkpoint thread, or inline.
+    pub checkpoint_job_ns_total: u64,
+    /// The longest single checkpoint job.
+    pub checkpoint_job_ns_max: u64,
     /// Checkpoints produced by merging the cycle's dirty keys into the
     /// previous checkpoint's entries.
     pub checkpoints_merged: u64,

@@ -1,0 +1,57 @@
+//! Shell-out tests for the `dcart-server serve` flag contract: a bad
+//! invocation exits 1 with a one-line message naming the flag and the
+//! value, before anything binds a socket or touches a data directory.
+
+use std::process::{Command, Output};
+
+fn dcart_server(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dcart-server"))
+        .args(args)
+        .output()
+        .expect("spawn dcart-server")
+}
+
+fn stderr_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Exits 1, and the diagnostic before the usage text is one line holding
+/// `needle`.
+fn assert_refused(args: &[&str], needle: &str) {
+    let out = dcart_server(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must fail with exit code 1");
+    let err = stderr_of(&out);
+    assert!(err.contains(needle), "{args:?}: expected '{needle}' in: {err}");
+    assert_eq!(
+        err.lines().take_while(|l| !l.starts_with("usage:")).count(),
+        1,
+        "{args:?}: the diagnostic itself is one line: {err}"
+    );
+}
+
+#[test]
+fn serve_rejects_a_zero_count_instead_of_clamping_it() {
+    for flag in ["--batch-size", "--checkpoint-every", "--queue-capacity", "--sou-threads"] {
+        assert_refused(
+            &["serve", "--addr", "127.0.0.1:0", flag, "0"],
+            &format!("{flag} expects a positive integer, got '0'"),
+        );
+    }
+}
+
+#[test]
+fn serve_rejects_a_count_that_is_not_an_integer() {
+    assert_refused(
+        &["serve", "--addr", "127.0.0.1:0", "--batch-size", "many"],
+        "--batch-size expects a positive integer, got 'many'",
+    );
+    assert_refused(
+        &["serve", "--addr", "127.0.0.1:0", "--sou-threads", "-1"],
+        "--sou-threads expects a positive integer, got '-1'",
+    );
+}
+
+#[test]
+fn serve_without_an_address_is_an_error() {
+    assert_refused(&["serve", "--batch-size", "8"], "serve needs --addr HOST:PORT");
+}

@@ -7,10 +7,14 @@
 //! reads, drain and death with requests in flight), and the pipelined
 //! durable commit behind `run()` — which sync may acknowledge which batch,
 //! the bound on unsynced batches, its equivalence with the inline commit,
-//! the checkpoint barrier and a sync that fails — all with `TestClock`
-//! (or a clock that ticks per reading), so no decision here depends on
-//! wall time, and with the commit sync behind a gate the test holds, so
-//! none depends on a schedule.
+//! the checkpoint barrier and a sync that fails — and the checkpoint job
+//! off the loop: crash sites firing on its thread, a job held while the
+//! loop runs on into the other WAL segment, a failed install, a
+//! single-file directory of the previous format, job and inline
+//! checkpoints byte for byte — all with `TestClock` (or a clock that
+//! ticks per reading), so no decision here depends on wall time, and
+//! with the commit sync or the checkpoint's fsync behind a gate the test
+//! holds, so none depends on a schedule.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -336,9 +340,14 @@ fn crash_inside_a_merged_checkpoint_recovers_to_the_uncrashed_state() {
     assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 2), "{stats:?}");
     assert!(stats.checkpoint_dirty_keys > 0 && stats.checkpoint_dirty_keys <= 6 * 16);
     assert_eq!(stats.persist.checkpoints, 3);
-    // Each stall spans exactly two readings of the injected clock.
+    // Each stall — wait, capture, rotation — and each job, which runs
+    // inline here, spans exactly two readings of the injected clock.
     assert_eq!(stats.checkpoint_stall_ns_total, 3 * TICK_NS);
     assert_eq!(stats.checkpoint_stall_ns_max, TICK_NS);
+    assert_eq!(
+        (stats.checkpoint_job_ns_total, stats.checkpoint_job_ns_max),
+        (3 * TICK_NS, TICK_NS)
+    );
     let clean_file = checkpoint_file(&clean_dir);
     let clean_answer = clean.answer_digest();
     let clean_tree = clean.into_tree_digest().expect("tree");
@@ -752,7 +761,7 @@ mod pipelined {
     use std::sync::{Condvar, Mutex};
 
     use dcart::durable::WAL_FILE;
-    use dcart_server::CommitSync;
+    use dcart_server::FileSync;
 
     use super::*;
 
@@ -773,8 +782,8 @@ mod pipelined {
         open: bool,
         /// This call (1-based), once let through, fails.
         fail_at: Option<u64>,
-        /// The WAL's length when the last successful sync *began*: what a
-        /// disk that keeps nothing it was not told to would hold.
+        /// The synced file's length when the last successful sync *began*:
+        /// what a disk that keeps nothing it was not told to would hold.
         synced_len: u64,
     }
 
@@ -785,11 +794,11 @@ mod pipelined {
             gate
         }
 
-        /// The sync to put into a core whose WAL is at `wal`.
-        fn sync_fn(self: &Arc<Self>, wal: PathBuf) -> CommitSync {
+        /// The sync to put into a core.
+        fn sync_fn(self: &Arc<Self>) -> FileSync {
             let gate = Arc::clone(self);
-            Box::new(move || {
-                let len = std::fs::metadata(&wal)?.len();
+            Box::new(move |file| {
+                let len = file.metadata()?.len();
                 let mut state = gate.state.lock().expect("gate");
                 state.entered += 1;
                 let call = state.entered;
@@ -845,7 +854,7 @@ mod pipelined {
         config.admission.queue_capacity = slots;
         let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
         let mut core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
-        core.set_commit_sync(gate.sync_fn(dir.join(WAL_FILE)));
+        core.set_commit_sync(gate.sync_fn());
         (shared, core)
     }
 
@@ -1146,6 +1155,316 @@ mod pipelined {
             assert_eq!(resp.value, expected, "key {}", resp.req_id);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A durable core that flushes on the watermark of 4 only and
+    /// checkpoints after every second batch, the checkpoint's temp file
+    /// synced through `gate` when there is one.
+    fn job_core(
+        dir: &Path,
+        gate: Option<&Arc<SyncGate>>,
+        crash: Option<CrashPlan>,
+    ) -> (Arc<ServerShared>, ServerCore) {
+        let config = ServerConfig {
+            batch_size: 4,
+            linger_ns: u64::MAX,
+            checkpoint_every: 2,
+            ..durable_config(dir, crash)
+        };
+        let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+        let mut core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+        if let Some(gate) = gate {
+            core.set_checkpoint_sync(gate.sync_fn());
+        }
+        (shared, core)
+    }
+
+    /// Batches `range` one after the other, each answered in full before
+    /// the next is submitted.
+    fn batches_answered(
+        shared: &ServerShared,
+        tx: &mpsc::Sender<Response>,
+        rx: &mpsc::Receiver<Response>,
+        range: std::ops::Range<u64>,
+    ) {
+        for b in range {
+            submit_batch(shared, tx, b);
+            assert_eq!(recv_n(rx, 4), all(4 * b..4 * b + 4, Status::Ok), "batch {b}");
+        }
+    }
+
+    /// The answer digest of an uncrashed core after `n` of
+    /// `submit_batch`'s batches.
+    fn digest_after(n: u64) -> u64 {
+        let (shared, mut core) = open_core(mem_config(4, 1, false));
+        let (tx, _rx) = mpsc::channel();
+        for b in 0..n {
+            submit_batch(&shared, &tx, b);
+            core.flush_now();
+        }
+        core.answer_digest()
+    }
+
+    /// Reads `keys` back through `core`: acknowledged ⊆ recovered when
+    /// each holds the value its insert wrote.
+    fn assert_holds(shared: &ServerShared, core: &mut ServerCore, keys: std::ops::Range<u64>) {
+        let (tx, rx) = mpsc::channel();
+        for key in keys.clone() {
+            let get =
+                Request { req_id: key, kind: RequestKind::Get, budget_ns: 1 << 40, key, value: 0 };
+            assert!(shared.submit(get, &tx).is_none());
+            if key % 4 == 3 {
+                core.flush_now();
+            }
+        }
+        core.flush_now();
+        let got: BTreeMap<u64, Option<u64>> = rx.try_iter().map(|r| (r.req_id, r.value)).collect();
+        let want: BTreeMap<u64, Option<u64>> = keys.map(|k| (k, Some(k + 1))).collect();
+        assert_eq!(got, want, "acknowledged writes lost");
+    }
+
+    /// Where the state a restart recovers stands: the live checkpoint's
+    /// `next_seq` plus the batches replayed on top of it.
+    fn recovered_seq(dir: &Path, shared: &ServerShared) -> u64 {
+        let ckpt = dcart::read_checkpoint_pairs(dir).expect("readable").map_or(0, |c| c.next_seq);
+        ckpt + shared.stats().core.replayed_batches
+    }
+
+    /// What a `kill -9` leaves: the files as they are right now (the page
+    /// cache survives the process), copied to a directory of their own.
+    fn killed_copy(dir: &Path, name: &str) -> PathBuf {
+        let copy = scratch_dir(name);
+        std::fs::create_dir_all(&copy).expect("copy directory");
+        for entry in std::fs::read_dir(dir).expect("data directory") {
+            let path = entry.expect("entry").path();
+            std::fs::copy(&path, copy.join(path.file_name().expect("file name"))).expect("copy");
+        }
+        copy
+    }
+
+    fn segment(dir: &Path, i: usize) -> Vec<u8> {
+        std::fs::read(dir.join(dcart::durable::WAL_SEGMENTS[i])).expect("segment")
+    }
+
+    /// Each checkpoint crash site fires on the checkpoint thread, in the
+    /// second job — the first merged one — while the loop has already
+    /// rotated on: the core dies, `run()` reports the site, and a restart
+    /// holds every acknowledged batch, with the digest an uncrashed core
+    /// has at the same sequence number.
+    #[test]
+    fn a_crash_inside_the_checkpoint_job_loses_no_acknowledged_batch() {
+        let reference = digest_after(4);
+        for site in [CrashSite::MidCheckpoint, CrashSite::BeforeSwap, CrashSite::AfterSwap] {
+            let dir = scratch_dir(&format!("job_{}", site.name()));
+            let plan = CrashPlan { site, at: 1, seed: 5 };
+            let (shared, mut core) = job_core(&dir, None, Some(plan));
+            let running = std::thread::spawn(move || core.run());
+            let (tx, rx) = mpsc::channel();
+            batches_answered(&shared, &tx, &rx, 0..4);
+            wait_until("the second job crashes", || shared.is_dead());
+            let error = running.join().expect("core thread").expect("the crash is the report");
+            assert_eq!(error.injected_crash(), Some(site), "{error}");
+            let stats = shared.stats().core;
+            assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+            assert_eq!(stats.acked_writes, 16);
+
+            let (shared, mut core) = open_core(durable_config(&dir, None));
+            let replayed = shared.stats().core.replayed_batches;
+            let expected = if site == CrashSite::AfterSwap { 0 } else { 2 };
+            assert_eq!(replayed, expected, "{}: the segment past the live checkpoint", site.name());
+            assert_eq!(recovered_seq(&dir, &shared), 4, "{}", site.name());
+            assert_eq!(core.answer_digest(), reference, "{}: answers diverged", site.name());
+            assert_holds(&shared, &mut core, 0..16);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The checkpoint job held in its temp file's fsync. The loop does not
+    /// wait for it: two more batches are executed and acknowledged, into
+    /// the other segment, and the loop stops only at the next rotation —
+    /// the records of both segments are then, back to back, the log an
+    /// inline core without checkpoints writes. Killed there, a restart
+    /// replays both segments and absorbs the older one; released, the
+    /// core goes on and drains cleanly.
+    #[test]
+    fn a_held_checkpoint_job_stops_the_loop_only_at_the_next_rotation() {
+        let dir = scratch_dir("job_held");
+        let gate = Arc::new(SyncGate::default());
+        let (shared, core) = job_core(&dir, Some(&gate), None);
+        let running = spawn_core(core);
+        let (tx, rx) = mpsc::channel();
+
+        batches_answered(&shared, &tx, &rx, 0..2);
+        gate.wait_entered(1);
+        batches_answered(&shared, &tx, &rx, 2..4);
+        let stats = shared.stats().core;
+        assert_eq!((stats.batches, stats.acked_writes, stats.persist.checkpoints), (4, 16, 0));
+        submit_batch(&shared, &tx, 4);
+        std::thread::sleep(TWO_POLLS);
+        assert!(rx.try_recv().is_err(), "the rotation after batch 4 waits for the held job");
+        let stats = shared.stats();
+        assert_eq!((stats.core.batches, stats.queue_depth), (4, 4), "the loop stands still");
+
+        // Both segments hold batches: the retired one 0 and 1, the
+        // active one 2 and 3.
+        let inline_dir = scratch_dir("job_held_inline");
+        let inline = {
+            let config = ServerConfig {
+                batch_size: 4,
+                linger_ns: u64::MAX,
+                checkpoint_every: u64::MAX,
+                ..durable_config(&inline_dir, None)
+            };
+            let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+            let mut core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+            let (tx, _rx) = mpsc::channel();
+            for b in 0..4 {
+                submit_batch(&shared, &tx, b);
+                core.flush_now();
+            }
+            std::fs::read(inline_dir.join(WAL_FILE)).expect("WAL")
+        };
+        let (retired, active) = (segment(&dir, 0), segment(&dir, 1));
+        assert_eq!(retired[..16], inline[..16], "same header");
+        assert_eq!(active[..16], inline[..16], "same header");
+        assert!(retired.len() > 16 && active.len() > 16, "both segments hold batches");
+        assert!(
+            [&retired[16..], &active[16..]].concat() == inline[16..],
+            "the segments' records are the single log's"
+        );
+
+        let killed = killed_copy(&dir, "job_held_killed");
+        let (restarted, core) = open_core(durable_config(&killed, None));
+        let stats = restarted.stats().core;
+        assert_eq!(stats.replayed_batches, 4, "both segments replay");
+        assert_eq!(core.answer_digest(), shared.stats().core.answer_digest);
+        assert_eq!((stats.checkpoints_walked, stats.persist.checkpoints), (1, 1), "{stats:?}");
+        assert_eq!(segment(&killed, 0).len(), 16, "the older segment is absorbed and emptied");
+        drop(core);
+        let (again, mut core) = open_core(durable_config(&killed, None));
+        assert_eq!(again.stats().core.replayed_batches, 0, "batch 4 was checkpointed at open");
+        assert_holds(&again, &mut core, 0..16);
+
+        gate.open();
+        assert_eq!(recv_n(&rx, 4), all(16..20, Status::Ok), "released, the loop goes on");
+        shared.request_shutdown();
+        let core = running.join().expect("core thread");
+        let answer = core.answer_digest();
+        drop(core);
+        let (reopened, core) = open_core(durable_config(&dir, None));
+        assert_eq!(reopened.stats().core.replayed_batches, 0);
+        assert_eq!(core.answer_digest(), answer);
+        for d in [&dir, &inline_dir, &killed] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
+    /// An install that fails — the second job's temp-file fsync returns
+    /// an error — kills the core, `run()` returns the error, and the old
+    /// checkpoint with both segments still holds every acknowledged batch.
+    #[test]
+    fn a_failed_checkpoint_install_kills_the_core_and_loses_nothing() {
+        let dir = scratch_dir("job_fail");
+        let gate = SyncGate::failing_at(2);
+        gate.open();
+        let (shared, mut core) = job_core(&dir, Some(&gate), None);
+        let running = std::thread::spawn(move || core.run());
+        let (tx, rx) = mpsc::channel();
+        batches_answered(&shared, &tx, &rx, 0..4);
+        wait_until("the second install fails", || shared.is_dead());
+        let late = shared.submit(insert(99), &tx).expect("a dead core answers at once");
+        assert_eq!(late.status, Status::Error);
+        let error = running.join().expect("core thread").expect("the failure is the report");
+        assert!(error.to_string().contains("injected fsync failure"), "{error}");
+        assert_eq!(shared.stats().core.persist.checkpoints, 1, "only the first job installed");
+
+        let (shared, mut core) = open_core(durable_config(&dir, None));
+        assert_eq!(shared.stats().core.replayed_batches, 2);
+        assert_eq!(recovered_seq(&dir, &shared), 4);
+        assert_eq!(core.answer_digest(), digest_after(4));
+        assert_holds(&shared, &mut core, 0..16);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory a single-file build wrote — one `dcart.wal` with a
+    /// version-1 header, no second segment — opens and replays; the log
+    /// is upgraded to version 2 before anything is appended, and the
+    /// second segment is created.
+    #[test]
+    fn a_single_file_version_1_directory_opens_and_replays() {
+        let dir = scratch_dir("v1_dir");
+        let config = || ServerConfig {
+            batch_size: 4,
+            checkpoint_every: u64::MAX,
+            ..durable_config(&dir, None)
+        };
+        let (shared, mut core) = open_core(config());
+        let (tx, _rx) = mpsc::channel();
+        for b in 0..3 {
+            submit_batch(&shared, &tx, b);
+            core.flush_now();
+        }
+        let answer = core.answer_digest();
+        drop(core);
+        let wal = dir.join(WAL_FILE);
+        let mut bytes = std::fs::read(&wal).expect("WAL");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&wal, &bytes).expect("WAL");
+        std::fs::remove_file(dir.join(dcart::durable::WAL_SEGMENTS[1])).expect("second segment");
+
+        let (shared, mut core) = open_core(config());
+        assert_eq!(shared.stats().core.replayed_batches, 3);
+        assert_eq!(core.answer_digest(), answer);
+        assert_eq!(segment(&dir, 0)[8..12], 2u32.to_le_bytes(), "upgraded before any append");
+        assert_eq!(segment(&dir, 1).len(), 16, "the second segment exists, empty");
+        assert_holds(&shared, &mut core, 0..12);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The job thread and the inline path write one protocol: with a
+    /// checkpoint every second batch, the file the checkpoint thread
+    /// installed at batch 6 — merged, like the one before it — is, byte
+    /// for byte, the one `flush_now` installed inline at the same
+    /// sequence number.
+    #[test]
+    fn checkpoints_from_the_job_thread_and_inline_are_byte_identical() {
+        let triples = mixed_ops(47, 6 * 16);
+        let (run_dir, flush_dir) = (scratch_dir("job_diff_run"), scratch_dir("job_diff_flush"));
+
+        let config = stream_config(&run_dir, 2);
+        let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+        let core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+        let running = spawn_core(core);
+        let (tx, rx) = mpsc::channel();
+        let mut immediate = Vec::new();
+        shared.submit_group(&requests(&triples), || Reply::Channel(tx.clone()), &mut immediate);
+        assert!(immediate.is_empty(), "{immediate:?}");
+        let answered = recv_n(&rx, triples.len());
+        assert!(answered.iter().all(|&(_, status)| status == Status::Ok));
+        wait_until("three jobs ended", || shared.stats().core.persist.checkpoints == 3);
+        let from_job = checkpoint_file(&run_dir);
+        let stats = shared.stats().core;
+        assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 2), "{stats:?}");
+
+        let config = stream_config(&flush_dir, 2);
+        let (inline_shared, mut inline) = open_core(config);
+        for chunk in requests(&triples).chunks(16) {
+            let mut immediate = Vec::new();
+            inline_shared.submit_group(chunk, || Reply::Channel(tx.clone()), &mut immediate);
+            inline.flush_now();
+        }
+        let inline_stats = inline_shared.stats().core;
+        assert_eq!((inline_stats.checkpoints_walked, inline_stats.checkpoints_merged), (1, 2));
+        assert!(from_job == checkpoint_file(&flush_dir), "job and inline checkpoints differ");
+        assert_eq!(
+            dcart::read_checkpoint_pairs(&run_dir).expect("readable").map(|c| c.next_seq),
+            Some(6)
+        );
+
+        shared.request_shutdown();
+        running.join().expect("core thread");
+        let _ = std::fs::remove_dir_all(&run_dir);
+        let _ = std::fs::remove_dir_all(&flush_dir);
     }
 }
 

@@ -52,11 +52,16 @@ struct Automaton {
     /// Exact workspace-relative paths the automaton is checked in.
     files: &'static [&'static str],
     stages: &'static [Stage],
+    /// Every stage is required: on no path may a stage be reached while
+    /// the one before it is missing (a dropped step, not only a
+    /// reordered one, is the bug).
+    complete: bool,
 }
 
 /// The protocol automata. Stage numbers are 1-based positions in `stages`;
 /// on any path through a function, a lower-numbered event must never
-/// follow a higher-numbered one.
+/// follow a higher-numbered one — and, for a `complete` automaton, a stage
+/// must never be reached past a missing one.
 static AUTOMATA: [Automaton; 3] = [
     // PR-8's durability contract: nothing is acknowledged before it is
     // WAL-appended, executed, and fsync-committed. The fsync is `commit` on
@@ -86,13 +91,17 @@ static AUTOMATA: [Automaton; 3] = [
                 ]),
             },
         ],
+        complete: false,
     },
     // PR-4's checkpoint install: the checkpoint file must be durably in
     // place (tmp → fsync → atomic rename → directory fsync) before the WAL
-    // cursor resets — resetting first would leave a crash window with
-    // neither artifact, and a rename whose directory entry is not synced
-    // can be lost by a power cut that keeps the reset. The first stage is
-    // the rename itself or any call that carries the install up to it.
+    // (segment) it absorbs is reset — resetting first would leave a crash
+    // window with neither artifact, and a rename whose directory entry is
+    // not synced can be lost by a power cut that keeps the reset. The
+    // first stage is the rename itself or a call that carries the whole
+    // install (the checkpoint job's `checkpoint.run`). Complete: the job
+    // function reads rename → directory sync → reset, and dropping the
+    // directory sync is the bug as much as moving it.
     Automaton {
         name: "checkpoint-install",
         files: &["crates/server/src/core_loop.rs", "crates/core/src/durable.rs"],
@@ -102,12 +111,19 @@ static AUTOMATA: [Automaton; 3] = [
                 m: Matcher::Any(&[
                     Matcher::CalleeQual("rename", "fs"),
                     Matcher::Callee(&["install_checkpoint", "write_checkpoint"]),
-                    Matcher::CalleeRecvLast("checkpoint", "checkpointer"),
+                    Matcher::CalleeRecvLast("run", "checkpoint"),
                 ]),
             },
             Stage { desc: "directory sync", m: Matcher::Callee(&["sync_dir"]) },
-            Stage { desc: "WAL reset", m: Matcher::CalleeRecvLast("reset", "writer") },
+            Stage {
+                desc: "WAL reset",
+                m: Matcher::Any(&[
+                    Matcher::CalleeRecvLast("reset", "writer"),
+                    Matcher::CalleeRecvLast("reset", "retired"),
+                ]),
+            },
         ],
+        complete: true,
     },
     // PR-8's drain sequence: admission bounces first, then the shutdown
     // flag publishes, then sleeping workers wake — waking before the flag
@@ -120,15 +136,32 @@ static AUTOMATA: [Automaton; 3] = [
             Stage { desc: "shutdown flag", m: Matcher::CalleeRecvLast("store", "shutdown") },
             Stage { desc: "wake workers", m: Matcher::Callee(&["notify_all"]) },
         ],
+        complete: false,
     },
 ];
 
-/// The running automaton state: the highest stage witnessed so far.
+/// The running automaton state: the highest stage witnessed so far, and —
+/// for a `complete` automaton — the first stage a path went past without
+/// witnessing it.
 #[derive(Clone, Copy, Default)]
 struct O2State {
     stage: usize, // 1-based; 0 = nothing seen
     line: usize,
     desc: &'static str,
+    skipped: Option<Skip>,
+}
+
+/// A stage reached while an earlier one was missing: reported when the
+/// function ends, unless the missing stage turns up later on the path
+/// (which is then an order violation, reported as one).
+#[derive(Clone, Copy)]
+struct Skip {
+    missing: usize,
+    /// Where the stage past it was reached (0-based line, column).
+    line0: usize,
+    col: usize,
+    reached: &'static str,
+    reached_stage: usize,
 }
 
 /// O2 — protocol call-order automata.
@@ -141,7 +174,26 @@ pub fn o2(ctxs: &[FileCtx], files: &[(String, ParsedFile, Vec<bool>)], out: &mut
                 continue;
             }
             for f in &parsed.fns {
-                o2_walk(auto, &f.body, O2State::default(), &ctxs[fi], out);
+                let end = o2_walk(auto, &f.body, O2State::default(), &ctxs[fi], out);
+                if let Some(skip) = end.skipped {
+                    let missing = auto.stages[skip.missing - 1].desc;
+                    ctxs[fi].emit(
+                        out,
+                        "O2",
+                        skip.line0,
+                        skip.col,
+                        format!(
+                            "protocol `{}`: {} (stage {}) reached without {missing} (stage {})",
+                            auto.name, skip.reached, skip.reached_stage, skip.missing
+                        ),
+                        format!(
+                            "the `{}` sequence is {}, every stage of it required; restore the \
+                             missing stage",
+                            auto.name,
+                            auto.stages.iter().map(|s| s.desc).collect::<Vec<_>>().join(" -> ")
+                        ),
+                    );
+                }
             }
         }
     }
@@ -164,6 +216,9 @@ fn o2_walk(
                 for c in &s.calls {
                     let Some((k, desc)) = stage_of(auto, c) else { continue };
                     if k < st.stage {
+                        if st.skipped.is_some_and(|skip| skip.missing == k) {
+                            st.skipped = None;
+                        }
                         ctx.emit(
                             out,
                             "O2",
@@ -182,7 +237,16 @@ fn o2_walk(
                             ),
                         );
                     } else {
-                        st = O2State { stage: k, line: c.line, desc };
+                        if auto.complete && k > st.stage + 1 && st.skipped.is_none() {
+                            st.skipped = Some(Skip {
+                                missing: st.stage + 1,
+                                line0: c.line - 1,
+                                col: c.col,
+                                reached: desc,
+                                reached_stage: k,
+                            });
+                        }
+                        st = O2State { stage: k, line: c.line, desc, skipped: st.skipped };
                     }
                 }
             }
@@ -190,9 +254,11 @@ fn o2_walk(
                 let mut merged = st;
                 for b in branches {
                     let end = o2_walk(auto, b, st, ctx, out);
+                    let skipped = merged.skipped.or(end.skipped);
                     if end.stage > merged.stage {
                         merged = end;
                     }
+                    merged.skipped = skipped;
                 }
                 st = merged;
             }
@@ -205,9 +271,11 @@ fn o2_walk(
                 // a fresh state; the loop's last iteration still
                 // contributes its end state to what follows.
                 let end = o2_walk(auto, b, O2State::default(), ctx, out);
+                let skipped = st.skipped.or(end.skipped);
                 if end.stage > st.stage {
                     st = end;
                 }
+                st.skipped = skipped;
             }
         }
     }

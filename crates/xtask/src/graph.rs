@@ -69,10 +69,11 @@ impl<'a> Graph<'a> {
                 let f = &self.fns[i];
                 if let Some(q) = type_qual {
                     f.item.qual.as_deref() == Some(q)
-                } else if !call.recv.is_empty() || call.chained {
-                    f.item.qual.is_some()
                 } else {
-                    true
+                    // A method call names a method; a bare call
+                    // (`drop(guard)`, `run_job(..)`) a free function, never
+                    // a method that happens to share its name.
+                    f.item.qual.is_some() == (!call.recv.is_empty() || call.chained)
                 }
             })
             .collect()
@@ -164,8 +165,11 @@ mod tests {
         let r1 = g.resolve(calls[1]);
         assert_eq!(r1.len(), 2);
         assert!(r1.iter().all(|&i| g.fns[i].item.qual.is_some()));
-        // Plain call: all three.
-        assert_eq!(g.resolve(calls[2]).len(), 3);
+        // Plain call: the free fn only — Rust has no bare-name method call,
+        // and a `drop(guard)` must not reach every `Drop::drop` impl.
+        let r2 = g.resolve(calls[2]);
+        assert_eq!(r2.len(), 1);
+        assert_eq!(g.fns[r2[0]].item.qual, None);
     }
 
     #[test]

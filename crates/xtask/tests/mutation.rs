@@ -197,17 +197,56 @@ fn wal_reset_before_the_core_loop_checkpoint_is_caught_by_o2() {
     let path = "crates/server/src/core_loop.rs";
     let source = read_real(path);
 
-    // The mutation: in the real core loop, truncate the log before the
-    // checkpointer has installed the checkpoint that absorbs it.
-    let mutated = swap_regions(
-        &source,
-        "        let kind = checkpointer.checkpoint(",
-        "        writer.reset()?;",
-        "        self.batches_since_ckpt = 0;\n        let stall",
-    );
+    // The mutation: in the checkpoint job as the core loop runs it,
+    // truncate the retired WAL segment before the job has installed the
+    // checkpoint that absorbs it.
+    let anchor = "    let result = checkpoint.run(";
+    let early =
+        "    if let Some(retired) = job.retired.as_mut() {\n        retired.reset()?;\n    }\n";
+    assert!(source.contains(anchor), "job anchor present");
+    let mutated = source.replacen(anchor, &format!("{early}{anchor}"), 1);
     let diags = xtask::analyze_source(path, &mutated);
     assert!(
         diags.iter().any(|d| d.rule == "O2" && d.msg.contains("checkpoint-install")),
         "O2 must catch the reset-before-checkpoint reorder in the core loop; got: {diags:?}"
+    );
+}
+
+#[test]
+fn retired_segment_reset_before_the_install_is_caught_by_o2() {
+    let path = "crates/core/src/durable.rs";
+    let source = read_real(path);
+
+    // The mutation: in the real job function, empty the retired segment
+    // first and install the checkpoint that absorbs it afterwards — a
+    // crash in between leaves neither.
+    let reset = "    if let Some(retired) = retired {\n        retired.reset()?;\n    }\n";
+    let anchor = "    let tmp = dir.join(CHECKPOINT_TMP);\n";
+    assert!(source.contains(reset) && source.contains(anchor), "job anchors present");
+    let mutated = source.replacen(reset, "", 1).replacen(anchor, &format!("{anchor}{reset}"), 1);
+    let diags = xtask::analyze_source(path, &mutated);
+    assert!(
+        diags.iter().any(|d| d.rule == "O2" && d.msg.contains("checkpoint rename (stage 1)")),
+        "O2 must catch the retired segment reset before the install; got: {diags:?}"
+    );
+}
+
+#[test]
+fn a_dropped_directory_sync_is_caught_by_o2() {
+    let path = "crates/core/src/durable.rs";
+    let source = read_real(path);
+
+    // The mutation: the job function renames and then resets the retired
+    // segment without ever fsyncing the directory — nothing is out of
+    // order, a stage is missing, and a power cut can keep the reset and
+    // lose the rename.
+    let sync = "    wal::sync_dir(dir)?;\n";
+    assert!(source.contains(sync), "directory sync present");
+    let mutated = source.replacen(sync, "", 1);
+    let diags = xtask::analyze_source(path, &mutated);
+    assert!(
+        diags.iter().any(|d| d.rule == "O2"
+            && d.msg.contains("WAL reset (stage 3) reached without directory sync (stage 2)")),
+        "O2 must catch the dropped directory sync; got: {diags:?}"
     );
 }
