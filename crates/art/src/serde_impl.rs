@@ -1,10 +1,6 @@
-//! Serde support for [`Art`], and the binary snapshot container the
-//! durability layer's checkpoints are made of.
-//!
-//! The serde impls serialize a tree as its ordered `(key, value)` entries
-//! and deserialize through the bulk loader — which rebuilds the *identical*
-//! structure, since ART shape is insertion-order independent. They serve
-//! report JSON; nothing on disk uses them.
+//! The binary snapshot container the durability layer's checkpoints are
+//! made of. A tree is persisted only through it: [`Art`] has no serde
+//! impls, and nothing serializes a tree into report JSON.
 //!
 //! The **snapshot** container (`DCARTSNP`, version 2) holds the entries of
 //! an `Art<u64>` — the only instantiation that reaches disk — in binary,
@@ -30,49 +26,8 @@
 use std::cmp::Ordering;
 use std::ops::Range;
 
-use serde::de::{Deserializer, SeqAccess, Visitor};
-use serde::ser::{SerializeSeq, Serializer};
-use serde::{Deserialize, Serialize};
-
 use crate::tree::ArtError;
 use crate::{Art, Key};
-
-impl<V: Serialize> Serialize for Art<V> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut seq = serializer.serialize_seq(Some(self.len()))?;
-        for (key, value) in self.iter() {
-            seq.serialize_element(&(key, value))?;
-        }
-        seq.end()
-    }
-}
-
-impl<'de, V: Deserialize<'de>> Deserialize<'de> for Art<V> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct ArtVisitor<V>(std::marker::PhantomData<V>);
-
-        impl<'de, V: Deserialize<'de>> Visitor<'de> for ArtVisitor<V> {
-            type Value = Art<V>;
-
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a sequence of (key, value) pairs in ascending key order")
-            }
-
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Art<V>, A::Error> {
-                let mut pairs: Vec<(Key, V)> = Vec::with_capacity(seq.size_hint().unwrap_or(0));
-                while let Some(pair) = seq.next_element::<(Key, V)>()? {
-                    pairs.push(pair);
-                }
-                // Serialization emits ascending order; tolerate arbitrary
-                // input by sorting (deserialization is not a hot path).
-                pairs.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
-                Art::from_sorted(pairs).map_err(serde::de::Error::custom)
-            }
-        }
-
-        deserializer.deserialize_seq(ArtVisitor(std::marker::PhantomData))
-    }
-}
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DCARTSNP";
@@ -454,47 +409,6 @@ impl Art<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_roundtrip_preserves_structure() {
-        let mut art = Art::new();
-        for v in 0..2_000u64 {
-            art.insert(Key::from_u64(v.wrapping_mul(0x9E37_79B9)), v).unwrap();
-        }
-        let json = serde_json::to_string(&art).unwrap();
-        let back: Art<u64> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), art.len());
-        assert_eq!(back.type_histogram(), art.type_histogram());
-        assert_eq!(back.node_count(), art.node_count());
-        let a: Vec<(Key, u64)> = art.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        let b: Vec<(Key, u64)> = back.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        assert_eq!(a, b);
-        back.assert_invariants();
-    }
-
-    #[test]
-    fn empty_tree_roundtrips() {
-        let art: Art<String> = Art::new();
-        let json = serde_json::to_string(&art).unwrap();
-        assert_eq!(json, "[]");
-        let back: Art<String> = serde_json::from_str(&json).unwrap();
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    fn unsorted_input_is_tolerated() {
-        let json = r#"[[[0,0,0,0,0,0,0,2],"b"],[[0,0,0,0,0,0,0,1],"a"]]"#;
-        let art: Art<String> = serde_json::from_str(json).unwrap();
-        assert_eq!(art.len(), 2);
-        assert_eq!(art.get(&Key::from_u64(1)).map(String::as_str), Some("a"));
-    }
-
-    #[test]
-    fn prefix_violating_input_is_rejected() {
-        let json = r#"[[[1,2],"a"],[[1,2,3],"b"]]"#;
-        let err = serde_json::from_str::<Art<String>>(json).unwrap_err();
-        assert!(err.to_string().contains("prefix"), "{err}");
-    }
 
     fn sample_tree() -> Art<u64> {
         let mut art = Art::new();

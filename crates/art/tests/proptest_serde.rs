@@ -1,9 +1,9 @@
-//! Property tests for the serde/snapshot round-trip: serializing an `Art`
-//! and loading it back must be the identity on contents *and* structure,
-//! across every node layout (N4 → N256), compressed prefixes, and the
-//! shapes left behind by removals — through report JSON and through the
-//! binary snapshot container alike. And the container's streaming merge
-//! must write the bytes a from-scratch encoding of the merged set writes.
+//! Property tests for the snapshot round-trip: encoding an `Art` into the
+//! binary snapshot container and loading it back must be the identity on
+//! contents *and* structure, across every node layout (N4 → N256),
+//! compressed prefixes, and the shapes left behind by removals. And the
+//! container's streaming merge must write the bytes a from-scratch
+//! encoding of the merged set writes.
 
 use std::collections::BTreeMap;
 
@@ -29,27 +29,19 @@ fn churn_strategy() -> impl Strategy<Value = Churn> {
     ]
 }
 
-/// Round-trips `art` through both the plain JSON path and the snapshot
-/// container, asserting identity on contents, layout histogram, and
-/// structural invariants.
+/// Round-trips `art` through the snapshot container, asserting identity
+/// on contents, layout histogram, and structural invariants.
 fn assert_roundtrip_identity(art: &Art<u64>) -> Result<(), TestCaseError> {
     let entries: Vec<(Key, u64)> = art.iter().map(|(k, v)| (k.clone(), *v)).collect();
-
-    let json = serde_json::to_string(art).expect("serialize");
-    let via_json: Art<u64> = serde_json::from_str(&json).expect("deserialize");
-
     let bytes = art.snapshot_bytes().expect("snapshot");
-    let via_snapshot: Art<u64> = Art::from_snapshot_bytes(&bytes).expect("load snapshot");
-
-    for back in [&via_json, &via_snapshot] {
-        prop_assert_eq!(back.len(), art.len());
-        prop_assert_eq!(back.type_histogram(), art.type_histogram());
-        prop_assert_eq!(back.node_count(), art.node_count());
-        let got: Vec<(Key, u64)> = back.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        prop_assert_eq!(&got, &entries);
-        let violations = back.check_invariants();
-        prop_assert!(violations.is_empty(), "{violations:?}");
-    }
+    let back: Art<u64> = Art::from_snapshot_bytes(&bytes).expect("load snapshot");
+    prop_assert_eq!(back.len(), art.len());
+    prop_assert_eq!(back.type_histogram(), art.type_histogram());
+    prop_assert_eq!(back.node_count(), art.node_count());
+    let got: Vec<(Key, u64)> = back.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    prop_assert_eq!(&got, &entries);
+    let violations = back.check_invariants();
+    prop_assert!(violations.is_empty(), "{violations:?}");
     Ok(())
 }
 

@@ -13,7 +13,7 @@
 //! simulated platforms, so a few seconds of signal suffices) and writes
 //! into the current directory. With `--check-baseline`, the freshly
 //! measured report is compared against a committed baseline and the run
-//! fails on a large regression.
+//! fails unless every cell's integer counters equal the baseline's.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -103,7 +103,7 @@ fn main() -> ExitCode {
         match perf::check_baseline(&report, &path) {
             Ok(summary) => println!("{summary}"),
             Err(e) => {
-                eprintln!("perf regression check failed:\n{e}");
+                eprintln!("baseline check failed:\n{e}");
                 return ExitCode::FAILURE;
             }
         }

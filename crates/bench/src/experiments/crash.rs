@@ -123,8 +123,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> CrashReport {
             &keys,
             &OpStreamConfig { count: n_ops, mix: Mix::C, theta: 0.99, seed: scale.seed },
         );
-        let dur_of =
-            |dir: PathBuf| DurabilityConfig { dir, checkpoint_every: 3, sync_commits: true };
+        let dur_of = |dir: PathBuf| DurabilityConfig { dir, checkpoint_every: 3 };
 
         for threads in [1usize, 2] {
             // The thread count is the matrix's own axis; the rest of the
@@ -175,8 +174,8 @@ pub fn run(scale: &Scale, out_dir: &Path) -> CrashReport {
                     opportunities: opps,
                     crashed: crashed.crashed == Some(site),
                     committed_before_crash: crashed.batches_committed,
-                    torn_bytes: resumed.torn_bytes,
-                    replayed_batches: resumed.replayed_batches,
+                    torn_bytes: resumed.persist.torn_bytes_truncated,
+                    replayed_batches: resumed.persist.replayed_batches,
                     digests_match: resumed.crashed.is_none()
                         && resumed.answer_digest == plain_answer
                         && resumed.tree_digest == plain_tree,

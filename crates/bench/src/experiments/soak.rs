@@ -126,7 +126,7 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
 
     let dir = std::env::temp_dir().join(format!("dcart-soak-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
-    let dur = DurabilityConfig { dir: dir.clone(), checkpoint_every: 3, sync_commits: true };
+    let dur = DurabilityConfig { dir: dir.clone(), checkpoint_every: 3 };
 
     let mut cycles_trace: Vec<SoakCycle> = Vec::new();
     let mut persist = PersistStats::default();

@@ -497,31 +497,47 @@ pub fn run(scale: &Scale, out_dir: &Path) -> PerfReport {
     report
 }
 
-/// Per-cell throughput slack before [`check_baseline`] flags a regression.
-///
-/// CI runners are noisy and unevenly loaded, so the gate is deliberately
-/// loose: a cell fails only when it runs more than this factor *slower*
-/// than the committed baseline — an order that hot-path churn (re-intro-
-/// duced cloning, per-batch allocation) produces and scheduler jitter
-/// does not. Faster-than-baseline is always fine.
-pub const BASELINE_TOLERANCE: f64 = 2.0;
+/// Reads one integer counter of a cell.
+type Counter = fn(&PerfCell) -> u64;
+
+/// The integer counters [`check_baseline`] compares, cell by cell. Each
+/// is a pure function of the workload, the key and op counts and the
+/// executor, so it reproduces exactly on any host and at any `--jobs`,
+/// `--sou-threads` and `--steal` (checked on a 2-vCPU host at 1 and 2
+/// SOU threads, with and without stealing); the wall-clock fields are
+/// not compared.
+const EXACT_COUNTERS: [(&str, Counter); 5] = [
+    ("ops", |c| c.ops as u64),
+    ("node_visits", |c| c.node_visits),
+    ("memory_bytes", |c| c.memory_bytes),
+    ("traverse_nodes_visited", |c| c.traverse_nodes_visited),
+    ("traverse_ops_advanced", |c| c.traverse_ops_advanced),
+];
 
 /// Compares a freshly measured report against a committed baseline file
-/// (`BENCH_baseline.json`) and reports any cell whose throughput fell by
-/// more than [`BASELINE_TOLERANCE`]×.
+/// (`BENCH_baseline.json`): every baseline cell must be present, and each
+/// of its [`EXACT_COUNTERS`] equal to the baseline's. A changed counter
+/// means the executor does different work — more node visits, a bigger
+/// tree, another wave shape — which a change must either avoid or own by
+/// regenerating the baseline.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of every offending cell (or of an
-/// unreadable/invalid baseline file). On success, returns a one-line
-/// summary for the log.
+/// Returns a human-readable description of every differing counter (or of
+/// an unreadable/invalid baseline file, or a run at another scale). On
+/// success, returns a one-line summary for the log.
 pub fn check_baseline(report: &PerfReport, baseline_path: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
     let baseline: PerfReport = serde_json::from_str(&text)
         .map_err(|e| format!("cannot parse baseline {}: {e}", baseline_path.display()))?;
+    if (report.keys, report.ops) != (baseline.keys, baseline.ops) {
+        return Err(format!(
+            "the baseline was measured at {} keys / {} ops per cell, this run at {} / {}",
+            baseline.keys, baseline.ops, report.keys, report.ops
+        ));
+    }
     let mut failures = Vec::new();
-    let mut checked = 0usize;
     for base in &baseline.cells {
         let Some(fresh) =
             report.cells.iter().find(|c| c.engine == base.engine && c.workload == base.workload)
@@ -532,18 +548,23 @@ pub fn check_baseline(report: &PerfReport, baseline_path: &Path) -> Result<Strin
             ));
             continue;
         };
-        checked += 1;
-        if fresh.ops_per_sec * BASELINE_TOLERANCE < base.ops_per_sec {
-            failures.push(format!(
-                "{}/{}: {:.0} ops/sec regressed more than {BASELINE_TOLERANCE}x \
-                 below the baseline's {:.0}",
-                fresh.engine, fresh.workload, fresh.ops_per_sec, base.ops_per_sec
-            ));
+        for (name, counter) in EXACT_COUNTERS {
+            if counter(fresh) != counter(base) {
+                failures.push(format!(
+                    "{}/{}: {name} is {}, the baseline's is {}",
+                    fresh.engine,
+                    fresh.workload,
+                    counter(fresh),
+                    counter(base)
+                ));
+            }
         }
     }
     if failures.is_empty() {
         Ok(format!(
-            "baseline check: {checked} cells within {BASELINE_TOLERANCE}x of {}",
+            "baseline check: {} counters of {} cells equal to {}",
+            EXACT_COUNTERS.len(),
+            baseline.cells.len(),
             baseline_path.display()
         ))
     } else {
@@ -616,19 +637,38 @@ mod tests {
         let report = run(&scale, &tmp);
         let path = tmp.join("BENCH_ctt.json");
 
-        // A report always passes against its own measurements.
+        // A report always passes against its own counters, and timing is
+        // not compared: a run ten times slower passes too.
         let summary = check_baseline(&report, &path).expect("self-comparison passes");
-        assert!(summary.contains("cells within"));
-
-        // A run that collapsed to a small fraction of the baseline fails.
+        assert!(summary.contains("5 counters of 12 cells"), "{summary}");
         let mut slow = report.clone();
         for c in &mut slow.cells {
-            c.ops_per_sec /= 10.0 * BASELINE_TOLERANCE;
+            c.ops_per_sec /= 10.0;
+            c.wall_s *= 10.0;
         }
-        let err = check_baseline(&slow, &path).expect_err("collapse must be flagged");
-        assert!(err.contains("regressed"), "{err}");
+        check_baseline(&slow, &path).expect("wall-clock fields are not compared");
 
-        // Missing or malformed baselines surface as readable errors.
+        // Any one counter of one cell off by one fails, and is named.
+        type Bump = fn(&mut PerfCell);
+        let perturb: [(&str, Bump); 5] = [
+            ("ops", |c| c.ops += 1),
+            ("node_visits", |c| c.node_visits += 1),
+            ("memory_bytes", |c| c.memory_bytes += 1),
+            ("traverse_nodes_visited", |c| c.traverse_nodes_visited += 1),
+            ("traverse_ops_advanced", |c| c.traverse_ops_advanced += 1),
+        ];
+        for (name, bump) in perturb {
+            let mut off = report.clone();
+            bump(&mut off.cells[4]);
+            let err = check_baseline(&off, &path).expect_err("a changed counter fails");
+            let cell = format!("{}/{}: {name} is", off.cells[4].engine, off.cells[4].workload);
+            assert!(err.contains(&cell), "{err}");
+            assert_eq!(err.lines().count(), 1, "{err}");
+        }
+
+        // Another scale, and a missing baseline, are errors too.
+        let bigger = Scale { keys: 600, ..scale };
+        assert!(check_baseline(&run(&bigger, &tmp.join("bigger")), &path).is_err());
         assert!(check_baseline(&report, &tmp.join("nope.json")).is_err());
     }
 }

@@ -1,29 +1,31 @@
-//! Crash-consistent durability: write-ahead logging, periodic checkpoints,
-//! and verified recovery for CTT executions.
+//! Crash-consistent durability: write-ahead logging, checkpoints and
+//! verified recovery for CTT executions — one engine, [`DurableLog`],
+//! which both executors drive: [`run_durable`] / [`recover`] offline and
+//! `dcart-server`'s core loop online.
 //!
 //! # Protocol
 //!
-//! A durable run executes the op stream in *segments* of
-//! [`DurabilityConfig::checkpoint_every`] batches. Within a segment, a
-//! [`WalWriter`] records every batch at its boundary:
+//! Every batch crosses the log in two stages around its execution:
 //!
-//! 1. **batch record** — the batch's encoded operations, appended at
-//!    `batch_start`, *before* any of the batch's effects become externally
-//!    visible;
-//! 2. **commit record** — the cumulative answer digest and op count,
-//!    appended (and fsynced) at `batch_end`. The commit mark *is* the
+//! 1. **batch record** ([`DurableLog::append`]) — the batch's encoded
+//!    operations, appended *before* any of the batch's effects become
+//!    externally visible;
+//! 2. **commit record** ([`DurableLog::commit`]) — the cumulative answer
+//!    digest and op count, appended after the batch executed and covered
+//!    by an fsync before it is acknowledged. The commit mark *is* the
 //!    durability point: a batch without one is truncated at recovery,
 //!    never replayed.
 //!
-//! At each segment boundary the tree's entries are checkpointed with the
-//! classic temp-file protocol — write `checkpoint.tmp`, fsync, atomically
-//! rename over `checkpoint.snap`, fsync the directory — and only then is
-//! the WAL reset. Every window between those steps is a distinct
-//! [`CrashSite`], and the crash-point matrix in `crates/bench` kills the
-//! run inside each one. The server runs the same install on a thread of
-//! its own ([`CheckpointJob::run`]) and keeps appending meanwhile, to the
-//! second of two WAL segments ([`WAL_SEGMENTS`]); the reset then empties
-//! the segment the checkpoint absorbed.
+//! The log is two WAL segments ([`WAL_SEGMENTS`]). A checkpoint
+//! [rotates](DurableLog::rotate) appends onto the empty one, and a
+//! [`CheckpointJob`] — inline, or on a thread of its own while appends go
+//! on — installs the tree's entries with the classic temp-file protocol
+//! (write `checkpoint.tmp`, fsync, atomically rename over
+//! `checkpoint.snap`, fsync the directory) and only then resets the
+//! segment the checkpoint absorbed. Every window between those steps is a
+//! distinct [`CrashSite`]; the crash-point matrix and the soak in
+//! `crates/bench` kill [`run_durable`] inside each one. The caller keeps
+//! the session, the cadence, the threads and the crash injectors.
 //!
 //! # Checkpoint files
 //!
@@ -31,25 +33,24 @@
 //! digest) around a binary `DCARTSNP` snapshot container (see
 //! `dcart_art`'s `serde_impl`), closed by a checksum chained over the
 //! prelude and the container's own checksum. [`write_checkpoint`] encodes
-//! a merged [`Art`]; a live [`CttSession`] goes through a
-//! [`Checkpointer`] instead, which encodes an ordered walk of the shards
-//! the first time and from then on merges the keys written since into
-//! the entries of the file it installed last — same bytes, at a cost
-//! that follows the writes rather than the tree. Only the capture of
-//! those keys' current state needs the session; the merge and the install
-//! are a [`CheckpointJob`] that may run elsewhere.
+//! a merged [`Art`]; the log's [`Checkpointer`] walks a live
+//! [`CttSession`] once and from then on merges the keys written since into
+//! the file it installed last — same bytes, at a cost that follows the
+//! writes.
 //!
 //! # Recovery
 //!
-//! [`recover`] rebuilds the pre-crash state: load the checkpoint (if any),
-//! truncate the WAL's torn tail, and replay the committed suffix batches
-//! through the normal executor ([`CttSession::execute_all`]). Replay is
-//! *verified*: each replayed batch must reproduce exactly the cumulative
-//! answer digest its commit record promised, so silent divergence is a
-//! typed error, not a wrong answer. Correctness rests on the chaos
-//! invariant the fault suite enforces — answers depend only on tree
-//! contents, never on shortcut/fault/buffer state — which makes a replay
-//! from a checkpointed tree answer-identical to the original execution.
+//! [`DurableLog::open`] (and [`recover`], its replay half) loads the
+//! checkpoint, cuts both segments' torn tails, and replays the committed
+//! batches past the checkpoint in sequence order, each WAL record as one
+//! [`CttSession::execute_batch`]. Replay is *verified*: each batch must
+//! be the next sequence number, hold the op count and reproduce exactly
+//! the cumulative answer digest its commit record promised, so silent
+//! divergence is a typed error, not a wrong answer. Correctness rests on
+//! the chaos invariant the fault suite enforces — answers depend only on
+//! tree contents, never on shortcut/fault/buffer state — which makes a
+//! replay from a checkpointed tree answer-identical to the original
+//! execution.
 
 use std::fs::{self, File};
 use std::io::Write;
@@ -61,20 +62,18 @@ use dcart_mem::PersistStats;
 use dcart_workloads::{KeySet, Op, OpKind};
 
 use crate::config::DcartConfig;
-use crate::ctt::{
-    fold_digest, tree_digest, BatchEvent, CttConsumer, CttOpEvent, CttSession, ExecOpts,
-};
+use crate::ctt::{tree_digest, CttConsumer, CttSession, ExecOpts};
 use crate::error::DcartError;
 
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DCARTCKP";
 
-/// File name of the WAL inside a durability directory — the only one the
-/// offline executor writes, and the first of the server's two segments.
+/// File name of the first WAL segment inside a durability directory —
+/// the one a fresh log appends to.
 pub const WAL_FILE: &str = "dcart.wal";
 
-/// The two WAL segments a server appends to in turn: while a checkpoint
-/// absorbs the batches of one, new batches go to the other.
+/// The two WAL segments a [`DurableLog`] appends to in turn: while a
+/// checkpoint absorbs the batches of one, new batches go to the other.
 pub const WAL_SEGMENTS: [&str; 2] = [WAL_FILE, "dcart.wal.1"];
 
 /// File name of the live checkpoint inside a durability directory.
@@ -95,19 +94,16 @@ const ENTRY_HINT: usize = 18;
 pub struct DurabilityConfig {
     /// Directory holding the WAL and checkpoint files.
     pub dir: PathBuf,
-    /// Batches between checkpoints (also the WAL's maximum length in
-    /// batches, since an installed checkpoint resets the log).
+    /// Batches between checkpoints (also a WAL segment's maximum length
+    /// in batches, since an installed checkpoint resets the segment it
+    /// absorbed). Every commit record is fsynced.
     pub checkpoint_every: u64,
-    /// Fsync every commit record (`true` = every committed batch survives
-    /// a crash; `false` trades the tail of a power cut for throughput).
-    pub sync_commits: bool,
 }
 
 impl DurabilityConfig {
-    /// Durability under `dir` with a 4-batch checkpoint interval and
-    /// synced commits.
+    /// Durability under `dir` with a 4-batch checkpoint interval.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig { dir: dir.into(), checkpoint_every: 4, sync_commits: true }
+        DurabilityConfig { dir: dir.into(), checkpoint_every: 4 }
     }
 }
 
@@ -126,13 +122,10 @@ pub struct DurableOutcome {
     pub tree_digest: u64,
     /// Batches durably committed by this invocation.
     pub batches_committed: u64,
-    /// Batches replayed from the WAL while opening pre-existing state.
-    pub replayed_batches: u64,
-    /// Torn WAL bytes truncated while opening pre-existing state.
-    pub torn_bytes: u64,
     /// The planned crash that fired, if any.
     pub crashed: Option<CrashSite>,
-    /// Storage-traffic accounting for the whole invocation.
+    /// Storage-traffic accounting for the whole invocation, the batches
+    /// replayed and the torn bytes cut while opening included.
     pub persist: PersistStats,
 }
 
@@ -152,8 +145,6 @@ pub struct RecoveredState {
     pub torn_bytes: u64,
     /// Whether a checkpoint (vs. only the initial key set) seeded replay.
     pub used_checkpoint: bool,
-    /// Valid WAL length, for reopening the writer in append mode.
-    pub wal_valid_len: u64,
 }
 
 // --- operation codec -------------------------------------------------------
@@ -346,10 +337,10 @@ fn install_checkpoint(
     Ok(())
 }
 
-/// Encodes `tree` as a checkpoint and installs it. Public for callers
-/// that hold a merged tree (the offline durable executor, reports); a
-/// live [`CttSession`] checkpoints through a [`Checkpointer`], which
-/// needs no merged tree.
+/// Encodes `tree` as a checkpoint and installs it, resetting no log.
+/// Public for callers that hold a merged tree; a live [`CttSession`]
+/// checkpoints through a [`DurableLog`], whose [`Checkpointer`] needs no
+/// merged tree.
 ///
 /// # Errors
 ///
@@ -451,31 +442,19 @@ struct Image {
     written: WrittenSnapshot,
 }
 
-/// Checkpoints a live [`CttSession`] at a cost that follows what changed.
+/// Checkpoints a live [`CttSession`] at a cost that follows what changed:
+/// it remembers *which* keys the writes named, and at a checkpoint sorts
+/// and deduplicates them, reads each one's current state from the session
+/// and merges that set into the entries of the file it installed last
+/// ([`SnapshotWriter::merge`]) — the bytes of a full walk (asserted in
+/// debug builds), with the entry count checked before the disk is touched.
 ///
-/// The tree stays the only truth: the checkpointer remembers *which* keys
-/// a cycle's write operations named, never what the operations did. At a
-/// checkpoint it sorts and deduplicates those keys — Combine, applied to
-/// durability — reads each key's current state back from the shard that
-/// owns it, and merges that sorted set into the entries of the checkpoint
-/// it installed last, in one sequential pass
-/// ([`SnapshotWriter::merge`]). The result is byte-identical to encoding
-/// an ordered walk over the whole session (asserted in debug builds), and
-/// its entry count is checked against the session's before anything
-/// touches the disk.
-///
-/// The work comes in two halves, so that only the first needs the
-/// session: [`capture`](Self::capture) reads what the checkpoint needs
-/// from it into a [`CheckpointJob`], and [`CheckpointJob::run`] — on
-/// whichever thread — merges, checks, installs and resets the log the
-/// checkpoint absorbs. The job takes the last image with it and
-/// [`finish`](Self::finish) takes the new one back; at most one job is
-/// out at a time.
-///
-/// A checkpointer that has installed nothing yet — a fresh directory, or
-/// a restart, whose recovered state no image describes — walks, and so
-/// does a caller that asks for it (the drain checkpoint). A walk reads
-/// every shard, so a walk's capture is its whole encoding.
+/// Only [`capture`](Self::capture) needs the session; the
+/// [`CheckpointJob`] it returns merges, checks and installs on whichever
+/// thread, and [`finish`](Self::finish) takes the new image back (one job
+/// out at a time). With no image yet — a fresh directory, or a restart —
+/// or when asked to (the drain), it walks, and a walk's capture is its
+/// whole encoding.
 pub struct Checkpointer {
     dir: PathBuf,
     /// The file this checkpointer installed last; out with the job while
@@ -497,11 +476,14 @@ pub struct Checkpointer {
 }
 
 /// One checkpoint between its capture and its install: the captured
-/// state, the image it merges into, and the buffers it writes. Made by
-/// [`Checkpointer::capture`], consumed by [`CheckpointJob::run`], handed
-/// back with [`Checkpointer::finish`].
+/// state, the image it merges into, the buffers it writes and, from a
+/// [`DurableLog`], the WAL segment it absorbs. Made by
+/// [`Checkpointer::capture`] (or [`DurableLog::rotate`]), run anywhere,
+/// handed back with [`Checkpointer::finish`] (or [`DurableLog::finish`]).
 pub struct CheckpointJob {
     dir: PathBuf,
+    /// The segment the checkpoint absorbs, reset once it is installed.
+    retired: Option<WalWriter>,
     next_seq: u64,
     digest: u64,
     /// Keys in the session at capture: what the merged file must hold.
@@ -556,11 +538,9 @@ impl Checkpointer {
     }
 
     /// The half of a checkpoint of `session` as of `next_seq` that needs
-    /// the session: the digest, the key count and, for a merge, the
-    /// current state of every key written since the last capture — or,
-    /// when there is no image or `walk` asks for it, the whole file,
-    /// encoded from an ordered walk. The job takes the image along; call
-    /// [`finish`](Self::finish) with it before the next capture.
+    /// the session: the digest, the key count and each dirty key's current
+    /// state — or, with no image or when `walk` asks, the whole walked
+    /// file. [`finish`](Self::finish) the job before the next capture.
     ///
     /// # Errors
     ///
@@ -609,6 +589,7 @@ impl Checkpointer {
         self.merging = true;
         Ok(CheckpointJob {
             dir: self.dir.clone(),
+            retired: None,
             next_seq,
             digest,
             live: session.len() as u64,
@@ -639,22 +620,19 @@ impl Checkpointer {
 
 impl CheckpointJob {
     /// The half of a checkpoint that does not need the session: merges the
-    /// captured updates into the image (a walk's file is complete
-    /// already), checks the merged entry count against the session's at
-    /// capture, and installs the file with `install_checkpoint`'s
-    /// protocol — tmp, `sync`, rename, directory fsync — and only then
-    /// resets `retired`, the log whose batches the checkpoint absorbs.
-    /// The checkpoint crash sites fire on the thread that calls this.
+    /// captured updates into the image, checks the entry count, installs
+    /// the file — tmp, `sync`, rename, directory fsync — and only then
+    /// resets the retired segment, if any. The checkpoint crash sites fire
+    /// on the thread that calls this.
     ///
     /// # Errors
     ///
     /// [`DcartError::CheckpointDiverged`] when the merged entry count is
     /// not the session's (nothing is written then), encoding and I/O
     /// failures, or an injected crash at one of the three checkpoint
-    /// sites; `retired` is untouched after any of them.
+    /// sites; the retired segment is untouched after any of them.
     pub fn run(
         &mut self,
-        retired: Option<&mut WalWriter>,
         sync: SyncFile<'_>,
         crash: &mut CrashInjector,
         persist: &mut PersistStats,
@@ -686,260 +664,360 @@ impl CheckpointJob {
             std::mem::swap(&mut self.image.file, &mut self.next);
             self.image.written = written;
         }
+        let retired = self.retired.as_mut();
         install_checkpoint(&self.dir, &self.image.file, retired, sync, crash, persist)?;
         self.installed = true;
         Ok(self.kind)
     }
 }
 
-// --- WAL-writing consumer ---------------------------------------------------
+// --- the durable log ---------------------------------------------------------
 
-/// Streams a segment's batches into the WAL at their boundaries: the ops
-/// record before any event of the batch is emitted, the commit mark (with
-/// the cumulative answer digest) after the last. A crash or I/O failure
-/// latches `error` and aborts the executor at the next batch boundary.
-struct WalConsumer<'a> {
-    writer: &'a mut WalWriter,
-    crash: &'a mut CrashInjector,
-    /// The segment's operations (for re-deriving each batch's payload).
-    ops: &'a [Op],
-    batch_size: usize,
-    /// Global sequence number of the segment's first batch.
-    seq_base: u64,
-    /// Cumulative answer digest, folded across segments.
-    digest: u64,
-    sync_commits: bool,
-    persist: &'a mut PersistStats,
-    batch_ops: u32,
-    committed: u64,
-    error: Option<DcartError>,
+/// Discards a replayed batch's events: only the session's digest is
+/// checked, against the batch's commit mark.
+struct NoEvents;
+impl CttConsumer for NoEvents {}
+
+/// The WAL/checkpoint protocol, implemented once: the two WAL segments,
+/// the [`Checkpointer`], the sequence number of the next batch and the
+/// traffic accounting. [`run_durable`] and `dcart-server`'s core loop
+/// drive it the same way: [`open`](Self::open) the directory; per batch,
+/// [`append`](Self::append) its record, execute it, [`commit`](Self::commit)
+/// its mark, and acknowledge it once an fsync that began after the mark
+/// has returned; per checkpoint, [`rotate`](Self::rotate), run the job —
+/// on any thread — and [`finish`](Self::finish) it. The session, and the
+/// crash injectors (call parameters, as on [`WalWriter`]), stay the
+/// caller's.
+pub struct DurableLog {
+    /// The segment appended to.
+    writer: WalWriter,
+    /// The other segment, empty; away while a job absorbs it.
+    spare: Option<WalWriter>,
+    checkpointer: Checkpointer,
+    next_seq: u64,
+    /// Batches committed since the last rotation, or since the open.
+    uncheckpointed: u64,
+    persist: PersistStats,
+    /// The batch being appended, as a WAL payload; kept for its capacity.
+    payload: Vec<u8>,
 }
 
-impl CttConsumer for WalConsumer<'_> {
-    fn batch_start(&mut self, ev: &BatchEvent<'_>) {
-        if self.error.is_some() {
-            return;
+/// What [`DurableLog::open`] recovered.
+pub struct Opened {
+    /// The log, appending after the newest committed batch.
+    pub log: DurableLog,
+    /// The state as of that batch.
+    pub session: CttSession,
+    /// When the spare segment still holds batches (a crash inside a job),
+    /// the walked checkpoint that absorbs them: run and finish it before
+    /// the first rotation.
+    pub absorb: Option<CheckpointJob>,
+    /// The batch size in the header of the segment appended to, when that
+    /// segment existed before the open.
+    pub logged_batch_size: Option<usize>,
+}
+
+/// A directory's state, replayed: [`recover`], and half of an open.
+struct Replayed {
+    session: CttSession,
+    next_seq: u64,
+    installed_seq: Option<u64>,
+    /// Each of [`WAL_SEGMENTS`]' path and, if it exists, its scan.
+    segments: Vec<(PathBuf, Option<wal::WalScan>)>,
+    /// The segment holding the newest batch (the first, when neither
+    /// does): appends continue there.
+    active: usize,
+    logged_batch_size: Option<usize>,
+    /// The torn bytes cut and the batches replayed.
+    persist: PersistStats,
+}
+
+/// Drops a stray `checkpoint.tmp` (crash residue), reads the checkpoint,
+/// scans both segments and cuts their torn tails, seeds a session with the
+/// checkpoint's entries (or `initial_pairs`) and replays every committed
+/// batch past the checkpoint in sequence order. Each WAL record replays as
+/// one executor batch — the live run's boundaries — and must be the next
+/// sequence number, hold the op count its commit mark promised and
+/// reproduce the digest it promised. `batch_size` is the session's nominal
+/// one; `None` takes the logged one, so the segments are scanned first.
+fn replay(
+    dir: &Path,
+    initial_pairs: &[(Key, u64)],
+    config: &DcartConfig,
+    opts: &ExecOpts,
+    batch_size: Option<usize>,
+) -> Result<Replayed, DcartError> {
+    match fs::remove_file(dir.join(CHECKPOINT_TMP)) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e.into()),
+    }
+    let checkpoint = read_checkpoint_pairs(dir)?;
+    let mut persist = PersistStats::default();
+    let mut segments = Vec::with_capacity(WAL_SEGMENTS.len());
+    for name in WAL_SEGMENTS {
+        let path = dir.join(name);
+        let scan = if path.exists() { Some(wal::recover(&path)?) } else { None };
+        persist.torn_bytes_truncated += scan.as_ref().map_or(0, |s| s.torn_bytes);
+        segments.push((path, scan));
+    }
+    let last_seq = |i: usize| segments[i].1.as_ref().and_then(|s| s.batches.last()).map(|b| b.seq);
+    let active = usize::from(last_seq(1) > last_seq(0));
+    let logged_batch_size = segments[active].1.as_ref().map(|s| s.batch_size as usize);
+
+    let installed_seq = checkpoint.as_ref().map(|ckpt| ckpt.next_seq);
+    let (start_seq, start_digest, pairs) = match &checkpoint {
+        Some(ckpt) => (ckpt.next_seq, ckpt.digest, ckpt.pairs.as_slice()),
+        None => (0, 0, initial_pairs),
+    };
+    let nominal = batch_size.or(logged_batch_size).unwrap_or(1);
+    let mut session = CttSession::from_pairs(pairs, config, opts, nominal, start_digest)?;
+    drop(checkpoint); // the decoded entries live in the shards now
+
+    // Batches the checkpoint already absorbed (the after-swap window
+    // leaves them in a segment) are skipped; the rest must extend it
+    // contiguously.
+    let mut batches: Vec<&WalBatch> = segments
+        .iter()
+        .filter_map(|(_, scan)| scan.as_ref())
+        .flat_map(|scan| &scan.batches)
+        .filter(|b| b.seq >= start_seq)
+        .collect();
+    batches.sort_unstable_by_key(|b| b.seq);
+    for (seq, b) in (start_seq..).zip(&batches) {
+        if b.seq != seq {
+            return Err(DcartError::Recovery(format!(
+                "WAL batch sequence gap: expected {seq}, found {}",
+                b.seq
+            )));
         }
-        let start = ev.index * self.batch_size;
-        let end = (start + self.batch_size).min(self.ops.len());
-        let payload = encode_ops(self.ops.get(start..end).unwrap_or(&[]));
-        self.persist.payload_bytes += payload.len() as u64;
+        let ops = decode_ops(&b.payload)?;
+        if ops.len() != b.ops as usize {
+            return Err(DcartError::Recovery(format!(
+                "batch {seq}: payload holds {} ops, commit record promised {}",
+                ops.len(),
+                b.ops
+            )));
+        }
+        session.execute_batch(&ops, &mut NoEvents)?;
+        if session.answer_digest() != b.digest {
+            return Err(DcartError::Recovery(format!(
+                "replayed batch {seq} produced digest {:#x}, commit record promised {:#x}",
+                session.answer_digest(),
+                b.digest
+            )));
+        }
+    }
+    persist.replayed_batches = batches.len() as u64;
+    let next_seq = start_seq + persist.replayed_batches;
+    Ok(Replayed { session, next_seq, installed_seq, segments, active, logged_batch_size, persist })
+}
+
+impl DurableLog {
+    /// Opens the log under `dir` (created if missing) and recovers the
+    /// state it holds, as [`recover`] does. A missing segment is created
+    /// with `batch_size` in its header, also the session's nominal batch
+    /// size; a version-1 segment is upgraded before the first append.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, foreign or corrupt files, and replay divergence
+    /// ([`DcartError::Recovery`]).
+    pub fn open(
+        dir: &Path,
+        initial_pairs: &[(Key, u64)],
+        config: &DcartConfig,
+        opts: &ExecOpts,
+        batch_size: usize,
+    ) -> Result<Opened, DcartError> {
+        fs::create_dir_all(dir)?;
+        let replayed = replay(dir, initial_pairs, config, opts, Some(batch_size))?;
+        let writer = |i: usize| match &replayed.segments[i] {
+            (path, Some(scan)) => WalWriter::open_append(path, scan.valid_len),
+            (path, None) => WalWriter::create(path, batch_size as u32),
+        };
+        let mut log = DurableLog {
+            writer: writer(replayed.active)?,
+            spare: Some(writer(1 - replayed.active)?),
+            checkpointer: Checkpointer::new(dir, replayed.installed_seq),
+            next_seq: replayed.next_seq,
+            uncheckpointed: 0,
+            persist: replayed.persist,
+            payload: Vec::new(),
+        };
+        let session = replayed.session;
+        // Appends rotate onto the spare only while it is empty.
+        let absorb = match log.spare.take_if(|spare| !spare.is_empty()) {
+            Some(retired) => {
+                let mut job = log.checkpointer.capture(&session, log.next_seq, true)?;
+                job.retired = Some(retired);
+                Some(job)
+            }
+            None => None,
+        };
+        Ok(Opened { log, session, absorb, logged_batch_size: replayed.logged_batch_size })
+    }
+
+    /// Stage 1: notes the keys `batch` writes, for the next checkpoint,
+    /// and appends its record. A [`CrashSite::MidRecord`] opportunity.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, or the injected crash.
+    pub fn append(&mut self, batch: &[Op], crash: &mut CrashInjector) -> Result<(), DcartError> {
+        self.checkpointer.note_writes(batch);
+        encode_ops_into(batch, &mut self.payload);
+        self.persist.payload_bytes += self.payload.len() as u64;
         let before = self.writer.len();
-        match self.writer.append_batch(self.seq_base + ev.index as u64, &payload, self.crash) {
-            Ok(()) => {
-                self.persist.wal_bytes += self.writer.len() - before;
-                self.persist.wal_batches += 1;
-            }
-            Err(e) => self.error = Some(e.into()),
-        }
-        self.batch_ops = 0;
+        self.writer.append_batch(self.next_seq, &self.payload, crash)?;
+        self.persist.wal_bytes += self.writer.len() - before;
+        self.persist.wal_batches += 1;
+        Ok(())
     }
 
-    fn op(&mut self, ev: &CttOpEvent<'_>) {
-        if self.error.is_some() {
-            return;
-        }
-        self.digest = fold_digest(self.digest, ev.answer);
-        self.batch_ops += 1;
-    }
-
-    fn batch_end(&mut self, index: usize) {
-        if self.error.is_some() {
-            return;
-        }
+    /// Stage 3: appends the mark of the batch appended last — `digest`
+    /// the cumulative answer digest after it, `ops` its op count — and
+    /// fsyncs it if `sync` is set; otherwise the caller owes that fsync,
+    /// through [`sync_handle`](Self::sync_handle), before it acknowledges.
+    /// A [`CrashSite::BeforeCommit`] opportunity.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, or the injected crash.
+    pub fn commit(
+        &mut self,
+        digest: u64,
+        ops: u32,
+        sync: bool,
+        crash: &mut CrashInjector,
+    ) -> Result<(), DcartError> {
         let before = self.writer.len();
-        match self.writer.commit(
-            self.seq_base + index as u64,
-            self.digest,
-            self.batch_ops,
-            self.sync_commits,
-            self.crash,
-        ) {
-            Ok(()) => {
-                self.persist.wal_bytes += self.writer.len() - before;
-                self.persist.wal_commits += 1;
-                self.committed += 1;
-            }
-            Err(e) => self.error = Some(e.into()),
-        }
+        self.writer.commit(self.next_seq, digest, ops, sync, crash)?;
+        self.persist.wal_bytes += self.writer.len() - before;
+        self.persist.wal_commits += 1;
+        self.next_seq += 1;
+        self.uncheckpointed += 1;
+        Ok(())
     }
 
-    fn abort(&mut self) -> bool {
-        self.error.is_some()
+    /// Captures a checkpoint of `session` as of the next batch (a walk if
+    /// `walk` asks for one, see [`Checkpointer::capture`]), moves appends
+    /// onto the spare segment, and returns the job that installs the
+    /// checkpoint and empties the retired segment.
+    ///
+    /// # Errors
+    ///
+    /// [`DcartError::Recovery`] while the previous job is not finished
+    /// (no spare to rotate onto), and a walk's encoding failures.
+    pub fn rotate(
+        &mut self,
+        session: &CttSession,
+        walk: bool,
+    ) -> Result<CheckpointJob, DcartError> {
+        let Some(spare) = self.spare.take() else {
+            return Err(DcartError::Recovery("no spare WAL segment to rotate onto".into()));
+        };
+        debug_assert!(spare.is_empty(), "rotated onto a segment that holds batches");
+        let mut job = self.checkpointer.capture(session, self.next_seq, walk)?;
+        job.retired = Some(std::mem::replace(&mut self.writer, spare));
+        self.uncheckpointed = 0;
+        Ok(job)
+    }
+
+    /// Takes back a job that has run, or never will: the checkpointer its
+    /// image, the log its retired segment as the spare.
+    pub fn finish(&mut self, mut job: CheckpointJob) {
+        self.spare = job.retired.take();
+        self.checkpointer.finish(job);
+    }
+
+    /// A second handle to the segment appended to, for a thread that
+    /// issues the commit fsyncs. A rotation changes the segment.
+    pub fn sync_handle(&self) -> std::io::Result<File> {
+        self.writer.sync_handle()
+    }
+
+    /// Batches committed since the last rotation, or since the open.
+    pub fn uncheckpointed(&self) -> u64 {
+        self.uncheckpointed
+    }
+
+    /// Whether the live checkpoint stands for every committed batch.
+    pub fn checkpointed(&self) -> bool {
+        self.checkpointer.installed_seq() == Some(self.next_seq)
+    }
+
+    /// The log's traffic, with what the jobs run against it counted.
+    pub fn persist(&self) -> &PersistStats {
+        &self.persist
     }
 }
 
-// --- verified replay --------------------------------------------------------
-
-/// Folds replayed answers and checks each batch against the digest its
-/// commit record promised; a mismatch latches and aborts the replay.
-struct VerifyConsumer<'a> {
-    expected: &'a [WalBatch],
-    digest: u64,
-    mismatch: Option<String>,
-}
-
-impl CttConsumer for VerifyConsumer<'_> {
-    fn op(&mut self, ev: &CttOpEvent<'_>) {
-        self.digest = fold_digest(self.digest, ev.answer);
-    }
-
-    fn batch_end(&mut self, index: usize) {
-        if self.mismatch.is_some() {
-            return;
-        }
-        match self.expected.get(index) {
-            Some(exp) if exp.digest == self.digest => {}
-            Some(exp) => {
-                self.mismatch = Some(format!(
-                    "replayed batch {} produced digest {:#x}, commit record promised {:#x}",
-                    exp.seq, self.digest, exp.digest
-                ));
-            }
-            None => self.mismatch = Some(format!("replay overran batch index {index}")),
-        }
-    }
-
-    fn abort(&mut self) -> bool {
-        self.mismatch.is_some()
-    }
-}
-
-/// The initial `(key, load-index)` pairs a fresh run seeds its tree with —
-/// identical to the executor's own bulk load.
+/// The `(key, load-index)` pairs a fresh run seeds its tree with.
 fn initial_pairs(keys: &KeySet) -> Vec<(Key, u64)> {
     keys.keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u64)).collect()
 }
 
-fn tree_pairs(tree: &Art<u64>) -> Vec<(Key, u64)> {
-    tree.iter().map(|(k, &v)| (k.clone(), v)).collect()
-}
+// --- the offline drivers -------------------------------------------------------
 
-// --- recovery ----------------------------------------------------------------
-
-/// Rebuilds the durable state under `dur.dir`: loads the checkpoint (when
-/// one is installed), discards stray checkpoint temp files, truncates the
-/// WAL's torn tail, and replays the committed suffix batches through the
-/// normal executor with per-batch digest verification.
-///
-/// `keys` must be the same key set the original run was started with — it
-/// seeds replay when no checkpoint exists yet.
+/// Rebuilds the durable state under `dur.dir` — the replay half of
+/// [`DurableLog::open`]: stray `checkpoint.tmp` removed, checkpoint
+/// loaded, both segments' torn tails cut, every committed batch past the
+/// checkpoint replayed and verified. It creates no segment and installs
+/// no checkpoint (a spare that holds batches is replayed, not absorbed),
+/// so it fires no crash site. `keys` must be the key set the original run
+/// started with: it seeds replay when there is no checkpoint yet.
 ///
 /// # Errors
 ///
 /// * [`DcartError::Wal`] / [`DcartError::Snapshot`] / [`DcartError::Io`]
 ///   for unreadable or foreign files;
-/// * [`DcartError::Recovery`] when the WAL's committed batches are not a
+/// * [`DcartError::Recovery`] when the committed batches are not a
 ///   contiguous extension of the checkpoint, a payload is malformed, or a
-///   replayed batch diverges from its commit digest.
+///   replayed batch diverges from its commit record.
 pub fn recover(
     keys: &KeySet,
     config: &DcartConfig,
     opts: &ExecOpts,
     dur: &DurabilityConfig,
 ) -> Result<RecoveredState, DcartError> {
-    // A leftover temp file is crash residue (mid-checkpoint or
-    // before-swap); the live checkpoint is authoritative, discard it.
-    let tmp = dur.dir.join(CHECKPOINT_TMP);
-    match fs::remove_file(&tmp) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
-
-    let checkpoint = read_checkpoint_pairs(&dur.dir)?;
-    let used_checkpoint = checkpoint.is_some();
-    let (start_seq, start_digest, pairs) = match checkpoint {
-        Some(ckpt) => (ckpt.next_seq, ckpt.digest, ckpt.pairs),
-        None => (0, 0, initial_pairs(keys)),
-    };
-
-    let wal_path = dur.dir.join(WAL_FILE);
-    let scan = if wal_path.exists() {
-        wal::recover(&wal_path)?
-    } else {
-        wal::WalScan { batches: Vec::new(), valid_len: 0, torn_bytes: 0, batch_size: 0 }
-    };
-
-    // Batches the checkpoint already absorbed (the after-swap window
-    // leaves them in the log) are skipped; the rest must extend the
-    // checkpoint contiguously.
-    let replay: Vec<&WalBatch> = scan.batches.iter().filter(|b| b.seq >= start_seq).collect();
-    let mut ops: Vec<Op> = Vec::new();
-    for (i, b) in replay.iter().enumerate() {
-        if b.seq != start_seq + i as u64 {
-            return Err(DcartError::Recovery(format!(
-                "WAL batch sequence gap: expected {}, found {}",
-                start_seq + i as u64,
-                b.seq
-            )));
-        }
-        let batch_ops = decode_ops(&b.payload)?;
-        if batch_ops.len() != b.ops as usize {
-            return Err(DcartError::Recovery(format!(
-                "batch {}: payload holds {} ops, commit record promised {}",
-                b.seq,
-                batch_ops.len(),
-                b.ops
-            )));
-        }
-        ops.extend(batch_ops);
-    }
-
-    let (tree, stats, _) = if replay.is_empty() {
-        // Nothing to replay; still run the (empty) executor to get the
-        // canonical merged tree out of the seeded shards.
-        let mut sink = VerifyConsumer { expected: &[], digest: start_digest, mismatch: None };
-        CttSession::from_pairs(&pairs, config, opts, 1, start_digest)?
-            .execute_all(&[], &mut sink)?
-    } else {
-        let batch_size = scan.batch_size as usize;
-        if batch_size == 0 {
-            return Err(DcartError::Recovery("WAL header has a zero batch size".into()));
-        }
-        let expected: Vec<WalBatch> = replay.iter().map(|b| (*b).clone()).collect();
-        let mut verify =
-            VerifyConsumer { expected: &expected, digest: start_digest, mismatch: None };
-        let result = CttSession::from_pairs(&pairs, config, opts, batch_size, start_digest)?
-            .execute_all(&ops, &mut verify)?;
-        if let Some(msg) = verify.mismatch {
-            return Err(DcartError::Recovery(msg));
-        }
-        result
-    };
-
+    let Replayed { session, next_seq, installed_seq, persist, .. } =
+        replay(&dur.dir, &initial_pairs(keys), config, opts, None)?;
     Ok(RecoveredState {
-        tree,
-        next_seq: start_seq + replay.len() as u64,
-        answer_digest: stats.answer_digest,
-        replayed_batches: replay.len() as u64,
-        torn_bytes: scan.torn_bytes,
-        used_checkpoint,
-        wal_valid_len: scan.valid_len,
+        answer_digest: session.answer_digest(),
+        tree: session.finish()?.0,
+        next_seq,
+        replayed_batches: persist.replayed_batches,
+        torn_bytes: persist.torn_bytes_truncated,
+        used_checkpoint: installed_seq.is_some(),
     })
 }
-
-// --- durable execution --------------------------------------------------------
 
 /// Executes `ops` with crash-consistent durability under `dur.dir`,
 /// resuming from whatever state the directory already holds.
 ///
 /// On a fresh directory this runs the whole stream; on a directory left by
-/// a crash it first [`recover`]s, then continues with the not-yet-durable
-/// suffix of `ops` (callers pass the *same* key set and full op stream
-/// every time — the WAL sequence numbers determine the suffix). A planned
-/// crash in `crash` is not an error: the returned outcome carries the site
-/// in [`DurableOutcome::crashed`] and the directory holds exactly the
-/// bytes a real process death at that point would leave.
+/// a crash it first recovers ([`DurableLog::open`]), then continues with
+/// the not-yet-durable suffix of `ops` (callers pass the *same* key set and
+/// full op stream every time — the WAL sequence numbers determine the
+/// suffix). Every mark is fsynced before the next batch; a checkpoint,
+/// its job run inline, follows every `checkpoint_every` batches and the
+/// last one. A planned crash in `crash` is not an error: the outcome
+/// carries the site in [`DurableOutcome::crashed`] and the directory holds
+/// exactly what a real process death there would leave. The open's
+/// absorb of a spare that holds batches (a server directory killed inside
+/// a job) fires on `crash` too — a legitimate crash point, though no
+/// directory this function writes reaches it.
 ///
-/// The end-to-end contract (asserted cell by cell in the crash matrix):
-/// for any crash point, crash → [`run_durable`] again to completion yields
-/// the *same* final answer and tree digests as one uninterrupted run.
+/// The contract the crash matrix asserts cell by cell: crash anywhere,
+/// run again to completion, and the final answer and tree digests are an
+/// uninterrupted run's.
 ///
 /// # Errors
 ///
 /// Real failures only — I/O, foreign or corrupt files, sequence gaps,
-/// divergent replay. Injected crashes come back as `Ok` outcomes.
+/// divergent replay, a log written with another batch size. Injected
+/// crashes come back as `Ok` outcomes.
 pub fn run_durable(
     keys: &KeySet,
     ops: &[Op],
@@ -952,109 +1030,69 @@ pub fn run_durable(
     if batch_size == 0 {
         return Err(DcartError::InvalidBatchSize);
     }
-    fs::create_dir_all(&dur.dir)?;
-    let mut persist = PersistStats::default();
-    let wal_path = dur.dir.join(WAL_FILE);
-
-    // Open existing state (recover) or initialize a fresh directory.
-    let (mut tree, mut digest, mut next_seq, replayed, torn, mut writer) = if wal_path.exists() {
-        let st = recover(keys, config, opts, dur)?;
-        let scan_batch = wal::scan(&wal_path)?.batch_size as usize;
-        if scan_batch != batch_size {
-            return Err(DcartError::Recovery(format!(
-                "WAL was written with batch size {scan_batch}, run requested {batch_size}"
-            )));
-        }
-        persist.torn_bytes_truncated += st.torn_bytes;
-        persist.replayed_batches += st.replayed_batches;
-        let writer = WalWriter::open_append(&wal_path, st.wal_valid_len)?;
-        (st.tree, st.answer_digest, st.next_seq, st.replayed_batches, st.torn_bytes, writer)
-    } else {
-        let writer = WalWriter::create(&wal_path, batch_size as u32)?;
-        let pairs = initial_pairs(keys);
-        let mut sink = VerifyConsumer { expected: &[], digest: 0, mismatch: None };
-        let (tree, _, _) =
-            CttSession::from_pairs(&pairs, config, opts, 1, 0)?.execute_all(&[], &mut sink)?;
-        (tree, 0u64, 0u64, 0u64, 0u64, writer)
+    let Opened { mut log, mut session, absorb, logged_batch_size } =
+        DurableLog::open(&dur.dir, &initial_pairs(keys), config, opts, batch_size)?;
+    if let Some(logged) = logged_batch_size.filter(|&logged| logged != batch_size) {
+        return Err(DcartError::Recovery(format!(
+            "WAL was written with batch size {logged}, run requested {batch_size}"
+        )));
+    }
+    let opened_at = log.next_seq;
+    let ran = drive(&mut log, &mut session, absorb, ops, batch_size, dur.checkpoint_every, crash);
+    let crashed = ran.err().map(|e| e.injected_crash().ok_or(e)).transpose()?;
+    let (answer_digest, tree) = match crashed {
+        Some(_) => (0, None),
+        None => (session.answer_digest(), Some(session.finish()?.0)),
     };
+    Ok(DurableOutcome {
+        tree_digest: tree.as_ref().map_or(0, tree_digest),
+        tree,
+        answer_digest,
+        batches_committed: log.next_seq - opened_at,
+        crashed,
+        persist: log.persist,
+    })
+}
 
-    let crashed_outcome = |site, committed, persist| DurableOutcome {
-        tree: None,
-        answer_digest: 0,
-        tree_digest: 0,
-        batches_committed: committed,
-        replayed_batches: replayed,
-        torn_bytes: torn,
-        crashed: Some(site),
-        persist,
-    };
-
+/// [`run_durable`] on an opened log: the open's absorb, then every batch
+/// of `ops` past the durable prefix, with its checkpoints.
+fn drive(
+    log: &mut DurableLog,
+    session: &mut CttSession,
+    absorb: Option<CheckpointJob>,
+    ops: &[Op],
+    batch_size: usize,
+    checkpoint_every: u64,
+    crash: &mut CrashInjector,
+) -> Result<(), DcartError> {
+    if let Some(job) = absorb {
+        run_inline(log, job, crash)?;
+    }
     // Skip the already-durable prefix: batch `i` always covers ops
     // `[i*batch_size, (i+1)*batch_size)`, so `next_seq` fixes the offset.
-    let consumed = (next_seq as usize).saturating_mul(batch_size).min(ops.len());
-    let mut remaining = ops.get(consumed..).unwrap_or(&[]);
-    let mut committed_total = 0u64;
-    let seg_ops_max = (dur.checkpoint_every.max(1) as usize).saturating_mul(batch_size);
-    let mut checkpoint = Vec::new();
-
-    while !remaining.is_empty() {
-        let seg_len = seg_ops_max.min(remaining.len());
-        let segment = remaining.get(..seg_len).unwrap_or(remaining);
-        let pairs = tree_pairs(&tree);
-        let mut consumer = WalConsumer {
-            writer: &mut writer,
-            crash,
-            ops: segment,
-            batch_size,
-            seq_base: next_seq,
-            digest,
-            sync_commits: dur.sync_commits,
-            persist: &mut persist,
-            batch_ops: 0,
-            committed: 0,
-            error: None,
-        };
-        let (seg_tree, _, _) = CttSession::from_pairs(&pairs, config, opts, batch_size, digest)?
-            .execute_all(segment, &mut consumer)?;
-        let committed = consumer.committed;
-        let seg_digest = consumer.digest;
-        if let Some(e) = consumer.error {
-            return match e.injected_crash() {
-                Some(site) => Ok(crashed_outcome(site, committed_total + committed, persist)),
-                None => Err(e),
-            };
-        }
-        committed_total += committed;
-        next_seq += committed;
-        digest = seg_digest;
-        tree = seg_tree;
-        remaining = remaining.get(seg_len..).unwrap_or(&[]);
-
-        // Segment complete: install a checkpoint, then (and only then)
-        // reset the WAL it absorbs.
-        encode_walk(&mut checkpoint, next_seq, digest, tree.iter().map(|(k, &v)| (k, v)))?;
-        let sync = &mut File::sync_all;
-        let installed =
-            install_checkpoint(&dur.dir, &checkpoint, Some(&mut writer), sync, crash, &mut persist);
-        if let Err(e) = installed {
-            return match e.injected_crash() {
-                Some(site) => Ok(crashed_outcome(site, committed_total, persist)),
-                None => Err(e),
-            };
+    let consumed = (log.next_seq as usize).saturating_mul(batch_size).min(ops.len());
+    let mut batches = ops.get(consumed..).unwrap_or_default().chunks(batch_size).peekable();
+    while let Some(batch) = batches.next() {
+        log.append(batch, crash)?;
+        session.execute_batch(batch, &mut NoEvents)?;
+        log.commit(session.answer_digest(), batch.len() as u32, true, crash)?;
+        if log.uncheckpointed >= checkpoint_every.max(1) || batches.peek().is_none() {
+            let job = log.rotate(session, false)?;
+            run_inline(log, job, crash)?;
         }
     }
+    Ok(())
+}
 
-    let td = tree_digest(&tree);
-    Ok(DurableOutcome {
-        tree: Some(tree),
-        answer_digest: digest,
-        tree_digest: td,
-        batches_committed: committed_total,
-        replayed_batches: replayed,
-        torn_bytes: torn,
-        crashed: None,
-        persist,
-    })
+/// Runs a checkpoint job here, counting into the log's traffic.
+fn run_inline(
+    log: &mut DurableLog,
+    mut job: CheckpointJob,
+    crash: &mut CrashInjector,
+) -> Result<(), DcartError> {
+    let ran = job.run(&mut File::sync_all, crash, &mut log.persist);
+    log.finish(job);
+    ran.map(drop)
 }
 
 #[cfg(test)]
@@ -1150,7 +1188,7 @@ mod tests {
             impl CttConsumer for Sink {}
             let (t1, s1, _) =
                 execute_ctt(&keys, &ops[..split], &config, 512, &SERIAL, &mut Sink).unwrap();
-            let pairs = tree_pairs(&t1);
+            let pairs: Vec<(Key, u64)> = t1.iter().map(|(k, &v)| (k.clone(), v)).collect();
             let two = ExecOpts { threads: 2, ..SERIAL };
             let (t2, s2, _) = CttSession::from_pairs(&pairs, &config, &two, 512, s1.answer_digest)
                 .unwrap()
@@ -1200,24 +1238,29 @@ mod tests {
 
     #[test]
     fn batches_committed_after_a_checkpoint_replay_from_the_wal() {
-        // Regression for the WAL `reset` cursor bug: after the first
-        // checkpoint resets the log, subsequent commits must land at the
-        // header (not beyond a zero-filled hole at the old offset) so a
+        // Regression for the WAL `reset` cursor bug: after a checkpoint
+        // resets a segment, the commits appended to it later must land at
+        // the header (not beyond a zero-filled hole at the old offset) so a
         // later recovery replays them instead of counting them as torn.
         let (keys, ops) = workload();
         let config = DcartConfig::default();
-        // checkpoint_every = 4 → checkpoint + reset after seq 4; crashing
-        // mid-record at opportunity 6 leaves seqs 4–5 committed post-reset.
+        // checkpoint_every = 4: the checkpoint at seq 4 rotates onto the
+        // second segment and resets the first; the one at seq 8 rotates
+        // back onto the first. Crashing mid-record at opportunity 10
+        // leaves seqs 8–9 committed in the reset segment.
         let dur = DurabilityConfig::new(tmpdir("post-ckpt-replay"));
         let mut crash =
-            CrashInjector::for_plan(CrashPlan { site: CrashSite::MidRecord, at: 6, seed: 21 });
+            CrashInjector::for_plan(CrashPlan { site: CrashSite::MidRecord, at: 10, seed: 21 });
         let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, Some(CrashSite::MidRecord));
         let st = recover(&keys, &config, &SERIAL, &dur).unwrap();
-        assert!(st.used_checkpoint, "the seq-4 checkpoint must load");
-        assert_eq!(st.next_seq, 6, "both post-checkpoint commits are durable");
-        assert_eq!(st.replayed_batches, 2, "seqs 4 and 5 replay from the WAL");
-        assert!(st.torn_bytes > 0, "only the seq-6 record prefix is torn");
+        assert!(st.used_checkpoint, "the seq-8 checkpoint must load");
+        assert_eq!(st.next_seq, 10, "both post-checkpoint commits are durable");
+        assert_eq!(st.replayed_batches, 2, "seqs 8 and 9 replay from the WAL");
+        assert!(st.torn_bytes > 0, "only the seq-10 record prefix is torn");
+        let first = wal::scan(&dur.dir.join(WAL_FILE)).unwrap();
+        assert_eq!(first.batches.iter().map(|b| b.seq).collect::<Vec<_>>(), [8, 9]);
+        assert_eq!(first.torn_bytes, 0, "recovery cut the tail in the reset segment");
     }
 
     #[test]

@@ -19,8 +19,8 @@ use proptest::prelude::*;
 struct Silent;
 impl CttConsumer for Silent {}
 
-/// A checkpoint on the calling thread: capture, run the job (no log to
-/// reset), take it back.
+/// A checkpoint on the calling thread: capture, run the job (no segment
+/// to reset), take it back.
 fn checkpoint(
     checkpointer: &mut Checkpointer,
     session: &CttSession,
@@ -30,7 +30,7 @@ fn checkpoint(
     persist: &mut PersistStats,
 ) -> Result<CheckpointKind, DcartError> {
     let mut job = checkpointer.capture(session, next_seq, walk)?;
-    let kind = job.run(None, &mut std::fs::File::sync_all, crash, persist);
+    let kind = job.run(&mut std::fs::File::sync_all, crash, persist);
     checkpointer.finish(job);
     kind
 }

@@ -20,72 +20,55 @@
 //! flags stored without the lock are still seen. It drains the inbox into
 //! a batch when either the batch-size watermark or the max-linger deadline
 //! is reached, then runs the batch through the resumable executor seam
-//! ([`CttSession`]) with the same WAL-before-acknowledge protocol the
-//! PR-4 durability layer pins:
+//! ([`CttSession`]) and, with a data directory, through the durable log
+//! ([`DurableLog`], the one implementation of the WAL/checkpoint protocol
+//! the offline executor drives too):
 //!
-//! 1. append the batch record to the WAL;
+//! 1. append the batch record to the WAL ([`DurableLog::append`]);
 //! 2. execute the batch (collecting each op's concrete answer);
-//! 3. append the commit mark, and **sync** it — the durability point is an
-//!    fsync that *began after* the mark was fully written;
+//! 3. append the commit mark ([`DurableLog::commit`]), and **sync** it —
+//!    the durability point is an fsync that *began after* the mark was
+//!    fully written;
 //! 4. only then send acknowledgements — each answer goes to its
 //!    [`Reply`]: encoded straight into the owning connection's outbound
 //!    buffer, whose writer is woken once per batch, or sent on an
 //!    in-process channel.
 //!
 //! Who issues the sync of step 3 depends on who drives the loop.
-//! [`ServerCore::run`] on a durable, `sync_commits` core is **pipelined**:
-//! the paper hides its slowest stage behind the next batch (the PCU
-//! combines batch N + 1 while the SOUs work on batch N), and the fsync is
-//! this loop's. `run` spawns one *committer* thread; the loop writes the
-//! mark without syncing, hands the batch — live requests and answers —
-//! over to a bounded queue ([`SyncHandoff`]) and goes straight back to the
-//! inbox. The committer takes *everything* queued, calls the sync once on
-//! a second handle to the WAL file, and answers every batch it took, in
-//! order. A batch is handed over only after its mark's write returned and
-//! taken before the sync is called, so no sync that began before a mark
-//! acknowledges it, and one sync releases every mark written while the
-//! previous one ran — group commit from the overlap, with no timer.
-//! Read-only batches take the same road: their answers saw the writes
-//! before them. At most `MAX_UNSYNCED_BATCHES` wait for the committer; then
-//! the hand-over blocks, and a slow disk backs up into the inbox and
-//! admission exactly as an inline fsync does. A failed sync is final: it is
-//! never called again, everything taken and everything queued later is
-//! answered `Error`, and the core is dead. The loop waits for the committer
-//! to go idle before a checkpoint rotates the log to the other segment
-//! (the committer syncs the segment the loop appends to) and before `run`
-//! returns. [`ServerCore::flush_now`] — the loop as a deterministic step
-//! function — as well as `sync_commits: false` and `data_dir: None` sync
-//! (or not) and answer **inline**, on the calling thread. Both ways answer
-//! through the same function and write the same WAL bytes.
+//! [`ServerCore::run`] on a durable, `sync_commits` core is **pipelined**
+//! (DESIGN.md, *Commit pipeline*): the loop writes the mark without
+//! syncing and hands the batch to a bounded queue ([`SyncHandoff`]); a
+//! *committer* thread takes everything queued, syncs once on a second
+//! handle to the segment, and answers what it took, in order — so no sync
+//! that began before a mark acknowledges it, and one sync releases every
+//! mark written while the previous one ran. At most
+//! `MAX_UNSYNCED_BATCHES` wait; a failed sync is final (never retried,
+//! everything after it answered `Error`, the core dead); a rotation and
+//! the end of `run` wait for the committer to go idle.
+//! [`ServerCore::flush_now`] — the loop as a deterministic step function
+//! — as well as `sync_commits: false` and `data_dir: None` answer
+//! **inline**, through the same function and with the same WAL bytes.
 //!
 //! A crash between 1 and 3 loses only *unacknowledged* requests — the
 //! chaos cell's invariant. The vectors a flush works in (the drained
-//! batch, the ops, their WAL payload, the collected answers, the
-//! connections to wake) are kept across flushes; those handed to the
-//! committer come back emptied.
+//! batch, the ops, the collected answers, the connections to wake) are
+//! kept across flushes; those handed to the committer come back emptied.
 //!
 //! Checkpoints are split the same way — every
 //! [`ServerConfig::checkpoint_every`] batches, at drain, and at an open
-//! that finds batches in both segments (below). A [`Checkpointer`] knows
-//! which keys each batch writes; the loop does only what needs the
-//! session: it waits for the previous checkpoint job to end (one in
-//! flight) and for the committer to go idle, **captures** `next_seq`, the
-//! digest, the key count and each dirty key's current state (a full
-//! walk — the first checkpoint after an open, and the one at drain — is
-//! encoded right there, since it reads every shard), **rotates** the log
-//! to its spare segment, and hands the job over. The log is two WAL
-//! segments ([`WAL_SEGMENTS`]) that alternate: while a job absorbs the
-//! batches of one, the loop appends to the other. The **job** — on a
-//! checkpoint thread [`ServerCore::run`] spawns beside the committer, or
-//! inline on the calling thread for `flush_now` and the drain — merges the
-//! captured state into the last image, checks the entry count, installs
-//! the file (tmp → fsync → rename → directory fsync) and only then
-//! truncates the retired segment, which becomes the spare. The checkpoint
-//! crash sites fire where the job runs, on an injector of its own built
-//! from the same plan. A failed job kills the core; the old checkpoint
-//! and both segments still hold every acknowledged batch, and
-//! [`ServerCore::open`] replays both, ordered by sequence number. What the
-//! loop still pays, and what the job takes, is in [`CoreSnapshot`].
+//! that finds batches in both WAL segments. What a checkpoint does is the
+//! log's; where it happens is this module's. The loop waits for the
+//! previous checkpoint job to end (one in flight) and for the committer
+//! to go idle, then [rotates](DurableLog::rotate) the log — a capture of
+//! what the checkpoint needs from the session, and appends moved to the
+//! spare segment — and hands the job over. The **job** — on a checkpoint
+//! thread [`ServerCore::run`] spawns beside the committer, or inline on
+//! the calling thread for `flush_now`, the drain and the open — installs
+//! the checkpoint and only then truncates the retired segment. The
+//! checkpoint crash sites fire where the job runs, on an injector of its
+//! own built from the same plan. A failed job kills the core; the old
+//! checkpoint and both segments still hold every acknowledged batch. What
+//! the loop still pays, and what the job takes, is in [`CoreSnapshot`].
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -95,14 +78,13 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use dcart::durable::{decode_ops, encode_ops_into, CHECKPOINT_TMP, WAL_SEGMENTS};
 use dcart::{
-    read_checkpoint_pairs, CheckpointJob, CheckpointKind, Checkpointer, CttConsumer, CttOpEvent,
-    CttSession, DcartConfig, DcartError, ExecOpts, TraverseMode,
+    CheckpointJob, CheckpointKind, CttConsumer, CttOpEvent, CttSession, DcartConfig, DcartError,
+    DurableLog, ExecOpts, Opened,
 };
 use dcart_art::Key;
 use dcart_engine::time::Clock;
-use dcart_engine::{wal, CrashInjector, CrashPlan, SyncHandoff, WalBatch, WalWriter};
+use dcart_engine::{wal, CrashInjector, CrashPlan, SyncHandoff};
 use dcart_mem::PersistStats;
 use dcart_workloads::{Op, OpKind};
 
@@ -407,11 +389,6 @@ impl CttConsumer for ValueCollector<'_> {
     }
 }
 
-/// Replay sink for recovery: events are discarded, only the session's
-/// digest matters (verified against each commit record).
-struct NoopConsumer;
-impl CttConsumer for NoopConsumer {}
-
 fn op_of(req: &Request) -> Op {
     let kind = match req.kind {
         RequestKind::Get => OpKind::Read,
@@ -633,9 +610,6 @@ struct JobCtx {
 #[derive(Default)]
 struct Job {
     checkpoint: Option<CheckpointJob>,
-    /// The segment the checkpoint absorbs; emptied — the spare — once the
-    /// checkpoint is installed.
-    retired: Option<WalWriter>,
     /// Set where the job ran.
     outcome: Option<Result<(), DcartError>>,
 }
@@ -647,7 +621,7 @@ fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
     let Some(checkpoint) = &mut job.checkpoint else { return };
     let started = shared.now_ns();
     let mut persist = PersistStats::default();
-    let result = checkpoint.run(job.retired.as_mut(), &mut *ctx.sync, &mut ctx.crash, &mut persist);
+    let result = checkpoint.run(&mut *ctx.sync, &mut ctx.crash, &mut persist);
     let ns = shared.now_ns().saturating_sub(started);
     {
         let mut snap = shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
@@ -770,26 +744,19 @@ impl Drop for CloseOnDrop<'_> {
     }
 }
 
-/// The core loop's owned state: session, WAL, crash injector, counters.
+/// The core loop's owned state: session, log, crash injector, counters.
 pub struct ServerCore {
     shared: Arc<ServerShared>,
     config: ServerConfig,
     session: CttSession,
-    /// The WAL segment appended to, and the checkpointer: both present
-    /// exactly when there is a data directory.
-    wal: Option<WalWriter>,
-    checkpointer: Option<Checkpointer>,
-    /// The other segment, empty; away while a checkpoint job absorbs it.
-    spare_wal: Option<WalWriter>,
+    /// Present exactly when there is a data directory.
+    log: Option<DurableLog>,
     /// The injector of the WAL's crash sites; the checkpoint's are the
     /// job's.
     crash: CrashInjector,
     /// Present when there is a data directory, and not on the checkpoint
     /// thread.
     job_ctx: Option<JobCtx>,
-    persist: PersistStats,
-    next_seq: u64,
-    batches_since_ckpt: u64,
     snapshot: CoreSnapshot,
     /// First durability failure, kept for the report.
     error: Option<DcartError>,
@@ -806,42 +773,16 @@ struct FlushScratch {
     /// The batch being flushed and its answers.
     handed: Handed,
     ops: Vec<Op>,
-    /// `ops` as a WAL payload.
-    payload: Vec<u8>,
     /// Connections that got an answer and whose writer is owed a wake-up.
     wake: Vec<Arc<Outbox>>,
 }
 
-/// One WAL segment found at open: its path and what a scan left of it.
-struct Found {
-    path: PathBuf,
-    scan: Option<wal::WalScan>,
-}
-
-impl Found {
-    fn last_seq(&self) -> Option<u64> {
-        self.scan.as_ref().and_then(|s| s.batches.last()).map(|b| b.seq)
-    }
-
-    /// A writer appending to the segment, which is created if missing.
-    fn writer(&self, batch_size: usize) -> Result<WalWriter, wal::WalError> {
-        match &self.scan {
-            Some(scan) => WalWriter::open_append(&self.path, scan.valid_len),
-            None => WalWriter::create(&self.path, batch_size as u32),
-        }
-    }
-}
-
 impl ServerCore {
-    /// Opens the serving state: recovers from `data_dir` when it holds a
-    /// WAL/checkpoint, otherwise seeds a fresh session from
-    /// `initial_pairs`. Both WAL segments are scanned, their torn tails
-    /// cut, and their batches past the checkpoint replayed in sequence
-    /// order, digest-verified batch by batch exactly like the offline
-    /// recovery path; appends continue in the segment that holds the
-    /// newest batch. When the other one holds batches too — a crash inside
-    /// a checkpoint job — a checkpoint of the recovered state absorbs and
-    /// empties it before anything is served.
+    /// Opens the serving state: recovers from `data_dir` through
+    /// [`DurableLog::open`], or seeds a fresh session from
+    /// `initial_pairs`. The checkpoint an open asks for to absorb a spare
+    /// segment that holds batches runs here, inline, before anything is
+    /// served.
     ///
     /// # Errors
     ///
@@ -851,102 +792,27 @@ impl ServerCore {
         shared: Arc<ServerShared>,
         initial_pairs: &[(Key, u64)],
     ) -> Result<Self, DcartError> {
-        let opts = ExecOpts {
-            threads: config.threads,
-            mode: TraverseMode::LevelWise,
-            steal: config.steal,
-        };
-        let mut persist = PersistStats::default();
-        let mut snapshot = CoreSnapshot::default();
-        let (session, next_seq, segments, checkpointer) = match &config.data_dir {
+        let opts = ExecOpts { threads: config.threads, steal: config.steal, ..ExecOpts::default() };
+        let (dcart, batch_size) = (&config.dcart, config.batch_size);
+        let (session, log, absorb) = match &config.data_dir {
             None => {
-                let session = CttSession::from_pairs(
-                    initial_pairs,
-                    &config.dcart,
-                    &opts,
-                    config.batch_size,
-                    0,
-                )?;
-                (session, 0, None, None)
+                (CttSession::from_pairs(initial_pairs, dcart, &opts, batch_size, 0)?, None, None)
             }
             Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                // Crash residue: a temp checkpoint never renamed is dead.
-                match std::fs::remove_file(dir.join(CHECKPOINT_TMP)) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e.into()),
-                }
-                // The checkpoint's entries route straight into the shards.
-                let checkpoint = read_checkpoint_pairs(dir)?;
-                let installed_seq = checkpoint.as_ref().map(|ckpt| ckpt.next_seq);
-                let (start_seq, start_digest, pairs) = match &checkpoint {
-                    Some(ckpt) => (ckpt.next_seq, ckpt.digest, ckpt.pairs.as_slice()),
-                    None => (0, 0, initial_pairs),
-                };
-                let mut session = CttSession::from_pairs(
-                    pairs,
-                    &config.dcart,
-                    &opts,
-                    config.batch_size,
-                    start_digest,
-                )?;
-                drop(checkpoint); // the decoded entries live in the shards now
-                let mut found = Vec::with_capacity(WAL_SEGMENTS.len());
-                for name in WAL_SEGMENTS {
-                    let path = dir.join(name);
-                    let scan = if path.exists() { Some(wal::recover(&path)?) } else { None };
-                    persist.torn_bytes_truncated += scan.as_ref().map_or(0, |s| s.torn_bytes);
-                    found.push(Found { path, scan });
-                }
-                // Batches the checkpoint already absorbed are skipped;
-                // the rest must extend it contiguously, and each must
-                // replay to exactly the digest its commit promised.
-                // Unlike the offline path, server batches vary in size,
-                // so each WAL record replays as ONE executor batch —
-                // identical boundaries to the live run.
-                let mut batches: Vec<&WalBatch> = found
-                    .iter()
-                    .filter_map(|f| f.scan.as_ref())
-                    .flat_map(|scan| &scan.batches)
-                    .filter(|b| b.seq >= start_seq)
-                    .collect();
-                batches.sort_unstable_by_key(|b| b.seq);
-                let mut replayed = 0u64;
-                for b in batches {
-                    if b.seq != start_seq + replayed {
-                        return Err(DcartError::Recovery(format!(
-                            "WAL batch sequence gap: expected {}, found {}",
-                            start_seq + replayed,
-                            b.seq
-                        )));
-                    }
-                    let ops = decode_ops(&b.payload)?;
-                    session.execute_batch(&ops, &mut NoopConsumer)?;
-                    if session.answer_digest() != b.digest {
-                        return Err(DcartError::Recovery(format!(
-                            "replayed batch {} produced digest {:#x}, commit promised {:#x}",
-                            b.seq,
-                            session.answer_digest(),
-                            b.digest
-                        )));
-                    }
-                    replayed += 1;
-                }
-                persist.replayed_batches += replayed;
-                snapshot.replayed_batches = replayed;
-                snapshot.batches = replayed;
-                let active = usize::from(found[1].last_seq() > found[0].last_seq());
-                let writer = found[active].writer(config.batch_size)?;
-                let spare = found[1 - active].writer(config.batch_size)?;
-                let checkpointer = Checkpointer::new(dir, installed_seq);
-                (session, start_seq + replayed, Some((writer, spare)), Some(checkpointer))
+                let Opened { log, session, absorb, .. } =
+                    DurableLog::open(dir, initial_pairs, dcart, &opts, batch_size)?;
+                (session, Some(log), absorb)
             }
         };
-        snapshot.answer_digest = session.answer_digest();
+        let replayed = log.as_ref().map_or(0, |log| log.persist().replayed_batches);
+        let snapshot = CoreSnapshot {
+            replayed_batches: replayed,
+            batches: replayed,
+            answer_digest: session.answer_digest(),
+            ..CoreSnapshot::default()
+        };
         *shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = snapshot;
-        let durable = segments.is_some();
-        let (wal, spare_wal) = segments.unzip();
+        let durable = log.is_some();
         let crash = || match config.crash {
             Some(plan) => CrashInjector::for_plan(plan),
             None => CrashInjector::counting(),
@@ -958,32 +824,15 @@ impl ServerCore {
             shared,
             config,
             session,
-            wal,
-            checkpointer,
-            spare_wal,
-            persist,
-            next_seq,
-            batches_since_ckpt: 0,
+            log,
             snapshot,
             error: None,
             scratch: FlushScratch::default(),
         };
-        if core.spare_wal.as_ref().is_some_and(|spare| !spare.is_empty()) {
-            core.absorb_spare()?;
+        if let Some(checkpoint) = absorb {
+            core.run_inline(Job { checkpoint: Some(checkpoint), outcome: None })?;
         }
         Ok(core)
-    }
-
-    /// The spare segment must be empty before the loop rotates onto it.
-    /// At an open that finds batches in it, a walked checkpoint of the
-    /// recovered state — the job, run here — absorbs them and resets it.
-    fn absorb_spare(&mut self) -> Result<(), DcartError> {
-        let (Some(checkpointer), Some(spare)) = (&mut self.checkpointer, self.spare_wal.take())
-        else {
-            return Ok(());
-        };
-        let checkpoint = checkpointer.capture(&self.session, self.next_seq, true)?;
-        self.run_inline(Job { checkpoint: Some(checkpoint), retired: Some(spare), outcome: None })
     }
 
     /// Replaces the fsync [`ServerCore::run`]'s committer calls — the seam
@@ -1010,14 +859,12 @@ impl ServerCore {
     /// completes or the durability layer dies. Returns the first
     /// durability error, if any (injected crashes land here too).
     ///
-    /// On a durable core the loop runs beside a checkpoint thread, and on
-    /// one that syncs its commits beside a committer thread too; both are
-    /// spawned here — from the core's own thread — and joined before the
-    /// drain checkpoint, which runs here, after the last job has ended
-    /// (see the [module documentation](self)).
+    /// On a durable core the loop runs beside a checkpoint thread, and a
+    /// committer thread if it syncs its commits; both are spawned here,
+    /// from the core's own thread, and joined before the drain checkpoint.
     pub fn run(&mut self) -> Option<DcartError> {
-        let target = match (&self.commit_sync, &self.wal) {
-            (Some(_), Some(writer)) => match writer.sync_handle() {
+        let target = match (&self.commit_sync, &self.log) {
+            (Some(_), Some(log)) => match log.sync_handle() {
                 Ok(file) => Some(file),
                 Err(e) => return Some(wal::WalError::Io(e).into()),
             },
@@ -1163,7 +1010,7 @@ impl ServerCore {
     }
 
     fn execute_in(&mut self, scratch: &mut FlushScratch, pipes: Pipes<'_>) {
-        let FlushScratch { handed, ops, payload, wake } = scratch;
+        let FlushScratch { handed, ops, wake } = scratch;
         let Handed { live, values } = &mut *handed;
         let now = self.shared.now_ns();
         // Expired-in-queue requests are answered without executing: their
@@ -1199,23 +1046,15 @@ impl ServerCore {
 
         ops.extend(live.iter().map(|p| op_of(&p.req)));
 
-        // 1. WAL the batch before any effect becomes visible.
-        if let Some(writer) = &mut self.wal {
-            encode_ops_into(ops, payload);
-            self.persist.payload_bytes += payload.len() as u64;
-            let before = writer.len();
-            if let Err(e) = writer.append_batch(self.next_seq, payload, &mut self.crash) {
-                return self.die(live, wake, pipes.commits, e.into());
+        // 1. WAL the batch before any effect becomes visible (the log also
+        // notes, for the next checkpoint, which keys the batch writes).
+        if let Some(log) = &mut self.log {
+            if let Err(e) = log.append(ops, &mut self.crash) {
+                return self.die(live, wake, pipes.commits, e);
             }
-            self.persist.wal_bytes += writer.len() - before;
-            self.persist.wal_batches += 1;
         }
 
-        // 2. Execute, collecting each op's concrete answer (and, for the
-        // next checkpoint, which keys the batch writes).
-        if let Some(checkpointer) = &mut self.checkpointer {
-            checkpointer.note_writes(ops);
-        }
+        // 2. Execute, collecting each op's concrete answer.
         values.clear();
         values.resize(ops.len(), None);
         if let Err(e) = self.session.execute_batch(ops, &mut ValueCollector { values }) {
@@ -1230,22 +1069,14 @@ impl ServerCore {
         // chaos cell's kill — the batch was executed but never
         // acknowledged, and recovery must not surface it.
         let mut sync_ns = None;
-        if let Some(writer) = &mut self.wal {
-            let before = writer.len();
+        if let Some(log) = &mut self.log {
             let sync = self.config.sync_commits && pipes.commits.is_none();
             let started = sync.then(|| self.shared.now_ns());
-            if let Err(e) = writer.commit(
-                self.next_seq,
-                self.session.answer_digest(),
-                ops.len() as u32,
-                sync,
-                &mut self.crash,
-            ) {
-                return self.die(live, wake, pipes.commits, e.into());
+            let digest = self.session.answer_digest();
+            if let Err(e) = log.commit(digest, ops.len() as u32, sync, &mut self.crash) {
+                return self.die(live, wake, pipes.commits, e);
             }
             sync_ns = started.map(|started| self.shared.now_ns().saturating_sub(started));
-            self.persist.wal_bytes += writer.len() - before;
-            self.persist.wal_commits += 1;
         }
 
         // 4. Acknowledge. An answer to a connection is encoded into that
@@ -1257,14 +1088,13 @@ impl ServerCore {
             Some(pipe) => pipe.hand_over(handed),
             None => acknowledge(&self.shared, std::slice::from_ref(handed), sync_ns, wake),
         }
-        self.next_seq += 1;
-        self.batches_since_ckpt += 1;
         self.snapshot.batches += 1;
         self.snapshot.ops += ops.len() as u64;
         self.snapshot.answer_digest = self.session.answer_digest();
         self.publish();
 
-        if self.batches_since_ckpt >= self.config.checkpoint_every {
+        let every = self.config.checkpoint_every;
+        if self.log.as_ref().is_some_and(|log| log.uncheckpointed() >= every) {
             if let Err(e) = self.checkpoint(false, pipes) {
                 self.error.get_or_insert(e);
                 self.shared.mark_dead();
@@ -1281,7 +1111,7 @@ impl ServerCore {
         let persist = PersistStats {
             checkpoints: shared.persist.checkpoints,
             checkpoint_bytes: shared.persist.checkpoint_bytes,
-            ..self.persist
+            ..self.log.as_ref().map(|log| *log.persist()).unwrap_or_default()
         };
         *shared = CoreSnapshot {
             acked_writes: shared.acked_writes,
@@ -1298,21 +1128,15 @@ impl ServerCore {
         };
     }
 
-    /// The loop's half of a checkpoint of the state as of `next_seq`:
-    /// wait for the previous job to end — its segment is the spare again —
-    /// and for the committer to go idle, capture what the checkpoint needs
-    /// from the session, rotate the log onto the spare, and hand the job
-    /// to the checkpoint thread (or, without one, run it right here). That
-    /// much, on the injected clock, is the loop's stall; the job times
-    /// itself. At `drain` the checkpoint is a full walk — and is skipped
-    /// when the installed one already stands for `next_seq` (no batch
-    /// committed since), except that a directory without any checkpoint
-    /// gets its first. A dead core checkpoints nothing: a failed sync or
-    /// job must find the old checkpoint and both segments still there.
+    /// The loop's half of a checkpoint: wait for the previous job to end
+    /// (its segment is the spare again) and for the committer to go idle,
+    /// rotate the log, and hand the job to the checkpoint thread or run it
+    /// here. That much, on the injected clock, is the loop's stall. At
+    /// `drain` it walks, and is skipped when the installed checkpoint
+    /// already stands for every committed batch. A dead core checkpoints
+    /// nothing: a failed sync or job must leave the old checkpoint and
+    /// both segments as they are.
     fn checkpoint(&mut self, walk: bool, pipes: Pipes<'_>) -> Result<(), DcartError> {
-        if self.checkpointer.is_none() {
-            return Ok(());
-        }
         let started = self.shared.now_ns();
         if let Some(jobs) = pipes.checkpoints {
             self.finish_job(jobs.take_ended())?;
@@ -1323,31 +1147,22 @@ impl ServerCore {
         if self.shared.is_dead() {
             return Ok(());
         }
-        let (Some(checkpointer), Some(writer)) = (&mut self.checkpointer, &mut self.wal) else {
-            return Ok(());
-        };
-        if walk && checkpointer.installed_seq() == Some(self.next_seq) {
+        let Some(log) = &mut self.log else { return Ok(()) };
+        if walk && log.checkpointed() {
             return Ok(());
         }
-        let Some(spare) = self.spare_wal.take() else {
-            return Err(DcartError::Recovery("no spare WAL segment to rotate onto".into()));
-        };
-        let target = pipes.commits.map(|_| spare.sync_handle()).transpose()?;
-        let checkpoint = checkpointer.capture(&self.session, self.next_seq, walk)?;
-        // Rotate: the loop appends to the spare from here on, and the old
-        // segment goes with the job, which empties it once the checkpoint
-        // that absorbs it is installed.
-        debug_assert!(spare.is_empty(), "rotated onto a segment that holds batches");
-        let retired = std::mem::replace(writer, spare);
-        if let (Some(pipe), Some(target)) = (pipes.commits, target) {
-            pipe.retarget(target);
+        // Capture and rotate: the loop appends to the spare from here on,
+        // and the old segment goes with the job, which empties it once the
+        // checkpoint that absorbs it is installed.
+        let checkpoint = log.rotate(&self.session, walk)?;
+        if let Some(pipe) = pipes.commits {
+            pipe.retarget(log.sync_handle()?);
         }
-        self.batches_since_ckpt = 0;
         let stall = self.shared.now_ns().saturating_sub(started);
         self.snapshot.checkpoint_stall_ns_total += stall;
         self.snapshot.checkpoint_stall_ns_max = self.snapshot.checkpoint_stall_ns_max.max(stall);
         self.publish();
-        let job = Job { checkpoint: Some(checkpoint), retired: Some(retired), outcome: None };
+        let job = Job { checkpoint: Some(checkpoint), outcome: None };
         match pipes.checkpoints {
             Some(jobs) => {
                 jobs.submit_job(job);
@@ -1366,18 +1181,13 @@ impl ServerCore {
         self.finish_job(job)
     }
 
-    /// Takes back a job that has ended: the checkpointer its image, the
-    /// loop its retired segment — the spare — and the job's error, if it
-    /// failed.
+    /// Takes back a job that has ended: the log its image and its retired
+    /// segment — the spare — and the job's error, if it failed.
     fn finish_job(&mut self, job: Job) -> Result<(), DcartError> {
-        let Job { checkpoint, retired, outcome } = job;
-        if let (Some(checkpointer), Some(checkpoint)) = (&mut self.checkpointer, checkpoint) {
-            checkpointer.finish(checkpoint);
+        if let (Some(log), Some(checkpoint)) = (&mut self.log, job.checkpoint) {
+            log.finish(checkpoint);
         }
-        if retired.is_some() {
-            self.spare_wal = retired;
-        }
-        outcome.unwrap_or(Ok(()))
+        job.outcome.unwrap_or(Ok(()))
     }
 
     /// Durability failed mid-batch: answer errors (the batch was never

@@ -11,7 +11,10 @@
 //! off the loop: crash sites firing on its thread, a job held while the
 //! loop runs on into the other WAL segment, a failed install, a
 //! single-file directory of the previous format, job and inline
-//! checkpoints byte for byte — all with `TestClock` (or a clock that
+//! checkpoints byte for byte — and the one on-disk protocol read both
+//! ways: a killed server directory through the offline `recover`, a
+//! crashed `run_durable` directory through `ServerCore::open` — all with
+//! `TestClock` (or a clock that
 //! ticks per reading), so no decision here depends on wall time, and
 //! with the commit sync or the checkpoint's fsync behind a gate the test
 //! holds, so none depends on a schedule.
@@ -22,13 +25,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use dcart::{CttConsumer, CttSession, DcartConfig, ExecOpts, TraverseMode};
+use dcart::{
+    CrashInjector, CttConsumer, CttSession, DcartConfig, DurabilityConfig, ExecOpts, TraverseMode,
+};
 use dcart_art::Key;
 use dcart_engine::time::{Clock, TestClock};
 use dcart_engine::{CrashPlan, CrashSite, RejectReason};
 use dcart_server::wire::{Request, RequestKind, Response, Status};
 use dcart_server::{Reply, ServerConfig, ServerCore, ServerShared};
-use dcart_workloads::{Op, OpKind};
+use dcart_workloads::{generate_ops, KeySet, Mix, Op, OpKind, OpStreamConfig, Workload};
 
 struct Silent;
 impl CttConsumer for Silent {}
@@ -406,6 +411,42 @@ fn crash_inside_a_merged_checkpoint_recovers_to_the_uncrashed_state() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&clean_dir);
+}
+
+/// One on-disk protocol, read both ways: a directory `run_durable` left
+/// after a crash at each of the five sites — the checkpoint sites inside
+/// its second, merged checkpoint — opens in the server to the state the
+/// offline `recover` reports: the same sequence number, answer digest and
+/// tree.
+#[test]
+fn an_offline_directory_crashed_at_every_site_opens_in_the_server() {
+    let keys = Workload::Ipgeo.generate(1_000, 3);
+    let stream = OpStreamConfig { count: 3_000, mix: Mix::E, seed: 3, ..Default::default() };
+    let ops = generate_ops(&keys, &stream);
+    let pairs: Vec<(Key, u64)> =
+        keys.keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u64)).collect();
+    let (config, opts) = (DcartConfig::default(), ExecOpts::default());
+    for site in CrashSite::ALL {
+        let dir = scratch_dir(&format!("offline_{}", site.name()));
+        let dur = DurabilityConfig { checkpoint_every: 2, ..DurabilityConfig::new(&dir) };
+        let mut crash = CrashInjector::for_plan(CrashPlan { site, at: 1, seed: 11 });
+        let out = dcart::run_durable(&keys, &ops, &config, 256, &opts, &dur, &mut crash)
+            .expect("an injected crash is an outcome");
+        assert_eq!(out.crashed, Some(site));
+        let offline = dcart::recover(&keys, &config, &opts, &dur).expect("recovers offline");
+        assert!(offline.next_seq > 0, "{}: something was committed", site.name());
+
+        let server = ServerConfig { data_dir: Some(dir.clone()), ..mem_config(256, 1, false) };
+        let shared = ServerShared::new(server.admission, Arc::new(TestClock::new()));
+        let core = ServerCore::open(server, Arc::clone(&shared), &pairs).expect("opens");
+        let ckpt = dcart::read_checkpoint_pairs(&dir).expect("readable").map_or(0, |c| c.next_seq);
+        let seq = ckpt + shared.stats().core.replayed_batches;
+        assert_eq!(seq, offline.next_seq, "{}: same sequence number", site.name());
+        assert_eq!(core.answer_digest(), offline.answer_digest, "{}", site.name());
+        let tree = core.into_tree_digest().expect("tree");
+        assert_eq!(tree, dcart::tree_digest(&offline.tree), "{}", site.name());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The drain checkpoint, through `run()` with drain already requested:
@@ -1355,6 +1396,64 @@ mod pipelined {
         assert_eq!(reopened.stats().core.replayed_batches, 0);
         assert_eq!(core.answer_digest(), answer);
         for d in [&dir, &inline_dir, &killed] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
+    /// The killed directory above — batches 0 and 1 in the retired
+    /// segment, 2 and 3 in the active one, no checkpoint installed — read
+    /// by the offline `recover`: both segments replay, to the digest the
+    /// server had at sequence number 4. And resumed by `run_durable`, whose
+    /// open absorbs the older segment with a checkpoint on the injector it
+    /// was given: a crash planned there fires, and the next run completes
+    /// the absorb.
+    #[test]
+    fn a_killed_directory_with_batches_in_both_segments_recovers_offline() {
+        let dir = scratch_dir("job_held_offline");
+        let gate = Arc::new(SyncGate::default());
+        let (shared, core) = job_core(&dir, Some(&gate), None);
+        let running = spawn_core(core);
+        let (tx, rx) = mpsc::channel();
+        batches_answered(&shared, &tx, &rx, 0..2);
+        gate.wait_entered(1);
+        batches_answered(&shared, &tx, &rx, 2..4);
+        let killed = killed_copy(&dir, "job_held_offline_killed");
+        let served = shared.stats().core.answer_digest;
+        gate.open();
+        shared.request_shutdown();
+        running.join().expect("core thread");
+        assert!(segment(&killed, 0).len() > 16 && segment(&killed, 1).len() > 16);
+
+        let no_keys = KeySet {
+            name: String::new(),
+            keys: Vec::new(),
+            insert_pool: Vec::new(),
+            popularity: Vec::new(),
+        };
+        let dur = DurabilityConfig::new(&killed);
+        let st = dcart::recover(&no_keys, &DcartConfig::default(), &ExecOpts::default(), &dur)
+            .expect("recovers");
+        assert_eq!((st.next_seq, st.replayed_batches, st.used_checkpoint), (4, 4, false));
+        assert_eq!(st.answer_digest, served, "the server's digest at sequence number 4");
+        assert_eq!(st.answer_digest, digest_after(4));
+
+        let ops: Vec<Op> = (0..16)
+            .map(|k| Op { kind: OpKind::Insert, key: Key::from_u64(k), value: k + 1 })
+            .collect();
+        let (config, opts) = (DcartConfig::default(), ExecOpts::default());
+        let plan = CrashPlan { site: CrashSite::MidCheckpoint, at: 0, seed: 5 };
+        let mut crash = CrashInjector::for_plan(plan);
+        let out = dcart::run_durable(&no_keys, &ops, &config, 4, &opts, &dur, &mut crash)
+            .expect("an injected crash is an outcome");
+        assert_eq!(out.crashed, Some(CrashSite::MidCheckpoint), "the absorb fires the plan");
+        let mut none = CrashInjector::counting();
+        let out = dcart::run_durable(&no_keys, &ops, &config, 4, &opts, &dur, &mut none)
+            .expect("resumes");
+        let replayed = out.persist.replayed_batches;
+        assert_eq!((out.crashed, replayed, out.batches_committed), (None, 4, 0));
+        assert_eq!((out.answer_digest, out.persist.checkpoints), (served, 1));
+        assert_eq!(segment(&killed, 0).len(), 16, "the older segment is absorbed and emptied");
+        for d in [&dir, &killed] {
             let _ = std::fs::remove_dir_all(d);
         }
     }

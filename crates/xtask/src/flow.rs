@@ -64,22 +64,32 @@ struct Automaton {
 /// must never be reached past a missing one.
 static AUTOMATA: [Automaton; 3] = [
     // PR-8's durability contract: nothing is acknowledged before it is
-    // WAL-appended, executed, and fsync-committed. The fsync is `commit` on
-    // the writer where the core loop syncs inline, and the committer
-    // thread's `commit_sync()` where the commit is pipelined; the
-    // acknowledgement is `Response::ok` or a call that carries the batch
-    // to it — `acknowledge`, or the loop's `hand_over` to the committer,
-    // which may sync and answer from the moment it has the batch.
+    // WAL-appended, executed, and fsync-committed. The append and the mark
+    // are the durable log's (`dcart::DurableLog`): `writer.append_batch`
+    // and `writer.commit` inside it, `log.append` and `log.commit` where
+    // the server's core loop and `run_durable` drive it. The fsync is the
+    // mark's where the commit is synced inline, and the committer thread's
+    // `commit_sync()` where it is pipelined; the acknowledgement is
+    // `Response::ok` or a call that carries the batch to it —
+    // `acknowledge`, or the loop's `hand_over` to the committer, which may
+    // sync and answer from the moment it has the batch.
     Automaton {
         name: "durable-ack",
         files: &["crates/server/src/core_loop.rs", "crates/core/src/durable.rs"],
         stages: &[
-            Stage { desc: "WAL append", m: Matcher::Callee(&["append_batch"]) },
+            Stage {
+                desc: "WAL append",
+                m: Matcher::Any(&[
+                    Matcher::Callee(&["append_batch"]),
+                    Matcher::CalleeRecvLast("append", "log"),
+                ]),
+            },
             Stage { desc: "execute", m: Matcher::Callee(&["execute_batch", "execute_all"]) },
             Stage {
                 desc: "fsync commit",
                 m: Matcher::Any(&[
                     Matcher::CalleeRecvLast("commit", "writer"),
+                    Matcher::CalleeRecvLast("commit", "log"),
                     Matcher::Callee(&["commit_sync"]),
                 ]),
             },
@@ -99,7 +109,8 @@ static AUTOMATA: [Automaton; 3] = [
     // window with neither artifact, and a rename whose directory entry is
     // not synced can be lost by a power cut that keeps the reset. The
     // first stage is the rename itself or a call that carries the whole
-    // install (the checkpoint job's `checkpoint.run`). Complete: the job
+    // install (the checkpoint job's `checkpoint.run`, in the durable log's
+    // `SegmentJob` and in the server's `run_job`). Complete: the install
     // function reads rename → directory sync → reset, and dropping the
     // directory sync is the bug as much as moving it.
     Automaton {

@@ -44,7 +44,7 @@ fn ack_before_fsync_reorder_is_caught_by_o2() {
         &source,
         "        // 3. Commit",
         "        // 4. Acknowledge.",
-        "        self.next_seq += 1;",
+        "        self.snapshot.batches += 1;",
     );
     let fired = rules_fired(path, &mutated);
     assert!(fired.contains(&"O2"), "O2 must catch the ack-before-fsync reorder; fired: {fired:?}");
@@ -201,8 +201,7 @@ fn wal_reset_before_the_core_loop_checkpoint_is_caught_by_o2() {
     // truncate the retired WAL segment before the job has installed the
     // checkpoint that absorbs it.
     let anchor = "    let result = checkpoint.run(";
-    let early =
-        "    if let Some(retired) = job.retired.as_mut() {\n        retired.reset()?;\n    }\n";
+    let early = "    checkpoint.retired.reset()?;\n";
     assert!(source.contains(anchor), "job anchor present");
     let mutated = source.replacen(anchor, &format!("{early}{anchor}"), 1);
     let diags = xtask::analyze_source(path, &mutated);
@@ -248,5 +247,24 @@ fn a_dropped_directory_sync_is_caught_by_o2() {
         diags.iter().any(|d| d.rule == "O2"
             && d.msg.contains("WAL reset (stage 3) reached without directory sync (stage 2)")),
         "O2 must catch the dropped directory sync; got: {diags:?}"
+    );
+}
+
+#[test]
+fn commit_before_append_batch_in_the_durable_log_is_caught_by_o2() {
+    let path = "crates/core/src/durable.rs";
+    let source = read_real(path);
+
+    // The mutation: the durable log's stage 1 writes a commit mark before
+    // the batch record it would commit — a mark that promises a batch the
+    // log does not hold yet, which a sync could make durable alone.
+    let anchor = "        self.writer.append_batch(self.next_seq, &self.payload, crash)?;\n";
+    let early = "        self.writer.commit(self.next_seq, 0, 0, true, crash)?;\n";
+    assert!(source.contains(anchor), "stage 1 anchor present");
+    let mutated = source.replacen(anchor, &format!("{early}{anchor}"), 1);
+    let diags = xtask::analyze_source(path, &mutated);
+    assert!(
+        diags.iter().any(|d| d.rule == "O2" && d.msg.contains("WAL append (stage 1)")),
+        "O2 must catch the commit mark before the batch record; got: {diags:?}"
     );
 }
