@@ -104,7 +104,6 @@ fn base_config(opts: &BenchOpts) -> ServerConfig {
         linger_ns: 500_000, // 0.5 ms
         data_dir: None,
         checkpoint_every: 64,
-        sync_commits: true,
         admission: AdmissionConfig::default(),
         crash: None,
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! dcart-server serve  --addr HOST:PORT [--data-dir DIR] [--sou-threads N]
 //!                     [--steal] [--batch-size N] [--linger-us N]
-//!                     [--checkpoint-every N] [--queue-capacity N] [--no-sync]
+//!                     [--checkpoint-every N] [--queue-capacity N]
 //! dcart-server bench  [--out FILE] [--seed S] [--sou-threads N] [--steal]
 //!                     [--data-dir DIR]
 //! dcart-server load   --addr HOST:PORT [--qps N] [--ops N] [--seed S]
@@ -19,12 +19,14 @@
 //! `load` drives a remote server with a seeded open-loop schedule and can
 //! log acknowledged insert keys; `verify-acked` audits that log after a
 //! crash+restart — it exits nonzero if any acknowledged write is missing.
+//! A flag the subcommand does not take is an error, not ignored.
 
 mod bench_cmd;
 mod client;
 mod clock;
 mod loadgen;
 
+use std::cell::Cell;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,7 +48,7 @@ fn print_usage() {
         "usage: dcart-server <serve|bench|load|verify-acked> [options]\n\
          serve        --addr HOST:PORT [--data-dir DIR] [--sou-threads N] [--steal]\n\
          \x20            [--batch-size N] [--linger-us N] [--checkpoint-every N]\n\
-         \x20            [--queue-capacity N] [--no-sync]\n\
+         \x20            [--queue-capacity N]\n\
          bench        [--out FILE] [--seed S] [--sou-threads N] [--steal] [--data-dir DIR]\n\
          load         --addr HOST:PORT [--qps N] [--ops N] [--seed S]\n\
          \x20            [--pattern uniform|bursty] [--insert-pct P] [--remove-pct P]\n\
@@ -61,9 +63,12 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Tiny flag reader: `value_of` finds `--flag V`, `has` finds `--flag`.
+/// Tiny flag reader: `value_of` finds `--flag V`, `has` finds `--flag`,
+/// and each marks what it found as known; [`Flags::reject_unknown`] then
+/// refuses an argument no lookup asked for.
 struct Flags {
     args: Vec<String>,
+    known: Vec<Cell<bool>>,
 }
 
 impl Flags {
@@ -87,15 +92,30 @@ impl Flags {
     }
 
     fn value_of(&self, flag: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        let i = self.find(flag)? + 1;
+        let value = self.args.get(i)?;
+        self.known[i].set(true);
+        Some(value)
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
+        self.find(flag).is_some()
+    }
+
+    /// Where `flag` is, marked known.
+    fn find(&self, flag: &str) -> Option<usize> {
+        let i = self.args.iter().position(|a| a == flag)?;
+        self.known[i].set(true);
+        Some(i)
+    }
+
+    /// Each subcommand takes only the flags it looks up: an argument none
+    /// of its lookups found is a typo or a flag of another subcommand.
+    fn reject_unknown(&self, cmd: &str) -> Result<(), String> {
+        match self.known.iter().position(|k| !k.get()) {
+            Some(i) => Err(format!("unknown flag '{}' for {cmd}", self.args[i])),
+            None => Ok(()),
+        }
     }
 }
 
@@ -110,10 +130,9 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         config.batch_size = flags.parse_positive("--batch-size", 64)? as usize;
         config.linger_ns = flags.parse_u64("--linger-us", 2_000)? * 1_000;
         config.checkpoint_every = flags.parse_positive("--checkpoint-every", 64)?;
-        config.sync_commits = !flags.has("--no-sync");
         config.admission.queue_capacity = flags.parse_positive("--queue-capacity", 1_024)?;
         config.data_dir = flags.value_of("--data-dir").map(PathBuf::from);
-        Ok(())
+        flags.reject_unknown("serve")
     })() {
         Ok(()) => {}
         Err(e) => return fail(&e),
@@ -145,7 +164,7 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
 
 fn cmd_bench(flags: &Flags) -> ExitCode {
     let opts = match (|| -> Result<BenchOpts, String> {
-        Ok(BenchOpts {
+        let opts = BenchOpts {
             seed: flags.parse_u64("--seed", 42)?,
             sou_threads: flags.parse_u64("--sou-threads", 2)? as usize,
             steal: flags.has("--steal"),
@@ -153,7 +172,8 @@ fn cmd_bench(flags: &Flags) -> ExitCode {
             data_dir: PathBuf::from(
                 flags.value_of("--data-dir").unwrap_or("reports/serve_chaos_data"),
             ),
-        })
+        };
+        flags.reject_unknown("bench").map(|()| opts)
     })() {
         Ok(o) => o,
         Err(e) => return fail(&e),
@@ -171,6 +191,7 @@ fn cmd_load(flags: &Flags) -> ExitCode {
     let Some(addr) = flags.value_of("--addr") else {
         return fail("load needs --addr HOST:PORT");
     };
+    let acked_log = flags.value_of("--acked-log");
     let cfg = match (|| -> Result<LoadConfig, String> {
         let mut cfg = LoadConfig {
             seed: flags.parse_u64("--seed", 42)?,
@@ -187,7 +208,7 @@ fn cmd_load(flags: &Flags) -> ExitCode {
             Some("bursty") => ArrivalPattern::Bursty,
             Some(p) => return Err(format!("unknown pattern '{p}' (want uniform or bursty)")),
         };
-        Ok(cfg)
+        flags.reject_unknown("load").map(|()| cfg)
     })() {
         Ok(c) => c,
         Err(e) => return fail(&e),
@@ -200,7 +221,7 @@ fn cmd_load(flags: &Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(log) = flags.value_of("--acked-log") {
+    if let Some(log) = acked_log {
         if let Err(e) = write_acked_log(std::path::Path::new(log), &acked_keys) {
             eprintln!("dcart-server: writing acked log: {e}");
             return ExitCode::FAILURE;
@@ -219,6 +240,9 @@ fn cmd_verify_acked(flags: &Flags) -> ExitCode {
     let (Some(addr), Some(log)) = (flags.value_of("--addr"), flags.value_of("--log")) else {
         return fail("verify-acked needs --addr HOST:PORT and --log FILE");
     };
+    if let Err(e) = flags.reject_unknown("verify-acked") {
+        return fail(&e);
+    }
     let text = match std::fs::read_to_string(log) {
         Ok(t) => t,
         Err(e) => {
@@ -264,7 +288,8 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first().cloned() else {
         return fail("missing subcommand");
     };
-    let flags = Flags { args: args[1..].to_vec() };
+    let args = args[1..].to_vec();
+    let flags = Flags { known: args.iter().map(|_| Cell::new(false)).collect(), args };
     match cmd.as_str() {
         "serve" => cmd_serve(&flags),
         "bench" => cmd_bench(&flags),

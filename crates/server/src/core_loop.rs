@@ -13,6 +13,10 @@
 //! group of one.
 //! The two locks are taken one after the other, never nested; the only
 //! nesting in the crate is [`ServerShared::stats`]' admission → snapshot.
+//! Because a request is admitted under one lock and queued under the
+//! other, the loop ends only once admission counts nothing the inbox has
+//! not passed on, and a submitter looks for a dead core under the
+//! admission lock: no admitted request is left unanswered.
 //!
 //! The core sleeps on the inbox condvar until that wake-up — or, with
 //! requests queued below the watermark, until the oldest has lingered
@@ -35,19 +39,18 @@
 //!    in-process channel.
 //!
 //! Who issues the sync of step 3 depends on who drives the loop.
-//! [`ServerCore::run`] on a durable, `sync_commits` core is **pipelined**
-//! (DESIGN.md, *Commit pipeline*): the loop writes the mark without
-//! syncing and hands the batch to a bounded queue ([`SyncHandoff`]); a
-//! *committer* thread takes everything queued, syncs once on a second
-//! handle to the segment, and answers what it took, in order — so no sync
-//! that began before a mark acknowledges it, and one sync releases every
-//! mark written while the previous one ran. At most
+//! [`ServerCore::run`] on a durable core is **pipelined** (DESIGN.md,
+//! *Commit pipeline*): the loop writes the mark without syncing and hands
+//! the batch to a *committer* thread, which takes everything queued, syncs
+//! once on a second handle to the segment, and answers what it took, in
+//! order — so no sync that began before a mark acknowledges it, and one
+//! sync releases every mark written while the previous one ran. At most
 //! `MAX_UNSYNCED_BATCHES` wait; a failed sync is final (never retried,
 //! everything after it answered `Error`, the core dead); a rotation and
 //! the end of `run` wait for the committer to go idle.
 //! [`ServerCore::flush_now`] — the loop as a deterministic step function
-//! — as well as `sync_commits: false` and `data_dir: None` answer
-//! **inline**, through the same function and with the same WAL bytes.
+//! — and a core without a data directory answer **inline**, through the
+//! same function and with the same WAL bytes.
 //!
 //! A crash between 1 and 3 loses only *unacknowledged* requests — the
 //! chaos cell's invariant. The vectors a flush works in (the drained
@@ -67,8 +70,18 @@
 //! the checkpoint and only then truncates the retired segment. The
 //! checkpoint crash sites fire where the job runs, on an injector of its
 //! own built from the same plan. A failed job kills the core; the old
-//! checkpoint and both segments still hold every acknowledged batch. What
-//! the loop still pays, and what the job takes, is in [`CoreSnapshot`].
+//! checkpoint and both segments still hold every acknowledged batch.
+//!
+//! The two side threads are one mechanism, a `Lane`: a [`SyncHandoff`]
+//! under a mutex, to which the loop hands entries — blocking at the
+//! bound — and from which the thread takes everything queued at once,
+//! runs its body over it and gives it back for reuse. The committer's
+//! lane holds `MAX_UNSYNCED_BATCHES` batches and its body syncs and
+//! answers; the checkpoint thread's holds one job and its body runs it.
+//! A durable core under `run` has both threads, every other core neither.
+//! What the loop still pays, and what the job takes, is in
+//! [`CoreSnapshot`]; each of its counters is written, in place, by the
+//! one thread that counts it.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -76,6 +89,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
 use dcart::{
@@ -133,13 +147,11 @@ pub struct ServerConfig {
     /// the watermark, bounding the queueing delay a request can accrue.
     pub linger_ns: u64,
     /// Durability directory; `None` serves from memory only (acks then
-    /// mean "executed", not "durable").
+    /// mean "executed", not "durable"). With one, a batch is acknowledged
+    /// only once an fsync covers its commit mark.
     pub data_dir: Option<PathBuf>,
     /// Batches between checkpoints.
     pub checkpoint_every: u64,
-    /// Acknowledge a batch only once an fsync covers its commit mark
-    /// (one fsync may cover several marks under [`ServerCore::run`]).
-    pub sync_commits: bool,
     /// Admission tunables.
     pub admission: AdmissionConfig,
     /// Planned durability-layer crash (chaos cell); `None` in production.
@@ -156,7 +168,6 @@ impl Default for ServerConfig {
             linger_ns: 2_000_000, // 2 ms
             data_dir: None,
             checkpoint_every: 64,
-            sync_commits: true,
             admission: AdmissionConfig::default(),
             crash: None,
         }
@@ -297,14 +308,16 @@ impl ServerShared {
         reply: &impl Fn() -> Reply,
         immediate: &mut Vec<Response>,
     ) {
-        if self.dead.load(Ordering::Acquire) {
-            immediate.extend(ops.iter().map(|req| Response::error(req.req_id)));
-            return;
-        }
         let now = self.now_ns();
         let mut admitted = Vec::with_capacity(ops.len());
         {
             let mut adm = self.admission.lock().unwrap_or_else(|e| e.into_inner());
+            // Under the lock: a core that died before the loop last looked
+            // at admission admits nothing more.
+            if self.is_dead() {
+                immediate.extend(ops.iter().map(|req| Response::error(req.req_id)));
+                return;
+            }
             for req in ops {
                 let deadline_ns = now.saturating_add(adm.effective_budget_ns(req.budget_ns));
                 match adm.admit(req.kind, now, deadline_ns) {
@@ -423,6 +436,9 @@ struct Handed {
     live: Vec<PendingReq>,
     /// Each live request's answer, by position.
     values: Vec<Option<u64>>,
+    /// On the first batch handed over after a rotation: a handle to the
+    /// segment its mark is in, which the committer syncs from then on.
+    segment: Option<File>,
 }
 
 /// Answers `Error` to every request of a batch whose outcome is void.
@@ -461,57 +477,52 @@ fn acknowledge(
     wake_writers(wake);
 }
 
-/// What the loop and its committer share while [`ServerCore::run`] runs
-/// pipelined: the hand-off, and the two things each side sleeps on.
-struct CommitPipe {
-    state: Mutex<PipeState>,
-    /// The committer's: a batch was queued, or the pipe closed.
-    work: Condvar,
-    /// The loop's: the committer took what was queued (room), or finished
-    /// a sync (idle, perhaps).
+/// A side thread of [`ServerCore::run`] and the loop's way to it: a
+/// [`SyncHandoff`] under a mutex, and what each side sleeps on. The loop
+/// hands entries over; the thread takes everything queued at once, runs
+/// its body over it, and gives the entries back for reuse. The committer
+/// is one lane, the checkpoint thread another.
+struct Lane<T> {
+    state: Mutex<LaneState<T>>,
+    /// The thread's: an entry was handed over, or the lane closed.
+    queued: Condvar,
+    /// The loop's: the thread took what was queued (room), or ended a
+    /// round (idle, perhaps).
     progress: Condvar,
 }
 
-struct PipeState {
-    handoff: SyncHandoff<Handed>,
-    /// A handle to the segment the loop appends to since its last
-    /// rotation, for the committer to sync from its next batch on.
-    retarget: Option<File>,
-    /// The loop has ended: the committer leaves once nothing is queued.
+struct LaneState<T> {
+    handoff: SyncHandoff<T>,
+    /// The loop has ended: the thread leaves once nothing is queued.
     closed: bool,
 }
 
-impl CommitPipe {
-    fn new() -> Self {
-        CommitPipe {
-            state: Mutex::new(PipeState {
-                handoff: SyncHandoff::new(MAX_UNSYNCED_BATCHES),
-                retarget: None,
-                closed: false,
-            }),
-            work: Condvar::new(),
+impl<T: Default> Lane<T> {
+    /// An idle lane that queues at most `bound` entries.
+    fn new(bound: usize) -> Self {
+        Lane {
+            state: Mutex::new(LaneState { handoff: SyncHandoff::new(bound), closed: false }),
+            queued: Condvar::new(),
             progress: Condvar::new(),
         }
     }
 
-    /// The loop's stage 4: queues the batch in `handed`, whose commit mark
-    /// is written, for the committer to sync and answer, and leaves an
-    /// emptied one in its place. Blocks while `MAX_UNSYNCED_BATCHES` are
-    /// queued.
-    fn hand_over(&self, handed: &mut Handed) {
+    /// Queues what `entry` holds for the thread, and leaves an entry the
+    /// thread gave back in its place (a default one if there is none).
+    /// Blocks while `bound` entries are queued.
+    fn hand_over(&self, entry: &mut T) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut entry = state.handoff.recycled();
-        std::mem::swap(&mut entry, handed);
-        while let Err(back) = state.handoff.enqueue(entry) {
-            entry = back;
+        let mut queued = std::mem::replace(entry, state.handoff.recycled());
+        while let Err(back) = state.handoff.enqueue(queued) {
+            queued = back;
             state = self.progress.wait(state).unwrap_or_else(|e| e.into_inner());
         }
         drop(state);
-        self.work.notify_one();
+        self.queued.notify_one();
     }
 
-    /// Blocks until nothing is queued and no sync is in flight: every
-    /// batch handed over so far has been answered.
+    /// Blocks until nothing is queued and no round is running: the
+    /// thread's body has run over everything handed over so far.
     fn wait_idle(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         while !state.handoff.is_idle() {
@@ -519,81 +530,93 @@ impl CommitPipe {
         }
     }
 
-    /// The loop appends to another segment from now on: every batch
-    /// handed over next is synced through `file`. Called with the
-    /// committer idle, so no sync ever covers marks of two segments.
-    fn retarget(&self, file: File) {
+    /// [`Lane::wait_idle`], then an entry the thread gave back, as its
+    /// body left it — on the checkpoint lane, the job that ended last (a
+    /// default one when there is none left to collect).
+    fn take_back(&self) -> T {
+        self.wait_idle();
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(state.handoff.is_idle(), "commit target changed under a running sync");
-        state.retarget = Some(file);
+        state.handoff.recycled()
     }
 
-    /// No batch will follow. Also runs when the loop unwinds, so that the
-    /// scope joining the committer ends in that panic, not in a hang.
+    /// No entry will follow. Also runs when the loop unwinds, so that the
+    /// scope joining the thread ends in that panic, not in a hang.
     fn close(&self) {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.work.notify_one();
+        self.queued.notify_one();
+    }
+
+    /// The thread: until the lane is closed and empty, take everything
+    /// queued, run `body` over it, give it back.
+    fn take_and_run(&self, mut body: impl FnMut(&mut [T])) {
+        let mut taken = Vec::new();
+        loop {
+            {
+                let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                while !state.handoff.begin_sync(&mut taken) {
+                    if state.closed {
+                        return;
+                    }
+                    state = self.queued.wait(state).unwrap_or_else(|e| e.into_inner());
+                }
+            }
+            self.progress.notify_one();
+            body(&mut taken);
+            self.state.lock().unwrap_or_else(|e| e.into_inner()).handoff.end_sync(&mut taken);
+            self.progress.notify_one();
+        }
     }
 }
 
-/// The committer: until the pipe is closed and empty, take everything
-/// queued, sync `target` once, answer every batch taken. Returns the sync
-/// function and the failure that ended its use, if one did.
-fn commit_loop(
-    pipe: &CommitPipe,
-    shared: &ServerShared,
-    mut commit_sync: FileSync,
-    mut target: File,
-) -> (FileSync, Option<std::io::Error>) {
-    let mut taken: Vec<Handed> = Vec::new();
-    let mut wake = Vec::new();
-    let mut failure = None;
-    loop {
-        {
-            // Taken before the sync is called, and each batch was queued
-            // after its mark's write returned: the sync below began after
-            // every mark it is about to acknowledge.
-            let mut state = pipe.state.lock().unwrap_or_else(|e| e.into_inner());
-            while !state.handoff.begin_sync(&mut taken) {
-                if state.closed {
-                    return (commit_sync, failure);
-                }
-                state = pipe.work.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-            if let Some(file) = state.retarget.take() {
-                target = file;
-            }
-        }
-        pipe.progress.notify_one();
-        // The sync. A failed one is final: what the file holds is unknown
-        // from then on (a second fsync may well return `Ok` over pages the
-        // kernel already dropped), so it is never called again — these
-        // batches and every later one are answered `Error`, and the core
-        // is dead.
-        let mut sync_ns = None;
-        if failure.is_none() {
-            let started = shared.now_ns();
-            match commit_sync(&target) {
-                Ok(()) => sync_ns = Some(shared.now_ns().saturating_sub(started)),
-                Err(e) => {
-                    failure = Some(e);
-                    shared.mark_dead();
-                }
+/// What the committer thread keeps from one round to the next.
+struct Committer {
+    /// The commit fsync, given back to the core when the thread ends.
+    sync: FileSync,
+    /// A handle to the segment the loop appends to.
+    segment: File,
+    /// The failure that ended the sync's use, if one did.
+    failure: Option<std::io::Error>,
+    wake: Vec<Arc<Outbox>>,
+}
+
+/// The committer's body, one round over the batches it took at once: sync
+/// once, then answer every batch taken, in order. They were taken before
+/// the sync is called, and each was handed over after its mark's write
+/// returned: the sync began after every mark it is about to acknowledge.
+fn sync_and_answer(committer: &mut Committer, shared: &ServerShared, taken: &mut [Handed]) {
+    let Committer { sync: commit_sync, segment, failure, wake } = committer;
+    // The loop rotates only while the committer is idle, so the batches
+    // of one round are in one segment; the first after a rotation brings
+    // the new segment's handle.
+    if let Some(file) = taken.iter_mut().find_map(|h| h.segment.take()) {
+        *segment = file;
+    }
+    // The sync. A failed one is final: what the file holds is unknown
+    // from then on (a second fsync may well return `Ok` over pages the
+    // kernel already dropped), so it is never called again — these
+    // batches and every later one are answered `Error`, and the core is
+    // dead.
+    let mut sync_ns = None;
+    if failure.is_none() {
+        let started = shared.now_ns();
+        match commit_sync(segment) {
+            Ok(()) => sync_ns = Some(shared.now_ns().saturating_sub(started)),
+            Err(e) => {
+                *failure = Some(e);
+                shared.mark_dead();
             }
         }
-        // The answers.
-        if failure.is_none() {
-            acknowledge(shared, &taken, sync_ns, &mut wake);
-        } else {
-            taken.iter().for_each(|h| refuse(&h.live, &mut wake));
-            wake_writers(&mut wake);
-        }
-        for h in &mut taken {
-            h.live.clear();
-            h.values.clear();
-        }
-        pipe.state.lock().unwrap_or_else(|e| e.into_inner()).handoff.end_sync(&mut taken);
-        pipe.progress.notify_one();
+    }
+    // The answers.
+    if failure.is_none() {
+        acknowledge(shared, taken, sync_ns, wake);
+    } else {
+        taken.iter().for_each(|h| refuse(&h.live, wake));
+        wake_writers(wake);
+    }
+    for h in taken {
+        h.live.clear();
+        h.values.clear();
     }
 }
 
@@ -614,9 +637,9 @@ struct Job {
     outcome: Option<Result<(), DcartError>>,
 }
 
-/// The checkpoint job, on the checkpoint thread or inline: merge, check,
-/// install, reset the retired segment — [`CheckpointJob::run`] — then
-/// publish what it did and, on any failure, mark the core dead.
+/// The checkpoint job — the checkpoint thread's body, or inline: merge,
+/// check, install, reset the retired segment — [`CheckpointJob::run`] —
+/// then publish what it did and, on any failure, mark the core dead.
 fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
     let Some(checkpoint) = &mut job.checkpoint else { return };
     let started = shared.now_ns();
@@ -644,107 +667,33 @@ fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
     job.outcome = Some(result.map(drop));
 }
 
-/// What the loop and the checkpoint thread share while [`ServerCore::run`]
-/// runs: a hand-off of one job at a time, and what each side sleeps on.
-struct JobPipe {
-    slot: Mutex<JobSlot>,
-    /// The checkpoint thread's: a job was queued, or the pipe closed.
-    queued: Condvar,
-    /// The loop's: a job ended.
-    ended: Condvar,
+/// The lanes to the side threads while [`ServerCore::run`] runs a durable
+/// core.
+#[derive(Clone, Copy)]
+struct Lanes<'a> {
+    commits: &'a Lane<Handed>,
+    checkpoints: &'a Lane<Job>,
 }
 
-struct JobSlot {
-    handoff: SyncHandoff<Job>,
-    /// The loop has ended: the thread leaves once nothing is queued.
-    closed: bool,
-}
-
-impl JobPipe {
-    fn new() -> Self {
-        JobPipe {
-            slot: Mutex::new(JobSlot { handoff: SyncHandoff::new(1), closed: false }),
-            queued: Condvar::new(),
-            ended: Condvar::new(),
-        }
-    }
-
-    /// Queues `job` for the checkpoint thread. The loop collects the last
-    /// job before it captures the next, so there is room.
-    fn submit_job(&self, mut job: Job) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        while let Err(back) = slot.handoff.enqueue(job) {
-            job = back;
-            slot = self.ended.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
-        drop(slot);
-        self.queued.notify_one();
-    }
-
-    /// Blocks until no job is queued or running, and returns the one that
-    /// ended last, as the thread left it (an empty one if there is none
-    /// left to collect).
-    fn take_ended(&self) -> Job {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        while !slot.handoff.is_idle() {
-            slot = self.ended.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
-        slot.handoff.recycled()
-    }
-
-    /// No job will follow; as [`CommitPipe::close`].
-    fn close(&self) {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.queued.notify_one();
-    }
-}
-
-/// The checkpoint thread: until the pipe is closed and empty, take the
-/// queued job, run it, give it back. Returns the job state it was given.
-fn job_loop(jobs: &JobPipe, shared: &ServerShared, mut ctx: JobCtx) -> JobCtx {
-    let mut taken: Vec<Job> = Vec::with_capacity(1);
-    loop {
-        {
-            let mut slot = jobs.slot.lock().unwrap_or_else(|e| e.into_inner());
-            while !slot.handoff.begin_sync(&mut taken) {
-                if slot.closed {
-                    return ctx;
-                }
-                slot = jobs.queued.wait(slot).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        for job in &mut taken {
-            run_job(job, &mut ctx, shared);
-        }
-        jobs.slot.lock().unwrap_or_else(|e| e.into_inner()).handoff.end_sync(&mut taken);
-        jobs.ended.notify_one();
-    }
-}
-
-/// The threads [`ServerCore::run`] puts beside the loop, by the queues
-/// that feed them; neither exists under `flush_now`.
-#[derive(Clone, Copy, Default)]
-struct Pipes<'a> {
-    commits: Option<&'a CommitPipe>,
-    checkpoints: Option<&'a JobPipe>,
-}
-
-/// Closes the pipes when the loop's part of [`ServerCore::run`] ends, by
+/// Closes the lanes when the loop's part of [`ServerCore::run`] ends, by
 /// return or by panic.
-struct CloseOnDrop<'a>(Pipes<'a>);
+struct CloseOnDrop<'a>(Option<Lanes<'a>>);
 
 impl Drop for CloseOnDrop<'_> {
     fn drop(&mut self) {
-        if let Some(pipe) = self.0.commits {
-            pipe.close();
-        }
-        if let Some(jobs) = self.0.checkpoints {
-            jobs.close();
+        if let Some(lanes) = self.0 {
+            lanes.commits.close();
+            lanes.checkpoints.close();
         }
     }
 }
 
-/// The core loop's owned state: session, log, crash injector, counters.
+/// Joins a side thread, passing its panic on.
+fn joined<T>(thread: ScopedJoinHandle<'_, T>) -> T {
+    thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// The core loop's owned state: session, log, crash injector, scratch.
 pub struct ServerCore {
     shared: Arc<ServerShared>,
     config: ServerConfig,
@@ -757,12 +706,14 @@ pub struct ServerCore {
     /// Present when there is a data directory, and not on the checkpoint
     /// thread.
     job_ctx: Option<JobCtx>,
-    snapshot: CoreSnapshot,
+    /// The commit fsync [`ServerCore::run`] gives its committer: present
+    /// when there is a data directory, and not on the committer's thread.
+    commit_sync: Option<FileSync>,
+    /// A handle to the segment the loop appends to since its last
+    /// rotation, for the committer; the next batch handed over carries it.
+    next_segment: Option<File>,
     /// First durability failure, kept for the report.
     error: Option<DcartError>,
-    /// The commit fsync [`ServerCore::run`] gives its committer: present
-    /// exactly when there is a WAL and `sync_commits` is set.
-    commit_sync: Option<FileSync>,
     /// The vectors a flush works in, kept for their capacity.
     scratch: FlushScratch,
 }
@@ -805,13 +756,12 @@ impl ServerCore {
             }
         };
         let replayed = log.as_ref().map_or(0, |log| log.persist().replayed_batches);
-        let snapshot = CoreSnapshot {
+        *shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = CoreSnapshot {
             replayed_batches: replayed,
             batches: replayed,
             answer_digest: session.answer_digest(),
             ..CoreSnapshot::default()
         };
-        *shared.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = snapshot;
         let durable = log.is_some();
         let crash = || match config.crash {
             Some(plan) => CrashInjector::for_plan(plan),
@@ -820,12 +770,12 @@ impl ServerCore {
         let mut core = ServerCore {
             crash: crash(),
             job_ctx: durable.then(|| JobCtx { crash: crash(), sync: sync_all() }),
-            commit_sync: (durable && config.sync_commits).then(sync_all),
+            commit_sync: durable.then(sync_all),
+            next_segment: None,
             shared,
             config,
             session,
             log,
-            snapshot,
             error: None,
             scratch: FlushScratch::default(),
         };
@@ -837,8 +787,7 @@ impl ServerCore {
 
     /// Replaces the fsync [`ServerCore::run`]'s committer calls — the seam
     /// through which tests hold a sync back or make it fail without a
-    /// failing disk. Nothing to replace, and nothing happens, on a core
-    /// that does not sync commits.
+    /// failing disk. Nothing happens on a core without a data directory.
     pub fn set_commit_sync(&mut self, sync: FileSync) {
         if let Some(slot) = &mut self.commit_sync {
             *slot = sync;
@@ -859,68 +808,71 @@ impl ServerCore {
     /// completes or the durability layer dies. Returns the first
     /// durability error, if any (injected crashes land here too).
     ///
-    /// On a durable core the loop runs beside a checkpoint thread, and a
-    /// committer thread if it syncs its commits; both are spawned here,
-    /// from the core's own thread, and joined before the drain checkpoint.
+    /// On a durable core the loop runs beside a committer and a checkpoint
+    /// thread; both are spawned here, from the core's own thread, and
+    /// joined before the drain checkpoint.
     pub fn run(&mut self) -> Option<DcartError> {
-        let target = match (&self.commit_sync, &self.log) {
-            (Some(_), Some(log)) => match log.sync_handle() {
-                Ok(file) => Some(file),
-                Err(e) => return Some(wal::WalError::Io(e).into()),
-            },
-            _ => None,
-        };
-        let committer = self.commit_sync.take().zip(target);
-        let job_ctx = self.job_ctx.take();
-        let (commit_pipe, job_pipe) = (CommitPipe::new(), JobPipe::new());
-        let pipes = Pipes {
-            commits: committer.is_some().then_some(&commit_pipe),
-            checkpoints: job_ctx.is_some().then_some(&job_pipe),
-        };
-        let shared = Arc::clone(&self.shared);
-        let (committed, ctx) = std::thread::scope(|scope| {
-            let committer = committer.map(|(sync, target)| {
-                let (pipe, shared) = (&commit_pipe, &shared);
-                scope.spawn(move || commit_loop(pipe, shared, sync, target))
-            });
-            let checkpointer = job_ctx.map(|ctx| {
-                let (jobs, shared) = (&job_pipe, &shared);
-                scope.spawn(move || job_loop(jobs, shared, ctx))
-            });
-            {
-                let _close = CloseOnDrop(pipes);
-                self.serve(pipes);
-            }
-            let committed = committer.map(|thread| {
-                thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            });
-            let ctx = checkpointer.map(|thread| {
-                thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            });
-            (committed, ctx)
-        });
-        if let Some((sync, failure)) = committed {
-            self.commit_sync = Some(sync);
-            if let Some(e) = failure {
-                self.error.get_or_insert(wal::WalError::Io(e).into());
+        let mut sides = None;
+        if let Some(log) = &self.log {
+            match log.sync_handle() {
+                Ok(segment) => {
+                    sides = self.commit_sync.take().zip(self.job_ctx.take()).map(|(sync, ctx)| {
+                        (Committer { sync, segment, failure: None, wake: Vec::new() }, ctx)
+                    });
+                }
+                // No committer without a handle: the core is dead, and the
+                // loop only answers `Error` to what was admitted.
+                Err(e) => {
+                    self.error.get_or_insert(wal::WalError::Io(e).into());
+                    self.shared.mark_dead();
+                }
             }
         }
-        if ctx.is_some() {
-            self.job_ctx = ctx;
+        let (commits, checkpoints) = (Lane::new(MAX_UNSYNCED_BATCHES), Lane::new(1));
+        let lanes =
+            sides.is_some().then_some(Lanes { commits: &commits, checkpoints: &checkpoints });
+        let shared = Arc::clone(&self.shared);
+        let ended = std::thread::scope(|scope| {
+            let threads = sides.map(|(mut committer, mut ctx)| {
+                let (commits, checkpoints, shared) = (&commits, &checkpoints, &shared);
+                let committer = scope.spawn(move || {
+                    commits.take_and_run(|taken| sync_and_answer(&mut committer, shared, taken));
+                    committer
+                });
+                let checkpointer = scope.spawn(move || {
+                    checkpoints.take_and_run(|taken| {
+                        taken.iter_mut().for_each(|job| run_job(job, &mut ctx, shared));
+                    });
+                    ctx
+                });
+                (committer, checkpointer)
+            });
+            {
+                let _close = CloseOnDrop(lanes);
+                self.serve(lanes);
+            }
+            threads.map(|(committer, checkpointer)| (joined(committer), joined(checkpointer)))
+        });
+        if let Some((committer, ctx)) = ended {
+            self.commit_sync = Some(committer.sync);
+            if let Some(e) = committer.failure {
+                self.error.get_or_insert(wal::WalError::Io(e).into());
+            }
+            self.job_ctx = Some(ctx);
         }
         // The job that ended last, then — drain complete — a final
         // checkpoint, so that restart needs no replay.
-        let last = self.finish_job(job_pipe.take_ended());
-        if let Err(e) = last.and_then(|()| self.checkpoint(true, Pipes::default())) {
+        let last = self.finish_job(checkpoints.take_back());
+        if let Err(e) = last.and_then(|()| self.checkpoint(true, None)) {
             self.error.get_or_insert(e);
         }
         self.error.take()
     }
 
-    /// [`ServerCore::run`]'s loop; with `pipes`, batches are handed to
-    /// the committer behind them instead of being synced and answered
-    /// here, and checkpoint jobs to the checkpoint thread.
-    fn serve(&mut self, pipes: Pipes<'_>) {
+    /// [`ServerCore::run`]'s loop; with `lanes`, batches are handed to
+    /// the committer instead of being synced and answered here, and
+    /// checkpoint jobs to the checkpoint thread.
+    fn serve(&mut self, lanes: Option<Lanes<'_>>) {
         let watermark = self.config.batch_size;
         loop {
             {
@@ -959,11 +911,18 @@ impl ServerCore {
             }
             if self.scratch.handed.live.is_empty() {
                 if self.shared.is_shutdown() || self.shared.is_dead() {
-                    break;
+                    // Admission counts what it admitted until the loop
+                    // takes it; a count the inbox does not hold is a
+                    // submitter between its two lock holds.
+                    let admission = &self.shared.admission;
+                    if admission.lock().unwrap_or_else(|e| e.into_inner()).queue_depth() == 0 {
+                        break;
+                    }
+                    std::thread::yield_now();
                 }
                 continue;
             }
-            self.execute(pipes);
+            self.execute(lanes);
         }
     }
 
@@ -977,7 +936,7 @@ impl ServerCore {
             take_batch(&mut inbox, self.config.batch_size, &mut self.scratch.handed.live);
         }
         if !self.scratch.handed.live.is_empty() {
-            self.execute(Pipes::default());
+            self.execute(None);
         }
     }
 
@@ -999,9 +958,9 @@ impl ServerCore {
     /// Executes the batch in `scratch.handed` and sees to it that every
     /// request in it is answered: here, or — with a committer — by the
     /// committer once a sync covers the batch's mark.
-    fn execute(&mut self, pipes: Pipes<'_>) {
+    fn execute(&mut self, lanes: Option<Lanes<'_>>) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.execute_in(&mut scratch, pipes);
+        self.execute_in(&mut scratch, lanes);
         // Whoever was answered on a way out other than stage 4.
         wake_writers(&mut scratch.wake);
         scratch.handed.live.clear();
@@ -1009,9 +968,9 @@ impl ServerCore {
         self.scratch = scratch;
     }
 
-    fn execute_in(&mut self, scratch: &mut FlushScratch, pipes: Pipes<'_>) {
+    fn execute_in(&mut self, scratch: &mut FlushScratch, lanes: Option<Lanes<'_>>) {
         let FlushScratch { handed, ops, wake } = scratch;
-        let Handed { live, values } = &mut *handed;
+        let Handed { live, values, .. } = &mut *handed;
         let now = self.shared.now_ns();
         // Expired-in-queue requests are answered without executing: their
         // submitter stopped waiting, and running them anyway would spend
@@ -1026,7 +985,6 @@ impl ServerCore {
             alive
         });
         let expired = released - live.len() as u64;
-        self.snapshot.expired_in_queue += expired;
         {
             let mut adm = self.shared.admission.lock().unwrap_or_else(|e| e.into_inner());
             for _ in 0..expired {
@@ -1035,10 +993,11 @@ impl ServerCore {
             adm.release(released);
         }
         if expired > 0 {
-            self.publish();
+            self.publish(|snap| snap.expired_in_queue += expired);
         }
+        let commits = lanes.map(|lanes| lanes.commits);
         if self.shared.is_dead() {
-            return self.refuse_after_queued(live, wake, pipes.commits);
+            return self.refuse_after_queued(live, wake, commits);
         }
         if live.is_empty() {
             return;
@@ -1050,7 +1009,7 @@ impl ServerCore {
         // notes, for the next checkpoint, which keys the batch writes).
         if let Some(log) = &mut self.log {
             if let Err(e) = log.append(ops, &mut self.crash) {
-                return self.die(live, wake, pipes.commits, e);
+                return self.die(live, wake, commits, e);
             }
         }
 
@@ -1060,21 +1019,21 @@ impl ServerCore {
         if let Err(e) = self.session.execute_batch(ops, &mut ValueCollector { values }) {
             // With fixed-width wire keys this cannot be a prefix
             // violation; anything here means the session is torn.
-            return self.die(live, wake, pipes.commits, e);
+            return self.die(live, wake, commits, e);
         }
 
         // 3. Commit mark. Inline, `commit` fsyncs it here — the durability
-        // point; pipelined, the mark is only written and the committer's
-        // next sync is the durability point. An injected crash here is the
-        // chaos cell's kill — the batch was executed but never
-        // acknowledged, and recovery must not surface it.
+        // point; with a committer, the mark is only written and the
+        // committer's next sync is the durability point. An injected
+        // crash here is the chaos cell's kill — the batch was executed but
+        // never acknowledged, and recovery must not surface it.
+        let digest = self.session.answer_digest();
         let mut sync_ns = None;
         if let Some(log) = &mut self.log {
-            let sync = self.config.sync_commits && pipes.commits.is_none();
-            let started = sync.then(|| self.shared.now_ns());
-            let digest = self.session.answer_digest();
-            if let Err(e) = log.commit(digest, ops.len() as u32, sync, &mut self.crash) {
-                return self.die(live, wake, pipes.commits, e);
+            let started = commits.is_none().then(|| self.shared.now_ns());
+            if let Err(e) = log.commit(digest, ops.len() as u32, started.is_some(), &mut self.crash)
+            {
+                return self.die(live, wake, commits, e);
             }
             sync_ns = started.map(|started| self.shared.now_ns().saturating_sub(started));
         }
@@ -1084,48 +1043,44 @@ impl ServerCore {
         // writer is woken once, after the last answer of the batch — by
         // the committer, once a sync that began after this point has
         // returned, or right here.
-        match pipes.commits {
-            Some(pipe) => pipe.hand_over(handed),
+        match commits {
+            Some(commits) => {
+                handed.segment = self.next_segment.take();
+                commits.hand_over(handed);
+            }
             None => acknowledge(&self.shared, std::slice::from_ref(handed), sync_ns, wake),
         }
-        self.snapshot.batches += 1;
-        self.snapshot.ops += ops.len() as u64;
-        self.snapshot.answer_digest = self.session.answer_digest();
-        self.publish();
+        self.publish(|snap| {
+            snap.batches += 1;
+            snap.ops += ops.len() as u64;
+            snap.answer_digest = digest;
+        });
 
         let every = self.config.checkpoint_every;
         if self.log.as_ref().is_some_and(|log| log.uncheckpointed() >= every) {
-            if let Err(e) = self.checkpoint(false, pipes) {
+            if let Err(e) = self.checkpoint(false, lanes) {
                 self.error.get_or_insert(e);
                 self.shared.mark_dead();
             }
         }
     }
 
-    /// Publishes the loop's counters. The ones counted where answers are
-    /// released ([`acknowledge`], possibly on the committer's thread) and
-    /// where checkpoint jobs end ([`run_job`], possibly on the checkpoint
-    /// thread) live only in the shared snapshot and are left as they are.
-    fn publish(&self) {
-        let mut shared = self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
-        let persist = PersistStats {
-            checkpoints: shared.persist.checkpoints,
-            checkpoint_bytes: shared.persist.checkpoint_bytes,
-            ..self.log.as_ref().map(|log| *log.persist()).unwrap_or_default()
-        };
-        *shared = CoreSnapshot {
-            acked_writes: shared.acked_writes,
-            commit_syncs: shared.commit_syncs,
-            commit_sync_ns_total: shared.commit_sync_ns_total,
-            commit_sync_ns_max: shared.commit_sync_ns_max,
-            checkpoints_merged: shared.checkpoints_merged,
-            checkpoints_walked: shared.checkpoints_walked,
-            checkpoint_dirty_keys: shared.checkpoint_dirty_keys,
-            checkpoint_job_ns_total: shared.checkpoint_job_ns_total,
-            checkpoint_job_ns_max: shared.checkpoint_job_ns_max,
-            persist,
-            ..self.snapshot
-        };
+    /// Publishes what the loop counts, under one hold of the snapshot
+    /// lock: `count` updates the loop's counters in place, and the log's
+    /// traffic replaces its published copy — all but `persist.checkpoints`
+    /// and `persist.checkpoint_bytes`, which [`run_job`] adds to where the
+    /// job runs, as [`acknowledge`] counts the answers and syncs.
+    fn publish(&self, count: impl FnOnce(&mut CoreSnapshot)) {
+        let mut snap = self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+        count(&mut snap);
+        if let Some(log) = &self.log {
+            let job = snap.persist;
+            snap.persist = PersistStats {
+                checkpoints: job.checkpoints,
+                checkpoint_bytes: job.checkpoint_bytes,
+                ..*log.persist()
+            };
+        }
     }
 
     /// The loop's half of a checkpoint: wait for the previous job to end
@@ -1136,13 +1091,11 @@ impl ServerCore {
     /// already stands for every committed batch. A dead core checkpoints
     /// nothing: a failed sync or job must leave the old checkpoint and
     /// both segments as they are.
-    fn checkpoint(&mut self, walk: bool, pipes: Pipes<'_>) -> Result<(), DcartError> {
+    fn checkpoint(&mut self, walk: bool, lanes: Option<Lanes<'_>>) -> Result<(), DcartError> {
         let started = self.shared.now_ns();
-        if let Some(jobs) = pipes.checkpoints {
-            self.finish_job(jobs.take_ended())?;
-        }
-        if let Some(pipe) = pipes.commits {
-            pipe.wait_idle();
+        if let Some(lanes) = lanes {
+            self.finish_job(lanes.checkpoints.take_back())?;
+            lanes.commits.wait_idle();
         }
         if self.shared.is_dead() {
             return Ok(());
@@ -1153,19 +1106,21 @@ impl ServerCore {
         }
         // Capture and rotate: the loop appends to the spare from here on,
         // and the old segment goes with the job, which empties it once the
-        // checkpoint that absorbs it is installed.
+        // checkpoint that absorbs it is installed. The committer, idle
+        // now, syncs the new segment from the next batch on.
         let checkpoint = log.rotate(&self.session, walk)?;
-        if let Some(pipe) = pipes.commits {
-            pipe.retarget(log.sync_handle()?);
+        if lanes.is_some() {
+            self.next_segment = Some(log.sync_handle()?);
         }
         let stall = self.shared.now_ns().saturating_sub(started);
-        self.snapshot.checkpoint_stall_ns_total += stall;
-        self.snapshot.checkpoint_stall_ns_max = self.snapshot.checkpoint_stall_ns_max.max(stall);
-        self.publish();
-        let job = Job { checkpoint: Some(checkpoint), outcome: None };
-        match pipes.checkpoints {
-            Some(jobs) => {
-                jobs.submit_job(job);
+        self.publish(|snap| {
+            snap.checkpoint_stall_ns_total += stall;
+            snap.checkpoint_stall_ns_max = snap.checkpoint_stall_ns_max.max(stall);
+        });
+        let mut job = Job { checkpoint: Some(checkpoint), outcome: None };
+        match lanes {
+            Some(lanes) => {
+                lanes.checkpoints.hand_over(&mut job);
                 Ok(())
             }
             None => self.run_inline(job),
@@ -1197,12 +1152,12 @@ impl ServerCore {
         &mut self,
         live: &[PendingReq],
         wake: &mut Vec<Arc<Outbox>>,
-        pipe: Option<&CommitPipe>,
+        commits: Option<&Lane<Handed>>,
         e: DcartError,
     ) {
         self.error.get_or_insert(e);
         self.shared.mark_dead();
-        self.refuse_after_queued(live, wake, pipe);
+        self.refuse_after_queued(live, wake, commits);
     }
 
     /// Answers `Error` to a batch that will not run — behind the answers
@@ -1213,10 +1168,10 @@ impl ServerCore {
         &self,
         live: &[PendingReq],
         wake: &mut Vec<Arc<Outbox>>,
-        pipe: Option<&CommitPipe>,
+        commits: Option<&Lane<Handed>>,
     ) {
-        if let Some(pipe) = pipe {
-            pipe.wait_idle();
+        if let Some(commits) = commits {
+            commits.wait_idle();
         }
         refuse(live, wake);
     }

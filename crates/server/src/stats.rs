@@ -8,12 +8,14 @@ use serde::Serialize;
 
 use crate::admission::AdmissionCounters;
 
-/// What the core loop has durably done so far (updated once per flush —
-/// `acked_writes` and the `commit_sync*` counters where answers are
-/// released, which on a pipelined core is the committer's thread, and the
-/// checkpoint counters other than the stall, `persist.checkpoints` and
-/// `persist.checkpoint_bytes` where a checkpoint job ends — and read by
-/// connection threads under a mutex).
+/// What the core loop has durably done so far, read by connection threads
+/// under a mutex. Each counter has one writer, which updates it in place:
+/// the loop (`batches`, `ops`, `answer_digest`, `expired_in_queue`, the
+/// checkpoint stall, and `persist` but for its two checkpoint counters),
+/// whoever releases answers — the committer under `ServerCore::run`, the
+/// loop inline — (`acked_writes`, the `commit_sync*` counters), and
+/// wherever a checkpoint job ends (the other checkpoint counters,
+/// `persist.checkpoints` and `persist.checkpoint_bytes`).
 #[derive(Clone, Copy, Default, Debug, Serialize)]
 pub struct CoreSnapshot {
     /// Coalesced batches executed.

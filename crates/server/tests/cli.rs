@@ -1,4 +1,4 @@
-//! Shell-out tests for the `dcart-server serve` flag contract: a bad
+//! Shell-out tests for the `dcart-server` flag contract: a bad
 //! invocation exits 1 with a one-line message naming the flag and the
 //! value, before anything binds a socket or touches a data directory.
 
@@ -54,4 +54,22 @@ fn serve_rejects_a_count_that_is_not_an_integer() {
 #[test]
 fn serve_without_an_address_is_an_error() {
     assert_refused(&["serve", "--batch-size", "8"], "serve needs --addr HOST:PORT");
+}
+
+#[test]
+fn every_subcommand_refuses_a_flag_it_does_not_take() {
+    // A typo must not run with the default, and `--no-sync` names no
+    // flag: commits are always synced.
+    assert_refused(
+        &["serve", "--addr", "127.0.0.1:0", "--sou-thread", "2"],
+        "unknown flag '--sou-thread' for serve",
+    );
+    assert_refused(
+        &["serve", "--addr", "127.0.0.1:0", "--no-sync"],
+        "unknown flag '--no-sync' for serve",
+    );
+    assert_refused(
+        &["load", "--addr", "127.0.0.1:0", "--steal"],
+        "unknown flag '--steal' for load",
+    );
 }

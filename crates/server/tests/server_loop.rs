@@ -1,7 +1,8 @@
 //! Integration tests for the serving core: batch determinism against the
 //! offline repro path, zero acked-write loss across an injected kill,
 //! crashes inside a merged checkpoint, the drain checkpoint, deadline
-//! enforcement under a hand-driven clock, group submission against
+//! enforcement under a hand-driven clock, the `stats` answer byte for
+//! byte, admissions racing a drain, group submission against
 //! one-at-a-time submission, when the sleeping loop flushes, and the TCP
 //! front end end to end (pipelining, slow frames, a peer that never
 //! reads, drain and death with requests in flight), and the pipelined
@@ -793,6 +794,86 @@ fn a_watermark_reached_while_the_loop_sleeps_on_a_long_linger_flushes_at_once() 
     running.join().expect("core thread");
     let stats = shared.stats().core;
     assert_eq!((stats.batches, stats.ops), (1, 4), "one whole batch, no partial one before it");
+}
+
+/// The `stats` answer, byte for byte, after each step of a durable
+/// `flush_now` run on a clock that ticks per reading: the open, a batch, a
+/// batch that trips the first (walked) checkpoint, a batch with one
+/// request that expires in the queue, and a batch that trips the first
+/// merged checkpoint. Every counter is pinned where its one writer — the
+/// loop, the acknowledging path, the checkpoint job — leaves it.
+#[test]
+fn stats_json_is_pinned_through_a_durable_flush_now_run() {
+    let dir = scratch_dir("stats_pin");
+    let config = ServerConfig { batch_size: 4, checkpoint_every: 2, ..durable_config(&dir, None) };
+    let (shared, mut core) = open_core(config);
+    let json = |shared: &ServerShared| String::from_utf8(shared.stats().to_json()).expect("utf8");
+    let (tx, rx) = mpsc::channel();
+    assert_eq!(json(&shared), PINNED_STATS[0], "after the open");
+    for b in 0..4u64 {
+        for req_id in 4 * b..4 * b + 4 {
+            // One request of the third batch has a budget of a nanosecond.
+            let budget_ns = if req_id == 11 { 1 } else { 1 << 40 };
+            assert!(shared.submit(Request { budget_ns, ..insert(req_id) }, &tx).is_none());
+        }
+        core.flush_now();
+        assert_eq!(json(&shared), PINNED_STATS[b as usize + 1], "after batch {b}");
+    }
+    assert_eq!(rx.try_iter().count(), 16, "every request answered");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What `stats_json_is_pinned_through_a_durable_flush_now_run` reads.
+const PINNED_STATS: [&str; 5] = [
+    r#"{"admission":{"accepted":0,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":0,"ops":0,"acked_writes":0,"answer_digest":0,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":0,"wal_batches":0,"wal_commits":0,"payload_bytes":0,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"checkpoints_merged":0,"checkpoints_walked":0,"checkpoint_dirty_keys":0,"commit_syncs":0,"commit_sync_ns_total":0,"commit_sync_ns_max":0}}"#,
+    r#"{"admission":{"accepted":4,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":1,"ops":4,"acked_writes":4,"answer_digest":1714166583970945052,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":134,"wal_batches":1,"wal_commits":1,"payload_bytes":80,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"checkpoints_merged":0,"checkpoints_walked":0,"checkpoint_dirty_keys":0,"commit_syncs":1,"commit_sync_ns_total":1000,"commit_sync_ns_max":1000}}"#,
+    r#"{"admission":{"accepted":8,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":2,"ops":8,"acked_writes":8,"answer_digest":6156017614655345976,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":268,"wal_batches":2,"wal_commits":2,"payload_bytes":160,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"checkpoints_merged":0,"checkpoints_walked":1,"checkpoint_dirty_keys":0,"commit_syncs":2,"commit_sync_ns_total":2000,"commit_sync_ns_max":1000}}"#,
+    r#"{"admission":{"accepted":12,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":3,"ops":11,"acked_writes":11,"answer_digest":5874708055566606147,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":383,"wal_batches":3,"wal_commits":3,"payload_bytes":221,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"checkpoints_merged":0,"checkpoints_walked":1,"checkpoint_dirty_keys":0,"commit_syncs":3,"commit_sync_ns_total":3000,"commit_sync_ns_max":1000}}"#,
+    r#"{"admission":{"accepted":16,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":4,"ops":15,"acked_writes":15,"answer_digest":3434730550872577615,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":517,"wal_batches":4,"wal_commits":4,"payload_bytes":301,"checkpoint_bytes":550,"checkpoints":2,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":2000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":2000,"checkpoint_job_ns_max":1000,"checkpoints_merged":1,"checkpoints_walked":1,"checkpoint_dirty_keys":7,"commit_syncs":4,"commit_sync_ns_total":4000,"commit_sync_ns_max":1000}}"#,
+];
+
+/// Submitters race a drain while `run()` runs: every request `submit`
+/// admitted — it returned `None` — is answered exactly once, wherever the
+/// drain lands between a submitter's admission and its append to the
+/// inbox. Each round lets the submitters run a little longer first.
+#[test]
+fn every_request_admitted_while_a_drain_races_in_is_answered_once() {
+    for round in 0..200u64 {
+        let config = ServerConfig { linger_ns: 0, ..mem_config(8, 1, false) };
+        let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+        let core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+        let running = spawn_core(core);
+        let (tx, rx) = mpsc::channel();
+        let admitted: u64 = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (shared, tx) = (&shared, tx.clone());
+                    scope.spawn(move || {
+                        let mut admitted = 0;
+                        for i in 0.. {
+                            let req = Request { req_id: t << 32 | i, ..insert(i % 512) };
+                            match shared.submit(req, &tx) {
+                                None => admitted += 1,
+                                Some(r) if r.reject == Some(RejectReason::Draining) => break,
+                                Some(_) => {}
+                            }
+                        }
+                        admitted
+                    })
+                })
+                .collect();
+            for _ in 0..round % 13 {
+                std::thread::yield_now();
+            }
+            shared.request_shutdown();
+            submitters.into_iter().map(|s| s.join().expect("submitter")).sum()
+        });
+        running.join().expect("core thread");
+        let ids: Vec<u64> = rx.try_iter().map(|r| r.req_id).collect();
+        let distinct: std::collections::BTreeSet<u64> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), ids.len(), "round {round}: a request answered twice");
+        assert_eq!(ids.len() as u64, admitted, "round {round}: an admitted request stranded");
+    }
 }
 
 mod pipelined {

@@ -68,11 +68,13 @@ static AUTOMATA: [Automaton; 3] = [
     // are the durable log's (`dcart::DurableLog`): `writer.append_batch`
     // and `writer.commit` inside it, `log.append` and `log.commit` where
     // the server's core loop and `run_durable` drive it. The fsync is the
-    // mark's where the commit is synced inline, and the committer thread's
-    // `commit_sync()` where it is pipelined; the acknowledgement is
-    // `Response::ok` or a call that carries the batch to it —
-    // `acknowledge`, or the loop's `hand_over` to the committer, which may
-    // sync and answer from the moment it has the batch.
+    // mark's where the commit is synced inline, and `commit_sync()` in the
+    // committer's body, `sync_and_answer`, where it is pipelined; the
+    // acknowledgement is `Response::ok` or a call that carries the batch
+    // to it — `acknowledge`, or the loop's `commits.hand_over` to the
+    // committer's lane, which may sync and answer from the moment it has
+    // the batch. The checkpoint lane's `hand_over` carries a job, not a
+    // batch, and is no stage.
     Automaton {
         name: "durable-ack",
         files: &["crates/server/src/core_loop.rs", "crates/core/src/durable.rs"],
@@ -97,7 +99,8 @@ static AUTOMATA: [Automaton; 3] = [
                 desc: "acknowledge",
                 m: Matcher::Any(&[
                     Matcher::CalleeQual("ok", "Response"),
-                    Matcher::Callee(&["acknowledge", "hand_over"]),
+                    Matcher::Callee(&["acknowledge"]),
+                    Matcher::CalleeRecvLast("hand_over", "commits"),
                 ]),
             },
         ],
@@ -110,7 +113,7 @@ static AUTOMATA: [Automaton; 3] = [
     // not synced can be lost by a power cut that keeps the reset. The
     // first stage is the rename itself or a call that carries the whole
     // install (the checkpoint job's `checkpoint.run`, in the durable log's
-    // `SegmentJob` and in the server's `run_job`). Complete: the install
+    // `CheckpointJob` and in the server's `run_job`). Complete: the install
     // function reads rename → directory sync → reset, and dropping the
     // directory sync is the bug as much as moving it.
     Automaton {

@@ -44,7 +44,7 @@ fn ack_before_fsync_reorder_is_caught_by_o2() {
         &source,
         "        // 3. Commit",
         "        // 4. Acknowledge.",
-        "        self.snapshot.batches += 1;",
+        "        self.publish(|snap| {\n            snap.batches += 1;",
     );
     let fired = rules_fired(path, &mutated);
     assert!(fired.contains(&"O2"), "O2 must catch the ack-before-fsync reorder; fired: {fired:?}");
@@ -55,15 +55,11 @@ fn ack_before_the_sync_in_the_committer_is_caught_by_o2() {
     let path = "crates/server/src/core_loop.rs";
     let source = read_real(path);
 
-    // The mutation: in the committer thread's loop, release the taken
-    // batches' answers first and call the sync afterwards — the same
-    // durability bug as above, on the pipelined commit path.
-    let mutated = swap_regions(
-        &source,
-        "        // The sync.",
-        "        // The answers.",
-        "        for h in &mut taken {",
-    );
+    // The mutation: in the committer's body, release the taken batches'
+    // answers first and call the sync afterwards — the same durability
+    // bug as above, on the pipelined commit path.
+    let mutated =
+        swap_regions(&source, "    // The sync.", "    // The answers.", "    for h in taken {");
     let diags = xtask::analyze_source(path, &mutated);
     assert!(
         diags.iter().any(|d| d.rule == "O2" && d.msg.contains("fsync commit (stage 3)")),
@@ -81,7 +77,7 @@ fn hand_over_before_the_commit_mark_is_caught_by_o2() {
     // mark is written, so the sync that releases it need not cover it.
     let anchor = "        // 3. Commit";
     let early =
-        "        if let Some(pipe) = pipe {\n            pipe.hand_over(handed);\n        }\n";
+        "        if let Some(commits) = commits {\n            commits.hand_over(handed);\n        }\n";
     assert!(source.contains(anchor), "stage anchor present");
     let mutated = source.replacen(anchor, &format!("{early}{anchor}"), 1);
     let diags = xtask::analyze_source(path, &mutated);
