@@ -10,9 +10,9 @@ mod n256;
 mod n4;
 mod n48;
 
-pub use n16::Node16;
 #[doc(hidden)]
-pub use n16::{binary_search_lane, masked_search_lane};
+pub use n16::masked_search_lane;
+pub use n16::Node16;
 pub use n256::Node256;
 pub use n4::Node4;
 pub use n48::Node48;

@@ -13,20 +13,10 @@ const NULL: NodeId = NodeId(u32::MAX);
 ///
 /// Kept as the portable reference the vector kernels are differentially
 /// tested against; the implementation lives in [`crate::simd::search16_swar`].
-/// Exposed (hidden) so the bench crate can compare it against
-/// [`binary_search_lane`] in the perf harness.
 #[doc(hidden)]
 #[inline]
 pub fn masked_search_lane(keys: &[u8; 16], len: usize, byte: u8) -> Option<usize> {
     crate::simd::search16_swar(keys, len, byte)
-}
-
-/// The binary search the SWAR lookup replaced, kept as the reference
-/// comparator for the perf harness's micro-bench and equivalence tests.
-#[doc(hidden)]
-#[inline]
-pub fn binary_search_lane(keys: &[u8; 16], len: usize, byte: u8) -> Option<usize> {
-    keys[..len].binary_search(&byte).ok()
 }
 
 /// 16-way layout: up to 16 children in sorted parallel arrays.
@@ -146,6 +136,12 @@ impl Node16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The binary search the SWAR lookup replaced, kept as the reference
+    /// the equivalence test compares [`masked_search_lane`] against.
+    fn binary_search_lane(keys: &[u8; 16], len: usize, byte: u8) -> Option<usize> {
+        keys[..len].binary_search(&byte).ok()
+    }
 
     #[test]
     fn masked_search_finds_all() {

@@ -4,34 +4,103 @@
 //! repro <exhibit> [--scale smoke|default|full] [--out DIR] [--jobs N]
 //!                 [--sou-threads N] [--steal] [--batches N] [--seed S]
 //!
-//! exhibits:
-//!   table1   Table I   — DCART configuration
-//!   fig2     Fig. 2    — motivation: baseline inefficiencies (a–e)
-//!   fig3     Fig. 3    — operation distribution & node skew
-//!   overall  Figs. 7/8/9/11 — contentions, matches, time, energy
-//!   fig10    Fig. 10   — throughput vs P99 latency curves
-//!   fig12    Fig. 12   — sensitivity to concurrency & write ratio
-//!   ablate             — design-choice ablations (not in the paper)
-//!   chaos              — differential fault-injection suite (robustness)
-//!   crash              — crash-point recovery matrix (durability)
-//!   soak               — crash/recover soak under chaos faults (durability)
-//!   all                — everything above, in order
+//! exhibits (aliases after the slash):
+//!   table1               Table I   — DCART configuration
+//!   fig2 / fig2a..fig2e  Fig. 2    — motivation: baseline inefficiencies (a–e)
+//!   fig3                 Fig. 3    — operation distribution & node skew
+//!   overall / fig7 fig8 fig9 fig11
+//!                        Figs. 7/8/9/11 — contentions, matches, time, energy
+//!   fig10                Fig. 10   — throughput vs P99 latency curves
+//!   fig12 / fig12a fig12b
+//!                        Fig. 12   — sensitivity to concurrency & write ratio
+//!   ablate / ablations   design-choice ablations (not in the paper)
+//!   chaos                differential fault-injection suite (robustness)
+//!   crash                crash-point recovery matrix (durability)
+//!   soak                 crash/recover soak under chaos faults (durability)
+//!   scans                range-scan extension (not in the paper)
+//!   indexes              §V related work, measured: ART vs B+-tree vs hash
+//!   timeline / fig6      Fig. 6    — the PCU/SOU batch-overlap timeline
+//!   skew                 skew sensitivity (extension)
+//!   all                  everything above, in order
 //! ```
+//!
+//! One table, `EXHIBITS`, drives the usage line, the name check and the
+//! dispatch, so the three cannot drift apart.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dcart::ExecOpts;
 use dcart_bench::{experiments, Scale};
 
-const EXHIBITS: &str = "table1|fig2|fig3|overall|fig7|fig8|fig9|fig11|fig10|fig12|ablate|\
-                        chaos|crash|soak|scans|indexes|fig6|skew|all";
+/// Runs one exhibit: the scale, the report directory and the soak length.
+type Runner = fn(&Scale, &Path, u64);
+
+/// Every exhibit, in the order `all` runs them: the names it answers to
+/// (its own first, then aliases) and its runner.
+const EXHIBITS: [(&[&str], Runner); 14] = [
+    (&["table1"], |_, out, _| {
+        experiments::table1::run(out);
+    }),
+    (&["fig2", "fig2a", "fig2b", "fig2c", "fig2d", "fig2e"], |s, out, _| {
+        experiments::fig2::run(s, out);
+    }),
+    (&["fig3"], |s, out, _| {
+        experiments::fig3::run(s, out);
+    }),
+    (&["overall", "fig7", "fig8", "fig9", "fig11"], |s, out, _| {
+        experiments::overall::run(s, out);
+    }),
+    (&["fig10"], |s, out, _| {
+        experiments::fig10::run(s, out);
+    }),
+    (&["fig12", "fig12a", "fig12b"], |s, out, _| {
+        experiments::fig12::run(s, out);
+    }),
+    (&["ablate", "ablations"], |s, out, _| {
+        experiments::ablate::run(s, out);
+    }),
+    (&["chaos"], |s, out, _| {
+        experiments::chaos::run(s, out);
+    }),
+    (&["crash"], |s, out, _| {
+        experiments::crash::run(s, out);
+    }),
+    (&["soak"], |s, out, batches| {
+        experiments::soak::run(s, out, batches, s.seed);
+    }),
+    (&["scans"], |s, out, _| {
+        experiments::scans::run(s, out);
+    }),
+    (&["indexes"], |s, out, _| {
+        experiments::indexes::run(s, out);
+    }),
+    (&["timeline", "fig6"], |s, out, _| {
+        experiments::timeline::run(s, out);
+    }),
+    (&["skew"], |s, out, _| {
+        experiments::skew::run(s, out);
+    }),
+];
+
+/// The runners `name` selects: one exhibit, every exhibit for `all`, or
+/// none for an unknown name.
+fn runners(name: &str) -> Vec<Runner> {
+    EXHIBITS
+        .iter()
+        .filter(|(names, _)| name == "all" || names.contains(&name))
+        .map(|&(_, run)| run)
+        .collect()
+}
 
 fn print_usage() {
+    let names: Vec<&str> =
+        EXHIBITS.iter().flat_map(|(names, _)| names.iter().copied()).chain(["all"]).collect();
     eprintln!(
-        "usage: repro <{EXHIBITS}> \
+        "usage: repro <{}> \
          [--scale smoke|default|full] [--out DIR] [--jobs N] [--sou-threads N] \
-         [--steal] [--batches N] [--seed S]"
+         [--steal] [--batches N] [--seed S]",
+        names.join("|")
     );
 }
 
@@ -40,40 +109,6 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("repro: {msg}");
     print_usage();
     ExitCode::FAILURE
-}
-
-fn is_known_exhibit(name: &str) -> bool {
-    matches!(
-        name,
-        "table1"
-            | "fig2"
-            | "fig2a"
-            | "fig2b"
-            | "fig2c"
-            | "fig2d"
-            | "fig2e"
-            | "fig3"
-            | "overall"
-            | "fig7"
-            | "fig8"
-            | "fig9"
-            | "fig11"
-            | "fig10"
-            | "fig12"
-            | "fig12a"
-            | "fig12b"
-            | "ablate"
-            | "ablations"
-            | "chaos"
-            | "crash"
-            | "soak"
-            | "scans"
-            | "indexes"
-            | "timeline"
-            | "fig6"
-            | "skew"
-            | "all"
-    )
 }
 
 fn main() -> ExitCode {
@@ -85,7 +120,8 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::SUCCESS;
     }
-    if !is_known_exhibit(&exhibit) {
+    let selected = runners(&exhibit);
+    if selected.is_empty() {
         return fail(&format!("unknown exhibit '{exhibit}'"));
     }
     let mut scale = Scale::default_scale();
@@ -188,68 +224,8 @@ fn main() -> ExitCode {
     );
 
     let t0 = std::time::Instant::now();
-    match exhibit.as_str() {
-        "table1" => {
-            experiments::table1::run(&out_dir);
-        }
-        "fig2" | "fig2a" | "fig2b" | "fig2c" | "fig2d" | "fig2e" => {
-            experiments::fig2::run(&scale, &out_dir);
-        }
-        "fig3" => {
-            experiments::fig3::run(&scale, &out_dir);
-        }
-        "overall" | "fig7" | "fig8" | "fig9" | "fig11" => {
-            experiments::overall::run(&scale, &out_dir);
-        }
-        "fig10" => {
-            experiments::fig10::run(&scale, &out_dir);
-        }
-        "fig12" | "fig12a" | "fig12b" => {
-            experiments::fig12::run(&scale, &out_dir);
-        }
-        "ablate" | "ablations" => {
-            experiments::ablate::run(&scale, &out_dir);
-        }
-        "chaos" => {
-            experiments::chaos::run(&scale, &out_dir);
-        }
-        "crash" => {
-            experiments::crash::run(&scale, &out_dir);
-        }
-        "soak" => {
-            experiments::soak::run(&scale, &out_dir, batches, scale.seed);
-        }
-        "scans" => {
-            experiments::scans::run(&scale, &out_dir);
-        }
-        "indexes" => {
-            experiments::indexes::run(&scale, &out_dir);
-        }
-        "timeline" | "fig6" => {
-            experiments::timeline::run(&scale, &out_dir);
-        }
-        "skew" => {
-            experiments::skew::run(&scale, &out_dir);
-        }
-        "all" => {
-            experiments::table1::run(&out_dir);
-            experiments::fig2::run(&scale, &out_dir);
-            experiments::fig3::run(&scale, &out_dir);
-            experiments::overall::run(&scale, &out_dir);
-            experiments::fig10::run(&scale, &out_dir);
-            experiments::fig12::run(&scale, &out_dir);
-            experiments::ablate::run(&scale, &out_dir);
-            experiments::chaos::run(&scale, &out_dir);
-            experiments::crash::run(&scale, &out_dir);
-            experiments::soak::run(&scale, &out_dir, batches, scale.seed);
-            experiments::scans::run(&scale, &out_dir);
-            experiments::indexes::run(&scale, &out_dir);
-            experiments::timeline::run(&scale, &out_dir);
-            experiments::skew::run(&scale, &out_dir);
-        }
-        other => {
-            return fail(&format!("unknown exhibit '{other}'"));
-        }
+    for run in selected {
+        run(&scale, &out_dir, batches);
     }
     println!(
         "done: {exhibit} in {:.2} s wall with {} worker(s)",

@@ -38,8 +38,7 @@ pub struct SkewReport {
     /// Per-bucket load histogram from one profiled CTT run at the
     /// steepest theta with adaptive sub-sharding on — the skew the splits
     /// reacted to, bucket by bucket. Captured with stealing *off* so the
-    /// report stays deterministic (the schedule-dependent steal counters
-    /// live in `BENCH_ctt.json`, which carries wall-clock anyway).
+    /// report stays deterministic: steal counters depend on the schedule.
     #[serde(default)]
     pub load: dcart::LoadReport,
 }

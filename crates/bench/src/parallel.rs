@@ -14,7 +14,8 @@
 //! passed explicitly by every exhibit.
 //!
 //! Per-cell wall-clock (the harness's own cost, not the simulated time) is
-//! measured by [`par_map_timed`] for the perf harness and progress lines.
+//! measured by [`par_map_timed`] for `run_matrix`'s per-cell progress
+//! lines.
 
 use std::time::Instant;
 

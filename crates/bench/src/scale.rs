@@ -11,9 +11,9 @@ use crate::parallel::host_parallelism;
 /// proportion by the platform models) so the complete exhibit suite runs in
 /// minutes. Reported *ratios* are stable across scales; see EXPERIMENTS.md.
 ///
-/// `jobs` and `exec` are the host-side execution options the binaries
-/// parse (`--jobs`, `--sou-threads`, `--steal`). Every exhibit receives
-/// them here and passes them on explicitly; neither changes a report byte.
+/// `jobs` and `exec` are the host-side execution options `repro` parses
+/// (`--jobs`, `--sou-threads`, `--steal`). Every exhibit receives them
+/// here and passes them on explicitly; neither changes a report byte.
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// Keys loaded before the measured stream.

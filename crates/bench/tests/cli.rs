@@ -80,3 +80,23 @@ fn a_real_exhibit_exits_zero() {
     assert!(out.status.success(), "stderr: {}", stderr_of(&out));
     assert!(tmp.join("table1.json").exists());
 }
+
+#[test]
+fn every_exhibit_the_usage_lists_is_known() {
+    let usage = stderr_of(&repro(&["--help"]));
+    let names = usage
+        .split_once('<')
+        .and_then(|(_, rest)| rest.split_once('>'))
+        .map(|(names, _)| names.split('|').collect::<Vec<_>>())
+        .expect("usage lists the exhibits as <a|b|...>");
+    for listed in ["timeline", "fig6", "scans", "indexes", "skew", "all"] {
+        assert!(names.contains(&listed), "usage lists {listed}: {usage}");
+    }
+    // A listed name gets past the exhibit check to the option parser.
+    for name in names {
+        let out = repro(&[name, "--bogus"]);
+        assert!(!out.status.success(), "{name} --bogus must fail");
+        let err = stderr_of(&out);
+        assert!(err.contains("unknown option '--bogus'"), "{name}: {err}");
+    }
+}

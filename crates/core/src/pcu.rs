@@ -45,19 +45,13 @@ impl CombinedBatch {
     }
 }
 
-/// Combines a batch of operations into disjoint per-prefix buckets.
-pub fn combine_batch(config: &DcartConfig, batch: &[Op]) -> CombinedBatch {
-    let mut out = CombinedBatch { buckets: Vec::new(), scanned: 0 };
-    combine_batch_into(config, batch, &mut out);
-    out
-}
-
-/// Combines a batch into `out`, reusing its bucket allocations.
+/// Combines a batch of operations into disjoint per-prefix buckets in
+/// `out`, reusing its bucket allocations.
 ///
-/// The hot-path variant of [`combine_batch`]: the executor combines one
-/// batch per `batch_size` operations, and re-allocating 16 bucket `Vec`s
-/// each time is pure churn. `out` is cleared (buckets emptied, not freed)
-/// and refilled; it is resized if the configured bucket count changed.
+/// The executor combines one batch per `batch_size` operations, and
+/// re-allocating 16 bucket `Vec`s each time is pure churn. `out` is
+/// cleared (buckets emptied, not freed) and refilled; it is resized if
+/// the configured bucket count changed.
 pub fn combine_batch_into(config: &DcartConfig, batch: &[Op], out: &mut CombinedBatch) {
     out.buckets.resize_with(config.buckets(), Vec::new);
     out.buckets.truncate(config.buckets());
@@ -81,11 +75,18 @@ mod tests {
         Op { kind: OpKind::Read, key: Key::from_raw(vec![first_byte, 1, 2, 3]), value: 0 }
     }
 
+    /// Combines `batch` into a fresh, empty output.
+    fn combine(cfg: &DcartConfig, batch: &[Op]) -> CombinedBatch {
+        let mut out = CombinedBatch { buckets: Vec::new(), scanned: 0 };
+        combine_batch_into(cfg, batch, &mut out);
+        out
+    }
+
     #[test]
     fn same_prefix_lands_in_same_bucket() {
         let cfg = DcartConfig::default();
         let batch = vec![op(0x67), op(0x20), op(0x67), op(0x67)];
-        let combined = combine_batch(&cfg, &batch);
+        let combined = combine(&cfg, &batch);
         assert_eq!(combined.scanned, 4);
         let bucket_67 = cfg.bucket_of(0x67);
         assert_eq!(combined.buckets[bucket_67], vec![0, 2, 3]);
@@ -95,7 +96,7 @@ mod tests {
     fn buckets_are_disjoint_and_complete() {
         let cfg = DcartConfig::default();
         let batch: Vec<Op> = (0..=255u8).map(op).collect();
-        let combined = combine_batch(&cfg, &batch);
+        let combined = combine(&cfg, &batch);
         let total: usize = combined.buckets.iter().map(Vec::len).sum();
         assert_eq!(total, 256);
         assert_eq!(combined.active_buckets(), 16);
@@ -107,7 +108,7 @@ mod tests {
     fn arrival_order_preserved_within_bucket() {
         let cfg = DcartConfig::default();
         let batch = vec![op(0x10), op(0x10), op(0x10)];
-        let combined = combine_batch(&cfg, &batch);
+        let combined = combine(&cfg, &batch);
         let b = cfg.bucket_of(0x10);
         assert_eq!(combined.buckets[b], vec![0, 1, 2]);
     }
@@ -117,11 +118,11 @@ mod tests {
         let cfg = DcartConfig::default();
         let batch_a: Vec<Op> = (0..=255u8).map(op).collect();
         let batch_b = vec![op(0x67), op(0x20), op(0x67)];
-        let mut reused = combine_batch(&cfg, &batch_a);
+        let mut reused = combine(&cfg, &batch_a);
         // Refill with a different (smaller) batch: stale indices must not
         // survive the reuse.
         combine_batch_into(&cfg, &batch_b, &mut reused);
-        let fresh = combine_batch(&cfg, &batch_b);
+        let fresh = combine(&cfg, &batch_b);
         assert_eq!(reused.scanned, fresh.scanned);
         assert_eq!(reused.buckets, fresh.buckets);
     }

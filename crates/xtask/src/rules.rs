@@ -110,9 +110,8 @@ pub const UNSAFE_SANCTIONED: [&str; 2] = ["crates/art/src/simd.rs", "crates/serv
 pub const A1_SANCTIONED: [&str; 1] = ["crates/art/src/sync.rs"];
 
 /// Files (path prefixes) where wall-clock and environment reads are the
-/// point: the bench timing harness and the CLI front-ends.
-pub const D2_WHITELIST: [&str; 5] = [
-    "crates/bench/src/perf.rs",
+/// point: the harness's per-cell timing and the CLI front-ends.
+pub const D2_WHITELIST: [&str; 4] = [
     "crates/bench/src/parallel.rs",
     "crates/bench/src/bin/",
     "crates/server/src/bin/",
@@ -389,8 +388,8 @@ pub fn d2(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                     i,
                     col,
                     "`Instant::now` reads the wall clock in the functional layer",
-                    "model time with `dcart_engine::Clock` cycles, or move the timing into \
-                     `crates/bench/src/perf.rs`",
+                    "model time with `dcart_engine::Clock` cycles, or measure host time in \
+                     the `benchmark/` package",
                 );
             }
         }
