@@ -107,6 +107,7 @@ impl Key {
     }
 
     /// Encodes a `u128` as a 16-byte big-endian key.
+    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
     pub fn from_u128(v: u128) -> Self {
         Self::from_slice(&v.to_be_bytes())
     }
@@ -114,6 +115,7 @@ impl Key {
     /// Encodes an `i64` as an order-preserving 8-byte key: flipping the
     /// sign bit maps the signed range onto the unsigned range
     /// monotonically, so bytewise order equals numeric order.
+    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
     pub fn from_i64(v: i64) -> Self {
         Self::from_slice(&((v as u64) ^ (1 << 63)).to_be_bytes())
     }
@@ -124,6 +126,7 @@ impl Key {
     ///
     /// `NaN` sorts above every number (sign-positive NaNs) or below
     /// (sign-negative NaNs), matching `f64::total_cmp`.
+    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
     pub fn from_f64(v: f64) -> Self {
         let bits = v.to_bits();
         let ordered = if bits >> 63 == 0 { bits ^ (1 << 63) } else { !bits };
@@ -172,14 +175,6 @@ impl Key {
     #[allow(clippy::len_without_is_empty)] // keys are never empty by construction
     pub fn len(&self) -> usize {
         self.as_bytes().len()
-    }
-
-    /// Decodes a key produced by [`Key::from_u64`] back into the integer.
-    ///
-    /// Returns `None` if the key is not exactly 8 bytes long.
-    pub fn to_u64(&self) -> Option<u64> {
-        let bytes: [u8; 8] = self.as_bytes().try_into().ok()?;
-        Some(u64::from_be_bytes(bytes))
     }
 
     /// Returns the leading `bits` of the key as a prefix identifier,
@@ -311,9 +306,10 @@ mod tests {
     #[test]
     fn u64_roundtrip() {
         for v in [0u64, 42, u64::MAX, 0x0123_4567_89ab_cdef] {
-            assert_eq!(Key::from_u64(v).to_u64(), Some(v));
+            let bytes: [u8; 8] = Key::from_u64(v).as_bytes().try_into().expect("8-byte key");
+            assert_eq!(u64::from_be_bytes(bytes), v);
         }
-        assert_eq!(Key::from_u32(7).to_u64(), None);
+        assert_eq!(Key::from_u32(7).len(), 4);
     }
 
     #[test]

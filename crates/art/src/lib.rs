@@ -6,8 +6,6 @@
 //!
 //! * [`Art`] — a single-writer ART with the four adaptive node layouts
 //!   (N4/N16/N48/N256), pessimistic path compression, and lazy expansion;
-//! * [`SyncArt`] — a thread-safe ART with ROWEX-style node-level write
-//!   exclusion and lock-contention counters;
 //! * [`Key`] — binary-comparable, prefix-free key encodings;
 //! * a [`Tracer`] instrumentation interface that reports node visits,
 //!   partial-key matches, and lock events, feeding the platform simulators
@@ -47,7 +45,6 @@ mod key;
 pub mod node;
 mod serde_impl;
 pub mod simd;
-mod sync;
 mod trace;
 mod tree;
 mod validate;
@@ -59,7 +56,6 @@ pub use serde_impl::{
     SnapshotEntries, SnapshotError, SnapshotWriter, WrittenSnapshot, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
-pub use sync::{LockStats, SyncArt};
 pub use trace::{NodeVisit, NoopTracer, OpTrace, RecordingTracer, Tracer, VisitKind};
 pub use tree::{Art, ArtError, Range, ScanCursor, TypeHistogram};
 pub use validate::Violation;

@@ -10,8 +10,6 @@ mod n256;
 mod n4;
 mod n48;
 
-#[doc(hidden)]
-pub use n16::masked_search_lane;
 pub use n16::Node16;
 pub use n256::Node256;
 pub use n4::Node4;

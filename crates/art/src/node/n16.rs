@@ -9,16 +9,6 @@ use super::{Node4, Node48, NodeId};
 
 const NULL: NodeId = NodeId(u32::MAX);
 
-/// Branch-free SWAR lookup of `byte` among the first `len` lanes of `keys`.
-///
-/// Kept as the portable reference the vector kernels are differentially
-/// tested against; the implementation lives in [`crate::simd::search16_swar`].
-#[doc(hidden)]
-#[inline]
-pub fn masked_search_lane(keys: &[u8; 16], len: usize, byte: u8) -> Option<usize> {
-    crate::simd::search16_swar(keys, len, byte)
-}
-
 /// 16-way layout: up to 16 children in sorted parallel arrays.
 #[derive(Clone, Debug)]
 pub struct Node16 {
@@ -138,7 +128,7 @@ mod tests {
     use super::*;
 
     /// The binary search the SWAR lookup replaced, kept as the reference
-    /// the equivalence test compares [`masked_search_lane`] against.
+    /// the equivalence test compares [`crate::simd::search16_swar`] against.
     fn binary_search_lane(keys: &[u8; 16], len: usize, byte: u8) -> Option<usize> {
         keys[..len].binary_search(&byte).ok()
     }
@@ -203,7 +193,7 @@ mod tests {
                     }
                     for probe in 0..=255u8 {
                         assert_eq!(
-                            masked_search_lane(&keys, len, probe),
+                            crate::simd::search16_swar(&keys, len, probe),
                             binary_search_lane(&keys, len, probe),
                             "len={len} phase={phase} stride={stride} probe={probe:#04x} keys={keys:?}"
                         );

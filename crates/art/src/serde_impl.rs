@@ -1,6 +1,6 @@
 //! The binary snapshot container the durability layer's checkpoints are
-//! made of. A tree is persisted only through it: [`Art`] has no serde
-//! impls, and nothing serializes a tree into report JSON.
+//! made of. A tree is persisted only through it: [`Art`](crate::Art)
+//! has no serde impls, and nothing serializes a tree into report JSON.
 //!
 //! The **snapshot** container (`DCARTSNP`, version 2) holds the entries of
 //! an `Art<u64>` — the only instantiation that reaches disk — in binary,
@@ -27,7 +27,7 @@ use std::cmp::Ordering;
 use std::ops::Range;
 
 use crate::tree::ArtError;
-use crate::{Art, Key};
+use crate::Key;
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DCARTSNP";
@@ -380,35 +380,10 @@ impl<'a> Iterator for SnapshotEntries<'a> {
     }
 }
 
-impl Art<u64> {
-    /// Serializes the tree into the snapshot container.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] if a key is longer than the format's
-    /// 16-bit length field can say.
-    pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = Vec::new();
-        let mut writer = SnapshotWriter::begin(&mut out);
-        for (key, &value) in self.iter() {
-            writer.push(key.as_bytes(), value)?;
-        }
-        writer.finish();
-        Ok(out)
-    }
-
-    /// Loads a tree from snapshot bytes. Returns a typed
-    /// [`SnapshotError`] — never panics — on any corruption, truncation,
-    /// or version mismatch.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let (entries, _) = SnapshotEntries::open(bytes)?;
-        Ok(Art::from_sorted(entries.collect_pairs()?)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Art;
 
     fn sample_tree() -> Art<u64> {
         let mut art = Art::new();
@@ -420,6 +395,18 @@ mod tests {
             art.remove(&Key::from_u64((v * 5).wrapping_mul(0x9E37_79B9)));
         }
         art
+    }
+
+    /// `art`'s snapshot container.
+    fn snapshot(art: &Art<u64>) -> Vec<u8> {
+        let pairs: Vec<(&[u8], u64)> = art.iter().map(|(k, &v)| (k.as_bytes(), v)).collect();
+        container_of(&pairs)
+    }
+
+    /// Loads a tree from a snapshot container, the way recovery does.
+    fn load(bytes: &[u8]) -> Result<Art<u64>, SnapshotError> {
+        let (entries, _) = SnapshotEntries::open(bytes)?;
+        Ok(Art::from_sorted(entries.collect_pairs()?)?)
     }
 
     /// A container holding exactly `entries`, in the order given.
@@ -436,11 +423,11 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_is_identity() {
         let art = sample_tree();
-        let bytes = art.snapshot_bytes().unwrap();
+        let bytes = snapshot(&art);
         assert_eq!(bytes[..8], SNAPSHOT_MAGIC);
         // Fixed-width keys: 18 bytes an entry around a 36-byte frame.
         assert_eq!(bytes.len(), 36 + art.len() * 18);
-        let back: Art<u64> = Art::from_snapshot_bytes(&bytes).unwrap();
+        let back: Art<u64> = load(&bytes).unwrap();
         assert_eq!(back.len(), art.len());
         assert_eq!(back.type_histogram(), art.type_histogram());
         let a: Vec<(Key, u64)> = art.iter().map(|(k, v)| (k.clone(), *v)).collect();
@@ -452,8 +439,8 @@ mod tests {
     #[test]
     fn empty_tree_snapshot_roundtrips() {
         let art: Art<u64> = Art::new();
-        let bytes = art.snapshot_bytes().unwrap();
-        let back: Art<u64> = Art::from_snapshot_bytes(&bytes).unwrap();
+        let bytes = snapshot(&art);
+        let back: Art<u64> = load(&bytes).unwrap();
         assert!(back.is_empty());
     }
 
@@ -470,12 +457,12 @@ mod tests {
             }
             a
         };
-        let bytes = art.snapshot_bytes().unwrap();
+        let bytes = snapshot(&art);
         let mut detected = 0usize;
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 1 << (i % 8);
-            if Art::<u64>::from_snapshot_bytes(&corrupt).is_err() {
+            if load(&corrupt).is_err() {
                 detected += 1;
             }
         }
@@ -485,9 +472,9 @@ mod tests {
     #[test]
     fn every_truncation_of_a_real_snapshot_is_detected() {
         let art = sample_tree();
-        let bytes = art.snapshot_bytes().unwrap();
+        let bytes = snapshot(&art);
         for end in 0..bytes.len() {
-            let err = Art::<u64>::from_snapshot_bytes(&bytes[..end]).unwrap_err();
+            let err = load(&bytes[..end]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -503,9 +490,9 @@ mod tests {
     #[test]
     fn future_version_snapshot_is_rejected_not_parsed() {
         let art = sample_tree();
-        let mut bytes = art.snapshot_bytes().unwrap();
+        let mut bytes = snapshot(&art);
         bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        let err = Art::<u64>::from_snapshot_bytes(&bytes).unwrap_err();
+        let err = load(&bytes).unwrap_err();
         assert!(matches!(err, SnapshotError::UnsupportedVersion(3)), "{err}");
         assert!(err.to_string().contains("version 3"), "{err}");
     }
@@ -521,24 +508,24 @@ mod tests {
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(payload);
         bytes.extend_from_slice(&[0u8; 8]);
-        let err = Art::<u64>::from_snapshot_bytes(&bytes).unwrap_err();
+        let err = load(&bytes).unwrap_err();
         assert!(matches!(err, SnapshotError::UnsupportedVersion(1)), "{err}");
     }
 
     #[test]
     fn foreign_bytes_are_rejected_with_bad_magic() {
-        let err = Art::<u64>::from_snapshot_bytes(b"not a snapshot at all").unwrap_err();
+        let err = load(b"not a snapshot at all").unwrap_err();
         assert!(matches!(err, SnapshotError::BadMagic));
-        let err = Art::<u64>::from_snapshot_bytes(&[]).unwrap_err();
+        let err = load(&[]).unwrap_err();
         assert!(matches!(err, SnapshotError::BadMagic));
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
         let art = sample_tree();
-        let mut bytes = art.snapshot_bytes().unwrap();
+        let mut bytes = snapshot(&art);
         bytes.extend_from_slice(b"junk");
-        let err = Art::<u64>::from_snapshot_bytes(&bytes).unwrap_err();
+        let err = load(&bytes).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
     }
 
@@ -547,7 +534,7 @@ mod tests {
         // A well-formed container whose entries violate the prefix-free
         // invariant: the error must be typed, not a panic.
         let bytes = container_of(&[(&[1, 2], 7), (&[1, 2, 3], 8)]);
-        let err = Art::<u64>::from_snapshot_bytes(&bytes).unwrap_err();
+        let err = load(&bytes).unwrap_err();
         assert!(matches!(err, SnapshotError::Tree(ArtError::PrefixViolation)), "{err}");
         assert!(err.to_string().contains("prefix"), "{err}");
     }
@@ -555,7 +542,7 @@ mod tests {
     #[test]
     fn unsorted_or_miscounted_payloads_are_typed_errors() {
         let unsorted = container_of(&[(&[2], 1), (&[1], 2)]);
-        let err = Art::<u64>::from_snapshot_bytes(&unsorted).unwrap_err();
+        let err = load(&unsorted).unwrap_err();
         assert!(matches!(err, SnapshotError::Tree(ArtError::NotSortedUnique)), "{err}");
 
         // Re-seal a container around a count that disagrees with its
@@ -567,7 +554,7 @@ mod tests {
                 .copy_from_slice(&count.to_le_bytes());
             let sum = snapshot_checksum(&bytes);
             bytes.extend_from_slice(&sum.to_le_bytes());
-            let err = Art::<u64>::from_snapshot_bytes(&bytes).unwrap_err();
+            let err = load(&bytes).unwrap_err();
             assert!(matches!(err, SnapshotError::Malformed(_)), "count {count}: {err}");
         }
 

@@ -82,6 +82,7 @@ pub fn search16_swar(keys: &[u8; 16], len: usize, byte: u8) -> Option<usize> {
 /// differentially tested against.
 #[doc(hidden)]
 #[inline]
+// dcart_lint::allow(U1) -- ground truth the vector kernels are differentially tested against
 pub fn search16_scalar(keys: &[u8; 16], len: usize, byte: u8) -> Option<usize> {
     debug_assert!(len <= 16);
     keys[..len].iter().position(|&k| k == byte)
@@ -123,6 +124,7 @@ pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 
 /// Portable [`common_prefix_len`] (8-byte SWAR strides + byte tail).
 #[inline]
+// dcart_lint::allow(U1) -- portable reference the vector kernel is differentially tested against
 pub fn common_prefix_len_swar(a: &[u8], b: &[u8]) -> usize {
     let n = a.len().min(b.len());
     common_prefix_tail(a, b, 0, n)

@@ -156,11 +156,6 @@ impl OpTrace {
         self.visits.iter().map(|v| u64::from(v.lines) * 64).sum()
     }
 
-    /// Total useful bytes across all visits.
-    pub fn bytes_useful(&self) -> u64 {
-        self.visits.iter().map(|v| u64::from(v.useful_bytes)).sum()
-    }
-
     /// Traversal depth (number of nodes fetched).
     pub fn depth(&self) -> usize {
         self.visits.len()

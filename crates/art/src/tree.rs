@@ -772,6 +772,7 @@ impl<V> Art<V> {
     /// assert_eq!(hits, vec!["car", "cart", "cat"]);
     /// # Ok::<(), dcart_art::ArtError>(())
     /// ```
+    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
     pub fn scan_prefix<'a>(&'a self, prefix: &[u8]) -> Range<'a, V> {
         // The exclusive upper bound is the lexicographic successor of the
         // prefix: bump the last non-0xFF byte and truncate. An all-0xFF
@@ -832,21 +833,6 @@ impl<V> Art<V> {
                 break;
             }
         }
-    }
-
-    /// Counts nodes reachable from the root; equals
-    /// [`node_count`](Art::node_count) unless the structure is corrupt.
-    /// Used by the consistency checks in tests.
-    pub fn reachable_nodes(&self) -> usize {
-        let mut count = 0;
-        let mut stack: Vec<NodeId> = self.root.into_iter().collect();
-        while let Some(id) = stack.pop() {
-            count += 1;
-            if let Node::Inner(inner) = self.arena.get(id) {
-                stack.extend(inner.children.iter().map(|(_, c)| c));
-            }
-        }
-        count
     }
 }
 
@@ -1293,7 +1279,9 @@ mod tests {
         for v in 0..1000u64 {
             art.remove(&k(v * 62));
         }
-        assert_eq!(art.reachable_nodes(), art.node_count());
+        // `check_invariants` counts reachable nodes against the arena.
+        let violations = art.check_invariants();
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property-based tests: `Art` and `SyncArt` against a `BTreeMap` model.
+//! Property-based tests: `Art` against a `BTreeMap` model.
 
 use std::collections::BTreeMap;
 
-use dcart_art::{Art, Key, SyncArt};
+use dcart_art::{Art, Key};
 use proptest::prelude::*;
 
 /// A randomized sequence of map operations.
@@ -21,6 +21,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         key.clone().prop_map(Op::Remove),
         key.prop_map(Op::Get),
     ]
+}
+
+/// Decodes a [`Key::from_u64`] key.
+fn int(k: &Key) -> u64 {
+    u64::from_be_bytes(k.as_bytes().try_into().expect("8-byte integer key"))
 }
 
 proptest! {
@@ -50,7 +55,7 @@ proptest! {
             prop_assert_eq!(art.len(), model.len());
         }
         // Final full-content equality, in order.
-        let got: Vec<(u64, u32)> = art.iter().map(|(k, v)| (k.to_u64().unwrap(), *v)).collect();
+        let got: Vec<(u64, u32)> = art.iter().map(|(k, v)| (int(k), *v)).collect();
         let want: Vec<(u64, u32)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
     }
@@ -139,28 +144,6 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The concurrent tree agrees with the model under sequential use.
-    #[test]
-    fn sync_art_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let art = SyncArt::new();
-        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => {
-                    let got = art.insert(Key::from_u64(k), v).unwrap();
-                    prop_assert_eq!(got, model.insert(k, v));
-                }
-                Op::Remove(k) => {
-                    prop_assert_eq!(art.remove(&Key::from_u64(k)), model.remove(&k));
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(art.get(&Key::from_u64(k)), model.get(&k).copied());
-                }
-            }
-            prop_assert_eq!(art.len(), model.len());
-        }
-    }
-
     /// scan_traced returns exactly what range() yields, truncated to the
     /// limit, and reports at least one visit per returned leaf.
     #[test]
@@ -215,8 +198,8 @@ proptest! {
         for &k in &keys {
             art.insert(Key::from_u64(k), ()).unwrap();
         }
-        let min = art.min().and_then(|(k, _)| k.to_u64());
-        let max = art.max().and_then(|(k, _)| k.to_u64());
+        let min = art.min().map(|(k, _)| int(k));
+        let max = art.max().map(|(k, _)| int(k));
         prop_assert_eq!(min, keys.iter().next().copied());
         prop_assert_eq!(max, keys.iter().last().copied());
     }

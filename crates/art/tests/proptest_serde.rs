@@ -33,8 +33,7 @@ fn churn_strategy() -> impl Strategy<Value = Churn> {
 /// on contents, layout histogram, and structural invariants.
 fn assert_roundtrip_identity(art: &Art<u64>) -> Result<(), TestCaseError> {
     let entries: Vec<(Key, u64)> = art.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    let bytes = art.snapshot_bytes().expect("snapshot");
-    let back: Art<u64> = Art::from_snapshot_bytes(&bytes).expect("load snapshot");
+    let back = load(&encode(art.iter().map(|(k, v)| (k, *v))));
     prop_assert_eq!(back.len(), art.len());
     prop_assert_eq!(back.type_histogram(), art.type_histogram());
     prop_assert_eq!(back.node_count(), art.node_count());
@@ -109,6 +108,12 @@ fn word_strategy() -> impl Strategy<Value = String> {
     "[a-c]{1,6}"
 }
 
+/// Loads a tree from a snapshot container, the way recovery does.
+fn load(bytes: &[u8]) -> Art<u64> {
+    let (entries, _) = SnapshotEntries::open(bytes).expect("well-formed container");
+    Art::from_sorted(entries.collect_pairs().expect("valid entries")).expect("sorted, prefix-free")
+}
+
 fn encode<'a>(entries: impl Iterator<Item = (&'a Key, u64)>) -> Vec<u8> {
     let mut bytes = Vec::new();
     let mut writer = SnapshotWriter::begin(&mut bytes);
@@ -168,7 +173,7 @@ proptest! {
         let expected: Vec<(Vec<u8>, u64)> =
             model.iter().map(|(k, v)| (k.as_bytes().to_vec(), *v)).collect();
         prop_assert_eq!(streamed, expected);
-        let tree = Art::from_snapshot_bytes(&merged).unwrap();
+        let tree = load(&merged);
         prop_assert!(tree.iter().map(|(k, v)| (k, *v)).eq(model.iter().map(|(k, v)| (k, *v))));
     }
 }
@@ -203,8 +208,7 @@ fn roundtrip_covers_every_node_layout() {
     for k in 120u64..200 {
         art.remove(&Key::from_u64(k));
     }
-    let bytes = art.snapshot_bytes().unwrap();
-    let back: Art<u64> = Art::from_snapshot_bytes(&bytes).unwrap();
+    let back = load(&encode(art.iter().map(|(k, v)| (k, *v))));
     assert_eq!(back.type_histogram(), art.type_histogram());
     assert_eq!(back.len(), art.len());
     let a: Vec<(Key, u64)> = art.iter().map(|(k, v)| (k.clone(), *v)).collect();

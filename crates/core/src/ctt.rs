@@ -1880,18 +1880,6 @@ impl CttSession {
         self.stats.answer_digest
     }
 
-    /// Batches executed so far.
-    pub fn batches_executed(&self) -> u64 {
-        self.stats.batches
-    }
-
-    /// The running stats. Per-batch counters (ops, locks, digest) are
-    /// current; the shortcut/traverse totals folded in from live shards at
-    /// [`finish`](CttSession::finish) are *not* yet included.
-    pub fn stats_so_far(&self) -> &CttStats {
-        &self.stats
-    }
-
     /// Keys the session holds, over all shards.
     pub fn len(&self) -> usize {
         self.leaves.iter().map(|leaf| leaf.art.len()).sum()

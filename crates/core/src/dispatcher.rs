@@ -70,6 +70,7 @@ impl Dispatch {
     /// # Panics
     ///
     /// Panics if `sous` is zero.
+    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
     pub fn new_weighted(buckets: usize, sous: usize, loads: &[u64]) -> Self {
         assert!(sous > 0, "at least one SOU required");
         let mut order: Vec<usize> = (0..buckets).collect();
@@ -88,16 +89,16 @@ impl Dispatch {
         }
         Dispatch { sou_of, sous }
     }
-
-    /// Buckets assigned to SOU `s`.
-    pub fn buckets_of(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
-        self.sou_of.iter().enumerate().filter(move |(_, &sou)| sou == s).map(|(b, _)| b)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Buckets assigned to SOU `s`.
+    fn buckets_of(d: &Dispatch, s: usize) -> impl Iterator<Item = usize> + '_ {
+        d.sou_of.iter().enumerate().filter(move |(_, &sou)| sou == s).map(|(b, _)| b)
+    }
 
     #[test]
     fn identity_when_counts_match() {
@@ -110,26 +111,26 @@ mod tests {
         let d = Dispatch::new(16, 4);
         assert_eq!(d.sou_of[0], 0);
         assert_eq!(d.sou_of[5], 1);
-        let of_2: Vec<usize> = d.buckets_of(2).collect();
+        let of_2: Vec<usize> = buckets_of(&d, 2).collect();
         assert_eq!(of_2, vec![2, 6, 10, 14]);
     }
 
     #[test]
     fn every_bucket_has_exactly_one_sou() {
         let d = Dispatch::new(16, 5);
-        let covered: usize = (0..5).map(|s| d.buckets_of(s).count()).sum();
+        let covered: usize = (0..5).map(|s| buckets_of(&d, s).count()).sum();
         assert_eq!(covered, 16);
     }
 
     #[test]
     fn excluding_routes_around_downed_sous() {
         let d = Dispatch::new_excluding(16, 16, &[3, 7]);
-        assert_eq!(d.buckets_of(3).count(), 0);
-        assert_eq!(d.buckets_of(7).count(), 0);
-        let covered: usize = (0..16).map(|s| d.buckets_of(s).count()).sum();
+        assert_eq!(buckets_of(&d, 3).count(), 0);
+        assert_eq!(buckets_of(&d, 7).count(), 0);
+        let covered: usize = (0..16).map(|s| buckets_of(&d, s).count()).sum();
         assert_eq!(covered, 16, "all buckets still handled");
         // Healthy units absorb the displaced load.
-        assert!(d.buckets_of(0).count() >= 1);
+        assert!(buckets_of(&d, 0).count() >= 1);
     }
 
     #[test]
@@ -151,10 +152,10 @@ mod tests {
         let loads = [100, 1, 1, 1, 90, 1, 1, 1];
         let d = Dispatch::new_weighted(8, 2, &loads);
         assert_ne!(d.sou_of[0], d.sou_of[4], "hot buckets land on different SOUs");
-        let covered: usize = (0..2).map(|s| d.buckets_of(s).count()).sum();
+        let covered: usize = (0..2).map(|s| buckets_of(&d, s).count()).sum();
         assert_eq!(covered, 8);
         // The weight split is near-even: 100+3 vs 90+3.
-        let load_of = |s: usize| -> u64 { d.buckets_of(s).map(|b| loads[b]).sum() };
+        let load_of = |s: usize| -> u64 { buckets_of(&d, s).map(|b| loads[b]).sum() };
         assert!(load_of(0).abs_diff(load_of(1)) <= 10, "{} vs {}", load_of(0), load_of(1));
     }
 
@@ -171,7 +172,7 @@ mod tests {
     fn weighted_with_uniform_loads_spreads_like_round_robin() {
         let d = Dispatch::new_weighted(16, 4, &[1; 16]);
         for s in 0..4 {
-            assert_eq!(d.buckets_of(s).count(), 4, "uniform loads spread evenly");
+            assert_eq!(buckets_of(&d, s).count(), 4, "uniform loads spread evenly");
         }
     }
 

@@ -66,4 +66,4 @@ pub use durable::{
 };
 pub use error::DcartError;
 pub use shortcut::{ShortcutEntry, ShortcutStats, ShortcutTable, ENTRY_BYTES};
-pub use software::{DcartSoftware, SoftwareOverheads};
+pub use software::DcartSoftware;

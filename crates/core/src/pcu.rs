@@ -38,11 +38,6 @@ impl CombinedBatch {
     pub fn max_bucket_len(&self) -> usize {
         self.buckets.iter().map(Vec::len).max().unwrap_or(0)
     }
-
-    /// Number of non-empty buckets.
-    pub fn active_buckets(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.is_empty()).count()
-    }
 }
 
 /// Combines a batch of operations into disjoint per-prefix buckets in
@@ -99,7 +94,7 @@ mod tests {
         let combined = combine(&cfg, &batch);
         let total: usize = combined.buckets.iter().map(Vec::len).sum();
         assert_eq!(total, 256);
-        assert_eq!(combined.active_buckets(), 16);
+        assert_eq!(combined.buckets.iter().filter(|b| !b.is_empty()).count(), 16);
         // 256 prefixes over 16 buckets: perfectly balanced here.
         assert_eq!(combined.max_bucket_len(), 16);
     }

@@ -328,11 +328,6 @@ impl ShortcutTable {
             self.poisoned.remove(key);
         }
     }
-
-    /// Total off-chip footprint of the table in bytes.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.len as u64 * u64::from(ENTRY_BYTES)
-    }
 }
 
 #[cfg(test)]
@@ -602,6 +597,5 @@ mod tests {
         assert_eq!(table.stats().generated, 1);
         assert_eq!(table.stats().updated, 1);
         assert_eq!(table.len(), 1);
-        assert_eq!(table.footprint_bytes(), 24);
     }
 }

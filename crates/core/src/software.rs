@@ -23,38 +23,24 @@ use dcart_baselines::{
 use dcart_engine::LatencyRecorder;
 use dcart_mem::{Access, EnergyModel, SetAssocCache};
 use dcart_workloads::{KeySet, Op, OpKind};
-use serde::{Deserialize, Serialize};
 
 use crate::config::DcartConfig;
 use crate::ctt::{execute_ctt, BatchEvent, CttConsumer, CttOpEvent, ExecOpts, LockGroup};
 
-/// Software overhead costs of the CTT runtime on a CPU, in nanoseconds.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct SoftwareOverheads {
-    /// Scan + prefix hash + bucket-table append, per operation. The
-    /// append lands at a random offset of one of 16 MB-scale bucket
-    /// tables, so it usually costs a DRAM miss on top of the hash — the
-    /// software combiner suffers the very locality problem the hardware
-    /// buffers solve (paper §II-C Challenges).
-    pub combine_ns: f64,
-    /// Shortcut-table probe, per read/update.
-    pub probe_ns: f64,
-    /// Shortcut generation/update, per traversal.
-    pub generate_ns: f64,
-    /// Batch setup/teardown (allocation, dispatch), per batch.
-    pub batch_ns: f64,
-}
+// Software overhead costs of the CTT runtime on a CPU, in nanoseconds.
 
-impl Default for SoftwareOverheads {
-    fn default() -> Self {
-        SoftwareOverheads {
-            combine_ns: 110.0,
-            probe_ns: 45.0,
-            generate_ns: 90.0,
-            batch_ns: 4_000.0,
-        }
-    }
-}
+/// Scan + prefix hash + bucket-table append, per operation. The append
+/// lands at a random offset of one of 16 MB-scale bucket tables, so it
+/// usually costs a DRAM miss on top of the hash — the software combiner
+/// suffers the very locality problem the hardware buffers solve (paper
+/// §II-C Challenges).
+const COMBINE_NS: f64 = 110.0;
+/// Shortcut-table probe, per read/update.
+const PROBE_NS: f64 = 45.0;
+/// Shortcut generation/update, per traversal.
+const GENERATE_NS: f64 = 90.0;
+/// Batch setup/teardown (allocation, dispatch), per batch.
+const BATCH_NS: f64 = 4_000.0;
 
 /// The DCART-C engine.
 ///
@@ -77,25 +63,13 @@ impl Default for SoftwareOverheads {
 pub struct DcartSoftware {
     dcart: DcartConfig,
     cpu: CpuConfig,
-    overheads: SoftwareOverheads,
     exec: ExecOpts,
 }
 
 impl DcartSoftware {
     /// Creates DCART-C with the given DCART and CPU configurations.
     pub fn new(dcart: DcartConfig, cpu: CpuConfig) -> Self {
-        DcartSoftware {
-            dcart,
-            cpu,
-            overheads: SoftwareOverheads::default(),
-            exec: ExecOpts::default(),
-        }
-    }
-
-    /// Overrides the software overhead model.
-    pub fn with_overheads(mut self, overheads: SoftwareOverheads) -> Self {
-        self.overheads = overheads;
-        self
+        DcartSoftware { dcart, cpu, exec: ExecOpts::default() }
     }
 
     /// Overrides how the host executes the functional CTT run (default
@@ -123,7 +97,6 @@ impl NsTotals {
 
 struct SoftwareConsumer {
     cpu: CpuConfig,
-    overheads: SoftwareOverheads,
     cache: SetAssocCache,
     redundancy: RedundancyWindow,
     contention: ContentionWindow,
@@ -156,12 +129,12 @@ impl CttConsumer for SoftwareConsumer {
         // only lends us `bucket_sizes` for the callback's duration anyway).
         self.bucket_ns.resize(ev.bucket_sizes.len(), 0.0);
         self.bucket_ns.iter_mut().for_each(|ns| *ns = 0.0);
-        self.ns.combine += self.overheads.batch_ns;
-        self.combine_serial_ns += self.overheads.batch_ns;
+        self.ns.combine += BATCH_NS;
+        self.combine_serial_ns += BATCH_NS;
         // The scan/hash/append of every operation in the batch happens on
         // the combining thread before buckets dispatch.
         let ops: u32 = ev.bucket_sizes.iter().sum();
-        let scan_ns = f64::from(ops) * self.overheads.combine_ns;
+        let scan_ns = f64::from(ops) * COMBINE_NS;
         self.ns.combine += scan_ns;
         self.combine_serial_ns += scan_ns;
     }
@@ -208,10 +181,10 @@ impl CttConsumer for SoftwareConsumer {
         // Shortcut maintenance runs in the bucket workers.
         let mut combine = 0.0;
         if matches!(ev.kind, OpKind::Read | OpKind::Update) {
-            combine += self.overheads.probe_ns;
+            combine += PROBE_NS;
         }
         if ev.generated_shortcut {
-            combine += self.overheads.generate_ns;
+            combine += GENERATE_NS;
         }
         self.charge(ev.bucket, combine, |n| &mut n.combine);
         self.charge(ev.bucket, self.cpu.op_overhead_ns, |n| &mut n.other);
@@ -242,7 +215,6 @@ impl IndexEngine for DcartSoftware {
     fn run(&mut self, keys: &KeySet, ops: &[Op], run: &RunConfig) -> RunReport {
         let mut consumer = SoftwareConsumer {
             cpu: self.cpu,
-            overheads: self.overheads,
             cache: SetAssocCache::new(self.cpu.cache_bytes, self.cpu.cache_ways),
             redundancy: RedundancyWindow::new(run.concurrency),
             contention: ContentionWindow::new(usize::MAX >> 1),

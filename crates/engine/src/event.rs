@@ -123,6 +123,7 @@ impl NonBlockingUnit {
     }
 
     /// Issues one operation; returns its completion cycle.
+    // dcart_lint::allow(U1) -- event-level twin that validates the accelerator's closed-form SOU timing
     pub fn issue(&mut self, occupancy: u64, latency: u64) -> u64 {
         // Wait for the issue port, then for a free slot.
         let mut start = self.issue_free;

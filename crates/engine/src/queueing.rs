@@ -207,6 +207,7 @@ impl LatencyRecorder {
 /// standard M/D/1 waiting-time formula per server after splitting arrivals.
 ///
 /// Returns `None` when the system is saturated (`rate >= c / service`).
+// dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
 pub fn mdc_wait(rate: f64, service: f64, servers: f64) -> Option<f64> {
     assert!(rate >= 0.0 && service > 0.0 && servers >= 1.0);
     let per_server_rate = rate / servers;
@@ -286,7 +287,6 @@ impl RejectReason {
 pub struct BoundedQueue {
     capacity: u64,
     depth: u64,
-    overflows: u64,
     rejected: u64,
 }
 
@@ -298,21 +298,17 @@ impl BoundedQueue {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "a queue needs nonzero capacity");
-        BoundedQueue { capacity, depth: 0, overflows: 0, rejected: 0 }
+        BoundedQueue { capacity, depth: 0, rejected: 0 }
     }
 
     /// Offers `items` arrivals at once; accepts up to the free space and
-    /// returns the number rejected (the overflow). A nonzero overflow
-    /// increments the overflow-event counter once.
+    /// returns the number rejected (the overflow).
     pub fn offer(&mut self, items: u64) -> u64 {
         let free = self.capacity - self.depth;
         let accepted = items.min(free);
         self.depth += accepted;
         let over = items - accepted;
-        if over > 0 {
-            self.overflows += 1;
-            self.rejected += over;
-        }
+        self.rejected += over;
         over
     }
 
@@ -326,11 +322,6 @@ impl BoundedQueue {
     /// Current occupancy.
     pub fn depth(&self) -> u64 {
         self.depth
-    }
-
-    /// Number of offers that overflowed (≥ 1 rejection).
-    pub fn overflow_events(&self) -> u64 {
-        self.overflows
     }
 
     /// Total items rejected across all offers.
@@ -366,12 +357,11 @@ mod tests {
         assert_eq!(q.offer(6), 0);
         assert_eq!(q.offer(6), 2, "only 4 slots free");
         assert_eq!(q.depth(), 10);
-        assert_eq!(q.overflow_events(), 1);
         assert_eq!(q.rejected(), 2);
         assert_eq!(q.drain(7), 7);
         assert_eq!(q.depth(), 3);
         assert_eq!(q.offer(3), 0);
-        assert_eq!(q.overflow_events(), 1, "no new overflow");
+        assert_eq!(q.rejected(), 2, "no new overflow");
     }
 
     #[test]

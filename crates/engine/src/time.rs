@@ -60,6 +60,7 @@ impl TestClock {
     }
 
     /// Moves time forward by `delta_ns`.
+    // dcart_lint::allow(U1) -- the Clock seam's test double: tests move deadlines with it
     pub fn advance(&self, delta_ns: u64) {
         // dcart_lint::atomic(test clock: SeqCst totally orders advances so time never runs backwards)
         self.now.fetch_add(delta_ns, Ordering::SeqCst);

@@ -95,17 +95,6 @@ impl<V> BPlusTree<V> {
         self.stats
     }
 
-    /// Height of the tree (1 = a single leaf).
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut cur = self.root;
-        while let BNode::Internal { children, .. } = self.node(cur) {
-            cur = children[0];
-            h += 1;
-        }
-        h
-    }
-
     /// Total modelled memory footprint in bytes.
     pub fn memory_footprint(&self) -> u64 {
         self.nodes
@@ -560,26 +549,6 @@ impl<V> BPlusTree<V> {
             })
             .collect()
     }
-
-    /// All values in key order (follows the leaf chain).
-    pub fn iter_values(&self) -> Vec<&V> {
-        let mut cur = self.root;
-        while let BNode::Internal { children, .. } = self.node(cur) {
-            cur = children[0];
-        }
-        let mut out = Vec::new();
-        let mut leaf = Some(cur);
-        while let Some(id) = leaf {
-            match self.node(id) {
-                BNode::Leaf { entries, next } => {
-                    out.extend(entries.iter().map(|(_, v)| v));
-                    leaf = *next;
-                }
-                BNode::Internal { .. } => unreachable!("leaf chain links to leaves only"),
-            }
-        }
-        out
-    }
 }
 
 /// Free-function twin of `child_index` usable while a node is borrowed.
@@ -606,7 +575,6 @@ mod tests {
             assert_eq!(t.get(&k(v * 7)), Some(&v));
         }
         assert_eq!(t.get(&k(1)), None);
-        assert!(t.height() > 1, "2000 entries split at order 8");
     }
 
     #[test]
@@ -626,7 +594,7 @@ mod tests {
         }
         values.sort_unstable();
         values.dedup();
-        let got: Vec<u64> = t.iter_values().into_iter().copied().collect();
+        let got: Vec<u64> = t.range(&[], usize::MAX).into_iter().copied().collect();
         assert_eq!(got, values);
     }
 
@@ -659,7 +627,6 @@ mod tests {
             assert_eq!(t.remove(&k(v)), Some(v));
         }
         assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
     }
 
     #[test]

@@ -49,7 +49,7 @@ proptest! {
             prop_assert_eq!(t.len(), model.len());
         }
         // Ordered iteration equals the model's.
-        let got: Vec<u32> = t.iter_values().into_iter().copied().collect();
+        let got: Vec<u32> = t.range(&[], usize::MAX).into_iter().copied().collect();
         let want: Vec<u32> = model.values().copied().collect();
         prop_assert_eq!(got, want);
     }

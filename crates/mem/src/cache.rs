@@ -128,6 +128,7 @@ impl SetAssocCache {
 
     /// Accesses `lines` consecutive cache lines starting at `addr`,
     /// returning how many missed.
+    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
     pub fn access_span(&mut self, addr: u64, lines: u32) -> u32 {
         let mut misses = 0;
         for i in 0..u64::from(lines) {

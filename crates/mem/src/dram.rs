@@ -80,6 +80,7 @@ impl MemoryModel {
     /// `plan.hbm_transient_rate`, recovering each with bounded
     /// retry-with-backoff (retry time folds into [`MemoryModel::time_ns`]).
     /// An inactive plan behaves exactly like [`MemoryModel::new`].
+    // dcart_lint::allow(U1) -- closed-form memory model the event-level HbmSim twin is validated against
     pub fn with_faults(config: MemoryConfig, plan: FaultPlan) -> Self {
         let mut m = MemoryModel::new(config);
         if plan.is_active() {
@@ -127,6 +128,7 @@ impl MemoryModel {
 
     /// Records a serially dependent access (the next address is only known
     /// after this one returns — a tree-traversal hop).
+    // dcart_lint::allow(U1) -- closed-form memory model the event-level HbmSim twin is validated against
     pub fn dependent_access(&mut self, bytes: u64) {
         self.accesses += 1;
         self.dependent_accesses += 1;
@@ -157,6 +159,7 @@ impl MemoryModel {
     ///
     /// The formula is validated against the event-driven
     /// [`HbmSim`](crate::HbmSim) in both regimes.
+    // dcart_lint::allow(U1) -- closed-form memory model the event-level HbmSim twin is validated against
     pub fn time_ns(&self, streams: f64) -> f64 {
         assert!(streams >= 1.0, "at least one stream required");
         let independent = (self.accesses - self.dependent_accesses) as f64;

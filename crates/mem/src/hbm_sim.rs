@@ -31,6 +31,7 @@ pub struct HbmSimConfig {
 
 impl HbmSimConfig {
     /// The Alveo U280's 8 GB HBM2: 32 pseudo-channels of ~14.4 GB/s.
+    // dcart_lint::allow(U1) -- event-level twin that validates the closed-form MemoryModel
     pub fn u280() -> Self {
         HbmSimConfig {
             channels: 32,
@@ -113,6 +114,7 @@ impl HbmSim {
     /// transient read errors (`hbm_transient_rate`) recovered by bounded
     /// retry-with-backoff, failing over to a doubled re-issue when retries
     /// are exhausted. An inactive plan behaves exactly like [`HbmSim::new`].
+    // dcart_lint::allow(U1) -- event-level twin that validates the closed-form MemoryModel
     pub fn with_faults(config: HbmSimConfig, plan: FaultPlan) -> Self {
         let mut sim = HbmSim::new(config);
         if plan.is_active() {
@@ -200,6 +202,7 @@ impl HbmSim {
     }
 
     /// Time the last completed request returned, ns.
+    // dcart_lint::allow(U1) -- event-level twin that validates the closed-form MemoryModel
     pub fn drain_ns(&self) -> f64 {
         self.last_done_ns
     }
@@ -215,6 +218,7 @@ impl HbmSim {
     }
 
     /// Aggregate channel utilization over `[0, horizon_ns]`.
+    // dcart_lint::allow(U1) -- event-level twin that validates the closed-form MemoryModel
     pub fn utilization(&self, horizon_ns: f64) -> f64 {
         if horizon_ns <= 0.0 {
             0.0

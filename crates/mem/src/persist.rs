@@ -70,16 +70,6 @@ impl PersistStats {
         }
     }
 
-    /// Ratio of mean checkpoint size to a buffer capacity in bytes
-    /// (`0` when either side is zero).
-    pub fn checkpoint_to_buffer_ratio(&self, buffer_capacity_bytes: usize) -> f64 {
-        if buffer_capacity_bytes == 0 {
-            0.0
-        } else {
-            self.mean_checkpoint_bytes() / buffer_capacity_bytes as f64
-        }
-    }
-
     /// Folds another accounting into this one (for summing across
     /// crash/recover cycles or matrix cells).
     pub fn accumulate(&mut self, other: &PersistStats) {
@@ -112,7 +102,6 @@ mod tests {
         assert_eq!(s.total_bytes(), 200);
         assert!((s.write_amplification() - 2.0).abs() < 1e-12);
         assert!((s.mean_checkpoint_bytes() - 25.0).abs() < 1e-12);
-        assert!((s.checkpoint_to_buffer_ratio(100) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -120,8 +109,6 @@ mod tests {
         let s = PersistStats::default();
         assert_eq!(s.write_amplification(), 0.0);
         assert_eq!(s.mean_checkpoint_bytes(), 0.0);
-        assert_eq!(s.checkpoint_to_buffer_ratio(0), 0.0);
-        assert_eq!(s.checkpoint_to_buffer_ratio(4 << 20), 0.0);
     }
 
     #[test]

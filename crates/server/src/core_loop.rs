@@ -788,6 +788,7 @@ impl ServerCore {
     /// Replaces the fsync [`ServerCore::run`]'s committer calls — the seam
     /// through which tests hold a sync back or make it fail without a
     /// failing disk. Nothing happens on a core without a data directory.
+    // dcart_lint::allow(U1) -- fault-injection seam: tests hold back or fail the commit fsync
     pub fn set_commit_sync(&mut self, sync: FileSync) {
         if let Some(slot) = &mut self.commit_sync {
             *slot = sync;
@@ -798,6 +799,7 @@ impl ServerCore {
     /// runs — the seam through which tests hold a checkpoint job back in
     /// the middle of its install or make the install fail. Nothing
     /// happens on a core without a data directory.
+    // dcart_lint::allow(U1) -- fault-injection seam: tests hold back or fail the checkpoint fsync
     pub fn set_checkpoint_sync(&mut self, sync: FileSync) {
         if let Some(ctx) = &mut self.job_ctx {
             ctx.sync = sync;

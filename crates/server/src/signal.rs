@@ -46,9 +46,3 @@ pub fn sigint_received() -> bool {
     // dcart_lint::atomic(single boolean latch polled by the acceptor; no data guarded)
     SIGINT_SEEN.load(Ordering::Relaxed)
 }
-
-/// Test/bench hook: simulate a SIGINT without involving the kernel.
-pub fn raise_sigint_flag() {
-    // dcart_lint::atomic(test hook: same latch contract as the real handler)
-    SIGINT_SEEN.store(true, Ordering::Relaxed);
-}

@@ -1499,6 +1499,9 @@ mod pipelined {
         gate.wait_entered(1);
         batches_answered(&shared, &tx, &rx, 2..4);
         let killed = killed_copy(&dir, "job_held_offline_killed");
+        // The committer answers batch 3 before the loop publishes its
+        // digest.
+        wait_until("batch 3 published", || shared.stats().core.batches == 4);
         let served = shared.stats().core.answer_digest;
         gate.open();
         shared.request_shutdown();

@@ -64,12 +64,6 @@ impl Workload {
             Workload::RandomDense => synth::random_dense(n, seed),
         }
     }
-
-    /// Key count at paper scale (50 M for the synthetic workloads; the
-    /// real-world sets are of the same order).
-    pub fn paper_scale_keys(self) -> usize {
-        50_000_000
-    }
 }
 
 impl std::fmt::Display for Workload {

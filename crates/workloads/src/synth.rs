@@ -50,6 +50,7 @@ pub fn random_sparse(n: usize, seed: u64) -> KeySet {
 /// The bytes *below* the hot prefix stay uniform, so a split bucket
 /// spreads over its next-byte fanout. The remaining keys are uniform
 /// sparse draws.
+// dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
 pub fn hot_prefix(n: usize, hot_share: f64, seed: u64) -> KeySet {
     assert!(n > 0, "key count must be positive");
     assert!((0.0..=1.0).contains(&hot_share), "hot_share must be in [0, 1]");
@@ -83,11 +84,15 @@ pub fn random_dense(n: usize, seed: u64) -> KeySet {
 mod tests {
     use super::*;
 
+    fn int(k: &Key) -> u64 {
+        u64::from_be_bytes(k.as_bytes().try_into().expect("8-byte integer key"))
+    }
+
     #[test]
     fn dense_covers_exact_range() {
         let ks = dense(1000, 1);
-        let mut vals: Vec<u64> = ks.keys.iter().map(|k| k.to_u64().unwrap()).collect();
-        vals.extend(ks.insert_pool.iter().map(|k| k.to_u64().unwrap()));
+        let mut vals: Vec<u64> = ks.keys.iter().map(int).collect();
+        vals.extend(ks.insert_pool.iter().map(int));
         vals.sort_unstable();
         assert_eq!(vals, (0..1250u64).collect::<Vec<_>>());
     }
@@ -95,7 +100,7 @@ mod tests {
     #[test]
     fn sparse_spreads_over_full_space() {
         let ks = random_sparse(2000, 2);
-        let high_half = ks.keys.iter().filter(|k| k.to_u64().unwrap() > u64::MAX / 2).count();
+        let high_half = ks.keys.iter().filter(|k| int(k) > u64::MAX / 2).count();
         assert!((800..1200).contains(&high_half), "{high_half}");
     }
 
@@ -104,7 +109,7 @@ mod tests {
         let n = 3000;
         let ks = random_dense(n, 3);
         let window = ((n + n / 4) as u64) * 16;
-        assert!(ks.keys.iter().all(|k| k.to_u64().unwrap() < window));
+        assert!(ks.keys.iter().all(|k| int(k) < window));
     }
 
     #[test]

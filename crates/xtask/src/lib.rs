@@ -12,7 +12,9 @@
 //!   flow trees, [`graph`] assembles a conservative workspace call graph,
 //!   and [`flow`] checks the protocol call-order automata (O2), the lock
 //!   acquisition graph (C1), and [`rules::a1`] audits atomic orderings
-//!   (A1).
+//!   (A1). Over the whole program — the workspace plus the read-only
+//!   `examples/` and `benchmark/src/` corpus — [`rules::u1`] reports
+//!   library `pub` items that no non-test code references (U1).
 //!
 //! The pass is pure std — the build environment is offline, so instead of
 //! `syn` the analysis runs over a hand-rolled lexer/parser that is precise
@@ -39,7 +41,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-pub use rules::{Diagnostic, FLOW_RULE_IDS, LINT_RULE_IDS, RULE_IDS};
+pub use rules::{Diagnostic, FLOW_RULE_IDS, LINT_RULE_IDS, PROGRAM_RULE_IDS, RULE_IDS};
 
 /// Lints one file's source as if it lived at workspace-relative `path`
 /// (the path decides rule scoping: crate name, whitelists, definition
@@ -65,22 +67,39 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
 /// file, then the flow rules (O2, C1, A1) over the joint call graph, then
 /// S1 over every marker. Hermetic — no filesystem access, no
 /// workspace-presence checks — which is what the fixture and mutation
-/// tests build on.
+/// tests build on. U1 stays unarmed: these files are not the whole
+/// program (see [`analyze_program`]).
 pub fn analyze_sources(inputs: &[(String, String)]) -> Vec<Diagnostic> {
+    analyze(inputs, None)
+}
+
+/// [`analyze_sources`] over a whole program, which arms U1: `inputs` are
+/// every analyzed file, and `corpus` is read-only code that uses the
+/// libraries (examples, the benchmark package) — lexed for references,
+/// never linted.
+pub fn analyze_program(
+    inputs: &[(String, String)],
+    corpus: &[(String, String)],
+) -> Vec<Diagnostic> {
+    analyze(inputs, Some(corpus))
+}
+
+fn analyze(inputs: &[(String, String)], corpus: Option<&[(String, String)]>) -> Vec<Diagnostic> {
     // Parallel lex + parse (the dominant cost); everything after shares
     // per-file marker state and runs on this thread.
     let prepared = par_map(inputs, |(path, source)| {
         let lines = lexer::scan(source);
-        let parsed = parse::parse(&parse::tokenize(&lines));
+        let toks = parse::tokenize(&lines);
+        let parsed = parse::parse(&toks);
         let in_test = rules::test_regions(&lines);
-        (path.clone(), lines, parsed, in_test)
+        (path.clone(), lines, toks, parsed, in_test)
     });
     let files: Vec<(String, parse::ParsedFile, Vec<bool>)> = prepared
         .iter()
-        .map(|(path, _, parsed, in_test)| (path.clone(), parsed.clone(), in_test.clone()))
+        .map(|(path, _, _, parsed, in_test)| (path.clone(), parsed.clone(), in_test.clone()))
         .collect();
     let ctxs: Vec<rules::FileCtx> =
-        prepared.iter().map(|(path, lines, _, _)| rules::FileCtx::new(path, lines)).collect();
+        prepared.iter().map(|(path, lines, ..)| rules::FileCtx::new(path, lines)).collect();
 
     let mut out = Vec::new();
     for ctx in &ctxs {
@@ -95,8 +114,20 @@ pub fn analyze_sources(inputs: &[(String, String)]) -> Vec<Diagnostic> {
     let g = graph::Graph::build(&files);
     flow::o2(&ctxs, &files, &mut out);
     flow::c1(&ctxs, &files, &g, &mut out);
+    if let Some(corpus) = corpus {
+        let corpus = par_map(corpus, |(_, source)| {
+            let lines = lexer::scan(source);
+            (parse::tokenize(&lines), rules::test_regions(&lines))
+        });
+        let toks: Vec<&[parse::Tok]> = prepared.iter().map(|(_, _, toks, ..)| &toks[..]).collect();
+        rules::u1(&ctxs, &toks, &corpus, &mut out);
+    }
+    let active: Vec<&str> = RULE_IDS
+        .into_iter()
+        .filter(|r| corpus.is_some() || !PROGRAM_RULE_IDS.contains(r))
+        .collect();
     for ctx in &ctxs {
-        rules::s1(ctx, &RULE_IDS, &mut out);
+        rules::s1(ctx, &active, &mut out);
     }
     out.sort();
     out.dedup();
@@ -147,12 +178,21 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> 
 }
 
 /// Analyzes the whole workspace: everything [`lint_workspace`] checks plus
-/// the flow rules over the joint call graph. Not cached — the flow pass is
-/// cross-file by construction — but still parallel where the work is
-/// per-file.
+/// the flow rules over the joint call graph, and U1 over the whole program
+/// — the workspace plus the `examples/*.rs` and `benchmark/src/**/*.rs`
+/// corpus ([`analyze_program`]). Not cached — the flow pass is cross-file
+/// by construction — but still parallel where the work is per-file.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
     let inputs = read_workspace(root)?;
-    let mut out = analyze_sources(&inputs);
+    let mut corpus_files = Vec::new();
+    for dir in ["examples", "benchmark/src"].map(|d| root.join(d)) {
+        if dir.is_dir() {
+            collect_rs(&dir, &mut corpus_files)?;
+        }
+    }
+    corpus_files.sort();
+    let corpus = read_files(root, &corpus_files)?;
+    let mut out = analyze_program(&inputs, &corpus);
     workspace_checks(root, &inputs, &mut out)?;
     out.sort();
     out.dedup();
@@ -171,11 +211,12 @@ fn read_workspace(root: &Path) -> std::io::Result<Vec<(String, String)>> {
         }
     }
     files.sort();
-    let mut inputs = Vec::with_capacity(files.len());
-    for file in &files {
-        inputs.push((rel_path(root, file), std::fs::read_to_string(file)?));
-    }
-    Ok(inputs)
+    read_files(root, &files)
+}
+
+/// Reads `files` as (workspace-relative path, source) pairs.
+fn read_files(root: &Path, files: &[PathBuf]) -> std::io::Result<Vec<(String, String)>> {
+    files.iter().map(|f| Ok((rel_path(root, f), std::fs::read_to_string(f)?))).collect()
 }
 
 /// The cross-file presence checks shared by both workspace drivers.

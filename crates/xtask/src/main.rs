@@ -31,9 +31,12 @@ fn usage() {
         xtask::LINT_RULE_IDS.join(" ")
     );
     eprintln!(
-        "  analyze  lint plus the flow rules ({}) over the workspace call graph",
-        xtask::FLOW_RULE_IDS.join(" ")
+        "  analyze  lint plus the flow rules ({}) over the workspace call graph, and {}",
+        xtask::FLOW_RULE_IDS.join(" "),
+        xtask::PROGRAM_RULE_IDS.join(" ")
     );
+    eprintln!("           (unreferenced library `pub` items) over the whole program:");
+    eprintln!("           crates/*/src plus the examples/ and benchmark/src/ corpus");
     eprintln!();
     eprintln!("  --format sarif   emit SARIF 2.1.0 (to stdout, or FILE with --out)");
     eprintln!("  --out FILE       write the report to FILE instead of stdout");

@@ -28,13 +28,17 @@
 //! |    | checkpoint-install, drain) — see [`crate::flow`] |
 //! | C1 | lock discipline: no acquisition-order cycles, no double-acquire
 //! |    | on any path — see [`crate::flow`] |
-//! | A1 | every `Ordering::Relaxed`/`Ordering::SeqCst` outside
-//! |    | [`A1_SANCTIONED`] carries a `dcart_lint::atomic(REASON)` marker |
+//! | A1 | every `Ordering::Relaxed`/`Ordering::SeqCst` in a library crate
+//! |    | carries a `dcart_lint::atomic(REASON)` marker |
+//! | U1 | every `pub` item of a library crate is referenced by some
+//! |    | non-test code of the whole program — see [`u1`] |
 //! | S1 | no stale suppressions: every marker must silence something |
 
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 use crate::lexer::{followed_by, ident_cols, preceded_by, LineView};
+use crate::parse::Tok;
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,7 +66,7 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// All rule IDs, in documentation order.
-pub const RULE_IDS: [&str; 10] = ["D1", "D2", "P1", "F1", "O1", "G1", "O2", "C1", "A1", "S1"];
+pub const RULE_IDS: [&str; 11] = ["D1", "D2", "P1", "F1", "O1", "G1", "O2", "C1", "A1", "U1", "S1"];
 
 /// The single-file lexical rules run by `xtask lint`.
 pub const LINT_RULE_IDS: [&str; 6] = ["D1", "D2", "P1", "F1", "O1", "G1"];
@@ -70,8 +74,11 @@ pub const LINT_RULE_IDS: [&str; 6] = ["D1", "D2", "P1", "F1", "O1", "G1"];
 /// The flow-aware rules added by `xtask analyze`.
 pub const FLOW_RULE_IDS: [&str; 3] = ["O2", "C1", "A1"];
 
+/// The rules armed only when `xtask analyze` is given the whole program.
+pub const PROGRAM_RULE_IDS: [&str; 1] = ["U1"];
+
 /// One-line summaries per rule, for `--format sarif` metadata.
-pub const RULE_SUMMARIES: [(&str, &str); 10] = [
+pub const RULE_SUMMARIES: [(&str, &str); 11] = [
     ("D1", "no default-hasher HashMap/HashSet in deterministic code"),
     ("D2", "no wall-clock, OS-randomness, or environment reads in the functional layer"),
     ("P1", "uniform panic policy; unsafe confined to sanctioned kernel files"),
@@ -81,6 +88,7 @@ pub const RULE_SUMMARIES: [(&str, &str); 10] = [
     ("O2", "protocol call-order automata hold on every path"),
     ("C1", "lock discipline: no acquisition-order cycles or double-acquires"),
     ("A1", "Relaxed/SeqCst atomic orderings carry a written justification"),
+    ("U1", "every pub library item is referenced by non-test code"),
     ("S1", "no stale suppression markers"),
 ];
 
@@ -101,13 +109,6 @@ pub const LIB_CRATES: [&str; 8] =
 /// ignores `dcart_lint::allow` markers and `#[cfg(test)]` regions for the
 /// `unsafe` token.
 pub const UNSAFE_SANCTIONED: [&str; 2] = ["crates/art/src/simd.rs", "crates/server/src/signal.rs"];
-
-/// Files where `Ordering::Relaxed`/`SeqCst` need no per-site marker: the
-/// contention-stats counter block in the sync ART engine, where every
-/// counter is monotonic, advisory, and documented once at module level.
-/// Everywhere else each relaxed/sequential ordering carries its own
-/// `// dcart_lint::atomic(REASON)` (A1).
-pub const A1_SANCTIONED: [&str; 1] = ["crates/art/src/sync.rs"];
 
 /// Files (path prefixes) where wall-clock and environment reads are the
 /// point: the harness's per-cell timing and the CLI front-ends.
@@ -670,9 +671,6 @@ pub fn a1(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     if !LIB_CRATES.contains(&ctx.crate_name()) {
         return;
     }
-    if A1_SANCTIONED.contains(&ctx.path) {
-        return;
-    }
     for (i, l) in ctx.lines.iter().enumerate() {
         for name in ["Relaxed", "SeqCst"] {
             for col in ident_cols(&l.code, name) {
@@ -687,13 +685,113 @@ pub fn a1(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                         col,
                         format!("`Ordering::{name}` without a written justification"),
                         "add `// dcart_lint::atomic(<why this ordering is sufficient/required>)` \
-                         on this line or the line above, or move the code into an \
-                         A1_SANCTIONED module (crates/xtask/src/rules.rs)",
+                         on this line or the line above",
                     );
                 }
             }
         }
     }
+}
+
+/// Item kinds whose `pub` definitions U1 tracks.
+const U1_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// U1 — every `pub` item of a library crate is referenced by some non-test
+/// code of the whole program.
+///
+/// A `pub` item that only its own tests call is API nobody runs: it costs
+/// review and upkeep and proves nothing about the paths that do run. A
+/// definition site is a `pub fn|struct|enum|trait|const|static|type` in a
+/// [`LIB_CRATES`] library file (binaries under `src/bin/` excluded); a
+/// reference is any identifier token with the item's name in non-test
+/// code. `ctxs[i]` and `toks[i]` describe the same analyzed file; `corpus`
+/// holds the tokens and test-region maps of read-only code that uses the
+/// libraries (`examples/`, the `benchmark/` package). Not references: the
+/// definition names themselves, `use` / `pub use` declarations, and
+/// `#[cfg(test)]` regions. Matching is by name, so a false hit hides a
+/// dead item but never flags a live one.
+pub fn u1(
+    ctxs: &[FileCtx],
+    toks: &[&[Tok]],
+    corpus: &[(Vec<Tok>, Vec<bool>)],
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut refs: BTreeSet<&str> = BTreeSet::new();
+    let mut defs: Vec<(usize, usize, usize)> = Vec::new();
+    for (fi, (ctx, &toks)) in ctxs.iter().zip(toks).enumerate() {
+        let lib = LIB_CRATES.contains(&ctx.crate_name()) && !ctx.path.contains("/src/bin/");
+        let found = u1_walk(toks, &ctx.in_test, &mut refs);
+        if lib {
+            defs.extend(found.into_iter().map(|(pub_tok, name_tok)| (fi, pub_tok, name_tok)));
+        }
+    }
+    for (toks, in_test) in corpus {
+        u1_walk(toks, in_test, &mut refs);
+    }
+    for (fi, pub_tok, name_tok) in defs {
+        let (kind, name) = (&toks[fi][name_tok - 1].text, &toks[fi][name_tok].text);
+        if refs.contains(name.as_str()) {
+            continue;
+        }
+        let at = &toks[fi][pub_tok];
+        ctxs[fi].emit(
+            out,
+            "U1",
+            at.line - 1,
+            at.col,
+            format!("`pub {kind} {name}` is referenced by no non-test code of the program"),
+            "delete it together with the tests that exist only for it; a reference or oracle \
+             that tests compare production code against keeps \
+             `// dcart_lint::allow(U1) -- reason`",
+        );
+    }
+}
+
+/// Records one file's non-test references in `refs` and returns the token
+/// indices of every `pub` item definition: its `pub` and its name.
+fn u1_walk<'t>(
+    toks: &'t [Tok],
+    in_test: &[bool],
+    refs: &mut BTreeSet<&'t str>,
+) -> Vec<(usize, usize)> {
+    let mut pubs = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let t = &toks[i];
+        if !t.is_ident || in_test.get(t.line - 1).copied().unwrap_or(false) {
+            i += 1;
+        } else if t.text == "use" {
+            // A `use` / `pub use` names an item; it does not use it.
+            while toks.get(i).is_some_and(|t| t.text != ";") {
+                i += 1;
+            }
+        } else if let Some(name) = def_name(toks, i) {
+            i = name + 1;
+        } else if let Some(name) = (t.text == "pub").then(|| def_name(toks, i + 1)).flatten() {
+            if toks[name - 1].text != "mod" {
+                pubs.push((i, name));
+            }
+            i = name + 1;
+        } else {
+            refs.insert(&t.text);
+            i += 1;
+        }
+    }
+    pubs
+}
+
+/// If an item definition (`fn`, `struct`, ..., `mod`, possibly after
+/// `const`/`unsafe`/`async`) starts at `toks[i]`, the index of its name.
+fn def_name(toks: &[Tok], mut i: usize) -> Option<usize> {
+    let qualifier = |t: &Tok| matches!(t.text.as_str(), "fn" | "unsafe" | "async");
+    while matches!(toks.get(i)?.text.as_str(), "unsafe" | "async")
+        || (toks[i].text == "const" && toks.get(i + 1).is_some_and(qualifier))
+    {
+        i += 1;
+    }
+    let kind = toks[i].text.as_str();
+    let defines = U1_KINDS.contains(&kind) || kind == "mod";
+    (defines && toks.get(i + 1)?.is_ident).then_some(i + 1)
 }
 
 /// S1 — stale suppressions.

@@ -5,10 +5,27 @@
 //!
 //! The flow rules care *where* a file lives — the O2 automata are armed
 //! on specific workspace paths, C1/A1 only inside library crates — so
-//! each fixture is analyzed at the path its rule watches.
+//! each fixture is analyzed at the path its rule watches. U1 judges a
+//! whole program, so its fixtures are analyzed as one file of a small
+//! program: the `u1_callers_*.rs` companions below.
 
 use std::collections::BTreeSet;
 use std::path::Path;
+
+use xtask::Diagnostic;
+
+/// The other analyzed files of a U1 fixture's program: a second library
+/// file and a binary, at the paths they are analyzed at.
+const U1_COMPANIONS: [(&str, &str); 2] = [
+    ("crates/engine/src/u1_callers.rs", "u1_callers_lib.rs"),
+    ("crates/core/src/bin/u1_tool.rs", "u1_callers_bin.rs"),
+];
+
+/// The read-only corpus of a U1 fixture's program.
+const U1_CORPUS: [(&str, &str); 2] = [
+    ("benchmark/src/u1_bench.rs", "u1_callers_bench.rs"),
+    ("examples/u1_example.rs", "u1_callers_example.rs"),
+];
 
 /// The workspace-relative path a rule's fixtures are analyzed at.
 fn analysis_path(rule: &str) -> &'static str {
@@ -28,12 +45,32 @@ fn read_fixture(fixture: &str) -> String {
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
 }
 
+/// Analyzes `source` at `rule`'s watched path; for U1, as one file of
+/// the fixture program.
+fn analyze(rule: &str, source: &str) -> Vec<Diagnostic> {
+    analyze_without(rule, source, &[])
+}
+
+/// [`analyze`], leaving out the program companions named in `without`.
+fn analyze_without(rule: &str, source: &str, without: &[&str]) -> Vec<Diagnostic> {
+    let file = (analysis_path(rule).to_string(), source.to_string());
+    if rule != "U1" {
+        return xtask::analyze_sources(&[file]);
+    }
+    let load = |set: &[(&str, &str)]| -> Vec<(String, String)> {
+        set.iter()
+            .filter(|(_, fixture)| !without.contains(fixture))
+            .map(|(path, fixture)| (path.to_string(), read_fixture(fixture)))
+            .collect()
+    };
+    let mut inputs = vec![file];
+    inputs.extend(load(&U1_COMPANIONS));
+    xtask::analyze_program(&inputs, &load(&U1_CORPUS))
+}
+
 /// Analyzes a fixture at `rule`'s watched path and returns the fired IDs.
 fn fired(rule: &str, fixture: &str) -> BTreeSet<&'static str> {
-    xtask::analyze_source(analysis_path(rule), &read_fixture(fixture))
-        .into_iter()
-        .map(|d| d.rule)
-        .collect()
+    analyze(rule, &read_fixture(fixture)).into_iter().map(|d| d.rule).collect()
 }
 
 #[test]
@@ -75,7 +112,7 @@ fn good_fixtures_are_fully_clean() {
     // written, so *no* rule may fire on them.
     for rule in xtask::RULE_IDS {
         let fixture = format!("{}_good.rs", rule.to_lowercase());
-        let diags = xtask::analyze_source(analysis_path(rule), &read_fixture(&fixture));
+        let diags = analyze(rule, &read_fixture(&fixture));
         assert!(diags.is_empty(), "{fixture} should be fully clean: {diags:?}");
     }
 }
@@ -133,10 +170,7 @@ fn per_rule_allow_markers_silence_bad_fixtures() {
         let fixture = format!("{}_bad.rs", rule.to_lowercase());
         let source = read_fixture(&fixture);
         let allowed = format!("// dcart_lint::allow_file({rule}) -- fixture self-test\n{source}");
-        let rules: BTreeSet<&str> = xtask::analyze_source(analysis_path(rule), &allowed)
-            .into_iter()
-            .map(|d| d.rule)
-            .collect();
+        let rules: BTreeSet<&str> = analyze(rule, &allowed).into_iter().map(|d| d.rule).collect();
         assert!(!rules.contains(rule), "allow_file({rule}) did not silence {fixture}");
     }
 }
@@ -229,4 +263,76 @@ fn flow_rules_are_scoped_to_their_paths() {
     let a1 = read_fixture("a1_bad.rs");
     let diags = xtask::analyze_source("crates/bench/src/lib.rs", &a1);
     assert!(!diags.iter().any(|d| d.rule == "A1"), "A1 is scoped to lib crates: {diags:?}");
+}
+
+#[test]
+fn a1_has_no_exempt_file() {
+    // Every library file is audited, the ART crate's included.
+    let a1 = read_fixture("a1_bad.rs");
+    for path in ["crates/art/src/sync.rs", "crates/art/src/tree.rs"] {
+        let diags = xtask::analyze_source(path, &a1);
+        assert_eq!(diags.len(), 2, "both unmarked orderings fire at {path}: {diags:?}");
+        assert!(diags.iter().all(|d| d.rule == "A1"), "{diags:?}");
+    }
+}
+
+#[test]
+fn u1_judges_the_whole_program() {
+    // Test-only, re-export-only and unmentioned items fire, each at its
+    // `pub` token.
+    let bad = read_fixture("u1_bad.rs");
+    let diags = analyze("U1", &bad);
+    let named: Vec<&str> = diags
+        .iter()
+        .map(|d| {
+            let line = bad.lines().nth(d.line - 1).expect("diagnostic line exists");
+            assert!(line[d.col - 1..].starts_with("pub "), "span points at `pub`: {line:?}");
+            d.msg.split('`').nth(1).expect("message names the item")
+        })
+        .collect();
+    assert_eq!(
+        named,
+        [
+            "pub fn only_tested",
+            "pub fn only_reexported",
+            "pub struct Unmentioned",
+            "pub const UNREAD"
+        ]
+    );
+
+    // Each companion is what keeps its item quiet: leave one out, and
+    // exactly that item fires.
+    let good = read_fixture("u1_good.rs");
+    for (companion, item) in [
+        ("u1_callers_lib.rs", "used_by_another_lib_file"),
+        ("u1_callers_bin.rs", "used_by_a_binary"),
+        ("u1_callers_bench.rs", "used_by_the_benchmark"),
+        ("u1_callers_example.rs", "UsedByAnExample"),
+    ] {
+        let diags = analyze_without("U1", &good, &[companion]);
+        assert_eq!(diags.len(), 1, "without {companion}: {diags:?}");
+        assert!(diags[0].rule == "U1" && diags[0].msg.contains(item), "{diags:?}");
+    }
+
+    // U1 is armed only on a whole program: the same file analyzed on its
+    // own stays quiet.
+    let diags = xtask::analyze_source(analysis_path("U1"), &bad);
+    assert!(diags.is_empty(), "U1 must not fire outside a whole-program analysis: {diags:?}");
+}
+
+#[test]
+fn a_stale_u1_allow_fires_s1_where_u1_is_armed() {
+    let anchor = "/// Called from a binary under `src/bin/`.\n";
+    let good = read_fixture("u1_good.rs");
+    assert!(good.contains(anchor), "anchor present in u1_good.rs");
+    let stale = good.replace(anchor, &format!("{anchor}// dcart_lint::allow(U1) -- stale\n"));
+    let marker_line = stale.lines().position(|l| l.contains("-- stale")).expect("marker") + 1;
+
+    let diags = analyze("U1", &stale);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!((diags[0].rule, diags[0].line), ("S1", marker_line), "{diags:?}");
+
+    // Unarmed, U1 markers are not judged.
+    let diags = xtask::analyze_source(analysis_path("U1"), &stale);
+    assert!(diags.is_empty(), "{diags:?}");
 }

@@ -69,7 +69,8 @@ fn ctt_execution_is_functionally_equivalent_to_plain() {
         let b: Vec<_> = plain_tree.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(a, b, "{workload}");
         // Structural invariants hold after CTT execution.
-        assert_eq!(ctt_tree.reachable_nodes(), ctt_tree.node_count(), "{workload}");
+        let violations = ctt_tree.check_invariants();
+        assert!(violations.is_empty(), "{workload}: {violations:?}");
     }
 }
 
