@@ -106,33 +106,6 @@ impl Key {
         Self::from_slice(&v.to_be_bytes())
     }
 
-    /// Encodes a `u128` as a 16-byte big-endian key.
-    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-    pub fn from_u128(v: u128) -> Self {
-        Self::from_slice(&v.to_be_bytes())
-    }
-
-    /// Encodes an `i64` as an order-preserving 8-byte key: flipping the
-    /// sign bit maps the signed range onto the unsigned range
-    /// monotonically, so bytewise order equals numeric order.
-    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-    pub fn from_i64(v: i64) -> Self {
-        Self::from_slice(&((v as u64) ^ (1 << 63)).to_be_bytes())
-    }
-
-    /// Encodes an `f64` as an order-preserving 8-byte key (IEEE-754 total
-    /// order): positive floats get their sign bit flipped, negative floats
-    /// are wholly inverted.
-    ///
-    /// `NaN` sorts above every number (sign-positive NaNs) or below
-    /// (sign-negative NaNs), matching `f64::total_cmp`.
-    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-    pub fn from_f64(v: f64) -> Self {
-        let bits = v.to_bits();
-        let ordered = if bits >> 63 == 0 { bits ^ (1 << 63) } else { !bits };
-        Self::from_slice(&ordered.to_be_bytes())
-    }
-
     /// Encodes an IPv4 address as a 4-byte key (network byte order).
     pub fn from_ipv4(octets: [u8; 4]) -> Self {
         Self::from_slice(&octets)
@@ -310,46 +283,6 @@ mod tests {
             assert_eq!(u64::from_be_bytes(bytes), v);
         }
         assert_eq!(Key::from_u32(7).len(), 4);
-    }
-
-    #[test]
-    fn i64_keys_are_order_preserving() {
-        let values = [i64::MIN, -1_000_000, -1, 0, 1, 42, i64::MAX];
-        for w in values.windows(2) {
-            let (a, b) = (Key::from_i64(w[0]), Key::from_i64(w[1]));
-            assert!(a.as_bytes() < b.as_bytes(), "{} < {}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn f64_keys_follow_total_order() {
-        let values = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -1.5,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.5,
-            1e300,
-            f64::INFINITY,
-        ];
-        for w in values.windows(2) {
-            let (a, b) = (Key::from_f64(w[0]), Key::from_f64(w[1]));
-            // -0.0 and 0.0 are distinct under total order.
-            assert!(a.as_bytes() < b.as_bytes(), "{} < {}", w[0], w[1]);
-        }
-        // NaN with a positive sign sorts above +inf (total order).
-        assert!(Key::from_f64(f64::NAN).as_bytes() > Key::from_f64(f64::INFINITY).as_bytes());
-    }
-
-    #[test]
-    fn u128_keys_are_binary_comparable() {
-        let a = Key::from_u128(u128::from(u64::MAX));
-        let b = Key::from_u128(u128::from(u64::MAX) + 1);
-        assert!(a.as_bytes() < b.as_bytes());
-        assert_eq!(a.len(), 16);
     }
 
     #[test]

@@ -754,43 +754,6 @@ impl<V> Art<V> {
         Range { tree: self, cursor, start: start.to_vec(), end: end.map(<[u8]>::to_vec) }
     }
 
-    /// Iterates all `(key, value)` pairs whose key starts with `prefix`,
-    /// in ascending order. This is the affix query DART-style systems
-    /// build on (paper §V) and what makes radix trees preferable to hash
-    /// indexes for prefix-shaped workloads.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dcart_art::{Art, Key};
-    ///
-    /// let mut art = Art::new();
-    /// for w in ["car", "cart", "cat", "dog"] {
-    ///     art.insert(Key::from_str_bytes(w), w)?;
-    /// }
-    /// let hits: Vec<&str> = art.scan_prefix(b"ca").map(|(_, v)| *v).collect();
-    /// assert_eq!(hits, vec!["car", "cart", "cat"]);
-    /// # Ok::<(), dcart_art::ArtError>(())
-    /// ```
-    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-    pub fn scan_prefix<'a>(&'a self, prefix: &[u8]) -> Range<'a, V> {
-        // The exclusive upper bound is the lexicographic successor of the
-        // prefix: bump the last non-0xFF byte and truncate. An all-0xFF
-        // prefix has no successor -> unbounded above.
-        let mut end = prefix.to_vec();
-        loop {
-            match end.pop() {
-                None => break,
-                Some(0xFF) => continue,
-                Some(b) => {
-                    end.push(b + 1);
-                    break;
-                }
-            }
-        }
-        self.range(prefix, (!end.is_empty()).then_some(end).as_deref())
-    }
-
     /// Collects up to `limit` consecutive `(key, value)` pairs starting at
     /// the smallest key `>= start`, reporting every node fetched (inner
     /// and leaf) to `tracer`.
@@ -1315,31 +1278,16 @@ mod tests {
     }
 
     #[test]
-    fn scan_prefix_returns_subtree() {
-        let mut art = Art::new();
-        for w in ["car", "carbon", "cart", "cat", "dog", "do"] {
-            art.insert(Key::from_str_bytes(w), w).unwrap();
-        }
-        let got: Vec<&str> = art.scan_prefix(b"car").map(|(_, v)| *v).collect();
-        assert_eq!(got, vec!["car", "carbon", "cart"]);
-        let got: Vec<&str> = art.scan_prefix(b"do").map(|(_, v)| *v).collect();
-        assert_eq!(got, vec!["do", "dog"]);
-        assert_eq!(art.scan_prefix(b"x").count(), 0);
-        // Empty prefix scans everything.
-        assert_eq!(art.scan_prefix(b"").count(), 6);
-    }
-
-    #[test]
-    fn scan_prefix_handles_0xff_boundary() {
+    fn range_from_an_all_0xff_start_is_unbounded_above() {
         let mut art = Art::new();
         art.insert(Key::from_raw(vec![0xFF, 0xFF, 1]), 1).unwrap();
         art.insert(Key::from_raw(vec![0xFF, 0xFE, 2]), 2).unwrap();
         art.insert(Key::from_raw(vec![0x01, 0x01]), 3).unwrap();
-        // An all-0xFF prefix has no lexicographic successor: the scan is
-        // unbounded above and must still exclude non-matching keys below.
-        let got: Vec<i32> = art.scan_prefix(&[0xFF, 0xFF]).map(|(_, v)| *v).collect();
+        // A start of all 0xFF bytes has no lexicographic successor to bound
+        // it: the open-ended scan must still skip every key below it.
+        let got: Vec<i32> = art.range(&[0xFF, 0xFF], None).map(|(_, v)| *v).collect();
         assert_eq!(got, vec![1]);
-        let got: Vec<i32> = art.scan_prefix(&[0xFF]).map(|(_, v)| *v).collect();
+        let got: Vec<i32> = art.range(&[0xFF], None).map(|(_, v)| *v).collect();
         assert_eq!(got, vec![2, 1]);
     }
 

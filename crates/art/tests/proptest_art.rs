@@ -76,28 +76,6 @@ proptest! {
         }
     }
 
-    /// scan_prefix agrees with filtering the model by prefix.
-    #[test]
-    fn scan_prefix_matches_model(
-        keys in proptest::collection::btree_set(0u64..100_000, 1..150),
-        probe in 0u64..100_000,
-        plen in 4usize..8,
-    ) {
-        let mut art = Art::new();
-        for &k in &keys {
-            art.insert(Key::from_u64(k), k).unwrap();
-        }
-        let probe_key = Key::from_u64(probe);
-        let prefix = &probe_key.as_bytes()[..plen];
-        let got: Vec<u64> = art.scan_prefix(prefix).map(|(_, v)| *v).collect();
-        let want: Vec<u64> = keys
-            .iter()
-            .copied()
-            .filter(|&k| Key::from_u64(k).as_bytes().starts_with(prefix))
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
     /// Range queries return exactly the model's range, in order.
     #[test]
     fn range_matches_btreemap(

@@ -214,7 +214,7 @@ const EXACT_COUNTERS: [(&str, Counter); 5] = [
 
 /// Compares a freshly measured report against a committed baseline file
 /// (`BENCH_baseline.json`): both must hold the same cells, and each of a
-/// cell's [`EXACT_COUNTERS`] must equal the baseline's. A cell only one
+/// cell's `EXACT_COUNTERS` must equal the baseline's. A cell only one
 /// side has is an error too, so a new or renamed cell is pinned the
 /// moment it appears. A changed counter is a change the author must
 /// either avoid or own by regenerating the baseline.

@@ -278,8 +278,8 @@ pub struct CttOpEvent<'a> {
     /// back to a caller (the online serving layer) rather than just
     /// auditing digests: the value read (`None` on a miss), the previous
     /// value displaced by an update/insert/remove, or the number of items
-    /// a scan returned. Folding this through [`digest_option`] (scans:
-    /// always `Some`) is *not* required to reproduce [`answer`] — `answer`
+    /// a scan returned. Folding this through `digest_option` (scans:
+    /// always `Some`) is *not* required to reproduce `answer` — `answer`
     /// also folds scan contents — so treat it as payload, not provenance.
     pub value: Option<u64>,
 }

@@ -55,40 +55,6 @@ impl Dispatch {
         }
         Dispatch { sou_of: (0..buckets).map(|b| healthy[b % healthy.len()]).collect(), sous }
     }
-
-    /// Computes a load-aware assignment: buckets are placed heaviest-first
-    /// (by `loads[b]`, ties to the lower bucket index) onto the SOU with
-    /// the least total load so far (ties to the lower SOU index) — the
-    /// classic longest-processing-time heuristic, and the same deal the
-    /// host pool's stealing deques start from.
-    ///
-    /// The assignment is a pure function of the load vector, so a run that
-    /// feeds it per-batch bucket op counts stays deterministic at any host
-    /// thread count. Buckets whose load is missing from `loads` count as
-    /// zero; a bucket is still never split across SOUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sous` is zero.
-    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-    pub fn new_weighted(buckets: usize, sous: usize, loads: &[u64]) -> Self {
-        assert!(sous > 0, "at least one SOU required");
-        let mut order: Vec<usize> = (0..buckets).collect();
-        order.sort_by_key(|&b| (std::cmp::Reverse(loads.get(b).copied().unwrap_or(0)), b));
-        let mut sou_of = vec![0usize; buckets];
-        let mut assigned: Vec<u64> = vec![0; sous];
-        for b in order {
-            let lightest = assigned
-                .iter()
-                .enumerate()
-                .min_by_key(|&(s, &load)| (load, s))
-                .map(|(s, _)| s)
-                .unwrap_or(0);
-            sou_of[b] = lightest;
-            assigned[lightest] += loads.get(b).copied().unwrap_or(0).max(1);
-        }
-        Dispatch { sou_of, sous }
-    }
 }
 
 #[cfg(test)]
@@ -143,42 +109,5 @@ mod tests {
         let down: Vec<usize> = (0..4).collect();
         let d = Dispatch::new_excluding(8, 4, &down);
         assert_eq!(d.sou_of, Dispatch::new(8, 4).sou_of);
-    }
-
-    #[test]
-    fn weighted_separates_the_two_heaviest_buckets() {
-        // Two hot buckets, six cold: round-robin would pair the hot ones
-        // onto SOU 0; the weighted deal must not.
-        let loads = [100, 1, 1, 1, 90, 1, 1, 1];
-        let d = Dispatch::new_weighted(8, 2, &loads);
-        assert_ne!(d.sou_of[0], d.sou_of[4], "hot buckets land on different SOUs");
-        let covered: usize = (0..2).map(|s| buckets_of(&d, s).count()).sum();
-        assert_eq!(covered, 8);
-        // The weight split is near-even: 100+3 vs 90+3.
-        let load_of = |s: usize| -> u64 { buckets_of(&d, s).map(|b| loads[b]).sum() };
-        assert!(load_of(0).abs_diff(load_of(1)) <= 10, "{} vs {}", load_of(0), load_of(1));
-    }
-
-    #[test]
-    fn weighted_is_deterministic_and_total() {
-        let loads = [5, 5, 5, 0, 0];
-        let a = Dispatch::new_weighted(5, 3, &loads);
-        let b = Dispatch::new_weighted(5, 3, &loads);
-        assert_eq!(a.sou_of, b.sou_of, "pure function of the load vector");
-        assert!(a.sou_of.iter().all(|&s| s < 3));
-    }
-
-    #[test]
-    fn weighted_with_uniform_loads_spreads_like_round_robin() {
-        let d = Dispatch::new_weighted(16, 4, &[1; 16]);
-        for s in 0..4 {
-            assert_eq!(buckets_of(&d, s).count(), 4, "uniform loads spread evenly");
-        }
-    }
-
-    #[test]
-    fn weighted_tolerates_short_load_vectors() {
-        let d = Dispatch::new_weighted(8, 2, &[10, 20]);
-        assert_eq!(d.sou_of.len(), 8, "missing loads count as zero");
     }
 }

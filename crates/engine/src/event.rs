@@ -28,6 +28,7 @@ use std::collections::BinaryHeap;
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug)]
+// dcart_lint::allow(U1) -- event-level twin that validates the accelerator's closed-form SOU timing
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
     payloads: std::collections::BTreeMap<(u64, u64), E>,
@@ -98,6 +99,7 @@ impl<E> EventQueue<E> {
 /// stalls when all slots are busy — the behaviour the accelerator model's
 /// `max(Σ occupancy, Σ latency / outstanding)` formula approximates.
 #[derive(Debug)]
+// dcart_lint::allow(U1) -- event-level twin that validates the accelerator's closed-form SOU timing
 pub struct NonBlockingUnit {
     outstanding: usize,
     /// Completion times of in-flight operations (min-heap).
@@ -139,6 +141,7 @@ impl NonBlockingUnit {
     }
 
     /// Cycle at which every issued operation has completed.
+    // dcart_lint::allow(U1) -- event-level twin that validates the accelerator's closed-form SOU timing
     pub fn drain_cycle(&self) -> u64 {
         self.last_completion
     }

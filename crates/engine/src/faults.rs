@@ -2,9 +2,9 @@
 //!
 //! The paper's accelerator keeps answering queries while nodes split,
 //! shortcut entries go stale, and the Tree buffer churns; real silicon
-//! additionally sees transient HBM read errors, channel stalls, and queue
-//! overflow. This module provides the shared machinery for *modeling* those
-//! events reproducibly:
+//! additionally sees transient HBM read errors and queue overflow. This
+//! module provides the shared machinery for *modeling* those events
+//! reproducibly:
 //!
 //! * [`FaultPlan`] — a `Copy`, serializable description of which faults to
 //!   inject and at what rate, carried inside the accelerator config;
@@ -33,8 +33,6 @@ use serde::{Deserialize, Serialize};
 pub enum FaultSite {
     /// Transient error on an off-chip (HBM) read.
     HbmRead,
-    /// A whole HBM pseudo-channel stalling (refresh collision, retraining).
-    HbmChannel,
     /// Corruption / forced staleness of a shortcut-table entry.
     ShortcutEntry,
     /// An eviction storm wiping the value-aware Tree buffer.
@@ -48,41 +46,23 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    const ALL: [FaultSite; 7] = [
-        FaultSite::HbmRead,
-        FaultSite::HbmChannel,
-        FaultSite::ShortcutEntry,
-        FaultSite::TreeBufferStorm,
-        FaultSite::PipelineStall,
-        FaultSite::QueueOverflow,
-        FaultSite::SouOutage,
-    ];
-
-    fn index(self) -> usize {
-        match self {
-            FaultSite::HbmRead => 0,
-            FaultSite::HbmChannel => 1,
-            FaultSite::ShortcutEntry => 2,
-            FaultSite::TreeBufferStorm => 3,
-            FaultSite::PipelineStall => 4,
-            FaultSite::QueueOverflow => 5,
-            FaultSite::SouOutage => 6,
-        }
-    }
+    /// Number of sites (one draw counter each); `SouOutage` is the last.
+    const COUNT: usize = FaultSite::SouOutage as usize + 1;
 
     /// Per-site salt folded into the hash so sites with equal counters
     /// still draw unrelated values.
     fn salt(self) -> u64 {
-        // Arbitrary odd constants; only their distinctness matters.
-        [
-            0x9e37_79b9_7f4a_7c15,
-            0xbf58_476d_1ce4_e5b9,
-            0x94d0_49bb_1331_11eb,
-            0xd6e8_feb8_6659_fd93,
-            0xa076_1d64_78bd_642f,
-            0xe703_7ed1_a0b4_28db,
-            0x8ebc_6af0_9c88_c6e3,
-        ][self.index()]
+        // Arbitrary odd constants; only their distinctness matters. A
+        // site's constant never changes, so seeded decisions stay
+        // reproducible when other sites come or go.
+        match self {
+            FaultSite::HbmRead => 0x9e37_79b9_7f4a_7c15,
+            FaultSite::ShortcutEntry => 0x94d0_49bb_1331_11eb,
+            FaultSite::TreeBufferStorm => 0xd6e8_feb8_6659_fd93,
+            FaultSite::PipelineStall => 0xa076_1d64_78bd_642f,
+            FaultSite::QueueOverflow => 0xe703_7ed1_a0b4_28db,
+            FaultSite::SouOutage => 0x8ebc_6af0_9c88_c6e3,
+        }
     }
 }
 
@@ -98,12 +78,6 @@ pub struct FaultPlan {
     /// (ECC-uncorrectable burst, CRC retry on the HBM PHY). Applied per
     /// off-chip fetch.
     pub hbm_transient_rate: f64,
-    /// Probability that a request finds its HBM pseudo-channel stalled
-    /// (refresh, retraining). Applied per request in the event-driven
-    /// `HbmSim` model of the mem crate.
-    pub hbm_stall_rate: f64,
-    /// Duration of one injected channel stall, nanoseconds.
-    pub hbm_stall_ns: f64,
     /// Probability that a shortcut-table probe finds its entry corrupted
     /// (bit flip in the on-chip SRAM, or forced staleness). Applied per
     /// probe of an existing entry.
@@ -139,8 +113,6 @@ impl FaultPlan {
         FaultPlan {
             seed: 0,
             hbm_transient_rate: 0.0,
-            hbm_stall_rate: 0.0,
-            hbm_stall_ns: 0.0,
             shortcut_corrupt_rate: 0.0,
             evict_storm_rate: 0.0,
             pipeline_stall_rate: 0.0,
@@ -154,7 +126,6 @@ impl FaultPlan {
     /// `true` if any fault class has a nonzero rate.
     pub fn is_active(&self) -> bool {
         self.hbm_transient_rate > 0.0
-            || self.hbm_stall_rate > 0.0
             || self.shortcut_corrupt_rate > 0.0
             || self.evict_storm_rate > 0.0
             || self.pipeline_stall_rate > 0.0
@@ -211,13 +182,13 @@ pub enum RetryOutcome {
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     seed: u64,
-    counters: [u64; FaultSite::ALL.len()],
+    counters: [u64; FaultSite::COUNT],
 }
 
 impl FaultInjector {
     /// Creates an injector for the given seed.
     pub fn new(seed: u64) -> Self {
-        FaultInjector { seed, counters: [0; FaultSite::ALL.len()] }
+        FaultInjector { seed, counters: [0; FaultSite::COUNT] }
     }
 
     /// Creates an injector for a plan (uses the plan's seed).
@@ -226,8 +197,8 @@ impl FaultInjector {
     }
 
     fn draw(&mut self, site: FaultSite) -> u64 {
-        let n = self.counters[site.index()];
-        self.counters[site.index()] = n + 1;
+        let n = self.counters[site as usize];
+        self.counters[site as usize] = n + 1;
         splitmix64(self.seed ^ site.salt() ^ n.wrapping_mul(0x2545_f491_4f6c_dd1d))
     }
 
@@ -238,7 +209,7 @@ impl FaultInjector {
             return false;
         }
         if rate >= 1.0 {
-            self.counters[site.index()] += 1;
+            self.counters[site as usize] += 1;
             return true;
         }
         unit_f64(self.draw(site)) < rate
@@ -493,10 +464,6 @@ pub struct RecoveryStats {
     /// Accesses that exhausted retries and failed over to an alternate
     /// channel (correctness preserved, 2× base cost).
     pub hbm_failovers: u64,
-    /// HBM channel stalls injected.
-    pub hbm_channel_stalls: u64,
-    /// Extra nanoseconds of injected channel-stall time.
-    pub hbm_stall_ns: f64,
     /// Shortcut entries corrupted / forced stale by injection.
     pub shortcut_corruptions: u64,
     /// Probes that detected a poisoned entry and fell back to a full
@@ -526,7 +493,6 @@ impl RecoveryStats {
     /// Sums every injected-fault counter (not the recovery actions).
     pub fn total_injected(&self) -> u64 {
         self.hbm_transient_errors
-            + self.hbm_channel_stalls
             + self.shortcut_corruptions
             + self.evict_storms
             + self.pipeline_stalls
@@ -550,8 +516,6 @@ impl RecoveryStats {
         self.hbm_retries += other.hbm_retries;
         self.hbm_retry_cycles += other.hbm_retry_cycles;
         self.hbm_failovers += other.hbm_failovers;
-        self.hbm_channel_stalls += other.hbm_channel_stalls;
-        self.hbm_stall_ns += other.hbm_stall_ns;
         self.shortcut_corruptions += other.shortcut_corruptions;
         self.shortcut_fallbacks += other.shortcut_fallbacks;
         self.evict_storms += other.evict_storms;

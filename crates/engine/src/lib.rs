@@ -1,13 +1,11 @@
-//! # dcart-engine — pipeline and queueing models for the DCART reproduction
+//! # dcart-engine — timing, fault and persistence primitives for the DCART reproduction
 //!
 //! Small, deterministic timing primitives shared by the platform
 //! simulators:
 //!
 //! * [`Clock`] — cycle/time conversions (DCART runs at 230 MHz);
-//! * [`Pipeline`] — in-order pipeline timing with per-item stage latencies,
-//!   used for the PCU's 3-stage and the SOUs' 4-stage pipelines;
-//! * [`LatencyRecorder`] / [`mdc_wait`] — latency percentiles and open-loop
-//!   queueing for throughput–latency curves (paper Fig. 10);
+//! * [`LatencyRecorder`] — latency percentiles for the throughput–latency
+//!   curves (paper Fig. 10);
 //! * [`EventQueue`] / [`NonBlockingUnit`] — discrete-event primitives that
 //!   validate the accelerator's closed-form SOU timing;
 //! * [`par_for_each_mut`] / [`par_for_each_mut_balanced`] — scoped worker
@@ -46,7 +44,6 @@ mod clock;
 mod event;
 pub mod faults;
 mod handoff;
-mod pipeline;
 mod pool;
 mod queueing;
 pub mod time;
@@ -59,7 +56,6 @@ pub use faults::{
     FaultSite, RecoveryStats, RetryOutcome, RetryPolicy,
 };
 pub use handoff::SyncHandoff;
-pub use pipeline::{Pipeline, PipelineRun};
 pub use pool::{par_for_each_mut, par_for_each_mut_balanced, PoolStats};
-pub use queueing::{mdc_wait, BoundedQueue, LatencyRecorder, RejectReason, StealQueue};
+pub use queueing::{BoundedQueue, LatencyRecorder, RejectReason, StealQueue};
 pub use wal::{WalBatch, WalError, WalScan, WalWriter};

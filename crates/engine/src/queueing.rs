@@ -1,5 +1,5 @@
-//! Latency percentiles and open-loop queueing, for the throughput–latency
-//! curves of the paper's Fig. 10 — plus the lock-free work queue the SOU
+//! Latency percentiles, for the throughput–latency curves of the paper's
+//! Fig. 10 — plus the lock-free work queue the SOU
 //! pool's stealing workers drain ([`StealQueue`]).
 
 // Under `--features loom` the queue runs on the vendored loom model
@@ -199,26 +199,6 @@ impl LatencyRecorder {
     }
 }
 
-/// Open-loop M/D/c queueing estimate of waiting time.
-///
-/// For the Fig. 10 throughput–latency sweep we treat each engine as `c`
-/// deterministic servers with mean service time `service`: as the offered
-/// rate approaches capacity, queueing delay grows without bound. Uses the
-/// standard M/D/1 waiting-time formula per server after splitting arrivals.
-///
-/// Returns `None` when the system is saturated (`rate >= c / service`).
-// dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-pub fn mdc_wait(rate: f64, service: f64, servers: f64) -> Option<f64> {
-    assert!(rate >= 0.0 && service > 0.0 && servers >= 1.0);
-    let per_server_rate = rate / servers;
-    let rho = per_server_rate * service;
-    if rho >= 1.0 {
-        return None;
-    }
-    // M/D/1: Wq = ρ · s / (2(1 − ρ)).
-    Some(rho * service / (2.0 * (1.0 - rho)))
-}
-
 /// Why an admission controller turned a request away. The serving layer
 /// returns these to clients verbatim (with a bounded retry hint), so the
 /// set is a wire-visible contract: variants are appended, never reordered.
@@ -406,22 +386,6 @@ mod tests {
         assert_eq!(r.percentile(1.0), 10.0);
         r.record(1.0);
         assert_eq!(r.percentile(0.5), 1.0);
-    }
-
-    #[test]
-    fn wait_grows_toward_saturation() {
-        let s = 1.0;
-        let low = mdc_wait(0.1, s, 1.0).unwrap();
-        let high = mdc_wait(0.9, s, 1.0).unwrap();
-        assert!(high > 10.0 * low);
-        assert_eq!(mdc_wait(1.0, s, 1.0), None, "saturated");
-    }
-
-    #[test]
-    fn more_servers_reduce_wait() {
-        let one = mdc_wait(0.8, 1.0, 1.0).unwrap();
-        let many = mdc_wait(0.8, 1.0, 16.0).unwrap();
-        assert!(many < one);
     }
 
     #[test]

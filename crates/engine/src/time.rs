@@ -44,6 +44,7 @@ pub trait Clock: Send + Sync {
 /// assert_eq!(clk.now_ns(), 1_500);
 /// ```
 #[derive(Clone, Debug, Default)]
+// dcart_lint::allow(U1) -- the Clock seam's test double: tests move deadlines with it
 pub struct TestClock {
     now: Arc<AtomicU64>,
 }

@@ -32,7 +32,7 @@
 //! per-batch ground truth: replaying a batch must reproduce exactly the
 //! digest its commit record promised.
 //!
-//! Simulated crashes ([`CrashInjector`](crate::faults::CrashInjector))
+//! Simulated crashes ([`CrashInjector`])
 //! leave the file in precisely the state a real process death would: a
 //! deterministic prefix of a record for [`CrashSite::MidRecord`], a
 //! committed-but-unmarked batch for [`CrashSite::BeforeCommit`].

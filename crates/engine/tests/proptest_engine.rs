@@ -1,59 +1,10 @@
 //! Property-based tests for the timing primitives.
 
-use dcart_engine::{mdc_wait, Clock, LatencyRecorder, NonBlockingUnit, Pipeline};
+use dcart_engine::{Clock, LatencyRecorder, NonBlockingUnit};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// A pipeline can never finish faster than its busiest stage, nor than
-    /// the longest single item, and items complete in order.
-    #[test]
-    fn pipeline_lower_bounds(
-        items in proptest::collection::vec(
-            proptest::array::uniform3(1u64..20),
-            1..100,
-        ),
-    ) {
-        let mut p = Pipeline::new(3).record_completions();
-        for lat in &items {
-            p.push(lat);
-        }
-        let run = p.finish();
-        // Lower bound 1: the busiest stage's total work.
-        let max_stage: u64 = (0..3)
-            .map(|s| items.iter().map(|l| l[s]).sum())
-            .max()
-            .unwrap();
-        prop_assert!(run.total_cycles >= max_stage);
-        // Lower bound 2: any single item's end-to-end latency.
-        let longest: u64 = items.iter().map(|l| l.iter().sum()).max().unwrap();
-        prop_assert!(run.total_cycles >= longest);
-        // Upper bound: fully serialized execution.
-        let serial: u64 = items.iter().map(|l| l.iter().sum::<u64>()).sum();
-        prop_assert!(run.total_cycles <= serial);
-        // Completions are monotone (in-order pipeline).
-        for w in run.completions.windows(2) {
-            prop_assert!(w[0] <= w[1]);
-        }
-        prop_assert_eq!(run.items, items.len() as u64);
-    }
-
-    /// Stage utilization is in [0, 1] for every stage: no stage is busy
-    /// longer than the run.
-    #[test]
-    fn utilization_bounded(
-        items in proptest::collection::vec(proptest::array::uniform2(1u64..10), 1..50),
-    ) {
-        let mut p = Pipeline::new(2);
-        for lat in &items {
-            p.push(lat);
-        }
-        let run = p.finish();
-        for (s, &busy) in run.stage_busy.iter().enumerate() {
-            prop_assert!(busy <= run.total_cycles, "stage {s}: {busy} > {}", run.total_cycles);
-        }
-    }
 
     /// Clock conversions round-trip within one cycle.
     #[test]
@@ -103,23 +54,5 @@ proptest! {
         let serial: u64 = ops.iter().map(|&(o, l)| o.max(l)).sum();
         prop_assert!(drain >= occ_sum, "issue port is serial");
         prop_assert!(drain <= serial, "never slower than fully blocking");
-    }
-
-    /// Queueing wait is nonnegative, increasing in load, and None at or
-    /// beyond saturation.
-    #[test]
-    fn mdc_wait_behaves(rate in 0.01f64..10.0, service in 0.01f64..10.0, servers in 1.0f64..32.0) {
-        let cap = servers / service;
-        match mdc_wait(rate, service, servers) {
-            Some(w) => {
-                prop_assert!(rate < cap);
-                prop_assert!(w >= 0.0);
-                // More load → more waiting.
-                if let Some(w2) = mdc_wait(rate * 0.5, service, servers) {
-                    prop_assert!(w2 <= w + 1e-12);
-                }
-            }
-            None => prop_assert!(rate >= cap),
-        }
     }
 }

@@ -170,22 +170,6 @@ impl ObjectBuffer {
         self.stats.evictions += 1;
     }
 
-    /// Updates the value of a resident object (no effect under LRU/FIFO, or
-    /// if absent). DCART refreshes node values after each combining phase,
-    /// when new per-bucket operation counts are known.
-    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-    pub fn set_value(&mut self, id: u64, value: u64) {
-        if self.policy != BufferPolicy::ValueAware {
-            return;
-        }
-        if let Some(entry) = self.entries.get_mut(&id) {
-            let old = entry.priority;
-            entry.priority = (value, id);
-            self.order.remove(&old);
-            self.order.insert(entry.priority);
-        }
-    }
-
     /// Removes an object (e.g. a freed tree node), if resident.
     pub fn invalidate(&mut self, id: u64) {
         if let Some(entry) = self.entries.remove(&id) {
@@ -288,17 +272,6 @@ mod tests {
         // Equal value must not thrash (strictly-greater admission).
         assert_eq!(buf.request(2, 100, 10), BufferOutcome::MissBypassed);
         assert!(buf.contains(1));
-    }
-
-    #[test]
-    fn set_value_reorders_victims() {
-        let mut buf = ObjectBuffer::new(200, BufferPolicy::ValueAware);
-        buf.request(1, 100, 50);
-        buf.request(2, 100, 40);
-        buf.set_value(2, 90); // object 2 becomes valuable
-        assert_eq!(buf.request(3, 100, 60), BufferOutcome::MissFilled); // evicts 1 now
-        assert!(!buf.contains(1));
-        assert!(buf.contains(2));
     }
 
     #[test]

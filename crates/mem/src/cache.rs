@@ -126,19 +126,6 @@ impl SetAssocCache {
         Access::Miss
     }
 
-    /// Accesses `lines` consecutive cache lines starting at `addr`,
-    /// returning how many missed.
-    // dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-    pub fn access_span(&mut self, addr: u64, lines: u32) -> u32 {
-        let mut misses = 0;
-        for i in 0..u64::from(lines) {
-            if self.access(addr + i * LINE_BYTES) == Access::Miss {
-                misses += 1;
-            }
-        }
-        misses
-    }
-
     /// Invalidates every resident line (fault injection: an eviction storm
     /// or coherence flush). Valid lines are counted as evictions; stats and
     /// geometry are kept. Returns how many lines were dropped.
@@ -204,14 +191,6 @@ mod tests {
         c.access(64); // set 1
         assert_eq!(c.access(0), Access::Hit);
         assert_eq!(c.access(64), Access::Hit);
-    }
-
-    #[test]
-    fn access_span_counts_misses() {
-        let mut c = SetAssocCache::new(4096, 4);
-        assert_eq!(c.access_span(0, 3), 3);
-        assert_eq!(c.access_span(0, 3), 0);
-        assert_eq!(c.access_span(128, 2), 1, "line at 128 already resident");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!   exact access streams of instrumented ART traversals;
 //! * [`ObjectBuffer`] — on-chip BRAM scratchpads with LRU, FIFO, and the
 //!   paper's **value-aware** replacement (§III-E);
-//! * [`MemoryModel`] — off-chip DDR/HBM latency+bandwidth accounting,
-//!   cross-validated by the event-driven [`HbmSim`] channel simulator;
-//! * [`LineUtilization`] — the Fig. 2(c) useful-bytes-per-line metric;
+//! * [`MemoryConfig`] — off-chip DDR/HBM latency, bandwidth and
+//!   parallelism, charged by the accelerator model and the baselines;
 //! * [`EnergyModel`] — per-platform power models behind Fig. 11;
 //! * [`PersistStats`] — byte accounting for the durability layer (WAL and
 //!   checkpoint traffic, set against the on-chip buffer capacities).
@@ -22,14 +21,10 @@ mod buffer;
 mod cache;
 mod dram;
 mod energy;
-mod hbm_sim;
-mod line;
 mod persist;
 
 pub use buffer::{BufferOutcome, BufferPolicy, BufferStats, ObjectBuffer};
 pub use cache::{Access, CacheStats, SetAssocCache, LINE_BYTES};
-pub use dram::{MemoryConfig, MemoryModel};
+pub use dram::MemoryConfig;
 pub use energy::EnergyModel;
-pub use hbm_sim::{Completion, HbmSim, HbmSimConfig};
-pub use line::LineUtilization;
 pub use persist::PersistStats;

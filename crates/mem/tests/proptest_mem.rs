@@ -3,9 +3,7 @@
 
 use std::collections::HashMap;
 
-use dcart_mem::{
-    Access, BufferOutcome, BufferPolicy, LineUtilization, ObjectBuffer, SetAssocCache,
-};
+use dcart_mem::{Access, BufferOutcome, BufferPolicy, ObjectBuffer, SetAssocCache};
 use proptest::prelude::*;
 
 /// A straightforward reference LRU buffer: a vector kept in recency order.
@@ -115,26 +113,5 @@ proptest! {
         prop_assert_eq!(s.hits + s.misses, s.accesses);
         prop_assert_eq!(s.accesses, addrs.len() as u64);
         prop_assert!(s.evictions <= s.misses);
-    }
-
-    /// Line-utilization ratio stays in [0, 1] and merging preserves totals.
-    #[test]
-    fn line_utilization_bounds(
-        records in proptest::collection::vec((0u32..600, 1u32..10), 1..100),
-    ) {
-        let mut all = LineUtilization::new();
-        let mut parts = (LineUtilization::new(), LineUtilization::new());
-        for (i, &(useful, lines)) in records.iter().enumerate() {
-            all.record(useful, lines);
-            if i % 2 == 0 {
-                parts.0.record(useful, lines);
-            } else {
-                parts.1.record(useful, lines);
-            }
-        }
-        let mut merged = parts.0;
-        merged.merge(parts.1);
-        prop_assert_eq!(merged, all);
-        prop_assert!((0.0..=1.0).contains(&all.ratio()));
     }
 }

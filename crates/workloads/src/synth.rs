@@ -43,30 +43,6 @@ pub fn random_sparse(n: usize, seed: u64) -> KeySet {
     build("RS", set.into_iter().collect(), n, &mut rng)
 }
 
-/// Hot-prefix keys (**HP**): a `hot_share` fraction of the keys shares one
-/// leading byte, concentrating that share of a uniform op stream in a
-/// single combining bucket — the adversarial shape for the bucket
-/// executor, which the adaptive sub-sharding bench cells are built on.
-/// The bytes *below* the hot prefix stay uniform, so a split bucket
-/// spreads over its next-byte fanout. The remaining keys are uniform
-/// sparse draws.
-// dcart_lint::allow(U1) -- test-only; deleting it retires pinned tests (ROADMAP item 7)
-pub fn hot_prefix(n: usize, hot_share: f64, seed: u64) -> KeySet {
-    assert!(n > 0, "key count must be positive");
-    assert!((0.0..=1.0).contains(&hot_share), "hot_share must be in [0, 1]");
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x407e);
-    let want = n + n / 4;
-    let hot = ((want as f64) * hot_share) as usize;
-    let mut set: BTreeSet<u64> = BTreeSet::new();
-    while set.len() < hot {
-        set.insert(0xAB00_0000_0000_0000 | (rng.gen::<u64>() >> 8));
-    }
-    while set.len() < want {
-        set.insert(rng.gen());
-    }
-    build("HP", set.into_iter().collect(), n, &mut rng)
-}
-
 /// Random dense keys: unique draws from `[0, 16 n)`.
 pub fn random_dense(n: usize, seed: u64) -> KeySet {
     assert!(n > 0, "key count must be positive");
@@ -124,20 +100,5 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(random_sparse(100, 9).keys, random_sparse(100, 9).keys);
-        assert_eq!(hot_prefix(100, 0.75, 9).keys, hot_prefix(100, 0.75, 9).keys);
-    }
-
-    #[test]
-    fn hot_prefix_concentrates_one_leading_byte() {
-        let ks = hot_prefix(2_000, 0.75, 5);
-        assert_eq!(ks.keys.len(), 2_000);
-        let hot = ks.keys.iter().filter(|k| k.as_bytes()[0] == 0xAB).count();
-        assert!((1_300..=1_700).contains(&hot), "~75 % of keys share the hot byte: {hot}/2000");
-        // The next byte spreads, so sub-sharding has something to fan over.
-        let mut next_bytes = BTreeSet::new();
-        for k in ks.keys.iter().filter(|k| k.as_bytes()[0] == 0xAB) {
-            next_bytes.insert(k.as_bytes()[1]);
-        }
-        assert!(next_bytes.len() > 64, "second byte stays uniform: {}", next_bytes.len());
     }
 }

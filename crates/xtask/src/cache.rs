@@ -20,7 +20,7 @@ use crate::rules::{Diagnostic, RULE_IDS};
 
 /// Bump on any change to rule behaviour or the diagnostic format, or every
 /// stale cache entry becomes a wrong answer.
-pub const RULES_VERSION: &str = "dcart-lint-v4";
+pub const RULES_VERSION: &str = "dcart-lint-v5";
 
 /// FNV-1a over a byte stream.
 fn fnv1a(chunks: &[&[u8]]) -> u64 {

@@ -707,9 +707,11 @@ const U1_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "static",
 /// code. `ctxs[i]` and `toks[i]` describe the same analyzed file; `corpus`
 /// holds the tokens and test-region maps of read-only code that uses the
 /// libraries (`examples/`, the `benchmark/` package). Not references: the
-/// definition names themselves, `use` / `pub use` declarations, and
-/// `#[cfg(test)]` regions. Matching is by name, so a false hit hides a
-/// dead item but never flags a live one.
+/// definition names themselves, `use` / `pub use` declarations,
+/// `#[cfg(test)]` regions, and a type's name inside its own `impl` block
+/// (header and body), so `impl Default for T { .. T::new() .. }` does not
+/// keep `T` alive. Matching is by name, so a false hit hides a dead item
+/// but never flags a live one.
 pub fn u1(
     ctxs: &[FileCtx],
     toks: &[&[Tok]],
@@ -754,6 +756,9 @@ fn u1_walk<'t>(
     in_test: &[bool],
     refs: &mut BTreeSet<&'t str>,
 ) -> Vec<(usize, usize)> {
+    let impls = impl_blocks(toks);
+    let in_own_impl =
+        |i: usize, name: &str| impls.iter().any(|&(s, e, ty)| s <= i && i <= e && ty == name);
     let mut pubs = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -773,11 +778,56 @@ fn u1_walk<'t>(
             }
             i = name + 1;
         } else {
-            refs.insert(&t.text);
+            if !in_own_impl(i, &t.text) {
+                refs.insert(&t.text);
+            }
             i += 1;
         }
     }
     pubs
+}
+
+/// Every `impl` block of `toks` as `(impl token, closing brace, self type)`.
+/// The self type is the last top-level identifier of the header after any
+/// `for` (`impl<E> Default for EventQueue<E>` → `EventQueue`). Only an
+/// `impl` in item position opens a block; `-> impl Trait` does not.
+fn impl_blocks(toks: &[Tok]) -> Vec<(usize, usize, &str)> {
+    let mut blocks = Vec::new();
+    for i in 0..toks.len() {
+        let item_position =
+            i == 0 || matches!(toks[i - 1].text.as_str(), "}" | ";" | "]" | "{" | "unsafe");
+        if toks[i].text != "impl" || !item_position {
+            continue;
+        }
+        let (mut angle, mut in_where, mut self_ty) = (0i32, false, None);
+        let mut j = i + 1;
+        while let Some(t) = toks.get(j) {
+            match t.text.as_str() {
+                "<" => angle += 1,
+                ">" => angle -= 1,
+                ">>" => angle -= 2,
+                "{" if angle == 0 => break,
+                "where" if angle == 0 => in_where = true,
+                "for" if angle == 0 && !in_where => self_ty = None,
+                _ if angle == 0 && !in_where && t.is_ident => self_ty = Some(t.text.as_str()),
+                _ => {}
+            }
+            j += 1;
+        }
+        let mut depth = 0usize;
+        let close = (j..toks.len()).find(|&k| {
+            match toks[k].text.as_str() {
+                "{" => depth += 1,
+                "}" => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        });
+        if let (Some(ty), Some(close)) = (self_ty, close) {
+            blocks.push((i, close, ty));
+        }
+    }
+    blocks
 }
 
 /// If an item definition (`fn`, `struct`, ..., `mod`, possibly after

@@ -18,6 +18,22 @@ pub struct Unmentioned;
 /// A constant nothing reads.
 pub const UNREAD: u32 = 3;
 
+/// Named only by its own `impl` blocks: their headers, an `impl Default`,
+/// and `SelfNamed::new()` inside its own body.
+pub struct SelfNamed;
+
+impl SelfNamed {
+    fn new() -> Self {
+        SelfNamed
+    }
+}
+
+impl Default for SelfNamed {
+    fn default() -> Self {
+        SelfNamed::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,6 +33,23 @@ pub(crate) fn crate_internal() -> u32 {
     4
 }
 
+/// Used as the type of another struct's field.
+pub struct UsedAsAFieldType;
+
+/// Named inside another type's `impl` body.
+pub struct NamedInAnotherImpl;
+
+/// Private, so not judged; its field and its `impl` are references.
+struct Holder {
+    part: UsedAsAFieldType,
+}
+
+impl Holder {
+    fn other(&self) -> NamedInAnotherImpl {
+        NamedInAnotherImpl
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -278,8 +278,8 @@ fn a1_has_no_exempt_file() {
 
 #[test]
 fn u1_judges_the_whole_program() {
-    // Test-only, re-export-only and unmentioned items fire, each at its
-    // `pub` token.
+    // Test-only, re-export-only, unmentioned and self-named-only items
+    // fire, each at its `pub` token.
     let bad = read_fixture("u1_bad.rs");
     let diags = analyze("U1", &bad);
     let named: Vec<&str> = diags
@@ -296,7 +296,8 @@ fn u1_judges_the_whole_program() {
             "pub fn only_tested",
             "pub fn only_reexported",
             "pub struct Unmentioned",
-            "pub const UNREAD"
+            "pub const UNREAD",
+            "pub struct SelfNamed"
         ]
     );
 
