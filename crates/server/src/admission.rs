@@ -68,8 +68,8 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Admission counters, serialized into the `stats` wire response and
-/// `BENCH_serve.json` so overload behavior is observable, not inferred.
+/// Admission counters, serialized into the `stats` wire response so
+/// overload behavior is observable, not inferred.
 #[derive(Clone, Copy, Default, Debug, Serialize)]
 pub struct AdmissionCounters {
     /// Requests admitted to the queue.

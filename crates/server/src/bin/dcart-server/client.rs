@@ -33,12 +33,9 @@ pub struct Accum {
     pub errors: u64,
     /// Round-trip latencies of accepted (acked) requests only.
     pub latencies_ns: Vec<u64>,
-    /// Keys whose inserts were acknowledged — the durability ledger the
-    /// chaos cell audits after kill + restart.
+    /// Keys whose inserts were acknowledged — the durability ledger
+    /// `verify-acked` audits after kill + restart.
     pub acked_insert_keys: Vec<u64>,
-    /// Keys whose gets were acknowledged with *no* value — what the
-    /// post-crash audit counts as lost if they were previously acked.
-    pub get_misses: Vec<u64>,
 }
 
 pub struct Client {
@@ -76,9 +73,6 @@ impl Client {
                         }
                         if s.kind == RequestKind::Insert {
                             acc.acked_insert_keys.push(s.key);
-                        }
-                        if s.kind == RequestKind::Get && resp.value.is_none() {
-                            acc.get_misses.push(s.key);
                         }
                     }
                     (Status::Rejected, _) => {

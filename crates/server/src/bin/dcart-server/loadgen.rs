@@ -5,15 +5,14 @@
 //! Determinism contract: the *content* of the load — arrival offsets,
 //! op kinds, keys, values — is a pure function of `(seed, config)`. Only
 //! the pacing (how offsets map onto real time) touches the clock, so the
-//! same seed offered to the in-process determinism test reproduces the
-//! identical operation stream.
+//! same seed offers the identical operation stream on every run.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use dcart_engine::time::Clock;
 use dcart_server::wire::RequestKind;
-use dcart_workloads::{ArrivalPattern, Arrivals, Op, OpKind};
+use dcart_workloads::Arrivals;
 use serde::Serialize;
 
 use crate::client::{percentile_us, Accum, Client};
@@ -24,7 +23,6 @@ pub struct LoadConfig {
     pub seed: u64,
     pub qps: u64,
     pub ops: u64,
-    pub pattern: ArrivalPattern,
     /// Percentages of the op mix; the remainder are gets.
     pub insert_pct: u8,
     pub remove_pct: u8,
@@ -43,7 +41,6 @@ impl Default for LoadConfig {
             seed: 42,
             qps: 20_000,
             ops: 10_000,
-            pattern: ArrivalPattern::Uniform,
             insert_pct: 40,
             remove_pct: 5,
             scan_pct: 5,
@@ -54,8 +51,7 @@ impl Default for LoadConfig {
     }
 }
 
-/// What one load run produced — embedded verbatim in `BENCH_serve.json`
-/// and printed by the `load` subcommand.
+/// What one load run produced, printed by the `load` subcommand.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct LoadSummary {
     pub offered: u64,
@@ -100,14 +96,6 @@ impl LoadSummary {
             mean_us,
         }
     }
-
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_overloaded
-            + self.rejected_deadline
-            + self.rejected_shed_scan
-            + self.rejected_shed_read
-            + self.rejected_draining
-    }
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -118,9 +106,8 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 /// The seeded op stream: `(kind, key, value)` for op `i` is a pure
-/// function of the config. The same function feeds the live load and the
-/// offline determinism check.
-pub fn op_at(cfg: &LoadConfig, i: u64) -> (RequestKind, u64, u64) {
+/// function of the config.
+fn op_at(cfg: &LoadConfig, i: u64) -> (RequestKind, u64, u64) {
     let mix = splitmix64(cfg.seed ^ 0x006f_706d_6978 ^ i) % 100;
     let key = splitmix64(cfg.seed ^ 0x006b_6579 ^ i) % cfg.keys.max(1);
     let insert_hi = cfg.insert_pct as u64;
@@ -137,23 +124,6 @@ pub fn op_at(cfg: &LoadConfig, i: u64) -> (RequestKind, u64, u64) {
     }
 }
 
-/// The identical stream as executor [`Op`]s — what the repro path runs to
-/// cross-check the server's answer digest.
-pub fn ops_for(cfg: &LoadConfig) -> Vec<Op> {
-    (0..cfg.ops)
-        .map(|i| {
-            let (kind, key, value) = op_at(cfg, i);
-            let kind = match kind {
-                RequestKind::Insert => OpKind::Insert,
-                RequestKind::Remove => OpKind::Remove,
-                RequestKind::Scan => OpKind::Scan,
-                _ => OpKind::Read,
-            };
-            Op { kind, key: dcart_art::Key::from_u64(key), value }
-        })
-        .collect()
-}
-
 /// Runs the paced load against `addr`. Open-loop: a request is sent at
 /// its scheduled offset whether or not earlier ones have been answered,
 /// so server-side queueing shows up as latency, not generator back-off.
@@ -164,7 +134,7 @@ pub fn run_load(
     grace: Duration,
 ) -> std::io::Result<(LoadSummary, Vec<u64>)> {
     let mut client = Client::connect(addr, Arc::clone(&clock))?;
-    let schedule = Arrivals::new(cfg.seed, cfg.qps, cfg.pattern);
+    let schedule = Arrivals::new(cfg.seed, cfg.qps);
     let start = clock.now_ns();
     let mut send_failures = 0u64;
     for (i, offset) in schedule.take(cfg.ops as usize).enumerate() {

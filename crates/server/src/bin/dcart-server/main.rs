@@ -4,24 +4,21 @@
 //! dcart-server serve  --addr HOST:PORT [--data-dir DIR] [--sou-threads N]
 //!                     [--steal] [--batch-size N] [--linger-us N]
 //!                     [--checkpoint-every N] [--queue-capacity N]
-//! dcart-server bench  [--out FILE] [--seed S] [--sou-threads N] [--steal]
-//!                     [--data-dir DIR]
 //! dcart-server load   --addr HOST:PORT [--qps N] [--ops N] [--seed S]
-//!                     [--pattern uniform|bursty] [--insert-pct P]
-//!                     [--remove-pct P] [--scan-pct P] [--budget-us N]
-//!                     [--acked-log FILE]
+//!                     [--insert-pct P] [--remove-pct P] [--scan-pct P]
+//!                     [--budget-us N] [--acked-log FILE]
 //! dcart-server verify-acked --addr HOST:PORT --log FILE
 //! ```
 //!
 //! `serve` runs until SIGINT or a `shutdown` wire request, then drains
-//! gracefully (stop accepting, flush, checkpoint) and exits 0. `bench`
-//! writes the overload/chaos/determinism proof to `BENCH_serve.json`.
+//! gracefully (stop accepting, flush, checkpoint) and exits 0.
 //! `load` drives a remote server with a seeded open-loop schedule and can
 //! log acknowledged insert keys; `verify-acked` audits that log after a
-//! crash+restart — it exits nonzero if any acknowledged write is missing.
-//! A flag the subcommand does not take is an error, not ignored.
+//! crash+restart — it exits nonzero if any acknowledged write is missing,
+//! and refuses a ledger line that is not a key. A flag the subcommand
+//! does not take is an error, not ignored, and so is a value out of its
+//! range.
 
-mod bench_cmd;
 mod client;
 mod clock;
 mod loadgen;
@@ -36,23 +33,20 @@ use std::time::Duration;
 use dcart_engine::time::Clock;
 use dcart_server::wire::{Request, RequestKind};
 use dcart_server::{serve, signal, ServerConfig};
-use dcart_workloads::ArrivalPattern;
 
-use bench_cmd::BenchOpts;
 use client::{request_sync, write_acked_log};
 use clock::WallClock;
 use loadgen::LoadConfig;
 
 fn print_usage() {
     eprintln!(
-        "usage: dcart-server <serve|bench|load|verify-acked> [options]\n\
+        "usage: dcart-server <serve|load|verify-acked> [options]\n\
          serve        --addr HOST:PORT [--data-dir DIR] [--sou-threads N] [--steal]\n\
          \x20            [--batch-size N] [--linger-us N] [--checkpoint-every N]\n\
          \x20            [--queue-capacity N]\n\
-         bench        [--out FILE] [--seed S] [--sou-threads N] [--steal] [--data-dir DIR]\n\
          load         --addr HOST:PORT [--qps N] [--ops N] [--seed S]\n\
-         \x20            [--pattern uniform|bursty] [--insert-pct P] [--remove-pct P]\n\
-         \x20            [--scan-pct P] [--budget-us N] [--acked-log FILE]\n\
+         \x20            [--insert-pct P] [--remove-pct P] [--scan-pct P]\n\
+         \x20            [--budget-us N] [--acked-log FILE]\n\
          verify-acked --addr HOST:PORT --log FILE"
     );
 }
@@ -88,6 +82,18 @@ impl Flags {
                 .ok()
                 .filter(|&n| n > 0)
                 .ok_or_else(|| format!("{flag} expects a positive integer, got '{v}'")),
+        }
+    }
+
+    /// A share of the op mix: above 100 is an error, not a clamp.
+    fn parse_pct(&self, flag: &str, default: u8) -> Result<u8, String> {
+        match self.value_of(flag) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|&p| p <= 100)
+                .ok_or_else(|| format!("{flag} expects a percentage from 0 to 100, got '{v}'")),
         }
     }
 
@@ -162,31 +168,6 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
     }
 }
 
-fn cmd_bench(flags: &Flags) -> ExitCode {
-    let opts = match (|| -> Result<BenchOpts, String> {
-        let opts = BenchOpts {
-            seed: flags.parse_u64("--seed", 42)?,
-            sou_threads: flags.parse_u64("--sou-threads", 2)? as usize,
-            steal: flags.has("--steal"),
-            out: PathBuf::from(flags.value_of("--out").unwrap_or("reports/BENCH_serve.json")),
-            data_dir: PathBuf::from(
-                flags.value_of("--data-dir").unwrap_or("reports/serve_chaos_data"),
-            ),
-        };
-        flags.reject_unknown("bench").map(|()| opts)
-    })() {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    match bench_cmd::run_bench(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("dcart-server: bench failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn cmd_load(flags: &Flags) -> ExitCode {
     let Some(addr) = flags.value_of("--addr") else {
         return fail("load needs --addr HOST:PORT");
@@ -195,19 +176,22 @@ fn cmd_load(flags: &Flags) -> ExitCode {
     let cfg = match (|| -> Result<LoadConfig, String> {
         let mut cfg = LoadConfig {
             seed: flags.parse_u64("--seed", 42)?,
-            qps: flags.parse_u64("--qps", 20_000)?.max(1),
+            qps: flags.parse_positive("--qps", 20_000)?,
             ops: flags.parse_u64("--ops", 10_000)?,
             budget_ns: flags.parse_u64("--budget-us", 0)? * 1_000,
             ..LoadConfig::default()
         };
-        cfg.insert_pct = flags.parse_u64("--insert-pct", 40)?.min(100) as u8;
-        cfg.remove_pct = flags.parse_u64("--remove-pct", 5)?.min(100) as u8;
-        cfg.scan_pct = flags.parse_u64("--scan-pct", 5)?.min(100) as u8;
-        cfg.pattern = match flags.value_of("--pattern") {
-            None | Some("uniform") => ArrivalPattern::Uniform,
-            Some("bursty") => ArrivalPattern::Bursty,
-            Some(p) => return Err(format!("unknown pattern '{p}' (want uniform or bursty)")),
-        };
+        cfg.insert_pct = flags.parse_pct("--insert-pct", 40)?;
+        cfg.remove_pct = flags.parse_pct("--remove-pct", 5)?;
+        cfg.scan_pct = flags.parse_pct("--scan-pct", 5)?;
+        let (insert, remove, scan) = (cfg.insert_pct, cfg.remove_pct, cfg.scan_pct);
+        let writes_and_scans = u16::from(insert) + u16::from(remove) + u16::from(scan);
+        if writes_and_scans > 100 {
+            return Err(format!(
+                "--insert-pct {insert} + --remove-pct {remove} + --scan-pct {scan} \
+                 = {writes_and_scans}, more than 100"
+            ));
+        }
         flags.reject_unknown("load").map(|()| cfg)
     })() {
         Ok(c) => c,
@@ -250,7 +234,13 @@ fn cmd_verify_acked(flags: &Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let keys: Vec<u64> = text.lines().filter_map(|l| l.trim().parse().ok()).collect();
+    let keys = match parse_ledger(&text) {
+        Ok(keys) => keys,
+        Err(e) => {
+            eprintln!("dcart-server: {log}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut stream = match TcpStream::connect(addr) {
         Ok(s) => s,
         Err(e) => {
@@ -283,6 +273,23 @@ fn cmd_verify_acked(flags: &Flags) -> ExitCode {
     }
 }
 
+/// One acked key per line, blank lines skipped. Any other line is damage,
+/// and an audit that skipped it would check fewer keys and still pass.
+fn parse_ledger(text: &str) -> Result<Vec<u64>, String> {
+    let mut keys = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        match line.parse() {
+            Ok(key) => keys.push(key),
+            Err(_) => return Err(format!("line {} is not a key: '{line}'", i + 1)),
+        }
+    }
+    Ok(keys)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().cloned() else {
@@ -292,7 +299,6 @@ fn main() -> ExitCode {
     let flags = Flags { known: args.iter().map(|_| Cell::new(false)).collect(), args };
     match cmd.as_str() {
         "serve" => cmd_serve(&flags),
-        "bench" => cmd_bench(&flags),
         "load" => cmd_load(&flags),
         "verify-acked" => cmd_verify_acked(&flags),
         "help" | "--help" | "-h" => {

@@ -26,10 +26,11 @@
 //!   keys are prefix-free, so a hostile client cannot trigger executor
 //!   aborts); corrupt bytes produce typed errors, never panics.
 //!
-//! The proof obligations live in the benches and tests: the server path
-//! produces byte-identical digests to the offline repro path, p99 of
-//! *accepted* requests stays bounded under overload while rejections
-//! absorb the excess, and a mid-load kill loses zero acknowledged writes.
+//! The proof obligations are tier-1 tests, listed in DESIGN.md's
+//! "Online serving & overload behavior": the server path produces
+//! byte-identical digests to the offline repro path, rejections and
+//! deadlines bound what an accepted request waits under overload, and a
+//! mid-load kill loses zero acknowledged writes.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

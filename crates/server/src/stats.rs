@@ -1,7 +1,7 @@
 //! Observability: the stats snapshot served by the `stats` wire request
-//! and embedded in `BENCH_serve.json` — queue depth, shed counts, latch
-//! state, and storage traffic, so overload behavior is observable rather
-//! than inferred from latency curves.
+//! — queue depth, shed counts, latch state, and storage traffic, so
+//! overload behavior is observable rather than inferred from latency
+//! curves.
 
 use dcart_mem::PersistStats;
 use serde::Serialize;

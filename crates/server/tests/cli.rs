@@ -73,3 +73,41 @@ fn every_subcommand_refuses_a_flag_it_does_not_take() {
         "unknown flag '--steal' for load",
     );
 }
+
+#[test]
+fn the_bench_subcommand_is_gone() {
+    assert_refused(&["bench"], "unknown subcommand 'bench'");
+}
+
+#[test]
+fn load_rejects_a_zero_rate_and_an_impossible_mix() {
+    assert_refused(
+        &["load", "--addr", "127.0.0.1:0", "--qps", "0"],
+        "--qps expects a positive integer, got '0'",
+    );
+    for flag in ["--insert-pct", "--remove-pct", "--scan-pct"] {
+        assert_refused(
+            &["load", "--addr", "127.0.0.1:0", flag, "150"],
+            &format!("{flag} expects a percentage from 0 to 100, got '150'"),
+        );
+    }
+    // With the default --remove-pct 5 this asks for 115 % of the ops.
+    assert_refused(
+        &["load", "--addr", "127.0.0.1:0", "--insert-pct", "90", "--scan-pct", "20"],
+        "--insert-pct 90 + --remove-pct 5 + --scan-pct 20 = 115, more than 100",
+    );
+}
+
+#[test]
+fn verify_acked_refuses_a_damaged_ledger_before_connecting() {
+    let ledger = std::env::temp_dir().join(format!("dcart_cli_ledger_{}", std::process::id()));
+    std::fs::write(&ledger, "17\n\n42\n4x2\n99\n").expect("write ledger");
+    // Port 1 has no server: a refusal that names the line came first.
+    let log = ledger.to_str().expect("utf-8 temp path");
+    let out = dcart_server(&["verify-acked", "--addr", "127.0.0.1:1", "--log", log]);
+    let _ = std::fs::remove_file(&ledger);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    assert!(err.contains("line 4 is not a key: '4x2'"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+}

@@ -1,37 +1,14 @@
-//! Seeded deterministic arrival processes for the serving layer's
-//! closed-loop load generator.
+//! A seeded deterministic arrival process for the serving layer's
+//! open-loop load generator.
 //!
 //! Everything here is integer arithmetic over a splitmix64 stream — no
-//! floats, no transcendental functions — so a `(seed, qps, pattern)`
-//! triple produces the *same byte-identical timestamp stream on every
-//! platform*, which is what lets `BENCH_serve.json` cells be compared
-//! across machines and lets the chaos experiment replay the exact offered
-//! load that preceded a kill.
+//! floats, no transcendental functions — so a `(seed, qps)` pair
+//! produces the *same byte-identical timestamp stream on every
+//! platform*, which is what makes `dcart-server load --seed` offer the
+//! same load on every run and every machine.
 //!
-//! Two shapes:
-//!
-//! * [`ArrivalPattern::Uniform`] — independent gaps drawn uniformly in
-//!   `[0, 2·mean]`; steady offered load with per-request jitter.
-//! * [`ArrivalPattern::Bursty`] — a Poisson-like clumped process:
-//!   geometrically-sized bursts (mean ≈ 2, capped at 64) arrive together,
-//!   separated by gaps sized to the burst so the *long-run* rate still
-//!   matches the target QPS. This is the overload cell's stressor: the
-//!   instantaneous rate swings far above the mean while the average stays
-//!   honest.
-
-/// Arrival process shape.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArrivalPattern {
-    /// Jittered-uniform gaps: each inter-arrival time is uniform in
-    /// `[0, 2·mean_gap]`, so the mean rate is the target QPS and the
-    /// instantaneous rate never strays far.
-    Uniform,
-    /// Clumped, Poisson-like arrivals: bursts of geometric size share one
-    /// instant, and the gap after a burst of `s` requests is uniform in
-    /// `[0, 2·s·mean_gap]` — mean-preserving, but with a heavy-tailed
-    /// instantaneous rate.
-    Bursty,
-}
+//! Gaps are independent and uniform in `[0, 2·mean]`: steady offered
+//! load with per-request jitter, and a mean rate equal to the target QPS.
 
 /// An infinite, deterministic stream of absolute arrival timestamps
 /// (nanoseconds from an arbitrary 0 origin), monotone non-decreasing.
@@ -39,13 +16,11 @@ pub enum ArrivalPattern {
 /// # Examples
 ///
 /// ```
-/// use dcart_workloads::{ArrivalPattern, Arrivals};
+/// use dcart_workloads::Arrivals;
 ///
-/// let mut a = Arrivals::new(42, 10_000, ArrivalPattern::Uniform);
+/// let mut a = Arrivals::new(42, 10_000);
 /// let first: Vec<u64> = (&mut a).take(3).collect();
-/// let again: Vec<u64> = Arrivals::new(42, 10_000, ArrivalPattern::Uniform)
-///     .take(3)
-///     .collect();
+/// let again: Vec<u64> = Arrivals::new(42, 10_000).take(3).collect();
 /// assert_eq!(first, again, "same seed, same stream");
 /// ```
 #[derive(Clone, Debug)]
@@ -53,23 +28,18 @@ pub struct Arrivals {
     state: u64,
     now_ns: u64,
     mean_gap_ns: u64,
-    pattern: ArrivalPattern,
-    /// Arrivals still owed at the current instant (bursty mode).
-    burst_left: u32,
 }
 
 impl Arrivals {
     /// A stream targeting `qps` requests per second on average (clamped to
-    /// at least 1), shaped by `pattern`, fully determined by `seed`.
-    pub fn new(seed: u64, qps: u64, pattern: ArrivalPattern) -> Self {
+    /// at least 1), fully determined by `seed`.
+    pub fn new(seed: u64, qps: u64) -> Self {
         Arrivals {
             // Decorrelate the raw seed so seeds 1, 2, 3 ... give unrelated
             // streams (same rationale as the fault injector's site salts).
             state: splitmix64(seed ^ 0xa2c1_5a11_d0c4_11e7),
             now_ns: 0,
             mean_gap_ns: 1_000_000_000 / qps.max(1),
-            pattern,
-            burst_left: 0,
         }
     }
 
@@ -87,26 +57,7 @@ impl Arrivals {
 
     /// The next arrival's absolute timestamp in nanoseconds.
     pub fn next_ns(&mut self) -> u64 {
-        match self.pattern {
-            ArrivalPattern::Uniform => {
-                self.now_ns += self.uniform(2 * self.mean_gap_ns);
-            }
-            ArrivalPattern::Bursty => {
-                if self.burst_left > 0 {
-                    // Mid-burst: same instant.
-                    self.burst_left -= 1;
-                } else {
-                    // Geometric burst size (mean ≈ 2, capped): count the
-                    // trailing zeros of one draw.
-                    let size = 1 + self.draw().trailing_zeros().min(6);
-                    // The gap carries the whole burst's rate budget, so
-                    // the long-run mean stays `mean_gap` per arrival.
-                    let budget = 2 * u64::from(size) * self.mean_gap_ns;
-                    self.now_ns += self.uniform(budget);
-                    self.burst_left = size - 1;
-                }
-            }
-        }
+        self.now_ns += self.uniform(2 * self.mean_gap_ns);
         self.now_ns
     }
 }
@@ -132,56 +83,38 @@ fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
 
-    /// The streams are part of the bench format's reproducibility story:
-    /// if this pin moves, every archived BENCH_serve.json offered-load
-    /// trace silently changes meaning. Update deliberately or never.
+    /// The stream is what makes `load --seed` reproducible: if this pin
+    /// moves, the same seed offers a different load. Update deliberately
+    /// or never.
     #[test]
     fn pinned_streams_for_seed_7() {
-        let uni: Vec<u64> = Arrivals::new(7, 100_000, ArrivalPattern::Uniform).take(6).collect();
-        let bur: Vec<u64> = Arrivals::new(7, 100_000, ArrivalPattern::Bursty).take(6).collect();
+        let uni: Vec<u64> = Arrivals::new(7, 100_000).take(6).collect();
         assert_eq!(uni, [11872, 25446, 31757, 32657, 44958, 64252]);
-        assert_eq!(bur, [13574, 48726, 48726, 68020, 78525, 78525]);
     }
 
     #[test]
     fn monotone_and_deterministic() {
-        for pattern in [ArrivalPattern::Uniform, ArrivalPattern::Bursty] {
-            let a: Vec<u64> = Arrivals::new(99, 50_000, pattern).take(10_000).collect();
-            let b: Vec<u64> = Arrivals::new(99, 50_000, pattern).take(10_000).collect();
-            assert_eq!(a, b);
-            assert!(a.windows(2).all(|w| w[0] <= w[1]), "{pattern:?} went backwards");
-            let c: Vec<u64> = Arrivals::new(100, 50_000, pattern).take(10_000).collect();
-            assert_ne!(a, c, "{pattern:?} ignores the seed");
-        }
+        let a: Vec<u64> = Arrivals::new(99, 50_000).take(10_000).collect();
+        let b: Vec<u64> = Arrivals::new(99, 50_000).take(10_000).collect();
+        assert_eq!(a, b);
+        assert!(a.windows(2).all(|w| w[0] <= w[1]), "went backwards");
+        let c: Vec<u64> = Arrivals::new(100, 50_000).take(10_000).collect();
+        assert_ne!(a, c, "ignores the seed");
     }
 
     #[test]
     fn long_run_rate_matches_target() {
-        for pattern in [ArrivalPattern::Uniform, ArrivalPattern::Bursty] {
-            let n = 200_000u64;
-            let last =
-                Arrivals::new(3, 25_000, pattern).take(n as usize).last().expect("infinite stream");
-            let mean_gap = last / n;
-            let target = 1_000_000_000 / 25_000;
-            let err_pct = mean_gap.abs_diff(target) * 100 / target;
-            assert!(err_pct <= 3, "{pattern:?}: mean gap {mean_gap} vs target {target}");
-        }
-    }
-
-    #[test]
-    fn bursty_actually_bursts() {
-        let a: Vec<u64> = Arrivals::new(11, 100_000, ArrivalPattern::Bursty).take(10_000).collect();
-        let coincident = a.windows(2).filter(|w| w[0] == w[1]).count();
-        assert!(coincident > 1_000, "only {coincident} coincident pairs in 10k arrivals");
-        let u: Vec<u64> =
-            Arrivals::new(11, 100_000, ArrivalPattern::Uniform).take(10_000).collect();
-        let uni_coincident = u.windows(2).filter(|w| w[0] == w[1]).count();
-        assert!(uni_coincident < coincident, "uniform should clump less than bursty");
+        let n = 200_000u64;
+        let last = Arrivals::new(3, 25_000).take(n as usize).last().expect("infinite stream");
+        let mean_gap = last / n;
+        let target = 1_000_000_000 / 25_000;
+        let err_pct = mean_gap.abs_diff(target) * 100 / target;
+        assert!(err_pct <= 3, "mean gap {mean_gap} vs target {target}");
     }
 
     #[test]
     fn zero_qps_clamps_instead_of_dividing_by_zero() {
-        let mut a = Arrivals::new(1, 0, ArrivalPattern::Uniform);
+        let mut a = Arrivals::new(1, 0);
         let t = a.next_ns();
         assert!(t <= 2_000_000_000, "clamped to 1 qps: gap at most 2s");
     }

@@ -26,7 +26,7 @@ pub mod synth;
 mod trace_io;
 mod zipf;
 
-pub use arrivals::{ArrivalPattern, Arrivals};
+pub use arrivals::Arrivals;
 pub use keyset::KeySet;
 pub use ops::{batches, generate_ops, Mix, Op, OpKind, OpStreamConfig};
 pub use spec::Workload;
