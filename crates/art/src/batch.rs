@@ -14,8 +14,12 @@
 //! sequences (in traversal order, with identical [`NodeVisit`] contents),
 //! partial-key-match counts, and resolved target/parent pairs. Only the
 //! *node load count* changes — one load per `(node, wave)` group instead of
-//! one per op — which is exactly the number the per-bucket `nodes_visited`
-//! counter reports upstream.
+//! one per op.
+//!
+//! This is a standalone batch locate over a frozen tree; the batch
+//! executor no longer drives it. Its reads interleave with writes, which
+//! cut every wave short, so it hides its traversals' misses with
+//! [descent hints](crate::DescentHint) instead.
 
 use crate::node::{Node, NodeId};
 use crate::trace::NodeVisit;

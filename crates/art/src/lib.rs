@@ -40,6 +40,7 @@
 
 mod arena;
 mod batch;
+mod hint;
 mod inline;
 mod key;
 pub mod node;
@@ -50,6 +51,7 @@ mod tree;
 mod validate;
 
 pub use batch::LevelWiseScratch;
+pub use hint::DescentHint;
 pub use key::Key;
 pub use node::{NodeId, NodeType};
 pub use serde_impl::{

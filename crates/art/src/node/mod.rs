@@ -224,6 +224,17 @@ impl Children {
         }
     }
 
+    /// Hints that [`find`](Self::find)`(byte)` will run soon: prefetches
+    /// the lines of the layout that lookup reads. Changes nothing.
+    pub fn prefetch_find(&self, byte: u8) {
+        match self {
+            Children::N4(n) => n.prefetch_find(),
+            Children::N16(n) => n.prefetch_find(),
+            Children::N48(n) => n.prefetch_find(byte),
+            Children::N256(n) => n.prefetch_find(byte),
+        }
+    }
+
     /// Inserts a child for `byte`.
     ///
     /// Returns `false` (and does not insert) if the layout is full; the

@@ -45,6 +45,14 @@ impl Node16 {
         self.match_lane(byte).map(|i| self.children[i])
     }
 
+    /// Prefetches what [`find`](Self::find) reads: the key lanes and both
+    /// ends of the child array (the lane is not known before the search).
+    pub fn prefetch_find(&self) {
+        crate::simd::prefetch(&self.keys);
+        crate::simd::prefetch(&self.children[0]);
+        crate::simd::prefetch(&self.children[15]);
+    }
+
     /// Inserts `(byte, child)` preserving sort order; `false` if full.
     pub fn add(&mut self, byte: u8, child: NodeId) -> bool {
         let len = self.len();

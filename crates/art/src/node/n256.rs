@@ -35,6 +35,12 @@ impl Node256 {
         (c != NULL).then_some(c)
     }
 
+    /// Prefetches what [`find`](Self::find) reads: the one slot for
+    /// `byte`.
+    pub fn prefetch_find(&self, byte: u8) {
+        crate::simd::prefetch(&self.children[usize::from(byte)]);
+    }
+
     /// Inserts `(byte, child)`. Never full; always returns `true`.
     pub fn add(&mut self, byte: u8, child: NodeId) -> bool {
         debug_assert!(child != NULL);

@@ -42,6 +42,12 @@ impl Node4 {
         self.position(byte).map(|i| self.children[i])
     }
 
+    /// Prefetches what [`find`](Self::find) reads: the whole node, which
+    /// fits in one line.
+    pub fn prefetch_find(&self) {
+        crate::simd::prefetch(self);
+    }
+
     /// Inserts `(byte, child)` preserving sort order; `false` if full.
     pub fn add(&mut self, byte: u8, child: NodeId) -> bool {
         let len = self.len();

@@ -41,6 +41,16 @@ impl Node48 {
         (slot != EMPTY).then(|| self.children[usize::from(slot)])
     }
 
+    /// Prefetches what [`find`](Self::find) reads: the index line holding
+    /// `byte`, and every line of the child array (the slot is not known
+    /// before the index is read).
+    pub fn prefetch_find(&self, byte: u8) {
+        crate::simd::prefetch(&self.index[usize::from(byte)]);
+        for slot in [0, 16, 32, 47] {
+            crate::simd::prefetch(&self.children[slot]);
+        }
+    }
+
     /// Inserts `(byte, child)`; `false` if all 48 slots are in use.
     pub fn add(&mut self, byte: u8, child: NodeId) -> bool {
         if self.len() == 48 {

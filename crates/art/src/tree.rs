@@ -442,7 +442,10 @@ impl<V> Art<V> {
             return Ok(None);
         };
 
-        let bytes = key.as_bytes().to_vec();
+        // Borrow the bytes from a copy of the key (a 24-byte copy for an
+        // inline key), since `key` itself moves into the new leaf.
+        let key_copy = key.clone();
+        let bytes = key_copy.as_bytes();
         let mut cur = root;
         // (parent id, edge byte into `cur`); `None` means `cur` is the root.
         let mut parent_edge: Option<(NodeId, u8)> = None;
@@ -462,7 +465,7 @@ impl<V> Art<V> {
                 node @ Node::Leaf { key: leaf_key, .. } => {
                     tracer.visit(visit_record(cur, node, 0));
                     let lk = leaf_key.as_bytes();
-                    if lk == bytes.as_slice() {
+                    if lk == bytes {
                         tracer.partial_key_matches((bytes.len() - depth).max(1) as u32);
                         Step::ReplaceLeafValue
                     } else {
@@ -492,7 +495,11 @@ impl<V> Art<V> {
                     } else {
                         let next = depth + inner.prefix.len();
                         match inner.children.find(bytes[next]) {
-                            Some(child) => Step::Descend { child, prefix_len: inner.prefix.len() },
+                            Some(child) => {
+                                // One-ahead prefetch, as in `locate_leaf`.
+                                self.arena.prefetch(child);
+                                Step::Descend { child, prefix_len: inner.prefix.len() }
+                            }
                             None => Step::AddChild { prefix_len: inner.prefix.len() },
                         }
                     }
@@ -637,6 +644,7 @@ impl<V> Art<V> {
                     }
                     depth += inner.prefix.len();
                     let child = inner.children.find(bytes[depth])?;
+                    self.arena.prefetch(child);
                     grandparent = parent_edge;
                     parent_edge = Some((cur, bytes[depth]));
                     cur = child;

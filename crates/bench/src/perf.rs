@@ -2,12 +2,12 @@
 //! executors on the tier-1 workloads and emits `BENCH_ctt.json`.
 //!
 //! Every field of the report is an integer counter — node visits, index
-//! memory, the Traverse stage's wave-sharing counters — that is a pure
+//! memory, the Traverse stage's node-load and step counters — that is a pure
 //! function of the workload, the key and op counts and the executor, so
 //! [`check_baseline`] compares a fresh run against the committed
 //! `BENCH_baseline.json` exactly. A changed counter means an executor
-//! does different work: more node visits, a bigger tree, another wave
-//! shape. Host speed is not measured here; the `benchmark/` package's
+//! does different work: more node visits, a bigger tree, another
+//! traversal. Host speed is not measured here; the `benchmark/` package's
 //! per-layer metrics cover it.
 
 use std::path::Path;
@@ -36,13 +36,11 @@ pub struct PerfCell {
     /// regression that re-introduces per-key copies shows up here first.
     pub memory_bytes: u64,
     /// Arena node loads performed by the Traverse stage (CTT only, 0
-    /// elsewhere). Under level-wise traversal a node loaded once serves a
-    /// whole wave of operations, so this falls below
-    /// `traverse_ops_advanced`; per-op traversal keeps the two equal.
+    /// elsewhere). Every traversal loads its own path, so this equals
+    /// `traverse_ops_advanced`.
     pub traverse_nodes_visited: u64,
     /// Single-level advancement steps performed by the Traverse stage
-    /// (CTT only, 0 elsewhere). Mode-independent — the denominator of the
-    /// wave-sharing ratio.
+    /// (CTT only, 0 elsewhere).
     pub traverse_ops_advanced: u64,
 }
 
@@ -304,10 +302,10 @@ mod tests {
             .iter()
             .filter(|c| c.engine == "CTT" || c.engine == "ART-trace")
             .all(|c| c.node_visits > 0));
-        // The CTT's Traverse stage reports its wave-sharing counters: some
-        // advancement happened, and loads never exceed advancement steps.
+        // The CTT's Traverse stage reports its counters: some advancement
+        // happened, and every step loaded its node.
         assert!(r.cells.iter().filter(|c| c.engine == "CTT").all(|c| {
-            c.traverse_ops_advanced > 0 && c.traverse_nodes_visited <= c.traverse_ops_advanced
+            c.traverse_ops_advanced > 0 && c.traverse_nodes_visited == c.traverse_ops_advanced
         }));
         let json = std::fs::read_to_string(tmp.join("BENCH_ctt.json")).unwrap();
         let back: PerfReport = serde_json::from_str(&json).unwrap();

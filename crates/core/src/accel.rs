@@ -60,13 +60,11 @@ pub struct AccelDetails {
     pub shortcut_buffer_hit_ratio: f64,
     /// Total cycles including overlap.
     pub total_cycles: u64,
-    /// Node loads the Traverse stage performed (one per `(node, wave)`
-    /// group under level-wise traversal; one per path node per op
-    /// otherwise).
+    /// Node loads the Traverse stage performed: one per path node per
+    /// traversing op, so equal to
+    /// [`traverse_ops_advanced`](Self::traverse_ops_advanced).
     pub traverse_nodes_visited: u64,
-    /// Op-level traversal advancement steps (sum of path lengths). The
-    /// ratio to [`traverse_nodes_visited`](Self::traverse_nodes_visited)
-    /// is the wave-level node-reuse factor of the run.
+    /// Op-level traversal advancement steps (sum of path lengths).
     pub traverse_ops_advanced: u64,
     /// Order-sensitive digest of every operation's answer. Two runs over
     /// the same workload must produce equal digests regardless of any

@@ -68,22 +68,19 @@
 //!   the (intentionally non-deterministic, [`LoadReport`]-only) steal
 //!   counters, nothing else.
 //!
-//! # Level-wise Traverse
+//! # Descent window
 //!
 //! By default ([`ExecOpts::mode`] = [`TraverseMode::LevelWise`]) each
-//! shard advances its reads
-//! level-synchronously: read traversals are deferred into a *pending
-//! group*, and when the group flushes, one wave walk
-//! ([`Art::locate_leaves_level_wise`]) advances every deferred read one
-//! tree level at a time — loading each distinct node once per wave instead
-//! of once per op (the hot upper levels dominate: Fig. 3 measures ≥96.65 %
-//! of traversals hitting ≤5 % of nodes). The group flushes whenever
-//! per-op execution could observe the deferral — before any write (or any
-//! op whose key is already pending) executes, and at batch end — and
-//! commits its reads in arrival order, so the event stream, stats, and
-//! digests stay byte-identical to [`TraverseMode::PerOp`] at every worker
-//! count. Only the [`ShortcutStats::nodes_visited`] counter (actual node
-//! loads) reflects the wave sharing.
+//! shard keeps a small window of *descent hints* in flight beside the
+//! shortcut lookahead: prefetch-only cursors ([`Art::hint_step`]) that walk
+//! toward the leaf of an operation some operations ahead of it, one cache
+//! miss per step, so the operation's own traversal finds its path
+//! resident. Inserts and removes start theirs `DESCENT_AHEAD` operations
+//! early; reads and updates start theirs when the shortcut lookahead finds
+//! no entry for them. Every operation still traverses in place and in
+//! order, and a hint reads nothing it checks, so the event stream, stats,
+//! digests and trees are byte-identical to [`TraverseMode::PerOp`] (no
+//! window) at every worker count.
 //!
 //! Consumers receive every resolved operation (with its *effective* node
 //! visits — one direct fetch on a shortcut hit, the full path otherwise)
@@ -92,9 +89,7 @@
 use std::collections::hash_map::Entry;
 
 use dcart_art::node::Node;
-use dcart_art::{
-    Art, Key, LevelWiseScratch, NodeId, NodeVisit, Range, RecordingTracer, ScanCursor,
-};
+use dcart_art::{Art, DescentHint, Key, NodeId, NodeVisit, Range, RecordingTracer, ScanCursor};
 use dcart_engine::{
     par_for_each_mut, par_for_each_mut_balanced, DegradationController, FaultInjector, FaultPlan,
     FaultSite, PoolStats,
@@ -111,21 +106,21 @@ use crate::shortcut::{hash_bucket as hash_bucket_of, ShortcutStats, ShortcutTabl
 /// FNV-1a offset basis, the seed of every digest in this module.
 const DIGEST_BASE: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// How a shard's Traverse stage resolves the operations that miss the
-/// shortcut table.
+/// Whether a shard's Traverse stage prefetches the tree paths of the
+/// operations ahead of it.
 ///
-/// Both modes produce byte-identical event streams, stats, digests, and
-/// trees (pinned by tests); they differ only in how many node *loads* the
-/// traversals cost, reported by [`ShortcutStats::nodes_visited`].
+/// Both modes traverse every operation root-to-leaf, in order, and produce
+/// byte-identical event streams, stats, digests, and trees (pinned by
+/// tests); they differ only in wall-clock.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraverseMode {
-    /// Defer read traversals into per-shard pending groups and advance
-    /// each group level-synchronously, loading every distinct node once
-    /// per wave. The default.
+    /// Traverse with the descent window: prefetch-only cursors
+    /// ([`Art::hint_step`]) fetch the tree paths of the operations ahead
+    /// while the current one runs. The default. The name is historical: it once meant level-wise
+    /// batched reads, which the window replaced.
     LevelWise,
-    /// Traverse each operation root-to-leaf independently (the pre-wave
-    /// behavior; also the reference the level-wise path is tested
-    /// against).
+    /// Traverse without the descent window: the reference the default is
+    /// tested against.
     PerOp,
 }
 
@@ -142,14 +137,14 @@ pub struct ExecOpts {
     /// Worker threads the shard pool fans a batch over (`<= 1` runs the
     /// identical sharded code inline).
     pub threads: usize,
-    /// How each shard's Traverse stage resolves shortcut misses.
+    /// Whether each shard's Traverse stage runs the descent window.
     pub mode: TraverseMode,
     /// Whether idle workers steal shards from the pool's per-worker deques.
     pub steal: bool,
 }
 
 impl Default for ExecOpts {
-    /// One thread, level-wise Traverse, no stealing. One thread, not host
+    /// One thread, the descent window, no stealing. One thread, not host
     /// parallelism: the harness already fans whole experiments over
     /// `--jobs` workers, and nesting both at full width would
     /// oversubscribe the host.
@@ -416,27 +411,6 @@ struct ScanRef {
     record: u32,
 }
 
-/// How a deferred read will resolve when its pending group flushes.
-#[derive(Clone, Copy)]
-enum PendingKind {
-    /// Its probe hit: a direct target fetch at flush (the tree is frozen
-    /// between mutating ops, so the target is still live then).
-    Hit { target: NodeId },
-    /// Its probe missed (or shortcuts were inactive): resolved by the
-    /// flush's level-wise wave walk. `gen_allowed` snapshots
-    /// `shortcuts_active` right after the op's own probe — the instant
-    /// per-op execution would have generated its shortcut entry.
-    Miss { gen_allowed: bool },
-}
-
-/// One read deferred into the shard's pending group, committed at flush in
-/// arrival order. `record` indexes the placeholder pushed at arrival (so
-/// record index still equals bucket position for the serial replay).
-struct PendingRead {
-    record: u32,
-    kind: PendingKind,
-}
-
 /// Everything one (sub-)shard owns: its subtree, shortcut shard, fault
 /// stream, and reusable per-batch scratch. Shards share nothing, which is
 /// what makes the worker pool deterministic (and lock-free) by
@@ -456,12 +430,9 @@ struct BucketShard {
     degrade: DegradationController,
     shortcuts_active: bool,
     disables: u64,
-    // Whole-run Traverse counters (never reset per batch): op-level
-    // advancement steps (sum of traversal path lengths, mode-independent)
-    // and actual node loads (falls below `ops_advanced` under level-wise
-    // wave sharing).
+    // Whole-run Traverse counter (never reset per batch): op-level
+    // advancement steps, the sum of traversal path lengths.
     ops_advanced: u64,
-    nodes_visited: u64,
     // Per-batch scratch: cleared (capacity retained) at batch start.
     visited: FxHashSet<NodeId>,
     write_target_index: FxHashMap<NodeId, usize>,
@@ -470,12 +441,9 @@ struct BucketShard {
     records: Vec<OpRecord>,
     scans: Vec<ScanRef>,
     tracer: RecordingTracer,
-    // Level-wise pending group: deferred reads, their key ids (flush
-    // triggers), the wave-walk scratch, and the miss-key gather buffer.
-    pending: Vec<PendingRead>,
-    pending_keys: FxHashSet<u64>,
-    lw_scratch: LevelWiseScratch,
-    miss_keys: Vec<Key>,
+    /// The descent window: `(slice index, op index, hint)` of every
+    /// traversal being prefetched ahead of its op (see `run_batch`).
+    descents: Vec<(u32, u32, DescentHint)>,
     error: Option<(u32, DcartError)>,
 }
 
@@ -499,6 +467,15 @@ fn sub_shard_seed(seed: u64, bucket: usize, sub: usize) -> u64 {
 /// a knob: throughput was flat from 2 to 16 (DESIGN.md, "Host-side layout
 /// of the shortcut path").
 const LOOKAHEAD: usize = 4;
+
+/// How many of its own operations ahead a shard starts the descent hint
+/// of an insert or remove (see [`BucketShard::run_batch`]). Fixed by a
+/// sweep (DESIGN.md, "Descent window").
+const DESCENT_AHEAD: usize = 16;
+
+/// Most descent hints a shard keeps in flight; a descent that would
+/// exceed it is not hinted.
+const DESCENT_WINDOW: usize = 16;
 
 /// Counts `node` into the shard's insertion-ordered lock-group table.
 fn note_write_target(
@@ -531,7 +508,6 @@ impl BucketShard {
             shortcuts_active: config.shortcuts_enabled,
             disables: 0,
             ops_advanced: 0,
-            nodes_visited: 0,
             visited: FxHashSet::default(),
             write_target_index: FxHashMap::default(),
             write_targets: Vec::new(),
@@ -539,10 +515,7 @@ impl BucketShard {
             records: Vec::new(),
             scans: Vec::new(),
             tracer: RecordingTracer::new(),
-            pending: Vec::new(),
-            pending_keys: FxHashSet::default(),
-            lw_scratch: LevelWiseScratch::new(),
-            miss_keys: Vec::new(),
+            descents: Vec::with_capacity(DESCENT_WINDOW),
             error: None,
         }
     }
@@ -569,6 +542,16 @@ impl BucketShard {
         shard
     }
 
+    /// The shard's shortcut statistics with its Traverse counters spliced
+    /// in (the table never sees traversals). Every traversal loads each
+    /// node on its own path, so node loads equal advancement steps.
+    fn stats(&self) -> ShortcutStats {
+        let mut s = self.shortcuts.stats();
+        s.nodes_visited = self.ops_advanced;
+        s.ops_advanced = self.ops_advanced;
+        s
+    }
+
     fn begin_batch(&mut self) {
         self.visited.clear();
         self.write_target_index.clear();
@@ -576,11 +559,7 @@ impl BucketShard {
         self.visit_arena.clear();
         self.records.clear();
         self.scans.clear();
-        // The pending group is flushed before `run_batch` returns (and on
-        // the error path the failing write flushed it first), but clear
-        // defensively so one batch can never leak reads into the next.
-        self.pending.clear();
-        self.pending_keys.clear();
+        self.descents.clear();
     }
 
     /// Runs this shard's slice of a batch (`self.ops`, filled by the
@@ -590,6 +569,7 @@ impl BucketShard {
     /// interleave sub-shards back into the canonical bucket order.
     fn run_batch(&mut self, batch: &[Op], plan: &FaultPlan, mode: TraverseMode) {
         self.begin_batch();
+        let window = matches!(mode, TraverseMode::LevelWise);
         // Detach the op slice so the loop can call `&mut self` helpers.
         let ops = std::mem::take(&mut self.ops);
         'ops: for (i, &(pos, op_i)) in ops.iter().enumerate() {
@@ -597,25 +577,44 @@ impl BucketShard {
             // hit needs are requested before the op that needs them runs:
             // the table slot of the op `2 * LOOKAHEAD` ahead, and — that
             // slot having arrived `LOOKAHEAD` ops later — the arena slot
-            // of the target it names. Hints only: `peek` counts and
-            // validates nothing, so no observable depends on them.
+            // of the target it names. Ops that will traverse instead get a
+            // descent hint: reads and updates the peek finds no target
+            // for, and inserts and removes `DESCENT_AHEAD` ops ahead.
+            // Hints only: `peek` counts and validates nothing and a
+            // descent hint checks nothing, so no observable depends on
+            // them.
             if let Some(&(_, far)) = ops.get(i + 2 * LOOKAHEAD) {
                 self.shortcuts.prefetch(key_id(&batch[far as usize].key));
             }
             if let Some(&(_, near)) = ops.get(i + LOOKAHEAD) {
-                let key = &batch[near as usize].key;
-                if let Some(target) = self.shortcuts.peek(key_id(key), key) {
-                    self.art.prefetch_node(target);
+                let op = &batch[near as usize];
+                match self.shortcuts.peek(key_id(&op.key), &op.key) {
+                    Some(target) if self.shortcuts_active => self.art.prefetch_node(target),
+                    _ if window && matches!(op.kind, OpKind::Read | OpKind::Update) => {
+                        self.start_descent(i + LOOKAHEAD, near);
+                    }
+                    _ => {}
                 }
+            }
+            if window {
+                if let Some(&(_, ahead)) = ops.get(i + DESCENT_AHEAD) {
+                    if matches!(batch[ahead as usize].kind, OpKind::Insert | OpKind::Remove) {
+                        self.start_descent(i + DESCENT_AHEAD, ahead);
+                    }
+                }
+                // One step for every descent in flight; a descent whose op
+                // is reached (or that has nothing left to prefetch) leaves.
+                let Self { art, descents, .. } = self;
+                descents.retain_mut(|(at, op_at, hint)| {
+                    *at as usize > i && art.hint_step(hint, batch[*op_at as usize].key.as_bytes())
+                });
             }
             let op = &batch[op_i as usize];
             let kid = key_id(&op.key);
 
             if matches!(op.kind, OpKind::Scan) {
                 // Scans cross bucket boundaries; defer to the batch-end
-                // merge (the placeholder is completed there). They never
-                // flush the pending group: they read nothing until after
-                // the batch's final flush.
+                // merge (the placeholder is completed there).
                 self.scans.push(ScanRef { pos, record: self.records.len() as u32 });
                 self.records.push(OpRecord {
                     op_index: op_i,
@@ -631,22 +630,6 @@ impl BucketShard {
                     generated: false,
                 });
                 continue;
-            }
-
-            // Level-wise mode defers every read (hit or miss) into the
-            // pending group. Anything that could observe the deferral
-            // flushes the group first, *before* its own probe: writes
-            // mutate the tree and the shortcut table, and a read that will
-            // probe a key already pending must see that key's deferred
-            // shortcut generation exactly as per-op execution would. When
-            // this shard's shortcuts are inactive the arriving read probes
-            // nothing, so deferral is unobservable and the group keeps
-            // growing through hot-key repeats. (Key ids can collide across
-            // keys; a spurious flush is harmless — flush timing is
-            // unobservable, only commit order matters.)
-            let defer = matches!(mode, TraverseMode::LevelWise) && matches!(op.kind, OpKind::Read);
-            if !defer || (self.shortcuts_active && self.pending_keys.contains(&kid)) {
-                self.flush_pending(batch);
             }
 
             // Index_Shortcut: probe for reads/updates (unless this shard's
@@ -673,35 +656,6 @@ impl BucketShard {
             } else {
                 None
             };
-
-            if defer {
-                // Push the placeholder now (record index must equal bucket
-                // position for the serial replay) and commit at flush.
-                let kind = match entry {
-                    Some(e) => PendingKind::Hit { target: e.target },
-                    // Snapshot `shortcuts_active` *after* the probe: this
-                    // op's own probe may just have tripped the degradation
-                    // latch, and per-op execution would generate (or not)
-                    // based on the post-probe state.
-                    None => PendingKind::Miss { gen_allowed: self.shortcuts_active },
-                };
-                self.pending.push(PendingRead { record: self.records.len() as u32, kind });
-                self.pending_keys.insert(kid);
-                self.records.push(OpRecord {
-                    op_index: op_i,
-                    key_id: kid,
-                    answer: 0,
-                    value: None,
-                    matches: 0,
-                    visits_start: 0,
-                    visits_len: 0,
-                    locks: 0,
-                    hash_bucket: u32::MAX,
-                    shortcut_hit: false,
-                    generated: false,
-                });
-                continue;
-            }
 
             let visits_start = self.visit_arena.len() as u32;
             let record = if let Some(entry) = entry {
@@ -813,12 +767,7 @@ impl BucketShard {
                     }
                     locks = tracer.trace.locks.len().max(1) as u32;
                 }
-                // Whole-run Traverse counters: a per-op traversal loads
-                // every node on its path, so advancement steps and node
-                // loads coincide here.
-                let path_len = self.tracer.trace.visits.len() as u64;
-                self.ops_advanced += path_len;
-                self.nodes_visited += path_len;
+                self.ops_advanced += self.tracer.trace.visits.len() as u64;
                 // Coalesce the traversal: only first-touch nodes cost a
                 // fetch and their share of the partial-key matching; path
                 // segments another combined op already walked are shared
@@ -852,114 +801,14 @@ impl BucketShard {
         }
         // Hand the (reusable) op slice back to the routing pass.
         self.ops = ops;
-        if self.error.is_some() {
-            // The failing write flushed the pending group before its own
-            // probe; the batch aborts, so nothing else needs committing.
-            return;
-        }
-        // Batch end: commit the last pending group before the executor
-        // resolves scans against the shard's visited set.
-        self.flush_pending(batch);
     }
 
-    /// Commits every deferred read of the pending group, in arrival order,
-    /// with per-op-identical observables.
-    ///
-    /// The tree is frozen while reads pend (writes flush before they
-    /// execute), so each read resolves against exactly the tree state it
-    /// saw at arrival: probe hits fetch their validated target directly,
-    /// and one level-wise wave walk answers all the misses at once —
-    /// loading each distinct `(node, wave)` pair a single time, which is
-    /// where the batch win comes from. Committing in arrival order keeps
-    /// the visit arena, the visited-set dedup, and every record field
-    /// byte-identical to per-op execution.
-    fn flush_pending(&mut self, batch: &[Op]) {
-        if self.pending.is_empty() {
-            return;
+    /// Opens a descent hint for the op at slice index `at` (batch index
+    /// `op_i`), unless the window is full.
+    fn start_descent(&mut self, at: usize, op_i: u32) {
+        if self.descents.len() < DESCENT_WINDOW {
+            self.descents.push((at as u32, op_i, self.art.hint_start()));
         }
-        // Gather the miss keys in arrival order; one wave walk resolves
-        // them all.
-        self.miss_keys.clear();
-        for p in &self.pending {
-            if matches!(p.kind, PendingKind::Miss { .. }) {
-                let op_index = self.records[p.record as usize].op_index;
-                self.miss_keys.push(batch[op_index as usize].key.clone());
-            }
-        }
-        self.art.locate_leaves_level_wise(&self.miss_keys, &mut self.lw_scratch);
-        self.ops_advanced += self.lw_scratch.ops_advanced();
-        self.nodes_visited += self.lw_scratch.nodes_loaded();
-
-        let mut miss_i = 0usize;
-        for pi in 0..self.pending.len() {
-            let PendingRead { record, kind } = self.pending[pi];
-            let rec_idx = record as usize;
-            let op = &batch[self.records[rec_idx].op_index as usize];
-            let visits_start = self.visit_arena.len() as u32;
-            match kind {
-                PendingKind::Hit { target } => {
-                    // Identical to the immediate hit path: direct target
-                    // fetch (free if a combined op already fetched it),
-                    // one validation compare.
-                    let namespaced_target = namespaced(self.bucket, self.sub, target);
-                    if self.visited.insert(namespaced_target) {
-                        let v =
-                            self.art.visit_for(target).expect("probe validated the target as live");
-                        self.visit_arena.push(NodeVisit { node: namespaced_target, ..v });
-                    }
-                    let value = self.art.read_leaf(target, &op.key).copied();
-                    let visits_len = self.visit_arena.len() as u32 - visits_start;
-                    let rec = &mut self.records[rec_idx];
-                    rec.answer = digest_option(value);
-                    rec.value = value;
-                    rec.matches = u64::from(visits_len);
-                    rec.visits_start = visits_start;
-                    rec.visits_len = visits_len;
-                    rec.shortcut_hit = true;
-                }
-                PendingKind::Miss { gen_allowed } => {
-                    let w = miss_i;
-                    miss_i += 1;
-                    let target = self.lw_scratch.target(w);
-                    let value = target.and_then(|(t, _)| self.art.read_leaf(t, &op.key).copied());
-                    let mut generated = false;
-                    let mut hash_bucket = u32::MAX;
-                    if gen_allowed {
-                        if let Some((t, parent)) = target {
-                            // Generate_Shortcut: only leaves are reusable
-                            // point-op targets.
-                            if self.art.read_leaf(t, &op.key).is_some() {
-                                self.shortcuts.generate(op.key.clone(), t, parent);
-                                generated = true;
-                                hash_bucket = hash_bucket_of(self.records[rec_idx].key_id);
-                            }
-                        }
-                    }
-                    // Same first-touch coalescing as the per-op path, over
-                    // the identical full traversal path.
-                    let Self { lw_scratch, visited, visit_arena, bucket, sub, .. } = self;
-                    let path = lw_scratch.visits(w);
-                    for v in path {
-                        let node = namespaced(*bucket, *sub, v.node);
-                        if visited.insert(node) {
-                            visit_arena.push(NodeVisit { node, ..*v });
-                        }
-                    }
-                    let visits_len = self.visit_arena.len() as u32 - visits_start;
-                    let total_visits = path.len().max(1) as u64;
-                    let rec = &mut self.records[rec_idx];
-                    rec.answer = digest_option(value);
-                    rec.value = value;
-                    rec.matches = self.lw_scratch.pkm(w) * u64::from(visits_len) / total_visits;
-                    rec.visits_start = visits_start;
-                    rec.visits_len = visits_len;
-                    rec.generated = generated;
-                    rec.hash_bucket = hash_bucket;
-                }
-            }
-        }
-        self.pending.clear();
-        self.pending_keys.clear();
     }
 }
 
@@ -1366,10 +1215,7 @@ fn sub_of(key: &Key, next_byte: usize) -> usize {
 /// Folds a retiring leaf's whole-run counters into its group's
 /// accumulator, so splits and merges never lose statistics.
 fn retire_shard(shard: &BucketShard, retired: &mut ShortcutStats, disables: &mut u64) {
-    let mut s = shard.shortcuts.stats();
-    s.nodes_visited = shard.nodes_visited;
-    s.ops_advanced = shard.ops_advanced;
-    retired.accumulate(&s);
+    retired.accumulate(&shard.stats());
     *disables += shard.disables;
 }
 
@@ -1941,12 +1787,9 @@ impl CttSession {
             // the run-level sum survives the shard turnover.
             let mut live_visited = 0u64;
             for shard in &leaves[g.start..g.start + g.subs] {
-                let mut shard_stats = shard.shortcuts.stats();
-                shard_stats.nodes_visited = shard.nodes_visited;
-                shard_stats.ops_advanced = shard.ops_advanced;
-                stats.shortcut.accumulate(&shard_stats);
+                stats.shortcut.accumulate(&shard.stats());
                 stats.shortcut_disables += shard.disables;
-                live_visited += shard.nodes_visited;
+                live_visited += shard.ops_advanced;
             }
             stats.shortcut.accumulate(&g.retired);
             stats.shortcut_disables += g.retired_disables;
@@ -1983,7 +1826,7 @@ mod tests {
         execute_ctt(keys, ops, cfg, batch_size, &opts, consumer).expect("runs clean")
     }
 
-    /// One thread, level-wise Traverse, no stealing.
+    /// One thread, the descent window, no stealing.
     const SERIAL: ExecOpts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
 
     #[derive(Default)]
@@ -2199,10 +2042,9 @@ mod tests {
         [(1024, ops), (1, &ops[..200]), (3, &ops[..600]), (2 * LOOKAHEAD + 1, &ops[..1_800])]
     }
 
-    /// The tentpole equivalence: level-wise and per-op Traverse must be
-    /// observationally identical — full event stream, stats (modulo the
-    /// node-load counter that is *supposed* to drop), final tree — across
-    /// workload shapes, fault plans, and worker counts.
+    /// Traverse with and without the descent window must be
+    /// observationally identical — full event stream, stats, final tree —
+    /// across workload shapes, fault plans, and worker counts.
     #[test]
     fn traverse_modes_are_observationally_identical() {
         let chaos = FaultPlan { seed: 42, shortcut_corrupt_rate: 0.05, ..FaultPlan::none() };
@@ -2221,63 +2063,24 @@ mod tests {
                             [TraverseMode::LevelWise, TraverseMode::PerOp].map(|mode| {
                                 let mut d = StreamDigest::default();
                                 let opts = ExecOpts { threads, mode, steal: false };
-                                let (tree, mut stats, _) =
+                                let (tree, stats, _) =
                                     exec(&keys, ops, &cfg, batch_size, opts, &mut d);
-                                let loads = stats.shortcut.nodes_visited;
-                                // The node-load counter is the one sanctioned
-                                // difference; everything else must match exactly.
-                                stats.shortcut.nodes_visited = 0;
                                 let pairs: Vec<(Key, u64)> =
                                     tree.iter().map(|(k, &v)| (k.clone(), v)).collect();
-                                (format!("{stats:?}"), d.h, pairs, loads)
+                                (format!("{stats:?}"), d.h, pairs)
                             });
-                        let (per_op_stats, per_op_digest, per_op_pairs, per_op_loads) =
+                        let (per_op_stats, per_op_digest, per_op_pairs) =
                             std::mem::take(&mut results[1]);
-                        let (lw_stats, lw_digest, lw_pairs, lw_loads) =
-                            std::mem::take(&mut results[0]);
+                        let (lw_stats, lw_digest, lw_pairs) = std::mem::take(&mut results[0]);
                         let ctx =
                             format!("workload={workload:?} threads={threads} batch={batch_size}");
                         assert_eq!(lw_stats, per_op_stats, "stats identical: {ctx}");
                         assert_eq!(lw_digest, per_op_digest, "event stream identical: {ctx}");
                         assert_eq!(lw_pairs, per_op_pairs, "final tree identical: {ctx}");
-                        assert!(
-                            lw_loads <= per_op_loads,
-                            "wave grouping never loads more: {lw_loads} > {per_op_loads} ({ctx})"
-                        );
                     }
                 }
             }
         }
-    }
-
-    /// The counters the level-wise win is reported through: per-op mode
-    /// loads once per advancement step; level-wise strictly fewer on a
-    /// read-heavy skewed workload.
-    #[test]
-    fn level_wise_reduces_node_loads_on_skewed_reads() {
-        let keys = Workload::Ipgeo.generate(5_000, 1);
-        let ops = generate_ops(
-            &keys,
-            &OpStreamConfig { count: 20_000, mix: Mix::A, ..Default::default() },
-        );
-        // Shortcuts off so every read traverses (isolates the Traverse
-        // stage, as the bench cells do).
-        let cfg = DcartConfig { shortcuts_enabled: false, ..DcartConfig::default() };
-        let run = |mode| {
-            let opts = ExecOpts { mode, ..SERIAL };
-            let (_, stats, _) = exec(&keys, &ops, &cfg, 4096, opts, &mut Collector::default());
-            stats.shortcut
-        };
-        let per_op = run(TraverseMode::PerOp);
-        let lw = run(TraverseMode::LevelWise);
-        assert_eq!(per_op.nodes_visited, per_op.ops_advanced, "per-op: loads == steps");
-        assert_eq!(lw.ops_advanced, per_op.ops_advanced, "advancement is mode-independent");
-        assert!(
-            lw.nodes_visited * 2 < lw.ops_advanced,
-            "Zipfian reads must share most wave loads: {} loads for {} steps",
-            lw.nodes_visited,
-            lw.ops_advanced
-        );
     }
 
     fn digests(mix: Mix, cfg: DcartConfig) -> (CttStats, Vec<(Key, u64)>) {

@@ -62,14 +62,12 @@ pub struct ShortcutStats {
     /// Probes that caught a corrupted entry during validation and fell
     /// back to a full root-to-leaf traversal.
     pub corruption_fallbacks: u64,
-    /// Node loads the Traverse stage actually performed. Under level-wise
-    /// traversal each `(node, wave)` group is loaded once, so this falls
-    /// below [`ops_advanced`](Self::ops_advanced) in proportion to wave
-    /// sharing; under per-op traversal the two are equal.
+    /// Node loads the Traverse stage performed. Every traversal loads
+    /// each node on its own path, so this equals
+    /// [`ops_advanced`](Self::ops_advanced) in either traversal mode.
     pub nodes_visited: u64,
     /// Op-level advancement steps of the Traverse stage: the sum of every
     /// traversing operation's path length, independent of traversal mode.
-    /// `ops_advanced / nodes_visited` is the level-wise reuse factor.
     pub ops_advanced: u64,
 }
 
