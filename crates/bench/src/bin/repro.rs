@@ -22,7 +22,12 @@
 //!   timeline / fig6      Fig. 6    — the PCU/SOU batch-overlap timeline
 //!   skew                 skew sensitivity (extension)
 //!   all                  everything above, in order
+//!
+//! --sou-threads N        SOU pool worker threads per executor run
+//! --steal                the SOU pool's workers claim shards heaviest first
 //! ```
+//!
+//! Neither executor flag changes a report byte.
 //!
 //! One table, `EXHIBITS`, drives the usage line, the name check and the
 //! dispatch, so the three cannot drift apart.
@@ -99,7 +104,8 @@ fn print_usage() {
     eprintln!(
         "usage: repro <{}> \
          [--scale smoke|default|full] [--out DIR] [--jobs N] [--sou-threads N] \
-         [--steal] [--batches N] [--seed S]",
+         [--steal] [--batches N] [--seed S]\n\
+         \x20 --steal: SOU pool workers claim shards heaviest first (no report changes)",
         names.join("|")
     );
 }
@@ -171,8 +177,8 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--steal" => {
-                // Work stealing moves shards between workers, never
-                // results: reports are byte-identical with it on or off.
+                // Heaviest-first claiming moves shards between workers,
+                // never results: reports are byte-identical with it on or off.
                 exec.steal = true;
                 i += 1;
             }

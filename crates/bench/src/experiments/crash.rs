@@ -127,7 +127,7 @@ pub fn run(scale: &Scale, out_dir: &Path) -> CrashReport {
 
         for threads in [1usize, 2] {
             // The thread count is the matrix's own axis; the rest of the
-            // execution options (stealing) come from the command line.
+            // execution options (the claim order) come from the command line.
             let opts = ExecOpts { threads, ..scale.exec };
             // Uninterrupted durable run: establishes the reference digests
             // and counts every site's crash opportunities.

@@ -106,7 +106,7 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
     );
     let n_keys = scale.keys.min(20_000);
     let batch_size = scale.concurrency.min(4_096);
-    // Two SOU threads always; stealing as the command line says.
+    // Two SOU threads always; the claim order as the command line says.
     let opts = ExecOpts { threads: 2, ..scale.exec };
     let n_ops = (batches as usize) * batch_size;
 

@@ -201,7 +201,7 @@ type Counter = fn(&PerfCell) -> u64;
 /// is a pure function of the workload, the key and op counts and the
 /// executor, so it reproduces exactly on any host, at any worker count
 /// and with any [`ExecOpts`] (checked on a 2-vCPU host at 1 and 2 SOU
-/// threads, with and without stealing).
+/// threads, claiming in slot order and heaviest first).
 const EXACT_COUNTERS: [(&str, Counter); 5] = [
     ("ops", |c| c.ops as u64),
     ("node_visits", |c| c.node_visits),
@@ -283,8 +283,9 @@ mod tests {
     // This harness measures no time. What its cells do not cover is
     // checked where it lives: masked N16 search == binary search in
     // `masked_equals_binary_exhaustively`, splits on steep skew in
-    // `hot_buckets_split_then_remerge_after_cooling`, and no steals with
-    // stealing off in `splitting_runs_are_identical_across_threads_and_stealing`.
+    // `hot_buckets_split_then_remerge_after_cooling`, and the same stats,
+    // events, load report and tree at any thread count and claim order in
+    // `splitting_runs_are_identical_across_threads_and_stealing`.
     #[test]
     fn harness_counts_every_cell() {
         let scale =

@@ -2,7 +2,7 @@
 //! fault-injection plan and graceful-degradation thresholds.
 //!
 //! A [`DcartConfig`] says *what* the model computes; how the host executes
-//! it (worker threads, traverse mode, stealing) is the separate
+//! it (worker threads, traverse mode, claim order) is the separate
 //! [`ExecOpts`](crate::ExecOpts), which changes no result.
 
 use dcart_engine::FaultPlan;

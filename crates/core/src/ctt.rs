@@ -38,7 +38,7 @@
 //! the visits its cursor recorded up to the last key the merge consumed
 //! from it; see `resolve_scans`.
 //!
-//! # Adaptive sub-sharding & work stealing
+//! # Adaptive sub-sharding & heaviest-first claiming
 //!
 //! Fig. 3's node skew cuts both ways: under zipfian keys one *bucket* can
 //! receive most of a batch, serializing the pool. Two mechanisms keep the
@@ -58,15 +58,13 @@
 //!   the final tree. Split and merge decisions depend only on per-batch op
 //!   counts, never on timing or thread identity, so the split schedule
 //!   (and with it every observable) is reproducible.
-//! * **Work stealing** — with stealing enabled ([`ExecOpts::steal`]),
-//!   shards are dealt heaviest-first over per-worker
-//!   [`dcart_engine::StealQueue`] deques
-//!   ([`dcart_engine::par_for_each_mut_balanced`]); a worker that drains
-//!   its own deque steals the front half of the longest sibling's instead
-//!   of parking. Shards share nothing, so a stolen shard computes exactly
-//!   what it would have on its owner — stealing changes wall-clock and
-//!   the (intentionally non-deterministic, [`LoadReport`]-only) steal
-//!   counters, nothing else.
+//! * **Heaviest-first claiming** — with [`ExecOpts::steal`] set and more
+//!   than one thread, the batch's shards go to the same pool as
+//!   `&mut` references stably sorted by descending op count, so an idle
+//!   worker always claims the heaviest shard left: greedy
+//!   longest-processing-time list scheduling through the pool's one
+//!   cursor. Shards share nothing, so the order changes wall-clock and
+//!   nothing else.
 //!
 //! # Descent window
 //!
@@ -90,10 +88,7 @@ use std::collections::hash_map::Entry;
 
 use dcart_art::node::Node;
 use dcart_art::{Art, DescentHint, Key, NodeId, NodeVisit, Range, RecordingTracer, ScanCursor};
-use dcart_engine::{
-    par_for_each_mut, par_for_each_mut_balanced, DegradationController, FaultInjector, FaultPlan,
-    FaultSite, PoolStats,
-};
+use dcart_engine::{par_for_each_mut, DegradationController, FaultInjector, FaultPlan, FaultSite};
 use dcart_workloads::{KeySet, Op, OpKind};
 use serde::{Deserialize, Serialize};
 
@@ -128,10 +123,9 @@ pub enum TraverseMode {
 /// each caller passes explicitly (the binaries build it from
 /// `--sou-threads` / `--steal`).
 ///
-/// No field changes a result: stats, digests, event streams and trees are
-/// byte-identical at any thread count, steal setting and traverse mode
-/// (pinned by tests); only wall-clock and the schedule-dependent steal
-/// counters of [`LoadReport`] move.
+/// No field changes a result: stats, digests, event streams, trees and
+/// the [`LoadReport`] are byte-identical at any thread count, steal
+/// setting and traverse mode (pinned by tests); only wall-clock moves.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOpts {
     /// Worker threads the shard pool fans a batch over (`<= 1` runs the
@@ -139,13 +133,15 @@ pub struct ExecOpts {
     pub threads: usize,
     /// Whether each shard's Traverse stage runs the descent window.
     pub mode: TraverseMode,
-    /// Whether idle workers steal shards from the pool's per-worker deques.
+    /// Whether the pool's workers claim a batch's shards heaviest first
+    /// (by op count) instead of in slot order. Only matters when
+    /// `threads > 1`.
     pub steal: bool,
 }
 
 impl Default for ExecOpts {
-    /// One thread, the descent window, no stealing. One thread, not host
-    /// parallelism: the harness already fans whole experiments over
+    /// One thread, the descent window, slot-order claiming. One thread,
+    /// not host parallelism: the harness already fans whole experiments over
     /// `--jobs` workers, and nesting both at full width would
     /// oversubscribe the host.
     fn default() -> Self {
@@ -1395,10 +1391,8 @@ fn load_shards<'a>(
 }
 
 /// Per-bucket load observed over a whole run, for the skew histograms in
-/// the bench report. Every field is deterministic for a fixed config; the
-/// two intentionally schedule-dependent counters live on [`LoadReport`]
-/// instead.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// the bench report. Every field is deterministic for a fixed config.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BucketLoad {
     /// Bucket index.
     pub bucket: usize,
@@ -1415,22 +1409,15 @@ pub struct BucketLoad {
 }
 
 /// Load-balance observability for one execution: the per-bucket skew
-/// histogram plus the pool's steal counters.
+/// histogram.
 ///
-/// The per-bucket entries are deterministic (split schedules depend only
-/// on op counts). The steal counters are the one *intentionally*
-/// schedule-dependent observable in the executor — which is exactly why
-/// they live here and not in [`CttStats`], whose byte-identity across
-/// thread counts and steal settings is pinned by tests.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Every entry is deterministic (split schedules depend only on op
+/// counts), so the whole report is byte-identical across thread counts
+/// and steal settings, pinned by tests.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadReport {
     /// Per-bucket load, in bucket order.
     pub buckets: Vec<BucketLoad>,
-    /// Steal operations the pool performed (0 with stealing off; varies
-    /// run-to-run with it on).
-    pub steal_events: u64,
-    /// Shards that ran on a thief instead of their owner.
-    pub shards_stolen: u64,
 }
 
 /// A resumable, incrementally-driven CTT execution: the seam the online
@@ -1466,11 +1453,9 @@ pub struct CttSession {
     /// reshape it between batches. `groups` tracks each bucket's slice.
     leaves: Vec<BucketShard>,
     groups: Vec<BucketGroup>,
-    pool_stats: PoolStats,
     // Whole-run scratch, reused across batches.
     combined: CombinedBatch,
     bucket_sizes: Vec<u32>,
-    leaf_weights: Vec<u64>,
     shortcut_writers: FxHashMap<u64, usize>,
     scan_scratch: ScanScratch,
     batch_idx: usize,
@@ -1529,10 +1514,8 @@ impl CttSession {
             stats: CttStats { answer_digest: initial_digest, ..CttStats::default() },
             leaves: shards,
             groups: (0..config.buckets()).map(BucketGroup::new).collect(),
-            pool_stats: PoolStats::default(),
             combined: CombinedBatch { buckets: Vec::new(), scanned: 0 },
             bucket_sizes: Vec::new(),
-            leaf_weights: Vec::new(),
             shortcut_writers: FxHashMap::default(),
             scan_scratch: ScanScratch::default(),
             batch_idx: 0,
@@ -1576,19 +1559,15 @@ impl CttSession {
 
         // Traverse + Trigger: the key-disjoint leaves run concurrently;
         // outcomes land in per-shard records, not in shared state. With
-        // stealing on, leaves deal heaviest-first over per-worker deques
-        // and idle workers steal — which moves work, never results.
+        // `steal`, idle workers claim the heaviest leaf left — which moves
+        // work, never results.
         let ExecOpts { threads, mode, steal } = self.opts;
-        if steal {
-            self.leaf_weights.clear();
-            self.leaf_weights.extend(self.leaves.iter().map(|l| l.ops.len() as u64));
-            par_for_each_mut_balanced(
-                &mut self.leaves,
-                threads,
-                &self.leaf_weights,
-                Some(&self.pool_stats),
-                |_, shard| shard.run_batch(batch, &plan, mode),
-            );
+        if steal && threads > 1 {
+            let mut heaviest_first: Vec<&mut BucketShard> = self.leaves.iter_mut().collect();
+            heaviest_first.sort_by_key(|shard| std::cmp::Reverse(shard.ops.len()));
+            par_for_each_mut(&mut heaviest_first, threads, |_, shard| {
+                shard.run_batch(batch, &plan, mode);
+            });
         } else {
             par_for_each_mut(&mut self.leaves, threads, |_, shard| {
                 shard.run_batch(batch, &plan, mode);
@@ -1774,12 +1753,8 @@ impl CttSession {
     /// [`DcartError::Art`] if the final merge fails (cannot happen for key
     /// sets the shards accepted).
     pub fn finish(self) -> Result<(Art<u64>, CttStats, LoadReport), DcartError> {
-        let CttSession { mut stats, leaves, groups, pool_stats, .. } = self;
-        let mut load = LoadReport {
-            buckets: Vec::with_capacity(groups.len()),
-            steal_events: pool_stats.steal_events(),
-            shards_stolen: pool_stats.items_stolen(),
-        };
+        let CttSession { mut stats, leaves, groups, .. } = self;
+        let mut load = LoadReport { buckets: Vec::with_capacity(groups.len()) };
         for g in &groups {
             // The Traverse counters live on the shard (the shortcut table
             // never sees traversals); splice them into each live leaf's
@@ -1826,7 +1801,7 @@ mod tests {
         execute_ctt(keys, ops, cfg, batch_size, &opts, consumer).expect("runs clean")
     }
 
-    /// One thread, the descent window, no stealing.
+    /// One thread, the descent window, slot-order claiming.
     const SERIAL: ExecOpts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
 
     #[derive(Default)]
@@ -2245,9 +2220,9 @@ mod tests {
     #[test]
     fn splitting_runs_are_identical_across_threads_and_stealing() {
         // The tentpole invariant at full strength: with an aggressive split
-        // threshold, stats, the event stream, and the final tree must be
-        // byte-identical across worker counts and steal settings — the
-        // split schedule reads op counts, never the schedule.
+        // threshold, stats, the event stream, the load report and the final
+        // tree must be byte-identical across worker counts and steal
+        // settings — the split schedule reads op counts, never the schedule.
         let keys = Workload::Ipgeo.generate(3_000, 5);
         let ops = generate_ops(
             &keys,
@@ -2255,23 +2230,22 @@ mod tests {
         );
         let cfg = DcartConfig { split_threshold: Some(0.05), ..DcartConfig::default() }
             .with_auto_prefix_skip(&keys);
-        let mut runs =
-            [(1usize, false), (2, false), (2, true), (8, true)].map(|(threads, steal)| {
+        let mut runs = [1usize, 2, 8].into_iter().flat_map(|threads| {
+            [false, true].map(|steal| {
                 let mut d = StreamDigest::default();
                 let opts = ExecOpts { threads, mode: TraverseMode::LevelWise, steal };
                 let (tree, stats, load) = exec(&keys, &ops, &cfg, 1024, opts, &mut d);
                 assert!(stats.shard_splits > 0, "the aggressive threshold actually splits");
-                if !steal {
-                    assert_eq!(load.steal_events, 0, "no steals with stealing off");
-                }
-                (format!("{stats:?}"), d.h, tree_digest(&tree))
-            });
-        let (base_stats, base_digest, base_tree) = std::mem::take(&mut runs[0]);
+                (format!("{stats:?}"), d.h, load, tree_digest(&tree))
+            })
+        });
+        let (base_stats, base_digest, base_load, base_tree) = runs.next().expect("serial run");
         assert!(base_digest != 0, "stream digest actually folded events");
-        for (stats, digest, tree) in runs.iter().skip(1) {
-            assert_eq!(*stats, base_stats, "stats identical across threads × stealing");
-            assert_eq!(*digest, base_digest, "event stream identical across threads × stealing");
-            assert_eq!(*tree, base_tree, "final tree identical across threads × stealing");
+        for (stats, digest, load, tree) in runs {
+            assert_eq!(stats, base_stats, "stats identical across threads × steal");
+            assert_eq!(digest, base_digest, "event stream identical across threads × steal");
+            assert_eq!(load, base_load, "load report identical across threads × steal");
+            assert_eq!(tree, base_tree, "final tree identical across threads × steal");
         }
     }
 }

@@ -1102,7 +1102,7 @@ mod tests {
     use dcart_engine::CrashPlan;
     use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
 
-    /// One thread, level-wise Traverse, no stealing.
+    /// One thread, level-wise Traverse, slot-order claiming.
     const SERIAL: ExecOpts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
 
     fn tmpdir(name: &str) -> PathBuf {

@@ -8,12 +8,12 @@
 //!   curves (paper Fig. 10);
 //! * [`EventQueue`] / [`NonBlockingUnit`] — discrete-event primitives that
 //!   validate the accelerator's closed-form SOU timing;
-//! * [`par_for_each_mut`] / [`par_for_each_mut_balanced`] — scoped worker
-//!   pools over disjoint `&mut` shards, used by the CTT executor to run
-//!   prefix-disjoint buckets on host threads with deterministic
-//!   (thread-count-independent) outcomes; the balanced variant adds
-//!   per-worker [`StealQueue`] deques with steal-half load balancing for
-//!   skewed shard costs;
+//! * [`par_for_each_mut`] — the scoped worker pool over disjoint `&mut`
+//!   shards, used by the CTT executor to run prefix-disjoint buckets on
+//!   host threads with deterministic (thread-count-independent) outcomes;
+//!   workers claim slots in slice order through one shared cursor, so a
+//!   caller that sorts its shards heaviest first gets longest-processing-
+//!   time scheduling;
 //! * [`faults`] — deterministic seed-driven fault injection
 //!   ([`FaultPlan`], [`FaultInjector`]), bounded retry ([`RetryPolicy`]),
 //!   graceful degradation ([`DegradationController`]), recovery
@@ -56,6 +56,6 @@ pub use faults::{
     FaultSite, RecoveryStats, RetryOutcome, RetryPolicy,
 };
 pub use handoff::SyncHandoff;
-pub use pool::{par_for_each_mut, par_for_each_mut_balanced, PoolStats};
-pub use queueing::{BoundedQueue, LatencyRecorder, RejectReason, StealQueue};
+pub use pool::par_for_each_mut;
+pub use queueing::{BoundedQueue, LatencyRecorder, RejectReason};
 pub use wal::{WalBatch, WalError, WalScan, WalWriter};

@@ -1,131 +1,8 @@
 //! Latency percentiles, for the throughput–latency curves of the paper's
-//! Fig. 10 — plus the lock-free work queue the SOU
-//! pool's stealing workers drain ([`StealQueue`]).
-
-// Under `--features loom` the queue runs on the vendored loom model
-// checker's primitives (see vendor/loom and tests/loom.rs); outside a
-// loom::model call they are passthroughs to std.
-#[cfg(feature = "loom")]
-use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "loom"))]
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Fig. 10, the admission-rejection vocabulary, and a bounded FIFO
+//! occupancy model.
 
 use serde::{Deserialize, Serialize};
-
-/// A fixed-population work queue with owner-pop and steal-half ends, the
-/// per-worker deque of the stealing SOU pool
-/// (`dcart_engine::par_for_each_mut_balanced`).
-///
-/// The item population is fixed at construction (a batch's work list is
-/// known up front), so the whole queue state is one live window
-/// `items[head..tail]` packed into a single `AtomicU64` (`head` in the
-/// high 32 bits, `tail` in the low 32). The owner claims one item from the
-/// tail, a thief claims the *front half* in one shot; either claim is a
-/// single compare-exchange on the packed window, so no item can ever be
-/// lost or handed out twice, and there is no ABA hazard because `head`
-/// only grows and `tail` only shrinks. Everything here is safe code — the
-/// items vector is immutable and claims return disjoint index ranges.
-///
-/// This is the chase-lev shape specialized to a fixed population: no
-/// owner-side push, which is exactly what removes the classic top/bottom
-/// race the original algorithm needs fences for.
-///
-/// # Examples
-///
-/// ```
-/// use dcart_engine::StealQueue;
-///
-/// let q = StealQueue::new(vec![7, 8, 9]);
-/// assert_eq!(q.steal_half(), Some(&[7, 8][..]), "thief takes the front half (rounded up)");
-/// assert_eq!(q.pop(), Some(9), "owner pops from the tail");
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug)]
-pub struct StealQueue {
-    items: Vec<u32>,
-    /// `head` (high 32 bits) and `tail` (low 32): the unclaimed window is
-    /// `items[head..tail]`.
-    state: AtomicU64,
-}
-
-impl StealQueue {
-    /// Creates a queue owning `items`; every item is initially unclaimed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` exceeds the 32-bit window (the pool hands a queue
-    /// at most one work item per shard).
-    pub fn new(items: Vec<u32>) -> Self {
-        assert!(items.len() <= u32::MAX as usize, "queue population exceeds the 32-bit window");
-        let tail = items.len() as u64;
-        StealQueue { items, state: AtomicU64::new(tail) }
-    }
-
-    fn window(state: u64) -> (u64, u64) {
-        (state >> 32, state & u64::from(u32::MAX))
-    }
-
-    /// Unclaimed items remaining (racy by nature: a concurrent claim can
-    /// shrink it immediately; used only to pick steal victims, where a
-    /// stale answer costs one wasted retry, never correctness).
-    pub fn len(&self) -> usize {
-        let (head, tail) = Self::window(self.state.load(Ordering::Acquire));
-        tail.saturating_sub(head) as usize
-    }
-
-    /// Whether no unclaimed items remain (racy; see [`len`](Self::len)).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Owner end: claims the item at the tail of the window, or `None`
-    /// once the queue is drained.
-    pub fn pop(&self) -> Option<u32> {
-        let mut cur = self.state.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = Self::window(cur);
-            if head >= tail {
-                return None;
-            }
-            match self.state.compare_exchange(
-                cur,
-                (head << 32) | (tail - 1),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(self.items[(tail - 1) as usize]),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Thief end: claims the front *half* of the window (rounded up, so a
-    /// single remaining item is still stealable) in one compare-exchange.
-    /// Returns the claimed items, or `None` if the queue was empty.
-    ///
-    /// The returned slice borrows the queue's immutable item store; the
-    /// successful claim guarantees no other caller will ever receive these
-    /// indices again.
-    pub fn steal_half(&self) -> Option<&[u32]> {
-        let mut cur = self.state.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = Self::window(cur);
-            if head >= tail {
-                return None;
-            }
-            let take = (tail - head).div_ceil(2);
-            match self.state.compare_exchange(
-                cur,
-                ((head + take) << 32) | tail,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(&self.items[head as usize..(head + take) as usize]),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
 
 /// Records per-operation latencies and reports percentiles.
 ///
@@ -386,75 +263,5 @@ mod tests {
         assert_eq!(r.percentile(1.0), 10.0);
         r.record(1.0);
         assert_eq!(r.percentile(0.5), 1.0);
-    }
-
-    #[test]
-    fn steal_queue_pop_drains_back_to_front() {
-        let q = StealQueue::new(vec![1, 2, 3]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn steal_queue_steal_takes_front_half_rounded_up() {
-        let q = StealQueue::new(vec![10, 11, 12, 13, 14]);
-        assert_eq!(q.steal_half(), Some(&[10, 11, 12][..]), "5 items: thief takes 3");
-        assert_eq!(q.steal_half(), Some(&[13][..]), "2 left: thief takes 1");
-        assert_eq!(q.pop(), Some(14));
-        assert_eq!(q.steal_half(), None);
-    }
-
-    #[test]
-    fn steal_queue_single_item_goes_to_whoever_claims_first() {
-        let q = StealQueue::new(vec![42]);
-        assert_eq!(q.steal_half(), Some(&[42][..]), "a lone item is stealable");
-        assert_eq!(q.pop(), None);
-
-        let q = StealQueue::new(vec![42]);
-        assert_eq!(q.pop(), Some(42));
-        assert_eq!(q.steal_half(), None);
-    }
-
-    #[test]
-    fn steal_queue_empty_population() {
-        let q = StealQueue::new(Vec::new());
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.steal_half(), None);
-    }
-
-    #[test]
-    fn steal_queue_claims_are_disjoint_and_complete_under_contention() {
-        // Real threads (not loom — that model lives in tests/loom.rs):
-        // one owner popping, two thieves stealing halves, every item
-        // claimed exactly once.
-        let q = std::sync::Arc::new(StealQueue::new((0..1000).collect()));
-        let claimed = std::sync::Mutex::new(Vec::<u32>::new());
-        std::thread::scope(|s| {
-            for worker in 0..3 {
-                let q = std::sync::Arc::clone(&q);
-                let claimed = &claimed;
-                s.spawn(move || {
-                    let mut mine = Vec::new();
-                    if worker == 0 {
-                        while let Some(i) = q.pop() {
-                            mine.push(i);
-                        }
-                    } else {
-                        while let Some(batch) = q.steal_half() {
-                            mine.extend_from_slice(batch);
-                        }
-                    }
-                    claimed.lock().unwrap().extend(mine);
-                });
-            }
-        });
-        let mut all = claimed.into_inner().unwrap();
-        all.sort_unstable();
-        assert_eq!(all, (0..1000).collect::<Vec<u32>>());
     }
 }

@@ -4,17 +4,16 @@
 //! The vendored loom explores every (preemption-bounded) thread
 //! interleaving of each model, so these tests pin properties that a single
 //! lucky schedule under `cargo test` cannot: the pool's exactly-once visit
-//! contract and panic propagation under arbitrary worker schedules, the
-//! SOU response queue's backpressure latch never losing an overflow
-//! signal in a producer/consumer race, and the commit hand-off releasing
-//! every item once, in order, only by a sync begun after it was queued, and
-//! the one-job checkpoint hand-off never letting the loop append to a WAL
-//! segment a running job still absorbs.
+//! contract (over slot order and over the heaviest-first permutation the
+//! executor passes) and panic propagation under arbitrary worker
+//! schedules, the SOU response queue's backpressure latch never losing an
+//! overflow signal in a producer/consumer race, and the commit hand-off
+//! releasing every item once, in order, only by a sync begun after it was
+//! queued, and the one-job checkpoint hand-off never letting the loop
+//! append to a WAL segment a running job still absorbs.
 #![cfg(feature = "loom")]
 
-use dcart_engine::{
-    par_for_each_mut, par_for_each_mut_balanced, BoundedQueue, PoolStats, StealQueue, SyncHandoff,
-};
+use dcart_engine::{par_for_each_mut, BoundedQueue, SyncHandoff};
 use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};
 
@@ -58,97 +57,25 @@ fn pool_propagates_worker_panic_in_all_schedules() {
     std::panic::set_hook(prev_hook);
 }
 
-/// The work-stealing deque's claim protocol, under every owner/thief
-/// interleaving: pop and steal-half hand out disjoint index ranges whose
-/// union is the full population — no item is ever lost or claimed twice,
-/// whichever side wins each compare-exchange race.
+/// The shape the CTT executor passes when it claims heaviest first:
+/// `&mut` references to its shards, stably sorted out of slot order by
+/// descending weight. Under every schedule each slot is reached exactly
+/// once through its reference, whichever position it was moved to and
+/// whichever worker claims that position.
 #[test]
-fn steal_queue_claims_every_item_exactly_once_in_all_schedules() {
-    loom::model(|| {
-        let q = Arc::new(StealQueue::new(vec![10, 11, 12]));
-        let claimed = Arc::new(Mutex::new(Vec::<u32>::new()));
-
-        let thief = {
-            let q = Arc::clone(&q);
-            let claimed = Arc::clone(&claimed);
-            loom::thread::spawn(move || {
-                while let Some(batch) = q.steal_half() {
-                    claimed.lock().expect("no panics in the model").extend_from_slice(batch);
-                }
-            })
-        };
-        // The owner drains its end on this thread, racing the thief.
-        while let Some(item) = q.pop() {
-            claimed.lock().expect("no panics in the model").push(item);
-        }
-        thief.join().expect("thief ran to completion");
-
-        let Ok(claimed) = Arc::try_unwrap(claimed) else {
-            panic!("both claimants joined, the Arc is unique");
-        };
-        let mut all = claimed.into_inner().expect("lock not poisoned");
-        all.sort_unstable();
-        assert_eq!(all, vec![10, 11, 12], "every item claimed exactly once");
-    });
-}
-
-/// The owner-pop vs steal-half race on a single remaining item: exactly
-/// one side wins it in every schedule, never both, never neither.
-#[test]
-fn steal_queue_lone_item_won_by_exactly_one_side() {
-    loom::model(|| {
-        let q = Arc::new(StealQueue::new(vec![7]));
-        let thief = {
-            let q = Arc::clone(&q);
-            loom::thread::spawn(move || q.steal_half().map(<[u32]>::to_vec))
-        };
-        let popped = q.pop();
-        let stolen = thief.join().expect("thief ran to completion");
-        match (popped, stolen) {
-            (Some(7), None) | (None, Some(_)) => {}
-            other => panic!("item must go to exactly one claimant, got {other:?}"),
-        }
-        assert!(q.is_empty());
-    });
-}
-
-/// The stealing pool's exactly-once contract under every schedule: with a
-/// skewed weight deal, each slot is handed to `work` exactly once whether
-/// its owner or a thief ran it, and the outcome equals the serial one.
-#[test]
-fn balanced_pool_visits_every_slot_exactly_once_in_all_schedules() {
+fn pool_visits_every_permuted_slot_exactly_once_in_all_schedules() {
     loom::model(|| {
         let mut slots = vec![0u32; 3];
-        let stats = PoolStats::default();
-        par_for_each_mut_balanced(&mut slots, 2, &[5, 1, 1], Some(&stats), |i, s| {
+        let weights = [1u32, 5, 3];
+        let mut order: Vec<(usize, &mut u32)> = slots.iter_mut().enumerate().collect();
+        order.sort_by_key(|&(i, _)| std::cmp::Reverse(weights[i]));
+        assert_eq!(order.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![1, 2, 0]);
+        par_for_each_mut(&mut order, 2, |_, (i, s)| {
             // `+=` (not `=`) so a double visit would be visible as i+1 extra.
-            *s += i as u32 + 1;
+            **s += *i as u32 + 1;
         });
         assert_eq!(slots, vec![1, 2, 3]);
     });
-}
-
-/// A panicking worker must propagate out of `par_for_each_mut_balanced`
-/// (via the scope join) in every schedule, exactly as with the static
-/// pool, and siblings never run a slot twice while unwinding.
-#[test]
-fn balanced_pool_propagates_worker_panic_in_all_schedules() {
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    loom::model(|| {
-        let mut slots = vec![0u32; 2];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_for_each_mut_balanced(&mut slots, 2, &[1, 1], None, |i, s| {
-                if i == 1 {
-                    panic!("worker failure injected by the model");
-                }
-                *s += 1;
-            });
-        }));
-        assert!(result.is_err(), "the worker panic must reach the caller");
-        assert!(slots[0] <= 1, "slot 0 visited at most once even while unwinding");
-    });
-    std::panic::set_hook(prev_hook);
 }
 
 /// The SOU response-queue degradation protocol from `dcart::accel`: a

@@ -10,6 +10,9 @@
 //! dcart-server verify-acked --addr HOST:PORT --log FILE
 //! ```
 //!
+//! `--steal` makes the SOU pool's workers claim a batch's shards heaviest
+//! first; like `--sou-threads`, it changes no answer.
+//!
 //! `serve` runs until SIGINT or a `shutdown` wire request, then drains
 //! gracefully (stop accepting, flush, checkpoint) and exits 0.
 //! `load` drives a remote server with a seeded open-loop schedule and can
@@ -44,6 +47,7 @@ fn print_usage() {
          serve        --addr HOST:PORT [--data-dir DIR] [--sou-threads N] [--steal]\n\
          \x20            [--batch-size N] [--linger-us N] [--checkpoint-every N]\n\
          \x20            [--queue-capacity N]\n\
+         \x20            (--steal: SOU pool workers claim shards heaviest first)\n\
          load         --addr HOST:PORT [--qps N] [--ops N] [--seed S]\n\
          \x20            [--insert-pct P] [--remove-pct P] [--scan-pct P]\n\
          \x20            [--budget-us N] [--acked-log FILE]\n\

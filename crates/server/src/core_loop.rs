@@ -138,7 +138,8 @@ pub struct ServerConfig {
     pub dcart: DcartConfig,
     /// SOU worker threads for the shard pool.
     pub threads: usize,
-    /// Work stealing in the shard pool.
+    /// Whether the shard pool's workers claim a batch's shards heaviest
+    /// first (see [`ExecOpts::steal`]).
     pub steal: bool,
     /// Flush watermark: a batch executes as soon as this many requests
     /// are queued. Also the nominal batch size seeding the split policy.
@@ -1039,6 +1040,13 @@ impl ServerCore {
             }
             sync_ns = started.map(|started| self.shared.now_ns().saturating_sub(started));
         }
+        // Counted before any of its answers can leave: once handed over,
+        // the committer may answer the batch at any moment.
+        self.publish(|snap| {
+            snap.batches += 1;
+            snap.ops += ops.len() as u64;
+            snap.answer_digest = digest;
+        });
 
         // 4. Acknowledge. An answer to a connection is encoded into that
         // connection's outbound buffer, and each touched connection's
@@ -1052,11 +1060,6 @@ impl ServerCore {
             }
             None => acknowledge(&self.shared, std::slice::from_ref(handed), sync_ns, wake),
         }
-        self.publish(|snap| {
-            snap.batches += 1;
-            snap.ops += ops.len() as u64;
-            snap.answer_digest = digest;
-        });
 
         let every = self.config.checkpoint_every;
         if self.log.as_ref().is_some_and(|log| log.uncheckpointed() >= every) {

@@ -133,7 +133,7 @@ fn repro_digests(triples: &[(RequestKind, u64, u64)], batch: usize) -> (u64, u64
 
 /// The tentpole invariant: the server path and the offline repro path
 /// produce byte-identical digests for the same ops and batch boundaries,
-/// at every thread count and with stealing on.
+/// at every thread count and with heaviest-first claiming on.
 #[test]
 fn server_batches_match_repro_path_digests() {
     let batch = 64;
@@ -1072,19 +1072,19 @@ mod pipelined {
         submit_batch(&shared, &tx, 0);
         gate.wait_entered(1);
         // 1 in the held sync + MAX_UNSYNCED_BATCHES (8) queued = 9 handed
-        // over; the tenth leaves the inbox and gets no further.
+        // over; the tenth is executed and counted, and gets no further.
         for b in 1..10 {
             submit_batch(&shared, &tx, b);
             wait_until("the loop took the batch", || shared.stats().queue_depth == 0);
         }
-        wait_until("nine hand-overs", || shared.stats().core.batches == 9);
+        wait_until("ten batches counted", || shared.stats().core.batches == 10);
         // Two more batches fill the queue's eight slots, and stay.
         submit_batch(&shared, &tx, 10);
         submit_batch(&shared, &tx, 11);
         let refused = shared.submit(insert(48), &tx).expect("no slot left");
         assert_eq!(refused.reject, Some(RejectReason::Overloaded));
         let stats = shared.stats();
-        assert_eq!((stats.core.batches, stats.queue_depth), (9, 8), "the loop stands still");
+        assert_eq!((stats.core.batches, stats.queue_depth), (10, 8), "the loop stands still");
         assert!(rx.try_recv().is_err(), "nothing is answered while the sync is held");
 
         gate.open();
@@ -1097,6 +1097,49 @@ mod pipelined {
         let stats = shared.stats().core;
         assert_eq!((stats.batches, stats.acked_writes), (12, 48));
         assert!(stats.commit_syncs >= 2 && stats.commit_syncs <= 12, "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch is counted before it can be answered. The loop hands a
+    /// batch to the committer only after publishing it, so the commit
+    /// sync, the last step before the batch's answers leave, finds every
+    /// batch it covers in `stats` already. Batches go one at a time, each
+    /// answered before the next is submitted, so sync `k` covers batch `k`
+    /// and nothing else.
+    #[test]
+    fn every_batch_a_commit_sync_covers_is_already_counted() {
+        const BATCHES: u64 = 200;
+        let dir = scratch_dir("pipe_counted");
+        let config = ServerConfig {
+            batch_size: 4,
+            linger_ns: u64::MAX,
+            checkpoint_every: u64::MAX,
+            ..durable_config(&dir, None)
+        };
+        let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+        let mut core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+        // `(sync, batches counted when it began)` for every sync that
+        // found its batch uncounted.
+        let early = Arc::new(Mutex::new(Vec::new()));
+        let mut syncs = 0u64;
+        let (seen, sync_shared) = (Arc::clone(&early), Arc::clone(&shared));
+        core.set_commit_sync(Box::new(move |_| {
+            syncs += 1;
+            let counted = sync_shared.stats().core.batches;
+            if counted != syncs {
+                seen.lock().expect("early").push((syncs, counted));
+            }
+            Ok(())
+        }));
+        let running = spawn_core(core);
+        let (tx, rx) = mpsc::channel();
+
+        batches_answered(&shared, &tx, &rx, 0..BATCHES);
+        shared.request_shutdown();
+        running.join().expect("core thread");
+        let stats = shared.stats().core;
+        assert_eq!((stats.batches, stats.commit_syncs), (BATCHES, BATCHES), "{stats:?}");
+        assert_eq!(*early.lock().expect("early"), [], "syncs that found their batch uncounted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1503,10 +1546,9 @@ mod pipelined {
         gate.wait_entered(1);
         batches_answered(&shared, &tx, &rx, 2..4);
         let killed = killed_copy(&dir, "job_held_offline_killed");
-        // The committer answers batch 3 before the loop publishes its
-        // digest.
-        wait_until("batch 3 published", || shared.stats().core.batches == 4);
-        let served = shared.stats().core.answer_digest;
+        let stats = shared.stats().core;
+        assert_eq!(stats.batches, 4, "an answered batch is a counted one");
+        let served = stats.answer_digest;
         gate.open();
         shared.request_shutdown();
         running.join().expect("core thread");

@@ -37,14 +37,15 @@ fn ack_before_fsync_reorder_is_caught_by_o2() {
     );
 
     // The mutation: move the acknowledge block (stage 4) in front of the
-    // commit+fsync block (stage 3) — the durability bug PR-8's protocol
-    // ordering exists to prevent. The stage comments are load-bearing
-    // anchors; if they are renamed, this test must be updated with them.
+    // commit+fsync block (stage 3) — the durability bug the protocol
+    // ordering exists to prevent. The stage comments and the checkpoint
+    // check that follows stage 4 are load-bearing anchors; if they are
+    // renamed, this test must be updated with them.
     let mutated = swap_regions(
         &source,
         "        // 3. Commit",
         "        // 4. Acknowledge.",
-        "        self.publish(|snap| {\n            snap.batches += 1;",
+        "        let every = self.config.checkpoint_every;",
     );
     let fired = rules_fired(path, &mutated);
     assert!(fired.contains(&"O2"), "O2 must catch the ack-before-fsync reorder; fired: {fired:?}");

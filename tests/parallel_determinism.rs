@@ -131,25 +131,27 @@ fn run_cell(
     (json, sink.h, tree_digest(&tree), load, stats)
 }
 
-/// The pool schedules whose observables must all coincide: serial, static
-/// 2-thread, stealing 2-thread, stealing 8-thread.
-const SCHEDULES: [(usize, bool); 4] = [(1, false), (2, false), (2, true), (8, true)];
+/// The pool schedules whose observables must all coincide: {1, 2, 8}
+/// threads, each claiming in slot order and heaviest first.
+const SCHEDULES: [(usize, bool); 6] =
+    [(1, false), (1, true), (2, false), (2, true), (8, false), (8, true)];
 
 #[test]
 fn split_schedules_are_pinned_across_threads_and_stealing() {
     // For a FIXED split threshold, every observable — stats JSON, the full
-    // event stream, the final tree — is pinned across thread counts and
-    // stealing, fault-free and under chaos. Across DIFFERENT thresholds
-    // the event stream legitimately differs (fresh sub-shard shortcut
-    // tables resolve ops differently), but answers and the final tree are
-    // split-invariant: sub-trees partition the bucket's key space.
+    // event stream, the load report, the final tree — is pinned across
+    // thread counts and claim orders, fault-free and under chaos. Across
+    // DIFFERENT thresholds the event stream legitimately differs (fresh
+    // sub-shard shortcut tables resolve ops differently), but answers and
+    // the final tree are split-invariant: sub-trees partition the bucket's
+    // key space.
     let chaos = FaultPlan { seed: 99, shortcut_corrupt_rate: 0.05, ..FaultPlan::none() };
     for workload in WORKLOADS {
         for faults in [FaultPlan::none(), chaos] {
             let mut per_split = Vec::new();
             // 1.0 never splits; 0.02 splits any bucket above 2 % of a batch.
             for split in [1.0f64, 0.02] {
-                let (base_json, base_stream, base_tree, _, base_stats) =
+                let (base_json, base_stream, base_tree, base_load, base_stats) =
                     run_cell(workload, Mix::E, faults, split, 1, false);
                 if split < 0.5 {
                     assert!(
@@ -172,9 +174,11 @@ fn split_schedules_are_pinned_across_threads_and_stealing() {
                          {threads} threads (steal {steal})"
                     );
                     assert_eq!(tree, base_tree, "{workload:?} split {split}: tree differs");
-                    if !steal {
-                        assert_eq!(load.steal_events, 0, "stealing off means zero steals");
-                    }
+                    assert_eq!(
+                        load, base_load,
+                        "{workload:?} split {split}: load report differs at {threads} threads \
+                         (steal {steal})"
+                    );
                 }
                 per_split.push((base_tree, base_stats.answer_digest));
             }
