@@ -24,8 +24,11 @@
 //! `checkpoint.snap`, fsync the directory) and only then resets the
 //! segment the checkpoint absorbed. Every window between those steps is a
 //! distinct [`CrashSite`]; the crash-point matrix and the soak in
-//! `crates/bench` kill [`run_durable`] inside each one. The caller keeps
-//! the session, the cadence, the threads and the crash injectors.
+//! `crates/bench` kill [`run_durable`] inside each one. A checkpoint is
+//! [due](DurableLog::checkpoint_due) once the segment appended to has
+//! grown as large as the last checkpoint file (1 MiB at least), or after
+//! the caller's cap on batches. The caller keeps the session, the threads
+//! and the crash injectors.
 //!
 //! # Checkpoint files
 //!
@@ -89,14 +92,21 @@ const CHECKPOINT_PRELUDE: usize = 8 + 8 + 8;
 /// takes.
 const ENTRY_HINT: usize = 18;
 
+/// The least a WAL segment holds before its size alone makes a checkpoint
+/// due ([`DurableLog::checkpoint_due`]): without a checkpoint, or with a
+/// small one, the byte rule would otherwise install after every few
+/// batches. A cycle that logged this much walks ([`DurableLog::rotate`]).
+const CHECKPOINT_FLOOR_BYTES: u64 = 1 << 20;
+
 /// How and where a run persists its state.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Directory holding the WAL and checkpoint files.
     pub dir: PathBuf,
-    /// Batches between checkpoints (also a WAL segment's maximum length
-    /// in batches, since an installed checkpoint resets the segment it
-    /// absorbed). Every commit record is fsynced.
+    /// At most this many batches between checkpoints; within that, a
+    /// checkpoint follows once the WAL segment appended to has grown as
+    /// large as the last checkpoint file ([`DurableLog::checkpoint_due`]).
+    /// Every commit record is fsynced.
     pub checkpoint_every: u64,
 }
 
@@ -381,6 +391,11 @@ pub struct CheckpointPairs {
 /// snapshot container, [`DcartError::Recovery`] for a file that is not a
 /// checkpoint or whose outer checksum does not match.
 pub fn read_checkpoint_pairs(dir: &Path) -> Result<Option<CheckpointPairs>, DcartError> {
+    Ok(read_checkpoint_file(dir)?.map(|(ckpt, _)| ckpt))
+}
+
+/// [`read_checkpoint_pairs`], with the length of the file read.
+fn read_checkpoint_file(dir: &Path) -> Result<Option<(CheckpointPairs, u64)>, DcartError> {
     let path = dir.join(CHECKPOINT_FILE);
     let bytes = match fs::read(&path) {
         Ok(b) => b,
@@ -402,11 +417,12 @@ pub fn read_checkpoint_pairs(dir: &Path) -> Result<Option<CheckpointPairs>, Dcar
     if chained_checksum(prelude, snapshot_checksum) != stored {
         return Err(DcartError::Recovery("checkpoint checksum mismatch".into()));
     }
-    Ok(Some(CheckpointPairs {
+    let ckpt = CheckpointPairs {
         next_seq: u64::from_le_bytes(prelude[8..16].try_into().unwrap_or([0; 8])),
         digest: u64::from_le_bytes(prelude[16..24].try_into().unwrap_or([0; 8])),
         pairs: entries.collect_pairs()?,
-    }))
+    };
+    Ok(Some((ckpt, bytes.len() as u64)))
 }
 
 /// Loads the live checkpoint, if present:
@@ -473,6 +489,9 @@ pub struct Checkpointer {
     merging: bool,
     /// `next_seq` of the checkpoint live in `dir`, when known.
     installed_seq: Option<u64>,
+    /// Length of the checkpoint file live in `dir`, 0 when unknown; kept
+    /// apart from the image, which is out while a job runs.
+    installed_bytes: u64,
 }
 
 /// One checkpoint between its capture and its install: the captured
@@ -517,6 +536,7 @@ impl Checkpointer {
             dirty: Vec::new(),
             merging: false,
             installed_seq,
+            installed_bytes: 0,
         }
     }
 
@@ -528,7 +548,8 @@ impl Checkpointer {
     }
 
     /// Records the keys `batch` writes. Call once for every batch handed
-    /// to [`CttSession::execute_batch`] between two captures.
+    /// to [`CttSession::execute_batch`] between two captures, unless the
+    /// next capture walks.
     pub fn note_writes(&mut self, batch: &[Op]) {
         // When the next checkpoint walks it needs no keys.
         if self.merging {
@@ -561,7 +582,9 @@ impl Checkpointer {
         let (kind, image) = match base {
             None => {
                 next.clear();
-                next.reserve(session.len() * ENTRY_HINT);
+                // Exact, here and in a merge: a doubled file buffer stays
+                // resident for as long as the log runs.
+                next.reserve_exact(session.len() * ENTRY_HINT);
                 let written = encode_walk(&mut next, next_seq, digest, session.entries())?;
                 // The old image's buffer, if any, is the next merge's.
                 let spare = self.image.take().map_or_else(Vec::new, |old| old.file);
@@ -608,6 +631,7 @@ impl Checkpointer {
     pub fn finish(&mut self, job: CheckpointJob) {
         if job.installed {
             self.installed_seq = Some(job.next_seq);
+            self.installed_bytes = job.image.file.len() as u64;
             self.image = Some(job.image);
         } else {
             self.merging = false;
@@ -640,7 +664,7 @@ impl CheckpointJob {
         if let CheckpointKind::Merged { .. } = self.kind {
             let base = &self.image;
             self.next.clear();
-            self.next.reserve(base.file.len() + self.updates.len() * ENTRY_HINT);
+            self.next.reserve_exact(base.file.len() + self.updates.len() * ENTRY_HINT);
             let written =
                 encode_checkpoint(&mut self.next, self.next_seq, self.digest, |writer| {
                     writer.merge(
@@ -684,10 +708,10 @@ impl CttConsumer for NoEvents {}
 /// drive it the same way: [`open`](Self::open) the directory; per batch,
 /// [`append`](Self::append) its record, execute it, [`commit`](Self::commit)
 /// its mark, and acknowledge it once an fsync that began after the mark
-/// has returned; per checkpoint, [`rotate`](Self::rotate), run the job —
-/// on any thread — and [`finish`](Self::finish) it. The session, and the
-/// crash injectors (call parameters, as on [`WalWriter`]), stay the
-/// caller's.
+/// has returned; once [`checkpoint_due`](Self::checkpoint_due),
+/// [`rotate`](Self::rotate), run the job — on any thread — and
+/// [`finish`](Self::finish) it. The session, and the crash injectors (call
+/// parameters, as on [`WalWriter`]), stay the caller's.
 pub struct DurableLog {
     /// The segment appended to.
     writer: WalWriter,
@@ -722,6 +746,8 @@ struct Replayed {
     session: CttSession,
     next_seq: u64,
     installed_seq: Option<u64>,
+    /// Length of the checkpoint file read, 0 without one.
+    installed_bytes: u64,
     /// Each of [`WAL_SEGMENTS`]' path and, if it exists, its scan.
     segments: Vec<(PathBuf, Option<wal::WalScan>)>,
     /// The segment holding the newest batch (the first, when neither
@@ -752,7 +778,10 @@ fn replay(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => return Err(e.into()),
     }
-    let checkpoint = read_checkpoint_pairs(dir)?;
+    let (checkpoint, installed_bytes) = match read_checkpoint_file(dir)? {
+        Some((ckpt, bytes)) => (Some(ckpt), bytes),
+        None => (None, 0),
+    };
     let mut persist = PersistStats::default();
     let mut segments = Vec::with_capacity(WAL_SEGMENTS.len());
     for name in WAL_SEGMENTS {
@@ -810,7 +839,16 @@ fn replay(
     }
     persist.replayed_batches = batches.len() as u64;
     let next_seq = start_seq + persist.replayed_batches;
-    Ok(Replayed { session, next_seq, installed_seq, segments, active, logged_batch_size, persist })
+    Ok(Replayed {
+        session,
+        next_seq,
+        installed_seq,
+        installed_bytes,
+        segments,
+        active,
+        logged_batch_size,
+        persist,
+    })
 }
 
 impl DurableLog {
@@ -836,10 +874,12 @@ impl DurableLog {
             (path, Some(scan)) => WalWriter::open_append(path, scan.valid_len),
             (path, None) => WalWriter::create(path, batch_size as u32),
         };
+        let mut checkpointer = Checkpointer::new(dir, replayed.installed_seq);
+        checkpointer.installed_bytes = replayed.installed_bytes;
         let mut log = DurableLog {
             writer: writer(replayed.active)?,
             spare: Some(writer(1 - replayed.active)?),
-            checkpointer: Checkpointer::new(dir, replayed.installed_seq),
+            checkpointer,
             next_seq: replayed.next_seq,
             uncheckpointed: 0,
             persist: replayed.persist,
@@ -858,14 +898,18 @@ impl DurableLog {
         Ok(Opened { log, session, absorb, logged_batch_size: replayed.logged_batch_size })
     }
 
-    /// Stage 1: notes the keys `batch` writes, for the next checkpoint,
-    /// and appends its record. A [`CrashSite::MidRecord`] opportunity.
+    /// Stage 1: notes the keys `batch` writes, for the next checkpoint to
+    /// merge (until the segment holds 1 MiB), and appends its record. A
+    /// [`CrashSite::MidRecord`] opportunity.
     ///
     /// # Errors
     ///
     /// I/O failures, or the injected crash.
     pub fn append(&mut self, batch: &[Op], crash: &mut CrashInjector) -> Result<(), DcartError> {
-        self.checkpointer.note_writes(batch);
+        // Past the floor the capture walks (see `rotate`) and needs no keys.
+        if self.segment_bytes() < CHECKPOINT_FLOOR_BYTES {
+            self.checkpointer.note_writes(batch);
+        }
         encode_ops_into(batch, &mut self.payload);
         self.persist.payload_bytes += self.payload.len() as u64;
         let before = self.writer.len();
@@ -900,10 +944,14 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Captures a checkpoint of `session` as of the next batch (a walk if
-    /// `walk` asks for one, see [`Checkpointer::capture`]), moves appends
-    /// onto the spare segment, and returns the job that installs the
-    /// checkpoint and empties the retired segment.
+    /// Captures a checkpoint of `session` as of the next batch, moves
+    /// appends onto the spare segment, and returns the job that installs
+    /// the checkpoint and empties the retired segment. The capture walks
+    /// (see [`Checkpointer::capture`]) if `walk` asks for one, and when
+    /// the segment holds at least the byte trigger's 1 MiB floor: a cycle
+    /// that long has written a share of the tree near the whole, and
+    /// sorting and looking up its keys costs the loop more than a walk,
+    /// and more memory.
     ///
     /// # Errors
     ///
@@ -918,6 +966,7 @@ impl DurableLog {
             return Err(DcartError::Recovery("no spare WAL segment to rotate onto".into()));
         };
         debug_assert!(spare.is_empty(), "rotated onto a segment that holds batches");
+        let walk = walk || self.segment_bytes() >= CHECKPOINT_FLOOR_BYTES;
         let mut job = self.checkpointer.capture(session, self.next_seq, walk)?;
         job.retired = Some(std::mem::replace(&mut self.writer, spare));
         self.uncheckpointed = 0;
@@ -937,9 +986,28 @@ impl DurableLog {
         self.writer.sync_handle()
     }
 
-    /// Batches committed since the last rotation, or since the open.
-    pub fn uncheckpointed(&self) -> u64 {
-        self.uncheckpointed
+    /// Whether a checkpoint is due: `every` batches have been committed
+    /// since the last rotation (or the open), or the segment appended to
+    /// holds [`checkpoint_trigger_bytes`](Self::checkpoint_trigger_bytes),
+    /// whichever comes first. The byte rule keeps the checkpoint traffic
+    /// near the log traffic, and a restart's replay near one checkpoint's
+    /// worth of log.
+    pub fn checkpoint_due(&self, every: u64) -> bool {
+        self.uncheckpointed >= every.max(1)
+            || self.segment_bytes() >= self.checkpoint_trigger_bytes()
+    }
+
+    /// Bytes in the segment appended to, its header included: what was
+    /// logged since the last rotation, or what it held at the open.
+    pub fn segment_bytes(&self) -> u64 {
+        self.writer.len()
+    }
+
+    /// The segment size at which a checkpoint is due: the length of the
+    /// checkpoint file installed last (read at the open, or written by
+    /// the last job finished), and at least 1 MiB.
+    pub fn checkpoint_trigger_bytes(&self) -> u64 {
+        self.checkpointer.installed_bytes.max(CHECKPOINT_FLOOR_BYTES)
     }
 
     /// Whether the live checkpoint stands for every committed batch.
@@ -1001,9 +1069,10 @@ pub fn recover(
 /// the not-yet-durable suffix of `ops` (callers pass the *same* key set and
 /// full op stream every time — the WAL sequence numbers determine the
 /// suffix). Every mark is fsynced before the next batch; a checkpoint,
-/// its job run inline, follows every `checkpoint_every` batches and the
-/// last one. A planned crash in `crash` is not an error: the outcome
-/// carries the site in [`DurableOutcome::crashed`] and the directory holds
+/// its job run inline, follows the last batch and every batch after which
+/// one is [due](DurableLog::checkpoint_due). A planned crash in `crash`
+/// is not an error: the outcome carries the site in
+/// [`DurableOutcome::crashed`] and the directory holds
 /// exactly what a real process death there would leave. The open's
 /// absorb of a spare that holds batches (a server directory killed inside
 /// a job) fires on `crash` too — a legitimate crash point, though no
@@ -1076,7 +1145,7 @@ fn drive(
         log.append(batch, crash)?;
         session.execute_batch(batch, &mut NoEvents)?;
         log.commit(session.answer_digest(), batch.len() as u32, true, crash)?;
-        if log.uncheckpointed >= checkpoint_every.max(1) || batches.peek().is_none() {
+        if log.checkpoint_due(checkpoint_every) || batches.peek().is_none() {
             let job = log.rotate(session, false)?;
             run_inline(log, job, crash)?;
         }
@@ -1334,6 +1403,101 @@ mod tests {
             matches!(err, DcartError::Recovery(_) | DcartError::Snapshot(_)),
             "bit flip must be a typed error: {err}"
         );
+    }
+
+    /// A log opened under `dir` over `n` keys `0..n` (8 bytes each), its
+    /// session, and a batch of 64 updates to the first keys: every record
+    /// of it is the same size.
+    fn open_keys(dir: &Path, n: u64) -> (DurableLog, CttSession, Vec<Op>) {
+        let pairs: Vec<(Key, u64)> = (0..n).map(|i| (Key::from_u64(i), i)).collect();
+        let Opened { log, session, absorb, .. } =
+            DurableLog::open(dir, &pairs, &DcartConfig::default(), &SERIAL, 64).unwrap();
+        assert!(absorb.is_none());
+        let batch = (0..64).map(|i| Op { kind: OpKind::Update, key: Key::from_u64(i), value: i });
+        (log, session, batch.collect())
+    }
+
+    /// Appends, executes and commits `batch`, its mark left unsynced.
+    fn commit_one(log: &mut DurableLog, session: &mut CttSession, batch: &[Op]) {
+        let mut crash = CrashInjector::counting();
+        log.append(batch, &mut crash).unwrap();
+        session.execute_batch(batch, &mut NoEvents).unwrap();
+        log.commit(session.answer_digest(), batch.len() as u32, false, &mut crash).unwrap();
+    }
+
+    #[test]
+    fn the_batch_cap_makes_a_checkpoint_due_at_exactly_every() {
+        let (mut log, mut session, batch) = open_keys(&tmpdir("due-every"), 1_000);
+        for committed in 1..=5 {
+            commit_one(&mut log, &mut session, &batch);
+            assert_eq!(log.checkpoint_due(5), committed == 5, "after {committed} batches");
+            assert!(!log.checkpoint_due(u64::MAX), "far below the byte trigger");
+        }
+        let job = log.rotate(&session, false).unwrap();
+        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        assert!(!log.checkpoint_due(5), "a rotation restarts the count");
+        for _ in 0..5 {
+            commit_one(&mut log, &mut session, &batch);
+        }
+        assert!(log.checkpoint_due(5));
+        let job = log.rotate(&session, false).unwrap();
+        assert_eq!(job.kind, CheckpointKind::Merged { dirty_keys: 64 }, "a short cycle merges");
+    }
+
+    #[test]
+    fn the_byte_rule_fires_at_the_first_commit_that_crosses_the_trigger() {
+        let (mut log, mut session, batch) = open_keys(&tmpdir("due-bytes"), 1_000);
+        // A first checkpoint, so that the one under test could merge.
+        commit_one(&mut log, &mut session, &batch);
+        let job = log.rotate(&session, false).unwrap();
+        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        let trigger = log.checkpoint_trigger_bytes();
+        let empty = log.segment_bytes();
+        commit_one(&mut log, &mut session, &batch);
+        let per_batch = log.segment_bytes() - empty;
+        // The commit that brings the segment to the trigger, and none before.
+        let due_at = (trigger - empty).div_ceil(per_batch);
+        for committed in 1..due_at {
+            assert!(!log.checkpoint_due(u64::MAX), "due early, after {committed} batches");
+            commit_one(&mut log, &mut session, &batch);
+        }
+        assert!(log.segment_bytes() >= trigger && log.segment_bytes() - per_batch < trigger);
+        assert!(log.checkpoint_due(u64::MAX), "not due after {due_at} batches");
+        let job = log.rotate(&session, false).unwrap();
+        assert_eq!(job.kind, CheckpointKind::Walked, "a cycle that logged the floor walks");
+        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        assert_eq!(log.segment_bytes(), empty, "appends moved onto the empty spare");
+        assert!(!log.checkpoint_due(u64::MAX));
+    }
+
+    #[test]
+    fn without_a_large_enough_checkpoint_the_floor_is_the_trigger() {
+        let dir = tmpdir("due-floor");
+        let (mut log, mut session, batch) = open_keys(&dir, 1_000);
+        assert_eq!(log.checkpoint_trigger_bytes(), CHECKPOINT_FLOOR_BYTES, "no checkpoint");
+        commit_one(&mut log, &mut session, &batch);
+        let job = log.rotate(&session, false).unwrap();
+        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        let installed = fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
+        assert!(installed < CHECKPOINT_FLOOR_BYTES);
+        assert_eq!(log.checkpoint_trigger_bytes(), CHECKPOINT_FLOOR_BYTES, "a small checkpoint");
+    }
+
+    #[test]
+    fn the_trigger_is_the_installed_file_in_process_and_after_a_restart() {
+        let dir = tmpdir("due-restart");
+        let (mut log, mut session, batch) = open_keys(&dir, 80_000);
+        commit_one(&mut log, &mut session, &batch);
+        let job = log.rotate(&session, false).unwrap();
+        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        let installed = fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
+        assert!(installed > CHECKPOINT_FLOOR_BYTES, "the file must outgrow the floor");
+        assert_eq!(log.checkpoint_trigger_bytes(), installed, "set by the finished job");
+        commit_one(&mut log, &mut session, &batch);
+        drop((log, session));
+        let (log, _, _) = open_keys(&dir, 80_000);
+        assert_eq!(log.persist().replayed_batches, 1);
+        assert_eq!(log.checkpoint_trigger_bytes(), installed, "read back at the open");
     }
 
     /// A small real checkpoint file: `(directory, its bytes, its tree)`.

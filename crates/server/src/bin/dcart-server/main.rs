@@ -11,7 +11,10 @@
 //! ```
 //!
 //! `--steal` makes the SOU pool's workers claim a batch's shards heaviest
-//! first; like `--sou-threads`, it changes no answer.
+//! first; like `--sou-threads`, it changes no answer. A durable server
+//! checkpoints once its WAL segment has grown as large as the last
+//! checkpoint file (1 MiB at least); `--checkpoint-every N` also caps the
+//! batches between two checkpoints at N.
 //!
 //! `serve` runs until SIGINT or a `shutdown` wire request, then drains
 //! gracefully (stop accepting, flush, checkpoint) and exits 0.
@@ -48,6 +51,9 @@ fn print_usage() {
          \x20            [--batch-size N] [--linger-us N] [--checkpoint-every N]\n\
          \x20            [--queue-capacity N]\n\
          \x20            (--steal: SOU pool workers claim shards heaviest first)\n\
+         \x20            (--checkpoint-every: at most N batches between checkpoints;\n\
+         \x20             by default one follows once the WAL holds as many bytes\n\
+         \x20             as the last checkpoint, 1 MiB at least)\n\
          load         --addr HOST:PORT [--qps N] [--ops N] [--seed S]\n\
          \x20            [--insert-pct P] [--remove-pct P] [--scan-pct P]\n\
          \x20            [--budget-us N] [--acked-log FILE]\n\
@@ -139,7 +145,7 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         config.steal = flags.has("--steal");
         config.batch_size = flags.parse_positive("--batch-size", 64)? as usize;
         config.linger_ns = flags.parse_u64("--linger-us", 2_000)? * 1_000;
-        config.checkpoint_every = flags.parse_positive("--checkpoint-every", 64)?;
+        config.checkpoint_every = flags.parse_positive("--checkpoint-every", u64::MAX)?;
         config.admission.queue_capacity = flags.parse_positive("--queue-capacity", 1_024)?;
         config.data_dir = flags.value_of("--data-dir").map(PathBuf::from);
         flags.reject_unknown("serve")

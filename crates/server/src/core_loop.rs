@@ -57,8 +57,10 @@
 //! batch, the ops, the collected answers, the connections to wake) are
 //! kept across flushes; those handed to the committer come back emptied.
 //!
-//! Checkpoints are split the same way — every
-//! [`ServerConfig::checkpoint_every`] batches, at drain, and at an open
+//! Checkpoints are split the same way — whenever the log says one is
+//! [due](DurableLog::checkpoint_due) (by default once the WAL segment has
+//! grown as large as the last checkpoint file; at most every
+//! [`ServerConfig::checkpoint_every`] batches), at drain, and at an open
 //! that finds batches in both WAL segments. What a checkpoint does is the
 //! log's; where it happens is this module's. The loop waits for the
 //! previous checkpoint job to end (one in flight) and for the committer
@@ -151,7 +153,10 @@ pub struct ServerConfig {
     /// mean "executed", not "durable"). With one, a batch is acknowledged
     /// only once an fsync covers its commit mark.
     pub data_dir: Option<PathBuf>,
-    /// Batches between checkpoints.
+    /// At most this many batches between checkpoints; by default
+    /// (`u64::MAX`) only the log's size decides: a checkpoint follows once
+    /// the WAL segment has grown as large as the last checkpoint file, and
+    /// 1 MiB at least ([`DurableLog::checkpoint_due`]).
     pub checkpoint_every: u64,
     /// Admission tunables.
     pub admission: AdmissionConfig,
@@ -168,7 +173,7 @@ impl Default for ServerConfig {
             batch_size: 64,
             linger_ns: 2_000_000, // 2 ms
             data_dir: None,
-            checkpoint_every: 64,
+            checkpoint_every: u64::MAX,
             admission: AdmissionConfig::default(),
             crash: None,
         }
@@ -761,6 +766,8 @@ impl ServerCore {
             replayed_batches: replayed,
             batches: replayed,
             answer_digest: session.answer_digest(),
+            wal_segment_bytes: log.as_ref().map_or(0, DurableLog::segment_bytes),
+            checkpoint_trigger_bytes: log.as_ref().map_or(0, DurableLog::checkpoint_trigger_bytes),
             ..CoreSnapshot::default()
         };
         let durable = log.is_some();
@@ -1062,7 +1069,7 @@ impl ServerCore {
         }
 
         let every = self.config.checkpoint_every;
-        if self.log.as_ref().is_some_and(|log| log.uncheckpointed() >= every) {
+        if self.log.as_ref().is_some_and(|log| log.checkpoint_due(every)) {
             if let Err(e) = self.checkpoint(false, lanes) {
                 self.error.get_or_insert(e);
                 self.shared.mark_dead();
@@ -1072,9 +1079,10 @@ impl ServerCore {
 
     /// Publishes what the loop counts, under one hold of the snapshot
     /// lock: `count` updates the loop's counters in place, and the log's
-    /// traffic replaces its published copy — all but `persist.checkpoints`
-    /// and `persist.checkpoint_bytes`, which [`run_job`] adds to where the
-    /// job runs, as [`acknowledge`] counts the answers and syncs.
+    /// traffic and gauges replace their published copies — all but
+    /// `persist.checkpoints` and `persist.checkpoint_bytes`, which
+    /// [`run_job`] adds to where the job runs, as [`acknowledge`] counts
+    /// the answers and syncs.
     fn publish(&self, count: impl FnOnce(&mut CoreSnapshot)) {
         let mut snap = self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
         count(&mut snap);
@@ -1085,6 +1093,8 @@ impl ServerCore {
                 checkpoint_bytes: job.checkpoint_bytes,
                 ..*log.persist()
             };
+            snap.wal_segment_bytes = log.segment_bytes();
+            snap.checkpoint_trigger_bytes = log.checkpoint_trigger_bytes();
         }
     }
 

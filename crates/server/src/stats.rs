@@ -11,7 +11,8 @@ use crate::admission::AdmissionCounters;
 /// What the core loop has durably done so far, read by connection threads
 /// under a mutex. Each counter has one writer, which updates it in place:
 /// the loop (`batches`, `ops`, `answer_digest`, `expired_in_queue`, the
-/// checkpoint stall, and `persist` but for its two checkpoint counters),
+/// checkpoint stall, the two WAL gauges, and `persist` but for its two
+/// checkpoint counters),
 /// whoever releases answers — the committer under `ServerCore::run`, the
 /// loop inline — (`acked_writes`, the `commit_sync*` counters), and
 /// wherever a checkpoint job ends (the other checkpoint counters,
@@ -53,7 +54,8 @@ pub struct CoreSnapshot {
     /// previous checkpoint's entries.
     pub checkpoints_merged: u64,
     /// Checkpoints produced by a full ordered walk of the shards (the
-    /// first after an open, and the one at drain).
+    /// first after an open, the one at drain, and any whose WAL segment
+    /// had grown to 1 MiB — every one the byte trigger calls for).
     pub checkpoints_walked: u64,
     /// Distinct keys merged, summed over the merged checkpoints.
     pub checkpoint_dirty_keys: u64,
@@ -66,6 +68,13 @@ pub struct CoreSnapshot {
     pub commit_sync_ns_total: u64,
     /// The longest single commit fsync.
     pub commit_sync_ns_max: u64,
+    /// Gauge: bytes in the WAL segment appended to — what was logged since
+    /// the last checkpoint's rotation, and what a restart now would replay
+    /// (0 without a data directory). Updated once per batch.
+    pub wal_segment_bytes: u64,
+    /// Gauge: the `wal_segment_bytes` at which the next checkpoint is due —
+    /// the last checkpoint file's length, 1 MiB at least.
+    pub checkpoint_trigger_bytes: u64,
 }
 
 /// The full stats answer: admission-side counters plus the core snapshot.

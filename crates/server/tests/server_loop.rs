@@ -1,7 +1,8 @@
 //! Integration tests for the serving core: batch determinism against the
 //! offline repro path, zero acked-write loss across an injected kill,
-//! crashes inside a merged checkpoint, the drain checkpoint, deadline
-//! enforcement under a hand-driven clock, the `stats` answer byte for
+//! crashes inside a merged checkpoint, the drain checkpoint, the default
+//! cadence by log size and the replay it bounds, deadline enforcement
+//! under a hand-driven clock, the `stats` answer byte for
 //! byte, admissions racing a drain, group submission against
 //! one-at-a-time submission, when the sleeping loop flushes, and the TCP
 //! front end end to end (pipelining, slow frames, a peer that never
@@ -510,6 +511,64 @@ fn drain_checkpoints_once_and_only_when_something_changed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The default cadence through `flush_now`: no cap on batches, so the
+/// log's size alone decides. Batches whose WAL segment stays below the
+/// 1 MiB floor never checkpoint, the batch that crosses it checkpoints
+/// once, and a kill and restart then replays exactly the batches logged
+/// after that checkpoint — the replay bound.
+#[test]
+fn the_default_cadence_checkpoints_by_log_size_and_bounds_the_replay() {
+    let dir = scratch_dir("by_bytes");
+    let config = ServerConfig { data_dir: Some(dir.clone()), ..ServerConfig::default() };
+    assert_eq!(config.checkpoint_every, u64::MAX);
+    let batch = config.batch_size as u64;
+    let (shared, mut core) = open_core(config.clone());
+    let trigger = shared.stats().core.checkpoint_trigger_bytes;
+    assert_eq!(trigger, 1 << 20, "no checkpoint yet: the floor");
+    let (tx, rx) = mpsc::channel();
+    let flush = |core: &mut ServerCore, b: u64| {
+        for req_id in b * batch..(b + 1) * batch {
+            assert!(shared.submit(insert(req_id), &tx).is_none());
+        }
+        core.flush_now();
+        assert_eq!(rx.try_iter().filter(|r| r.status == Status::Ok).count() as u64, batch);
+    };
+    let mut b = 0;
+    loop {
+        let before = shared.stats().core;
+        flush(&mut core, b);
+        b += 1;
+        let after = shared.stats().core;
+        let logged = after.persist.wal_bytes - before.persist.wal_bytes;
+        if after.persist.checkpoints == 1 {
+            assert!(before.wal_segment_bytes < trigger, "batch {b} checkpointed late");
+            assert!(before.wal_segment_bytes + logged >= trigger, "batch {b} checkpointed early");
+            break;
+        }
+        assert_eq!(after.persist.checkpoints, 0);
+        assert_eq!(after.wal_segment_bytes, before.wal_segment_bytes + logged);
+        assert!(after.wal_segment_bytes < trigger, "batch {b} crossed without a checkpoint");
+    }
+    let checkpointed = b;
+    let uncheckpointed = 5;
+    for _ in 0..uncheckpointed {
+        flush(&mut core, b);
+        b += 1;
+    }
+    let stats = shared.stats().core;
+    assert_eq!((stats.batches, stats.persist.checkpoints), (checkpointed + uncheckpointed, 1));
+    let answer = core.answer_digest();
+    drop(core); // killed: no drain, no final checkpoint
+
+    let (shared, core) = open_core(config);
+    let stats = shared.stats().core;
+    assert_eq!(stats.replayed_batches, uncheckpointed, "replay covers one checkpoint's log");
+    assert_eq!(core.answer_digest(), answer);
+    let installed = checkpoint_file(&dir).len() as u64;
+    assert_eq!(stats.checkpoint_trigger_bytes, installed.max(1 << 20));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Deadlines under a hand-driven clock: a request that expires while
 /// queued is answered `DeadlineExceeded` at flush and never executed.
 #[test]
@@ -805,7 +864,10 @@ fn a_watermark_reached_while_the_loop_sleeps_on_a_long_linger_flushes_at_once() 
 /// batch that trips the first (walked) checkpoint, a batch with one
 /// request that expires in the queue, and a batch that trips the first
 /// merged checkpoint. Every counter is pinned where its one writer — the
-/// loop, the acknowledging path, the checkpoint job — leaves it.
+/// loop, the acknowledging path, the checkpoint job — leaves it, and so
+/// are the WAL gauges: the segment's bytes, back to its 16-byte header
+/// after each rotation, and the 1 MiB trigger these small checkpoints
+/// never raise.
 #[test]
 fn stats_json_is_pinned_through_a_durable_flush_now_run() {
     let dir = scratch_dir("stats_pin");
@@ -829,11 +891,11 @@ fn stats_json_is_pinned_through_a_durable_flush_now_run() {
 
 /// What `stats_json_is_pinned_through_a_durable_flush_now_run` reads.
 const PINNED_STATS: [&str; 5] = [
-    r#"{"admission":{"accepted":0,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":0,"ops":0,"acked_writes":0,"answer_digest":0,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":0,"wal_batches":0,"wal_commits":0,"payload_bytes":0,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"checkpoints_merged":0,"checkpoints_walked":0,"checkpoint_dirty_keys":0,"commit_syncs":0,"commit_sync_ns_total":0,"commit_sync_ns_max":0}}"#,
-    r#"{"admission":{"accepted":4,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":1,"ops":4,"acked_writes":4,"answer_digest":1714166583970945052,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":134,"wal_batches":1,"wal_commits":1,"payload_bytes":80,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"checkpoints_merged":0,"checkpoints_walked":0,"checkpoint_dirty_keys":0,"commit_syncs":1,"commit_sync_ns_total":1000,"commit_sync_ns_max":1000}}"#,
-    r#"{"admission":{"accepted":8,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":2,"ops":8,"acked_writes":8,"answer_digest":6156017614655345976,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":268,"wal_batches":2,"wal_commits":2,"payload_bytes":160,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"checkpoints_merged":0,"checkpoints_walked":1,"checkpoint_dirty_keys":0,"commit_syncs":2,"commit_sync_ns_total":2000,"commit_sync_ns_max":1000}}"#,
-    r#"{"admission":{"accepted":12,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":3,"ops":11,"acked_writes":11,"answer_digest":5874708055566606147,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":383,"wal_batches":3,"wal_commits":3,"payload_bytes":221,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"checkpoints_merged":0,"checkpoints_walked":1,"checkpoint_dirty_keys":0,"commit_syncs":3,"commit_sync_ns_total":3000,"commit_sync_ns_max":1000}}"#,
-    r#"{"admission":{"accepted":16,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":4,"ops":15,"acked_writes":15,"answer_digest":3434730550872577615,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":517,"wal_batches":4,"wal_commits":4,"payload_bytes":301,"checkpoint_bytes":550,"checkpoints":2,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":2000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":2000,"checkpoint_job_ns_max":1000,"checkpoints_merged":1,"checkpoints_walked":1,"checkpoint_dirty_keys":7,"commit_syncs":4,"commit_sync_ns_total":4000,"commit_sync_ns_max":1000}}"#,
+    r#"{"admission":{"accepted":0,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":0,"ops":0,"acked_writes":0,"answer_digest":0,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":0,"wal_batches":0,"wal_commits":0,"payload_bytes":0,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"checkpoints_merged":0,"checkpoints_walked":0,"checkpoint_dirty_keys":0,"commit_syncs":0,"commit_sync_ns_total":0,"commit_sync_ns_max":0,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":4,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":1,"ops":4,"acked_writes":4,"answer_digest":1714166583970945052,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":134,"wal_batches":1,"wal_commits":1,"payload_bytes":80,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"checkpoints_merged":0,"checkpoints_walked":0,"checkpoint_dirty_keys":0,"commit_syncs":1,"commit_sync_ns_total":1000,"commit_sync_ns_max":1000,"wal_segment_bytes":150,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":8,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":2,"ops":8,"acked_writes":8,"answer_digest":6156017614655345976,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":268,"wal_batches":2,"wal_commits":2,"payload_bytes":160,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"checkpoints_merged":0,"checkpoints_walked":1,"checkpoint_dirty_keys":0,"commit_syncs":2,"commit_sync_ns_total":2000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":12,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":3,"ops":11,"acked_writes":11,"answer_digest":5874708055566606147,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":383,"wal_batches":3,"wal_commits":3,"payload_bytes":221,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"checkpoints_merged":0,"checkpoints_walked":1,"checkpoint_dirty_keys":0,"commit_syncs":3,"commit_sync_ns_total":3000,"commit_sync_ns_max":1000,"wal_segment_bytes":131,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":16,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":4,"ops":15,"acked_writes":15,"answer_digest":3434730550872577615,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":517,"wal_batches":4,"wal_commits":4,"payload_bytes":301,"checkpoint_bytes":550,"checkpoints":2,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":2000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":2000,"checkpoint_job_ns_max":1000,"checkpoints_merged":1,"checkpoints_walked":1,"checkpoint_dirty_keys":7,"commit_syncs":4,"commit_sync_ns_total":4000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
 ];
 
 /// Submitters race a drain while `run()` runs: every request `submit`
