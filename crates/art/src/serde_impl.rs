@@ -18,13 +18,9 @@
 //!
 //! The checksum covers the header and the payload and is computed in one
 //! pass that folds eight bytes per step. Both directions stream:
-//! [`SnapshotWriter`] appends entries (or merges a sorted set of updates
-//! into the entries of an earlier snapshot) straight into the caller's
-//! buffer, and [`SnapshotEntries`] yields borrowed `(key, value)` pairs
-//! without building a tree.
-
-use std::cmp::Ordering;
-use std::ops::Range;
+//! [`SnapshotWriter`] appends entries straight into the caller's buffer,
+//! and [`SnapshotEntries`] yields borrowed `(key, value)` pairs without
+//! building a tree.
 
 use crate::tree::ArtError;
 use crate::Key;
@@ -132,37 +128,26 @@ fn get_u64(bytes: &[u8], off: usize) -> Option<u64> {
     Some(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
 }
 
-/// The entry that starts at `off` in an encoded entry region, and where
-/// the next one starts; `None` when the bytes there are not a whole entry.
-fn entry_at(region: &[u8], off: usize) -> Option<(&[u8], u64, usize)> {
-    let len = region.get(off..off + 2).map(|b| u16::from_le_bytes([b[0], b[1]]))? as usize;
-    let key = region.get(off + 2..off + 2 + len)?;
-    let value = get_u64(region, off + 2 + len)?;
-    Some((key, value, off + ENTRY_FRAME + len))
-}
-
-fn broken_entry() -> SnapshotError {
-    SnapshotError::Malformed("entry list ends inside an entry".into())
+/// The entry that opens an encoded entry region, and where the next one
+/// starts; `None` when the bytes there are not a whole entry.
+fn first_entry(region: &[u8]) -> Option<(&[u8], u64, usize)> {
+    let len = region.get(..2).map(|b| u16::from_le_bytes([b[0], b[1]]))? as usize;
+    let key = region.get(2..2 + len)?;
+    let value = get_u64(region, 2 + len)?;
+    Some((key, value, ENTRY_FRAME + len))
 }
 
 /// What [`SnapshotWriter::finish`] wrote: enough to chain an outer
-/// checksum over the container and to merge into its entries later
-/// ([`SnapshotEntries::over`]) without parsing it again.
+/// checksum over the container without reading it again.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WrittenSnapshot {
-    /// Byte range of the encoded entries inside the writer's buffer.
-    pub entries: Range<usize>,
-    /// Entries written.
-    pub count: u64,
     /// The container's checksum (also its last eight bytes).
     pub checksum: u64,
 }
 
 /// Streaming encoder of one snapshot container, appending to a caller's
-/// buffer: [`begin`](Self::begin), then entries in ascending key order —
-/// one at a time ([`push`](Self::push)) or as an earlier snapshot's
-/// entries with a sorted set of updates applied ([`merge`](Self::merge)) —
-/// then [`finish`](Self::finish).
+/// buffer: [`begin`](Self::begin), then entries in ascending key order
+/// ([`push`](Self::push)), then [`finish`](Self::finish).
 pub struct SnapshotWriter<'a> {
     out: &'a mut Vec<u8>,
     /// Offset of the container's magic in `out`.
@@ -201,59 +186,6 @@ impl<'a> SnapshotWriter<'a> {
         Ok(())
     }
 
-    /// Appends `base` with `updates` applied, in one sequential pass over
-    /// both: `updates` ascends strictly by key and holds each key's new
-    /// state — `Some(value)` to insert or overwrite, `None` to drop it
-    /// (absent already is fine). Stretches of `base` between two updates
-    /// are copied as bytes, so the cost is one key comparison per base
-    /// entry up to the last update plus the copy.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] when `base` is not a whole entry list
-    /// or an update's key cannot be encoded.
-    pub fn merge<'k>(
-        &mut self,
-        base: SnapshotEntries<'_>,
-        updates: impl IntoIterator<Item = (&'k [u8], Option<u64>)>,
-    ) -> Result<(), SnapshotError> {
-        let region = base.rest;
-        let mut kept = base.remaining;
-        // `region[copied..off]` is walked but not yet copied.
-        let (mut copied, mut off) = (0usize, 0usize);
-        let mut last: Option<&[u8]> = None;
-        for (key, state) in updates {
-            debug_assert!(last.is_none_or(|l| l < key), "updates must ascend strictly");
-            last = Some(key);
-            // Walk past the base entries below `key`; one equal to it is
-            // superseded — overwritten below, or removed.
-            let mut superseded = None;
-            while off < region.len() {
-                let (base_key, _, next) = entry_at(region, off).ok_or_else(broken_entry)?;
-                match base_key.cmp(key) {
-                    Ordering::Less => off = next,
-                    Ordering::Equal => {
-                        superseded = Some(next);
-                        break;
-                    }
-                    Ordering::Greater => break,
-                }
-            }
-            self.out.extend_from_slice(&region[copied..off]);
-            if let Some(next) = superseded {
-                off = next;
-                kept = kept.checked_sub(1).ok_or_else(broken_entry)?;
-            }
-            copied = off;
-            if let Some(value) = state {
-                self.push(key, value)?;
-            }
-        }
-        self.out.extend_from_slice(&region[copied..]);
-        self.count += kept;
-        Ok(())
-    }
-
     /// Completes the container: fills in the payload length and the entry
     /// count, appends the checksum.
     pub fn finish(self) -> WrittenSnapshot {
@@ -262,10 +194,9 @@ impl<'a> SnapshotWriter<'a> {
         let payload_len = (out.len() - payload_at) as u64;
         out[start + 12..payload_at].copy_from_slice(&payload_len.to_le_bytes());
         out[payload_at..payload_at + COUNT_LEN].copy_from_slice(&count.to_le_bytes());
-        let entries = payload_at + COUNT_LEN..out.len();
         let checksum = snapshot_checksum(&out[start..]);
         out.extend_from_slice(&checksum.to_le_bytes());
-        WrittenSnapshot { entries, count, checksum }
+        WrittenSnapshot { checksum }
     }
 }
 
@@ -317,9 +248,8 @@ impl<'a> SnapshotEntries<'a> {
         Ok((Self::over(&payload[COUNT_LEN..], count), stored))
     }
 
-    /// The `count` entries encoded in `region` (what
-    /// [`WrittenSnapshot::entries`] delimits).
-    pub fn over(region: &'a [u8], count: u64) -> Self {
+    /// The `count` entries encoded in `region`.
+    fn over(region: &'a [u8], count: u64) -> Self {
         SnapshotEntries { rest: region, remaining: count, prev: None }
     }
 
@@ -348,7 +278,8 @@ impl<'a> SnapshotEntries<'a> {
                 Err(SnapshotError::Malformed("bytes left after the last entry".into()))
             };
         }
-        let (key, value, next) = entry_at(self.rest, 0).ok_or_else(broken_entry)?;
+        let (key, value, next) = first_entry(self.rest)
+            .ok_or_else(|| SnapshotError::Malformed("entry list ends inside an entry".into()))?;
         if key.is_empty() {
             return Err(SnapshotError::Malformed("empty key".into()));
         }
@@ -562,7 +493,8 @@ mod tests {
         let mut writer = SnapshotWriter::begin(&mut bytes);
         assert!(matches!(writer.push(&[], 1), Err(SnapshotError::Malformed(_))));
         assert!(matches!(writer.push(&[7; 70_000], 1), Err(SnapshotError::Malformed(_))));
-        assert_eq!(writer.finish().count, 0);
+        writer.finish();
+        assert!(load(&bytes).unwrap().is_empty(), "a refused key is not written");
     }
 
     #[test]
@@ -579,98 +511,5 @@ mod tests {
         longer.push(0);
         assert_ne!(snapshot_checksum(&longer), sum);
         assert_ne!(snapshot_checksum(&base[..32]), snapshot_checksum(&base[..33]));
-    }
-
-    /// Encodes `model` from scratch and by merging `updates` into the
-    /// container of `base`; both must be the same bytes.
-    fn assert_merge_matches(base: &[(Vec<u8>, u64)], updates: &[(Vec<u8>, Option<u64>)]) {
-        let mut model: std::collections::BTreeMap<Vec<u8>, u64> = base.iter().cloned().collect();
-        for (key, state) in updates {
-            match state {
-                Some(v) => model.insert(key.clone(), *v),
-                None => model.remove(key),
-            };
-        }
-        let as_refs = |m: &[(Vec<u8>, u64)]| -> Vec<u8> {
-            container_of(&m.iter().map(|(k, v)| (k.as_slice(), *v)).collect::<Vec<_>>())
-        };
-        let expected = as_refs(&model.into_iter().collect::<Vec<_>>());
-
-        let mut first = Vec::new();
-        let mut writer = SnapshotWriter::begin(&mut first);
-        for (key, value) in base {
-            writer.push(key, *value).unwrap();
-        }
-        let written = writer.finish();
-        assert_eq!(written.count, base.len() as u64);
-        assert_eq!(written.checksum.to_le_bytes(), first[first.len() - 8..]);
-
-        let mut merged = Vec::new();
-        let mut writer = SnapshotWriter::begin(&mut merged);
-        writer
-            .merge(
-                SnapshotEntries::over(&first[written.entries.clone()], written.count),
-                updates.iter().map(|(k, s)| (k.as_slice(), *s)),
-            )
-            .unwrap();
-        writer.finish();
-        assert_eq!(merged, expected);
-    }
-
-    #[test]
-    fn merge_applies_sorted_updates_in_one_pass() {
-        let base: Vec<(Vec<u8>, u64)> =
-            (0..50u64).map(|v| (Key::from_u64(v * 4).as_bytes().to_vec(), v)).collect();
-        let key = |v: u64| Key::from_u64(v).as_bytes().to_vec();
-        // Overwrite, remove, insert between, remove an absent key, insert
-        // below the first and above the last entry.
-        assert_merge_matches(
-            &base,
-            &[
-                (vec![0, 0], Some(1)),
-                (key(0), None),
-                (key(4), Some(99)),
-                (key(5), Some(5)),
-                (key(6), None),
-                (key(100), None),
-                (key(196), Some(7)),
-                (key(1000), Some(8)),
-                (key(1001), None),
-            ],
-        );
-        assert_merge_matches(&base, &[]);
-        assert_merge_matches(&[], &[(key(1), Some(1)), (key(2), None)]);
-        assert_merge_matches(
-            &base,
-            &base.iter().map(|(k, _)| (k.clone(), None)).collect::<Vec<_>>(),
-        );
-        // Variable-length keys keep their own length fields.
-        let words: Vec<(Vec<u8>, u64)> = ["ant\0", "bee\0", "beetle\0", "cat\0"]
-            .iter()
-            .map(|w| (w.as_bytes().to_vec(), 1))
-            .collect();
-        assert_merge_matches(
-            &words,
-            &[
-                (b"be\0".to_vec(), Some(2)),
-                (b"beetle\0".to_vec(), None),
-                (b"dog\0".to_vec(), Some(3)),
-            ],
-        );
-    }
-
-    #[test]
-    fn merge_into_a_broken_region_is_a_typed_error() {
-        let good = container_of(&[(&[1], 1), (&[2], 2), (&[3], 3)]);
-        let region = &good[SNAPSHOT_HEADER_LEN + COUNT_LEN..good.len() - 8];
-        let cut = &region[..region.len() - 3];
-        let mut out = Vec::new();
-        let mut writer = SnapshotWriter::begin(&mut out);
-        let err = writer.merge(SnapshotEntries::over(cut, 3), [(&[9u8][..], Some(9))]).unwrap_err();
-        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
-        // More hits than the count admits.
-        let mut writer = SnapshotWriter::begin(&mut out);
-        let err = writer.merge(SnapshotEntries::over(region, 0), [(&[1u8][..], None)]).unwrap_err();
-        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
     }
 }

@@ -1,9 +1,7 @@
 //! Property tests for the snapshot round-trip: encoding an `Art` into the
 //! binary snapshot container and loading it back must be the identity on
 //! contents *and* structure, across every node layout (N4 → N256),
-//! compressed prefixes, and the shapes left behind by removals. And the
-//! container's streaming merge must write the bytes a from-scratch
-//! encoding of the merged set writes.
+//! compressed prefixes, and the shapes left behind by removals.
 
 use std::collections::BTreeMap;
 
@@ -102,12 +100,6 @@ proptest! {
     }
 }
 
-/// Variable-length, prefix-free keys over a tiny alphabet, so bases and
-/// update sets collide often.
-fn word_strategy() -> impl Strategy<Value = String> {
-    "[a-c]{1,6}"
-}
-
 /// Loads a tree from a snapshot container, the way recovery does.
 fn load(bytes: &[u8]) -> Art<u64> {
     let (entries, _) = SnapshotEntries::open(bytes).expect("well-formed container");
@@ -122,60 +114,6 @@ fn encode<'a>(entries: impl Iterator<Item = (&'a Key, u64)>) -> Vec<u8> {
     }
     writer.finish();
     bytes
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Merging a sorted set of upserts and deletes into an encoded entry
-    /// list is byte-identical to encoding the merged set from scratch, and
-    /// both readers see exactly that set.
-    #[test]
-    fn merge_matches_encoding_the_merged_set(
-        base in proptest::collection::vec((word_strategy(), any::<u64>()), 0..120),
-        updates in proptest::collection::vec((word_strategy(), 0u8..3, any::<u64>()), 0..60),
-    ) {
-        let key = |w: &String| Key::from_str_bytes(w);
-        let base: BTreeMap<Key, u64> = base.iter().map(|(w, v)| (key(w), *v)).collect();
-        // One update per key (a later draw for the same word wins), a
-        // third of them deletes.
-        let updates: BTreeMap<Key, Option<u64>> =
-            updates.iter().map(|(w, kind, v)| (key(w), (*kind > 0).then_some(*v))).collect();
-        let mut model = base.clone();
-        for (k, state) in &updates {
-            match state {
-                Some(v) => model.insert(k.clone(), *v),
-                None => model.remove(k),
-            };
-        }
-
-        let mut first = Vec::new();
-        let mut writer = SnapshotWriter::begin(&mut first);
-        for (k, v) in &base {
-            writer.push(k.as_bytes(), *v).unwrap();
-        }
-        let written = writer.finish();
-
-        let mut merged = Vec::new();
-        let mut writer = SnapshotWriter::begin(&mut merged);
-        writer.merge(
-            SnapshotEntries::over(&first[written.entries.clone()], written.count),
-            updates.iter().map(|(k, s)| (k.as_bytes(), *s)),
-        ).unwrap();
-        let rewritten = writer.finish();
-        prop_assert_eq!(rewritten.count, model.len() as u64);
-        prop_assert_eq!(&merged, &encode(model.iter().map(|(k, v)| (k, *v))));
-
-        let (entries, checksum) = SnapshotEntries::open(&merged).unwrap();
-        prop_assert_eq!(checksum, rewritten.checksum);
-        let streamed: Vec<(Vec<u8>, u64)> =
-            entries.map(|e| e.map(|(k, v)| (k.to_vec(), v))).collect::<Result<_, _>>().unwrap();
-        let expected: Vec<(Vec<u8>, u64)> =
-            model.iter().map(|(k, v)| (k.as_bytes().to_vec(), *v)).collect();
-        prop_assert_eq!(streamed, expected);
-        let tree = load(&merged);
-        prop_assert!(tree.iter().map(|(k, v)| (k, *v)).eq(model.iter().map(|(k, v)| (k, *v))));
-    }
 }
 
 /// Deterministic backstop: one tree that provably contains every inner

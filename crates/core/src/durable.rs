@@ -36,10 +36,9 @@
 //! digest) around a binary `DCARTSNP` snapshot container (see
 //! `dcart_art`'s `serde_impl`), closed by a checksum chained over the
 //! prelude and the container's own checksum. [`write_checkpoint`] encodes
-//! a merged [`Art`]; the log's [`Checkpointer`] walks a live
-//! [`CttSession`] once and from then on merges the keys written since into
-//! the file it installed last — same bytes, at a cost that follows the
-//! writes.
+//! a merged [`Art`]; a [`DurableLog`] encodes an ordered walk of a live
+//! [`CttSession`]'s shards — the same bytes — into one buffer it keeps
+//! from checkpoint to checkpoint.
 //!
 //! # Recovery
 //!
@@ -59,7 +58,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use dcart_art::{Art, Key, SnapshotEntries, SnapshotError, SnapshotWriter, WrittenSnapshot};
+use dcart_art::{Art, Key, SnapshotEntries, SnapshotWriter};
 use dcart_engine::{wal, CrashInjector, CrashSite, WalBatch, WalError, WalWriter};
 use dcart_mem::PersistStats;
 use dcart_workloads::{KeySet, Op, OpKind};
@@ -95,7 +94,7 @@ const ENTRY_HINT: usize = 18;
 /// The least a WAL segment holds before its size alone makes a checkpoint
 /// due ([`DurableLog::checkpoint_due`]): without a checkpoint, or with a
 /// small one, the byte rule would otherwise install after every few
-/// batches. A cycle that logged this much walks ([`DurableLog::rotate`]).
+/// batches.
 const CHECKPOINT_FLOOR_BYTES: u64 = 1 << 20;
 
 /// How and where a run persists its state.
@@ -260,35 +259,25 @@ fn chained_checksum(prelude: &[u8], snapshot_checksum: u64) -> u64 {
 
 /// Serializes a checkpoint file into `out` (cleared first):
 /// `magic | next_seq u64 | digest u64 | snapshot container | checksum`,
-/// the container's entries being whatever `fill` writes.
-fn encode_checkpoint(
+/// the container holding `entries` (ascending by key).
+fn encode_checkpoint<'a>(
     out: &mut Vec<u8>,
     next_seq: u64,
     digest: u64,
-    fill: impl FnOnce(&mut SnapshotWriter<'_>) -> Result<(), SnapshotError>,
-) -> Result<WrittenSnapshot, DcartError> {
+    entries: impl IntoIterator<Item = (&'a Key, u64)>,
+) -> Result<(), DcartError> {
     out.clear();
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     out.extend_from_slice(&next_seq.to_le_bytes());
     out.extend_from_slice(&digest.to_le_bytes());
     let mut writer = SnapshotWriter::begin(out);
-    fill(&mut writer)?;
+    for (key, value) in entries {
+        writer.push(key.as_bytes(), value)?;
+    }
     let written = writer.finish();
     let outer = chained_checksum(&out[..CHECKPOINT_PRELUDE], written.checksum);
     out.extend_from_slice(&outer.to_le_bytes());
-    Ok(written)
-}
-
-/// Encodes `entries` (ascending by key) as a whole checkpoint file.
-fn encode_walk<'a>(
-    out: &mut Vec<u8>,
-    next_seq: u64,
-    digest: u64,
-    entries: impl IntoIterator<Item = (&'a Key, u64)>,
-) -> Result<WrittenSnapshot, DcartError> {
-    encode_checkpoint(out, next_seq, digest, |writer| {
-        entries.into_iter().try_for_each(|(key, value)| writer.push(key.as_bytes(), value))
-    })
+    Ok(())
 }
 
 /// The fsync of the checkpoint's temp file, as `install_checkpoint`
@@ -349,8 +338,7 @@ fn install_checkpoint(
 
 /// Encodes `tree` as a checkpoint and installs it, resetting no log.
 /// Public for callers that hold a merged tree; a live [`CttSession`]
-/// checkpoints through a [`DurableLog`], whose [`Checkpointer`] needs no
-/// merged tree.
+/// checkpoints through a [`DurableLog`], which needs no merged tree.
 ///
 /// # Errors
 ///
@@ -366,7 +354,7 @@ pub fn write_checkpoint(
     persist: &mut PersistStats,
 ) -> Result<(), DcartError> {
     let mut bytes = Vec::new();
-    encode_walk(&mut bytes, next_seq, digest, tree.iter().map(|(k, &v)| (k, v)))?;
+    encode_checkpoint(&mut bytes, next_seq, digest, tree.iter().map(|(k, &v)| (k, v)))?;
     install_checkpoint(dir, &bytes, None, &mut File::sync_all, crash, persist)
 }
 
@@ -436,262 +424,43 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<(u64, u64, Art<u64>)>, Dcart
     Ok(Some((ckpt.next_seq, ckpt.digest, Art::from_sorted(ckpt.pairs)?)))
 }
 
-// --- incremental checkpoints -------------------------------------------------
+// --- checkpoint jobs ---------------------------------------------------------
 
-/// How a [`Checkpointer`] produced the checkpoint it just installed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CheckpointKind {
-    /// Encoded from an ordered walk over every live shard.
-    Walked,
-    /// The previous checkpoint's entries with the current state of the
-    /// `dirty_keys` distinct keys written since merged in.
-    Merged {
-        /// Distinct keys written since the previous checkpoint.
-        dirty_keys: u64,
-    },
-}
-
-/// The file a [`Checkpointer`] installed last and where its entries sit in
-/// it: the base of the next merge.
-struct Image {
-    file: Vec<u8>,
-    written: WrittenSnapshot,
-}
-
-/// Checkpoints a live [`CttSession`] at a cost that follows what changed:
-/// it remembers *which* keys the writes named, and at a checkpoint sorts
-/// and deduplicates them, reads each one's current state from the session
-/// and merges that set into the entries of the file it installed last
-/// ([`SnapshotWriter::merge`]) — the bytes of a full walk (asserted in
-/// debug builds), with the entry count checked before the disk is touched.
-///
-/// Only [`capture`](Self::capture) needs the session; the
-/// [`CheckpointJob`] it returns merges, checks and installs on whichever
-/// thread, and [`finish`](Self::finish) takes the new image back (one job
-/// out at a time). With no image yet — a fresh directory, or a restart —
-/// or when asked to (the drain), it walks, and a walk's capture is its
-/// whole encoding.
-pub struct Checkpointer {
-    dir: PathBuf,
-    /// The file this checkpointer installed last; out with the job while
-    /// one runs.
-    image: Option<Image>,
-    /// The buffer the next file is built in; trades places with the image
-    /// on install, so steady state allocates nothing.
-    next: Vec<u8>,
-    /// The next merge's updates, kept for their capacity.
-    updates: Vec<(Key, Option<u64>)>,
-    /// Keys of the write operations executed since the last capture, in
-    /// arrival order, duplicates and all.
-    dirty: Vec<Key>,
-    /// The next capture merges: an image exists, or will once the job
-    /// out with it ends.
-    merging: bool,
-    /// `next_seq` of the checkpoint live in `dir`, when known.
-    installed_seq: Option<u64>,
-    /// Length of the checkpoint file live in `dir`, 0 when unknown; kept
-    /// apart from the image, which is out while a job runs.
-    installed_bytes: u64,
-}
-
-/// One checkpoint between its capture and its install: the captured
-/// state, the image it merges into, the buffers it writes and, from a
-/// [`DurableLog`], the WAL segment it absorbs. Made by
-/// [`Checkpointer::capture`] (or [`DurableLog::rotate`]), run anywhere,
-/// handed back with [`Checkpointer::finish`] (or [`DurableLog::finish`]).
+/// One checkpoint between its capture and its install: the encoded file
+/// and the WAL segment it absorbs. Made by [`DurableLog::rotate`] (or
+/// [`DurableLog::open`]), run anywhere, handed back with
+/// [`DurableLog::finish`].
 pub struct CheckpointJob {
     dir: PathBuf,
     /// The segment the checkpoint absorbs, reset once it is installed.
     retired: Option<WalWriter>,
     next_seq: u64,
-    digest: u64,
-    /// Keys in the session at capture: what the merged file must hold.
-    live: u64,
-    kind: CheckpointKind,
-    /// A walk: the file to install, encoded at capture. A merge: the image
-    /// merged into. After a run, the file the run wrote.
-    image: Image,
-    /// The buffer a merge writes into.
-    next: Vec<u8>,
-    /// Each key written since the image, ascending, with its state at
-    /// capture (none for a walk).
-    updates: Vec<(Key, Option<u64>)>,
-    /// Debug builds: a walk of the captured state, which the merged file
-    /// must equal byte for byte.
-    expect: Option<Vec<u8>>,
+    /// The file to install, encoded at capture.
+    file: Vec<u8>,
     /// A run installed the file.
     installed: bool,
 }
 
-impl Checkpointer {
-    /// A checkpointer for `dir`, where the checkpoint for `installed_seq`
-    /// is live (`None`: no checkpoint yet, or one older than the state
-    /// about to be served).
-    pub fn new(dir: &Path, installed_seq: Option<u64>) -> Self {
-        Checkpointer {
-            dir: dir.to_path_buf(),
-            image: None,
-            next: Vec::new(),
-            updates: Vec::new(),
-            dirty: Vec::new(),
-            merging: false,
-            installed_seq,
-            installed_bytes: 0,
-        }
-    }
-
-    /// `next_seq` of the checkpoint live in the directory, when known (a
-    /// job still out is not counted): a caller whose own `next_seq`
-    /// equals it has nothing to checkpoint.
-    pub fn installed_seq(&self) -> Option<u64> {
-        self.installed_seq
-    }
-
-    /// Records the keys `batch` writes. Call once for every batch handed
-    /// to [`CttSession::execute_batch`] between two captures, unless the
-    /// next capture walks.
-    pub fn note_writes(&mut self, batch: &[Op]) {
-        // When the next checkpoint walks it needs no keys.
-        if self.merging {
-            self.dirty
-                .extend(batch.iter().filter(|op| op.kind.is_write()).map(|op| op.key.clone()));
-        }
-    }
-
-    /// The half of a checkpoint of `session` as of `next_seq` that needs
-    /// the session: the digest, the key count and each dirty key's current
-    /// state — or, with no image or when `walk` asks, the whole walked
-    /// file. [`finish`](Self::finish) the job before the next capture.
-    ///
-    /// # Errors
-    ///
-    /// Snapshot-encoding failures of a walk; the next capture walks then.
-    pub fn capture(
-        &mut self,
-        session: &CttSession,
-        next_seq: u64,
-        walk: bool,
-    ) -> Result<CheckpointJob, DcartError> {
-        let base = if walk || !self.merging { None } else { self.image.take() };
-        self.merging = false;
-        let digest = session.answer_digest();
-        let mut next = std::mem::take(&mut self.next);
-        let mut updates = std::mem::take(&mut self.updates);
-        updates.clear();
-        let mut expect = None;
-        let (kind, image) = match base {
-            None => {
-                next.clear();
-                // Exact, here and in a merge: a doubled file buffer stays
-                // resident for as long as the log runs.
-                next.reserve_exact(session.len() * ENTRY_HINT);
-                let written = encode_walk(&mut next, next_seq, digest, session.entries())?;
-                // The old image's buffer, if any, is the next merge's.
-                let spare = self.image.take().map_or_else(Vec::new, |old| old.file);
-                (
-                    CheckpointKind::Walked,
-                    Image { file: std::mem::replace(&mut next, spare), written },
-                )
-            }
-            Some(base) => {
-                self.dirty.sort_unstable();
-                self.dirty.dedup();
-                updates.extend(self.dirty.drain(..).map(|key| {
-                    let state = session.get(&key);
-                    (key, state)
-                }));
-                if cfg!(debug_assertions) {
-                    let mut walked = Vec::new();
-                    encode_walk(&mut walked, next_seq, digest, session.entries())?;
-                    expect = Some(walked);
-                }
-                (CheckpointKind::Merged { dirty_keys: updates.len() as u64 }, base)
-            }
-        };
-        self.dirty.clear();
-        self.merging = true;
-        Ok(CheckpointJob {
-            dir: self.dir.clone(),
-            retired: None,
-            next_seq,
-            digest,
-            live: session.len() as u64,
-            kind,
-            image,
-            next,
-            updates,
-            expect,
-            installed: false,
-        })
-    }
-
-    /// Takes back a job that has run (or never will): a job that
-    /// installed its file leaves it as the base of the next merge; any
-    /// other leaves no image, and the next capture walks.
-    pub fn finish(&mut self, job: CheckpointJob) {
-        if job.installed {
-            self.installed_seq = Some(job.next_seq);
-            self.installed_bytes = job.image.file.len() as u64;
-            self.image = Some(job.image);
-        } else {
-            self.merging = false;
-            self.dirty.clear();
-        }
-        self.next = job.next;
-        self.updates = job.updates;
-    }
-}
-
 impl CheckpointJob {
-    /// The half of a checkpoint that does not need the session: merges the
-    /// captured updates into the image, checks the entry count, installs
+    /// The half of a checkpoint that does not need the session: installs
     /// the file — tmp, `sync`, rename, directory fsync — and only then
     /// resets the retired segment, if any. The checkpoint crash sites fire
     /// on the thread that calls this.
     ///
     /// # Errors
     ///
-    /// [`DcartError::CheckpointDiverged`] when the merged entry count is
-    /// not the session's (nothing is written then), encoding and I/O
-    /// failures, or an injected crash at one of the three checkpoint
+    /// I/O failures, or an injected crash at one of the three checkpoint
     /// sites; the retired segment is untouched after any of them.
     pub fn run(
         &mut self,
         sync: SyncFile<'_>,
         crash: &mut CrashInjector,
         persist: &mut PersistStats,
-    ) -> Result<CheckpointKind, DcartError> {
-        if let CheckpointKind::Merged { .. } = self.kind {
-            let base = &self.image;
-            self.next.clear();
-            self.next.reserve_exact(base.file.len() + self.updates.len() * ENTRY_HINT);
-            let written =
-                encode_checkpoint(&mut self.next, self.next_seq, self.digest, |writer| {
-                    writer.merge(
-                        SnapshotEntries::over(
-                            &base.file[base.written.entries.clone()],
-                            base.written.count,
-                        ),
-                        self.updates.iter().map(|(key, state)| (key.as_bytes(), *state)),
-                    )
-                })?;
-            if written.count != self.live {
-                return Err(DcartError::CheckpointDiverged {
-                    merged: written.count,
-                    live: self.live,
-                });
-            }
-            debug_assert!(
-                self.expect.as_ref().is_none_or(|walked| *walked == self.next),
-                "merged checkpoint differs from the full walk"
-            );
-            std::mem::swap(&mut self.image.file, &mut self.next);
-            self.image.written = written;
-        }
+    ) -> Result<(), DcartError> {
         let retired = self.retired.as_mut();
-        install_checkpoint(&self.dir, &self.image.file, retired, sync, crash, persist)?;
+        install_checkpoint(&self.dir, &self.file, retired, sync, crash, persist)?;
         self.installed = true;
-        Ok(self.kind)
+        Ok(())
     }
 }
 
@@ -703,7 +472,7 @@ struct NoEvents;
 impl CttConsumer for NoEvents {}
 
 /// The WAL/checkpoint protocol, implemented once: the two WAL segments,
-/// the [`Checkpointer`], the sequence number of the next batch and the
+/// the checkpoint buffer, the sequence number of the next batch and the
 /// traffic accounting. [`run_durable`] and `dcart-server`'s core loop
 /// drive it the same way: [`open`](Self::open) the directory; per batch,
 /// [`append`](Self::append) its record, execute it, [`commit`](Self::commit)
@@ -717,7 +486,15 @@ pub struct DurableLog {
     writer: WalWriter,
     /// The other segment, empty; away while a job absorbs it.
     spare: Option<WalWriter>,
-    checkpointer: Checkpointer,
+    dir: PathBuf,
+    /// The buffer checkpoint files are encoded in, kept for its capacity;
+    /// away while a job installs it.
+    file: Vec<u8>,
+    /// `next_seq` of the checkpoint live in `dir`, when known (a job still
+    /// out is not counted).
+    installed_seq: Option<u64>,
+    /// Length of the checkpoint file live in `dir`, 0 when unknown.
+    installed_bytes: u64,
     next_seq: u64,
     /// Batches committed since the last rotation, or since the open.
     uncheckpointed: u64,
@@ -874,12 +651,13 @@ impl DurableLog {
             (path, Some(scan)) => WalWriter::open_append(path, scan.valid_len),
             (path, None) => WalWriter::create(path, batch_size as u32),
         };
-        let mut checkpointer = Checkpointer::new(dir, replayed.installed_seq);
-        checkpointer.installed_bytes = replayed.installed_bytes;
         let mut log = DurableLog {
             writer: writer(replayed.active)?,
             spare: Some(writer(1 - replayed.active)?),
-            checkpointer,
+            dir: dir.to_path_buf(),
+            file: Vec::new(),
+            installed_seq: replayed.installed_seq,
+            installed_bytes: replayed.installed_bytes,
             next_seq: replayed.next_seq,
             uncheckpointed: 0,
             persist: replayed.persist,
@@ -889,7 +667,7 @@ impl DurableLog {
         // Appends rotate onto the spare only while it is empty.
         let absorb = match log.spare.take_if(|spare| !spare.is_empty()) {
             Some(retired) => {
-                let mut job = log.checkpointer.capture(&session, log.next_seq, true)?;
+                let mut job = log.capture(&session)?;
                 job.retired = Some(retired);
                 Some(job)
             }
@@ -898,18 +676,13 @@ impl DurableLog {
         Ok(Opened { log, session, absorb, logged_batch_size: replayed.logged_batch_size })
     }
 
-    /// Stage 1: notes the keys `batch` writes, for the next checkpoint to
-    /// merge (until the segment holds 1 MiB), and appends its record. A
-    /// [`CrashSite::MidRecord`] opportunity.
+    /// Stage 1: appends the record of `batch`. A [`CrashSite::MidRecord`]
+    /// opportunity.
     ///
     /// # Errors
     ///
     /// I/O failures, or the injected crash.
     pub fn append(&mut self, batch: &[Op], crash: &mut CrashInjector) -> Result<(), DcartError> {
-        // Past the floor the capture walks (see `rotate`) and needs no keys.
-        if self.segment_bytes() < CHECKPOINT_FLOOR_BYTES {
-            self.checkpointer.note_writes(batch);
-        }
         encode_ops_into(batch, &mut self.payload);
         self.persist.payload_bytes += self.payload.len() as u64;
         let before = self.writer.len();
@@ -944,40 +717,55 @@ impl DurableLog {
         Ok(())
     }
 
+    /// Encodes the checkpoint of `session` as of the next batch, an
+    /// ordered walk of its shards, into the log's file buffer, and hands
+    /// both to a job that absorbs no segment yet.
+    fn capture(&mut self, session: &CttSession) -> Result<CheckpointJob, DcartError> {
+        let mut file = std::mem::take(&mut self.file);
+        file.clear();
+        // Exact: a doubled file buffer stays resident for as long as the
+        // log runs.
+        file.reserve_exact(session.len() * ENTRY_HINT);
+        encode_checkpoint(&mut file, self.next_seq, session.answer_digest(), session.entries())?;
+        Ok(CheckpointJob {
+            dir: self.dir.clone(),
+            retired: None,
+            next_seq: self.next_seq,
+            file,
+            installed: false,
+        })
+    }
+
     /// Captures a checkpoint of `session` as of the next batch, moves
     /// appends onto the spare segment, and returns the job that installs
-    /// the checkpoint and empties the retired segment. The capture walks
-    /// (see [`Checkpointer::capture`]) if `walk` asks for one, and when
-    /// the segment holds at least the byte trigger's 1 MiB floor: a cycle
-    /// that long has written a share of the tree near the whole, and
-    /// sorting and looking up its keys costs the loop more than a walk,
-    /// and more memory.
+    /// the checkpoint and empties the retired segment.
     ///
     /// # Errors
     ///
     /// [`DcartError::Recovery`] while the previous job is not finished
-    /// (no spare to rotate onto), and a walk's encoding failures.
-    pub fn rotate(
-        &mut self,
-        session: &CttSession,
-        walk: bool,
-    ) -> Result<CheckpointJob, DcartError> {
+    /// (no spare to rotate onto), and encoding failures.
+    pub fn rotate(&mut self, session: &CttSession) -> Result<CheckpointJob, DcartError> {
         let Some(spare) = self.spare.take() else {
             return Err(DcartError::Recovery("no spare WAL segment to rotate onto".into()));
         };
         debug_assert!(spare.is_empty(), "rotated onto a segment that holds batches");
-        let walk = walk || self.segment_bytes() >= CHECKPOINT_FLOOR_BYTES;
-        let mut job = self.checkpointer.capture(session, self.next_seq, walk)?;
+        let mut job = self.capture(session)?;
         job.retired = Some(std::mem::replace(&mut self.writer, spare));
         self.uncheckpointed = 0;
         Ok(job)
     }
 
-    /// Takes back a job that has run, or never will: the checkpointer its
-    /// image, the log its retired segment as the spare.
-    pub fn finish(&mut self, mut job: CheckpointJob) {
-        self.spare = job.retired.take();
-        self.checkpointer.finish(job);
+    /// Takes back a job that has run, or never will: the log its file
+    /// buffer and its retired segment as the spare, and — if it installed
+    /// — the checkpoint's sequence number and length.
+    pub fn finish(&mut self, job: CheckpointJob) {
+        let CheckpointJob { retired, next_seq, file, installed, .. } = job;
+        if installed {
+            self.installed_seq = Some(next_seq);
+            self.installed_bytes = file.len() as u64;
+        }
+        self.spare = retired;
+        self.file = file;
     }
 
     /// A second handle to the segment appended to, for a thread that
@@ -1007,12 +795,12 @@ impl DurableLog {
     /// checkpoint file installed last (read at the open, or written by
     /// the last job finished), and at least 1 MiB.
     pub fn checkpoint_trigger_bytes(&self) -> u64 {
-        self.checkpointer.installed_bytes.max(CHECKPOINT_FLOOR_BYTES)
+        self.installed_bytes.max(CHECKPOINT_FLOOR_BYTES)
     }
 
     /// Whether the live checkpoint stands for every committed batch.
     pub fn checkpointed(&self) -> bool {
-        self.checkpointer.installed_seq() == Some(self.next_seq)
+        self.installed_seq == Some(self.next_seq)
     }
 
     /// The log's traffic, with what the jobs run against it counted.
@@ -1146,7 +934,7 @@ fn drive(
         session.execute_batch(batch, &mut NoEvents)?;
         log.commit(session.answer_digest(), batch.len() as u32, true, crash)?;
         if log.checkpoint_due(checkpoint_every) || batches.peek().is_none() {
-            let job = log.rotate(session, false)?;
+            let job = log.rotate(session)?;
             run_inline(log, job, crash)?;
         }
     }
@@ -1161,7 +949,7 @@ fn run_inline(
 ) -> Result<(), DcartError> {
     let ran = job.run(&mut File::sync_all, crash, &mut log.persist);
     log.finish(job);
-    ran.map(drop)
+    ran
 }
 
 #[cfg(test)]
@@ -1433,23 +1221,21 @@ mod tests {
             assert_eq!(log.checkpoint_due(5), committed == 5, "after {committed} batches");
             assert!(!log.checkpoint_due(u64::MAX), "far below the byte trigger");
         }
-        let job = log.rotate(&session, false).unwrap();
+        let job = log.rotate(&session).unwrap();
         run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
         assert!(!log.checkpoint_due(5), "a rotation restarts the count");
         for _ in 0..5 {
             commit_one(&mut log, &mut session, &batch);
         }
         assert!(log.checkpoint_due(5));
-        let job = log.rotate(&session, false).unwrap();
-        assert_eq!(job.kind, CheckpointKind::Merged { dirty_keys: 64 }, "a short cycle merges");
     }
 
     #[test]
     fn the_byte_rule_fires_at_the_first_commit_that_crosses_the_trigger() {
         let (mut log, mut session, batch) = open_keys(&tmpdir("due-bytes"), 1_000);
-        // A first checkpoint, so that the one under test could merge.
+        // A first checkpoint, whose file sets the trigger.
         commit_one(&mut log, &mut session, &batch);
-        let job = log.rotate(&session, false).unwrap();
+        let job = log.rotate(&session).unwrap();
         run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
         let trigger = log.checkpoint_trigger_bytes();
         let empty = log.segment_bytes();
@@ -1463,8 +1249,7 @@ mod tests {
         }
         assert!(log.segment_bytes() >= trigger && log.segment_bytes() - per_batch < trigger);
         assert!(log.checkpoint_due(u64::MAX), "not due after {due_at} batches");
-        let job = log.rotate(&session, false).unwrap();
-        assert_eq!(job.kind, CheckpointKind::Walked, "a cycle that logged the floor walks");
+        let job = log.rotate(&session).unwrap();
         run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
         assert_eq!(log.segment_bytes(), empty, "appends moved onto the empty spare");
         assert!(!log.checkpoint_due(u64::MAX));
@@ -1476,7 +1261,7 @@ mod tests {
         let (mut log, mut session, batch) = open_keys(&dir, 1_000);
         assert_eq!(log.checkpoint_trigger_bytes(), CHECKPOINT_FLOOR_BYTES, "no checkpoint");
         commit_one(&mut log, &mut session, &batch);
-        let job = log.rotate(&session, false).unwrap();
+        let job = log.rotate(&session).unwrap();
         run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
         let installed = fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
         assert!(installed < CHECKPOINT_FLOOR_BYTES);
@@ -1488,7 +1273,7 @@ mod tests {
         let dir = tmpdir("due-restart");
         let (mut log, mut session, batch) = open_keys(&dir, 80_000);
         commit_one(&mut log, &mut session, &batch);
-        let job = log.rotate(&session, false).unwrap();
+        let job = log.rotate(&session).unwrap();
         run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
         let installed = fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
         assert!(installed > CHECKPOINT_FLOOR_BYTES, "the file must outgrow the floor");
@@ -1580,7 +1365,7 @@ mod tests {
             fs::write(&path, &other).unwrap();
             let err = read_checkpoint(&dir).unwrap_err();
             assert!(
-                matches!(err, DcartError::Snapshot(SnapshotError::UnsupportedVersion(v)) if v == version),
+                matches!(err, DcartError::Snapshot(dcart_art::SnapshotError::UnsupportedVersion(v)) if v == version),
                 "{err}"
             );
         }

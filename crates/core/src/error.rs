@@ -38,16 +38,6 @@ pub enum DcartError {
     /// batch sequence, a malformed ops payload, or a replayed batch whose
     /// digest diverges from its commit record.
     Recovery(String),
-    /// An incrementally merged checkpoint does not hold as many entries as
-    /// the live tree: a write escaped dirty-key tracking. Nothing was
-    /// installed; the previous checkpoint and the WAL still describe the
-    /// state.
-    CheckpointDiverged {
-        /// Entries in the merged checkpoint.
-        merged: u64,
-        /// Keys in the live session.
-        live: u64,
-    },
 }
 
 impl DcartError {
@@ -72,10 +62,6 @@ impl fmt::Display for DcartError {
             DcartError::Snapshot(e) => write!(f, "checkpoint snapshot error: {e}"),
             DcartError::Io(e) => write!(f, "durability I/O error: {e}"),
             DcartError::Recovery(msg) => write!(f, "crash recovery error: {msg}"),
-            DcartError::CheckpointDiverged { merged, live } => write!(
-                f,
-                "merged checkpoint holds {merged} entries, the live tree {live}; not installed"
-            ),
         }
     }
 }
@@ -88,9 +74,7 @@ impl std::error::Error for DcartError {
             DcartError::Wal(e) => Some(e),
             DcartError::Snapshot(e) => Some(e),
             DcartError::Io(e) => Some(e),
-            DcartError::InvalidBatchSize
-            | DcartError::Recovery(_)
-            | DcartError::CheckpointDiverged { .. } => None,
+            DcartError::InvalidBatchSize | DcartError::Recovery(_) => None,
         }
     }
 }

@@ -61,8 +61,7 @@ pub use dcart_engine::{CrashInjector, CrashPlan, CrashSite, FaultPlan, RecoveryS
 pub use dcart_mem::PersistStats;
 pub use durable::{
     read_checkpoint, read_checkpoint_pairs, recover, run_durable, write_checkpoint, CheckpointJob,
-    CheckpointKind, CheckpointPairs, Checkpointer, DurabilityConfig, DurableLog, DurableOutcome,
-    Opened, RecoveredState,
+    CheckpointPairs, DurabilityConfig, DurableLog, DurableOutcome, Opened, RecoveredState,
 };
 pub use error::DcartError;
 pub use shortcut::{ShortcutEntry, ShortcutStats, ShortcutTable, ENTRY_BYTES};

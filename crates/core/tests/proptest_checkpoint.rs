@@ -1,16 +1,18 @@
-//! Property tests of the incremental checkpoint: merging a cycle's dirty
-//! keys into the previous checkpoint must produce, byte for byte, the file
-//! a full ordered walk of the live shards encodes — and that file must
-//! read back as exactly the modelled key set.
+//! Property tests of the durable log's checkpoints: random op streams
+//! through [`DurableLog`] under random batch caps. Every checkpoint it
+//! installs must read back as exactly the modelled key set, in the bytes
+//! [`write_checkpoint`] writes for the merged tree, and reopening the
+//! directory must reproduce the session.
 
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dcart::durable::CHECKPOINT_FILE;
 use dcart::{
-    read_checkpoint, write_checkpoint, CheckpointKind, Checkpointer, CrashInjector, CttConsumer,
-    CttSession, DcartConfig, DcartError, ExecOpts, PersistStats, TraverseMode,
+    read_checkpoint_pairs, write_checkpoint, CrashInjector, CttConsumer, DcartConfig, DurableLog,
+    ExecOpts, Opened, PersistStats, TraverseMode,
 };
 use dcart_art::Key;
 use dcart_workloads::{Op, OpKind, Workload};
@@ -19,21 +21,8 @@ use proptest::prelude::*;
 struct Silent;
 impl CttConsumer for Silent {}
 
-/// A checkpoint on the calling thread: capture, run the job (no segment
-/// to reset), take it back.
-fn checkpoint(
-    checkpointer: &mut Checkpointer,
-    session: &CttSession,
-    next_seq: u64,
-    walk: bool,
-    crash: &mut CrashInjector,
-    persist: &mut PersistStats,
-) -> Result<CheckpointKind, DcartError> {
-    let mut job = checkpointer.capture(session, next_seq, walk)?;
-    let kind = job.run(&mut std::fs::File::sync_all, crash, persist);
-    checkpointer.finish(job);
-    kind
-}
+/// Operations per batch, also the log's nominal batch size.
+const BATCH: usize = 48;
 
 /// A fresh directory per case (cases of one test run in sequence, tests in
 /// parallel).
@@ -62,18 +51,13 @@ fn config() -> DcartConfig {
     DcartConfig { split_threshold: Some(0.02), ..DcartConfig::default() }
 }
 
-fn open_session(loaded: &[Key]) -> (CttSession, BTreeMap<Key, u64>) {
-    let pairs: Vec<(Key, u64)> = loaded.iter().cloned().zip(0u64..).collect();
-    let opts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
-    let session = CttSession::from_pairs(&pairs, &config(), &opts, 48, 0).expect("DICT keys load");
-    (session, pairs.into_iter().collect())
-}
+const OPTS: ExecOpts = ExecOpts { threads: 1, mode: TraverseMode::LevelWise, steal: false };
 
 /// One op as `(kind selector, key selector, value)`; selectors are reduced
 /// modulo what exists, so a stream keeps hitting the same few keys:
 /// duplicates within a cycle, removes of absent keys, re-inserts.
 fn ops_strategy() -> impl Strategy<Value = Vec<(u8, u16, u64)>> {
-    proptest::collection::vec((0u8..10, any::<u16>(), any::<u64>()), 0..120)
+    proptest::collection::vec((0u8..10, any::<u16>(), any::<u64>()), 0..600)
 }
 
 fn to_ops(raw: &[(u8, u16, u64)], keys: &[Key]) -> Vec<Op> {
@@ -109,121 +93,62 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn merged_checkpoint_is_the_full_walk_byte_for_byte(
-        cycles in proptest::collection::vec(ops_strategy(), 1..6),
+    fn every_installed_checkpoint_is_the_model_and_reopens_to_the_digest(
+        raw in ops_strategy(),
+        every in 1u64..6,
     ) {
         let (loaded, pool) = domain();
         let keys: Vec<Key> = loaded.iter().chain(&pool).cloned().collect();
-        let (mut session, mut model) = open_session(&loaded);
-        let dir = case_dir("merge");
-        let reference_dir = case_dir("walk");
-        let mut checkpointer = Checkpointer::new(&dir, None);
+        let pairs: Vec<(Key, u64)> = loaded.iter().cloned().zip(0u64..).collect();
+        let mut model: BTreeMap<Key, u64> = pairs.iter().cloned().collect();
+        let dir = case_dir("log");
+        let reference_dir = case_dir("tree");
+        let Opened { mut log, mut session, absorb, .. } =
+            DurableLog::open(&dir, &pairs, &config(), &OPTS, BATCH).unwrap();
+        prop_assert!(absorb.is_none());
         let mut crash = CrashInjector::counting();
         let mut persist = PersistStats::default();
+        let (mut seq, mut installed) = (0u64, 0u64);
 
-        // The image every merge starts from.
-        let kind = checkpoint(&mut checkpointer, &session, 0, false, &mut crash, &mut persist).unwrap();
-        prop_assert_eq!(kind, CheckpointKind::Walked);
-
-        for (cycle, raw) in cycles.iter().enumerate() {
-            let ops = to_ops(raw, &keys);
-            for batch in ops.chunks(48) {
-                checkpointer.note_writes(batch);
-                session.execute_batch(batch, &mut Silent).unwrap();
-                apply(&mut model, batch);
+        for batch in to_ops(&raw, &keys).chunks(BATCH) {
+            log.append(batch, &mut crash).unwrap();
+            session.execute_batch(batch, &mut Silent).unwrap();
+            log.commit(session.answer_digest(), batch.len() as u32, false, &mut crash).unwrap();
+            apply(&mut model, batch);
+            seq += 1;
+            if !log.checkpoint_due(every) {
+                continue;
             }
-            let seq = cycle as u64 + 1;
-            let kind =
-                checkpoint(&mut checkpointer, &session, seq, false, &mut crash, &mut persist).unwrap();
-            let mut written: Vec<&Key> =
-                ops.iter().filter(|op| op.kind.is_write()).map(|op| &op.key).collect();
-            written.sort_unstable();
-            written.dedup();
-            prop_assert_eq!(kind, CheckpointKind::Merged { dirty_keys: written.len() as u64 });
-            prop_assert_eq!(checkpointer.installed_seq(), Some(seq));
+            let mut job = log.rotate(&session).unwrap();
+            job.run(&mut |_: &File| Ok(()), &mut crash, &mut persist).unwrap();
+            log.finish(job);
+            installed = seq;
+            prop_assert!(log.checkpointed());
 
-            // What a walk of the same state writes, through the public
-            // tree + write_checkpoint pair.
+            let ckpt = read_checkpoint_pairs(&dir).unwrap().unwrap();
+            prop_assert_eq!((ckpt.next_seq, ckpt.digest), (seq, session.answer_digest()));
+            prop_assert!(ckpt.pairs.iter().map(|(k, v)| (k, *v)).eq(model.iter().map(|(k, &v)| (k, v))));
+
+            // The shard walk writes what a walk of the merged tree writes.
             let tree = session.tree().unwrap();
             write_checkpoint(
                 &reference_dir, seq, session.answer_digest(), &tree, &mut crash, &mut persist,
             ).unwrap();
-            let merged = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
-            let walked = std::fs::read(reference_dir.join(CHECKPOINT_FILE)).unwrap();
-            prop_assert!(merged == walked, "cycle {}: merged file differs from the walk", cycle);
-
-            let (next_seq, digest, on_disk) = read_checkpoint(&dir).unwrap().unwrap();
-            prop_assert_eq!(next_seq, seq);
-            prop_assert_eq!(digest, session.answer_digest());
-            prop_assert_eq!(on_disk.len(), model.len());
-            prop_assert_eq!(session.len(), model.len());
-            prop_assert!(on_disk.iter().map(|(k, &v)| (k, v)).eq(model.iter().map(|(k, &v)| (k, v))));
-            prop_assert!(session.entries().eq(model.iter().map(|(k, &v)| (k, v))));
+            let walked = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+            let reference = std::fs::read(reference_dir.join(CHECKPOINT_FILE)).unwrap();
+            prop_assert!(walked == reference, "batch {}: the log's file differs", seq);
         }
+        prop_assert_eq!(session.len(), model.len());
+        let digest = session.answer_digest();
+        drop((log, session));
+
+        let Opened { log, session, absorb, .. } =
+            DurableLog::open(&dir, &pairs, &config(), &OPTS, BATCH).unwrap();
+        prop_assert!(absorb.is_none());
+        prop_assert_eq!(log.persist().replayed_batches, seq - installed);
+        prop_assert_eq!(session.answer_digest(), digest);
+        prop_assert!(session.entries().eq(model.iter().map(|(k, &v)| (k, v))));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&reference_dir);
     }
-}
-
-/// A write the checkpointer was never told about changes the key count:
-/// the merged checkpoint is refused with a typed error, nothing reaches
-/// the directory, and the checkpointer falls back to a walk.
-#[test]
-fn untracked_write_is_refused_not_installed() {
-    let (loaded, pool) = domain();
-    let (mut session, _) = open_session(&loaded);
-    let dir = case_dir("diverged");
-    let mut checkpointer = Checkpointer::new(&dir, None);
-    let mut crash = CrashInjector::counting();
-    let mut persist = PersistStats::default();
-    checkpoint(&mut checkpointer, &session, 0, false, &mut crash, &mut persist).unwrap();
-    let installed = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
-
-    let untracked = [Op { kind: OpKind::Insert, key: pool[0].clone(), value: 1 }];
-    session.execute_batch(&untracked, &mut Silent).unwrap();
-    let err =
-        checkpoint(&mut checkpointer, &session, 1, false, &mut crash, &mut persist).unwrap_err();
-    let live = loaded.len() as u64 + 1;
-    assert!(
-        matches!(err, DcartError::CheckpointDiverged { merged, live: l } if merged + 1 == live && l == live),
-        "{err}"
-    );
-    assert_eq!(std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap(), installed);
-    assert_eq!(checkpointer.installed_seq(), Some(0));
-    assert_eq!(persist.checkpoints, 1);
-
-    let kind = checkpoint(&mut checkpointer, &session, 1, false, &mut crash, &mut persist).unwrap();
-    assert_eq!(kind, CheckpointKind::Walked);
-    let (_, _, on_disk) = read_checkpoint(&dir).unwrap().unwrap();
-    assert_eq!(on_disk.get(&pool[0]), Some(&1));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Asking for the walk while an image exists walks — the drain
-/// checkpoint's path — and the next checkpoint merges into that walk.
-#[test]
-fn forced_walk_replaces_the_image() {
-    let (loaded, pool) = domain();
-    let (mut session, _) = open_session(&loaded);
-    let dir = case_dir("forced");
-    let mut checkpointer = Checkpointer::new(&dir, None);
-    let mut crash = CrashInjector::counting();
-    let mut persist = PersistStats::default();
-    checkpoint(&mut checkpointer, &session, 0, false, &mut crash, &mut persist).unwrap();
-
-    let batch = [Op { kind: OpKind::Insert, key: pool[1].clone(), value: 9 }];
-    checkpointer.note_writes(&batch);
-    session.execute_batch(&batch, &mut Silent).unwrap();
-    let kind = checkpoint(&mut checkpointer, &session, 1, true, &mut crash, &mut persist).unwrap();
-    assert_eq!(kind, CheckpointKind::Walked);
-
-    let batch = [Op { kind: OpKind::Remove, key: pool[1].clone(), value: 0 }];
-    checkpointer.note_writes(&batch);
-    session.execute_batch(&batch, &mut Silent).unwrap();
-    let kind = checkpoint(&mut checkpointer, &session, 2, false, &mut crash, &mut persist).unwrap();
-    assert_eq!(kind, CheckpointKind::Merged { dirty_keys: 1 });
-    let (_, _, on_disk) = read_checkpoint(&dir).unwrap().unwrap();
-    assert_eq!(on_disk.len(), loaded.len());
-    assert_eq!(on_disk.get(&pool[1]), None);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -508,26 +508,6 @@ impl RecoveryStats {
             + self.shortcut_disables
             + self.tree_buffer_disables
     }
-
-    /// Folds another stats block into this one (for merging per-component
-    /// counters into a run-level report).
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.hbm_transient_errors += other.hbm_transient_errors;
-        self.hbm_retries += other.hbm_retries;
-        self.hbm_retry_cycles += other.hbm_retry_cycles;
-        self.hbm_failovers += other.hbm_failovers;
-        self.shortcut_corruptions += other.shortcut_corruptions;
-        self.shortcut_fallbacks += other.shortcut_fallbacks;
-        self.evict_storms += other.evict_storms;
-        self.storm_evictions += other.storm_evictions;
-        self.pipeline_stalls += other.pipeline_stalls;
-        self.pipeline_stall_cycles += other.pipeline_stall_cycles;
-        self.sou_outages += other.sou_outages;
-        self.queue_overflows += other.queue_overflows;
-        self.backpressure_cycles += other.backpressure_cycles;
-        self.shortcut_disables += other.shortcut_disables;
-        self.tree_buffer_disables += other.tree_buffer_disables;
-    }
 }
 
 #[cfg(test)]
@@ -667,13 +647,13 @@ mod tests {
     }
 
     #[test]
-    fn recovery_stats_merge_adds_counters() {
-        let mut a = RecoveryStats { hbm_retries: 2, shortcut_fallbacks: 1, ..Default::default() };
-        let b = RecoveryStats { hbm_retries: 3, evict_storms: 4, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.hbm_retries, 5);
-        assert_eq!(a.shortcut_fallbacks, 1);
-        assert_eq!(a.evict_storms, 4);
+    fn recovery_stats_totals_sum_their_counters() {
+        let a = RecoveryStats {
+            hbm_retries: 5,
+            shortcut_fallbacks: 1,
+            evict_storms: 4,
+            ..Default::default()
+        };
         assert_eq!(a.total_injected(), 4);
         assert_eq!(a.total_recoveries(), 6);
     }

@@ -4,10 +4,8 @@
 //! append-only WAL records at every batch boundary, and a checkpoint file
 //! at every checkpoint interval. A checkpoint file always holds every
 //! entry of the tree (18 bytes per 8-byte key in the binary snapshot
-//! format) whether it was encoded from a full walk or merged from the
-//! interval's dirty keys — the two differ in CPU time, not in bytes
-//! written. This module counts both streams, so reports can put
-//! persistence traffic side by side with the
+//! format), however few keys the interval wrote. This module counts both
+//! streams, so reports can put persistence traffic side by side with the
 //! simulated on-chip buffer traffic ([`BufferStats`](crate::BufferStats))
 //! and answer the sizing question the checkpoint interval poses: how many
 //! bytes of log does one checkpoint absorb, and how does a snapshot

@@ -83,6 +83,15 @@ impl Flags {
         }
     }
 
+    /// A duration given in microseconds, in nanoseconds: one that does not
+    /// fit is an error, not a wrapped value.
+    fn parse_us_as_ns(&self, flag: &str, default: u64) -> Result<u64, String> {
+        let us = self.parse_u64(flag, default)?;
+        us.checked_mul(1_000).ok_or_else(|| {
+            format!("{flag} expects at most {} microseconds, got '{us}'", u64::MAX / 1_000)
+        })
+    }
+
     /// A count that must be at least one: zero is an error, not a clamp.
     fn parse_positive(&self, flag: &str, default: u64) -> Result<u64, String> {
         match self.value_of(flag) {
@@ -144,7 +153,7 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         config.threads = flags.parse_positive("--sou-threads", 1)? as usize;
         config.steal = flags.has("--steal");
         config.batch_size = flags.parse_positive("--batch-size", 64)? as usize;
-        config.linger_ns = flags.parse_u64("--linger-us", 2_000)? * 1_000;
+        config.linger_ns = flags.parse_us_as_ns("--linger-us", 2_000)?;
         config.checkpoint_every = flags.parse_positive("--checkpoint-every", u64::MAX)?;
         config.admission.queue_capacity = flags.parse_positive("--queue-capacity", 1_024)?;
         config.data_dir = flags.value_of("--data-dir").map(PathBuf::from);
@@ -188,7 +197,7 @@ fn cmd_load(flags: &Flags) -> ExitCode {
             seed: flags.parse_u64("--seed", 42)?,
             qps: flags.parse_positive("--qps", 20_000)?,
             ops: flags.parse_u64("--ops", 10_000)?,
-            budget_ns: flags.parse_u64("--budget-us", 0)? * 1_000,
+            budget_ns: flags.parse_us_as_ns("--budget-us", 0)?,
             ..LoadConfig::default()
         };
         cfg.insert_pct = flags.parse_pct("--insert-pct", 40)?;

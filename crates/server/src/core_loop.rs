@@ -95,8 +95,8 @@ use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
 use dcart::{
-    CheckpointJob, CheckpointKind, CttConsumer, CttOpEvent, CttSession, DcartConfig, DcartError,
-    DurableLog, ExecOpts, Opened,
+    CheckpointJob, CttConsumer, CttOpEvent, CttSession, DcartConfig, DcartError, DurableLog,
+    ExecOpts, Opened,
 };
 use dcart_art::Key;
 use dcart_engine::time::Clock;
@@ -643,9 +643,9 @@ struct Job {
     outcome: Option<Result<(), DcartError>>,
 }
 
-/// The checkpoint job — the checkpoint thread's body, or inline: merge,
-/// check, install, reset the retired segment — [`CheckpointJob::run`] —
-/// then publish what it did and, on any failure, mark the core dead.
+/// The checkpoint job — the checkpoint thread's body, or inline: install,
+/// reset the retired segment — [`CheckpointJob::run`] — then publish what
+/// it did and, on any failure, mark the core dead.
 fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
     let Some(checkpoint) = &mut job.checkpoint else { return };
     let started = shared.now_ns();
@@ -658,19 +658,11 @@ fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
         snap.persist.checkpoint_bytes += persist.checkpoint_bytes;
         snap.checkpoint_job_ns_total += ns;
         snap.checkpoint_job_ns_max = snap.checkpoint_job_ns_max.max(ns);
-        match result {
-            Ok(CheckpointKind::Walked) => snap.checkpoints_walked += 1,
-            Ok(CheckpointKind::Merged { dirty_keys }) => {
-                snap.checkpoints_merged += 1;
-                snap.checkpoint_dirty_keys += dirty_keys;
-            }
-            Err(_) => {}
-        }
     }
     if result.is_err() {
         shared.mark_dead();
     }
-    job.outcome = Some(result.map(drop));
+    job.outcome = Some(result);
 }
 
 /// The lanes to the side threads while [`ServerCore::run`] runs a durable
@@ -1015,8 +1007,7 @@ impl ServerCore {
 
         ops.extend(live.iter().map(|p| op_of(&p.req)));
 
-        // 1. WAL the batch before any effect becomes visible (the log also
-        // notes, for the next checkpoint, which keys the batch writes).
+        // 1. WAL the batch before any effect becomes visible.
         if let Some(log) = &mut self.log {
             if let Err(e) = log.append(ops, &mut self.crash) {
                 return self.die(live, wake, commits, e);
@@ -1102,11 +1093,11 @@ impl ServerCore {
     /// (its segment is the spare again) and for the committer to go idle,
     /// rotate the log, and hand the job to the checkpoint thread or run it
     /// here. That much, on the injected clock, is the loop's stall. At
-    /// `drain` it walks, and is skipped when the installed checkpoint
-    /// already stands for every committed batch. A dead core checkpoints
-    /// nothing: a failed sync or job must leave the old checkpoint and
-    /// both segments as they are.
-    fn checkpoint(&mut self, walk: bool, lanes: Option<Lanes<'_>>) -> Result<(), DcartError> {
+    /// `drain` it is skipped when the installed checkpoint already stands
+    /// for every committed batch. A dead core checkpoints nothing: a
+    /// failed sync or job must leave the old checkpoint and both segments
+    /// as they are.
+    fn checkpoint(&mut self, drain: bool, lanes: Option<Lanes<'_>>) -> Result<(), DcartError> {
         let started = self.shared.now_ns();
         if let Some(lanes) = lanes {
             self.finish_job(lanes.checkpoints.take_back())?;
@@ -1116,14 +1107,14 @@ impl ServerCore {
             return Ok(());
         }
         let Some(log) = &mut self.log else { return Ok(()) };
-        if walk && log.checkpointed() {
+        if drain && log.checkpointed() {
             return Ok(());
         }
         // Capture and rotate: the loop appends to the spare from here on,
         // and the old segment goes with the job, which empties it once the
         // checkpoint that absorbs it is installed. The committer, idle
         // now, syncs the new segment from the next batch on.
-        let checkpoint = log.rotate(&self.session, walk)?;
+        let checkpoint = log.rotate(&self.session)?;
         if lanes.is_some() {
             self.next_segment = Some(log.sync_handle()?);
         }

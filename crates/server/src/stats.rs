@@ -15,7 +15,7 @@ use crate::admission::AdmissionCounters;
 /// checkpoint counters),
 /// whoever releases answers — the committer under `ServerCore::run`, the
 /// loop inline — (`acked_writes`, the `commit_sync*` counters), and
-/// wherever a checkpoint job ends (the other checkpoint counters,
+/// wherever a checkpoint job ends (the `checkpoint_job*` counters,
 /// `persist.checkpoints` and `persist.checkpoint_bytes`).
 #[derive(Clone, Copy, Default, Debug, Serialize)]
 pub struct CoreSnapshot {
@@ -38,27 +38,18 @@ pub struct CoreSnapshot {
     pub persist: PersistStats,
     /// Time the loop spent checkpointing instead of serving, summed over
     /// every checkpoint, on the injected clock: the wait for the previous
-    /// checkpoint job and for the committer, the capture (a walk's whole
-    /// encoding) and the rotation to the other WAL segment. The job itself
+    /// checkpoint job and for the committer, the capture (the walk that
+    /// encodes the file) and the rotation to the other WAL segment. The job itself
     /// is not in it, even where it runs on the loop's thread.
     pub checkpoint_stall_ns_total: u64,
     /// The longest single checkpoint stall.
     pub checkpoint_stall_ns_max: u64,
-    /// Time in checkpoint jobs, summed: merge, entry-count check, temp
-    /// file write and fsync, rename, directory fsync and the retired
-    /// segment's reset — on the checkpoint thread, or inline.
+    /// Time in checkpoint jobs, summed: temp file write and fsync, rename,
+    /// directory fsync and the retired segment's reset — on the checkpoint
+    /// thread, or inline.
     pub checkpoint_job_ns_total: u64,
     /// The longest single checkpoint job.
     pub checkpoint_job_ns_max: u64,
-    /// Checkpoints produced by merging the cycle's dirty keys into the
-    /// previous checkpoint's entries.
-    pub checkpoints_merged: u64,
-    /// Checkpoints produced by a full ordered walk of the shards (the
-    /// first after an open, the one at drain, and any whose WAL segment
-    /// had grown to 1 MiB — every one the byte trigger calls for).
-    pub checkpoints_walked: u64,
-    /// Distinct keys merged, summed over the merged checkpoints.
-    pub checkpoint_dirty_keys: u64,
     /// Commit fsyncs that returned `Ok`. `batches ÷ commit_syncs` is the
     /// batches one sync covered: 1 inline, more when the pipelined commit
     /// groups them.

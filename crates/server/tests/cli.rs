@@ -52,6 +52,21 @@ fn serve_rejects_a_count_that_is_not_an_integer() {
 }
 
 #[test]
+fn a_duration_too_long_for_nanoseconds_is_refused_not_wrapped() {
+    // u64::MAX / 1000 + 1 microseconds: the first that overflows.
+    let over = "18446744073709552";
+    let expected = |flag: &str| format!("{flag} expects at most 18446744073709551 microseconds");
+    assert_refused(
+        &["serve", "--addr", "127.0.0.1:0", "--linger-us", over],
+        &expected("--linger-us"),
+    );
+    assert_refused(
+        &["load", "--addr", "127.0.0.1:0", "--budget-us", over],
+        &expected("--budget-us"),
+    );
+}
+
+#[test]
 fn serve_without_an_address_is_an_error() {
     assert_refused(&["serve", "--batch-size", "8"], "serve needs --addr HOST:PORT");
 }

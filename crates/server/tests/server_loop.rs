@@ -1,6 +1,6 @@
 //! Integration tests for the serving core: batch determinism against the
 //! offline repro path, zero acked-write loss across an injected kill,
-//! crashes inside a merged checkpoint, the drain checkpoint, the default
+//! crashes inside a batch-capped checkpoint, the drain checkpoint, the default
 //! cadence by log size and the replay it bounds, deadline enforcement
 //! under a hand-driven clock, the `stats` answer byte for
 //! byte, admissions racing a drain, group submission against
@@ -333,25 +333,22 @@ fn checkpoint_file(dir: &Path) -> Vec<u8> {
     std::fs::read(dir.join(dcart::durable::CHECKPOINT_FILE)).expect("a checkpoint is installed")
 }
 
-/// Kill the core inside its *second* checkpoint — the first one that is
-/// merged from dirty keys rather than walked — at each of the three
-/// checkpoint crash sites, restart, and finish the stream. The restarted
-/// core must end with the digests of a core that never crashed, hold
-/// every acknowledged write, and its first checkpoint (a full walk: it
-/// has no image) must be, byte for byte, the merged one the uncrashed
+/// Kill the core inside its *second* checkpoint — one the batch cap, not
+/// the log size, made due — at each of the three checkpoint crash sites,
+/// restart, and finish the stream. The restarted core must end with the
+/// digests of a core that never crashed, hold every acknowledged write,
+/// and its first checkpoint must be, byte for byte, the one the uncrashed
 /// core wrote at the same sequence number.
 #[test]
-fn crash_inside_a_merged_checkpoint_recovers_to_the_uncrashed_state() {
+fn crash_inside_a_batch_capped_checkpoint_recovers_to_the_uncrashed_state() {
     let triples = mixed_ops(23, 9 * 16);
 
-    let clean_dir = scratch_dir("merged_clean");
+    let clean_dir = scratch_dir("capped_clean");
     let (clean_shared, mut clean) = open_core(durable_config(&clean_dir, None));
     let mut clean_acked = BTreeMap::new();
     assert_eq!(drive(&clean_shared, &mut clean, &triples, &mut clean_acked), 0);
     let stats = clean_shared.stats().core;
-    assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 2), "{stats:?}");
-    assert!(stats.checkpoint_dirty_keys > 0 && stats.checkpoint_dirty_keys <= 6 * 16);
-    assert_eq!(stats.persist.checkpoints, 3);
+    assert_eq!(stats.persist.checkpoints, 3, "{stats:?}");
     // Each stall — wait, capture, rotation — and each job, which runs
     // inline here, spans exactly two readings of the injected clock.
     assert_eq!(stats.checkpoint_stall_ns_total, 3 * TICK_NS);
@@ -365,7 +362,7 @@ fn crash_inside_a_merged_checkpoint_recovers_to_the_uncrashed_state() {
     let clean_tree = clean.into_tree_digest().expect("tree");
 
     for site in [CrashSite::MidCheckpoint, CrashSite::BeforeSwap, CrashSite::AfterSwap] {
-        let dir = scratch_dir(&format!("merged_{}", site.name()));
+        let dir = scratch_dir(&format!("capped_{}", site.name()));
         let plan = CrashPlan { site, at: 1, seed: 5 };
         let (shared, mut core) = open_core(durable_config(&dir, Some(plan)));
         let mut acked = BTreeMap::new();
@@ -374,7 +371,9 @@ fn crash_inside_a_merged_checkpoint_recovers_to_the_uncrashed_state() {
         assert_eq!(drive(&shared, &mut core, before, &mut acked), 0, "acks precede the checkpoint");
         assert!(shared.is_dead(), "{}: the planned crash kills the core", site.name());
         let stats = shared.stats().core;
-        assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+        // The second install counts once its rename is durable.
+        let installed = 1 + u64::from(site == CrashSite::AfterSwap);
+        assert_eq!(stats.persist.checkpoints, installed, "{stats:?}");
         assert_eq!(stats.batches, 6);
         assert_eq!(drive(&shared, &mut core, &after[..16], &mut acked), 16, "dead cores refuse");
         drop(core);
@@ -385,10 +384,10 @@ fn crash_inside_a_merged_checkpoint_recovers_to_the_uncrashed_state() {
         assert_eq!(replayed, expected, "{}: WAL suffix past the live checkpoint", site.name());
         assert_eq!(drive(&shared, &mut core, after, &mut acked), 0);
         let stats = shared.stats().core;
-        assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+        assert_eq!(stats.persist.checkpoints, 1, "{stats:?}");
         assert!(
             checkpoint_file(&dir) == clean_file,
-            "{}: walked checkpoint differs from the uncrashed core's merged one",
+            "{}: checkpoint differs from the uncrashed core's",
             site.name()
         );
         assert_eq!(core.answer_digest(), clean_answer, "{}: answers diverged", site.name());
@@ -422,7 +421,7 @@ fn crash_inside_a_merged_checkpoint_recovers_to_the_uncrashed_state() {
 
 /// One on-disk protocol, read both ways: a directory `run_durable` left
 /// after a crash at each of the five sites — the checkpoint sites inside
-/// its second, merged checkpoint — opens in the server to the state the
+/// its second checkpoint — opens in the server to the state the
 /// offline `recover` reports: the same sequence number, answer digest and
 /// tree.
 #[test]
@@ -472,14 +471,14 @@ fn drain_checkpoints_once_and_only_when_something_changed() {
     // Fresh directory, no request ever: the audit still finds a checkpoint.
     let (shared, mut core) = open_core(durable_config(&dir, None));
     let stats = drain(&mut core, &shared);
-    assert_eq!((stats.checkpoints_walked, stats.persist.checkpoints), (1, 1));
+    assert_eq!(stats.persist.checkpoints, 1);
     let empty = checkpoint_file(&dir);
     drop(core);
 
     // Reopened and drained again with nothing new: not rewritten.
     let (shared, mut core) = open_core(durable_config(&dir, None));
     let stats = drain(&mut core, &shared);
-    assert_eq!((stats.checkpoints_walked, stats.persist.checkpoint_bytes), (0, 0));
+    assert_eq!((stats.persist.checkpoints, stats.persist.checkpoint_bytes), (0, 0));
     assert_eq!(checkpoint_file(&dir), empty);
     drop(core);
 
@@ -491,8 +490,7 @@ fn drain_checkpoints_once_and_only_when_something_changed() {
     let periodic = checkpoint_file(&dir);
     assert_ne!(periodic, empty);
     let stats = drain(&mut core, &shared);
-    assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
-    assert_eq!(stats.persist.checkpoints, 1);
+    assert_eq!(stats.persist.checkpoints, 1, "{stats:?}");
     assert_eq!(checkpoint_file(&dir), periodic);
     drop(core);
 
@@ -501,7 +499,7 @@ fn drain_checkpoints_once_and_only_when_something_changed() {
     let (shared, mut core) = open_core(durable_config(&dir, None));
     assert_eq!(drive(&shared, &mut core, &triples[3 * 16..], &mut acked), 0);
     let stats = drain(&mut core, &shared);
-    assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+    assert_eq!(stats.persist.checkpoints, 1, "{stats:?}");
     assert_ne!(checkpoint_file(&dir), periodic);
     let answer = core.answer_digest();
     drop(core);
@@ -861,9 +859,8 @@ fn a_watermark_reached_while_the_loop_sleeps_on_a_long_linger_flushes_at_once() 
 
 /// The `stats` answer, byte for byte, after each step of a durable
 /// `flush_now` run on a clock that ticks per reading: the open, a batch, a
-/// batch that trips the first (walked) checkpoint, a batch with one
-/// request that expires in the queue, and a batch that trips the first
-/// merged checkpoint. Every counter is pinned where its one writer — the
+/// batch that trips the first checkpoint, a batch with one request that
+/// expires in the queue, and a batch that trips the second checkpoint. Every counter is pinned where its one writer — the
 /// loop, the acknowledging path, the checkpoint job — leaves it, and so
 /// are the WAL gauges: the segment's bytes, back to its 16-byte header
 /// after each rotation, and the 1 MiB trigger these small checkpoints
@@ -891,11 +888,11 @@ fn stats_json_is_pinned_through_a_durable_flush_now_run() {
 
 /// What `stats_json_is_pinned_through_a_durable_flush_now_run` reads.
 const PINNED_STATS: [&str; 5] = [
-    r#"{"admission":{"accepted":0,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":0,"ops":0,"acked_writes":0,"answer_digest":0,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":0,"wal_batches":0,"wal_commits":0,"payload_bytes":0,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"checkpoints_merged":0,"checkpoints_walked":0,"checkpoint_dirty_keys":0,"commit_syncs":0,"commit_sync_ns_total":0,"commit_sync_ns_max":0,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
-    r#"{"admission":{"accepted":4,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":1,"ops":4,"acked_writes":4,"answer_digest":1714166583970945052,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":134,"wal_batches":1,"wal_commits":1,"payload_bytes":80,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"checkpoints_merged":0,"checkpoints_walked":0,"checkpoint_dirty_keys":0,"commit_syncs":1,"commit_sync_ns_total":1000,"commit_sync_ns_max":1000,"wal_segment_bytes":150,"checkpoint_trigger_bytes":1048576}}"#,
-    r#"{"admission":{"accepted":8,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":2,"ops":8,"acked_writes":8,"answer_digest":6156017614655345976,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":268,"wal_batches":2,"wal_commits":2,"payload_bytes":160,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"checkpoints_merged":0,"checkpoints_walked":1,"checkpoint_dirty_keys":0,"commit_syncs":2,"commit_sync_ns_total":2000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
-    r#"{"admission":{"accepted":12,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":3,"ops":11,"acked_writes":11,"answer_digest":5874708055566606147,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":383,"wal_batches":3,"wal_commits":3,"payload_bytes":221,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"checkpoints_merged":0,"checkpoints_walked":1,"checkpoint_dirty_keys":0,"commit_syncs":3,"commit_sync_ns_total":3000,"commit_sync_ns_max":1000,"wal_segment_bytes":131,"checkpoint_trigger_bytes":1048576}}"#,
-    r#"{"admission":{"accepted":16,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":4,"ops":15,"acked_writes":15,"answer_digest":3434730550872577615,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":517,"wal_batches":4,"wal_commits":4,"payload_bytes":301,"checkpoint_bytes":550,"checkpoints":2,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":2000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":2000,"checkpoint_job_ns_max":1000,"checkpoints_merged":1,"checkpoints_walked":1,"checkpoint_dirty_keys":7,"commit_syncs":4,"commit_sync_ns_total":4000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":0,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":0,"ops":0,"acked_writes":0,"answer_digest":0,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":0,"wal_batches":0,"wal_commits":0,"payload_bytes":0,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"commit_syncs":0,"commit_sync_ns_total":0,"commit_sync_ns_max":0,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":4,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":1,"ops":4,"acked_writes":4,"answer_digest":1714166583970945052,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":134,"wal_batches":1,"wal_commits":1,"payload_bytes":80,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"commit_syncs":1,"commit_sync_ns_total":1000,"commit_sync_ns_max":1000,"wal_segment_bytes":150,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":8,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":2,"ops":8,"acked_writes":8,"answer_digest":6156017614655345976,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":268,"wal_batches":2,"wal_commits":2,"payload_bytes":160,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"commit_syncs":2,"commit_sync_ns_total":2000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":12,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":3,"ops":11,"acked_writes":11,"answer_digest":5874708055566606147,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":383,"wal_batches":3,"wal_commits":3,"payload_bytes":221,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"commit_syncs":3,"commit_sync_ns_total":3000,"commit_sync_ns_max":1000,"wal_segment_bytes":131,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":16,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":4,"ops":15,"acked_writes":15,"answer_digest":3434730550872577615,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":517,"wal_batches":4,"wal_commits":4,"payload_bytes":301,"checkpoint_bytes":550,"checkpoints":2,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":2000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":2000,"checkpoint_job_ns_max":1000,"commit_syncs":4,"commit_sync_ns_total":4000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
 ];
 
 /// Submitters race a drain while `run()` runs: every request `submit`
@@ -1478,7 +1475,7 @@ mod pipelined {
     }
 
     /// Each checkpoint crash site fires on the checkpoint thread, in the
-    /// second job — the first merged one — while the loop has already
+    /// second job, while the loop has already
     /// rotated on: the core dies, `run()` reports the site, and a restart
     /// holds every acknowledged batch, with the digest an uncrashed core
     /// has at the same sequence number.
@@ -1496,7 +1493,8 @@ mod pipelined {
             let error = running.join().expect("core thread").expect("the crash is the report");
             assert_eq!(error.injected_crash(), Some(site), "{error}");
             let stats = shared.stats().core;
-            assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 0), "{stats:?}");
+            let installed = 1 + u64::from(site == CrashSite::AfterSwap);
+            assert_eq!(stats.persist.checkpoints, installed, "{stats:?}");
             assert_eq!(stats.acked_writes, 16);
 
             let (shared, mut core) = open_core(durable_config(&dir, None));
@@ -1569,7 +1567,7 @@ mod pipelined {
         let stats = restarted.stats().core;
         assert_eq!(stats.replayed_batches, 4, "both segments replay");
         assert_eq!(core.answer_digest(), shared.stats().core.answer_digest);
-        assert_eq!((stats.checkpoints_walked, stats.persist.checkpoints), (1, 1), "{stats:?}");
+        assert_eq!(stats.persist.checkpoints, 1, "{stats:?}");
         assert_eq!(segment(&killed, 0).len(), 16, "the older segment is absorbed and emptied");
         drop(core);
         let (again, mut core) = open_core(durable_config(&killed, None));
@@ -1714,9 +1712,8 @@ mod pipelined {
 
     /// The job thread and the inline path write one protocol: with a
     /// checkpoint every second batch, the file the checkpoint thread
-    /// installed at batch 6 — merged, like the one before it — is, byte
-    /// for byte, the one `flush_now` installed inline at the same
-    /// sequence number.
+    /// installed at batch 6 is, byte for byte, the one `flush_now`
+    /// installed inline at the same sequence number.
     #[test]
     fn checkpoints_from_the_job_thread_and_inline_are_byte_identical() {
         let triples = mixed_ops(47, 6 * 16);
@@ -1734,8 +1731,6 @@ mod pipelined {
         assert!(answered.iter().all(|&(_, status)| status == Status::Ok));
         wait_until("three jobs ended", || shared.stats().core.persist.checkpoints == 3);
         let from_job = checkpoint_file(&run_dir);
-        let stats = shared.stats().core;
-        assert_eq!((stats.checkpoints_walked, stats.checkpoints_merged), (1, 2), "{stats:?}");
 
         let config = stream_config(&flush_dir, 2);
         let (inline_shared, mut inline) = open_core(config);
@@ -1744,8 +1739,7 @@ mod pipelined {
             inline_shared.submit_group(chunk, || Reply::Channel(tx.clone()), &mut immediate);
             inline.flush_now();
         }
-        let inline_stats = inline_shared.stats().core;
-        assert_eq!((inline_stats.checkpoints_walked, inline_stats.checkpoints_merged), (1, 2));
+        assert_eq!(inline_shared.stats().core.persist.checkpoints, 3);
         assert!(from_job == checkpoint_file(&flush_dir), "job and inline checkpoints differ");
         assert_eq!(
             dcart::read_checkpoint_pairs(&run_dir).expect("readable").map(|c| c.next_seq),
