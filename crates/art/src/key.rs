@@ -150,16 +150,9 @@ impl Key {
         self.as_bytes().len()
     }
 
-    /// Returns the leading `bits` of the key as a prefix identifier,
-    /// zero-extended on the right if the key is shorter.
-    ///
-    /// DCART's Prefix-based Combining Unit buckets operations by such a
-    /// prefix (8 bits by default — the first byte).
-    pub fn prefix_bits(&self, bits: u32) -> u64 {
-        self.prefix_bits_at(0, bits)
-    }
-
-    /// Like [`Key::prefix_bits`], but starting `skip_bytes` into the key.
+    /// Returns `bits` of the key, starting `skip_bytes` into it, as a prefix
+    /// identifier, zero-extended on the right if the key is shorter. DCART's
+    /// Prefix-based Combining Unit buckets operations by such a prefix.
     ///
     /// Fixed-width integer key sets often share a constant high-byte run
     /// (e.g. 8-byte big-endian keys below 2^56 all start with `0x00`), under
@@ -310,16 +303,16 @@ mod tests {
     #[test]
     fn prefix_bits_extracts_leading_bits() {
         let k = Key::from_raw(vec![0xab, 0xcd, 0xef]);
-        assert_eq!(k.prefix_bits(8), 0xab);
-        assert_eq!(k.prefix_bits(4), 0xa);
-        assert_eq!(k.prefix_bits(16), 0xabcd);
-        assert_eq!(k.prefix_bits(12), 0xabc);
+        assert_eq!(k.prefix_bits_at(0, 8), 0xab);
+        assert_eq!(k.prefix_bits_at(0, 4), 0xa);
+        assert_eq!(k.prefix_bits_at(0, 16), 0xabcd);
+        assert_eq!(k.prefix_bits_at(0, 12), 0xabc);
     }
 
     #[test]
     fn prefix_bits_at_skips_constant_head() {
         let k = Key::from_u64(0x0000_0000_0012_3456);
-        assert_eq!(k.prefix_bits(8), 0, "high byte is constant zero");
+        assert_eq!(k.prefix_bits_at(0, 8), 0, "high byte is constant zero");
         assert_eq!(k.prefix_bits_at(5, 8), 0x12);
         assert_eq!(k.prefix_bits_at(5, 16), 0x1234);
     }
@@ -327,7 +320,7 @@ mod tests {
     #[test]
     fn prefix_bits_zero_extends_short_keys() {
         let k = Key::from_raw(vec![0x12]);
-        assert_eq!(k.prefix_bits(16), 0x1200);
+        assert_eq!(k.prefix_bits_at(0, 16), 0x1200);
     }
 
     #[test]

@@ -327,16 +327,6 @@ impl Children {
         self.next_from(0)
     }
 
-    /// Returns the `(byte, child)` pair with the largest partial key.
-    pub fn max_child(&self) -> Option<(u8, NodeId)> {
-        match self {
-            Children::N4(n) => n.max_child(),
-            Children::N16(n) => n.max_child(),
-            Children::N48(n) => n.max_child(),
-            Children::N256(n) => n.max_child(),
-        }
-    }
-
     /// Returns the sole `(byte, child)` pair, if exactly one child remains.
     /// Used for path-compression merging on removal.
     pub fn single_child(&self) -> Option<(u8, NodeId)> {
@@ -399,7 +389,6 @@ mod tests {
         let want: Vec<u8> = model.keys().copied().collect();
         assert_eq!(got, want);
         assert_eq!(c.min_child().map(|(b, _)| b), model.keys().next().copied());
-        assert_eq!(c.max_child().map(|(b, _)| b), model.keys().last().copied());
         // Remove everything, shrinking opportunistically.
         let all: Vec<u8> = model.keys().copied().collect();
         for b in all {

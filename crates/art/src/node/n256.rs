@@ -94,11 +94,6 @@ impl Node256 {
         let byte = from + self.children[from..].iter().position(|&c| c != NULL)?;
         Some((byte as u8, self.children[byte]))
     }
-
-    /// Returns the child with the largest partial key.
-    pub(super) fn max_child(&self) -> Option<(u8, NodeId)> {
-        (0..=255u8).rev().find_map(|b| self.find(b).map(|c| (b, c)))
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +110,6 @@ mod tests {
         for b in 0..=255u8 {
             assert_eq!(n.find(b), Some(NodeId(u32::from(b) + 1)));
         }
-        assert_eq!(n.max_child(), Some((255, NodeId(256))));
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl Node4 {
         let pos = self.keys[..self.len()].iter().position(|&k| k >= from)?;
         Some((self.keys[pos], self.children[pos]))
     }
-
-    /// Returns the child with the largest partial key.
-    pub(super) fn max_child(&self) -> Option<(u8, NodeId)> {
-        let len = self.len();
-        (len > 0).then(|| (self.keys[len - 1], self.children[len - 1]))
-    }
 }
 
 #[cfg(test)]

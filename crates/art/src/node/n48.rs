@@ -118,11 +118,6 @@ impl Node48 {
         Some((byte as u8, self.children[usize::from(self.index[byte])]))
     }
 
-    /// Returns the child with the largest partial key.
-    pub(super) fn max_child(&self) -> Option<(u8, NodeId)> {
-        self.iter_ordered().last()
-    }
-
     /// Ordered `(byte, child)` pairs. One vector sweep compresses the index
     /// array into a 256-bit occupancy bitmap; iteration then walks only the
     /// set bits instead of probing all 256 sentinel slots.
@@ -172,6 +167,5 @@ mod tests {
         let order: Vec<u8> = [0u8, 4, 151].map(|from| n.next_from(from).unwrap().0).to_vec();
         assert_eq!(order, vec![3, 150, 200]);
         assert_eq!(n.next_from(201), None);
-        assert_eq!(n.max_child(), Some((200, NodeId(200))));
     }
 }

@@ -150,14 +150,4 @@ impl OpTrace {
         self.target = None;
         self.parent = None;
     }
-
-    /// Total bytes fetched across all visits (footprint-weighted).
-    pub fn bytes_fetched(&self) -> u64 {
-        self.visits.iter().map(|v| u64::from(v.lines) * 64).sum()
-    }
-
-    /// Traversal depth (number of nodes fetched).
-    pub fn depth(&self) -> usize {
-        self.visits.len()
-    }
 }

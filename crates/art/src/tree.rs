@@ -197,29 +197,6 @@ impl<V> Art<V> {
         self.get_traced(key, &mut NoopTracer)
     }
 
-    /// Looks up `key`, returning a mutable reference to its value.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dcart_art::{Art, Key};
-    ///
-    /// let mut art = Art::new();
-    /// art.insert(Key::from_u64(1), 10)?;
-    /// if let Some(v) = art.get_mut(&Key::from_u64(1)) {
-    ///     *v += 5;
-    /// }
-    /// assert_eq!(art.get(&Key::from_u64(1)), Some(&15));
-    /// # Ok::<(), dcart_art::ArtError>(())
-    /// ```
-    pub fn get_mut(&mut self, key: &Key) -> Option<&mut V> {
-        let (leaf, _) = self.locate_leaf(key, &mut NoopTracer)?;
-        match self.arena.get_mut(leaf) {
-            Node::Leaf { value, .. } => Some(value),
-            Node::Inner(_) => unreachable!("locate_leaf returned inner node"),
-        }
-    }
-
     /// Looks up `key`, reporting every node access to `tracer`.
     pub fn get_traced<T: Tracer>(&self, key: &Key, tracer: &mut T) -> Option<&V> {
         let (leaf, _) = self.locate_leaf(key, tracer)?;
@@ -710,23 +687,12 @@ impl<V> Art<V> {
 
     /// Returns the smallest key and its value.
     pub fn min(&self) -> Option<(&Key, &V)> {
-        self.extreme(true)
-    }
-
-    /// Returns the largest key and its value.
-    pub fn max(&self) -> Option<(&Key, &V)> {
-        self.extreme(false)
-    }
-
-    fn extreme(&self, min: bool) -> Option<(&Key, &V)> {
         let mut cur = self.root?;
         loop {
             match self.arena.get(cur) {
                 Node::Leaf { key, value } => return Some((key, value)),
                 Node::Inner(inner) => {
-                    let next =
-                        if min { inner.children.min_child() } else { inner.children.max_child() };
-                    cur = next.expect("inner node with no children").1;
+                    cur = inner.children.min_child().expect("inner node with no children").1;
                 }
             }
         }
@@ -1187,7 +1153,11 @@ mod tests {
             art.insert(k(v), v).unwrap();
         }
         assert_eq!(art.min().map(|(_, v)| *v), Some(3));
-        assert_eq!(art.max().map(|(_, v)| *v), Some(99999));
+        // The minimum follows removals down to the empty tree.
+        for (v, next) in [(3u64, Some(42)), (42, Some(500)), (500, Some(99999)), (99999, None)] {
+            assert_eq!(art.remove(&k(v)), Some(v));
+            assert_eq!(art.min().map(|(_, v)| *v), next);
+        }
     }
 
     #[test]

@@ -169,16 +169,18 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// min/max equal the model's first/last keys.
+    /// min equals the model's first key while the keys are removed in
+    /// ascending order.
     #[test]
     fn min_max_match(keys in proptest::collection::btree_set(any::<u64>(), 1..100)) {
         let mut art = Art::new();
         for &k in &keys {
             art.insert(Key::from_u64(k), ()).unwrap();
         }
-        let min = art.min().map(|(k, _)| int(k));
-        let max = art.max().map(|(k, _)| int(k));
-        prop_assert_eq!(min, keys.iter().next().copied());
-        prop_assert_eq!(max, keys.iter().last().copied());
+        for &k in &keys {
+            prop_assert_eq!(art.min().map(|(k, _)| int(k)), Some(k));
+            prop_assert_eq!(art.remove(&Key::from_u64(k)), Some(()));
+        }
+        prop_assert!(art.min().is_none());
     }
 }

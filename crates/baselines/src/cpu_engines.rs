@@ -81,11 +81,6 @@ impl CpuBaseline {
             config,
         }
     }
-
-    /// The CPU configuration in use.
-    pub fn config(&self) -> &CpuConfig {
-        &self.config
-    }
 }
 
 impl IndexEngine for CpuBaseline {

@@ -111,11 +111,6 @@ impl CuArt {
     pub fn new(config: GpuConfig) -> Self {
         CuArt { config }
     }
-
-    /// The GPU configuration in use.
-    pub fn config(&self) -> &GpuConfig {
-        &self.config
-    }
 }
 
 impl IndexEngine for CuArt {

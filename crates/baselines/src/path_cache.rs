@@ -22,8 +22,6 @@ pub struct PathCache {
     capacity: usize,
     entries: BTreeMap<Vec<u8>, u64>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl PathCache {
@@ -35,15 +33,7 @@ impl PathCache {
     /// Panics if any parameter is zero.
     pub fn new(prefix_len: usize, skip_depth: usize, capacity: usize) -> Self {
         assert!(prefix_len > 0 && skip_depth > 0 && capacity > 0);
-        PathCache {
-            prefix_len,
-            skip_depth,
-            capacity,
-            entries: BTreeMap::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
+        PathCache { prefix_len, skip_depth, capacity, entries: BTreeMap::new(), tick: 0 }
     }
 
     /// Looks up `key`'s prefix; returns how many leading visits of a
@@ -56,12 +46,10 @@ impl PathCache {
         let prefix = bytes[..plen].to_vec();
         let hit = self.entries.contains_key(&prefix);
         if hit {
-            self.hits += 1;
             self.entries.insert(prefix, self.tick);
             // Never skip the leaf itself: the final node must be fetched.
             self.skip_depth.min(depth.saturating_sub(1))
         } else {
-            self.misses += 1;
             if self.entries.len() >= self.capacity {
                 // Evict the least recently used prefix.
                 if let Some(victim) =
@@ -72,16 +60,6 @@ impl PathCache {
             }
             self.entries.insert(prefix, self.tick);
             0
-        }
-    }
-
-    /// Hit ratio so far.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
         }
     }
 }
@@ -97,7 +75,6 @@ mod tests {
         assert_eq!(pc.lookup(&k, 6), 0);
         let k2 = Key::from_u64(0xAABB_0000_0000_0002); // same 2-byte prefix
         assert_eq!(pc.lookup(&k2, 6), 2);
-        assert!(pc.hit_ratio() > 0.4);
     }
 
     #[test]

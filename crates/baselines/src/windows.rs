@@ -28,8 +28,7 @@ use dcart_art::NodeId;
 /// let hot = NodeId::from_index(1);
 /// w.record_op([hot]);
 /// w.record_op([hot]); // same node, same window: redundant
-/// assert_eq!(w.redundant_visits, 1);
-/// assert_eq!(w.ratio(), 0.5);
+/// assert_eq!((w.redundant_visits, w.total_visits), (1, 2));
 /// ```
 #[derive(Debug)]
 pub struct RedundancyWindow {
@@ -71,15 +70,6 @@ impl RedundancyWindow {
         if self.ops_in_window >= self.window {
             self.seen.clear();
             self.ops_in_window = 0;
-        }
-    }
-
-    /// Redundancy ratio in `[0, 1]`.
-    pub fn ratio(&self) -> f64 {
-        if self.total_visits == 0 {
-            0.0
-        } else {
-            self.redundant_visits as f64 / self.total_visits as f64
         }
     }
 }
@@ -204,7 +194,6 @@ mod tests {
         r.record_op([n(1)]); // new window: fresh again
         assert_eq!(r.total_visits, 5);
         assert_eq!(r.redundant_visits, 1);
-        assert!((r.ratio() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -216,9 +205,9 @@ mod tests {
             small.record_op(v.iter().copied());
             large.record_op(v.iter().copied());
         }
-        assert!(large.ratio() > small.ratio());
-        assert!((small.ratio() - 0.5).abs() < 1e-12);
-        assert!((large.ratio() - 0.98).abs() < 1e-12);
+        assert!(large.redundant_visits > small.redundant_visits);
+        assert_eq!((small.redundant_visits, small.total_visits), (50, 100));
+        assert_eq!((large.redundant_visits, large.total_visits), (98, 100));
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl DcartAccel {
         self
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DcartConfig {
-        &self.config
-    }
-
     /// Details of the most recent run.
     pub fn last_details(&self) -> &AccelDetails {
         &self.details

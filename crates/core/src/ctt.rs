@@ -1431,7 +1431,7 @@ pub struct LoadReport {
 /// in size — so the session exposes the loop body directly: construct once
 /// over the recovered tree state, call
 /// [`execute_batch`](CttSession::execute_batch) per coalesced batch, read
-/// [`entries`](CttSession::entries) / [`get`](CttSession::get) /
+/// [`entries`](CttSession::entries) /
 /// [`answer_digest`](CttSession::answer_digest) for checkpoints whenever
 /// convenient, and [`finish`](CttSession::finish) at drain.
 ///
@@ -1713,16 +1713,6 @@ impl CttSession {
     /// Whether the session holds no key at all.
     pub fn is_empty(&self) -> bool {
         self.leaves.iter().all(|leaf| leaf.art.is_empty())
-    }
-
-    /// The value stored under `key` right now, read from the one shard
-    /// the key routes to — no events, no stats, no shortcut traffic.
-    pub fn get(&self, key: &Key) -> Option<u64> {
-        let config = &self.config;
-        let prefix = key.prefix_bits_at(config.prefix_skip_bytes, config.prefix_bits);
-        let group = &self.groups[config.bucket_of(prefix)];
-        let sub = if group.subs == 1 { 0 } else { sub_of(key, self.policy.next_byte) };
-        self.leaves[group.start + sub].art.get(key).copied()
     }
 
     /// Every `(key, value)` the session holds, ascending by key, streamed
@@ -2178,9 +2168,6 @@ mod tests {
             assert_eq!(session.len(), tree.len());
             assert!(!session.is_empty());
             assert!(session.entries().eq(tree.iter().map(|(k, &v)| (k, v))));
-            for op in batch {
-                assert_eq!(session.get(&op.key), tree.get(&op.key).copied(), "{:?}", op.key);
-            }
         }
         assert!(session.groups.iter().any(|g| g.subs > 1), "some bucket is split right now");
         let (_, stats, _) = session.finish().expect("finishes");
@@ -2189,7 +2176,6 @@ mod tests {
         let empty = CttSession::from_pairs(&[], &cfg, &SERIAL, 512, 0).expect("opens empty");
         assert!(empty.is_empty() && empty.entries().next().is_none());
         assert_eq!(empty.len(), 0);
-        assert_eq!(empty.get(&keys.keys[0]), None);
     }
 
     #[test]

@@ -109,13 +109,6 @@ pub struct DurabilityConfig {
     pub checkpoint_every: u64,
 }
 
-impl DurabilityConfig {
-    /// Durability under `dir` with a 4-batch checkpoint interval.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig { dir: dir.into(), checkpoint_every: 4 }
-    }
-}
-
 /// What a durable run (or its simulated death) left behind.
 #[derive(Debug)]
 pub struct DurableOutcome {
@@ -1021,7 +1014,7 @@ mod tests {
         let (keys, ops) = workload();
         let config = DcartConfig::default();
         let (ref_answer, ref_tree) = reference(&keys, &ops, &config);
-        let dur = DurabilityConfig::new(tmpdir("clean"));
+        let dur = DurabilityConfig { dir: tmpdir("clean"), checkpoint_every: 4 };
         let mut crash = CrashInjector::counting();
         let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, None);
@@ -1064,7 +1057,10 @@ mod tests {
         let config = DcartConfig::default();
         let (ref_answer, ref_tree) = reference(&keys, &ops, &config);
         for site in CrashSite::ALL {
-            let dur = DurabilityConfig::new(tmpdir(&format!("site-{}", site.name())));
+            let dur = DurabilityConfig {
+                dir: tmpdir(&format!("site-{}", site.name())),
+                checkpoint_every: 4,
+            };
             let mut crash = CrashInjector::for_plan(CrashPlan { site, at: 1, seed: 5 });
             let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
             assert_eq!(out.crashed, Some(site), "the planned crash must fire");
@@ -1081,7 +1077,7 @@ mod tests {
     fn torn_tail_is_truncated_not_replayed() {
         let (keys, ops) = workload();
         let config = DcartConfig::default();
-        let dur = DurabilityConfig::new(tmpdir("torn"));
+        let dur = DurabilityConfig { dir: tmpdir("torn"), checkpoint_every: 4 };
         let mut crash =
             CrashInjector::for_plan(CrashPlan { site: CrashSite::BeforeCommit, at: 2, seed: 9 });
         let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
@@ -1105,7 +1101,7 @@ mod tests {
         // second segment and resets the first; the one at seq 8 rotates
         // back onto the first. Crashing mid-record at opportunity 10
         // leaves seqs 8–9 committed in the reset segment.
-        let dur = DurabilityConfig::new(tmpdir("post-ckpt-replay"));
+        let dur = DurabilityConfig { dir: tmpdir("post-ckpt-replay"), checkpoint_every: 4 };
         let mut crash =
             CrashInjector::for_plan(CrashPlan { site: CrashSite::MidRecord, at: 10, seed: 21 });
         let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
@@ -1128,7 +1124,7 @@ mod tests {
         let (keys, ops) = workload();
         let config = DcartConfig::default();
         let dir = tmpdir("divergent");
-        let dur = DurabilityConfig { checkpoint_every: u64::MAX, ..DurabilityConfig::new(&dir) };
+        let dur = DurabilityConfig { dir: dir.clone(), checkpoint_every: u64::MAX };
         let mut crash =
             CrashInjector::for_plan(CrashPlan { site: CrashSite::BeforeCommit, at: 3, seed: 1 });
         let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
@@ -1151,7 +1147,7 @@ mod tests {
     fn wrong_batch_size_on_resume_is_rejected() {
         let (keys, ops) = workload();
         let config = DcartConfig::default();
-        let dur = DurabilityConfig::new(tmpdir("batchsize"));
+        let dur = DurabilityConfig { dir: tmpdir("batchsize"), checkpoint_every: 4 };
         let mut crash =
             CrashInjector::for_plan(CrashPlan { site: CrashSite::MidRecord, at: 4, seed: 2 });
         let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
@@ -1166,7 +1162,7 @@ mod tests {
     fn recovery_without_any_files_is_the_initial_state() {
         let (keys, _) = workload();
         let config = DcartConfig::default();
-        let dur = DurabilityConfig::new(tmpdir("fresh"));
+        let dur = DurabilityConfig { dir: tmpdir("fresh"), checkpoint_every: 4 };
         let st = recover(&keys, &config, &SERIAL, &dur).unwrap();
         assert_eq!(st.next_seq, 0);
         assert_eq!(st.replayed_batches, 0);
@@ -1178,7 +1174,7 @@ mod tests {
     fn checkpoint_files_reject_corruption_with_typed_errors() {
         let (keys, ops) = workload();
         let config = DcartConfig::default();
-        let dur = DurabilityConfig::new(tmpdir("ckpt-corrupt"));
+        let dur = DurabilityConfig { dir: tmpdir("ckpt-corrupt"), checkpoint_every: 4 };
         let mut crash = CrashInjector::counting();
         run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         let path = dur.dir.join(CHECKPOINT_FILE);

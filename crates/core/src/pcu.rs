@@ -134,8 +134,8 @@ mod tests {
         // Same first byte, different second byte → may differ in bucket.
         let a = Op { kind: OpKind::Read, key: Key::from_raw(vec![1, 0, 0]), value: 0 };
         let b = Op { kind: OpKind::Read, key: Key::from_raw(vec![1, 5, 0]), value: 0 };
-        let pa = a.key.prefix_bits(16);
-        let pb = b.key.prefix_bits(16);
+        let pa = a.key.prefix_bits_at(0, 16);
+        let pb = b.key.prefix_bits_at(0, 16);
         assert_ne!(pa, pb);
         assert_ne!(cfg.bucket_of(pa), cfg.bucket_of(pb));
     }

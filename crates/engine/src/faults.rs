@@ -271,7 +271,6 @@ pub struct DegradationController {
     events: u32,
     errors: u32,
     disabled: bool,
-    trips: u64,
 }
 
 impl DegradationController {
@@ -280,7 +279,7 @@ impl DegradationController {
     /// A `threshold` of 0 or a `window` of 0 disables the controller
     /// (never trips).
     pub fn new(threshold: f64, window: u32) -> Self {
-        DegradationController { threshold, window, events: 0, errors: 0, disabled: false, trips: 0 }
+        DegradationController { threshold, window, events: 0, errors: 0, disabled: false }
     }
 
     /// Records one event; `error` marks it as a failure (stale entry,
@@ -300,7 +299,6 @@ impl DegradationController {
         let rate = f64::from(self.errors) / f64::from(self.events);
         if rate >= self.threshold {
             self.disabled = true;
-            self.trips += 1;
             return true;
         }
         // Window complete without tripping: start a fresh window.
@@ -312,11 +310,6 @@ impl DegradationController {
     /// `true` once the latch has tripped.
     pub fn is_disabled(&self) -> bool {
         self.disabled
-    }
-
-    /// Number of times the latch tripped (0 or 1: the latch is sticky).
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 }
 
@@ -431,11 +424,6 @@ impl CrashInjector {
     /// Opportunities seen so far at `site`.
     pub fn opportunities(&self, site: CrashSite) -> u64 {
         self.counters[site.index()]
-    }
-
-    /// `true` once the planned crash has fired.
-    pub fn fired(&self) -> bool {
-        self.fired
     }
 
     /// How many bytes of a torn `total`-byte write reach the disk: a
@@ -622,9 +610,8 @@ mod tests {
         }
         assert_eq!(tripped_at, Some(9), "trips when the first window completes");
         assert!(c.is_disabled());
-        assert_eq!(c.trips(), 1);
         assert!(!c.record(true), "sticky: no further trips");
-        assert_eq!(c.trips(), 1);
+        assert!(c.is_disabled());
     }
 
     #[test]
@@ -671,7 +658,6 @@ mod tests {
         let mut inj = CrashInjector::for_plan(plan);
         let fires: Vec<bool> = (0..8).map(|_| inj.should_crash(CrashSite::MidRecord)).collect();
         assert_eq!(fires, [false, false, false, true, false, false, false, false]);
-        assert!(inj.fired());
         assert_eq!(inj.opportunities(CrashSite::MidRecord), 8);
     }
 
@@ -694,7 +680,6 @@ mod tests {
                 assert!(!inj.should_crash(site));
             }
         }
-        assert!(!inj.fired());
         assert_eq!(inj.opportunities(CrashSite::AfterSwap), 100);
     }
 

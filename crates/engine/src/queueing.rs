@@ -121,17 +121,6 @@ impl RejectReason {
             _ => None,
         }
     }
-
-    /// Human-readable label (report JSON keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            RejectReason::Overloaded => "overloaded",
-            RejectReason::DeadlineExceeded => "deadline_exceeded",
-            RejectReason::ShedScan => "shed_scan",
-            RejectReason::ShedRead => "shed_read",
-            RejectReason::Draining => "draining",
-        }
-    }
 }
 
 /// A bounded FIFO occupancy model with overflow accounting, used to model
@@ -144,7 +133,6 @@ impl RejectReason {
 pub struct BoundedQueue {
     capacity: u64,
     depth: u64,
-    rejected: u64,
 }
 
 impl BoundedQueue {
@@ -155,7 +143,7 @@ impl BoundedQueue {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "a queue needs nonzero capacity");
-        BoundedQueue { capacity, depth: 0, rejected: 0 }
+        BoundedQueue { capacity, depth: 0 }
     }
 
     /// Offers `items` arrivals at once; accepts up to the free space and
@@ -164,9 +152,7 @@ impl BoundedQueue {
         let free = self.capacity - self.depth;
         let accepted = items.min(free);
         self.depth += accepted;
-        let over = items - accepted;
-        self.rejected += over;
-        over
+        items - accepted
     }
 
     /// Drains up to `items` from the queue, returning how many were removed.
@@ -179,11 +165,6 @@ impl BoundedQueue {
     /// Current occupancy.
     pub fn depth(&self) -> u64 {
         self.depth
-    }
-
-    /// Total items rejected across all offers.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
     }
 
     /// Admits exactly one arrival, or reports why it cannot: the typed
@@ -214,11 +195,9 @@ mod tests {
         assert_eq!(q.offer(6), 0);
         assert_eq!(q.offer(6), 2, "only 4 slots free");
         assert_eq!(q.depth(), 10);
-        assert_eq!(q.rejected(), 2);
         assert_eq!(q.drain(7), 7);
         assert_eq!(q.depth(), 3);
-        assert_eq!(q.offer(3), 0);
-        assert_eq!(q.rejected(), 2, "no new overflow");
+        assert_eq!(q.offer(3), 0, "no new overflow");
     }
 
     #[test]

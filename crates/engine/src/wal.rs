@@ -48,7 +48,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::faults::{CrashInjector, CrashSite};
 
@@ -174,7 +174,6 @@ pub struct WalScan {
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
-    path: PathBuf,
     len: u64,
     dead: bool,
     /// The record being written, kept for its capacity.
@@ -207,13 +206,7 @@ impl WalWriter {
         // A bare file name has the empty parent: the current directory.
         let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
         sync_dir(parent.unwrap_or(Path::new(".")))?;
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            len: HEADER_LEN,
-            dead: false,
-            rec: Vec::new(),
-        })
+        Ok(WalWriter { file, len: HEADER_LEN, dead: false, rec: Vec::new() })
     }
 
     /// Opens an existing WAL for appending after `valid_len` bytes (as
@@ -232,13 +225,7 @@ impl WalWriter {
             file.sync_all()?;
         }
         file.seek(SeekFrom::Start(valid_len))?;
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            len: valid_len,
-            dead: false,
-            rec: Vec::new(),
-        })
+        Ok(WalWriter { file, len: valid_len, dead: false, rec: Vec::new() })
     }
 
     /// Bytes appended so far (including the header).
@@ -249,11 +236,6 @@ impl WalWriter {
     /// `true` if nothing but the header has been written.
     pub fn is_empty(&self) -> bool {
         self.len <= HEADER_LEN
-    }
-
-    /// The file path this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// A second handle to the log file, for a thread that issues the
@@ -338,13 +320,6 @@ impl WalWriter {
         self.file.seek(SeekFrom::Start(HEADER_LEN))?;
         self.file.sync_all()?;
         self.len = HEADER_LEN;
-        Ok(())
-    }
-
-    /// Fsyncs the file.
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        self.check_dead()?;
-        self.file.sync_all()?;
         Ok(())
     }
 }
@@ -443,6 +418,8 @@ pub fn recover(path: &Path) -> Result<WalScan, WalError> {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
     use crate::faults::CrashPlan;
 

@@ -170,14 +170,6 @@ impl ObjectBuffer {
         self.stats.evictions += 1;
     }
 
-    /// Removes an object (e.g. a freed tree node), if resident.
-    pub fn invalidate(&mut self, id: u64) {
-        if let Some(entry) = self.entries.remove(&id) {
-            self.order.remove(&entry.priority);
-            self.used -= u64::from(entry.size);
-        }
-    }
-
     /// Returns `true` if the object is currently resident.
     pub fn contains(&self, id: u64) -> bool {
         self.entries.contains_key(&id)
@@ -189,27 +181,15 @@ impl ObjectBuffer {
         self.used
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
     /// The accumulated statistics.
     pub fn stats(&self) -> BufferStats {
         self.stats
     }
 
-    /// Clears contents but keeps statistics.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-        self.used = 0;
-    }
-
     /// An eviction storm (fault injection): every resident object is
     /// displaced at once, as if a conflict burst or SEU scrubbing pass wiped
-    /// the BRAM. Unlike [`ObjectBuffer::clear`], the displaced objects are
-    /// counted as evictions. Returns how many objects were dropped.
+    /// the BRAM. The displaced objects are counted as evictions. Returns how
+    /// many objects were dropped.
     pub fn storm(&mut self) -> u64 {
         let dropped = self.entries.len() as u64;
         self.stats.evictions += dropped;
@@ -279,15 +259,6 @@ mod tests {
         let mut buf = ObjectBuffer::new(100, BufferPolicy::Lru);
         assert_eq!(buf.request(1, 200, 0), BufferOutcome::MissBypassed);
         assert_eq!(buf.used_bytes(), 0);
-    }
-
-    #[test]
-    fn invalidate_frees_space() {
-        let mut buf = ObjectBuffer::new(100, BufferPolicy::Lru);
-        buf.request(1, 100, 0);
-        buf.invalidate(1);
-        assert_eq!(buf.used_bytes(), 0);
-        assert_eq!(buf.request(2, 100, 0), BufferOutcome::MissFilled);
     }
 
     #[test]

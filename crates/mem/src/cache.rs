@@ -29,17 +29,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Hit ratio in `[0, 1]`; `0` when no accesses happened.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// A set-associative cache over 64-byte lines with per-set LRU replacement.
 ///
 /// # Examples
@@ -126,33 +115,9 @@ impl SetAssocCache {
         Access::Miss
     }
 
-    /// Invalidates every resident line (fault injection: an eviction storm
-    /// or coherence flush). Valid lines are counted as evictions; stats and
-    /// geometry are kept. Returns how many lines were dropped.
-    pub fn flush(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        for tag in &mut self.tags {
-            if tag.take().is_some() {
-                dropped += 1;
-            }
-        }
-        self.stats.evictions += dropped;
-        dropped
-    }
-
     /// The accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
     }
 }
 
@@ -204,18 +169,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn flush_invalidates_everything_and_counts() {
-        let mut c = SetAssocCache::new(4096, 4);
-        c.access(0);
-        c.access(64);
-        assert_eq!(c.flush(), 2);
-        assert_eq!(c.stats().evictions, 2);
-        assert_eq!(c.access(0), Access::Miss, "cold after flush");
-        assert_eq!(c.access(0), Access::Hit, "refills normally");
-        assert_eq!(c.flush(), 1);
     }
 
     #[test]

@@ -434,7 +434,7 @@ fn an_offline_directory_crashed_at_every_site_opens_in_the_server() {
     let (config, opts) = (DcartConfig::default(), ExecOpts::default());
     for site in CrashSite::ALL {
         let dir = scratch_dir(&format!("offline_{}", site.name()));
-        let dur = DurabilityConfig { checkpoint_every: 2, ..DurabilityConfig::new(&dir) };
+        let dur = DurabilityConfig { dir: dir.clone(), checkpoint_every: 2 };
         let mut crash = CrashInjector::for_plan(CrashPlan { site, at: 1, seed: 11 });
         let out = dcart::run_durable(&keys, &ops, &config, 256, &opts, &dur, &mut crash)
             .expect("an injected crash is an outcome");
@@ -1620,7 +1620,7 @@ mod pipelined {
             insert_pool: Vec::new(),
             popularity: Vec::new(),
         };
-        let dur = DurabilityConfig::new(&killed);
+        let dur = DurabilityConfig { dir: killed.clone(), checkpoint_every: 4 };
         let st = dcart::recover(&no_keys, &DcartConfig::default(), &ExecOpts::default(), &dur)
             .expect("recovers");
         assert_eq!((st.next_seq, st.replayed_batches, st.used_checkpoint), (4, 4, false));

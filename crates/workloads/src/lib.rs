@@ -28,7 +28,7 @@ mod zipf;
 
 pub use arrivals::Arrivals;
 pub use keyset::KeySet;
-pub use ops::{batches, generate_ops, Mix, Op, OpKind, OpStreamConfig};
+pub use ops::{generate_ops, Mix, Op, OpKind, OpStreamConfig};
 pub use spec::Workload;
 pub use trace_io::{read_trace, write_trace, TraceError};
 pub use zipf::Zipfian;

@@ -164,13 +164,6 @@ pub fn generate_ops(keys: &KeySet, config: &OpStreamConfig) -> Vec<Op> {
     ops
 }
 
-/// Splits an op stream into fixed-size batches, as DCART's PCU/SOU overlap
-/// requires (paper §III-D, Fig. 6). The last batch may be short.
-pub fn batches(ops: &[Op], batch_size: usize) -> impl Iterator<Item = &[Op]> {
-    assert!(batch_size > 0, "batch size must be positive");
-    ops.chunks(batch_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,15 +230,5 @@ mod tests {
         let cfg = OpStreamConfig::default();
         let cfg = OpStreamConfig { count: 1000, ..cfg };
         assert_eq!(generate_ops(&keys, &cfg), generate_ops(&keys, &cfg));
-    }
-
-    #[test]
-    fn batches_cover_everything() {
-        let keys = synth::dense(100, 5);
-        let ops = generate_ops(&keys, &OpStreamConfig { count: 1001, ..Default::default() });
-        let chunks: Vec<&[Op]> = batches(&ops, 256).collect();
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 1001);
-        assert_eq!(chunks[3].len(), 1001 - 3 * 256);
     }
 }

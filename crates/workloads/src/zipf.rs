@@ -74,11 +74,6 @@ impl Zipfian {
         Zipfian { n, theta, method }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Draws one rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();

@@ -1,14 +1,16 @@
-//! `cargo run -p xtask -- <lint|analyze>` — the DCART workspace
-//! static-analysis driver.
+//! `cargo run -p xtask -- analyze` — the DCART workspace static-analysis
+//! driver.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// The tool name reported in summaries and SARIF.
+const NAME: &str = "dcart-analyze";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run(Cmd::Lint, &args[1..]),
-        Some("analyze") => run(Cmd::Analyze, &args[1..]),
+        Some("analyze") => analyze(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
             usage();
             ExitCode::SUCCESS
@@ -24,34 +26,26 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!("usage: cargo run -p xtask -- <lint|analyze> [--format text|sarif] [--out FILE] [WORKSPACE_ROOT]");
+    eprintln!(
+        "usage: cargo run -p xtask -- analyze [--format text|sarif] [--out FILE] [WORKSPACE_ROOT]"
+    );
     eprintln!();
     eprintln!(
-        "  lint     fast lexical rules ({}) over crates/*/src",
-        xtask::LINT_RULE_IDS.join(" ")
+        "  analyze  every rule ({}) in one pass over the whole program:",
+        xtask::RULE_IDS.join(" ")
     );
-    eprintln!(
-        "  analyze  lint plus the flow rules ({}) over the workspace call graph, and {}",
-        xtask::FLOW_RULE_IDS.join(" "),
-        xtask::PROGRAM_RULE_IDS.join(" ")
-    );
-    eprintln!("           (unreferenced library `pub` items) over the whole program:");
     eprintln!("           crates/*/src plus the examples/ and benchmark/src/ corpus");
     eprintln!();
-    eprintln!("  --format sarif   emit SARIF 2.1.0 (to stdout, or FILE with --out)");
-    eprintln!("  --out FILE       write the report to FILE instead of stdout");
+    eprintln!("  --format sarif   emit SARIF 2.1.0 (to stdout, or FILE with --out); the");
+    eprintln!("                   text findings still go to stderr");
+    eprintln!("  --out FILE       write the report to FILE instead, on every run");
     eprintln!();
     eprintln!("See DESIGN.md \"Correctness & static analysis\" for the rule table and");
     eprintln!("the `// dcart_lint::allow(<RULE>) -- reason` / `// dcart_lint::atomic(<REASON>)`");
     eprintln!("marker syntax. Exit status: 0 clean, 1 violations, 2 usage/io error.");
 }
 
-enum Cmd {
-    Lint,
-    Analyze,
-}
-
-fn run(cmd: Cmd, rest: &[String]) -> ExitCode {
+fn analyze(rest: &[String]) -> ExitCode {
     let mut format_sarif = false;
     let mut out_file: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
@@ -73,6 +67,11 @@ fn run(cmd: Cmd, rest: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
+            flag if flag.starts_with('-') => {
+                eprintln!("xtask: unknown flag `{flag}`");
+                usage();
+                return ExitCode::from(2);
+            }
             other => root = Some(PathBuf::from(other)),
         }
     }
@@ -87,50 +86,43 @@ fn run(cmd: Cmd, rest: &[String]) -> ExitCode {
         }
     });
 
-    let (name, rules, result) = match cmd {
-        Cmd::Lint => ("dcart-lint", xtask::LINT_RULE_IDS.as_slice(), xtask::lint_workspace(&root)),
-        Cmd::Analyze => {
-            ("dcart-analyze", xtask::RULE_IDS.as_slice(), xtask::analyze_workspace(&root))
-        }
-    };
-    let (diags, files) = match result {
+    let (diags, files) = match xtask::analyze_workspace(&root) {
         Ok(pair) => pair,
         Err(err) => {
-            eprintln!("xtask {name}: cannot read workspace at {}: {err}", root.display());
+            eprintln!("xtask {NAME}: cannot read workspace at {}: {err}", root.display());
             return ExitCode::from(2);
         }
     };
 
-    if format_sarif {
-        let sarif = xtask::sarif::render(name, &diags);
-        if let Some(path) = &out_file {
-            if let Err(err) = std::fs::write(path, &sarif) {
-                eprintln!("xtask {name}: cannot write {}: {err}", path.display());
+    // Findings as text, "" on a clean tree; a SARIF run still prints them
+    // to stderr so a CI log shows them.
+    let text = diags.iter().map(|d| format!("{d}\n")).collect::<Vec<_>>().join("\n");
+    if !text.is_empty() && (format_sarif || out_file.is_none()) {
+        eprintln!("{text}");
+    }
+    let report = if format_sarif { xtask::sarif::render(NAME, &diags) } else { text };
+    match &out_file {
+        Some(path) => {
+            if let Err(err) = std::fs::write(path, &report) {
+                eprintln!("xtask {NAME}: cannot write {}: {err}", path.display());
                 return ExitCode::from(2);
             }
-        } else {
-            println!("{sarif}");
         }
-        // Human summary still lands on stderr so CI logs stay readable.
-        eprintln!("{name}: {} violation(s) in {files} files (SARIF emitted)", diags.len());
-        return if diags.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        None if format_sarif => println!("{report}"),
+        None => {}
     }
 
+    let rules = xtask::RULE_IDS;
+    if format_sarif {
+        eprintln!("{NAME}: {} violation(s) in {files} files (SARIF emitted)", diags.len());
+    } else if diags.is_empty() {
+        println!("{NAME}: {files} files clean across {} rules ({})", rules.len(), rules.join(" "));
+    } else {
+        eprintln!("{NAME}: {} violation(s) in {files} files", diags.len());
+    }
     if diags.is_empty() {
-        println!("{name}: {files} files clean across {} rules ({})", rules.len(), rules.join(" "));
         ExitCode::SUCCESS
     } else {
-        let text = diags.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n\n");
-        if let Some(path) = &out_file {
-            if let Err(err) = std::fs::write(path, format!("{text}\n")) {
-                eprintln!("xtask {name}: cannot write {}: {err}", path.display());
-                return ExitCode::from(2);
-            }
-        } else {
-            eprintln!("{text}");
-            eprintln!();
-        }
-        eprintln!("{name}: {} violation(s) in {files} files", diags.len());
         ExitCode::FAILURE
     }
 }

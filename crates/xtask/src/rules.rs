@@ -68,15 +68,6 @@ impl std::fmt::Display for Diagnostic {
 /// All rule IDs, in documentation order.
 pub const RULE_IDS: [&str; 11] = ["D1", "D2", "P1", "F1", "O1", "G1", "O2", "C1", "A1", "U1", "S1"];
 
-/// The single-file lexical rules run by `xtask lint`.
-pub const LINT_RULE_IDS: [&str; 6] = ["D1", "D2", "P1", "F1", "O1", "G1"];
-
-/// The flow-aware rules added by `xtask analyze`.
-pub const FLOW_RULE_IDS: [&str; 3] = ["O2", "C1", "A1"];
-
-/// The rules armed only when `xtask analyze` is given the whole program.
-pub const PROGRAM_RULE_IDS: [&str; 1] = ["U1"];
-
 /// One-line summaries per rule, for `--format sarif` metadata.
 pub const RULE_SUMMARIES: [(&str, &str); 11] = [
     ("D1", "no default-hasher HashMap/HashSet in deterministic code"),
@@ -849,11 +840,9 @@ fn def_name(toks: &[Tok], mut i: usize) -> Option<usize> {
 /// Run after every other active rule so marker usage is final. A marker
 /// whose rule never fired on its span is dead weight that silently
 /// re-licenses future violations; it must be deleted (or the rule ID fixed,
-/// for markers naming an unknown rule). `active` lists the rule IDs this
-/// invocation actually ran — markers for rules that were *not* run are
-/// left alone, so `xtask lint` never flags the flow-rule markers it cannot
-/// check.
-pub fn s1(ctx: &FileCtx, active: &[&str], out: &mut Vec<Diagnostic>) {
+/// for markers naming an unknown rule). U1 markers are judged only over a
+/// `whole_program`, the one analysis where U1 runs.
+pub fn s1(ctx: &FileCtx, whole_program: bool, out: &mut Vec<Diagnostic>) {
     // Two passes so `allow(S1)` markers get their usage recorded by pass 1
     // emissions before pass 2 judges them.
     for pass in 0..2 {
@@ -867,9 +856,6 @@ pub fn s1(ctx: &FileCtx, active: &[&str], out: &mut Vec<Diagnostic>) {
             }
             match m.kind {
                 MarkerKind::Atomic => {
-                    if !active.contains(&"A1") {
-                        continue;
-                    }
                     if m.arg.is_empty() {
                         ctx.emit(
                             out,
@@ -904,7 +890,7 @@ pub fn s1(ctx: &FileCtx, active: &[&str], out: &mut Vec<Diagnostic>) {
                             format!("marker names unknown rule `{}`", m.arg),
                             format!("known rule IDs: {}", RULE_IDS.join(" ")),
                         );
-                    } else if active.contains(&m.arg.as_str()) {
+                    } else if whole_program || m.arg != "U1" {
                         let scope = if m.kind == MarkerKind::AllowFile { "file" } else { "span" };
                         ctx.emit(
                             out,

@@ -1,4 +1,4 @@
-//! SARIF 2.1.0 output for lint/analyze findings.
+//! SARIF 2.1.0 output for `xtask analyze` findings.
 //!
 //! Hand-rolled JSON (the build is offline; xtask stays dependency-free).
 //! The shape is the minimal subset GitHub code scanning consumes: one run,
@@ -80,7 +80,7 @@ mod tests {
             msg: "a \"quoted\" thing".to_string(),
             help: "line\nbreak".to_string(),
         };
-        let out = render("dcart-lint", &[d]);
+        let out = render("dcart-analyze", &[d]);
         assert!(out.contains("\"version\":\"2.1.0\""));
         assert!(out.contains("\"ruleId\":\"D1\""));
         assert!(out.contains("\\\"quoted\\\""));

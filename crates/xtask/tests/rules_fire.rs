@@ -120,7 +120,7 @@ fn good_fixtures_are_fully_clean() {
 #[test]
 fn diagnostics_carry_real_spans() {
     let source = read_fixture("d1_bad.rs");
-    let diags = xtask::lint_source("crates/core/src/fixture_under_test.rs", &source);
+    let diags = xtask::analyze_source("crates/core/src/fixture_under_test.rs", &source);
     for d in &diags {
         let line = source.lines().nth(d.line - 1).expect("diagnostic line exists");
         let name = if d.rule == "D1" { "Hash" } else { "" };
@@ -141,7 +141,7 @@ fn unsafe_fires_despite_allow_markers_and_test_regions() {
     // line marker, and a #[cfg(test)] region — all three must fail to
     // silence it.
     let source = read_fixture("p1_unsafe_bad.rs");
-    let diags = xtask::lint_source("crates/core/src/fixture_under_test.rs", &source);
+    let diags = xtask::analyze_source("crates/core/src/fixture_under_test.rs", &source);
     let unsafe_hits: Vec<_> =
         diags.iter().filter(|d| d.rule == "P1" && d.msg.contains("unsafe")).collect();
     assert_eq!(unsafe_hits.len(), 2, "both unsafe blocks must be reported: {diags:?}");
@@ -156,7 +156,7 @@ fn unsafe_is_quiet_in_the_sanctioned_kernel_file() {
     // The same source lints clean (of unsafe findings) at a sanctioned path.
     let source = read_fixture("p1_unsafe_bad.rs");
     for sanctioned in xtask::rules::UNSAFE_SANCTIONED {
-        let diags = xtask::lint_source(sanctioned, &source);
+        let diags = xtask::analyze_source(sanctioned, &source);
         assert!(
             !diags.iter().any(|d| d.msg.contains("unsafe")),
             "sanctioned path {sanctioned} must permit unsafe: {diags:?}"
@@ -180,7 +180,7 @@ fn g1_reports_every_global_and_spares_only_the_marked_signal_latch() {
     // G1 is not scoped to library crates: the bench harness is checked too,
     // and each finding points at its `static` token.
     let source = read_fixture("g1_bad.rs");
-    let diags = xtask::lint_source("crates/bench/src/fixture_under_test.rs", &source);
+    let diags = xtask::analyze_source("crates/bench/src/fixture_under_test.rs", &source);
     assert_eq!(diags.len(), 6, "all six globals in the fixture are reported: {diags:?}");
     for d in &diags {
         let line = source.lines().nth(d.line - 1).expect("diagnostic line exists");
@@ -191,9 +191,9 @@ fn g1_reports_every_global_and_spares_only_the_marked_signal_latch() {
     // marker, and the only finding once the marker is gone.
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../server/src/signal.rs");
     let real = std::fs::read_to_string(&path).expect("signal.rs readable");
-    assert!(xtask::lint_source("crates/server/src/signal.rs", &real).is_empty());
+    assert!(xtask::analyze_source("crates/server/src/signal.rs", &real).is_empty());
     let unmarked = real.replace("dcart_lint::allow(G1)", "marker removed");
-    let diags = xtask::lint_source("crates/server/src/signal.rs", &unmarked);
+    let diags = xtask::analyze_source("crates/server/src/signal.rs", &unmarked);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert!(diags[0].rule == "G1" && diags[0].msg.contains("SIGINT_SEEN"), "{diags:?}");
 }
@@ -207,18 +207,18 @@ fn d2_fires_in_the_server_library_but_not_its_binary() {
     let bad = read_fixture("d2_server_bad.rs");
     let good = read_fixture("d2_server_good.rs");
 
-    let in_lib: BTreeSet<&str> = xtask::lint_source("crates/server/src/core_loop.rs", &bad)
+    let in_lib: BTreeSet<&str> = xtask::analyze_source("crates/server/src/core_loop.rs", &bad)
         .into_iter()
         .map(|d| d.rule)
         .collect();
     assert!(in_lib.contains("D2"), "wall-clock reads in the server library must fire D2");
 
-    let in_bin = xtask::lint_source("crates/server/src/bin/dcart-server/clock.rs", &good);
+    let in_bin = xtask::analyze_source("crates/server/src/bin/dcart-server/clock.rs", &good);
     assert!(in_bin.is_empty(), "the server binary is D2-whitelisted: {in_bin:?}");
 
     // And the whitelist is exactly the bin directory: the same good
     // fixture still fires when placed one level up, in the library.
-    let good_in_lib: BTreeSet<&str> = xtask::lint_source("crates/server/src/clock.rs", &good)
+    let good_in_lib: BTreeSet<&str> = xtask::analyze_source("crates/server/src/clock.rs", &good)
         .into_iter()
         .map(|d| d.rule)
         .collect();
