@@ -60,7 +60,10 @@ impl<V> Arena<V> {
     #[inline]
     pub(crate) fn prefetch(&self, id: NodeId) {
         if let Some(slot) = self.slots.get(id.0 as usize) {
-            crate::simd::prefetch(slot);
+            // Slots are not line-aligned: half of the 40-byte slots of an
+            // `Art<u64>` straddle two lines, with a leaf's value in the
+            // second.
+            crate::simd::prefetch_ends(slot);
         }
     }
 
@@ -111,6 +114,13 @@ mod tests {
         let n = a.alloc(leaf(1));
         a.free(n);
         a.free(n);
+    }
+
+    /// `prefetch` requests a slot's first and last line, which covers the
+    /// whole slot only while it is at most a line long.
+    #[test]
+    fn a_u64_slot_fits_in_a_line() {
+        assert!(std::mem::size_of::<Option<Node<u64>>>() <= 64);
     }
 
     #[test]

@@ -322,6 +322,20 @@ impl Children {
         }
     }
 
+    /// Fills `out` with the `(byte, child)` pairs of the `out.len()`
+    /// smallest partial keys `>= from`, ascending, and returns how many
+    /// there were: the children an ordered walk takes next, named ahead of
+    /// time so their fetches can be in flight together. Reads only the
+    /// node's own arrays.
+    pub(crate) fn next_k(&self, from: u8, out: &mut [(u8, NodeId)]) -> usize {
+        match self {
+            Children::N4(n) => n.next_k(from, out),
+            Children::N16(n) => n.next_k(from, out),
+            Children::N48(n) => n.next_k(from, out),
+            Children::N256(n) => n.next_k(from, out),
+        }
+    }
+
     /// Returns the `(byte, child)` pair with the smallest partial key.
     pub fn min_child(&self) -> Option<(u8, NodeId)> {
         self.next_from(0)
@@ -477,6 +491,56 @@ mod tests {
         assert_eq!(NodeType::N16.payload_bytes(), 144);
         assert_eq!(NodeType::N48.payload_bytes(), 640);
         assert_eq!(NodeType::N256.payload_bytes(), 2048);
+    }
+
+    /// `next_k` from every start byte names exactly the first `k` pairs
+    /// `iter()` yields at or after it, for every layout — including an N48
+    /// whose slot order is not key order and an N256 with holes.
+    #[test]
+    fn next_k_names_the_children_iter_yields_next() {
+        let mut layouts = Vec::new();
+        for bytes in [vec![3u8, 200, 7], (0..16).map(|i| 255 - i * 13).collect()] {
+            let mut c = Children::default();
+            for &b in &bytes {
+                if c.is_full() {
+                    c.grow();
+                }
+                c.add(b, id(u32::from(b) + 1));
+            }
+            layouts.push(c);
+        }
+        // N48: fill, remove from the front, re-add high bytes into the
+        // freed low slots, so slot order runs against key order.
+        let mut n48 = Children::N48(Box::default());
+        for b in 0..40u8 {
+            n48.add(b * 3, id(u32::from(b)));
+        }
+        for b in 0..10u8 {
+            n48.remove(b * 3);
+        }
+        for b in (241..=250u8).rev() {
+            n48.add(b, id(1_000 + u32::from(b)));
+        }
+        layouts.push(n48);
+        let mut n256 = Children::N256(Box::default());
+        for b in (0..=255u8).filter(|b| b % 7 != 0 && !(100..180).contains(b)) {
+            n256.add(b, id(u32::from(b) + 7));
+        }
+        layouts.push(n256);
+        let types: Vec<NodeType> = layouts.iter().map(Children::node_type).collect();
+        assert_eq!(types, [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256]);
+
+        let mut out = [(0u8, NodeId::default()); 20];
+        for c in &layouts {
+            for k in [0, 1, 3, 16, 20] {
+                for from in 0..=255u8 {
+                    let want: Vec<(u8, NodeId)> =
+                        c.iter().skip_while(|&(b, _)| b < from).take(k).collect();
+                    let n = c.next_k(from, &mut out[..k]);
+                    assert_eq!(out[..n], want[..], "{} from {from} k {k}", c.node_type());
+                }
+            }
+        }
     }
 
     #[test]

@@ -94,6 +94,18 @@ impl Node256 {
         let byte = from + self.children[from..].iter().position(|&c| c != NULL)?;
         Some((byte as u8, self.children[byte]))
     }
+
+    /// Fills `out` with the next non-null slots from `from` on; returns how
+    /// many it wrote.
+    pub(super) fn next_k(&self, from: u8, out: &mut [(u8, NodeId)]) -> usize {
+        let present = (usize::from(from)..256).filter(|&b| self.children[b] != NULL);
+        let mut n = 0;
+        for (slot, byte) in out.iter_mut().zip(present) {
+            *slot = (byte as u8, self.children[byte]);
+            n += 1;
+        }
+        n
+    }
 }
 
 #[cfg(test)]

@@ -99,6 +99,18 @@ impl Node4 {
         let pos = self.keys[..self.len()].iter().position(|&k| k >= from)?;
         Some((self.keys[pos], self.children[pos]))
     }
+
+    /// Fills `out` with the children at the positions from the first key
+    /// `>= from` on; returns how many it wrote.
+    pub(super) fn next_k(&self, from: u8, out: &mut [(u8, NodeId)]) -> usize {
+        let len = self.len();
+        let pos = self.keys[..len].partition_point(|&k| k < from);
+        let n = (len - pos).min(out.len());
+        for (slot, i) in out.iter_mut().zip(pos..pos + n) {
+            *slot = (self.keys[i], self.children[i]);
+        }
+        n
+    }
 }
 
 #[cfg(test)]

@@ -118,6 +118,19 @@ impl Node48 {
         Some((byte as u8, self.children[usize::from(self.index[byte])]))
     }
 
+    /// Fills `out` with the children of the occupied index bytes from
+    /// `from` on, in byte order (slot order is insertion order, not key
+    /// order); returns how many it wrote.
+    pub(super) fn next_k(&self, from: u8, out: &mut [(u8, NodeId)]) -> usize {
+        let occupied = (usize::from(from)..256).filter(|&b| self.index[b] != EMPTY);
+        let mut n = 0;
+        for (slot, byte) in out.iter_mut().zip(occupied) {
+            *slot = (byte as u8, self.children[usize::from(self.index[byte])]);
+            n += 1;
+        }
+        n
+    }
+
     /// Ordered `(byte, child)` pairs. One vector sweep compresses the index
     /// array into a 256-bit occupancy bitmap; iteration then walks only the
     /// set bits instead of probing all 256 sentinel slots.

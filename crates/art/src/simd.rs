@@ -160,6 +160,15 @@ pub fn prefetch<T>(t: &T) {
     imp::prefetch(std::ptr::from_ref(t).cast());
 }
 
+/// [`prefetch`] of the lines holding the first and the last byte of `t`:
+/// every line of a value no larger than a line, which may straddle two.
+#[inline]
+pub(crate) fn prefetch_ends<T>(t: &T) {
+    let p = std::ptr::from_ref(t).cast::<i8>();
+    imp::prefetch(p);
+    imp::prefetch(p.wrapping_add(std::mem::size_of::<T>().saturating_sub(1)));
+}
+
 /// SSE2 kernels. SSE2 is part of the `x86_64` ABI baseline, so the
 /// intrinsics are unconditionally available — no `is_x86_feature_detected!`
 /// needed and no scalar dispatch branch paid.

@@ -12,6 +12,12 @@ use crate::Key;
 /// compression), so the stack almost never spills to the heap.
 type FrameStack = InlineVec<ScanFrame, 16>;
 
+/// How many children of each frame a scan keeps in flight: a pushed frame
+/// requests the arena slots of its first `SCAN_AHEAD` children, and every
+/// child it hands out requests the one `SCAN_AHEAD` further on. Fixed by a
+/// sweep (DESIGN.md, "Range scans").
+const SCAN_AHEAD: usize = 16;
+
 /// Errors returned by fallible tree operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[non_exhaustive]
@@ -815,6 +821,9 @@ struct ScanFrame {
     /// stays on the boundary. `None` once the path is past `start`: every
     /// key below qualifies and no more bytes are compared.
     boundary: Option<usize>,
+    /// Smallest edge byte whose child's arena slot has not been requested
+    /// yet; 256 once every child's has.
+    ahead: u16,
 }
 
 /// A resumable traced range scan: the pre-order walk of
@@ -827,7 +836,9 @@ struct ScanFrame {
 /// scan began with. Nodes are reported to the tracer exactly when a
 /// hardware walker would fetch them: subtrees wholly below `start` are
 /// never entered, and path bytes are compared against `start` only while
-/// the walk is still on the start boundary.
+/// the walk is still on the start boundary. Each frame also keeps the
+/// arena slots of its next few children in flight; those requests are
+/// cache hints only and reach neither the tracer nor the watermark.
 ///
 /// # Examples
 ///
@@ -904,6 +915,12 @@ impl ScanCursor {
                 continue;
             };
             top.next = u16::from(edge) + 1;
+            // Slide the window: the child `SCAN_AHEAD` on starts arriving.
+            let far = u8::try_from(top.ahead).ok().and_then(|from| children.next_from(from));
+            top.ahead = far.map_or(256, |(byte, far)| {
+                tree.arena.prefetch(far);
+                u16::from(byte) + 1
+            });
             // Later siblings lie strictly above `start[d]`: only this
             // first child can still be on the boundary.
             let boundary = top.boundary.take().filter(|&d| edge == start[d]).map(|d| d + 1);
@@ -952,8 +969,16 @@ impl ScanCursor {
                 tracer.partial_key_matches(compared + 1);
                 self.visits += 1;
                 self.matches += u64::from(compared) + 1;
-                let next = boundary.map_or(0, |d| u16::from(start[d]));
-                self.frames.push(ScanFrame { node: id, next, boundary });
+                let next = boundary.map_or(0, |d| start[d]);
+                // Request the first `SCAN_AHEAD` children the walk will
+                // take; a prefetch is a hint, not a visit.
+                let mut window = [(0, NodeId::default()); SCAN_AHEAD];
+                let n = inner.children.next_k(next, &mut window);
+                for &(_, child) in &window[..n] {
+                    tree.arena.prefetch(child);
+                }
+                let ahead = if n < SCAN_AHEAD { 256 } else { u16::from(window[n - 1].0) + 1 };
+                self.frames.push(ScanFrame { node: id, next: u16::from(next), boundary, ahead });
                 None
             }
         }
@@ -1147,7 +1172,7 @@ mod tests {
     }
 
     #[test]
-    fn min_max() {
+    fn min_follows_removals() {
         let mut art = Art::new();
         for v in [500u64, 3, 99999, 42] {
             art.insert(k(v), v).unwrap();

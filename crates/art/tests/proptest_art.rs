@@ -172,7 +172,7 @@ proptest! {
     /// min equals the model's first key while the keys are removed in
     /// ascending order.
     #[test]
-    fn min_max_match(keys in proptest::collection::btree_set(any::<u64>(), 1..100)) {
+    fn min_matches_model_under_ascending_removal(keys in proptest::collection::btree_set(any::<u64>(), 1..100)) {
         let mut art = Art::new();
         for &k in &keys {
             art.insert(Key::from_u64(k), ()).unwrap();

@@ -2148,7 +2148,7 @@ mod tests {
     }
 
     #[test]
-    fn session_entries_len_and_get_read_the_live_shards() {
+    fn session_entries_and_len_read_the_live_shards() {
         // The read-side accessors against the merged tree, batch by batch,
         // while buckets are split into sub-shards (and some re-merge).
         let keys = Workload::Dict.generate(1_500, 9);
