@@ -430,8 +430,9 @@ mod tests {
 
     #[test]
     fn version_one_json_snapshot_is_rejected_by_version() {
-        // What the version-1 writer produced: a JSON payload under an
-        // FNV-1a checksum. The version decides, before any of it is read.
+        // What the version-1 writer produced: a JSON payload under the
+        // WAL's record checksum. The version decides, before any of it is
+        // read.
         let payload = br#"[[[0,0,0,0,0,0,0,1],7]]"#;
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);

@@ -75,10 +75,13 @@
 //! miss per step, so the operation's own traversal finds its path
 //! resident. Inserts and removes start theirs `DESCENT_AHEAD` operations
 //! early; reads and updates start theirs when the shortcut lookahead finds
-//! no entry for them. Every operation still traverses in place and in
-//! order, and a hint reads nothing it checks, so the event stream, stats,
-//! digests and trees are byte-identical to [`TraverseMode::PerOp`] (no
-//! window) at every worker count.
+//! no entry for them. Operations nearer the front of the slice than that
+//! get theirs before its first operation runs, so a short slice (a server
+//! batch gives each shard about four) is hinted like a long one. Every
+//! operation still traverses in place and in order, and a hint reads
+//! nothing it checks, so the event stream, stats, digests and trees are
+//! byte-identical to [`TraverseMode::PerOp`] (no window) at every worker
+//! count.
 //!
 //! Consumers receive every resolved operation (with its *effective* node
 //! visits — one direct fetch on a shortcut hit, the full path otherwise)
@@ -98,7 +101,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::pcu::{combine_batch_into, CombinedBatch};
 use crate::shortcut::{hash_bucket as hash_bucket_of, ShortcutStats, ShortcutTable};
 
-/// FNV-1a offset basis, the seed of every digest in this module.
+/// FNV-64's offset basis, the seed of every digest in this module.
 const DIGEST_BASE: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Whether a shard's Traverse stage prefetches the tree paths of the
@@ -149,7 +152,15 @@ impl Default for ExecOpts {
     }
 }
 
-/// FNV-1a over the key bytes: the hardware's Key_ID.
+/// The hardware's Key_ID: an FNV-1a-shaped hash of the key bytes (xor a
+/// byte in, then multiply), seeded with FNV-64's offset basis.
+///
+/// It is not FNV-1a: the multiplier is `0x1000_0000_01b3` = 2^44 + 0x1b3,
+/// where FNV-64's prime is `0x100_0000_01b3` = 2^40 + 0x1b3. Each step is
+/// still a bijection of the state. The constant stays because every
+/// digest, report and counter of the repository is computed through it
+/// (and [`wal::checksum`](dcart_engine::wal::checksum), which multiplies by
+/// the same, is in every byte on disk).
 pub fn key_id(key: &Key) -> u64 {
     let mut h: u64 = DIGEST_BASE;
     for &b in key.as_bytes() {
@@ -159,12 +170,13 @@ pub fn key_id(key: &Key) -> u64 {
     h
 }
 
-/// One FNV-1a folding step, used for the differential answer digests.
+/// One step of the [`key_id`] hash (xor, then multiply by 2^44 + 0x1b3)
+/// over a whole word, used for the differential answer digests.
 pub fn fold_digest(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(0x1000_0000_01b3)
 }
 
-/// Digest of a tree's full contents: one FNV-1a fold over every
+/// Digest of a tree's full contents: one [`fold_digest`] chain over every
 /// `(Key_ID, value)` pair in key order, starting from 0. This is the
 /// end-state fingerprint the chaos and crash experiments compare — two
 /// equal digests mean (with overwhelming probability) identical contents.
@@ -437,6 +449,9 @@ struct BucketShard {
     records: Vec<OpRecord>,
     scans: Vec<ScanRef>,
     tracer: RecordingTracer,
+    /// The Key_ID of every op of `ops`, by slice index: hashed once per
+    /// batch for the lookahead, the table and the record.
+    kids: Vec<u64>,
     /// The descent window: `(slice index, op index, hint)` of every
     /// traversal being prefetched ahead of its op (see `run_batch`).
     descents: Vec<(u32, u32, DescentHint)>,
@@ -511,6 +526,7 @@ impl BucketShard {
             records: Vec::new(),
             scans: Vec::new(),
             tracer: RecordingTracer::new(),
+            kids: Vec::new(),
             descents: Vec::with_capacity(DESCENT_WINDOW),
             error: None,
         }
@@ -555,6 +571,7 @@ impl BucketShard {
         self.visit_arena.clear();
         self.records.clear();
         self.scans.clear();
+        self.kids.clear();
         self.descents.clear();
     }
 
@@ -565,32 +582,48 @@ impl BucketShard {
     /// interleave sub-shards back into the canonical bucket order.
     fn run_batch(&mut self, batch: &[Op], plan: &FaultPlan, mode: TraverseMode) {
         self.begin_batch();
+        if self.ops.is_empty() {
+            // Most shards of a small batch: nothing to hint or run.
+            return;
+        }
         let window = matches!(mode, TraverseMode::LevelWise);
         // Detach the op slice so the loop can call `&mut self` helpers.
         let ops = std::mem::take(&mut self.ops);
+        let mut kids = std::mem::take(&mut self.kids);
+        kids.extend(ops.iter().map(|&(_, op_i)| key_id(&batch[op_i as usize].key)));
+        // The slice is known in advance, so the two lines a shortcut hit
+        // needs are requested before the op that needs them runs: the
+        // table slot of the op `2 * LOOKAHEAD` ahead, and — that slot
+        // having arrived `LOOKAHEAD` ops later — the arena slot of the
+        // target it names. Ops that will traverse instead get a descent
+        // hint: reads and updates the peek finds no target for, and
+        // inserts and removes `DESCENT_AHEAD` ops ahead. Hints only:
+        // `peek` counts and validates nothing and a descent hint checks
+        // nothing, so no observable depends on them.
+        //
+        // The loop gives op `i` its hints at iterations `i - 2 * LOOKAHEAD`,
+        // `i - LOOKAHEAD` and `i - DESCENT_AHEAD`; the ops it starts too
+        // close to get theirs here, before op 0, so a slice of any length
+        // runs the whole pipeline.
+        for &kid in kids.iter().take(2 * LOOKAHEAD) {
+            self.shortcuts.prefetch(kid);
+        }
+        for at in 0..ops.len().min(LOOKAHEAD) {
+            self.look_ahead(batch, at, ops[at].1, kids[at], window);
+        }
+        if window {
+            for (at, &(_, op_i)) in ops.iter().enumerate().take(DESCENT_AHEAD) {
+                if matches!(batch[op_i as usize].kind, OpKind::Insert | OpKind::Remove) {
+                    self.start_descent(at, op_i);
+                }
+            }
+        }
         'ops: for (i, &(pos, op_i)) in ops.iter().enumerate() {
-            // The slice is known in advance, so the two lines a shortcut
-            // hit needs are requested before the op that needs them runs:
-            // the table slot of the op `2 * LOOKAHEAD` ahead, and — that
-            // slot having arrived `LOOKAHEAD` ops later — the arena slot
-            // of the target it names. Ops that will traverse instead get a
-            // descent hint: reads and updates the peek finds no target
-            // for, and inserts and removes `DESCENT_AHEAD` ops ahead.
-            // Hints only: `peek` counts and validates nothing and a
-            // descent hint checks nothing, so no observable depends on
-            // them.
-            if let Some(&(_, far)) = ops.get(i + 2 * LOOKAHEAD) {
-                self.shortcuts.prefetch(key_id(&batch[far as usize].key));
+            if let Some(&far) = kids.get(i + 2 * LOOKAHEAD) {
+                self.shortcuts.prefetch(far);
             }
             if let Some(&(_, near)) = ops.get(i + LOOKAHEAD) {
-                let op = &batch[near as usize];
-                match self.shortcuts.peek(key_id(&op.key), &op.key) {
-                    Some(target) if self.shortcuts_active => self.art.prefetch_node(target),
-                    _ if window && matches!(op.kind, OpKind::Read | OpKind::Update) => {
-                        self.start_descent(i + LOOKAHEAD, near);
-                    }
-                    _ => {}
-                }
+                self.look_ahead(batch, i + LOOKAHEAD, near, kids[i + LOOKAHEAD], window);
             }
             if window {
                 if let Some(&(_, ahead)) = ops.get(i + DESCENT_AHEAD) {
@@ -606,7 +639,7 @@ impl BucketShard {
                 });
             }
             let op = &batch[op_i as usize];
-            let kid = key_id(&op.key);
+            let kid = kids[i];
 
             if matches!(op.kind, OpKind::Scan) {
                 // Scans cross bucket boundaries; defer to the batch-end
@@ -636,10 +669,10 @@ impl BucketShard {
                 // the probe, so validation catches it and falls back to
                 // the root traversal.
                 if self.injector.fire(FaultSite::ShortcutEntry, plan.shortcut_corrupt_rate) {
-                    self.shortcuts.corrupt(&op.key);
+                    self.shortcuts.corrupt(kid, &op.key);
                 }
                 let stale_before = self.shortcuts.stats().stale_invalidations;
-                let e = self.shortcuts.probe(&op.key, &self.art);
+                let e = self.shortcuts.probe(kid, &op.key, &self.art);
                 let went_stale = self.shortcuts.stats().stale_invalidations > stale_before;
                 if self.degrade.record(went_stale) {
                     // Error rate over the window crossed the threshold:
@@ -716,7 +749,7 @@ impl BucketShard {
                     }
                     OpKind::Remove => {
                         let prev = self.art.remove_traced(&op.key, &mut self.tracer);
-                        self.shortcuts.invalidate(&op.key);
+                        self.shortcuts.invalidate(kid, &op.key);
                         prev
                     }
                     OpKind::Scan => unreachable!("scans are deferred above"),
@@ -729,6 +762,7 @@ impl BucketShard {
                         // point-op targets.
                         if self.art.read_leaf(target, &op.key).is_some() {
                             self.shortcuts.generate(
+                                kid,
                                 op.key.clone(),
                                 target,
                                 self.tracer.trace.parent,
@@ -797,6 +831,22 @@ impl BucketShard {
         }
         // Hand the (reusable) op slice back to the routing pass.
         self.ops = ops;
+        self.kids = kids;
+    }
+
+    /// Peeks the table for the op at slice index `at` (batch index `op_i`,
+    /// Key_ID `kid`): prefetches the target it names, or — with the
+    /// descent `window` on — opens a descent for a read or update that has
+    /// none.
+    fn look_ahead(&mut self, batch: &[Op], at: usize, op_i: u32, kid: u64, window: bool) {
+        let op = &batch[op_i as usize];
+        match self.shortcuts.peek(kid, &op.key) {
+            Some(target) if self.shortcuts_active => self.art.prefetch_node(target),
+            _ if window && matches!(op.kind, OpKind::Read | OpKind::Update) => {
+                self.start_descent(at, op_i);
+            }
+            _ => {}
+        }
     }
 
     /// Opens a descent hint for the op at slice index `at` (batch index
@@ -1999,12 +2049,20 @@ mod tests {
     }
 
     /// The batch shapes the cross-configuration tests compare under: the
-    /// production-like 1024, and batches of 1, 3 and `2 * LOOKAHEAD + 1`
+    /// production-like 1024; the server's 64, which gives each of the 16
+    /// shards about 4 ops, so that nearly every hint comes from the
+    /// pre-roll of `run_batch`; and batches of 1, 3 and `2 * LOOKAHEAD + 1`
     /// (over a prefix of the stream, to bound the per-batch overhead) so
     /// that shard slices shorter than, as long as and just past the
-    /// prefetch window of `run_batch` all occur.
-    fn lookahead_batch_shapes(ops: &[Op]) -> [(usize, &[Op]); 4] {
-        [(1024, ops), (1, &ops[..200]), (3, &ops[..600]), (2 * LOOKAHEAD + 1, &ops[..1_800])]
+    /// prefetch window all occur.
+    fn lookahead_batch_shapes(ops: &[Op]) -> [(usize, &[Op]); 5] {
+        [
+            (1024, ops),
+            (64, ops),
+            (1, &ops[..200]),
+            (3, &ops[..600]),
+            (2 * LOOKAHEAD + 1, &ops[..1_800]),
+        ]
     }
 
     /// Traverse with and without the descent window must be

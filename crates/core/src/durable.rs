@@ -239,7 +239,7 @@ pub fn decode_ops(bytes: &[u8]) -> Result<Vec<Op>, DcartError> {
 
 // --- checkpoint files ------------------------------------------------------
 
-/// The outer checksum: the WAL's FNV-1a over the prelude and the
+/// The outer checksum: the WAL's record checksum over the prelude and the
 /// snapshot container's own checksum. The container's checksum already
 /// covers every payload byte, so chaining it extends the protection to
 /// the prelude without reading the payload a second time.

@@ -112,7 +112,7 @@ impl Slot {
 /// Smallest slot array; always a power of two.
 const MIN_SLOTS: usize = 16;
 
-/// Fibonacci multiplier (2^64 / φ): spreads the FNV Key_ID so that the
+/// Fibonacci multiplier (2^64 / φ): spreads the Key_ID so that the
 /// *high* bits of the product, which index the slot array, depend on every
 /// bit of the id.
 const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -131,20 +131,27 @@ const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 /// load factor at most ¾, power-of-two growth. A probe reads one cache
 /// line unless its run crosses into the next.
 ///
+/// Every method that looks a key up takes the key's Key_ID beside it, so
+/// that a caller hashes each key once however often it uses the table;
+/// the id must be [`key_id`](crate::key_id) of that key (debug builds
+/// assert it).
+///
 /// # Examples
 ///
 /// ```
-/// use dcart::ShortcutTable;
+/// use dcart::{key_id, ShortcutTable};
 /// use dcart_art::{Art, Key, NoopTracer};
 ///
 /// let mut art = Art::new();
-/// art.insert(Key::from_u64(7), "seven")?;
-/// let (leaf, parent) = art.locate_leaf(&Key::from_u64(7), &mut NoopTracer).unwrap();
+/// let key = Key::from_u64(7);
+/// art.insert(key.clone(), "seven")?;
+/// let (leaf, parent) = art.locate_leaf(&key, &mut NoopTracer).unwrap();
 ///
 /// let mut table = ShortcutTable::new();
-/// table.generate(Key::from_u64(7), leaf, parent);
-/// let entry = table.probe(&Key::from_u64(7), &art).expect("valid shortcut");
-/// assert_eq!(art.read_leaf(entry.target, &Key::from_u64(7)), Some(&"seven"));
+/// let id = key_id(&key);
+/// table.generate(id, key.clone(), leaf, parent);
+/// let entry = table.probe(id, &key, &art).expect("valid shortcut");
+/// assert_eq!(art.read_leaf(entry.target, &key), Some(&"seven"));
 /// # Ok::<(), dcart_art::ArtError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -198,6 +205,7 @@ impl ShortcutTable {
     /// Walks `key`'s probe run to the slot holding it, or to the empty slot
     /// that ends the run.
     fn find(&self, key_id: u64, key: &Key) -> Option<(usize, &Slot)> {
+        debug_assert_eq!(key_id, crate::key_id(key), "a Key_ID that is not the key's");
         let mask = self.slots.len() - 1;
         let mut at = self.home(key_id);
         loop {
@@ -227,17 +235,19 @@ impl ShortcutTable {
         }
     }
 
-    /// Stores an entry whose key the table does not hold, doubling the
-    /// slot array first if it would pass ¾ full.
-    fn insert_new(&mut self, slot: Slot) {
+    /// Stores an entry whose key (with Key_ID `key_id`) the table does not
+    /// hold, doubling the slot array first if it would pass ¾ full.
+    fn insert_new(&mut self, key_id: u64, slot: Slot) {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             let doubled = vec![None; self.slots.len() * 2];
             let old = std::mem::replace(&mut self.slots, doubled);
             self.len = 0;
-            old.into_iter().flatten().for_each(|slot| self.insert_new(slot));
+            old.into_iter()
+                .flatten()
+                .for_each(|slot| self.insert_new(crate::key_id(&slot.key), slot));
         }
         let mask = self.slots.len() - 1;
-        let mut at = self.home(key_id(&slot.key));
+        let mut at = self.home(key_id);
         while self.slots[at].is_some() {
             at = (at + 1) & mask;
         }
@@ -260,13 +270,14 @@ impl ShortcutTable {
         self.find(key_id, key).map(|(_, slot)| slot.target)
     }
 
-    /// Probes for `key`, validating the cached target against `tree`.
+    /// Probes for `key` (whose Key_ID is `key_id`), validating the cached
+    /// target against `tree`.
     ///
     /// A stale entry (the target address no longer holds a leaf with this
     /// key) is removed and reported as a miss — exactly what the hardware's
     /// validation step does.
-    pub fn probe<V>(&mut self, key: &Key, tree: &Art<V>) -> Option<ShortcutEntry> {
-        let Some((at, slot)) = self.find(key_id(key), key) else {
+    pub fn probe<V>(&mut self, key_id: u64, key: &Key, tree: &Art<V>) -> Option<ShortcutEntry> {
+        let Some((at, slot)) = self.find(key_id, key) else {
             self.stats.misses += 1;
             return None;
         };
@@ -295,8 +306,8 @@ impl ShortcutTable {
     /// the off-chip table or forced staleness). The entry stays present but
     /// its next probe fails validation and falls back to a full traversal.
     /// Returns `true` if an entry existed to corrupt.
-    pub fn corrupt(&mut self, key: &Key) -> bool {
-        if self.find(key_id(key), key).is_some() && self.poisoned.insert(key.clone()) {
+    pub fn corrupt(&mut self, key_id: u64, key: &Key) -> bool {
+        if self.find(key_id, key).is_some() && self.poisoned.insert(key.clone()) {
             self.stats.corruptions_injected += 1;
             true
         } else {
@@ -304,22 +315,23 @@ impl ShortcutTable {
         }
     }
 
-    /// Records the result of a traversal as a new shortcut
-    /// (the Generate_Shortcut stage).
-    pub fn generate(&mut self, key: Key, target: NodeId, parent: Option<NodeId>) {
+    /// Records the result of a traversal of `key` (whose Key_ID is
+    /// `key_id`) as a new shortcut (the Generate_Shortcut stage).
+    pub fn generate(&mut self, key_id: u64, key: Key, target: NodeId, parent: Option<NodeId>) {
         let slot = Slot { key, target, parent: parent.unwrap_or_default() };
-        if let Some((at, _)) = self.find(key_id(&slot.key), &slot.key) {
+        if let Some((at, _)) = self.find(key_id, &slot.key) {
             self.slots[at] = Some(slot);
             self.stats.updated += 1;
         } else {
-            self.insert_new(slot);
+            self.insert_new(key_id, slot);
             self.stats.generated += 1;
         }
     }
 
-    /// Drops the entry for `key`, if any (e.g. after a remove).
-    pub fn invalidate(&mut self, key: &Key) {
-        if let Some((at, _)) = self.find(key_id(key), key) {
+    /// Drops the entry for `key` (whose Key_ID is `key_id`), if any (e.g.
+    /// after a remove).
+    pub fn invalidate(&mut self, key_id: u64, key: &Key) {
+        if let Some((at, _)) = self.find(key_id, key) {
             self.remove_at(at);
         }
         if !self.poisoned.is_empty() {
@@ -345,10 +357,10 @@ mod tests {
         let art = tree_with(&[1, 2, 3]);
         let key = Key::from_u64(2);
         let mut table = ShortcutTable::new();
-        assert_eq!(table.probe(&key, &art), None);
+        assert_eq!(table.probe(key_id(&key), &key, &art), None);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
-        table.generate(key.clone(), leaf, parent);
-        let entry = table.probe(&key, &art).expect("hit after generate");
+        table.generate(key_id(&key), key.clone(), leaf, parent);
+        let entry = table.probe(key_id(&key), &key, &art).expect("hit after generate");
         assert_eq!(entry.target, leaf);
         assert_eq!(table.stats().hits, 1);
         assert_eq!(table.stats().misses, 1);
@@ -360,9 +372,9 @@ mod tests {
         let key = Key::from_u64(10);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key.clone(), leaf, parent);
+        table.generate(key_id(&key), key.clone(), leaf, parent);
         art.remove(&key);
-        assert_eq!(table.probe(&key, &art), None, "stale shortcut must miss");
+        assert_eq!(table.probe(key_id(&key), &key, &art), None, "stale shortcut must miss");
         assert_eq!(table.stats().stale_invalidations, 1);
         assert!(table.is_empty());
     }
@@ -373,11 +385,11 @@ mod tests {
         let key = Key::from_u64(20);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key.clone(), leaf, parent);
+        table.generate(key_id(&key), key.clone(), leaf, parent);
         art.remove(&key);
         // The freed slot is reused by a different key's leaf.
         art.insert(Key::from_u64(999), 999).unwrap();
-        assert_eq!(table.probe(&key, &art), None, "reused slot holds the wrong key");
+        assert_eq!(table.probe(key_id(&key), &key, &art), None, "reused slot holds the wrong key");
     }
 
     #[test]
@@ -392,11 +404,11 @@ mod tests {
         let key = Key::from_u64(1 << 8 | 1);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key.clone(), leaf, parent);
+        table.generate(key_id(&key), key.clone(), leaf, parent);
         for b in 4..20u64 {
             art.insert(Key::from_u64(b << 8 | 1), b).unwrap(); // grows the node
         }
-        assert!(table.probe(&key, &art).is_some());
+        assert!(table.probe(key_id(&key), &key, &art).is_some());
     }
 
     #[test]
@@ -405,24 +417,25 @@ mod tests {
         let key = Key::from_u64(30);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key.clone(), leaf, parent);
-        assert!(table.corrupt(&key));
+        table.generate(key_id(&key), key.clone(), leaf, parent);
+        assert!(table.corrupt(key_id(&key), &key));
         // The poisoned probe must NOT return the (still structurally valid)
         // entry — it must force the fallback traversal.
-        assert_eq!(table.probe(&key, &art), None);
+        assert_eq!(table.probe(key_id(&key), &key, &art), None);
         let s = table.stats();
         assert_eq!(s.corruptions_injected, 1);
         assert_eq!(s.corruption_fallbacks, 1);
         assert_eq!(s.stale_invalidations, 1);
         // Regenerating afterwards works and probes cleanly again.
-        table.generate(key.clone(), leaf, parent);
-        assert!(table.probe(&key, &art).is_some());
+        table.generate(key_id(&key), key.clone(), leaf, parent);
+        assert!(table.probe(key_id(&key), &key, &art).is_some());
     }
 
     #[test]
     fn corrupt_without_entry_is_a_noop() {
         let mut table = ShortcutTable::new();
-        assert!(!table.corrupt(&Key::from_u64(1)));
+        let key = Key::from_u64(1);
+        assert!(!table.corrupt(key_id(&key), &key));
         assert_eq!(table.stats().corruptions_injected, 0);
     }
 
@@ -432,12 +445,12 @@ mod tests {
         let key = Key::from_u64(40);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key.clone(), leaf, parent);
-        table.corrupt(&key);
-        table.invalidate(&key);
+        table.generate(key_id(&key), key.clone(), leaf, parent);
+        table.corrupt(key_id(&key), &key);
+        table.invalidate(key_id(&key), &key);
         // A fresh entry for the same key is not tainted by old poison.
-        table.generate(key.clone(), leaf, parent);
-        assert!(table.probe(&key, &art).is_some());
+        table.generate(key_id(&key), key.clone(), leaf, parent);
+        assert!(table.probe(key_id(&key), &key, &art).is_some());
         assert_eq!(table.stats().corruption_fallbacks, 0);
     }
 
@@ -472,7 +485,7 @@ mod tests {
         let mut keys = keys_homed_at(&table, last, 3);
         keys.extend(keys_homed_at(&table, 0, 1));
         for (i, key) in keys.iter().enumerate() {
-            table.generate(key.clone(), NodeId::from_index(i as u32), None);
+            table.generate(key_id(key), key.clone(), NodeId::from_index(i as u32), None);
         }
         let occupied = |t: &ShortcutTable| -> Vec<usize> {
             (0..MIN_SLOTS).filter(|&at| t.slots[at].is_some()).collect()
@@ -481,7 +494,7 @@ mod tests {
 
         // Removing the head of the run shifts every follower back by one,
         // across the wrap, including the key homed at 0.
-        table.invalidate(&keys[0]);
+        table.invalidate(key_id(&keys[0]), &keys[0]);
         assert_eq!(occupied(&table), vec![0, 1, last]);
         assert_eq!(table.len(), 3);
         assert_eq!(table.peek(key_id(&keys[0]), &keys[0]), None);
@@ -493,9 +506,9 @@ mod tests {
         // An entry sitting at its home slot is never pulled in front of
         // it: once the run has shrunk to `last` (homed there) and 0 (homed
         // at 0), emptying `last` leaves slot 0 alone.
-        table.invalidate(&keys[1]);
+        table.invalidate(key_id(&keys[1]), &keys[1]);
         assert_eq!(occupied(&table), vec![0, last]);
-        table.invalidate(&keys[2]);
+        table.invalidate(key_id(&keys[2]), &keys[2]);
         assert_eq!(occupied(&table), vec![0]);
         assert_eq!(table.peek(key_id(&keys[3]), &keys[3]), Some(NodeId::from_index(3)));
     }
@@ -504,7 +517,8 @@ mod tests {
     fn growth_keeps_every_entry_and_the_load_bound() {
         let mut table = ShortcutTable::new();
         for i in 0..1000u64 {
-            table.generate(Key::from_u64(i), NodeId::from_index(i as u32), None);
+            let key = Key::from_u64(i);
+            table.generate(key_id(&key), key, NodeId::from_index(i as u32), None);
             assert!(table.slots.len().is_power_of_two());
             assert!(table.len() * 4 <= table.slots.len() * 3, "load factor above 3/4");
         }
@@ -513,7 +527,8 @@ mod tests {
         assert_all_reachable(&table);
         // Interleaved removals keep every survivor reachable.
         for i in (0..1000u64).step_by(3) {
-            table.invalidate(&Key::from_u64(i));
+            let key = Key::from_u64(i);
+            table.invalidate(key_id(&key), &key);
         }
         assert_all_reachable(&table);
         for i in 0..1000u64 {
@@ -529,8 +544,8 @@ mod tests {
         let key = Key::from_u64(50);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key.clone(), leaf, parent);
-        table.corrupt(&key);
+        table.generate(key_id(&key), key.clone(), leaf, parent);
+        table.corrupt(key_id(&key), &key);
         let before = table.stats();
         table.prefetch(key_id(&key));
         // Unvalidated: even a poisoned entry is still reported.
@@ -538,7 +553,7 @@ mod tests {
         assert_eq!(table.peek(key_id(&Key::from_u64(51)), &Key::from_u64(51)), None);
         assert_eq!(table.stats(), before);
         assert_eq!(table.len(), 1);
-        assert_eq!(table.probe(&key, &art), None, "the poison is still in place");
+        assert_eq!(table.probe(key_id(&key), &key, &art), None, "the poison is still in place");
     }
 
     #[test]
@@ -549,8 +564,11 @@ mod tests {
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         assert_eq!(parent, None, "a single-key tree is a root leaf");
         let mut table = ShortcutTable::new();
-        table.generate(key.clone(), leaf, parent);
-        assert_eq!(table.probe(&key, &art), Some(ShortcutEntry { target: leaf, parent: None }));
+        table.generate(key_id(&key), key.clone(), leaf, parent);
+        assert_eq!(
+            table.probe(key_id(&key), &key, &art),
+            Some(ShortcutEntry { target: leaf, parent: None })
+        );
     }
 
     #[test]
@@ -590,8 +608,8 @@ mod tests {
         let key = Key::from_u64(5);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key.clone(), leaf, parent);
-        table.generate(key.clone(), leaf, parent);
+        table.generate(key_id(&key), key.clone(), leaf, parent);
+        table.generate(key_id(&key), key.clone(), leaf, parent);
         assert_eq!(table.stats().generated, 1);
         assert_eq!(table.stats().updated, 1);
         assert_eq!(table.len(), 1);

@@ -53,7 +53,7 @@ proptest! {
             let was_poisoned = poisoned.remove(key.as_bytes());
             // A `None` probe (absent, stale, or corrupted) sends the op
             // down the slow-but-correct traversal: always safe.
-            if let Some(entry) = table.probe(key, art) {
+            if let Some(entry) = table.probe(key_id(key), key, art) {
                 prop_assert!(
                     !was_poisoned,
                     "a corrupted entry was returned instead of falling back"
@@ -82,7 +82,7 @@ proptest! {
                     prop_assert!(art.insert(key.clone(), v).is_ok());
                     truth.insert(key.as_bytes().to_vec(), v);
                     if let Some((leaf, parent)) = art.locate_leaf(&key, &mut NoopTracer) {
-                        table.generate(key.clone(), leaf, parent);
+                        table.generate(key_id(&key), key.clone(), leaf, parent);
                         poisoned.remove(key.as_bytes());
                     }
                 }
@@ -96,13 +96,13 @@ proptest! {
                 7 => {
                     art.remove(&key);
                     truth.remove(key.as_bytes());
-                    table.invalidate(&key);
+                    table.invalidate(key_id(&key), &key);
                     poisoned.remove(key.as_bytes());
                 }
                 // Inject corruption: the entry stays present but its next
                 // probe must fall back.
                 8 => {
-                    if table.corrupt(&key) {
+                    if table.corrupt(key_id(&key), &key) {
                         poisoned.insert(key.as_bytes().to_vec());
                     }
                 }
@@ -154,7 +154,7 @@ proptest! {
                 0..=4 => {
                     let j = if truthful { i } else { (i + 1) % 160 };
                     let (target, parent) = leaves[usize::from(j)];
-                    table.generate(key.clone(), target, parent);
+                    table.generate(key_id(&key), key.clone(), target, parent);
                     if model.insert(bytes, ShortcutEntry { target, parent }).is_some() {
                         expect.updated += 1;
                     } else {
@@ -162,13 +162,13 @@ proptest! {
                     }
                 }
                 5 => {
-                    table.invalidate(&key);
+                    table.invalidate(key_id(&key), &key);
                     model.remove(&bytes);
                     poisoned.remove(&bytes);
                 }
                 6 => {
                     let fresh = model.contains_key(&bytes) && poisoned.insert(bytes);
-                    prop_assert_eq!(table.corrupt(&key), fresh);
+                    prop_assert_eq!(table.corrupt(key_id(&key), &key), fresh);
                     expect.corruptions_injected += u64::from(fresh);
                 }
                 7..=8 => {
@@ -196,7 +196,7 @@ proptest! {
                     };
                     expect.hits += u64::from(want.is_some());
                     expect.misses += u64::from(want.is_none());
-                    prop_assert_eq!(table.probe(&key, &art), want);
+                    prop_assert_eq!(table.probe(key_id(&key), &key, &art), want);
                 }
             }
             prop_assert_eq!(table.len(), model.len());
@@ -214,7 +214,7 @@ proptest! {
 }
 
 /// Keys of the model test: two bytes of rank, then a constant, so that
-/// the FNV Key_IDs differ in few input bits.
+/// the Key_IDs differ in few input bits.
 fn model_key(i: u16) -> Key {
     let [hi, lo] = i.to_be_bytes();
     Key::from_raw(vec![hi, lo, 1])

@@ -127,7 +127,7 @@ fn scan_heavy_stream_reproduces_every_pinned_visit() {
     }
 }
 
-/// FNV-1a offset basis: the seed of every answer digest.
+/// FNV-64's offset basis: the seed of every answer digest.
 const DIGEST_BASE: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Collects `(value, answer)` per op of the batch in flight.

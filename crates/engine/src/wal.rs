@@ -118,8 +118,15 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// FNV-1a over a byte slice — the record checksum. Not cryptographic;
-/// catches torn writes and bit rot, which is all a WAL checksum is for.
+/// The record checksum: an FNV-1a-shaped hash of a byte slice (FNV-64's
+/// offset basis, xor a byte in, then multiply). Not cryptographic; catches
+/// torn writes and bit rot, which is all a WAL checksum is for.
+///
+/// It is not FNV-1a: the multiplier is `0x1000_0000_01b3` = 2^44 + 0x1b3,
+/// where FNV-64's prime is `0x100_0000_01b3` = 2^40 + 0x1b3. Each step is
+/// still a bijection of the state, so a single corrupted byte always
+/// changes the sum. The constant stays: every WAL record and checkpoint
+/// file on disk is checked with it.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
