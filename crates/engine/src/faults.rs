@@ -306,11 +306,6 @@ impl DegradationController {
         self.errors = 0;
         false
     }
-
-    /// `true` once the latch has tripped.
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
-    }
 }
 
 /// Where the durability layer can be killed mid-flight. Each site models a
@@ -609,9 +604,11 @@ mod tests {
             }
         }
         assert_eq!(tripped_at, Some(9), "trips when the first window completes");
-        assert!(c.is_disabled());
-        assert!(!c.record(true), "sticky: no further trips");
-        assert!(c.is_disabled());
+        // Ten windows of errors: a latch that re-armed on its trip would
+        // trip again inside them.
+        for _ in 0..100 {
+            assert!(!c.record(true), "sticky: no further trips");
+        }
     }
 
     #[test]
@@ -621,7 +618,6 @@ mod tests {
             // 10% error rate, well under the 50% threshold.
             assert!(!c.record(i % 10 == 0));
         }
-        assert!(!c.is_disabled());
     }
 
     #[test]
@@ -630,7 +626,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(!c.record(true));
         }
-        assert!(!c.is_disabled());
     }
 
     #[test]

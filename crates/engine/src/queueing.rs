@@ -36,16 +36,6 @@ impl LatencyRecorder {
         self.sorted = false;
     }
 
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// The `p`-th percentile (`p` in `(0, 1]`), by nearest-rank.
     ///
     /// Returns `0.0` for an empty recorder.
@@ -87,11 +77,12 @@ pub enum RejectReason {
     /// the configured queueing delay) — executing it would only produce
     /// an answer nobody is waiting for.
     DeadlineExceeded,
-    /// Graceful degradation under sustained overload sheds scans first:
-    /// they are the widest operations and no client has been promised one.
+    /// The queue is deep enough that scans are shed — the first to go, at
+    /// the lowest depth: they are the widest operations and no client has
+    /// been promised one. Shedding ends as the queue drains.
     ShedScan,
-    /// The second degradation stage sheds point reads too. Writes are
-    /// never shed once admitted — an acknowledged write is durable.
+    /// The queue is deeper still, and point reads are shed too. Writes are
+    /// never shed — only a full queue refuses them, with `Overloaded`.
     ShedRead,
     /// The server is draining (SIGINT or a shutdown frame): in-flight
     /// batches flush, new work is turned away.
@@ -166,23 +157,6 @@ impl BoundedQueue {
     pub fn depth(&self) -> u64 {
         self.depth
     }
-
-    /// Admits exactly one arrival, or reports why it cannot: the typed
-    /// single-request front door the serving layer's admission control is
-    /// built on. Equivalent to `offer(1)` with a [`RejectReason`] instead
-    /// of an overflow count.
-    pub fn admit_one(&mut self) -> Result<(), RejectReason> {
-        if self.offer(1) == 0 {
-            Ok(())
-        } else {
-            Err(RejectReason::Overloaded)
-        }
-    }
-
-    /// Capacity the queue was created with.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +191,6 @@ mod tests {
         assert_eq!(r.percentile(0.2), 1.0);
         assert_eq!(r.percentile(0.5), 3.0);
         assert_eq!(r.percentile(1.0), 5.0);
-        assert_eq!(r.len(), 5);
     }
 
     #[test]

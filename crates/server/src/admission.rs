@@ -1,69 +1,67 @@
-//! Admission control: deadlines, a bounded queue, and latched load
-//! shedding — the decision every request passes through *before* it can
+//! Admission control: deadlines, a bounded queue, and load shedding by
+//! queue depth — the decision every request passes through *before* it can
 //! touch the batch executor.
 //!
-//! # State machine
+//! # Shedding by depth
 //!
 //! ```text
-//!            ┌────────────┐  queue full (sustained)  ┌────────────┐
-//!   Normal ──┤ shed scans ├─────────────────────────►│ shed reads │
-//!            └────────────┘   (scan latch tripped)   └────────────┘
-//!                 ▲  queue full over a window             ▲
-//!                 └── overload pressure feeds the scan    │ further
-//!                     latch first; only once it has       │ pressure
-//!                     tripped does pressure reach the     │ feeds the
-//!                     read latch ──────────────────────── ┘ read latch
+//!   queue depth   0 ──────────── ½ ──────────── ¾ ──────────── full
+//!   scans           admitted     │ shed
+//!   point reads     admitted                    │ shed
+//!   writes          admitted                                   │ Overloaded
 //! ```
 //!
-//! The latches are the PR-2 [`DegradationController`]s: windowed error
-//! rates with a *sticky* trip, so a server that has been overloaded long
-//! enough to shed does not flap. Writes are never shed — once a write is
-//! acknowledged it is durable, and admission is where that promise starts:
-//! a write either gets a queue slot or an honest `Overloaded` with a retry
-//! hint, never a silent drop.
+//! The rule reads nothing but the queue's depth at the moment a request
+//! arrives, so shedding starts as the queue fills and ends by itself as it
+//! drains. Scans go first — they are the widest operations — at half the
+//! capacity, point reads at three quarters. Writes are never shed — once a
+//! write is acknowledged it is durable, and admission is where that promise
+//! starts: a write either gets a queue slot or, with the queue full, an
+//! honest `Overloaded` with a retry hint, never a silent drop. The quarter
+//! of the queue above the read threshold is kept for writes.
 //!
 //! Decision order (first match wins):
 //! 1. draining → [`RejectReason::Draining`] (no retry — find another node)
 //! 2. deadline already expired → [`RejectReason::DeadlineExceeded`]
-//! 3. scan + scan latch tripped → [`RejectReason::ShedScan`]
-//! 4. read + read latch tripped → [`RejectReason::ShedRead`]
-//! 5. queue full → [`RejectReason::Overloaded`] (+ pressure into latches)
+//! 3. scan, queue at least half full → [`RejectReason::ShedScan`]
+//! 4. read, queue at least three quarters full → [`RejectReason::ShedRead`]
+//! 5. queue full → [`RejectReason::Overloaded`]
 //! 6. otherwise → admitted, queue depth grows by one
+//!
+//! The server keeps its `Admission` under the inbox's mutex: one hold
+//! decides a group and queues what it admits, and the core loop releases
+//! the slots of the batch it takes under the same hold, so the depth is
+//! the inbox's length.
 
-use dcart_engine::{BoundedQueue, DegradationController, RejectReason};
+use dcart_engine::RejectReason;
 use serde::Serialize;
 
 use crate::wire::RequestKind;
 
+/// Deadline budget applied when a request carries none: 50 ms.
+const DEFAULT_BUDGET_NS: u64 = 50_000_000;
+
+/// Base retry hint returned with `Overloaded`: 1 ms. A shed request is
+/// told to wait four times as long.
+const RETRY_HINT_NS: u64 = 1_000_000;
+
 /// Tunables for the admission layer.
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionConfig {
-    /// Queue slots (in-flight + waiting requests) before `Overloaded`.
+    /// Queue slots (admitted requests the core loop has not taken yet)
+    /// before writes are answered `Overloaded`; scans and reads are shed
+    /// at fixed shares of it.
     pub queue_capacity: u64,
-    /// Deadline budget applied when a request carries none.
-    pub default_budget_ns: u64,
     /// Upper bound on client-supplied budgets (a client cannot opt out of
     /// deadline enforcement by asking for an hour).
     pub max_budget_ns: u64,
-    /// Base retry hint returned with `Overloaded`.
-    pub retry_hint_ns: u64,
-    /// Queue-full rate over this window that trips the scan-shedding
-    /// latch (0 window disables shedding).
-    pub shed_window: u32,
-    /// Trip threshold for both latches (fraction of window events that
-    /// were queue-full rejections).
-    pub shed_threshold: f64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             queue_capacity: 1024,
-            default_budget_ns: 50_000_000, // 50 ms
-            max_budget_ns: 1_000_000_000,  // 1 s
-            retry_hint_ns: 1_000_000,      // 1 ms
-            shed_window: 64,
-            shed_threshold: 0.5,
+            max_budget_ns: 1_000_000_000, // 1 s
         }
     }
 }
@@ -77,45 +75,38 @@ pub struct AdmissionCounters {
     /// `Overloaded` rejections (queue full).
     pub overloaded: u64,
     /// Requests rejected because their deadline had already expired at
-    /// admission (or expired waiting in the queue).
+    /// admission (the server's `stats` adds those that expired waiting in
+    /// the queue).
     pub deadline_exceeded: u64,
-    /// Scans shed by the tripped scan latch.
+    /// Scans shed by a queue at least half full.
     pub shed_scans: u64,
-    /// Reads shed by the tripped read latch.
+    /// Reads shed by a queue at least three quarters full.
     pub shed_reads: u64,
     /// Requests bounced during drain.
     pub draining: u64,
 }
 
-/// The admission controller: one per server, shared by every connection
-/// thread (behind a mutex — the decision is a few integer ops).
+/// The admission controller: one per server, under the inbox's mutex (the
+/// decision is a few integer ops).
 #[derive(Debug)]
 pub struct Admission {
     config: AdmissionConfig,
-    queue: BoundedQueue,
-    scan_latch: DegradationController,
-    read_latch: DegradationController,
+    /// Slots taken: admitted and not yet released.
+    depth: u64,
     draining: bool,
     counters: AdmissionCounters,
 }
 
 impl Admission {
-    /// A controller with fresh latches and an empty queue.
+    /// A controller with an empty queue.
     pub fn new(config: AdmissionConfig) -> Self {
-        Admission {
-            queue: BoundedQueue::new(config.queue_capacity),
-            scan_latch: DegradationController::new(config.shed_threshold, config.shed_window),
-            read_latch: DegradationController::new(config.shed_threshold, config.shed_window),
-            config,
-            draining: false,
-            counters: AdmissionCounters::default(),
-        }
+        Admission { config, depth: 0, draining: false, counters: AdmissionCounters::default() }
     }
 
     /// Clamps a client budget into `[1, max_budget_ns]`, substituting the
     /// default for 0.
     pub fn effective_budget_ns(&self, requested: u64) -> u64 {
-        let b = if requested == 0 { self.config.default_budget_ns } else { requested };
+        let b = if requested == 0 { DEFAULT_BUDGET_NS } else { requested };
         b.min(self.config.max_budget_ns).max(1)
     }
 
@@ -128,6 +119,7 @@ impl Admission {
         now_ns: u64,
         deadline_ns: u64,
     ) -> Result<(), (RejectReason, u64)> {
+        let (depth, capacity) = (self.depth, self.config.queue_capacity);
         if self.draining {
             self.counters.draining += 1;
             return Err((RejectReason::Draining, 0));
@@ -136,51 +128,28 @@ impl Admission {
             self.counters.deadline_exceeded += 1;
             return Err((RejectReason::DeadlineExceeded, 0));
         }
-        if kind == RequestKind::Scan && self.scan_latch.is_disabled() {
+        // Scans at half the capacity, reads at three quarters, each share
+        // rounded up (so one slot still takes a scan); neither overflows.
+        if kind == RequestKind::Scan && depth >= capacity - capacity / 2 {
             self.counters.shed_scans += 1;
-            return Err((RejectReason::ShedScan, 4 * self.config.retry_hint_ns));
+            return Err((RejectReason::ShedScan, 4 * RETRY_HINT_NS));
         }
-        if kind == RequestKind::Get && self.read_latch.is_disabled() {
+        if kind == RequestKind::Get && depth >= capacity - capacity / 4 {
             self.counters.shed_reads += 1;
-            return Err((RejectReason::ShedRead, 4 * self.config.retry_hint_ns));
+            return Err((RejectReason::ShedRead, 4 * RETRY_HINT_NS));
         }
-        match self.queue.admit_one() {
-            Ok(()) => {
-                // Calm evidence: a successful admit is a non-error event
-                // for whichever latch is still armed.
-                if self.scan_latch.is_disabled() {
-                    self.read_latch.record(false);
-                } else {
-                    self.scan_latch.record(false);
-                }
-                self.counters.accepted += 1;
-                Ok(())
-            }
-            Err(_) => {
-                // Overload pressure sheds scans first; only once the scan
-                // latch has tripped does pressure reach the read latch.
-                // Writes keep bouncing off the full queue — shed never
-                // touches them.
-                if self.scan_latch.is_disabled() {
-                    self.read_latch.record(true);
-                } else {
-                    self.scan_latch.record(true);
-                }
-                self.counters.overloaded += 1;
-                Err((RejectReason::Overloaded, self.config.retry_hint_ns))
-            }
+        if depth >= capacity {
+            self.counters.overloaded += 1;
+            return Err((RejectReason::Overloaded, RETRY_HINT_NS));
         }
+        self.depth += 1;
+        self.counters.accepted += 1;
+        Ok(())
     }
 
-    /// Releases `n` queue slots (requests answered or dropped).
+    /// Releases `n` queue slots (requests taken out of the queue).
     pub fn release(&mut self, n: u64) {
-        self.queue.drain(n);
-    }
-
-    /// Records a request that expired *inside* the queue (counted under
-    /// `deadline_exceeded`; its slot is released separately).
-    pub fn note_expired_in_queue(&mut self) {
-        self.counters.deadline_exceeded += 1;
+        self.depth = self.depth.saturating_sub(n);
     }
 
     /// Enters drain mode: every subsequent request is bounced with
@@ -196,22 +165,12 @@ impl Admission {
 
     /// Current queue depth.
     pub fn queue_depth(&self) -> u64 {
-        self.queue.depth()
+        self.depth
     }
 
     /// Queue capacity.
     pub fn queue_capacity(&self) -> u64 {
-        self.queue.capacity()
-    }
-
-    /// Whether the scan-shedding latch has tripped.
-    pub fn scan_latch_tripped(&self) -> bool {
-        self.scan_latch.is_disabled()
-    }
-
-    /// Whether the read-shedding latch has tripped.
-    pub fn read_latch_tripped(&self) -> bool {
-        self.read_latch.is_disabled()
+        self.config.queue_capacity
     }
 
     /// Counter snapshot.
@@ -224,13 +183,18 @@ impl Admission {
 mod tests {
     use super::*;
 
-    fn cfg() -> AdmissionConfig {
-        AdmissionConfig { queue_capacity: 2, shed_window: 4, ..AdmissionConfig::default() }
+    fn with_capacity(queue_capacity: u64) -> Admission {
+        Admission::new(AdmissionConfig { queue_capacity, ..AdmissionConfig::default() })
+    }
+
+    /// Admits one `kind` request at t = 0 with a deadline far off.
+    fn admit(a: &mut Admission, kind: RequestKind) -> Result<(), RejectReason> {
+        a.admit(kind, 0, 100).map_err(|(reason, _)| reason)
     }
 
     #[test]
     fn admits_until_full_then_overloads_with_hint() {
-        let mut a = Admission::new(cfg());
+        let mut a = with_capacity(2);
         assert!(a.admit(RequestKind::Insert, 0, 100).is_ok());
         assert!(a.admit(RequestKind::Insert, 0, 100).is_ok());
         let (reason, hint) = a.admit(RequestKind::Insert, 0, 100).expect_err("queue full");
@@ -242,7 +206,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_rejected_before_queueing() {
-        let mut a = Admission::new(cfg());
+        let mut a = with_capacity(2);
         let (reason, _) = a.admit(RequestKind::Get, 100, 100).expect_err("already expired");
         assert_eq!(reason, RejectReason::DeadlineExceeded);
         assert_eq!(a.queue_depth(), 0);
@@ -250,35 +214,52 @@ mod tests {
 
     #[test]
     fn sustained_overload_sheds_scans_first_then_reads_never_writes() {
-        let mut a = Admission::new(cfg());
-        // Fill the queue, then hammer it: 4 rejections trip the scan latch.
-        assert!(a.admit(RequestKind::Insert, 0, 100).is_ok());
-        assert!(a.admit(RequestKind::Insert, 0, 100).is_ok());
-        for _ in 0..4 {
-            let _ = a.admit(RequestKind::Insert, 0, 100);
+        use RequestKind::{Get, Insert, Remove, Scan};
+        let mut a = with_capacity(8);
+        // Below half the capacity every kind is admitted.
+        for kind in [Scan, Get, Insert, Remove] {
+            assert_eq!(admit(&mut a, kind), Ok(()), "{kind:?} at depth < 4");
         }
-        assert!(a.scan_latch_tripped(), "scan latch trips first");
-        assert!(!a.read_latch_tripped());
-        let (r, _) = a.admit(RequestKind::Scan, 0, 100).expect_err("scans shed");
-        assert_eq!(r, RejectReason::ShedScan);
-        // Continued pressure now feeds the read latch.
+        // From half on, scans are shed first; reads still get slots.
+        assert_eq!(admit(&mut a, Scan), Err(RejectReason::ShedScan));
+        assert_eq!(admit(&mut a, Get), Ok(()), "reads are shed after scans");
+        assert_eq!(admit(&mut a, Insert), Ok(()));
+        // From three quarters on, reads are shed too.
+        assert_eq!(admit(&mut a, Get), Err(RejectReason::ShedRead));
+        assert_eq!(admit(&mut a, Scan), Err(RejectReason::ShedScan));
+        // Writes are never shed: they take the last quarter of the slots,
+        // and only a full queue refuses them, with `Overloaded`.
+        assert_eq!(admit(&mut a, Insert), Ok(()));
+        assert_eq!(admit(&mut a, Remove), Ok(()));
+        assert_eq!(a.queue_depth(), 8);
         for _ in 0..4 {
-            let _ = a.admit(RequestKind::Insert, 0, 100);
+            assert_eq!(admit(&mut a, Insert), Err(RejectReason::Overloaded));
         }
-        assert!(a.read_latch_tripped(), "read latch trips under continued pressure");
-        let (r, _) = a.admit(RequestKind::Get, 0, 100).expect_err("reads shed");
-        assert_eq!(r, RejectReason::ShedRead);
-        // Writes are never shed: with slots free they are admitted even
-        // with both latches tripped.
-        a.release(2);
-        assert!(a.admit(RequestKind::Insert, 0, 100).is_ok(), "writes never shed");
         let c = a.counters();
-        assert!(c.shed_scans >= 1 && c.shed_reads >= 1 && c.overloaded >= 8);
+        assert_eq!((c.shed_scans, c.shed_reads, c.overloaded, c.accepted), (2, 1, 4, 8));
+    }
+
+    #[test]
+    fn an_emptied_queue_admits_reads_and_scans_again() {
+        let mut a = with_capacity(8);
+        for _ in 0..8 {
+            assert_eq!(admit(&mut a, RequestKind::Insert), Ok(()));
+        }
+        // A long overload: everything bounces off the full queue.
+        for kind in [RequestKind::Insert, RequestKind::Get, RequestKind::Scan].repeat(100) {
+            assert!(admit(&mut a, kind).is_err());
+        }
+        assert_eq!(a.counters().overloaded, 100);
+        // Shedding ends with the pressure: the loop drains the queue, and
+        // the next read and scan are admitted.
+        a.release(8);
+        assert_eq!(admit(&mut a, RequestKind::Get), Ok(()));
+        assert_eq!(admit(&mut a, RequestKind::Scan), Ok(()));
     }
 
     #[test]
     fn draining_bounces_everything_with_no_retry() {
-        let mut a = Admission::new(cfg());
+        let mut a = with_capacity(2);
         a.start_drain();
         let (r, hint) = a.admit(RequestKind::Insert, 0, 100).expect_err("draining");
         assert_eq!(r, RejectReason::Draining);

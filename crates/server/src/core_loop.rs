@@ -5,18 +5,17 @@
 //! the serving layer meets it, and the path into and out of the loop pays
 //! its fixed costs per group too. A connection thread hands over every
 //! request one `read` brought in through [`ServerShared::submit_group`]:
-//! one clock reading, the admission lock held once while
-//! [`Admission::admit`] runs per request in arrival order, then the inbox
-//! lock held once to append the admitted ones, and a wake-up only when the
-//! loop is asleep and the append changes what it would do (the inbox was
-//! empty, or it crossed the watermark). [`ServerShared::submit`] is the
-//! group of one.
-//! The two locks are taken one after the other, never nested; the only
-//! nesting in the crate is [`ServerShared::stats`]' admission → snapshot.
-//! Because a request is admitted under one lock and queued under the
-//! other, the loop ends only once admission counts nothing the inbox has
-//! not passed on, and a submitter looks for a dead core under the
-//! admission lock: no admitted request is left unanswered.
+//! one clock reading, one hold of the inbox lock while [`Admission::admit`]
+//! runs per request in arrival order and the admitted ones are appended,
+//! and a wake-up only when the loop is asleep and the append changes what
+//! it would do (the inbox was empty, or it crossed the watermark).
+//! [`ServerShared::submit`] is the group of one. The [`Admission`] state
+//! lives under the inbox lock, and the loop releases the slots of the
+//! batch it takes under the hold that takes it, so the queue depth is the
+//! inbox's length. The only nesting in the crate is
+//! [`ServerShared::stats`]' inbox → snapshot. A submitter looks for a dead
+//! core and a drain under the inbox lock, so once the loop has seen either
+//! and found the inbox empty under that lock, nothing is left to answer.
 //!
 //! The core sleeps on the inbox condvar until that wake-up — or, with
 //! requests queued below the watermark, until the oldest has lingered
@@ -217,10 +216,13 @@ pub struct PendingReq {
     pub resp: Reply,
 }
 
-/// The admitted requests in arrival order, and what the core loop asks of
-/// whoever appends to them.
+/// The admitted requests in arrival order, the admission state that
+/// decides what enters, and what the core loop asks of whoever appends.
 struct Inbox {
     queue: VecDeque<PendingReq>,
+    /// Its depth is `queue`'s length: a slot is taken where a request is
+    /// appended and released where the loop takes it.
+    admission: Admission,
     /// The queue length the sleeping loop wants to be woken at: 1 while it
     /// sleeps on an empty inbox, the flush watermark while it sleeps out
     /// the linger of a short one, `usize::MAX` while it is not asleep.
@@ -231,7 +233,6 @@ struct Inbox {
 pub struct ServerShared {
     inbox: Mutex<Inbox>,
     cond: Condvar,
-    admission: Mutex<Admission>,
     snapshot: Mutex<CoreSnapshot>,
     shutdown: AtomicBool,
     dead: AtomicBool,
@@ -242,9 +243,12 @@ impl ServerShared {
     /// Fresh shared state around `clock`.
     pub fn new(admission: AdmissionConfig, clock: Arc<dyn Clock>) -> Arc<Self> {
         Arc::new(ServerShared {
-            inbox: Mutex::new(Inbox { queue: VecDeque::new(), wake_at: usize::MAX }),
+            inbox: Mutex::new(Inbox {
+                queue: VecDeque::new(),
+                admission: Admission::new(admission),
+                wake_at: usize::MAX,
+            }),
             cond: Condvar::new(),
-            admission: Mutex::new(Admission::new(admission)),
             snapshot: Mutex::new(CoreSnapshot::default()),
             shutdown: AtomicBool::new(false),
             dead: AtomicBool::new(false),
@@ -273,10 +277,9 @@ impl ServerShared {
     /// rejections, `stats`, the `shutdown` ack, server-dead errors.
     ///
     /// A run of operations costs one reading of the clock, one hold of the
-    /// admission lock, one hold of the inbox lock and at most one wake-up
-    /// of the core loop. A `stats` or `shutdown` request in the middle
-    /// ends the run in front of it, so it sees exactly the admissions that
-    /// arrived before it.
+    /// inbox lock and at most one wake-up of the core loop. A `stats` or
+    /// `shutdown` request in the middle ends the run in front of it, so it
+    /// sees exactly the admissions that arrived before it.
     pub fn submit_group(
         &self,
         reqs: &[Request],
@@ -306,8 +309,8 @@ impl ServerShared {
     }
 
     /// The admission body: `ops` (no `stats`, no `shutdown`) are decided
-    /// in order under one hold of the admission lock and the admitted ones
-    /// appended to the inbox under one hold of its lock.
+    /// in order, and the admitted ones appended to the inbox, under one
+    /// hold of its lock.
     fn admit_ops(
         &self,
         ops: &[Request],
@@ -315,19 +318,20 @@ impl ServerShared {
         immediate: &mut Vec<Response>,
     ) {
         let now = self.now_ns();
-        let mut admitted = Vec::with_capacity(ops.len());
-        {
-            let mut adm = self.admission.lock().unwrap_or_else(|e| e.into_inner());
+        let wake = {
+            let mut inbox = self.inbox.lock().unwrap_or_else(|e| e.into_inner());
             // Under the lock: a core that died before the loop last looked
-            // at admission admits nothing more.
+            // at the inbox admits nothing more.
             if self.is_dead() {
                 immediate.extend(ops.iter().map(|req| Response::error(req.req_id)));
                 return;
             }
+            let Inbox { queue, admission, wake_at } = &mut *inbox;
+            let before = queue.len();
             for req in ops {
-                let deadline_ns = now.saturating_add(adm.effective_budget_ns(req.budget_ns));
-                match adm.admit(req.kind, now, deadline_ns) {
-                    Ok(()) => admitted.push(PendingReq {
+                let deadline_ns = now.saturating_add(admission.effective_budget_ns(req.budget_ns));
+                match admission.admit(req.kind, now, deadline_ns) {
+                    Ok(()) => queue.push_back(PendingReq {
                         req: *req,
                         arrival_ns: now,
                         deadline_ns,
@@ -338,15 +342,7 @@ impl ServerShared {
                     }
                 }
             }
-        }
-        if admitted.is_empty() {
-            return;
-        }
-        let wake = {
-            let mut inbox = self.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            let before = inbox.queue.len();
-            inbox.queue.extend(admitted);
-            before < inbox.wake_at && inbox.queue.len() >= inbox.wake_at
+            before < *wake_at && queue.len() >= *wake_at
         };
         if wake {
             self.cond.notify_one();
@@ -356,7 +352,7 @@ impl ServerShared {
     /// Initiates graceful drain: admission bounces new work, the acceptor
     /// stops, the core flushes what is queued and checkpoints.
     pub fn request_shutdown(&self) {
-        self.admission.lock().unwrap_or_else(|e| e.into_inner()).start_drain();
+        self.inbox.lock().unwrap_or_else(|e| e.into_inner()).admission.start_drain();
         self.shutdown.store(true, Ordering::Release);
         self.cond.notify_all();
     }
@@ -372,16 +368,20 @@ impl ServerShared {
         self.dead.load(Ordering::Acquire)
     }
 
-    /// Assembles the full stats snapshot (admission + core).
+    /// Assembles the full stats snapshot (admission + core). The snapshot
+    /// is read under the inbox lock, so it counts no request admission
+    /// has not.
     pub fn stats(&self) -> ServerStats {
-        let adm = self.admission.lock().unwrap_or_else(|e| e.into_inner());
+        let inbox = self.inbox.lock().unwrap_or_else(|e| e.into_inner());
         let core = *self.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+        let adm = &inbox.admission;
+        // `deadline_exceeded` counts expiries at admission and in the queue.
+        let mut admission = adm.counters();
+        admission.deadline_exceeded += core.expired_in_queue;
         ServerStats {
-            admission: adm.counters(),
+            admission,
             queue_depth: adm.queue_depth(),
             queue_capacity: adm.queue_capacity(),
-            scan_latch_tripped: adm.scan_latch_tripped(),
-            read_latch_tripped: adm.read_latch_tripped(),
             draining: adm.is_draining(),
             core,
         }
@@ -421,10 +421,11 @@ fn op_of(req: &Request) -> Op {
 }
 
 /// Moves the next batch — the oldest requests, up to the watermark — out
-/// of the inbox.
+/// of the inbox, and releases their admission slots.
 fn take_batch(inbox: &mut Inbox, watermark: usize, batch: &mut Vec<PendingReq>) {
     let take = inbox.queue.len().min(watermark);
     batch.extend(inbox.queue.drain(..take));
+    inbox.admission.release(take as u64);
 }
 
 /// The one wake-up per batch that [`Reply::deliver`] left owing.
@@ -912,17 +913,10 @@ impl ServerCore {
                 take_batch(&mut inbox, watermark, &mut self.scratch.handed.live);
             }
             if self.scratch.handed.live.is_empty() {
-                if self.shared.is_shutdown() || self.shared.is_dead() {
-                    // Admission counts what it admitted until the loop
-                    // takes it; a count the inbox does not hold is a
-                    // submitter between its two lock holds.
-                    let admission = &self.shared.admission;
-                    if admission.lock().unwrap_or_else(|e| e.into_inner()).queue_depth() == 0 {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                continue;
+                // Only a drain or a dead core ends the wait on an empty
+                // inbox, and under the lock that found it empty: every
+                // later submitter is bounced, so nothing is left.
+                break;
             }
             self.execute(lanes);
         }
@@ -977,7 +971,7 @@ impl ServerCore {
         // Expired-in-queue requests are answered without executing: their
         // submitter stopped waiting, and running them anyway would spend
         // capacity the deadline already wrote off.
-        let released = live.len() as u64;
+        let taken = live.len() as u64;
         live.retain(|p| {
             let alive = p.deadline_ns > now;
             if !alive {
@@ -986,14 +980,7 @@ impl ServerCore {
             }
             alive
         });
-        let expired = released - live.len() as u64;
-        {
-            let mut adm = self.shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..expired {
-                adm.note_expired_in_queue();
-            }
-            adm.release(released);
-        }
+        let expired = taken - live.len() as u64;
         if expired > 0 {
             self.publish(|snap| snap.expired_in_queue += expired);
         }

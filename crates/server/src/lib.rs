@@ -18,9 +18,9 @@
 //!   appears only in the binary and every test drives a `TestClock`.
 //! * **Admission control** ([`admission`]): a bounded queue with typed
 //!   [`RejectReason`](dcart_engine::RejectReason)s and bounded retry
-//!   hints; sustained overload trips sticky latches that shed scans
-//!   first, then reads — acknowledged writes are never shed and never
-//!   lied about.
+//!   hints; a queue half full sheds scans, three quarters full reads too,
+//!   and shedding ends as it drains — writes are never shed, only refused
+//!   by a full queue, and acknowledged writes are never lied about.
 //! * **A checkable wire contract** ([`wire`]): length-prefixed,
 //!   checksummed `DCARTNET` frames with fixed-width keys (equal-length
 //!   keys are prefix-free, so a hostile client cannot trigger executor

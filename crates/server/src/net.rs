@@ -37,10 +37,10 @@ use crate::signal;
 use crate::wire::{encode_response_into, FrameReader, Response, WireError};
 
 /// Most answer bytes a connection may have waiting for its writer. Queue
-/// slots are released when a request executes, not when its answer is
-/// written, so without this a peer that keeps sending and never reads
-/// would grow the buffer without limit. Beyond it the connection is shut
-/// down and what it was owed is dropped.
+/// slots are released when the core loop takes a request into a batch,
+/// not when its answer is written, so without this a peer that keeps
+/// sending and never reads would grow the buffer without limit. Beyond it
+/// the connection is shut down and what it was owed is dropped.
 const MAX_OUTBOUND_BYTES: usize = 4 << 20;
 
 /// Most connections served at a time, two threads each; one accepted

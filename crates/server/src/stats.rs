@@ -1,7 +1,6 @@
 //! Observability: the stats snapshot served by the `stats` wire request
-//! — queue depth, shed counts, latch state, and storage traffic, so
-//! overload behavior is observable rather than inferred from latency
-//! curves.
+//! — queue depth, shed counts and storage traffic, so overload behavior
+//! is observable rather than inferred from latency curves.
 
 use dcart_mem::PersistStats;
 use serde::Serialize;
@@ -73,14 +72,10 @@ pub struct CoreSnapshot {
 pub struct ServerStats {
     /// Admission counters (accepted/rejected by reason).
     pub admission: AdmissionCounters,
-    /// Requests currently queued or in flight.
+    /// Requests admitted and not yet taken into a batch by the core loop.
     pub queue_depth: u64,
     /// Queue capacity.
     pub queue_capacity: u64,
-    /// Whether the scan-shedding latch has tripped.
-    pub scan_latch_tripped: bool,
-    /// Whether the read-shedding latch has tripped.
-    pub read_latch_tripped: bool,
     /// Whether the server is draining.
     pub draining: bool,
     /// Core-loop snapshot.

@@ -772,8 +772,9 @@ fn group_submission_decides_and_batches_like_single_submission() {
     );
     assert_eq!(single, grouped);
 
-    // 100 slots against rounds of 150: a third of every round bounces off
-    // the full queue, the latches trip, scans and then reads are shed.
+    // 100 slots against rounds of 150: as each round fills the queue,
+    // scans are shed from half full on, reads from three quarters, and
+    // what is left bounces off the full queue.
     let single = drive_rounds(&triples, 150, 100, None);
     let grouped = drive_rounds(&triples, 150, 100, Some(&sizes));
     let reasons = |d: &Driven| -> Vec<RejectReason> {
@@ -785,6 +786,47 @@ fn group_submission_decides_and_batches_like_single_submission() {
     assert!(reasons(&single).contains(&RejectReason::ShedScan), "{}", single.admission);
     assert_eq!(single.acked + single.immediate.len(), 1_024);
     assert_eq!(single, grouped, "same decisions in the same order, same batches");
+}
+
+/// Shedding ends with the overload. A flood of inserts, reads and scans
+/// against 16 slots bounces hundreds of requests — scans and reads shed on
+/// the way up, then everything off the full queue — and once the loop has
+/// drained the inbox, a read and a scan are admitted and answered again.
+#[test]
+fn once_an_overload_has_drained_reads_and_scans_are_answered_again() {
+    let mut config = mem_config(4, 1, false);
+    config.linger_ns = u64::MAX;
+    config.admission.queue_capacity = 16;
+    let shared = ServerShared::new(config.admission, Arc::new(TestClock::new()));
+    let mut core = ServerCore::open(config, Arc::clone(&shared), &[]).expect("open");
+    let (tx, rx) = mpsc::channel();
+    let kinds = [RequestKind::Insert, RequestKind::Get, RequestKind::Scan];
+    let mut rejected = 0;
+    for i in 0..600u64 {
+        let req = Request { kind: kinds[i as usize % 3], value: 4, ..insert(i) };
+        rejected += u64::from(shared.submit(req, &tx).is_some());
+    }
+    let adm = shared.stats().admission;
+    assert!(rejected >= 200, "{adm:?}");
+    assert!(adm.overloaded > 0 && adm.shed_scans > 0 && adm.shed_reads > 0, "{adm:?}");
+
+    while shared.stats().queue_depth > 0 {
+        core.flush_now();
+    }
+    let answered = rx.try_iter().count() as u64;
+    assert_eq!(answered + rejected, 600, "every admitted request answered once");
+    let get = Request { req_id: 1_000, kind: RequestKind::Get, key: 0, ..insert(0) };
+    let scan = Request { req_id: 1_001, kind: RequestKind::Scan, key: 0, value: 4, ..insert(0) };
+    for req in [get, scan] {
+        assert_eq!(shared.submit(req, &tx), None, "{:?} admitted after the overload", req.kind);
+    }
+    core.flush_now();
+    let answers: Vec<Response> = rx.try_iter().collect();
+    assert_eq!(
+        answers.iter().map(|r| (r.req_id, r.status)).collect::<Vec<_>>(),
+        [(1_000, Status::Ok), (1_001, Status::Ok)]
+    );
+    assert_eq!(answers[0].value, Some(4), "the flood's first insert was admitted and ran");
 }
 
 /// Runs the core loop on a thread of its own until drain.
@@ -888,11 +930,11 @@ fn stats_json_is_pinned_through_a_durable_flush_now_run() {
 
 /// What `stats_json_is_pinned_through_a_durable_flush_now_run` reads.
 const PINNED_STATS: [&str; 5] = [
-    r#"{"admission":{"accepted":0,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":0,"ops":0,"acked_writes":0,"answer_digest":0,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":0,"wal_batches":0,"wal_commits":0,"payload_bytes":0,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"commit_syncs":0,"commit_sync_ns_total":0,"commit_sync_ns_max":0,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
-    r#"{"admission":{"accepted":4,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":1,"ops":4,"acked_writes":4,"answer_digest":1714166583970945052,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":134,"wal_batches":1,"wal_commits":1,"payload_bytes":80,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"commit_syncs":1,"commit_sync_ns_total":1000,"commit_sync_ns_max":1000,"wal_segment_bytes":150,"checkpoint_trigger_bytes":1048576}}"#,
-    r#"{"admission":{"accepted":8,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":2,"ops":8,"acked_writes":8,"answer_digest":6156017614655345976,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":268,"wal_batches":2,"wal_commits":2,"payload_bytes":160,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"commit_syncs":2,"commit_sync_ns_total":2000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
-    r#"{"admission":{"accepted":12,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":3,"ops":11,"acked_writes":11,"answer_digest":5874708055566606147,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":383,"wal_batches":3,"wal_commits":3,"payload_bytes":221,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"commit_syncs":3,"commit_sync_ns_total":3000,"commit_sync_ns_max":1000,"wal_segment_bytes":131,"checkpoint_trigger_bytes":1048576}}"#,
-    r#"{"admission":{"accepted":16,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"scan_latch_tripped":false,"read_latch_tripped":false,"draining":false,"core":{"batches":4,"ops":15,"acked_writes":15,"answer_digest":3434730550872577615,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":517,"wal_batches":4,"wal_commits":4,"payload_bytes":301,"checkpoint_bytes":550,"checkpoints":2,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":2000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":2000,"checkpoint_job_ns_max":1000,"commit_syncs":4,"commit_sync_ns_total":4000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":0,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"draining":false,"core":{"batches":0,"ops":0,"acked_writes":0,"answer_digest":0,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":0,"wal_batches":0,"wal_commits":0,"payload_bytes":0,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"commit_syncs":0,"commit_sync_ns_total":0,"commit_sync_ns_max":0,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":4,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"draining":false,"core":{"batches":1,"ops":4,"acked_writes":4,"answer_digest":1714166583970945052,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":134,"wal_batches":1,"wal_commits":1,"payload_bytes":80,"checkpoint_bytes":0,"checkpoints":0,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":0,"checkpoint_stall_ns_max":0,"checkpoint_job_ns_total":0,"checkpoint_job_ns_max":0,"commit_syncs":1,"commit_sync_ns_total":1000,"commit_sync_ns_max":1000,"wal_segment_bytes":150,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":8,"overloaded":0,"deadline_exceeded":0,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"draining":false,"core":{"batches":2,"ops":8,"acked_writes":8,"answer_digest":6156017614655345976,"expired_in_queue":0,"replayed_batches":0,"persist":{"wal_bytes":268,"wal_batches":2,"wal_commits":2,"payload_bytes":160,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"commit_syncs":2,"commit_sync_ns_total":2000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":12,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"draining":false,"core":{"batches":3,"ops":11,"acked_writes":11,"answer_digest":5874708055566606147,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":383,"wal_batches":3,"wal_commits":3,"payload_bytes":221,"checkpoint_bytes":212,"checkpoints":1,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":1000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":1000,"checkpoint_job_ns_max":1000,"commit_syncs":3,"commit_sync_ns_total":3000,"commit_sync_ns_max":1000,"wal_segment_bytes":131,"checkpoint_trigger_bytes":1048576}}"#,
+    r#"{"admission":{"accepted":16,"overloaded":0,"deadline_exceeded":1,"shed_scans":0,"shed_reads":0,"draining":0},"queue_depth":0,"queue_capacity":1024,"draining":false,"core":{"batches":4,"ops":15,"acked_writes":15,"answer_digest":3434730550872577615,"expired_in_queue":1,"replayed_batches":0,"persist":{"wal_bytes":517,"wal_batches":4,"wal_commits":4,"payload_bytes":301,"checkpoint_bytes":550,"checkpoints":2,"torn_bytes_truncated":0,"replayed_batches":0},"checkpoint_stall_ns_total":2000,"checkpoint_stall_ns_max":1000,"checkpoint_job_ns_total":2000,"checkpoint_job_ns_max":1000,"commit_syncs":4,"commit_sync_ns_total":4000,"commit_sync_ns_max":1000,"wal_segment_bytes":16,"checkpoint_trigger_bytes":1048576}}"#,
 ];
 
 /// Submitters race a drain while `run()` runs: every request `submit`
@@ -1213,7 +1255,12 @@ mod pipelined {
     }
 
     fn stream_config(dir: &Path, checkpoint_every: u64) -> ServerConfig {
-        ServerConfig { linger_ns: u64::MAX, checkpoint_every, ..durable_config(dir, None) }
+        let mut config =
+            ServerConfig { linger_ns: u64::MAX, checkpoint_every, ..durable_config(dir, None) };
+        // `through_run` hands the whole stream over in one group: keep it
+        // below the depth at which scans are shed.
+        config.admission.queue_capacity = 4_096;
+        config
     }
 
     fn requests(triples: &[(RequestKind, u64, u64)]) -> Vec<Request> {

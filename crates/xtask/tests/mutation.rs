@@ -93,17 +93,17 @@ fn lock_order_inversion_is_caught_by_c1() {
     let path = "crates/server/src/core_loop.rs";
     let source = read_real(path);
 
-    // The production file establishes admission -> snapshot (stats()
-    // reads the depth under the admission guard, then locks the
+    // The production file establishes inbox -> snapshot (stats() reads
+    // the admission counters under the inbox guard, then locks the
     // snapshot). Appending a path that locks them in the opposite order
     // creates the classic AB/BA deadlock C1 exists to stop.
     let mutated = format!(
         "{source}\n\
          pub fn inverted_stats(&self) -> u64 {{\n\
         \x20    let snap = self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());\n\
-        \x20    let adm = self.shared.admission.lock().unwrap_or_else(|e| e.into_inner());\n\
-        \x20    let depth = adm.depth() + snap.batches;\n\
-        \x20    drop(adm);\n\
+        \x20    let inbox = self.shared.inbox.lock().unwrap_or_else(|e| e.into_inner());\n\
+        \x20    let depth = inbox.queue.len() as u64 + snap.batches;\n\
+        \x20    drop(inbox);\n\
         \x20    drop(snap);\n\
         \x20    depth\n\
          }}\n"
@@ -111,7 +111,7 @@ fn lock_order_inversion_is_caught_by_c1() {
     let diags = xtask::analyze_source(path, &mutated);
     assert!(
         diags.iter().any(|d| d.rule == "C1" && d.msg.contains("cycle")),
-        "C1 must report the admission/snapshot order cycle; got: {diags:?}"
+        "C1 must report the inbox/snapshot order cycle; got: {diags:?}"
     );
 }
 
