@@ -1477,8 +1477,8 @@ pub struct LoadReport {
 /// [`execute_all`](CttSession::execute_all) (which [`execute_ctt`] and the
 /// durability layer use): fixed-size batches, then
 /// [`finish`](CttSession::finish). A server cannot do that — its batches
-/// materialize one at a time (flushed on size or linger deadline) and vary
-/// in size — so the session exposes the loop body directly: construct once
+/// materialize one at a time (whatever queued while the last one ran) and
+/// vary in size — so the session exposes the loop body directly: construct once
 /// over the recovered tree state, call
 /// [`execute_batch`](CttSession::execute_batch) per coalesced batch, read
 /// [`entries`](CttSession::entries) /

@@ -3,12 +3,12 @@
 //! The functional layer is a pure function of `(workload, seed, config)`
 //! — xtask rule D2 bans wall-clock reads outside the bench harness and
 //! the CLI front-ends. A *server*, however, genuinely needs "now" for
-//! request deadlines and batch linger. The [`Clock`] trait is the seam
-//! that keeps both properties: library code is written against the trait,
-//! tests and the determinism suite drive a [`TestClock`] by hand, and the
-//! only implementation backed by the real clock lives in the
-//! `dcart-server` *binary* (inside the D2 whitelist), injected at the
-//! very top of `main`.
+//! request deadlines and the stall and sync timings it reports. The
+//! [`Clock`] trait is the seam that keeps both properties: library code
+//! is written against the trait, tests and the determinism suite drive a
+//! [`TestClock`] by hand, and the only implementation backed by the real
+//! clock lives in the `dcart-server` *binary* (inside the D2 whitelist),
+//! injected at the very top of `main`.
 //!
 //! This is deliberately distinct from [`crate::Clock`], the cycle/time
 //! *conversion* struct of the accelerator timing model — that one turns

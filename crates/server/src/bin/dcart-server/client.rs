@@ -113,11 +113,13 @@ impl Client {
         while self.in_flight() > 0 && self.clock.now_ns() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let unanswered = self.in_flight();
         let _ = self.stream.shutdown(Shutdown::Both);
         if let Some(r) = self.reader.take() {
             let _ = r.join();
         }
+        // Only once the reader has stopped: an answer it took after the
+        // grace period is counted once, as answered, not also as missing.
+        let unanswered = self.in_flight();
         let accum = std::mem::take(&mut *self.accum.lock().unwrap());
         (accum, unanswered)
     }

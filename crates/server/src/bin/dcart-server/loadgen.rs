@@ -96,6 +96,21 @@ impl LoadSummary {
             mean_us,
         }
     }
+
+    /// Every outcome the summary counts: answered (acknowledged, rejected
+    /// for any reason, or failed), never answered, or never sent. Equal to
+    /// `offered` when each request is counted exactly once.
+    pub fn counted(&self) -> u64 {
+        self.acked
+            + self.rejected_overloaded
+            + self.rejected_deadline
+            + self.rejected_shed_scan
+            + self.rejected_shed_read
+            + self.rejected_draining
+            + self.errors
+            + self.unanswered
+            + self.send_failures
+    }
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -151,4 +166,29 @@ pub fn run_load(
     let (accum, unanswered) = client.finish(grace);
     let summary = LoadSummary::from_accum(&accum, cfg.ops, unanswered, send_failures);
     Ok((summary, accum.acked_insert_keys))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every outcome `from_accum` carries over is counted once: 50 acked
+    /// (20 of them writes, a share and not an outcome), 15 rejected over
+    /// the five reasons, 6 errors, 7 unanswered, 8 send failures.
+    #[test]
+    fn from_accum_counts_every_offered_request_exactly_once() {
+        let acc = Accum {
+            acked: 50,
+            acked_writes: 20,
+            rejected: [1, 2, 3, 4, 5],
+            errors: 6,
+            latencies_ns: vec![1_000; 50],
+            acked_insert_keys: Vec::new(),
+        };
+        assert_eq!(LoadSummary::from_accum(&acc, 86, 7, 8).counted(), 86);
+        for offered in [85, 87] {
+            let summary = LoadSummary::from_accum(&acc, offered, 7, 8);
+            assert_ne!(summary.counted(), summary.offered, "one counted twice, or not at all");
+        }
+    }
 }

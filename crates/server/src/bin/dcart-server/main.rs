@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! dcart-server serve  --addr HOST:PORT [--data-dir DIR] [--sou-threads N]
-//!                     [--steal] [--batch-size N] [--linger-us N]
-//!                     [--checkpoint-every N] [--queue-capacity N]
+//!                     [--steal] [--batch-size N] [--checkpoint-every N]
+//!                     [--queue-capacity N]
 //! dcart-server load   --addr HOST:PORT [--qps N] [--ops N] [--seed S]
 //!                     [--insert-pct P] [--remove-pct P] [--scan-pct P]
 //!                     [--budget-us N] [--acked-log FILE]
@@ -48,9 +48,9 @@ fn print_usage() {
     eprintln!(
         "usage: dcart-server <serve|load|verify-acked> [options]\n\
          serve        --addr HOST:PORT [--data-dir DIR] [--sou-threads N] [--steal]\n\
-         \x20            [--batch-size N] [--linger-us N] [--checkpoint-every N]\n\
-         \x20            [--queue-capacity N]\n\
+         \x20            [--batch-size N] [--checkpoint-every N] [--queue-capacity N]\n\
          \x20            (--steal: SOU pool workers claim shards heaviest first)\n\
+         \x20            (--batch-size: the most queued requests one batch takes)\n\
          \x20            (--checkpoint-every: at most N batches between checkpoints;\n\
          \x20             by default one follows once the WAL holds as many bytes\n\
          \x20             as the last checkpoint, 1 MiB at least)\n\
@@ -153,7 +153,6 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         config.threads = flags.parse_positive("--sou-threads", 1)? as usize;
         config.steal = flags.has("--steal");
         config.batch_size = flags.parse_positive("--batch-size", 64)? as usize;
-        config.linger_ns = flags.parse_us_as_ns("--linger-us", 2_000)?;
         config.checkpoint_every = flags.parse_positive("--checkpoint-every", u64::MAX)?;
         config.admission.queue_capacity = flags.parse_positive("--queue-capacity", 1_024)?;
         config.data_dir = flags.value_of("--data-dir").map(PathBuf::from);
@@ -234,8 +233,16 @@ fn cmd_load(flags: &Flags) -> ExitCode {
         Ok(json) => println!("{json}"),
         Err(e) => eprintln!("dcart-server: summary serialize: {e}"),
     }
-    // A dead/killed server mid-load is an expected outcome for the chaos
-    // smoke: the summary still prints; exit reflects only local failures.
+    // Every request offered is counted exactly once, whatever became of
+    // it: a server killed mid-load leaves requests unanswered, not
+    // uncounted. Exit reflects only that and local failures.
+    let (offered, counted) = (summary.offered, summary.counted());
+    if counted != offered {
+        eprintln!(
+            "dcart-server: load's account does not balance: {offered} offered, {counted} counted"
+        );
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }
 

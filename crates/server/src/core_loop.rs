@@ -5,27 +5,27 @@
 //! the serving layer meets it, and the path into and out of the loop pays
 //! its fixed costs per group too. A connection thread hands over every
 //! request one `read` brought in through [`ServerShared::submit_group`]:
-//! one clock reading, one hold of the inbox lock while [`Admission::admit`]
-//! runs per request in arrival order and the admitted ones are appended,
-//! and a wake-up only when the loop is asleep and the append changes what
-//! it would do (the inbox was empty, or it crossed the watermark).
-//! [`ServerShared::submit`] is the group of one. The [`Admission`] state
-//! lives under the inbox lock, and the loop releases the slots of the
-//! batch it takes under the hold that takes it, so the queue depth is the
-//! inbox's length. The only nesting in the crate is
-//! [`ServerShared::stats`]' inbox → snapshot. A submitter looks for a dead
-//! core and a drain under the inbox lock, so once the loop has seen either
-//! and found the inbox empty under that lock, nothing is left to answer.
+//! one clock reading (for the deadlines), one hold of the inbox lock while
+//! [`Admission::admit`] runs per request in arrival order and the admitted
+//! ones are appended, and a wake-up only when the append is to an empty
+//! inbox the loop sleeps on. [`ServerShared::submit`] is the group of one.
+//! The [`Admission`] state lives under the inbox lock, and the loop
+//! releases the slots of the batch it takes under the hold that takes it,
+//! so the queue depth is the inbox's length. The only nesting in the crate
+//! is [`ServerShared::stats`]' inbox → snapshot. A submitter looks for a
+//! dead core and a drain under the inbox lock, so once the loop has seen
+//! either and found the inbox empty under that lock, nothing is left to
+//! answer.
 //!
-//! The core sleeps on the inbox condvar until that wake-up — or, with
-//! requests queued below the watermark, until the oldest has lingered
-//! [`ServerConfig::linger_ns`] — never longer than the 25 ms `POLL`, so
-//! flags stored without the lock are still seen. It drains the inbox into
-//! a batch when either the batch-size watermark or the max-linger deadline
-//! is reached, then runs the batch through the resumable executor seam
-//! ([`CttSession`]) and, with a data directory, through the durable log
-//! ([`DurableLog`], the one implementation of the WAL/checkpoint protocol
-//! the offline executor drives too):
+//! Batches form by load, not by a clock: as soon as the loop is free it
+//! takes everything queued, up to the batch-size watermark, so a batch is
+//! what arrived while the last one ran — one request under light load, a
+//! full watermark under heavy load. The loop sleeps only on an empty
+//! inbox, and never longer than the 25 ms `POLL`, so flags stored without
+//! the lock are still seen. It runs each batch through the resumable
+//! executor seam ([`CttSession`]) and, with a data directory, through the
+//! durable log ([`DurableLog`], the one implementation of the
+//! WAL/checkpoint protocol the offline executor drives too):
 //!
 //! 1. append the batch record to the WAL ([`DurableLog::append`]);
 //! 2. execute the batch (collecting each op's concrete answer);
@@ -142,12 +142,9 @@ pub struct ServerConfig {
     /// Whether the shard pool's workers claim a batch's shards heaviest
     /// first (see [`ExecOpts::steal`]).
     pub steal: bool,
-    /// Flush watermark: a batch executes as soon as this many requests
-    /// are queued. Also the nominal batch size seeding the split policy.
+    /// Watermark: the most requests one batch takes from the inbox. Also
+    /// the nominal batch size seeding the split policy.
     pub batch_size: usize,
-    /// Max linger: a non-empty inbox flushes after this long even below
-    /// the watermark, bounding the queueing delay a request can accrue.
-    pub linger_ns: u64,
     /// Durability directory; `None` serves from memory only (acks then
     /// mean "executed", not "durable"). With one, a batch is acknowledged
     /// only once an fsync covers its commit mark.
@@ -170,7 +167,6 @@ impl Default for ServerConfig {
             threads: 1,
             steal: false,
             batch_size: 64,
-            linger_ns: 2_000_000, // 2 ms
             data_dir: None,
             checkpoint_every: u64::MAX,
             admission: AdmissionConfig::default(),
@@ -204,29 +200,23 @@ impl Reply {
 }
 
 /// An admitted request waiting in the inbox.
-pub struct PendingReq {
-    /// The decoded request.
-    pub req: Request,
-    /// When the request was admitted — the linger clock starts here. One
-    /// reading of the clock stamps every request of a group.
-    pub arrival_ns: u64,
+struct PendingReq {
+    req: Request,
     /// Absolute deadline (clock origin), already clamped by admission.
-    pub deadline_ns: u64,
+    deadline_ns: u64,
     /// Where the answer goes.
-    pub resp: Reply,
+    resp: Reply,
 }
 
 /// The admitted requests in arrival order, the admission state that
-/// decides what enters, and what the core loop asks of whoever appends.
+/// decides what enters, and whether the core loop waits for an append.
 struct Inbox {
     queue: VecDeque<PendingReq>,
     /// Its depth is `queue`'s length: a slot is taken where a request is
     /// appended and released where the loop takes it.
     admission: Admission,
-    /// The queue length the sleeping loop wants to be woken at: 1 while it
-    /// sleeps on an empty inbox, the flush watermark while it sleeps out
-    /// the linger of a short one, `usize::MAX` while it is not asleep.
-    wake_at: usize,
+    /// The loop sleeps on the empty inbox and no append has woken it yet.
+    asleep: bool,
 }
 
 /// State shared between connection threads and the core loop.
@@ -246,7 +236,7 @@ impl ServerShared {
             inbox: Mutex::new(Inbox {
                 queue: VecDeque::new(),
                 admission: Admission::new(admission),
-                wake_at: usize::MAX,
+                asleep: false,
             }),
             cond: Condvar::new(),
             snapshot: Mutex::new(CoreSnapshot::default()),
@@ -326,23 +316,23 @@ impl ServerShared {
                 immediate.extend(ops.iter().map(|req| Response::error(req.req_id)));
                 return;
             }
-            let Inbox { queue, admission, wake_at } = &mut *inbox;
-            let before = queue.len();
+            let Inbox { queue, admission, asleep } = &mut *inbox;
             for req in ops {
                 let deadline_ns = now.saturating_add(admission.effective_budget_ns(req.budget_ns));
                 match admission.admit(req.kind, now, deadline_ns) {
-                    Ok(()) => queue.push_back(PendingReq {
-                        req: *req,
-                        arrival_ns: now,
-                        deadline_ns,
-                        resp: reply(),
-                    }),
+                    Ok(()) => queue.push_back(PendingReq { req: *req, deadline_ns, resp: reply() }),
                     Err((reason, retry)) => {
                         immediate.push(Response::rejected(req.req_id, reason, retry));
                     }
                 }
             }
-            before < *wake_at && queue.len() >= *wake_at
+            // The loop sleeps only on an empty inbox: one wake-up for the
+            // first append, none for those that follow before it runs.
+            let wake = *asleep && !queue.is_empty();
+            if wake {
+                *asleep = false;
+            }
+            wake
         };
         if wake {
             self.cond.notify_one();
@@ -881,34 +871,16 @@ impl ServerCore {
             {
                 let shared = &self.shared;
                 let mut inbox = shared.inbox.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    // Dead servers still drain the inbox below so every
-                    // queued submitter gets an error, then stop; a drain
-                    // flushes whatever is queued without waiting for more.
-                    if shared.is_dead() || shared.is_shutdown() || inbox.queue.len() >= watermark {
-                        break;
-                    }
-                    // Sleep until something can change the decision: an
-                    // arrival while the inbox is empty, else the watermark
-                    // or the moment the oldest request has waited
-                    // `linger_ns` since admission (regardless of its
-                    // possibly much longer deadline budget). A `TestClock`
-                    // that stands still keeps the loop here; tests move it,
-                    // reach the watermark, or call `flush_now`.
-                    let mut wait = POLL;
-                    if let Some(oldest) = inbox.queue.front() {
-                        let due = oldest.arrival_ns.saturating_add(self.config.linger_ns);
-                        let now = shared.now_ns();
-                        if now >= due {
-                            break;
-                        }
-                        wait = wait.min(Duration::from_nanos(due - now));
-                    }
-                    inbox.wake_at = if inbox.queue.is_empty() { 1 } else { watermark };
+                // Take what is queued at once; sleep only on an empty
+                // inbox, until an append wakes the loop. A dead core still
+                // drains the inbox below, so every queued submitter gets
+                // an error, and then stops, as a drain does.
+                while inbox.queue.is_empty() && !shared.is_dead() && !shared.is_shutdown() {
+                    inbox.asleep = true;
                     let (guard, _) =
-                        shared.cond.wait_timeout(inbox, wait).unwrap_or_else(|e| e.into_inner());
+                        shared.cond.wait_timeout(inbox, POLL).unwrap_or_else(|e| e.into_inner());
                     inbox = guard;
-                    inbox.wake_at = usize::MAX;
+                    inbox.asleep = false;
                 }
                 take_batch(&mut inbox, watermark, &mut self.scratch.handed.live);
             }

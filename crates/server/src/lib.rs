@@ -7,7 +7,8 @@
 //!
 //! * **Coalescing** ([`core_loop`]): a thread-per-connection front end
 //!   ([`net`]) feeds one core loop that drains an inbox into CTT batches
-//!   (flush on batch-size watermark or max-linger), executes them on the
+//!   (whatever queued while the last batch ran, up to the batch-size
+//!   watermark; the loop never waits to fill one), executes them on the
 //!   existing bucket-sharded pool through the resumable
 //!   [`CttSession`](dcart::CttSession) seam, and makes every batch
 //!   durable through the PR-4 WAL *before* acknowledging — an acked
@@ -47,7 +48,7 @@ pub mod stats;
 pub mod wire;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionCounters};
-pub use core_loop::{FileSync, PendingReq, Reply, ServerConfig, ServerCore, ServerShared};
+pub use core_loop::{FileSync, Reply, ServerConfig, ServerCore, ServerShared};
 pub use net::{serve, serve_seeded, CoreReport, ServeHandle};
 pub use stats::{CoreSnapshot, ServerStats};
 pub use wire::{
