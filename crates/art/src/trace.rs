@@ -61,12 +61,6 @@ pub trait Tracer {
         let _ = node;
     }
 
-    /// `node` changed adaptive layout (e.g. N4 → N16), which additionally
-    /// requires locking its parent under ROWEX and invalidates shortcuts.
-    fn node_type_change(&mut self, node: NodeId, from: NodeType, to: NodeType) {
-        let _ = (node, from, to);
-    }
-
     /// The operation resolved to `target` (the leaf it read/wrote, or the
     /// inner node that gained a child) with the given parent.
     fn target(&mut self, target: NodeId, parent: Option<NodeId>) {
@@ -113,10 +107,6 @@ impl Tracer for RecordingTracer {
         self.trace.locks.push(node);
     }
 
-    fn node_type_change(&mut self, node: NodeId, from: NodeType, to: NodeType) {
-        self.trace.type_changes.push((node, from, to));
-    }
-
     fn target(&mut self, target: NodeId, parent: Option<NodeId>) {
         self.trace.target = Some(target);
         self.trace.parent = parent;
@@ -132,8 +122,6 @@ pub struct OpTrace {
     pub partial_key_matches: u64,
     /// Nodes a lock-based implementation would write-lock.
     pub locks: Vec<NodeId>,
-    /// Adaptive-layout transitions triggered by the operation.
-    pub type_changes: Vec<(NodeId, NodeType, NodeType)>,
     /// Resolved target node.
     pub target: Option<NodeId>,
     /// Parent of the target node.
@@ -146,7 +134,6 @@ impl OpTrace {
         self.visits.clear();
         self.partial_key_matches = 0;
         self.locks.clear();
-        self.type_changes.clear();
         self.target = None;
         self.parent = None;
     }

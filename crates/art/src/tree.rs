@@ -558,11 +558,8 @@ impl<V> Art<V> {
                     let edge = bytes[depth + prefix_len];
                     let new_leaf = self.arena.alloc(Node::Leaf { key, value });
                     let inner = self.arena.get_mut(cur).expect_inner_mut();
-                    let before = inner.children.node_type();
                     if inner.children.is_full() {
                         inner.children.grow();
-                        let after = inner.children.node_type();
-                        tracer.node_type_change(cur, before, after);
                         // ROWEX: a type change additionally locks the parent.
                         if let Some((p, _)) = parent_edge {
                             tracer.lock(p);
@@ -670,10 +667,8 @@ impl<V> Art<V> {
             return;
         }
         let inner = self.arena.get_mut(node).expect_inner_mut();
-        let before = inner.children.node_type();
         if inner.children.shrink() {
-            let after = inner.children.node_type();
-            tracer.node_type_change(node, before, after);
+            // ROWEX: a type change additionally locks the parent.
             if let Some((p, _)) = parent_edge {
                 tracer.lock(p);
             }

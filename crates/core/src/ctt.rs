@@ -333,15 +333,6 @@ pub trait CttConsumer {
     fn batch_end(&mut self, index: usize) {
         let _ = index;
     }
-
-    /// Whether execution should stop before combining the next batch
-    /// (polled once per batch, after [`batch_end`](CttConsumer::batch_end)).
-    /// A durability consumer whose log died (injected crash, I/O failure)
-    /// returns `true` here so the executor does not run batches it can no
-    /// longer make durable.
-    fn abort(&mut self) -> bool {
-        false
-    }
 }
 
 /// Aggregate statistics of a CTT execution.
@@ -1726,10 +1717,7 @@ impl CttSession {
     }
 
     /// Executes `ops` in consecutive chunks of the nominal batch size, then
-    /// [`finish`](CttSession::finish)es. Stops early, after the batch whose
-    /// [`CttConsumer::abort`] said so — a durability consumer whose log
-    /// died must not run batches it can no longer make durable; everything
-    /// up to and including that batch is in the result.
+    /// [`finish`](CttSession::finish)es.
     ///
     /// # Errors
     ///
@@ -1742,9 +1730,6 @@ impl CttSession {
     ) -> Result<(Art<u64>, CttStats, LoadReport), DcartError> {
         for batch in ops.chunks(self.batch_size) {
             self.execute_batch(batch, consumer)?;
-            if consumer.abort() {
-                break;
-            }
         }
         self.finish()
     }

@@ -112,15 +112,14 @@ pub struct DurabilityConfig {
 /// What a durable run (or its simulated death) left behind.
 #[derive(Debug)]
 pub struct DurableOutcome {
-    /// Final tree; `None` when the planned crash fired (the simulated
-    /// process is dead — its in-memory state is gone by definition, and
-    /// only [`recover`]/[`run_durable`] over the directory get it back).
-    pub tree: Option<Art<u64>>,
     /// Cumulative answer digest over every batch this run committed. On a
     /// crash-free run this equals the uninterrupted executor's
     /// `CttStats::answer_digest` for the same workload.
     pub answer_digest: u64,
-    /// Digest of the final tree contents (0 when the run crashed).
+    /// Digest of the final tree contents; 0 when the planned crash fired
+    /// (the simulated process is dead — its in-memory state is gone by
+    /// definition, and only [`recover`]/[`run_durable`] over the directory
+    /// get it back).
     pub tree_digest: u64,
     /// Batches durably committed by this invocation.
     pub batches_committed: u64,
@@ -890,13 +889,14 @@ pub fn run_durable(
     let opened_at = log.next_seq;
     let ran = drive(&mut log, &mut session, absorb, ops, batch_size, dur.checkpoint_every, crash);
     let crashed = ran.err().map(|e| e.injected_crash().ok_or(e)).transpose()?;
-    let (answer_digest, tree) = match crashed {
-        Some(_) => (0, None),
-        None => (session.answer_digest(), Some(session.finish()?.0)),
+    // `finish` merges the shards, which checks the global prefix-free
+    // invariant.
+    let (answer_digest, tree_digest) = match crashed {
+        Some(_) => (0, 0),
+        None => (session.answer_digest(), tree_digest(&session.finish()?.0)),
     };
     Ok(DurableOutcome {
-        tree_digest: tree.as_ref().map_or(0, tree_digest),
-        tree,
+        tree_digest,
         answer_digest,
         batches_committed: log.next_seq - opened_at,
         crashed,

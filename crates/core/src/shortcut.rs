@@ -182,16 +182,6 @@ impl ShortcutTable {
         Self::default()
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The accumulated statistics.
     pub fn stats(&self) -> ShortcutStats {
         self.stats
@@ -376,7 +366,7 @@ mod tests {
         art.remove(&key);
         assert_eq!(table.probe(key_id(&key), &key, &art), None, "stale shortcut must miss");
         assert_eq!(table.stats().stale_invalidations, 1);
-        assert!(table.is_empty());
+        assert!(table.len == 0);
     }
 
     #[test]
@@ -469,7 +459,7 @@ mod tests {
     fn assert_all_reachable(table: &ShortcutTable) {
         let live: Vec<(usize, &Slot)> =
             table.slots.iter().enumerate().filter_map(|(at, s)| Some((at, s.as_ref()?))).collect();
-        assert_eq!(live.len(), table.len());
+        assert_eq!(live.len(), table.len);
         for (at, slot) in live {
             let found = table.find(key_id(&slot.key), &slot.key).map(|(found_at, _)| found_at);
             assert_eq!(found, Some(at), "{:?} is cut off from its home slot", slot.key);
@@ -496,7 +486,7 @@ mod tests {
         // across the wrap, including the key homed at 0.
         table.invalidate(key_id(&keys[0]), &keys[0]);
         assert_eq!(occupied(&table), vec![0, 1, last]);
-        assert_eq!(table.len(), 3);
+        assert_eq!(table.len, 3);
         assert_eq!(table.peek(key_id(&keys[0]), &keys[0]), None);
         for (i, key) in keys.iter().enumerate().skip(1) {
             assert_eq!(table.peek(key_id(key), key), Some(NodeId::from_index(i as u32)));
@@ -520,9 +510,9 @@ mod tests {
             let key = Key::from_u64(i);
             table.generate(key_id(&key), key, NodeId::from_index(i as u32), None);
             assert!(table.slots.len().is_power_of_two());
-            assert!(table.len() * 4 <= table.slots.len() * 3, "load factor above 3/4");
+            assert!(table.len * 4 <= table.slots.len() * 3, "load factor above 3/4");
         }
-        assert_eq!(table.len(), 1000);
+        assert_eq!(table.len, 1000);
         assert_eq!(table.stats().generated, 1000);
         assert_all_reachable(&table);
         // Interleaved removals keep every survivor reachable.
@@ -552,7 +542,7 @@ mod tests {
         assert_eq!(table.peek(key_id(&key), &key), Some(leaf));
         assert_eq!(table.peek(key_id(&Key::from_u64(51)), &Key::from_u64(51)), None);
         assert_eq!(table.stats(), before);
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.len, 1);
         assert_eq!(table.probe(key_id(&key), &key, &art), None, "the poison is still in place");
     }
 
@@ -612,6 +602,6 @@ mod tests {
         table.generate(key_id(&key), key.clone(), leaf, parent);
         assert_eq!(table.stats().generated, 1);
         assert_eq!(table.stats().updated, 1);
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.len, 1);
     }
 }

@@ -199,8 +199,6 @@ proptest! {
                     prop_assert_eq!(table.probe(key_id(&key), &key, &art), want);
                 }
             }
-            prop_assert_eq!(table.len(), model.len());
-            prop_assert_eq!(table.is_empty(), model.is_empty());
             prop_assert_eq!(table.stats(), expect);
         }
 

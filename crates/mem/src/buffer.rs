@@ -170,11 +170,6 @@ impl ObjectBuffer {
         self.stats.evictions += 1;
     }
 
-    /// Returns `true` if the object is currently resident.
-    pub fn contains(&self, id: u64) -> bool {
-        self.entries.contains_key(&id)
-    }
-
     /// Bytes currently occupied.
     // dcart_lint::allow(U1) -- occupancy probe the property tests bound against capacity
     pub fn used_bytes(&self) -> u64 {
@@ -212,8 +207,8 @@ mod tests {
         assert_eq!(buf.request(3, 100, 0), BufferOutcome::MissFilled);
         assert_eq!(buf.request(1, 100, 0), BufferOutcome::Hit); // refresh 1
         assert_eq!(buf.request(4, 100, 0), BufferOutcome::MissFilled); // evicts 2
-        assert!(buf.contains(1));
-        assert!(!buf.contains(2));
+        assert!(buf.entries.contains_key(&1));
+        assert!(!buf.entries.contains_key(&2));
         assert_eq!(buf.stats().evictions, 1);
     }
 
@@ -224,9 +219,9 @@ mod tests {
         buf.request(2, 100, 0);
         buf.request(1, 100, 0); // hit, but FIFO does not refresh
         buf.request(3, 100, 0); // evicts 1 (oldest insertion)
-        assert!(!buf.contains(1));
-        assert!(buf.contains(2));
-        assert!(buf.contains(3));
+        assert!(!buf.entries.contains_key(&1));
+        assert!(buf.entries.contains_key(&2));
+        assert!(buf.entries.contains_key(&3));
     }
 
     #[test]
@@ -236,11 +231,11 @@ mod tests {
         assert_eq!(buf.request(2, 100, 40), BufferOutcome::MissFilled);
         // Value 30 < lowest resident (40): bypassed, nothing evicted.
         assert_eq!(buf.request(3, 100, 30), BufferOutcome::MissBypassed);
-        assert!(buf.contains(1) && buf.contains(2));
+        assert!(buf.entries.contains_key(&1) && buf.entries.contains_key(&2));
         // Value 60 > lowest resident (40): evicts object 2.
         assert_eq!(buf.request(4, 100, 60), BufferOutcome::MissFilled);
-        assert!(!buf.contains(2));
-        assert!(buf.contains(1) && buf.contains(4));
+        assert!(!buf.entries.contains_key(&2));
+        assert!(buf.entries.contains_key(&1) && buf.entries.contains_key(&4));
         assert_eq!(buf.stats().bypasses, 1);
         assert_eq!(buf.stats().evictions, 1);
     }
@@ -251,7 +246,7 @@ mod tests {
         buf.request(1, 100, 10);
         // Equal value must not thrash (strictly-greater admission).
         assert_eq!(buf.request(2, 100, 10), BufferOutcome::MissBypassed);
-        assert!(buf.contains(1));
+        assert!(buf.entries.contains_key(&1));
     }
 
     #[test]
@@ -268,7 +263,7 @@ mod tests {
         buf.request(2, 100, 20);
         assert_eq!(buf.storm(), 2);
         assert_eq!(buf.used_bytes(), 0);
-        assert!(!buf.contains(1) && !buf.contains(2));
+        assert!(!buf.entries.contains_key(&1) && !buf.entries.contains_key(&2));
         assert_eq!(buf.stats().evictions, 2);
         // The buffer keeps working after the storm.
         assert_eq!(buf.request(1, 100, 10), BufferOutcome::MissFilled);

@@ -5,8 +5,6 @@
 //! this cache yields the hit/miss behaviour behind the paper's Fig. 2(c)
 //! observation (fragmented accesses waste most of each 64-byte line).
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a single cache access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Access {
@@ -14,19 +12,6 @@ pub enum Access {
     Hit,
     /// The line was fetched from the next level (and possibly evicted one).
     Miss,
-}
-
-/// Hit/miss counters for a cache instance.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Total line accesses.
-    pub accesses: u64,
-    /// Accesses that found the line resident.
-    pub hits: u64,
-    /// Accesses that missed.
-    pub misses: u64,
-    /// Misses that displaced a resident line.
-    pub evictions: u64,
 }
 
 /// A set-associative cache over 64-byte lines with per-set LRU replacement.
@@ -51,7 +36,6 @@ pub struct SetAssocCache {
     /// LRU timestamps, parallel to `tags`.
     stamps: Vec<u64>,
     tick: u64,
-    stats: CacheStats,
 }
 
 /// Cache line size in bytes, fixed at 64 as in the paper's analysis.
@@ -72,14 +56,7 @@ impl SetAssocCache {
             "capacity must be a positive multiple of ways * 64 bytes"
         );
         let sets = lines / ways;
-        SetAssocCache {
-            sets,
-            ways,
-            tags: vec![None; lines],
-            stamps: vec![0; lines],
-            tick: 0,
-            stats: CacheStats::default(),
-        }
+        SetAssocCache { sets, ways, tags: vec![None; lines], stamps: vec![0; lines], tick: 0 }
     }
 
     /// Accesses the line containing byte address `addr`.
@@ -88,20 +65,16 @@ impl SetAssocCache {
         let set = (line % self.sets as u64) as usize;
         let tag = line / self.sets as u64;
         self.tick += 1;
-        self.stats.accesses += 1;
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
         if let Some(way) = slots.iter().position(|t| *t == Some(tag)) {
-            self.stats.hits += 1;
             self.stamps[base + way] = self.tick;
             return Access::Hit;
         }
-        self.stats.misses += 1;
         // Fill an invalid way, or evict the LRU way.
         let way = match slots.iter().position(Option::is_none) {
             Some(way) => way,
             None => {
-                self.stats.evictions += 1;
                 let (way, _) = self.stamps[base..base + self.ways]
                     .iter()
                     .enumerate()
@@ -113,11 +86,6 @@ impl SetAssocCache {
         self.tags[base + way] = Some(tag);
         self.stamps[base + way] = self.tick;
         Access::Miss
-    }
-
-    /// The accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -131,8 +99,7 @@ mod tests {
         assert_eq!(c.access(0), Access::Miss);
         assert_eq!(c.access(8), Access::Hit, "same line");
         assert_eq!(c.access(64), Access::Miss, "next line");
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 2);
+        assert_eq!(c.access(72), Access::Hit, "both lines stay resident");
     }
 
     #[test]
@@ -145,7 +112,7 @@ mod tests {
         assert_eq!(c.access(128), Access::Miss); // C evicts B (LRU)
         assert_eq!(c.access(0), Access::Hit, "A survived");
         assert_eq!(c.access(64), Access::Miss, "B was evicted");
-        assert_eq!(c.stats().evictions, 2);
+        assert_eq!(c.access(128), Access::Miss, "B's refill evicted C");
     }
 
     #[test]

@@ -24,7 +24,7 @@ mod energy;
 mod persist;
 
 pub use buffer::{BufferOutcome, BufferPolicy, BufferStats, ObjectBuffer};
-pub use cache::{Access, CacheStats, SetAssocCache, LINE_BYTES};
+pub use cache::{Access, SetAssocCache, LINE_BYTES};
 pub use dram::MemoryConfig;
 pub use energy::EnergyModel;
 pub use persist::PersistStats;

@@ -61,31 +61,34 @@ proptest! {
         capacity in 200u64..1000,
     ) {
         let mut buf = ObjectBuffer::new(capacity, BufferPolicy::ValueAware);
+        // The resident objects, all of 50 bytes, by id: a full buffer makes
+        // room by evicting exactly one, the least valuable by `(value, id)`.
         let mut values: HashMap<u64, u64> = HashMap::new();
         for (id, value) in requests {
-            let before_min = values.values().copied().min();
+            let least = values.iter().map(|(&id, &v)| (v, id)).min();
+            let full = (values.len() as u64 + 1) * 50 > capacity;
             let outcome = buf.request(id, 50, value);
+            prop_assert_eq!(outcome == BufferOutcome::Hit, values.contains_key(&id));
             match outcome {
-                BufferOutcome::Hit => {
-                    prop_assert!(values.contains_key(&id));
-                }
+                BufferOutcome::Hit => {}
                 BufferOutcome::MissFilled => {
+                    if full {
+                        let (min, victim) = least.expect("a full buffer holds objects");
+                        prop_assert!(min < value, "evicted {min} for {value}");
+                        values.remove(&victim);
+                    }
                     values.insert(id, value);
                 }
                 BufferOutcome::MissBypassed => {
                     // Bypass only happens when the buffer is full of
                     // at-least-as-valuable objects.
-                    if let Some(min) = before_min {
-                        prop_assert!(
-                            buf.used_bytes() + 50 > capacity,
-                            "bypass with free space"
-                        );
+                    prop_assert!(full, "bypass with free space");
+                    if let Some((min, _)) = least {
                         prop_assert!(min >= value, "evictable min {min} vs {value}");
                     }
                 }
             }
-            // Mirror evictions back into the model.
-            values.retain(|&k, _| buf.contains(k));
+            prop_assert_eq!(buf.used_bytes(), values.len() as u64 * 50);
             prop_assert!(buf.used_bytes() <= capacity);
         }
     }
@@ -102,16 +105,31 @@ proptest! {
         }
     }
 
-    /// Cache stats always balance: hits + misses = accesses.
+    /// The cache answers every access as a reference per-set LRU does:
+    /// each set a recency-ordered list of at most `ways` lines.
     #[test]
-    fn cache_stats_balance(addrs in proptest::collection::vec(0u64..1 << 20, 1..500)) {
-        let mut c = SetAssocCache::new(4 * 1024, 4);
-        for addr in &addrs {
-            c.access(*addr);
+    fn cache_matches_reference_lru(addrs in proptest::collection::vec(0u64..1 << 13, 1..500)) {
+        let (capacity, ways) = (4 * 1024, 4);
+        let sets = capacity / 64 / ways;
+        let mut c = SetAssocCache::new(capacity, ways);
+        let mut reference = vec![Vec::new(); sets];
+        for addr in addrs {
+            let line = addr / 64;
+            let set: &mut Vec<u64> = &mut reference[(line % sets as u64) as usize];
+            let want = match set.iter().position(|&l| l == line) {
+                Some(pos) => {
+                    set.remove(pos);
+                    Access::Hit
+                }
+                None => {
+                    if set.len() == ways {
+                        set.remove(0);
+                    }
+                    Access::Miss
+                }
+            };
+            set.push(line);
+            prop_assert_eq!(c.access(addr), want);
         }
-        let s = c.stats();
-        prop_assert_eq!(s.hits + s.misses, s.accesses);
-        prop_assert_eq!(s.accesses, addrs.len() as u64);
-        prop_assert!(s.evictions <= s.misses);
     }
 }

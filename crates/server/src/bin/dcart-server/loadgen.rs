@@ -27,7 +27,9 @@ pub struct LoadConfig {
     pub insert_pct: u8,
     pub remove_pct: u8,
     pub scan_pct: u8,
-    /// Key space: keys are drawn uniformly from `[0, keys)`.
+    /// Key space: `keys` distinct keys, each the `splitmix64` image of a
+    /// rank drawn uniformly from `[0, keys)`, so they spread over every
+    /// leading byte (and every combining bucket) however few there are.
     pub keys: u64,
     /// Per-request deadline budget (0 = server default).
     pub budget_ns: u64,
@@ -124,7 +126,7 @@ fn splitmix64(x: u64) -> u64 {
 /// function of the config.
 fn op_at(cfg: &LoadConfig, i: u64) -> (RequestKind, u64, u64) {
     let mix = splitmix64(cfg.seed ^ 0x006f_706d_6978 ^ i) % 100;
-    let key = splitmix64(cfg.seed ^ 0x006b_6579 ^ i) % cfg.keys.max(1);
+    let key = splitmix64(splitmix64(cfg.seed ^ 0x006b_6579 ^ i) % cfg.keys.max(1));
     let insert_hi = cfg.insert_pct as u64;
     let remove_hi = insert_hi + cfg.remove_pct as u64;
     let scan_hi = remove_hi + cfg.scan_pct as u64;
@@ -171,6 +173,18 @@ pub fn run_load(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default load's first 1 000 keys land in all 16 of the default
+    /// config's combining buckets, which split on the key's first byte.
+    #[test]
+    fn default_keys_cover_every_combining_bucket() {
+        let cfg = LoadConfig::default();
+        let mut buckets = [false; 16];
+        for i in 0..1_000 {
+            buckets[((op_at(&cfg, i).1 >> 56) % 16) as usize] = true;
+        }
+        assert_eq!(buckets, [true; 16]);
+    }
 
     /// Every outcome `from_accum` carries over is counted once: 50 acked
     /// (20 of them writes, a share and not an outcome), 15 rejected over

@@ -29,27 +29,28 @@
 //!
 //! 1. append the batch record to the WAL ([`DurableLog::append`]);
 //! 2. execute the batch (collecting each op's concrete answer);
-//! 3. append the commit mark ([`DurableLog::commit`]), and **sync** it —
-//!    the durability point is an fsync that *began after* the mark was
-//!    fully written;
-//! 4. only then send acknowledgements — each answer goes to its
-//!    [`Reply`]: encoded straight into the owning connection's outbound
-//!    buffer, whose writer is woken once per batch, or sent on an
-//!    in-process channel.
+//! 3. append the commit mark ([`DurableLog::commit`]), unsynced;
+//! 4. only then, once an fsync that *began after* the mark was fully
+//!    written has returned — the durability point — send
+//!    acknowledgements: each answer goes to its [`Reply`], encoded
+//!    straight into the owning connection's outbound buffer, whose writer
+//!    is woken once per batch, or sent on an in-process channel.
 //!
-//! Who issues the sync of step 3 depends on who drives the loop.
-//! [`ServerCore::run`] on a durable core is **pipelined** (DESIGN.md,
-//! *Commit pipeline*): the loop writes the mark without syncing and hands
-//! the batch to a *committer* thread, which takes everything queued, syncs
-//! once on a second handle to the segment, and answers what it took, in
-//! order — so no sync that began before a mark acknowledges it, and one
-//! sync releases every mark written while the previous one ran. At most
-//! `MAX_UNSYNCED_BATCHES` wait; a failed sync is final (never retried,
-//! everything after it answered `Error`, the core dead); a rotation and
-//! the end of `run` wait for the committer to go idle.
+//! Step 4 is one function, the *committer's round* (DESIGN.md, *Commit
+//! pipeline*): take the batches whose marks are written, sync once on a
+//! second handle to the segment, answer what was taken, in order. Only
+//! where it runs depends on who drives the loop. [`ServerCore::run`] on a
+//! durable core hands each batch to a *committer* thread, which takes
+//! everything queued per round — so no sync that began before a mark
+//! acknowledges it, and one sync releases every mark written while the
+//! previous one ran; at most `MAX_UNSYNCED_BATCHES` wait, and a rotation
+//! and the end of `run` wait for the committer to go idle.
 //! [`ServerCore::flush_now`] — the loop as a deterministic step function
-//! — and a core without a data directory answer **inline**, through the
-//! same function and with the same WAL bytes.
+//! — and a core without a data directory run the round on the loop's own
+//! thread, over the one batch; without a data directory there is no
+//! segment, and the round syncs nothing. Either way a failed sync is
+//! final (never retried, everything after it answered `Error`, the core
+//! dead), and the WAL bytes are the same.
 //!
 //! A crash between 1 and 3 loses only *unacknowledged* requests — the
 //! chaos cell's invariant. The vectors a flush works in (the drained
@@ -77,8 +78,8 @@
 //! under a mutex, to which the loop hands entries — blocking at the
 //! bound — and from which the thread takes everything queued at once,
 //! runs its body over it and gives it back for reuse. The committer's
-//! lane holds `MAX_UNSYNCED_BATCHES` batches and its body syncs and
-//! answers; the checkpoint thread's holds one job and its body runs it.
+//! lane holds `MAX_UNSYNCED_BATCHES` batches and its body is the round;
+//! the checkpoint thread's holds one job and its body runs it.
 //! A durable core under `run` has both threads, every other core neither.
 //! What the loop still pays, and what the job takes, is in
 //! [`CoreSnapshot`]; each of its counters is written, in place, by the
@@ -119,12 +120,12 @@ pub(crate) const POLL: Duration = Duration::from_millis(25);
 /// sync covers one or two, so this only caps memory under an open loop.
 const MAX_UNSYNCED_BATCHES: usize = 8;
 
-/// An fsync the server issues on a thread beside its loop, given the file
-/// to sync: `File::sync_all`, unless a test has put its own in to hold it
-/// back or make it fail — the commit sync of [`ServerCore::run`]'s
-/// committer, on a second handle to the segment being appended to
-/// ([`ServerCore::set_commit_sync`]), and the checkpoint job's sync of its
-/// temp file ([`ServerCore::set_checkpoint_sync`]).
+/// An fsync the server issues, given the file to sync: `File::sync_all`,
+/// unless a test has put its own in to hold it back or make it fail — the
+/// commit sync of the committer's round, on a second handle to the
+/// segment being appended to ([`ServerCore::set_commit_sync`]), and the
+/// checkpoint job's sync of its temp file
+/// ([`ServerCore::set_checkpoint_sync`]).
 pub type FileSync = Box<dyn FnMut(&File) -> std::io::Result<()> + Send>;
 
 fn sync_all() -> FileSync {
@@ -433,7 +434,7 @@ struct Handed {
     live: Vec<PendingReq>,
     /// Each live request's answer, by position.
     values: Vec<Option<u64>>,
-    /// On the first batch handed over after a rotation: a handle to the
+    /// On the first batch after the open or a rotation: a handle to the
     /// segment its mark is in, which the committer syncs from then on.
     segment: Option<File>,
 }
@@ -443,35 +444,6 @@ fn refuse(live: &[PendingReq], wake: &mut Vec<Arc<Outbox>>) {
     for p in live {
         p.resp.deliver(Response::error(p.req.req_id), wake);
     }
-}
-
-/// Stage 4 on either commit path: releases the answers of `batches`, in
-/// order, after the sync that covers their marks has returned, with one
-/// wake-up per touched connection. `sync_ns` is what that sync took, if
-/// there was one. The counters are published first, so whoever has its
-/// answer finds itself counted.
-fn acknowledge(
-    shared: &ServerShared,
-    batches: &[Handed],
-    sync_ns: Option<u64>,
-    wake: &mut Vec<Arc<Outbox>>,
-) {
-    {
-        let writes = batches.iter().flat_map(|h| &h.live).filter(|p| p.req.kind.is_write());
-        let mut snap = shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
-        snap.acked_writes += writes.count() as u64;
-        if let Some(ns) = sync_ns {
-            snap.commit_syncs += 1;
-            snap.commit_sync_ns_total += ns;
-            snap.commit_sync_ns_max = snap.commit_sync_ns_max.max(ns);
-        }
-    }
-    for h in batches {
-        for (p, value) in h.live.iter().zip(&h.values) {
-            p.resp.deliver(Response::ok(p.req.req_id, *value), wake);
-        }
-    }
-    wake_writers(wake);
 }
 
 /// A side thread of [`ServerCore::run`] and the loop's way to it: a
@@ -565,38 +537,49 @@ impl<T: Default> Lane<T> {
     }
 }
 
-/// What the committer thread keeps from one round to the next.
+/// What the committer's round keeps from one round to the next: the
+/// core's, lent to the committer thread while [`ServerCore::run`] runs a
+/// durable core.
 struct Committer {
-    /// The commit fsync, given back to the core when the thread ends.
+    /// The commit fsync.
     sync: FileSync,
-    /// A handle to the segment the loop appends to.
-    segment: File,
+    /// A handle to the segment the loop appends to; none on a core
+    /// without a data directory, which syncs nothing.
+    segment: Option<File>,
     /// The failure that ended the sync's use, if one did.
     failure: Option<std::io::Error>,
     wake: Vec<Arc<Outbox>>,
 }
 
-/// The committer's body, one round over the batches it took at once: sync
-/// once, then answer every batch taken, in order. They were taken before
-/// the sync is called, and each was handed over after its mark's write
-/// returned: the sync began after every mark it is about to acknowledge.
+impl Default for Committer {
+    fn default() -> Self {
+        Committer { sync: sync_all(), segment: None, failure: None, wake: Vec::new() }
+    }
+}
+
+/// The committer's round over the batches it took at once — on the
+/// committer thread, or on the loop's own with the one batch it ran: sync
+/// once, then answer every batch taken, in order. Every answer to an
+/// executed batch leaves here. The batches were taken before the sync is
+/// called, and each was handed over after its mark's write returned: the
+/// sync began after every mark it is about to acknowledge.
 fn sync_and_answer(committer: &mut Committer, shared: &ServerShared, taken: &mut [Handed]) {
     let Committer { sync: commit_sync, segment, failure, wake } = committer;
     // The loop rotates only while the committer is idle, so the batches
-    // of one round are in one segment; the first after a rotation brings
-    // the new segment's handle.
+    // of one round are in one segment; the first after the open or a
+    // rotation brings the segment's handle.
     if let Some(file) = taken.iter_mut().find_map(|h| h.segment.take()) {
-        *segment = file;
+        *segment = Some(file);
     }
-    // The sync. A failed one is final: what the file holds is unknown
-    // from then on (a second fsync may well return `Ok` over pages the
-    // kernel already dropped), so it is never called again — these
-    // batches and every later one are answered `Error`, and the core is
-    // dead.
+    // The sync. None without a segment; a failed one is final: what the
+    // file holds is unknown from then on (a second fsync may well return
+    // `Ok` over pages the kernel already dropped), so it is never called
+    // again — these batches and every later one are answered `Error`, and
+    // the core is dead.
     let mut sync_ns = None;
-    if failure.is_none() {
+    if let (None, Some(file)) = (&failure, &segment) {
         let started = shared.now_ns();
-        match commit_sync(segment) {
+        match commit_sync(file) {
             Ok(()) => sync_ns = Some(shared.now_ns().saturating_sub(started)),
             Err(e) => {
                 *failure = Some(e);
@@ -604,13 +587,29 @@ fn sync_and_answer(committer: &mut Committer, shared: &ServerShared, taken: &mut
             }
         }
     }
-    // The answers.
+    // The answers. The counters are published first, so whoever has its
+    // answer finds itself counted, and each touched connection is woken
+    // once.
     if failure.is_none() {
-        acknowledge(shared, taken, sync_ns, wake);
+        {
+            let writes = taken.iter().flat_map(|h| &h.live).filter(|p| p.req.kind.is_write());
+            let mut snap = shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+            snap.acked_writes += writes.count() as u64;
+            if let Some(ns) = sync_ns {
+                snap.commit_syncs += 1;
+                snap.commit_sync_ns_total += ns;
+                snap.commit_sync_ns_max = snap.commit_sync_ns_max.max(ns);
+            }
+        }
+        for h in taken.iter() {
+            for (p, value) in h.live.iter().zip(&h.values) {
+                p.resp.deliver(Response::ok(p.req.req_id, *value), wake);
+            }
+        }
     } else {
         taken.iter().for_each(|h| refuse(&h.live, wake));
-        wake_writers(wake);
     }
+    wake_writers(wake);
     for h in taken {
         h.live.clear();
         h.values.clear();
@@ -695,11 +694,11 @@ pub struct ServerCore {
     /// Present when there is a data directory, and not on the checkpoint
     /// thread.
     job_ctx: Option<JobCtx>,
-    /// The commit fsync [`ServerCore::run`] gives its committer: present
-    /// when there is a data directory, and not on the committer's thread.
-    commit_sync: Option<FileSync>,
-    /// A handle to the segment the loop appends to since its last
-    /// rotation, for the committer; the next batch handed over carries it.
+    /// The committer's round state; a default one while the committer
+    /// thread has it.
+    committer: Committer,
+    /// A handle to the segment the loop appends to since the open or its
+    /// last rotation, for the committer; the next batch carries it.
     next_segment: Option<File>,
     /// First durability failure, kept for the report.
     error: Option<DcartError>,
@@ -753,16 +752,16 @@ impl ServerCore {
             checkpoint_trigger_bytes: log.as_ref().map_or(0, DurableLog::checkpoint_trigger_bytes),
             ..CoreSnapshot::default()
         };
-        let durable = log.is_some();
+        let next_segment = log.as_ref().map(DurableLog::sync_handle).transpose()?;
         let crash = || match config.crash {
             Some(plan) => CrashInjector::for_plan(plan),
             None => CrashInjector::counting(),
         };
         let mut core = ServerCore {
             crash: crash(),
-            job_ctx: durable.then(|| JobCtx { crash: crash(), sync: sync_all() }),
-            commit_sync: durable.then(sync_all),
-            next_segment: None,
+            job_ctx: log.is_some().then(|| JobCtx { crash: crash(), sync: sync_all() }),
+            committer: Committer::default(),
+            next_segment,
             shared,
             config,
             session,
@@ -776,14 +775,13 @@ impl ServerCore {
         Ok(core)
     }
 
-    /// Replaces the fsync [`ServerCore::run`]'s committer calls — the seam
-    /// through which tests hold a sync back or make it fail without a
-    /// failing disk. Nothing happens on a core without a data directory.
+    /// Replaces the commit fsync, on whichever thread the committer's
+    /// round runs — the seam through which tests hold a sync back or make
+    /// it fail without a failing disk. A core without a data directory
+    /// never calls it.
     // dcart_lint::allow(U1) -- fault-injection seam: tests hold back or fail the commit fsync
     pub fn set_commit_sync(&mut self, sync: FileSync) {
-        if let Some(slot) = &mut self.commit_sync {
-            *slot = sync;
-        }
+        self.committer.sync = sync;
     }
 
     /// Replaces the fsync of the checkpoint's temp file, wherever the job
@@ -805,22 +803,7 @@ impl ServerCore {
     /// thread; both are spawned here, from the core's own thread, and
     /// joined before the drain checkpoint.
     pub fn run(&mut self) -> Option<DcartError> {
-        let mut sides = None;
-        if let Some(log) = &self.log {
-            match log.sync_handle() {
-                Ok(segment) => {
-                    sides = self.commit_sync.take().zip(self.job_ctx.take()).map(|(sync, ctx)| {
-                        (Committer { sync, segment, failure: None, wake: Vec::new() }, ctx)
-                    });
-                }
-                // No committer without a handle: the core is dead, and the
-                // loop only answers `Error` to what was admitted.
-                Err(e) => {
-                    self.error.get_or_insert(wal::WalError::Io(e).into());
-                    self.shared.mark_dead();
-                }
-            }
-        }
+        let sides = self.job_ctx.take().map(|ctx| (std::mem::take(&mut self.committer), ctx));
         let (commits, checkpoints) = (Lane::new(MAX_UNSYNCED_BATCHES), Lane::new(1));
         let lanes =
             sides.is_some().then_some(Lanes { commits: &commits, checkpoints: &checkpoints });
@@ -847,11 +830,11 @@ impl ServerCore {
             threads.map(|(committer, checkpointer)| (joined(committer), joined(checkpointer)))
         });
         if let Some((committer, ctx)) = ended {
-            self.commit_sync = Some(committer.sync);
-            if let Some(e) = committer.failure {
-                self.error.get_or_insert(wal::WalError::Io(e).into());
-            }
+            self.committer = committer;
             self.job_ctx = Some(ctx);
+        }
+        if let Some(e) = self.committer.failure.take() {
+            self.error.get_or_insert(wal::WalError::Io(e).into());
         }
         // The job that ended last, then — drain complete — a final
         // checkpoint, so that restart needs no replay.
@@ -863,8 +846,8 @@ impl ServerCore {
     }
 
     /// [`ServerCore::run`]'s loop; with `lanes`, batches are handed to
-    /// the committer instead of being synced and answered here, and
-    /// checkpoint jobs to the checkpoint thread.
+    /// the committer thread instead of going through the committer's round
+    /// here, and checkpoint jobs to the checkpoint thread.
     fn serve(&mut self, lanes: Option<Lanes<'_>>) {
         let watermark = self.config.batch_size;
         loop {
@@ -895,9 +878,9 @@ impl ServerCore {
     }
 
     /// Flushes up to one batch immediately, bypassing the wait loop —
-    /// the deterministic test hook. The batch is synced and answered
-    /// inline, before this returns, and a checkpoint it triggers is
-    /// installed inline too.
+    /// the deterministic test hook. The committer's round syncs and
+    /// answers the batch on this thread, before this returns, and a
+    /// checkpoint it triggers is installed here too.
     pub fn flush_now(&mut self) {
         {
             let mut inbox = self.shared.inbox.lock().unwrap_or_else(|e| e.into_inner());
@@ -924,8 +907,9 @@ impl ServerCore {
     }
 
     /// Executes the batch in `scratch.handed` and sees to it that every
-    /// request in it is answered: here, or — with a committer — by the
-    /// committer once a sync covers the batch's mark.
+    /// request in it is answered: by the committer's round once a sync
+    /// covers the batch's mark — here, or on the committer thread — or
+    /// here on a way out that executes nothing.
     fn execute(&mut self, lanes: Option<Lanes<'_>>) {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.execute_in(&mut scratch, lanes);
@@ -982,20 +966,15 @@ impl ServerCore {
             return self.die(live, wake, commits, e);
         }
 
-        // 3. Commit mark. Inline, `commit` fsyncs it here — the durability
-        // point; with a committer, the mark is only written and the
-        // committer's next sync is the durability point. An injected
+        // 3. Commit mark, written and not synced: the sync of the round
+        // that answers the batch is the durability point. An injected
         // crash here is the chaos cell's kill — the batch was executed but
         // never acknowledged, and recovery must not surface it.
         let digest = self.session.answer_digest();
-        let mut sync_ns = None;
         if let Some(log) = &mut self.log {
-            let started = commits.is_none().then(|| self.shared.now_ns());
-            if let Err(e) = log.commit(digest, ops.len() as u32, started.is_some(), &mut self.crash)
-            {
+            if let Err(e) = log.commit(digest, ops.len() as u32, false, &mut self.crash) {
                 return self.die(live, wake, commits, e);
             }
-            sync_ns = started.map(|started| self.shared.now_ns().saturating_sub(started));
         }
         // Counted before any of its answers can leave: once handed over,
         // the committer may answer the batch at any moment.
@@ -1005,17 +984,18 @@ impl ServerCore {
             snap.answer_digest = digest;
         });
 
-        // 4. Acknowledge. An answer to a connection is encoded into that
-        // connection's outbound buffer, and each touched connection's
-        // writer is woken once, after the last answer of the batch — by
-        // the committer, once a sync that began after this point has
-        // returned, or right here.
+        // 4. Acknowledge. The committer's round answers the batch — on its
+        // thread, or right here over this one batch — once a sync that
+        // began after this point has returned. An answer to a connection
+        // is encoded into that connection's outbound buffer, and each
+        // touched connection's writer is woken once, after the round's
+        // last answer.
+        handed.segment = self.next_segment.take();
         match commits {
-            Some(commits) => {
-                handed.segment = self.next_segment.take();
-                commits.hand_over(handed);
+            Some(commits) => commits.hand_over(handed),
+            None => {
+                sync_and_answer(&mut self.committer, &self.shared, std::slice::from_mut(handed))
             }
-            None => acknowledge(&self.shared, std::slice::from_ref(handed), sync_ns, wake),
         }
 
         let every = self.config.checkpoint_every;
@@ -1031,8 +1011,8 @@ impl ServerCore {
     /// lock: `count` updates the loop's counters in place, and the log's
     /// traffic and gauges replace their published copies — all but
     /// `persist.checkpoints` and `persist.checkpoint_bytes`, which
-    /// [`run_job`] adds to where the job runs, as [`acknowledge`] counts
-    /// the answers and syncs.
+    /// [`run_job`] adds to where the job runs, as [`sync_and_answer`]
+    /// counts the answers and syncs.
     fn publish(&self, count: impl FnOnce(&mut CoreSnapshot)) {
         let mut snap = self.shared.snapshot.lock().unwrap_or_else(|e| e.into_inner());
         count(&mut snap);
@@ -1074,9 +1054,7 @@ impl ServerCore {
         // checkpoint that absorbs it is installed. The committer, idle
         // now, syncs the new segment from the next batch on.
         let checkpoint = log.rotate(&self.session)?;
-        if lanes.is_some() {
-            self.next_segment = Some(log.sync_handle()?);
-        }
+        self.next_segment = Some(log.sync_handle()?);
         let stall = self.shared.now_ns().saturating_sub(started);
         self.publish(|snap| {
             snap.checkpoint_stall_ns_total += stall;

@@ -12,8 +12,9 @@ use crate::admission::AdmissionCounters;
 /// the loop (`batches`, `ops`, `answer_digest`, `expired_in_queue`, the
 /// checkpoint stall, the two WAL gauges, and `persist` but for its two
 /// checkpoint counters),
-/// whoever releases answers — the committer under `ServerCore::run`, the
-/// loop inline — (`acked_writes`, the `commit_sync*` counters), and
+/// the committer's round, which releases the answers — on the committer
+/// thread under `ServerCore::run`, on the loop's otherwise —
+/// (`acked_writes`, the `commit_sync*` counters), and
 /// wherever a checkpoint job ends (the `checkpoint_job*` counters,
 /// `persist.checkpoints` and `persist.checkpoint_bytes`).
 #[derive(Clone, Copy, Default, Debug, Serialize)]
@@ -49,12 +50,12 @@ pub struct CoreSnapshot {
     pub checkpoint_job_ns_total: u64,
     /// The longest single checkpoint job.
     pub checkpoint_job_ns_max: u64,
-    /// Commit fsyncs that returned `Ok`. `batches ÷ commit_syncs` is the
-    /// batches one sync covered: 1 inline, more when the pipelined commit
-    /// groups them.
+    /// Commit fsyncs that returned `Ok` (none without a data directory).
+    /// `batches ÷ commit_syncs` is the batches one sync covered: 1 under
+    /// `ServerCore::flush_now`, more when the committer thread groups them.
     pub commit_syncs: u64,
-    /// Time in those fsyncs on the injected clock (inline, the write of
-    /// the mark in front of the fsync is included).
+    /// Time in those fsyncs on the injected clock; the write of each mark
+    /// is the loop's, before the sync.
     pub commit_sync_ns_total: u64,
     /// The longest single commit fsync.
     pub commit_sync_ns_max: u64,

@@ -977,7 +977,8 @@ fn every_request_admitted_while_a_drain_races_in_is_answered_once() {
 
 mod pipelined {
     //! The pipelined durable commit: `run()` on a durable core, with the
-    //! committer's fsync replaced by one the test holds, releases, or fails.
+    //! committer's fsync replaced by one the test holds, releases, or fails
+    //! — and `flush_now`, which runs the same round on its own thread.
 
     use std::sync::{Condvar, Mutex};
 
@@ -1420,6 +1421,35 @@ mod pipelined {
             let expected = (resp.req_id < 4).then_some(resp.req_id + 1);
             assert_eq!(resp.value, expected, "key {}", resp.req_id);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `flush_now` answers through the committer's round too, so the
+    /// commit sync seam governs it and its failure is as final: the
+    /// batch's mark is written, the one sync fails, all 4 inserts are
+    /// answered `Error`, the core is dead, and nothing after it is synced
+    /// or acknowledged.
+    #[test]
+    fn a_failed_sync_under_flush_now_voids_the_batch_and_kills_the_core() {
+        let dir = scratch_dir("flush_fail");
+        let gate = SyncGate::failing_at(1);
+        gate.open();
+        let (shared, mut core) = gated_core(&dir, &gate, 1_024);
+        let (tx, rx) = mpsc::channel();
+
+        submit_batch(&shared, &tx, 0);
+        core.flush_now();
+        assert_eq!(recv_n(&rx, 4), all(0..4, Status::Error), "the failed sync voids the batch");
+        assert!(shared.is_dead());
+        let late = shared.submit(insert(4), &tx).expect("a dead core answers at once");
+        assert_eq!(late.status, Status::Error);
+        core.flush_now();
+        assert!(rx.try_recv().is_err(), "nothing more to answer");
+
+        assert_eq!(gate.calls(), 1, "no sync after the one that failed");
+        let stats = shared.stats().core;
+        assert_eq!((stats.batches, stats.persist.wal_commits), (1, 1), "{stats:?}");
+        assert_eq!((stats.acked_writes, stats.commit_syncs), (0, 0), "{stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -68,13 +68,14 @@ static AUTOMATA: [Automaton; 3] = [
     // are the durable log's (`dcart::DurableLog`): `writer.append_batch`
     // and `writer.commit` inside it, `log.append` and `log.commit` where
     // the server's core loop and `run_durable` drive it. The fsync is the
-    // mark's where the commit is synced inline, and `commit_sync()` in the
-    // committer's body, `sync_and_answer`, where it is pipelined; the
-    // acknowledgement is `Response::ok` or a call that carries the batch
-    // to it — `acknowledge`, or the loop's `commits.hand_over` to the
-    // committer's lane, which may sync and answer from the moment it has
-    // the batch. The checkpoint lane's `hand_over` carries a job, not a
-    // batch, and is no stage.
+    // mark's where `run_durable` syncs it inline, and `commit_sync()` in
+    // the committer's round, `sync_and_answer`, wherever the server runs
+    // it; the acknowledgement is `Response::ok` or a call that carries the
+    // batch to it — `acknowledge`, the loop's call of `sync_and_answer` on
+    // its own thread, or its `commits.hand_over` to the committer's lane,
+    // which may sync and answer from the moment it has the batch. The
+    // checkpoint lane's `hand_over` carries a job, not a batch, and is no
+    // stage.
     Automaton {
         name: "durable-ack",
         files: &["crates/server/src/core_loop.rs", "crates/core/src/durable.rs"],
@@ -99,7 +100,7 @@ static AUTOMATA: [Automaton; 3] = [
                 desc: "acknowledge",
                 m: Matcher::Any(&[
                     Matcher::CalleeQual("ok", "Response"),
-                    Matcher::Callee(&["acknowledge"]),
+                    Matcher::Callee(&["acknowledge", "sync_and_answer"]),
                     Matcher::CalleeRecvLast("hand_over", "commits"),
                 ]),
             },
