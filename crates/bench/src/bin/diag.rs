@@ -8,11 +8,21 @@ use dcart::{DcartAccel, DcartConfig, DcartSoftware};
 use dcart_baselines::{CpuBaseline, CpuConfig, CuArt, GpuConfig, IndexEngine, RunConfig};
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
 
+/// Positional argument `i` as a count, `default` when it is absent; one
+/// that does not parse ends the process with a one-line message.
+fn count(args: &[String], i: usize, what: &str, default: usize) -> usize {
+    let Some(arg) = args.get(i) else { return default };
+    arg.parse().unwrap_or_else(|_| {
+        eprintln!("bad {what} {arg}");
+        std::process::exit(1);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let n_keys: usize = args.get(1).map(|s| s.parse().unwrap()).unwrap_or(20_000);
-    let n_ops: usize = args.get(2).map(|s| s.parse().unwrap()).unwrap_or(60_000);
-    let conc: usize = args.get(3).map(|s| s.parse().unwrap()).unwrap_or(8192);
+    let n_keys = count(&args, 1, "key count", 20_000);
+    let n_ops = count(&args, 2, "op count", 60_000);
+    let conc = count(&args, 3, "concurrency", 8192);
     let keys = Workload::Ipgeo.generate(n_keys, 1);
     let ops =
         generate_ops(&keys, &OpStreamConfig { count: n_ops, mix: Mix::C, ..Default::default() });

@@ -41,7 +41,13 @@ fn inspect(workload: Workload, n_keys: usize, t: &mut Table) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n_keys: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100_000);
+    let n_keys: usize = match args.get(1) {
+        None => 100_000,
+        Some(arg) => arg.parse().unwrap_or_else(|_| {
+            eprintln!("bad key count {arg}");
+            std::process::exit(1);
+        }),
+    };
     let workloads: Vec<Workload> = match args.first().map(String::as_str) {
         None | Some("all") => Workload::ALL.to_vec(),
         Some(name) => match Workload::from_name(name) {

@@ -16,8 +16,9 @@
 use std::path::Path;
 
 use dcart::{
-    execute_ctt, fold_digest, recover, run_durable, CrashInjector, CrashPlan, CrashSite,
-    CttConsumer, CttOpEvent, DcartConfig, DurabilityConfig, ExecOpts, FaultPlan, PersistStats,
+    execute_ctt, fold_digest, run_durable, CrashInjector, CrashPlan, CrashSite, CttConsumer,
+    CttOpEvent, DcartConfig, DurabilityConfig, DurableLog, ExecOpts, FaultPlan, Opened,
+    PersistStats,
 };
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
 use serde::{Deserialize, Serialize};
@@ -124,6 +125,9 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
     let ref_tree_digest = dcart::tree_digest(&ref_tree);
     let ref_per_batch = trace.per_batch;
 
+    // What the durable runs seed their tree with, for the opens between
+    // them.
+    let pairs: Vec<_> = keys.keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u64)).collect();
     let dir = std::env::temp_dir().join(format!("dcart-soak-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
     let dur = DurabilityConfig { dir: dir.clone(), checkpoint_every: 3 };
@@ -158,16 +162,19 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
             break;
         }
 
-        // Simulated death: recover and check the mid-stream digest against
-        // the reference trace at the last durable batch.
-        let st = recover(&keys, &faulted, &opts, &dur).expect("recovery after soak crash");
-        let expected = match st.next_seq {
+        // Simulated death: open the directory and check the mid-stream
+        // digest against the reference trace at the last durable batch.
+        let Opened { log, session, .. } =
+            DurableLog::open(&dir, &pairs, &faulted, &opts, batch_size)
+                .expect("recovery after soak crash");
+        let durable_batches = log.next_seq();
+        let expected = match durable_batches {
             0 => 0,
             n => *ref_per_batch
                 .get(n as usize - 1)
                 .unwrap_or_else(|| panic!("recovered past the stream: batch {n}")),
         };
-        let check = st.answer_digest == expected;
+        let check = session.answer_digest() == expected;
         if check {
             checks_passed += 1;
         }
@@ -175,8 +182,8 @@ pub fn run(scale: &Scale, out_dir: &Path, batches: u64, seed: u64) -> SoakReport
             cycle,
             site: Some(site.name().to_string()),
             crashed: true,
-            durable_batches: st.next_seq,
-            torn_bytes: st.torn_bytes,
+            durable_batches,
+            torn_bytes: log.persist().torn_bytes_truncated,
             digest_check: check,
         });
     }

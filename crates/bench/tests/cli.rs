@@ -1,5 +1,7 @@
 //! Shell-out tests for the `repro` CLI contract: bad invocations exit
-//! non-zero with a one-line actionable message, good ones exit zero.
+//! non-zero with a one-line actionable message, good ones exit zero. The
+//! smaller tools (`diag`, `inspect`) refuse a count they cannot parse the
+//! same way.
 
 use std::process::{Command, Output};
 
@@ -99,4 +101,26 @@ fn every_exhibit_the_usage_lists_is_known() {
         let err = stderr_of(&out);
         assert!(err.contains("unknown option '--bogus'"), "{name}: {err}");
     }
+}
+
+/// Runs `bin` with `args` and asserts the refusal of a count that does not
+/// parse: exit 1 and only `line` on stderr, before any work.
+fn assert_refused(bin: &str, args: &[&str], line: &str) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {}", stderr_of(&out));
+    assert_eq!(stderr_of(&out).trim_end(), line, "{bin} {args:?}");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} did work before refusing");
+}
+
+#[test]
+fn diag_refuses_a_count_it_cannot_parse() {
+    let diag = env!("CARGO_BIN_EXE_diag");
+    assert_refused(diag, &["abc"], "bad key count abc");
+    assert_refused(diag, &["1000", "many"], "bad op count many");
+    assert_refused(diag, &["1000", "2000", "-4"], "bad concurrency -4");
+}
+
+#[test]
+fn inspect_refuses_a_key_count_it_cannot_parse() {
+    assert_refused(env!("CARGO_BIN_EXE_inspect"), &["IPGEO", "lots"], "bad key count lots");
 }

@@ -1,7 +1,7 @@
 //! Crash-consistent durability: write-ahead logging, checkpoints and
 //! verified recovery for CTT executions — one engine, [`DurableLog`],
-//! which both executors drive: [`run_durable`] / [`recover`] offline and
-//! `dcart-server`'s core loop online.
+//! which both executors drive: [`run_durable`] offline and `dcart-server`'s
+//! core loop online.
 //!
 //! # Protocol
 //!
@@ -42,7 +42,7 @@
 //!
 //! # Recovery
 //!
-//! [`DurableLog::open`] (and [`recover`], its replay half) loads the
+//! [`DurableLog::open`], the one way into a directory, loads the
 //! checkpoint, cuts both segments' torn tails, and replays the committed
 //! batches past the checkpoint in sequence order, each WAL record as one
 //! [`CttSession::execute_batch`]. Replay is *verified*: each batch must
@@ -118,8 +118,8 @@ pub struct DurableOutcome {
     pub answer_digest: u64,
     /// Digest of the final tree contents; 0 when the planned crash fired
     /// (the simulated process is dead — its in-memory state is gone by
-    /// definition, and only [`recover`]/[`run_durable`] over the directory
-    /// get it back).
+    /// definition, and only [`DurableLog::open`] over the directory gets
+    /// it back).
     pub tree_digest: u64,
     /// Batches durably committed by this invocation.
     pub batches_committed: u64,
@@ -128,24 +128,6 @@ pub struct DurableOutcome {
     /// Storage-traffic accounting for the whole invocation, the batches
     /// replayed and the torn bytes cut while opening included.
     pub persist: PersistStats,
-}
-
-/// Recovered pre-crash state: the tree, where the WAL left off, and what
-/// recovery had to do to get there.
-#[derive(Debug)]
-pub struct RecoveredState {
-    /// The tree as of the last durably committed batch.
-    pub tree: Art<u64>,
-    /// Sequence number of the next batch to execute.
-    pub next_seq: u64,
-    /// Cumulative answer digest as of `next_seq`.
-    pub answer_digest: u64,
-    /// Committed batches replayed from the WAL.
-    pub replayed_batches: u64,
-    /// Torn tail bytes truncated from the WAL.
-    pub torn_bytes: u64,
-    /// Whether a checkpoint (vs. only the initial key set) seeded replay.
-    pub used_checkpoint: bool,
 }
 
 // --- operation codec -------------------------------------------------------
@@ -272,22 +254,19 @@ fn encode_checkpoint<'a>(
     Ok(())
 }
 
-/// The fsync of the checkpoint's temp file, as `install_checkpoint`
-/// calls it: `File::sync_all`, unless a caller has put its own in to hold
-/// an install back or make it fail.
-pub type SyncFile<'a> = &'a mut dyn FnMut(&File) -> std::io::Result<()>;
-
 /// Installs an encoded checkpoint with the temp-file + atomic-rename
 /// protocol — write `checkpoint.tmp`, fsync it (through `sync`), rename
 /// it over `checkpoint.snap`, fsync the directory — and only then resets
 /// `retired`, the WAL (segment) whose batches the checkpoint absorbs.
+/// `sync` is `File::sync_all`, unless a caller has put its own in to hold
+/// an install back or make it fail.
 /// Exercises the three checkpoint crash sites; after any error the log is
 /// untouched.
 fn install_checkpoint(
     dir: &Path,
     bytes: &[u8],
     retired: Option<&mut WalWriter>,
-    sync: SyncFile<'_>,
+    sync: &mut dyn FnMut(&File) -> std::io::Result<()>,
     crash: &mut CrashInjector,
     persist: &mut PersistStats,
 ) -> Result<(), DcartError> {
@@ -421,7 +400,7 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<(u64, u64, Art<u64>)>, Dcart
 /// One checkpoint between its capture and its install: the encoded file
 /// and the WAL segment it absorbs. Made by [`DurableLog::rotate`] (or
 /// [`DurableLog::open`]), run anywhere, handed back with
-/// [`DurableLog::finish`].
+/// [`DurableLog::finish`], which returns what the run came to.
 pub struct CheckpointJob {
     dir: PathBuf,
     /// The segment the checkpoint absorbs, reset once it is installed.
@@ -429,30 +408,28 @@ pub struct CheckpointJob {
     next_seq: u64,
     /// The file to install, encoded at capture.
     file: Vec<u8>,
-    /// A run installed the file.
-    installed: bool,
+    /// What the run came to; `None` until the job has run.
+    outcome: Option<Result<(), DcartError>>,
 }
 
 impl CheckpointJob {
     /// The half of a checkpoint that does not need the session: installs
     /// the file — tmp, `sync`, rename, directory fsync — and only then
     /// resets the retired segment, if any. The checkpoint crash sites fire
-    /// on the thread that calls this.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, or an injected crash at one of the three checkpoint
-    /// sites; the retired segment is untouched after any of them.
+    /// on the thread that calls this. The outcome stays with the job, for
+    /// [`DurableLog::finish`] to return; the reference returned here is
+    /// for a caller that acts on it at once. An I/O failure, or an
+    /// injected crash at one of the three checkpoint sites, leaves the
+    /// retired segment untouched.
     pub fn run(
         &mut self,
-        sync: SyncFile<'_>,
+        sync: &mut dyn FnMut(&File) -> std::io::Result<()>,
         crash: &mut CrashInjector,
         persist: &mut PersistStats,
-    ) -> Result<(), DcartError> {
+    ) -> &Result<(), DcartError> {
         let retired = self.retired.as_mut();
-        install_checkpoint(&self.dir, &self.file, retired, sync, crash, persist)?;
-        self.installed = true;
-        Ok(())
+        let ran = install_checkpoint(&self.dir, &self.file, retired, sync, crash, persist);
+        self.outcome.insert(ran)
     }
 }
 
@@ -510,126 +487,28 @@ pub struct Opened {
     pub logged_batch_size: Option<usize>,
 }
 
-/// A directory's state, replayed: [`recover`], and half of an open.
-struct Replayed {
-    session: CttSession,
-    next_seq: u64,
-    installed_seq: Option<u64>,
-    /// Length of the checkpoint file read, 0 without one.
-    installed_bytes: u64,
-    /// Each of [`WAL_SEGMENTS`]' path and, if it exists, its scan.
-    segments: Vec<(PathBuf, Option<wal::WalScan>)>,
-    /// The segment holding the newest batch (the first, when neither
-    /// does): appends continue there.
-    active: usize,
-    logged_batch_size: Option<usize>,
-    /// The torn bytes cut and the batches replayed.
-    persist: PersistStats,
-}
-
-/// Drops a stray `checkpoint.tmp` (crash residue), reads the checkpoint,
-/// scans both segments and cuts their torn tails, seeds a session with the
-/// checkpoint's entries (or `initial_pairs`) and replays every committed
-/// batch past the checkpoint in sequence order. Each WAL record replays as
-/// one executor batch — the live run's boundaries — and must be the next
-/// sequence number, hold the op count its commit mark promised and
-/// reproduce the digest it promised. `batch_size` is the session's nominal
-/// one; `None` takes the logged one, so the segments are scanned first.
-fn replay(
-    dir: &Path,
-    initial_pairs: &[(Key, u64)],
-    config: &DcartConfig,
-    opts: &ExecOpts,
-    batch_size: Option<usize>,
-) -> Result<Replayed, DcartError> {
-    match fs::remove_file(dir.join(CHECKPOINT_TMP)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
-    let (checkpoint, installed_bytes) = match read_checkpoint_file(dir)? {
-        Some((ckpt, bytes)) => (Some(ckpt), bytes),
-        None => (None, 0),
-    };
-    let mut persist = PersistStats::default();
-    let mut segments = Vec::with_capacity(WAL_SEGMENTS.len());
-    for name in WAL_SEGMENTS {
-        let path = dir.join(name);
-        let scan = if path.exists() { Some(wal::recover(&path)?) } else { None };
-        persist.torn_bytes_truncated += scan.as_ref().map_or(0, |s| s.torn_bytes);
-        segments.push((path, scan));
-    }
-    let last_seq = |i: usize| segments[i].1.as_ref().and_then(|s| s.batches.last()).map(|b| b.seq);
-    let active = usize::from(last_seq(1) > last_seq(0));
-    let logged_batch_size = segments[active].1.as_ref().map(|s| s.batch_size as usize);
-
-    let installed_seq = checkpoint.as_ref().map(|ckpt| ckpt.next_seq);
-    let (start_seq, start_digest, pairs) = match &checkpoint {
-        Some(ckpt) => (ckpt.next_seq, ckpt.digest, ckpt.pairs.as_slice()),
-        None => (0, 0, initial_pairs),
-    };
-    let nominal = batch_size.or(logged_batch_size).unwrap_or(1);
-    let mut session = CttSession::from_pairs(pairs, config, opts, nominal, start_digest)?;
-    drop(checkpoint); // the decoded entries live in the shards now
-
-    // Batches the checkpoint already absorbed (the after-swap window
-    // leaves them in a segment) are skipped; the rest must extend it
-    // contiguously.
-    let mut batches: Vec<&WalBatch> = segments
-        .iter()
-        .filter_map(|(_, scan)| scan.as_ref())
-        .flat_map(|scan| &scan.batches)
-        .filter(|b| b.seq >= start_seq)
-        .collect();
-    batches.sort_unstable_by_key(|b| b.seq);
-    for (seq, b) in (start_seq..).zip(&batches) {
-        if b.seq != seq {
-            return Err(DcartError::Recovery(format!(
-                "WAL batch sequence gap: expected {seq}, found {}",
-                b.seq
-            )));
-        }
-        let ops = decode_ops(&b.payload)?;
-        if ops.len() != b.ops as usize {
-            return Err(DcartError::Recovery(format!(
-                "batch {seq}: payload holds {} ops, commit record promised {}",
-                ops.len(),
-                b.ops
-            )));
-        }
-        session.execute_batch(&ops, &mut NoEvents)?;
-        if session.answer_digest() != b.digest {
-            return Err(DcartError::Recovery(format!(
-                "replayed batch {seq} produced digest {:#x}, commit record promised {:#x}",
-                session.answer_digest(),
-                b.digest
-            )));
-        }
-    }
-    persist.replayed_batches = batches.len() as u64;
-    let next_seq = start_seq + persist.replayed_batches;
-    Ok(Replayed {
-        session,
-        next_seq,
-        installed_seq,
-        installed_bytes,
-        segments,
-        active,
-        logged_batch_size,
-        persist,
-    })
-}
-
 impl DurableLog {
     /// Opens the log under `dir` (created if missing) and recovers the
-    /// state it holds, as [`recover`] does. A missing segment is created
-    /// with `batch_size` in its header, also the session's nominal batch
-    /// size; a version-1 segment is upgraded before the first append.
+    /// state it holds: drops a stray `checkpoint.tmp` (crash residue),
+    /// reads the checkpoint, scans both segments and cuts their torn
+    /// tails, seeds a session with the checkpoint's entries (or
+    /// `initial_pairs`) and replays every committed batch past the
+    /// checkpoint in sequence order. Each WAL record replays as one
+    /// executor batch — the live run's boundaries — and must be the next
+    /// sequence number, hold the op count its commit mark promised and
+    /// reproduce the digest it promised. A missing segment is created with
+    /// `batch_size` in its header, also the session's nominal batch size;
+    /// a version-1 segment is upgraded. No crash site fires here: a spare
+    /// that holds batches is replayed, and the checkpoint that absorbs it
+    /// is handed back in [`Opened::absorb`].
     ///
     /// # Errors
     ///
-    /// I/O failures, foreign or corrupt files, and replay divergence
-    /// ([`DcartError::Recovery`]).
+    /// * [`DcartError::Wal`] / [`DcartError::Snapshot`] / [`DcartError::Io`]
+    ///   for unreadable or foreign files;
+    /// * [`DcartError::Recovery`] when the committed batches are not a
+    ///   contiguous extension of the checkpoint, a payload is malformed, or
+    ///   a replayed batch diverges from its commit record.
     pub fn open(
         dir: &Path,
         initial_pairs: &[(Key, u64)],
@@ -638,24 +517,90 @@ impl DurableLog {
         batch_size: usize,
     ) -> Result<Opened, DcartError> {
         fs::create_dir_all(dir)?;
-        let replayed = replay(dir, initial_pairs, config, opts, Some(batch_size))?;
-        let writer = |i: usize| match &replayed.segments[i] {
+        match fs::remove_file(dir.join(CHECKPOINT_TMP)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        let (checkpoint, installed_bytes) = match read_checkpoint_file(dir)? {
+            Some((ckpt, bytes)) => (Some(ckpt), bytes),
+            None => (None, 0),
+        };
+        let mut persist = PersistStats::default();
+        let mut segments = Vec::with_capacity(WAL_SEGMENTS.len());
+        for name in WAL_SEGMENTS {
+            let path = dir.join(name);
+            let scan = if path.exists() { Some(wal::recover(&path)?) } else { None };
+            persist.torn_bytes_truncated += scan.as_ref().map_or(0, |s| s.torn_bytes);
+            segments.push((path, scan));
+        }
+        // Appends continue in the segment holding the newest batch (the
+        // first, when neither does).
+        let last_seq =
+            |i: usize| segments[i].1.as_ref().and_then(|s| s.batches.last()).map(|b| b.seq);
+        let active = usize::from(last_seq(1) > last_seq(0));
+        let logged_batch_size = segments[active].1.as_ref().map(|s| s.batch_size as usize);
+
+        let installed_seq = checkpoint.as_ref().map(|ckpt| ckpt.next_seq);
+        let (start_seq, start_digest, pairs) = match &checkpoint {
+            Some(ckpt) => (ckpt.next_seq, ckpt.digest, ckpt.pairs.as_slice()),
+            None => (0, 0, initial_pairs),
+        };
+        let mut session = CttSession::from_pairs(pairs, config, opts, batch_size, start_digest)?;
+        drop(checkpoint); // the decoded entries live in the shards now
+
+        // Batches the checkpoint already absorbed (the after-swap window
+        // leaves them in a segment) are skipped; the rest must extend it
+        // contiguously.
+        let mut batches: Vec<&WalBatch> = segments
+            .iter()
+            .filter_map(|(_, scan)| scan.as_ref())
+            .flat_map(|scan| &scan.batches)
+            .filter(|b| b.seq >= start_seq)
+            .collect();
+        batches.sort_unstable_by_key(|b| b.seq);
+        for (seq, b) in (start_seq..).zip(&batches) {
+            if b.seq != seq {
+                return Err(DcartError::Recovery(format!(
+                    "WAL batch sequence gap: expected {seq}, found {}",
+                    b.seq
+                )));
+            }
+            let ops = decode_ops(&b.payload)?;
+            if ops.len() != b.ops as usize {
+                return Err(DcartError::Recovery(format!(
+                    "batch {seq}: payload holds {} ops, commit record promised {}",
+                    ops.len(),
+                    b.ops
+                )));
+            }
+            session.execute_batch(&ops, &mut NoEvents)?;
+            if session.answer_digest() != b.digest {
+                return Err(DcartError::Recovery(format!(
+                    "replayed batch {seq} produced digest {:#x}, commit record promised {:#x}",
+                    session.answer_digest(),
+                    b.digest
+                )));
+            }
+        }
+        persist.replayed_batches = batches.len() as u64;
+
+        let writer = |i: usize| match &segments[i] {
             (path, Some(scan)) => WalWriter::open_append(path, scan.valid_len),
             (path, None) => WalWriter::create(path, batch_size as u32),
         };
         let mut log = DurableLog {
-            writer: writer(replayed.active)?,
-            spare: Some(writer(1 - replayed.active)?),
+            writer: writer(active)?,
+            spare: Some(writer(1 - active)?),
             dir: dir.to_path_buf(),
             file: Vec::new(),
-            installed_seq: replayed.installed_seq,
-            installed_bytes: replayed.installed_bytes,
-            next_seq: replayed.next_seq,
+            installed_seq,
+            installed_bytes,
+            next_seq: start_seq + persist.replayed_batches,
             uncheckpointed: 0,
-            persist: replayed.persist,
+            persist,
             payload: Vec::new(),
         };
-        let session = replayed.session;
         // Appends rotate onto the spare only while it is empty.
         let absorb = match log.spare.take_if(|spare| !spare.is_empty()) {
             Some(retired) => {
@@ -665,7 +610,7 @@ impl DurableLog {
             }
             None => None,
         };
-        Ok(Opened { log, session, absorb, logged_batch_size: replayed.logged_batch_size })
+        Ok(Opened { log, session, absorb, logged_batch_size })
     }
 
     /// Stage 1: appends the record of `batch`. A [`CrashSite::MidRecord`]
@@ -724,7 +669,7 @@ impl DurableLog {
             retired: None,
             next_seq: self.next_seq,
             file,
-            installed: false,
+            outcome: None,
         })
     }
 
@@ -750,14 +695,20 @@ impl DurableLog {
     /// Takes back a job that has run, or never will: the log its file
     /// buffer and its retired segment as the spare, and — if it installed
     /// — the checkpoint's sequence number and length.
-    pub fn finish(&mut self, job: CheckpointJob) {
-        let CheckpointJob { retired, next_seq, file, installed, .. } = job;
-        if installed {
+    ///
+    /// # Errors
+    ///
+    /// The job's own: what [`CheckpointJob::run`] failed with. A job that
+    /// never ran has none.
+    pub fn finish(&mut self, job: CheckpointJob) -> Result<(), DcartError> {
+        let CheckpointJob { retired, next_seq, file, outcome, .. } = job;
+        if let Some(Ok(())) = outcome {
             self.installed_seq = Some(next_seq);
             self.installed_bytes = file.len() as u64;
         }
         self.spare = retired;
         self.file = file;
+        outcome.unwrap_or(Ok(()))
     }
 
     /// A second handle to the segment appended to, for a thread that
@@ -790,6 +741,12 @@ impl DurableLog {
         self.installed_bytes.max(CHECKPOINT_FLOOR_BYTES)
     }
 
+    /// Sequence number of the next batch: every batch before it is
+    /// committed.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Whether the live checkpoint stands for every committed batch.
     pub fn checkpointed(&self) -> bool {
         self.installed_seq == Some(self.next_seq)
@@ -806,40 +763,7 @@ fn initial_pairs(keys: &KeySet) -> Vec<(Key, u64)> {
     keys.keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u64)).collect()
 }
 
-// --- the offline drivers -------------------------------------------------------
-
-/// Rebuilds the durable state under `dur.dir` — the replay half of
-/// [`DurableLog::open`]: stray `checkpoint.tmp` removed, checkpoint
-/// loaded, both segments' torn tails cut, every committed batch past the
-/// checkpoint replayed and verified. It creates no segment and installs
-/// no checkpoint (a spare that holds batches is replayed, not absorbed),
-/// so it fires no crash site. `keys` must be the key set the original run
-/// started with: it seeds replay when there is no checkpoint yet.
-///
-/// # Errors
-///
-/// * [`DcartError::Wal`] / [`DcartError::Snapshot`] / [`DcartError::Io`]
-///   for unreadable or foreign files;
-/// * [`DcartError::Recovery`] when the committed batches are not a
-///   contiguous extension of the checkpoint, a payload is malformed, or a
-///   replayed batch diverges from its commit record.
-pub fn recover(
-    keys: &KeySet,
-    config: &DcartConfig,
-    opts: &ExecOpts,
-    dur: &DurabilityConfig,
-) -> Result<RecoveredState, DcartError> {
-    let Replayed { session, next_seq, installed_seq, persist, .. } =
-        replay(&dur.dir, &initial_pairs(keys), config, opts, None)?;
-    Ok(RecoveredState {
-        answer_digest: session.answer_digest(),
-        tree: session.finish()?.0,
-        next_seq,
-        replayed_batches: persist.replayed_batches,
-        torn_bytes: persist.torn_bytes_truncated,
-        used_checkpoint: installed_seq.is_some(),
-    })
-}
+// --- the offline driver --------------------------------------------------------
 
 /// Executes `ops` with crash-consistent durability under `dur.dir`,
 /// resuming from whatever state the directory already holds.
@@ -915,8 +839,9 @@ fn drive(
     checkpoint_every: u64,
     crash: &mut CrashInjector,
 ) -> Result<(), DcartError> {
-    if let Some(job) = absorb {
-        run_inline(log, job, crash)?;
+    if let Some(mut job) = absorb {
+        job.run(&mut File::sync_all, crash, &mut log.persist);
+        log.finish(job)?;
     }
     // Skip the already-durable prefix: batch `i` always covers ops
     // `[i*batch_size, (i+1)*batch_size)`, so `next_seq` fixes the offset.
@@ -927,22 +852,12 @@ fn drive(
         session.execute_batch(batch, &mut NoEvents)?;
         log.commit(session.answer_digest(), batch.len() as u32, true, crash)?;
         if log.checkpoint_due(checkpoint_every) || batches.peek().is_none() {
-            let job = log.rotate(session)?;
-            run_inline(log, job, crash)?;
+            let mut job = log.rotate(session)?;
+            job.run(&mut File::sync_all, crash, &mut log.persist);
+            log.finish(job)?;
         }
     }
     Ok(())
-}
-
-/// Runs a checkpoint job here, counting into the log's traffic.
-fn run_inline(
-    log: &mut DurableLog,
-    mut job: CheckpointJob,
-    crash: &mut CrashInjector,
-) -> Result<(), DcartError> {
-    let ran = job.run(&mut File::sync_all, crash, &mut log.persist);
-    log.finish(job);
-    ran
 }
 
 #[cfg(test)]
@@ -969,6 +884,16 @@ mod tests {
             &OpStreamConfig { count: 6_000, mix: Mix::E, seed: 7, ..Default::default() },
         );
         (keys, ops)
+    }
+
+    /// Opens `dur.dir` as a restart of a 512-op-batch run over `keys`
+    /// does.
+    fn reopen(
+        keys: &KeySet,
+        config: &DcartConfig,
+        dur: &DurabilityConfig,
+    ) -> Result<Opened, DcartError> {
+        DurableLog::open(&dur.dir, &initial_pairs(keys), config, &SERIAL, 512)
     }
 
     /// Uninterrupted reference digests for the workload.
@@ -1082,8 +1007,9 @@ mod tests {
             CrashInjector::for_plan(CrashPlan { site: CrashSite::BeforeCommit, at: 2, seed: 9 });
         let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, Some(CrashSite::BeforeCommit));
-        let st = recover(&keys, &config, &SERIAL, &dur).unwrap();
-        assert!(st.torn_bytes > 0, "the uncommitted batch record is torn residue");
+        let Opened { log, .. } = reopen(&keys, &config, &dur).unwrap();
+        let st = log.persist();
+        assert!(st.torn_bytes_truncated > 0, "the uncommitted batch record is torn residue");
         assert_eq!(st.replayed_batches, 2, "exactly the two committed batches replay");
         let rescan = wal::scan(&dur.dir.join(WAL_FILE)).unwrap();
         assert_eq!(rescan.torn_bytes, 0, "recovery truncated the tail in place");
@@ -1106,11 +1032,12 @@ mod tests {
             CrashInjector::for_plan(CrashPlan { site: CrashSite::MidRecord, at: 10, seed: 21 });
         let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
         assert_eq!(out.crashed, Some(CrashSite::MidRecord));
-        let st = recover(&keys, &config, &SERIAL, &dur).unwrap();
-        assert!(st.used_checkpoint, "the seq-8 checkpoint must load");
-        assert_eq!(st.next_seq, 10, "both post-checkpoint commits are durable");
-        assert_eq!(st.replayed_batches, 2, "seqs 8 and 9 replay from the WAL");
-        assert!(st.torn_bytes > 0, "only the seq-10 record prefix is torn");
+        let ckpt = read_checkpoint_pairs(&dur.dir).unwrap();
+        assert_eq!(ckpt.map(|c| c.next_seq), Some(8), "the seq-8 checkpoint must load");
+        let Opened { log, .. } = reopen(&keys, &config, &dur).unwrap();
+        assert_eq!(log.next_seq(), 10, "both post-checkpoint commits are durable");
+        assert_eq!(log.persist().replayed_batches, 2, "seqs 8 and 9 replay from the WAL");
+        assert!(log.persist().torn_bytes_truncated > 0, "only the seq-10 record prefix is torn");
         let first = wal::scan(&dur.dir.join(WAL_FILE)).unwrap();
         assert_eq!(first.batches.iter().map(|b| b.seq).collect::<Vec<_>>(), [8, 9]);
         assert_eq!(first.torn_bytes, 0, "recovery cut the tail in the reset segment");
@@ -1138,7 +1065,7 @@ mod tests {
         let forged = encode_ops(&ops[3 * 512..4 * 512]);
         w.append_batch(3, &forged, &mut none).unwrap();
         w.commit(3, 0xDEAD_BEEF, 512, true, &mut none).unwrap();
-        let err = recover(&keys, &config, &SERIAL, &dur).unwrap_err();
+        let err = reopen(&keys, &config, &dur).err().expect("divergent replay must fail");
         assert!(matches!(err, DcartError::Recovery(_)), "{err}");
         assert!(err.to_string().contains("digest"), "{err}");
     }
@@ -1163,11 +1090,13 @@ mod tests {
         let (keys, _) = workload();
         let config = DcartConfig::default();
         let dur = DurabilityConfig { dir: tmpdir("fresh"), checkpoint_every: 4 };
-        let st = recover(&keys, &config, &SERIAL, &dur).unwrap();
-        assert_eq!(st.next_seq, 0);
-        assert_eq!(st.replayed_batches, 0);
-        assert!(!st.used_checkpoint);
-        assert_eq!(st.tree.len(), keys.keys.len());
+        let Opened { log, session, absorb, logged_batch_size } =
+            reopen(&keys, &config, &dur).unwrap();
+        assert_eq!(log.next_seq(), 0);
+        assert_eq!(log.persist().replayed_batches, 0);
+        assert!(absorb.is_none() && logged_batch_size.is_none());
+        assert!(read_checkpoint_pairs(&dur.dir).unwrap().is_none());
+        assert_eq!(session.len(), keys.keys.len());
     }
 
     #[test]
@@ -1182,7 +1111,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        let err = recover(&keys, &config, &SERIAL, &dur).unwrap_err();
+        let err = reopen(&keys, &config, &dur).err().expect("a flipped bit must be noticed");
         assert!(
             matches!(err, DcartError::Recovery(_) | DcartError::Snapshot(_)),
             "bit flip must be a typed error: {err}"
@@ -1201,6 +1130,13 @@ mod tests {
         (log, session, batch.collect())
     }
 
+    /// Rotates, runs the job here and takes it back.
+    fn checkpoint_now(log: &mut DurableLog, session: &CttSession) {
+        let mut job = log.rotate(session).unwrap();
+        job.run(&mut File::sync_all, &mut CrashInjector::counting(), &mut log.persist);
+        log.finish(job).unwrap();
+    }
+
     /// Appends, executes and commits `batch`, its mark left unsynced.
     fn commit_one(log: &mut DurableLog, session: &mut CttSession, batch: &[Op]) {
         let mut crash = CrashInjector::counting();
@@ -1217,8 +1153,7 @@ mod tests {
             assert_eq!(log.checkpoint_due(5), committed == 5, "after {committed} batches");
             assert!(!log.checkpoint_due(u64::MAX), "far below the byte trigger");
         }
-        let job = log.rotate(&session).unwrap();
-        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        checkpoint_now(&mut log, &session);
         assert!(!log.checkpoint_due(5), "a rotation restarts the count");
         for _ in 0..5 {
             commit_one(&mut log, &mut session, &batch);
@@ -1231,8 +1166,7 @@ mod tests {
         let (mut log, mut session, batch) = open_keys(&tmpdir("due-bytes"), 1_000);
         // A first checkpoint, whose file sets the trigger.
         commit_one(&mut log, &mut session, &batch);
-        let job = log.rotate(&session).unwrap();
-        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        checkpoint_now(&mut log, &session);
         let trigger = log.checkpoint_trigger_bytes();
         let empty = log.segment_bytes();
         commit_one(&mut log, &mut session, &batch);
@@ -1245,8 +1179,7 @@ mod tests {
         }
         assert!(log.segment_bytes() >= trigger && log.segment_bytes() - per_batch < trigger);
         assert!(log.checkpoint_due(u64::MAX), "not due after {due_at} batches");
-        let job = log.rotate(&session).unwrap();
-        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        checkpoint_now(&mut log, &session);
         assert_eq!(log.segment_bytes(), empty, "appends moved onto the empty spare");
         assert!(!log.checkpoint_due(u64::MAX));
     }
@@ -1257,8 +1190,7 @@ mod tests {
         let (mut log, mut session, batch) = open_keys(&dir, 1_000);
         assert_eq!(log.checkpoint_trigger_bytes(), CHECKPOINT_FLOOR_BYTES, "no checkpoint");
         commit_one(&mut log, &mut session, &batch);
-        let job = log.rotate(&session).unwrap();
-        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        checkpoint_now(&mut log, &session);
         let installed = fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
         assert!(installed < CHECKPOINT_FLOOR_BYTES);
         assert_eq!(log.checkpoint_trigger_bytes(), CHECKPOINT_FLOOR_BYTES, "a small checkpoint");
@@ -1269,8 +1201,7 @@ mod tests {
         let dir = tmpdir("due-restart");
         let (mut log, mut session, batch) = open_keys(&dir, 80_000);
         commit_one(&mut log, &mut session, &batch);
-        let job = log.rotate(&session).unwrap();
-        run_inline(&mut log, job, &mut CrashInjector::counting()).unwrap();
+        checkpoint_now(&mut log, &session);
         let installed = fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
         assert!(installed > CHECKPOINT_FLOOR_BYTES, "the file must outgrow the floor");
         assert_eq!(log.checkpoint_trigger_bytes(), installed, "set by the finished job");

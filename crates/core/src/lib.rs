@@ -60,8 +60,8 @@ pub use ctt::{
 pub use dcart_engine::{CrashInjector, CrashPlan, CrashSite, FaultPlan, RecoveryStats, WalError};
 pub use dcart_mem::PersistStats;
 pub use durable::{
-    read_checkpoint, read_checkpoint_pairs, recover, run_durable, write_checkpoint, CheckpointJob,
-    CheckpointPairs, DurabilityConfig, DurableLog, DurableOutcome, Opened, RecoveredState,
+    read_checkpoint, read_checkpoint_pairs, run_durable, write_checkpoint, CheckpointJob,
+    CheckpointPairs, DurabilityConfig, DurableLog, DurableOutcome, Opened,
 };
 pub use error::DcartError;
 pub use shortcut::{ShortcutEntry, ShortcutStats, ShortcutTable, ENTRY_BYTES};

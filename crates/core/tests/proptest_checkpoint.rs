@@ -120,8 +120,8 @@ proptest! {
                 continue;
             }
             let mut job = log.rotate(&session).unwrap();
-            job.run(&mut |_: &File| Ok(()), &mut crash, &mut persist).unwrap();
-            log.finish(job);
+            job.run(&mut |_: &File| Ok(()), &mut crash, &mut persist);
+            log.finish(job).unwrap();
             installed = seq;
             prop_assert!(log.checkpointed());
 

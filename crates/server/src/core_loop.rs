@@ -500,8 +500,8 @@ impl<T: Default> Lane<T> {
     }
 
     /// [`Lane::wait_idle`], then an entry the thread gave back, as its
-    /// body left it — on the checkpoint lane, the job that ended last (a
-    /// default one when there is none left to collect).
+    /// body left it — on the checkpoint lane, the job that ended last
+    /// (`None` when there is none left to collect).
     fn take_back(&self) -> T {
         self.wait_idle();
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -625,19 +625,11 @@ struct JobCtx {
     sync: FileSync,
 }
 
-/// A checkpoint on its way from the loop to the job and back.
-#[derive(Default)]
-struct Job {
-    checkpoint: Option<CheckpointJob>,
-    /// Set where the job ran.
-    outcome: Option<Result<(), DcartError>>,
-}
-
 /// The checkpoint job — the checkpoint thread's body, or inline: install,
 /// reset the retired segment — [`CheckpointJob::run`] — then publish what
-/// it did and, on any failure, mark the core dead.
-fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
-    let Some(checkpoint) = &mut job.checkpoint else { return };
+/// it did and, on any failure, mark the core dead. The outcome stays with
+/// the job, for [`DurableLog::finish`] to return.
+fn run_job(checkpoint: &mut CheckpointJob, ctx: &mut JobCtx, shared: &ServerShared) {
     let started = shared.now_ns();
     let mut persist = PersistStats::default();
     let result = checkpoint.run(&mut *ctx.sync, &mut ctx.crash, &mut persist);
@@ -652,7 +644,6 @@ fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
     if result.is_err() {
         shared.mark_dead();
     }
-    job.outcome = Some(result);
 }
 
 /// The lanes to the side threads while [`ServerCore::run`] runs a durable
@@ -660,7 +651,7 @@ fn run_job(job: &mut Job, ctx: &mut JobCtx, shared: &ServerShared) {
 #[derive(Clone, Copy)]
 struct Lanes<'a> {
     commits: &'a Lane<Handed>,
-    checkpoints: &'a Lane<Job>,
+    checkpoints: &'a Lane<Option<CheckpointJob>>,
 }
 
 /// Closes the lanes when the loop's part of [`ServerCore::run`] ends, by
@@ -770,7 +761,7 @@ impl ServerCore {
             scratch: FlushScratch::default(),
         };
         if let Some(checkpoint) = absorb {
-            core.run_inline(Job { checkpoint: Some(checkpoint), outcome: None })?;
+            core.run_inline(checkpoint)?;
         }
         Ok(core)
     }
@@ -817,7 +808,7 @@ impl ServerCore {
                 });
                 let checkpointer = scope.spawn(move || {
                     checkpoints.take_and_run(|taken| {
-                        taken.iter_mut().for_each(|job| run_job(job, &mut ctx, shared));
+                        taken.iter_mut().flatten().for_each(|job| run_job(job, &mut ctx, shared));
                     });
                     ctx
                 });
@@ -838,7 +829,10 @@ impl ServerCore {
         }
         // The job that ended last, then — drain complete — a final
         // checkpoint, so that restart needs no replay.
-        let last = self.finish_job(checkpoints.take_back());
+        let last = match (&mut self.log, checkpoints.take_back()) {
+            (Some(log), Some(job)) => log.finish(job),
+            _ => Ok(()),
+        };
         if let Err(e) = last.and_then(|()| self.checkpoint(true, None)) {
             self.error.get_or_insert(e);
         }
@@ -1039,7 +1033,9 @@ impl ServerCore {
     fn checkpoint(&mut self, drain: bool, lanes: Option<Lanes<'_>>) -> Result<(), DcartError> {
         let started = self.shared.now_ns();
         if let Some(lanes) = lanes {
-            self.finish_job(lanes.checkpoints.take_back())?;
+            if let (Some(log), Some(job)) = (&mut self.log, lanes.checkpoints.take_back()) {
+                log.finish(job)?;
+            }
             lanes.commits.wait_idle();
         }
         if self.shared.is_dead() {
@@ -1053,39 +1049,30 @@ impl ServerCore {
         // and the old segment goes with the job, which empties it once the
         // checkpoint that absorbs it is installed. The committer, idle
         // now, syncs the new segment from the next batch on.
-        let checkpoint = log.rotate(&self.session)?;
+        let job = log.rotate(&self.session)?;
         self.next_segment = Some(log.sync_handle()?);
         let stall = self.shared.now_ns().saturating_sub(started);
         self.publish(|snap| {
             snap.checkpoint_stall_ns_total += stall;
             snap.checkpoint_stall_ns_max = snap.checkpoint_stall_ns_max.max(stall);
         });
-        let mut job = Job { checkpoint: Some(checkpoint), outcome: None };
         match lanes {
             Some(lanes) => {
-                lanes.checkpoints.hand_over(&mut job);
+                lanes.checkpoints.hand_over(&mut Some(job));
                 Ok(())
             }
             None => self.run_inline(job),
         }
     }
 
-    /// Runs a checkpoint job on the calling thread and takes it back.
-    fn run_inline(&mut self, mut job: Job) -> Result<(), DcartError> {
-        let Some(ctx) = &mut self.job_ctx else {
+    /// Runs a checkpoint job on the calling thread and hands it back to
+    /// the log, which returns its outcome.
+    fn run_inline(&mut self, mut job: CheckpointJob) -> Result<(), DcartError> {
+        let (Some(ctx), Some(log)) = (&mut self.job_ctx, &mut self.log) else {
             return Err(DcartError::Recovery("checkpoint job state is away".into()));
         };
         run_job(&mut job, ctx, &self.shared);
-        self.finish_job(job)
-    }
-
-    /// Takes back a job that has ended: the log its image and its retired
-    /// segment — the spare — and the job's error, if it failed.
-    fn finish_job(&mut self, job: Job) -> Result<(), DcartError> {
-        if let (Some(log), Some(checkpoint)) = (&mut self.log, job.checkpoint) {
-            log.finish(checkpoint);
-        }
-        job.outcome.unwrap_or(Ok(()))
+        log.finish(job)
     }
 
     /// Durability failed mid-batch: answer errors (the batch was never

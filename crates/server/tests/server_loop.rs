@@ -14,8 +14,9 @@
 //! loop runs on into the other WAL segment, a failed install, a
 //! single-file directory of the previous format, job and inline
 //! checkpoints byte for byte — and the one on-disk protocol read both
-//! ways: a killed server directory through the offline `recover`, a
-//! crashed `run_durable` directory through `ServerCore::open` — all with
+//! ways: a killed server directory through `DurableLog::open` and
+//! `run_durable`, a crashed `run_durable` directory through
+//! `ServerCore::open`, held against a plain execution — all with
 //! `TestClock` (or a clock that
 //! ticks per reading), so no decision here depends on wall time, and
 //! with the commit sync or the checkpoint's fsync behind a gate the test
@@ -421,9 +422,9 @@ fn crash_inside_a_batch_capped_checkpoint_recovers_to_the_uncrashed_state() {
 
 /// One on-disk protocol, read both ways: a directory `run_durable` left
 /// after a crash at each of the five sites — the checkpoint sites inside
-/// its second checkpoint — opens in the server to the state the
-/// offline `recover` reports: the same sequence number, answer digest and
-/// tree.
+/// its second checkpoint — opens in the server with every batch
+/// `run_durable` committed, to the state a plain `execute_ctt` reaches
+/// over those batches' ops: the same answer digest and tree.
 #[test]
 fn an_offline_directory_crashed_at_every_site_opens_in_the_server() {
     let keys = Workload::Ipgeo.generate(1_000, 3);
@@ -439,18 +440,20 @@ fn an_offline_directory_crashed_at_every_site_opens_in_the_server() {
         let out = dcart::run_durable(&keys, &ops, &config, 256, &opts, &dur, &mut crash)
             .expect("an injected crash is an outcome");
         assert_eq!(out.crashed, Some(site));
-        let offline = dcart::recover(&keys, &config, &opts, &dur).expect("recovers offline");
-        assert!(offline.next_seq > 0, "{}: something was committed", site.name());
 
         let server = ServerConfig { data_dir: Some(dir.clone()), ..mem_config(256, 1, false) };
         let shared = ServerShared::new(server.admission, Arc::new(TestClock::new()));
         let core = ServerCore::open(server, Arc::clone(&shared), &pairs).expect("opens");
         let ckpt = dcart::read_checkpoint_pairs(&dir).expect("readable").map_or(0, |c| c.next_seq);
         let seq = ckpt + shared.stats().core.replayed_batches;
-        assert_eq!(seq, offline.next_seq, "{}: same sequence number", site.name());
-        assert_eq!(core.answer_digest(), offline.answer_digest, "{}", site.name());
-        let tree = core.into_tree_digest().expect("tree");
-        assert_eq!(tree, dcart::tree_digest(&offline.tree), "{}", site.name());
+        assert!(seq > 0, "{}: something was committed", site.name());
+        assert_eq!(seq, out.batches_committed, "{}: every committed batch", site.name());
+        let prefix = ops.get(..seq as usize * 256).expect("no batch past the stream");
+        let (tree, stats, _) =
+            dcart::execute_ctt(&keys, prefix, &config, 256, &opts, &mut Silent).expect("plain");
+        assert_eq!(core.answer_digest(), stats.answer_digest, "{}", site.name());
+        let served = core.into_tree_digest().expect("tree");
+        assert_eq!(served, dcart::tree_digest(&tree), "{}", site.name());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -983,6 +986,7 @@ mod pipelined {
     use std::sync::{Condvar, Mutex};
 
     use dcart::durable::WAL_FILE;
+    use dcart::{DurableLog, Opened};
     use dcart_server::FileSync;
 
     use super::*;
@@ -1652,8 +1656,8 @@ mod pipelined {
     }
 
     /// The killed directory above — batches 0 and 1 in the retired
-    /// segment, 2 and 3 in the active one, no checkpoint installed — read
-    /// by the offline `recover`: both segments replay, to the digest the
+    /// segment, 2 and 3 in the active one, no checkpoint installed — opened
+    /// by `DurableLog::open` alone: both segments replay, to the digest the
     /// server had at sequence number 4. And resumed by `run_durable`, whose
     /// open absorbs the older segment with a checkpoint on the injector it
     /// was given: a crash planned there fires, and the next run completes
@@ -1684,16 +1688,18 @@ mod pipelined {
             popularity: Vec::new(),
         };
         let dur = DurabilityConfig { dir: killed.clone(), checkpoint_every: 4 };
-        let st = dcart::recover(&no_keys, &DcartConfig::default(), &ExecOpts::default(), &dur)
-            .expect("recovers");
-        assert_eq!((st.next_seq, st.replayed_batches, st.used_checkpoint), (4, 4, false));
-        assert_eq!(st.answer_digest, served, "the server's digest at sequence number 4");
-        assert_eq!(st.answer_digest, digest_after(4));
+        let (config, opts) = (DcartConfig::default(), ExecOpts::default());
+        let Opened { log, session, .. } =
+            DurableLog::open(&killed, &[], &config, &opts, 4).expect("recovers");
+        assert_eq!((log.next_seq(), log.persist().replayed_batches), (4, 4));
+        assert!(dcart::read_checkpoint_pairs(&killed).expect("readable").is_none());
+        assert_eq!(session.answer_digest(), served, "the server's digest at sequence number 4");
+        assert_eq!(session.answer_digest(), digest_after(4));
+        drop((log, session));
 
         let ops: Vec<Op> = (0..16)
             .map(|k| Op { kind: OpKind::Insert, key: Key::from_u64(k), value: k + 1 })
             .collect();
-        let (config, opts) = (DcartConfig::default(), ExecOpts::default());
         let plan = CrashPlan { site: CrashSite::MidCheckpoint, at: 0, seed: 5 };
         let mut crash = CrashInjector::for_plan(plan);
         let out = dcart::run_durable(&no_keys, &ops, &config, 4, &opts, &dur, &mut crash)

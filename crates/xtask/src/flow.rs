@@ -71,11 +71,13 @@ static AUTOMATA: [Automaton; 3] = [
     // mark's where `run_durable` syncs it inline, and `commit_sync()` in
     // the committer's round, `sync_and_answer`, wherever the server runs
     // it; the acknowledgement is `Response::ok` or a call that carries the
-    // batch to it — `acknowledge`, the loop's call of `sync_and_answer` on
-    // its own thread, or its `commits.hand_over` to the committer's lane,
-    // which may sync and answer from the moment it has the batch. The
-    // checkpoint lane's `hand_over` carries a job, not a batch, and is no
-    // stage.
+    // batch to it — the loop's call of `sync_and_answer` on its own thread
+    // (under `flush_now` and without a WAL), or its `commits.hand_over` to
+    // the committer's lane, which may sync and answer from the moment it
+    // has the batch. No function is named `acknowledge` any more; the name
+    // stays matched, so that one added under it is a stage from the start.
+    // The checkpoint lane's `hand_over` carries a job, not a batch, and is
+    // no stage.
     Automaton {
         name: "durable-ack",
         files: &["crates/server/src/core_loop.rs", "crates/core/src/durable.rs"],
