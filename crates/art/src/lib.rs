@@ -32,9 +32,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: the `simd` module — and only it — opts back in with
-// a reviewed `#![allow(unsafe_code)]` for `std::arch` kernels. The xtask P1
-// lint hard-errors on the `unsafe` token anywhere else in the workspace.
+// `deny`, not `forbid`: the x86_64 prefetch in `simd` — and only it — opts
+// back in with a reviewed `#[allow(unsafe_code)]` for `_mm_prefetch`. The
+// xtask P1 lint hard-errors on the `unsafe` token outside the files
+// `rules::UNSAFE_SANCTIONED` lists.
 #![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 

@@ -413,6 +413,10 @@ mod tests {
             for (&mb, &mn) in &model {
                 assert_eq!(c.find(mb), Some(mn));
             }
+            // A shrink copies every child into the smaller layout, in order.
+            let got: Vec<(u8, NodeId)> = c.iter().collect();
+            let want: Vec<(u8, NodeId)> = model.iter().map(|(&b, &n)| (b, n)).collect();
+            assert_eq!(got, want, "iteration after removing {b:#04x}");
         }
         assert!(c.is_empty());
         assert_eq!(c.node_type(), NodeType::N4);

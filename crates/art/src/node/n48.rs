@@ -89,7 +89,7 @@ impl Node48 {
     /// Copies the children into a fresh [`Node256`].
     pub fn grow(&self) -> Node256 {
         let mut n = Node256::default();
-        for (byte, child) in self.iter_ordered() {
+        for (byte, child) in self.ordered() {
             let ok = n.add(byte, child);
             debug_assert!(ok);
         }
@@ -104,7 +104,7 @@ impl Node48 {
     pub fn shrink(&self) -> Node16 {
         debug_assert!(self.len() <= 16);
         let mut n = Node16::default();
-        for (byte, child) in self.iter_ordered() {
+        for (byte, child) in self.ordered() {
             let ok = n.add(byte, child);
             debug_assert!(ok);
         }
@@ -131,25 +131,10 @@ impl Node48 {
         n
     }
 
-    /// Ordered `(byte, child)` pairs. One vector sweep compresses the index
-    /// array into a 256-bit occupancy bitmap; iteration then walks only the
-    /// set bits instead of probing all 256 sentinel slots.
-    fn iter_ordered(&self) -> impl Iterator<Item = (u8, NodeId)> + '_ {
-        let bitmap = crate::simd::present_bitmap(&self.index, EMPTY);
-        bitmap.into_iter().enumerate().flat_map(move |(w, word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                let byte = (w as u8) * 64 + bit as u8;
-                let slot = self.index[usize::from(byte)];
-                debug_assert!(slot != EMPTY);
-                Some((byte, self.children[usize::from(slot)]))
-            })
-        })
+    /// Ordered `(byte, child)` pairs, one [`next_from`](Self::next_from)
+    /// step each.
+    fn ordered(&self) -> impl Iterator<Item = (u8, NodeId)> + '_ {
+        std::iter::successors(self.next_from(0), |&(byte, _)| self.next_from(byte.checked_add(1)?))
     }
 }
 

@@ -98,12 +98,6 @@ impl<V> Default for Art<V> {
     }
 }
 
-/// Length of the longest common prefix of two byte slices, vectorized in
-/// 16-byte strides where the target ISA allows (see [`crate::simd`]).
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    crate::simd::common_prefix_len(a, b)
-}
-
 /// Builds the visit record for an access to `node`.
 pub(crate) fn visit_record<V>(id: NodeId, node: &Node<V>, prefix_compared: u32) -> NodeVisit {
     match node {
@@ -238,7 +232,7 @@ impl<V> Art<V> {
                 }
                 node @ Node::Inner(inner) => {
                     let rest = &bytes[depth..];
-                    let m = common_prefix_len(&inner.prefix, rest);
+                    let m = crate::simd::common_prefix_len(&inner.prefix, rest);
                     tracer.visit(visit_record(cur, node, m as u32));
                     tracer.partial_key_matches(m as u32 + 1);
                     if m < inner.prefix.len() || depth + m >= bytes.len() {
@@ -367,7 +361,8 @@ impl<V> Art<V> {
         let key_bytes = |slot: &Option<(Key, V)>| slot.as_ref().expect("live slot").0.clone();
         let first = key_bytes(&slots[lo]);
         let last = key_bytes(&slots[hi - 1]);
-        let common = common_prefix_len(&first.as_bytes()[depth..], &last.as_bytes()[depth..]);
+        let common =
+            crate::simd::common_prefix_len(&first.as_bytes()[depth..], &last.as_bytes()[depth..]);
         let split = depth + common;
         if split >= first.len() {
             return Err(ArtError::PrefixViolation);
@@ -452,7 +447,7 @@ impl<V> Art<V> {
                         tracer.partial_key_matches((bytes.len() - depth).max(1) as u32);
                         Step::ReplaceLeafValue
                     } else {
-                        let common = common_prefix_len(&lk[depth..], &bytes[depth..]);
+                        let common = crate::simd::common_prefix_len(&lk[depth..], &bytes[depth..]);
                         tracer.partial_key_matches(common as u32 + 1);
                         if depth + common == lk.len() || depth + common == bytes.len() {
                             Step::Violation
@@ -463,7 +458,7 @@ impl<V> Art<V> {
                 }
                 node @ Node::Inner(inner) => {
                     let rest = &bytes[depth..];
-                    let m = common_prefix_len(&inner.prefix, rest);
+                    let m = crate::simd::common_prefix_len(&inner.prefix, rest);
                     tracer.visit(visit_record(cur, node, m as u32));
                     tracer.partial_key_matches(m as u32 + 1);
                     if m < inner.prefix.len() {
@@ -616,7 +611,7 @@ impl<V> Art<V> {
                 }
                 node @ Node::Inner(inner) => {
                     let rest = &bytes[depth..];
-                    let m = common_prefix_len(&inner.prefix, rest);
+                    let m = crate::simd::common_prefix_len(&inner.prefix, rest);
                     tracer.visit(visit_record(cur, node, m as u32));
                     tracer.partial_key_matches(m as u32 + 1);
                     if m < inner.prefix.len() || depth + m >= bytes.len() {

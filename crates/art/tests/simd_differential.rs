@@ -1,9 +1,8 @@
-//! Exhaustive differential tests for the `simd` kernels: the compile-time
-//! selected implementation (SSE2/NEON or fallback), the portable SWAR
-//! path, and a naive scalar reference must agree on *every* input the node
-//! layouts can produce — every occupancy 0..=capacity and all 256 byte
-//! values. CI runs this file twice: once on the vector path and once under
-//! `--features force-swar`.
+//! Exhaustive differential tests for the `simd` search primitives: the
+//! module's SWAR kernels and a naive scalar reference must agree on
+//! *every* input the node layouts can produce — every occupancy 0..=16
+//! and all 256 byte values for the N16 search, every (length, mismatch
+//! position) pair for the prefix scan.
 
 use dcart_art::simd;
 
@@ -12,20 +11,12 @@ fn search16_naive(keys: &[u8; 16], len: usize, byte: u8) -> Option<usize> {
     keys[..len].iter().position(|&k| k == byte)
 }
 
-/// Naive scalar ground truth for the N48 occupancy bitmap.
-fn present_naive(index: &[u8; 256], absent: u8) -> [u64; 4] {
-    let mut out = [0u64; 4];
-    for (i, &b) in index.iter().enumerate() {
-        if b != absent {
-            out[i >> 6] |= 1 << (i & 63);
-        }
-    }
-    out
-}
-
 /// N16 search: every occupancy 0..=16, every probe byte 0..=255, across
 /// several sorted-unique key-set shapes (phases × strides, as a real Node16
-/// maintains) with adversarial garbage in the stale lanes.
+/// maintains) with garbage in the stale lanes: a constant byte that no
+/// live lane holds, and bytes that *do* occur in live lanes elsewhere — the
+/// nastiest case for masking bugs. The probes include the boundary bytes
+/// 0x00, 0x7F/0x80 (the zero-byte detector's high-bit edge) and 0xFF.
 #[test]
 fn n16_search_simd_swar_scalar_agree_exhaustively() {
     let mut cases = 0u64;
@@ -41,88 +32,52 @@ fn n16_search_simd_swar_scalar_agree_exhaustively() {
                 if live.windows(2).any(|w| w[0] == w[1]) {
                     continue; // Node16 keys are unique; skip collapsed sets
                 }
-                // Stale lanes hold bytes that *do* occur in live lanes
-                // elsewhere — the nastiest case for masking bugs.
-                for (j, slot) in keys.iter_mut().enumerate().skip(len) {
-                    *slot = [0x00, 0xFF, 0x80, phase.min(255) as u8][j % 4];
-                }
-                for probe in 0..=255u8 {
-                    let want = search16_naive(&keys, len, probe);
-                    assert_eq!(
-                        simd::search16(&keys, len, probe),
-                        want,
-                        "simd: len={len} phase={phase} stride={stride} probe={probe:#04x} keys={keys:?}"
-                    );
-                    assert_eq!(
-                        simd::search16_swar(&keys, len, probe),
-                        want,
-                        "swar: len={len} phase={phase} stride={stride} probe={probe:#04x} keys={keys:?}"
-                    );
-                    cases += 1;
+                let cyclic = [0x00, 0xFF, 0x80, phase.min(255) as u8];
+                for stale in [[0xAB; 4], cyclic] {
+                    for (j, slot) in keys.iter_mut().enumerate().skip(len) {
+                        *slot = stale[j % 4];
+                    }
+                    for probe in 0..=255u8 {
+                        assert_eq!(
+                            simd::search16(&keys, len, probe),
+                            search16_naive(&keys, len, probe),
+                            "len={len} phase={phase} stride={stride} probe={probe:#04x} keys={keys:?}"
+                        );
+                        cases += 1;
+                    }
                 }
             }
         }
     }
-    assert!(cases > 100_000, "sweep collapsed to {cases} cases");
-}
-
-/// N48 occupancy bitmap: every occupancy 0..=48 under three fill orders
-/// (ascending, descending, strided — exercising every index byte 0..=255
-/// and both word-boundary edges), plus sparse single-bit maps at all 256
-/// positions.
-#[test]
-fn n48_present_bitmap_simd_scalar_agree_exhaustively() {
-    const ABSENT: u8 = 0xFF;
-    let orders: [Vec<u8>; 3] = [
-        (0..=255u8).collect(),
-        (0..=255u8).rev().collect(),
-        (0..=255u8).map(|i| i.wrapping_mul(37).wrapping_add(11)).collect(),
-    ];
-    for order in &orders {
-        let mut index = [ABSENT; 256];
-        // Occupancy 0 first, then grow one slot at a time to 48.
-        for occ in 0..=48usize {
-            if occ > 0 {
-                index[usize::from(order[occ - 1])] = (occ - 1) as u8;
-            }
-            let want = present_naive(&index, ABSENT);
-            assert_eq!(simd::present_bitmap(&index, ABSENT), want, "occ={occ}");
-            assert_eq!(simd::present_bitmap_scalar(&index, ABSENT), want, "occ={occ}");
-            let ones: u32 = want.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(ones as usize, occ);
-        }
-    }
-    // Every single-bit position, with a non-0xFF sentinel too (the kernel
-    // is generic over the absent byte).
-    for absent in [0xFFu8, 0x00] {
-        for pos in 0..256usize {
-            let mut index = [absent; 256];
-            index[pos] = absent.wrapping_add(1);
-            let want = present_naive(&index, absent);
-            assert_eq!(simd::present_bitmap(&index, absent), want, "pos={pos} absent={absent}");
-            assert_eq!(simd::present_bitmap_scalar(&index, absent), want);
-        }
-    }
+    assert!(cases > 200_000, "sweep collapsed to {cases} cases");
 }
 
 /// Prefix comparison: every (length, mismatch position) pair up to beyond
-/// two vector strides, both kernels against the iterator-zip ground truth.
+/// several 8-byte strides, for two byte patterns and two ways of breaking
+/// the match, against the iterator-zip ground truth.
 #[test]
 fn common_prefix_simd_swar_scalar_agree_exhaustively() {
-    for n in 0..=64usize {
-        let a: Vec<u8> = (0..n as u8).map(|i| i.wrapping_mul(29).wrapping_add(3)).collect();
-        for pos in 0..=n {
-            let mut b = a.clone();
-            if pos < n {
-                b[pos] = b[pos].wrapping_add(1);
+    type ByteMap = fn(u8) -> u8;
+    let patterns: [(ByteMap, ByteMap); 2] = [
+        (|i| i.wrapping_mul(29).wrapping_add(3), |b| b.wrapping_add(1)),
+        (|i| i.wrapping_mul(31), |b| b ^ 0x40),
+    ];
+    for (fill, flip) in patterns {
+        for n in 0..=64usize {
+            let a: Vec<u8> = (0..n as u8).map(fill).collect();
+            for pos in 0..=n {
+                let mut b = a.clone();
+                if pos < n {
+                    b[pos] = flip(b[pos]);
+                }
+                let want = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+                assert_eq!(want, pos.min(n));
+                assert_eq!(simd::common_prefix_len(&a, &b), want, "n={n} pos={pos}");
+                // Length asymmetry clamps to the shorter slice, both ways.
+                assert_eq!(simd::common_prefix_len(&a, &b[..pos.min(n)]), pos.min(n));
+                assert_eq!(simd::common_prefix_len(&b[..pos.min(n)], &a), pos.min(n));
             }
-            let want = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
-            assert_eq!(want, pos.min(n));
-            assert_eq!(simd::common_prefix_len(&a, &b), want, "n={n} pos={pos}");
-            assert_eq!(simd::common_prefix_len_swar(&a, &b), want, "n={n} pos={pos}");
-            // Length asymmetry clamps to the shorter slice, both ways.
-            assert_eq!(simd::common_prefix_len(&a, &b[..pos.min(n)]), pos.min(n));
-            assert_eq!(simd::common_prefix_len(&b[..pos.min(n)], &a), pos.min(n));
+            assert_eq!(simd::common_prefix_len(&a, &a[..n / 2]), n / 2);
         }
     }
 }

@@ -281,8 +281,8 @@ mod tests {
     use super::*;
 
     // This harness measures no time. What its cells do not cover is
-    // checked where it lives: masked N16 search == binary search in
-    // `masked_equals_binary_exhaustively`, splits on steep skew in
+    // checked where it lives: N16 search == a naive scan in
+    // `n16_search_simd_swar_scalar_agree_exhaustively`, splits on steep skew in
     // `hot_buckets_split_then_remerge_after_cooling`, and the same stats,
     // events, load report and tree at any thread count and claim order in
     // `splitting_runs_are_identical_across_threads_and_stealing`.

@@ -681,6 +681,18 @@ fn tcp_end_to_end_roundtrip() {
         };
         assert_eq!(answers[&(i as u64)], expected, "request {i}: {kind:?} of key {key}");
     }
+    // The server's half of the accounting identity. Every counter read
+    // here is published before the answers it counts leave, so with every
+    // answer in, the reads do not race the loop.
+    let stats = handle.shared().stats();
+    let (adm, core) = (stats.admission, stats.core);
+    let writes = triples.iter().filter(|&&(kind, _, _)| kind.is_write()).count() as u64;
+    assert_eq!(adm.accepted, triples.len() as u64, "{adm:?}");
+    assert_eq!(core.ops + core.expired_in_queue, adm.accepted, "{core:?}");
+    assert_eq!(core.acked_writes, writes, "{core:?}");
+    let rejected =
+        [adm.overloaded, adm.deadline_exceeded, adm.shed_scans, adm.shed_reads, adm.draining];
+    assert_eq!(rejected, [0; 5], "{adm:?}");
     let report = handle.shutdown_and_join().expect("drain");
     assert_eq!(
         report.tree_digest,

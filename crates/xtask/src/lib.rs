@@ -120,11 +120,11 @@ pub fn analyze_source(path: &str, source: &str) -> Vec<Diagnostic> {
 /// ([`analyze_program`]), then runs the workspace-level checks:
 ///
 /// * every [`rules::LIB_CRATES`] root carries `#![forbid(unsafe_code)]`
-///   — or, for the crate owning a [`rules::UNSAFE_SANCTIONED`] kernel
-///   file, `#![deny(unsafe_code)]` (the sanctioned file re-allows it
-///   module-locally; `forbid` cannot be overridden, so `deny` is the
-///   strongest root attribute compatible with the exception) — and the
-///   `deny(clippy::unwrap_used, clippy::panic)` cfg_attr;
+///   — or, for a crate owning a [`rules::UNSAFE_SANCTIONED`] file,
+///   `#![deny(unsafe_code)]` (the sanctioned file re-allows it on the one
+///   function holding the block; `forbid` cannot be overridden, so `deny`
+///   is the strongest root attribute compatible with the exception) — and
+///   the `deny(clippy::unwrap_used, clippy::panic)` cfg_attr;
 /// * every [`rules::F1_MAGICS`] literal is actually defined at its single
 ///   source of truth.
 ///
@@ -194,8 +194,9 @@ fn workspace_checks(
                 out.push(root_diag(
                     &rel,
                     "missing `#![deny(unsafe_code)]` on the crate root (this crate owns a \
-                     sanctioned unsafe kernel file, so the root downgrades forbid to deny and \
-                     the kernel module carries the reviewed `#![allow(unsafe_code)]`)",
+                     sanctioned unsafe file, so the root downgrades forbid to deny and the \
+                     function holding the unsafe block carries a reviewed \
+                     `#[allow(unsafe_code)]`)",
                 ));
             }
         } else if !code.contains("#![forbid(unsafe_code)]") {
