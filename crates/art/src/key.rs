@@ -206,19 +206,6 @@ impl Hash for Key {
     }
 }
 
-/// A plain byte sequence, whichever representation holds the key.
-impl serde::Serialize for Key {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_newtype_struct("Key", self.as_bytes())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Key {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Vec::<u8>::deserialize(deserializer).map(|bytes| Self::from_slice(&bytes))
-    }
-}
-
 impl fmt::Debug for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Key(")?;
@@ -367,16 +354,13 @@ mod tests {
     }
 
     #[test]
-    fn eq_ord_hash_and_serde_are_those_of_the_byte_slice() {
+    fn eq_ord_and_hash_are_those_of_the_byte_slice() {
         let samples = boundary_samples();
         for a in &samples {
             let ka = Key::from_raw(a.clone());
             assert_eq!(ka.as_bytes(), a.as_slice());
             assert_eq!(ka.len(), a.len());
             assert_eq!(default_hash(&ka), default_hash(&a.as_slice()), "len {}", a.len());
-            let json = serde_json::to_string(&ka).unwrap();
-            assert_eq!(json, serde_json::to_string(a).unwrap());
-            assert_eq!(serde_json::from_str::<Key>(&json).unwrap(), ka);
             for b in &samples {
                 let kb = Key::from_raw(b.clone());
                 assert_eq!(ka == kb, a == b, "{a:?} == {b:?}");

@@ -152,22 +152,15 @@ impl Default for ExecOpts {
     }
 }
 
-/// The hardware's Key_ID: an FNV-1a-shaped hash of the key bytes (xor a
-/// byte in, then multiply), seeded with FNV-64's offset basis.
-///
-/// It is not FNV-1a: the multiplier is `0x1000_0000_01b3` = 2^44 + 0x1b3,
-/// where FNV-64's prime is `0x100_0000_01b3` = 2^40 + 0x1b3. Each step is
-/// still a bijection of the state. The constant stays because every
-/// digest, report and counter of the repository is computed through it
-/// (and [`wal::checksum`](dcart_engine::wal::checksum), which multiplies by
-/// the same, is in every byte on disk).
+/// The hardware's Key_ID: the WAL's byte hash,
+/// [`wal::checksum`](dcart_engine::wal::checksum), over the key bytes —
+/// FNV-1a-shaped (xor a byte in, then multiply), seeded with FNV-64's
+/// offset basis, but multiplying by 2^44 + 0x1b3 where FNV-64 uses
+/// 2^40 + 0x1b3. Every digest, report and counter of the repository is
+/// computed through it, and every byte on disk is checked with it, so
+/// neither constant moves.
 pub fn key_id(key: &Key) -> u64 {
-    let mut h: u64 = DIGEST_BASE;
-    for &b in key.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    dcart_engine::wal::checksum(key.as_bytes())
 }
 
 /// One step of the [`key_id`] hash (xor, then multiply by 2^44 + 0x1b3)

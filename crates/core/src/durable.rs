@@ -43,9 +43,10 @@
 //! # Recovery
 //!
 //! [`DurableLog::open`], the one way into a directory, loads the
-//! checkpoint, cuts both segments' torn tails, and replays the committed
-//! batches past the checkpoint in sequence order, each WAL record as one
-//! [`CttSession::execute_batch`]. Replay is *verified*: each batch must
+//! checkpoint, scans both segments, and replays the committed batches
+//! past the checkpoint in sequence order, each WAL record as one
+//! [`CttSession::execute_batch`]; only then does it cut the segments'
+//! torn tails. Replay is *verified*: each batch must
 //! be the next sequence number, hold the op count and reproduce exactly
 //! the cumulative answer digest its commit record promised, so silent
 //! divergence is a typed error, not a wrong answer. Correctness rests on
@@ -489,18 +490,19 @@ pub struct Opened {
 
 impl DurableLog {
     /// Opens the log under `dir` (created if missing) and recovers the
-    /// state it holds: drops a stray `checkpoint.tmp` (crash residue),
-    /// reads the checkpoint, scans both segments and cuts their torn
-    /// tails, seeds a session with the checkpoint's entries (or
-    /// `initial_pairs`) and replays every committed batch past the
-    /// checkpoint in sequence order. Each WAL record replays as one
-    /// executor batch — the live run's boundaries — and must be the next
-    /// sequence number, hold the op count its commit mark promised and
-    /// reproduce the digest it promised. A missing segment is created with
-    /// `batch_size` in its header, also the session's nominal batch size;
-    /// a version-1 segment is upgraded. No crash site fires here: a spare
-    /// that holds batches is replayed, and the checkpoint that absorbs it
-    /// is handed back in [`Opened::absorb`].
+    /// state it holds: reads the checkpoint, scans both segments, seeds a
+    /// session with the checkpoint's entries (or `initial_pairs`) and
+    /// replays every committed batch past the checkpoint in sequence
+    /// order. Each WAL record replays as one executor batch — the live
+    /// run's boundaries — and must be the next sequence number, hold the
+    /// op count its commit mark promised and reproduce the digest it
+    /// promised. Only once every batch verified does it write: it drops a
+    /// stray `checkpoint.tmp` (crash residue), cuts the segments' torn
+    /// tails, and creates a missing segment with `batch_size` in its
+    /// header, also the session's nominal batch size; an error leaves the
+    /// directory as it was. No crash site fires here: a spare that holds
+    /// batches is replayed, and the checkpoint that absorbs it is handed
+    /// back in [`Opened::absorb`].
     ///
     /// # Errors
     ///
@@ -517,21 +519,14 @@ impl DurableLog {
         batch_size: usize,
     ) -> Result<Opened, DcartError> {
         fs::create_dir_all(dir)?;
-        match fs::remove_file(dir.join(CHECKPOINT_TMP)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
         let (checkpoint, installed_bytes) = match read_checkpoint_file(dir)? {
             Some((ckpt, bytes)) => (Some(ckpt), bytes),
             None => (None, 0),
         };
-        let mut persist = PersistStats::default();
         let mut segments = Vec::with_capacity(WAL_SEGMENTS.len());
         for name in WAL_SEGMENTS {
             let path = dir.join(name);
-            let scan = if path.exists() { Some(wal::recover(&path)?) } else { None };
-            persist.torn_bytes_truncated += scan.as_ref().map_or(0, |s| s.torn_bytes);
+            let scan = if path.exists() { Some(wal::scan(&path)?) } else { None };
             segments.push((path, scan));
         }
         // Appends continue in the segment holding the newest batch (the
@@ -583,7 +578,24 @@ impl DurableLog {
                 )));
             }
         }
-        persist.replayed_batches = batches.len() as u64;
+        let mut persist =
+            PersistStats { replayed_batches: batches.len() as u64, ..PersistStats::default() };
+
+        // Verified: only now does the open write. A refused directory is
+        // left exactly as it was found.
+        match fs::remove_file(dir.join(CHECKPOINT_TMP)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        for (path, scan) in &segments {
+            if let Some(scan) = scan.as_ref().filter(|s| s.torn_bytes > 0) {
+                let file = fs::OpenOptions::new().write(true).open(path)?;
+                file.set_len(scan.valid_len)?;
+                file.sync_all()?;
+                persist.torn_bytes_truncated += scan.torn_bytes;
+            }
+        }
 
         let writer = |i: usize| match &segments[i] {
             (path, Some(scan)) => WalWriter::open_append(path, scan.valid_len),
@@ -1059,7 +1071,9 @@ mod tests {
         // Forge: truncate the tail, then append a commit for a batch that
         // never ran with a bogus digest.
         let wal_path = dir.join(WAL_FILE);
-        let scan = wal::recover(&wal_path).unwrap();
+        let scan = wal::scan(&wal_path).unwrap();
+        let file = fs::OpenOptions::new().write(true).open(&wal_path).unwrap();
+        file.set_len(scan.valid_len).unwrap();
         let mut w = WalWriter::open_append(&wal_path, scan.valid_len).unwrap();
         let mut none = CrashInjector::counting();
         let forged = encode_ops(&ops[3 * 512..4 * 512]);
@@ -1068,6 +1082,58 @@ mod tests {
         let err = reopen(&keys, &config, &dur).err().expect("divergent replay must fail");
         assert!(matches!(err, DcartError::Recovery(_)), "{err}");
         assert!(err.to_string().contains("digest"), "{err}");
+    }
+
+    /// Every file under `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_refused_directory_is_left_byte_identical() {
+        // Crash residue in every form the open cleans up — a stray
+        // checkpoint.tmp and a torn tail — beside a commit mark whose
+        // digest no replay reproduces. The open must refuse before it
+        // writes anything.
+        let (keys, ops) = workload();
+        let config = DcartConfig::default();
+        let dir = tmpdir("refused-untouched");
+        let dur = DurabilityConfig { dir: dir.clone(), checkpoint_every: u64::MAX };
+        let mut crash =
+            CrashInjector::for_plan(CrashPlan { site: CrashSite::BeforeCommit, at: 3, seed: 1 });
+        let out = run_durable(&keys, &ops, &config, 512, &SERIAL, &dur, &mut crash).unwrap();
+        assert_eq!(out.crashed, Some(CrashSite::BeforeCommit));
+        let wal_path = dir.join(WAL_FILE);
+        assert!(wal::scan(&wal_path).unwrap().torn_bytes > 0, "batch 3 has no commit mark");
+        // Rewrite batch 1's commit digest under a valid checksum. Frame:
+        // kind (1), seq (8), len (4), payload, checksum (8).
+        let mut bytes = fs::read(&wal_path).unwrap();
+        let mut off = 16;
+        loop {
+            let plen = u32::from_le_bytes(bytes[off + 9..off + 13].try_into().unwrap()) as usize;
+            let body_end = off + 13 + plen;
+            if bytes[off] == 2 && bytes[off + 1..off + 9] == 1u64.to_le_bytes() {
+                bytes[off + 13] ^= 1;
+                let sum = wal::checksum(&bytes[off..body_end]);
+                bytes[body_end..body_end + 8].copy_from_slice(&sum.to_le_bytes());
+                break;
+            }
+            off = body_end + 8;
+        }
+        fs::write(&wal_path, &bytes).unwrap();
+        fs::write(dir.join(CHECKPOINT_TMP), b"a checkpoint cut short").unwrap();
+
+        let before = dir_bytes(&dir);
+        let err = reopen(&keys, &config, &dur).err().expect("a forged digest must be refused");
+        assert!(matches!(err, DcartError::Recovery(_)), "{err}");
+        assert!(err.to_string().contains("replayed batch 1"), "{err}");
+        assert!(before == dir_bytes(&dir), "the refused open changed the directory");
     }
 
     #[test]

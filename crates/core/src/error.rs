@@ -1,16 +1,15 @@
 //! Typed errors for the DCART model crates.
 //!
-//! Library code on fallible paths (workload/trace ingestion, tree
-//! construction, executor entry points, the durability layer) returns
-//! [`DcartError`] instead of panicking, so malformed input or an injected
-//! fault surfaces as a value the caller can handle — a process abort is
-//! reserved for genuine programming errors (violated internal invariants).
+//! Library code on fallible paths (tree construction, executor entry
+//! points, the durability layer) returns [`DcartError`] instead of
+//! panicking, so malformed input or an injected fault surfaces as a value
+//! the caller can handle — a process abort is reserved for genuine
+//! programming errors (violated internal invariants).
 
 use std::fmt;
 
 use dcart_art::{ArtError, SnapshotError};
 use dcart_engine::{CrashSite, WalError};
-use dcart_workloads::TraceError;
 
 /// Top-level error of the DCART model.
 #[derive(Debug)]
@@ -19,14 +18,11 @@ pub enum DcartError {
     /// The adaptive radix tree rejected an input (prefix key, unsorted
     /// bulk load).
     Art(ArtError),
-    /// An operation trace could not be read (I/O, malformed or truncated
-    /// line, empty file).
-    Trace(TraceError),
     /// An executor was configured with a zero batch size.
     InvalidBatchSize,
-    /// The write-ahead log failed (I/O, foreign file, future format
-    /// version) — or a planned crash fired inside it, which callers unwrap
-    /// via [`DcartError::injected_crash`].
+    /// The write-ahead log failed (I/O, foreign file, a format version
+    /// this build does not read) — or a planned crash fired inside it,
+    /// which callers unwrap via [`DcartError::injected_crash`].
     Wal(WalError),
     /// A checkpoint snapshot could not be loaded (corruption, truncation,
     /// future format version).
@@ -56,7 +52,6 @@ impl fmt::Display for DcartError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DcartError::Art(e) => write!(f, "tree error: {e}"),
-            DcartError::Trace(e) => write!(f, "trace error: {e}"),
             DcartError::InvalidBatchSize => write!(f, "batch size must be positive"),
             DcartError::Wal(e) => write!(f, "write-ahead log error: {e}"),
             DcartError::Snapshot(e) => write!(f, "checkpoint snapshot error: {e}"),
@@ -70,7 +65,6 @@ impl std::error::Error for DcartError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DcartError::Art(e) => Some(e),
-            DcartError::Trace(e) => Some(e),
             DcartError::Wal(e) => Some(e),
             DcartError::Snapshot(e) => Some(e),
             DcartError::Io(e) => Some(e),
@@ -82,12 +76,6 @@ impl std::error::Error for DcartError {
 impl From<ArtError> for DcartError {
     fn from(e: ArtError) -> Self {
         DcartError::Art(e)
-    }
-}
-
-impl From<TraceError> for DcartError {
-    fn from(e: TraceError) -> Self {
-        DcartError::Trace(e)
     }
 }
 
@@ -117,8 +105,6 @@ mod tests {
     fn displays_carry_context() {
         let e = DcartError::from(ArtError::NotSortedUnique);
         assert!(e.to_string().starts_with("tree error:"), "{e}");
-        let e = DcartError::from(TraceError::Truncated { line: 7 });
-        assert!(e.to_string().contains("line 7"), "{e}");
         assert!(DcartError::InvalidBatchSize.to_string().contains("batch size"));
         let e = DcartError::from(WalError::BadMagic);
         assert!(e.to_string().contains("write-ahead log"), "{e}");

@@ -27,8 +27,9 @@
 //! A batch is durable if and only if its commit record is intact. The
 //! scanner walks records front to back, verifying each checksum; the first
 //! incomplete, corrupt, or uncommitted record ends the valid prefix and
-//! everything after it is the **torn tail**, reported (and truncated by
-//! [`recover`]) rather than replayed. The commit digest gives recovery a
+//! everything after it is the **torn tail**, reported rather than
+//! replayed; whoever appends next cuts it first (see
+//! [`WalWriter::open_append`]). The commit digest gives recovery a
 //! per-batch ground truth: replaying a batch must reproduce exactly the
 //! digest its commit record promised.
 //!
@@ -40,11 +41,9 @@
 //! A log may be one of a *pair of segments* (`dcart-server` appends to
 //! one while a checkpoint absorbs the other, then truncates that one with
 //! [`WalWriter::reset`]); a reader then has to see both. Version 2 of the
-//! header says so: the record format is version 1's, version 1 is still
-//! read, and every file this build writes — or appends to, see
-//! [`WalWriter::open_append`] — carries version 2, so a build that knows
-//! only single-file logs refuses the directory instead of replaying half
-//! of it.
+//! header says so, and it is the only version [`scan`] reads: a build
+//! that knows only single-file logs refuses the directory instead of
+//! replaying half of it, and this one refuses a version-1 file.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -55,8 +54,8 @@ use crate::faults::{CrashInjector, CrashSite};
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"DCARTWAL";
 
-/// Current on-disk format version: 2, a file that may be one of a pair of
-/// segments. Version 1 (the same records, always a single file) is read.
+/// The on-disk format version: 2, a file that may be one of a pair of
+/// segments. It is the only version read.
 pub const WAL_VERSION: u32 = 2;
 
 /// Header bytes: magic + version + batch size.
@@ -72,7 +71,7 @@ const KIND_COMMIT: u8 = 2;
 const COMMIT_PAYLOAD_LEN: usize = 12;
 
 /// Errors of the WAL layer. Torn tails are *not* errors — they are normal
-/// crash residue, reported via [`WalScan`] and healed by [`recover`].
+/// crash residue, reported via [`WalScan`].
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum WalError {
@@ -81,7 +80,7 @@ pub enum WalError {
     /// The file does not start with [`WAL_MAGIC`] (or is shorter than a
     /// header): not a WAL, refuse to touch it.
     BadMagic,
-    /// The header carries a format version this build does not read.
+    /// The header carries a format version other than [`WAL_VERSION`].
     UnsupportedVersion(u32),
     /// A planned crash fired: the simulated process is dead and the file
     /// holds exactly what a real crash at this site would leave.
@@ -94,7 +93,7 @@ impl std::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "WAL I/O error: {e}"),
             WalError::BadMagic => write!(f, "not a WAL file (bad magic)"),
             WalError::UnsupportedVersion(v) => {
-                write!(f, "WAL format version {v} is not one this build reads (1 to {WAL_VERSION})")
+                write!(f, "WAL format version {v} is not one this build reads (only {WAL_VERSION})")
             }
             WalError::InjectedCrash(site) => {
                 write!(f, "injected crash at {}", site.name())
@@ -127,6 +126,7 @@ impl From<std::io::Error> for WalError {
 /// still a bijection of the state, so a single corrupted byte always
 /// changes the sum. The constant stays: every WAL record and checkpoint
 /// file on disk is checked with it.
+#[inline]
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -216,21 +216,12 @@ impl WalWriter {
         Ok(WalWriter { file, len: HEADER_LEN, dead: false, rec: Vec::new() })
     }
 
-    /// Opens an existing WAL for appending after `valid_len` bytes (as
-    /// reported by a scan; the caller is responsible for having truncated
-    /// the torn tail first, normally via [`recover`]). A version-1 header
-    /// is rewritten to the current version, and synced, before anything
-    /// is appended.
+    /// Opens an existing WAL for appending after `valid_len` bytes, as a
+    /// [`scan`] reported them. The caller has cut the torn tail first:
+    /// this only positions the writer, and a tail left in place would
+    /// outlive records shorter than it.
     pub fn open_append(path: &Path, valid_len: u64) -> Result<Self, WalError> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut version = [0u8; 4];
-        file.seek(SeekFrom::Start(8))?;
-        file.read_exact(&mut version)?;
-        if u32::from_le_bytes(version) != WAL_VERSION {
-            file.seek(SeekFrom::Start(8))?;
-            file.write_all(&WAL_VERSION.to_le_bytes())?;
-            file.sync_all()?;
-        }
+        let mut file = OpenOptions::new().write(true).open(path)?;
         file.seek(SeekFrom::Start(valid_len))?;
         Ok(WalWriter { file, len: valid_len, dead: false, rec: Vec::new() })
     }
@@ -346,7 +337,7 @@ fn read_u64(bytes: &[u8], off: usize) -> Option<u64> {
 /// batch. The scan never fails on torn or corrupt *records* — the valid
 /// prefix simply ends there and `torn_bytes` reports the rest. It fails
 /// only on files that are not WALs at all ([`WalError::BadMagic`]) or
-/// carry a future format version.
+/// carry another format version ([`WalError::UnsupportedVersion`]).
 pub fn scan(path: &Path) -> Result<WalScan, WalError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
@@ -354,7 +345,7 @@ pub fn scan(path: &Path) -> Result<WalScan, WalError> {
         return Err(WalError::BadMagic);
     }
     let version = read_u32(&bytes, 8).unwrap_or(0);
-    if !(1..=WAL_VERSION).contains(&version) {
+    if version != WAL_VERSION {
         return Err(WalError::UnsupportedVersion(version));
     }
     let batch_size = read_u32(&bytes, 12).unwrap_or(0);
@@ -410,19 +401,6 @@ pub fn scan(path: &Path) -> Result<WalScan, WalError> {
     })
 }
 
-/// Scans a WAL and truncates any torn tail in place, returning the scan
-/// (whose `torn_bytes` reports how much was cut). After this, the file
-/// ends exactly at the last committed record and is safe to append to.
-pub fn recover(path: &Path) -> Result<WalScan, WalError> {
-    let s = scan(path)?;
-    if s.torn_bytes > 0 {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(s.valid_len)?;
-        file.sync_all()?;
-    }
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use std::path::PathBuf;
@@ -434,6 +412,14 @@ mod tests {
         let dir = std::env::temp_dir().join("dcart-wal-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Cuts the torn tail `s` reported, as recovery does before it
+    /// appends.
+    fn cut(path: &Path, s: &WalScan) {
+        let file = OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(s.valid_len).unwrap();
+        file.sync_all().unwrap();
     }
 
     #[test]
@@ -469,11 +455,10 @@ mod tests {
         let s = scan(&path).unwrap();
         assert_eq!(s.batches.len(), 1, "uncommitted batch must not be returned");
         assert!(s.torn_bytes > 0);
-        let healed = recover(&path).unwrap();
-        assert_eq!(healed.batches.len(), 1);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), healed.valid_len);
-        // The healed file scans clean and accepts appends.
-        let mut w = WalWriter::open_append(&path, healed.valid_len).unwrap();
+        cut(&path, &s);
+        // The cut file scans clean and accepts appends.
+        assert_eq!(scan(&path).unwrap().torn_bytes, 0);
+        let mut w = WalWriter::open_append(&path, s.valid_len).unwrap();
         w.append_batch(1, b"retry", &mut crash).unwrap();
         w.commit(1, 2, 1, true, &mut crash).unwrap();
         let s = scan(&path).unwrap();
@@ -493,7 +478,8 @@ mod tests {
         assert!(matches!(err, WalError::InjectedCrash(CrashSite::MidRecord)), "{err}");
         // The writer is dead; further writes fail.
         assert!(w.commit(1, 0, 0, false, &mut crash).is_err());
-        let s = recover(&path).unwrap();
+        let s = scan(&path).unwrap();
+        assert!(s.torn_bytes > 0, "the record prefix is torn");
         assert_eq!(s.batches.len(), 1, "the torn record must not surface");
         assert_eq!(s.batches[0].digest, 11);
     }
@@ -507,11 +493,12 @@ mod tests {
         w.append_batch(0, &[7u8; 64], &mut crash).unwrap();
         let err = w.commit(0, 5, 64, true, &mut crash).unwrap_err();
         assert!(matches!(err, WalError::InjectedCrash(CrashSite::BeforeCommit)), "{err}");
-        let s = recover(&path).unwrap();
-        assert!(s.batches.is_empty(), "batch without a commit mark must be truncated");
-        assert!(s.torn_bytes > 0, "recover() reports what it truncated");
+        let s = scan(&path).unwrap();
+        assert!(s.batches.is_empty(), "batch without a commit mark must not surface");
+        assert!(s.torn_bytes > 0, "the unmarked batch record is the torn tail");
+        cut(&path, &s);
         let rescanned = scan(&path).unwrap();
-        assert_eq!(rescanned.torn_bytes, 0, "the healed file scans clean");
+        assert_eq!(rescanned.torn_bytes, 0, "the cut file scans clean");
     }
 
     #[test]
@@ -577,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_log_is_read_and_upgraded_by_the_first_append() {
+    fn a_version_1_log_is_refused_and_left_as_it_was() {
         let path = tmp("version1.wal");
         let mut crash = CrashInjector::counting();
         let mut w = WalWriter::create(&path, 64).unwrap();
@@ -588,16 +575,10 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let s = scan(&path).unwrap();
-        assert_eq!((s.batches.len(), s.batches[0].digest), (1, 55));
-
-        let mut w = WalWriter::open_append(&path, s.valid_len).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap()[8..12], WAL_VERSION.to_le_bytes());
-        w.append_batch(1, &[6u8; 12], &mut crash).unwrap();
-        w.commit(1, 66, 12, true, &mut crash).unwrap();
-        let s = scan(&path).unwrap();
-        assert_eq!(s.batches.iter().map(|b| b.seq).collect::<Vec<_>>(), [0, 1]);
-        assert_eq!(s.torn_bytes, 0);
+        let err = scan(&path).unwrap_err();
+        assert!(matches!(err, WalError::UnsupportedVersion(1)), "{err}");
+        assert!(err.to_string().contains("version 1 "), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "refusing writes nothing");
 
         bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();

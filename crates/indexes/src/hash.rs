@@ -33,8 +33,10 @@ pub struct HashIndex<V> {
     stats: WriteStats,
 }
 
-/// The hash of the hardware's Key_ID path (`dcart::key_id`): FNV-1a-shaped,
-/// but multiplying by 2^44 + 0x1b3, not FNV-64's prime 2^40 + 0x1b3.
+/// The hash of the hardware's Key_ID path (`dcart::key_id`, which is
+/// `dcart_engine::wal::checksum` over the key bytes): FNV-1a-shaped, but
+/// multiplying by 2^44 + 0x1b3, not FNV-64's prime 2^40 + 0x1b3. A copy,
+/// because this crate does not depend on `dcart-engine`.
 fn hash(key: &Key) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in key.as_bytes() {

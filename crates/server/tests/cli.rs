@@ -1,8 +1,13 @@
-//! Shell-out tests for the `dcart-server` flag contract: a bad
-//! invocation exits 1 with a one-line message naming the flag and the
-//! value, before anything binds a socket or touches a data directory.
+//! Shell-out tests for the `dcart-server` binary: its flag contract (a
+//! bad invocation exits 1 with a one-line message naming the flag and the
+//! value, before anything binds a socket or touches a data directory),
+//! and `load`'s summary against the server's own counters.
 
 use std::process::{Command, Output};
+use std::sync::Arc;
+
+use dcart_engine::time::TestClock;
+use dcart_server::{AdmissionConfig, ServerConfig};
 
 fn dcart_server(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dcart-server"))
@@ -125,4 +130,43 @@ fn verify_acked_refuses_a_damaged_ledger_before_connecting() {
     let err = stderr_of(&out);
     assert!(err.contains("line 4 is not a key: '4x2'"), "{err}");
     assert_eq!(err.lines().count(), 1, "{err}");
+}
+
+/// The accounting identity across the wire, with rejections: a `load`
+/// that overruns a one-slot queue counts every outcome exactly as the
+/// server does. The clock stands still, so no deadline passes and every
+/// refusal is the queue's.
+#[test]
+fn load_counts_every_outcome_as_the_server_does_under_rejections() {
+    let config = ServerConfig {
+        admission: AdmissionConfig { queue_capacity: 1, ..AdmissionConfig::default() },
+        ..ServerConfig::default()
+    };
+    let handle =
+        dcart_server::serve(config, "127.0.0.1:0", Arc::new(TestClock::new())).expect("serve");
+    let addr = handle.local_addr().to_string();
+    let mut args = vec!["load", "--addr", &addr];
+    args.extend(["--qps", "50000", "--ops", "5000", "--remove-pct", "0"]);
+    let out = dcart_server(&args);
+    assert_eq!(out.status.code(), Some(0), "load: {}", stderr_of(&out));
+    // The summary is one JSON object, a field to a line.
+    let summary = String::from_utf8_lossy(&out.stdout).into_owned();
+    let count = |field: &str| -> u64 {
+        let key = format!("\"{field}\": ");
+        let line = summary.lines().find_map(|l| l.trim().strip_prefix(key.as_str()));
+        let value = line.unwrap_or_else(|| panic!("no {field} in: {summary}"));
+        value.trim_end_matches(',').parse().unwrap_or_else(|_| panic!("{field}: {value}"))
+    };
+
+    let stats = handle.shared().stats();
+    let (adm, core) = (stats.admission, stats.core);
+    assert_eq!(count("rejected_overloaded"), adm.overloaded, "{summary}");
+    assert_eq!(count("rejected_deadline"), adm.deadline_exceeded + core.expired_in_queue);
+    assert_eq!(count("rejected_shed_scan"), adm.shed_scans, "{summary}");
+    assert_eq!(count("rejected_shed_read"), adm.shed_reads, "{summary}");
+    assert_eq!(count("rejected_draining"), adm.draining, "{summary}");
+    assert_eq!(count("acked"), core.ops, "{summary}");
+    assert_eq!(adm.accepted, core.ops + core.expired_in_queue, "{adm:?} {core:?}");
+    assert!(adm.overloaded > 0, "a one-slot queue at 50 000/s must refuse writes: {summary}");
+    handle.shutdown_and_join().expect("drain");
 }

@@ -1757,11 +1757,11 @@ mod pipelined {
     }
 
     /// A directory a single-file build wrote — one `dcart.wal` with a
-    /// version-1 header, no second segment — opens and replays; the log
-    /// is upgraded to version 2 before anything is appended, and the
-    /// second segment is created.
+    /// version-1 header, no second segment — is refused with the WAL's
+    /// version error, and the open writes nothing: no header rewritten,
+    /// no second segment created.
     #[test]
-    fn a_single_file_version_1_directory_opens_and_replays() {
+    fn a_single_file_version_1_directory_is_refused_untouched() {
         let dir = scratch_dir("v1_dir");
         let config = || ServerConfig {
             batch_size: 4,
@@ -1774,7 +1774,6 @@ mod pipelined {
             submit_batch(&shared, &tx, b);
             core.flush_now();
         }
-        let answer = core.answer_digest();
         drop(core);
         let wal = dir.join(WAL_FILE);
         let mut bytes = std::fs::read(&wal).expect("WAL");
@@ -1782,12 +1781,12 @@ mod pipelined {
         std::fs::write(&wal, &bytes).expect("WAL");
         std::fs::remove_file(dir.join(dcart::durable::WAL_SEGMENTS[1])).expect("second segment");
 
-        let (shared, mut core) = open_core(config());
-        assert_eq!(shared.stats().core.replayed_batches, 3);
-        assert_eq!(core.answer_digest(), answer);
-        assert_eq!(segment(&dir, 0)[8..12], 2u32.to_le_bytes(), "upgraded before any append");
-        assert_eq!(segment(&dir, 1).len(), 16, "the second segment exists, empty");
-        assert_holds(&shared, &mut core, 0..12);
+        let shared = ServerShared::new(config().admission, Arc::new(TestClock::new()));
+        let err = ServerCore::open(config(), shared, &[]).err().expect("version 1 is refused");
+        assert!(err.to_string().contains("version 1 "), "{err}");
+        assert_eq!(segment(&dir, 0), bytes, "the version-1 log is left as it was");
+        let names: Vec<_> = std::fs::read_dir(&dir).expect("data directory").collect();
+        assert_eq!(names.len(), 1, "the open created nothing: {names:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

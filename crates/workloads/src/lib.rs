@@ -23,12 +23,10 @@ mod keyset;
 mod ops;
 mod spec;
 pub mod synth;
-mod trace_io;
 mod zipf;
 
 pub use arrivals::Arrivals;
 pub use keyset::KeySet;
 pub use ops::{generate_ops, Mix, Op, OpKind, OpStreamConfig};
 pub use spec::Workload;
-pub use trace_io::{read_trace, write_trace, TraceError};
 pub use zipf::Zipfian;

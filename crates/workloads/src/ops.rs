@@ -9,12 +9,11 @@
 use dcart_art::Key;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{KeySet, Zipfian};
 
 /// The kind of an index operation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OpKind {
     /// Point lookup of an existing (usually) key.
     Read,
@@ -40,7 +39,7 @@ impl OpKind {
 }
 
 /// One index operation.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Op {
     /// What to do.
     pub kind: OpKind,
@@ -51,7 +50,7 @@ pub struct Op {
 }
 
 /// A read/write mix (paper Fig. 12(b) nomenclature).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Mix {
     /// Fraction of reads in `[0, 1]`.
     pub read_fraction: f64,
@@ -93,7 +92,7 @@ impl Mix {
 }
 
 /// Configuration for operation-stream generation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OpStreamConfig {
     /// Number of operations to generate.
     pub count: usize,

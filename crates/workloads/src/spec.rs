@@ -1,11 +1,9 @@
 //! The six paper workloads, addressable by name, with scaling.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{dict, email, ipgeo, synth, KeySet};
 
 /// The workloads of the paper's evaluation (§IV-A).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Workload {
     /// IP-address records (GeoLite2-Country stand-in).
     Ipgeo,
