@@ -19,9 +19,7 @@ use crate::Key;
 
 /// Arena index of a node. Stable for the lifetime of the node, which lets
 /// traces and cache models treat it as the node's address.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub(crate) u32);
 
 impl Default for NodeId {
@@ -49,7 +47,7 @@ impl NodeId {
 }
 
 /// The adaptive layout tag of an inner node (paper Fig. 1(c)).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum NodeType {
     /// Up to 4 children: parallel key/pointer arrays.
     N4,

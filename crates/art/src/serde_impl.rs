@@ -1,6 +1,7 @@
 //! The binary snapshot container the durability layer's checkpoints are
-//! made of. A tree is persisted only through it: [`Art`](crate::Art)
-//! has no serde impls, and nothing serializes a tree into report JSON.
+//! made of. A tree is persisted only through it: nothing serializes an
+//! [`Art`](crate::Art) into report JSON. The module holds no serde code;
+//! it keeps its name so its test ids stay stable.
 //!
 //! The **snapshot** container (`DCARTSNP`, version 2) holds the entries of
 //! an `Art<u64>` — the only instantiation that reaches disk — in binary,

@@ -15,7 +15,7 @@
 use crate::node::{NodeId, NodeType};
 
 /// What kind of node a visit touched.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VisitKind {
     /// An inner node of the given adaptive layout.
     Inner(NodeType),
@@ -24,7 +24,7 @@ pub enum VisitKind {
 }
 
 /// One node access during a traversal.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NodeVisit {
     /// The node's stable arena address.
     pub node: NodeId,
@@ -114,7 +114,7 @@ impl Tracer for RecordingTracer {
 }
 
 /// Complete record of a single traced operation.
-#[derive(Clone, Default, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Default, Debug)]
 pub struct OpTrace {
     /// Every node fetched, in traversal order.
     pub visits: Vec<NodeVisit>,

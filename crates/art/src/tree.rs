@@ -46,7 +46,7 @@ impl std::fmt::Display for ArtError {
 impl std::error::Error for ArtError {}
 
 /// Per-layout node counts, for memory-efficiency reporting (paper Fig. 1).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct TypeHistogram {
     /// Number of N4 inner nodes.
     pub n4: usize,

@@ -17,12 +17,11 @@
 
 use dcart_engine::LatencyRecorder;
 use dcart_mem::{EnergyModel, MemoryConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::report::TimeBreakdown;
 
 /// Parameters of the CPU platform.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CpuConfig {
     /// Hardware threads the engine uses.
     pub threads: usize,

@@ -20,7 +20,6 @@
 use dcart_engine::LatencyRecorder;
 use dcart_mem::{Access, EnergyModel, MemoryConfig, SetAssocCache};
 use dcart_workloads::{KeySet, Op};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{IndexEngine, RunConfig};
 use crate::exec::execute_with_traces;
@@ -28,7 +27,7 @@ use crate::report::{Counters, RunReport, TimeBreakdown};
 use crate::windows::{ContentionWindow, RedundancyWindow};
 
 /// Parameters of the GPU platform model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GpuConfig {
     /// Lanes per warp.
     pub warp_size: usize,

@@ -1,12 +1,11 @@
 //! The [`IndexEngine`] abstraction and shared run configuration.
 
 use dcart_workloads::{KeySet, Op};
-use serde::{Deserialize, Serialize};
 
 use crate::report::RunReport;
 
 /// Run-level knobs common to all engines.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     /// Number of in-flight (concurrent) operations. This is the x-axis of
     /// the paper's Fig. 2(d) and Fig. 12(a): both the collision window of

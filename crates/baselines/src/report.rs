@@ -5,10 +5,10 @@
 //! Fig. 9 `time_s`, Fig. 10 the latency fields, Fig. 11 `energy_j`, and
 //! Fig. 2 the breakdown/utilization fields.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Event counters accumulated over a run.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize)]
 pub struct Counters {
     /// Operations executed.
     pub ops: u64,
@@ -66,7 +66,7 @@ impl Counters {
 }
 
 /// Where the execution time went (paper Fig. 2(a) and 2(d)).
-#[derive(Clone, Copy, Default, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Debug, Serialize)]
 pub struct TimeBreakdown {
     /// Tree traversal: node fetches and partial-key matching.
     pub traversal_s: f64,
@@ -96,7 +96,7 @@ impl TimeBreakdown {
 }
 
 /// Complete result of one engine × workload run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct RunReport {
     /// Engine name ("ART", "SMART", "CuART", "DCART-C", "DCART").
     pub engine: String,

@@ -9,9 +9,9 @@
 //! ```
 //!
 //! Writes into the current directory by default. With
-//! `--check-baseline`, the fresh report is compared against a committed
-//! baseline and the run fails unless both hold the same cells with equal
-//! counters.
+//! `--check-baseline`, the fresh report's JSON is compared with a
+//! committed baseline byte for byte, and the run fails naming every line
+//! that differs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

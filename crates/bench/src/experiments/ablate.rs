@@ -15,12 +15,12 @@ use dcart::{DcartAccel, DcartConfig};
 use dcart_baselines::{IndexEngine, RunConfig, RunReport};
 use dcart_mem::BufferPolicy;
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale, Table};
 
 /// One ablation measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct AblationPoint {
     /// Which knob, e.g. "shortcuts=off".
     pub variant: String,
@@ -35,7 +35,7 @@ pub struct AblationPoint {
 }
 
 /// Full ablation report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct AblationReport {
     /// All measurements, grouped by `variant` prefix.
     pub points: Vec<AblationPoint>,

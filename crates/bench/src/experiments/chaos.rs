@@ -14,12 +14,12 @@ use dcart::{DcartAccel, DcartConfig};
 use dcart_baselines::{IndexEngine, RunConfig, RunReport};
 use dcart_engine::{FaultPlan, RecoveryStats};
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale, Table};
 
 /// One (workload × fault × intensity) measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ChaosCell {
     /// Workload name, e.g. "IPGEO".
     pub workload: String,
@@ -42,7 +42,7 @@ pub struct ChaosCell {
 }
 
 /// Full chaos report (`BENCH_chaos.json`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ChaosReport {
     /// All matrix cells, grouped by workload.
     pub cells: Vec<ChaosCell>,

@@ -19,12 +19,12 @@ use dcart::{
     DcartConfig, DurabilityConfig, ExecOpts, PersistStats,
 };
 use dcart_workloads::{generate_ops, KeySet, Mix, Op, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale, Table};
 
 /// One (workload × threads × site × offset) measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct CrashCell {
     /// Workload name, e.g. "IPGEO".
     pub workload: String,
@@ -52,7 +52,7 @@ pub struct CrashCell {
 }
 
 /// Full crash-matrix report (`BENCH_crash.json`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct CrashReport {
     /// All matrix cells.
     pub cells: Vec<CrashCell>,

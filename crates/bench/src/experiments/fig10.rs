@@ -8,13 +8,13 @@
 use std::path::Path;
 
 use dcart_workloads::{Mix, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::matrix::run_engine;
 use crate::{write_report, Scale, Table};
 
 /// One point of a throughput–latency curve.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct CurvePoint {
     /// Engine name.
     pub engine: String,
@@ -29,7 +29,7 @@ pub struct CurvePoint {
 }
 
 /// Full Fig. 10 report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Fig10Report {
     /// All curve points.
     pub points: Vec<CurvePoint>,

@@ -8,13 +8,13 @@
 use std::path::Path;
 
 use dcart_workloads::{Mix, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::matrix::run_engine;
 use crate::{write_report, Scale, Table};
 
 /// One sensitivity measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SensitivityPoint {
     /// Swept parameter value (concurrency, or mix label as u32 of char).
     pub x: String,
@@ -25,7 +25,7 @@ pub struct SensitivityPoint {
 }
 
 /// Full Fig. 12 report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Fig12Report {
     /// (a): sweep of concurrent operations.
     pub vs_concurrency: Vec<SensitivityPoint>,

@@ -12,12 +12,12 @@ use std::path::Path;
 
 use dcart_baselines::{CpuBaseline, CpuConfig, IndexEngine, RunConfig};
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale, Table};
 
 /// Full Fig. 2 report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Fig2Report {
     /// (a)+(b)+(c): per engine × workload summary at the default mix.
     pub matrix: Vec<Fig2Row>,
@@ -28,7 +28,7 @@ pub struct Fig2Report {
 }
 
 /// One engine × workload row of Fig. 2(a)–(c).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Fig2Row {
     /// Engine name.
     pub engine: String,

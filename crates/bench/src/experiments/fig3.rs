@@ -11,12 +11,12 @@ use std::path::Path;
 
 use dcart_baselines::execute_with_traces;
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale, Table};
 
 /// Fig. 3 report for one workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Fig3Workload {
     /// Workload name.
     pub workload: String,
@@ -31,7 +31,7 @@ pub struct Fig3Workload {
 }
 
 /// Full Fig. 3 report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Fig3Report {
     /// One entry per real-world workload.
     pub workloads: Vec<Fig3Workload>,

@@ -15,12 +15,12 @@ use std::path::Path;
 use dcart_art::{Art, Key, NoopTracer, RecordingTracer};
 use dcart_indexes::{BPlusTree, HashIndex};
 use dcart_workloads::Workload;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale, Table};
 
 /// One index family's measured characteristics on one workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct IndexRow {
     /// Index family name.
     pub index: String,
@@ -37,7 +37,7 @@ pub struct IndexRow {
 }
 
 /// Full related-work report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct IndexReport {
     /// All rows.
     pub rows: Vec<IndexRow>,

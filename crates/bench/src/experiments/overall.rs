@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use dcart_workloads::Workload;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::matrix::find;
 use crate::{engine_names, run_matrix, write_report, MatrixEntry, Scale, Table};
@@ -37,7 +37,7 @@ pub mod paper_bands {
 }
 
 /// Full overall-comparison report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct OverallReport {
     /// The raw matrix (all engines × all workloads).
     pub matrix: Vec<MatrixEntry>,

@@ -10,13 +10,13 @@
 use std::path::Path;
 
 use dcart_workloads::{Mix, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::matrix::run_engine;
 use crate::{write_report, Scale, Table};
 
 /// One engine × scan-share measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ScanPoint {
     /// Engine name.
     pub engine: String,
@@ -31,7 +31,7 @@ pub struct ScanPoint {
 }
 
 /// Full scan-extension report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ScanReport {
     /// All measurements.
     pub points: Vec<ScanPoint>,

@@ -11,12 +11,12 @@
 use std::path::Path;
 
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale, Table};
 
 /// One skew measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SkewPoint {
     /// Zipfian theta of the op stream.
     pub theta: f64,
@@ -31,14 +31,13 @@ pub struct SkewPoint {
 }
 
 /// Full skew report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SkewReport {
     /// Points in ascending theta.
     pub points: Vec<SkewPoint>,
     /// Per-bucket load histogram from one profiled CTT run at the
     /// steepest theta with adaptive sub-sharding on — the skew the splits
     /// reacted to, bucket by bucket.
-    #[serde(default)]
     pub load: dcart::LoadReport,
 }
 

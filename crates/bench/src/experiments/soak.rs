@@ -21,12 +21,12 @@ use dcart::{
     PersistStats,
 };
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale, Table};
 
 /// One crash/recover cycle of the soak.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SoakCycle {
     /// Cycle index (0-based).
     pub cycle: u64,
@@ -44,7 +44,7 @@ pub struct SoakCycle {
 }
 
 /// Full soak report (`BENCH_soak.json`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SoakReport {
     /// Total batches in the stream.
     pub batches: u64,

@@ -10,12 +10,12 @@ use std::path::Path;
 use dcart::{BatchTiming, DcartAccel, DcartConfig};
 use dcart_baselines::{IndexEngine, RunConfig};
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale};
 
 /// One batch's scheduled intervals (cycles).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct ScheduledBatch {
     /// PCU combine start.
     pub pcu_start: u64,
@@ -28,7 +28,7 @@ pub struct ScheduledBatch {
 }
 
 /// Full timeline report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct TimelineReport {
     /// Schedule with overlap enabled (Fig. 6's lower timeline).
     pub overlapped: Vec<ScheduledBatch>,

@@ -5,7 +5,7 @@ use dcart_baselines::{
     CpuBaseline, CpuConfig, CuArt, GpuConfig, IndexEngine, RunConfig, RunReport,
 };
 use dcart_workloads::{generate_ops, Mix, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::Scale;
 
@@ -38,7 +38,7 @@ fn build_engine(
 }
 
 /// One cell of the run matrix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct MatrixEntry {
     /// Engine name.
     pub engine: String,

@@ -1,14 +1,14 @@
 //! The exact-counter harness (`bench` binary): runs the *functional*
 //! executors on the tier-1 workloads and emits `BENCH_ctt.json`.
 //!
-//! Every field of the report is an integer counter — node visits, index
-//! memory, the Traverse stage's node-load and step counters — that is a pure
-//! function of the workload, the key and op counts and the executor, so
-//! [`check_baseline`] compares a fresh run against the committed
-//! `BENCH_baseline.json` exactly. A changed counter means an executor
-//! does different work: more node visits, a bigger tree, another
-//! traversal. Host speed is not measured here; the `benchmark/` package's
-//! per-layer metrics cover it.
+//! Every field of the report is a cell name or an integer counter — node
+//! visits, index memory, the Traverse stage's node-load and step counters —
+//! that is a pure function of the workload, the key and op counts and the
+//! executor, so [`check_baseline`] compares a fresh run's JSON with the
+//! committed `BENCH_baseline.json` byte for byte. A changed counter means
+//! an executor does different work: more node visits, a bigger tree,
+//! another traversal. Host speed is not measured here; the `benchmark/`
+//! package's per-layer metrics cover it.
 
 use std::path::Path;
 
@@ -16,12 +16,12 @@ use dcart::{execute_ctt, CttConsumer, DcartConfig, ExecOpts};
 use dcart_baselines::execute_with_traces;
 use dcart_indexes::{BPlusTree, HashIndex};
 use dcart_workloads::{generate_ops, KeySet, Mix, Op, OpKind, OpStreamConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{write_report, Scale};
 
 /// One executor × workload cell's counters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PerfCell {
     /// Executor name (`CTT`, `ART-trace`, `B+tree`, `hash`).
     pub engine: String,
@@ -45,7 +45,7 @@ pub struct PerfCell {
 }
 
 /// The full `BENCH_ctt.json` payload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PerfReport {
     /// Keys loaded per workload.
     pub keys: usize,
@@ -194,81 +194,45 @@ pub fn run(scale: &Scale, out_dir: &Path) -> PerfReport {
     report
 }
 
-/// Reads one integer counter of a cell.
-type Counter = fn(&PerfCell) -> u64;
-
-/// The integer counters [`check_baseline`] compares, cell by cell. Each
-/// is a pure function of the workload, the key and op counts and the
-/// executor, so it reproduces exactly on any host, at any worker count
-/// and with any [`ExecOpts`] (checked on a 2-vCPU host at 1 and 2 SOU
-/// threads, claiming in slot order and heaviest first).
-const EXACT_COUNTERS: [(&str, Counter); 5] = [
-    ("ops", |c| c.ops as u64),
-    ("node_visits", |c| c.node_visits),
-    ("memory_bytes", |c| c.memory_bytes),
-    ("traverse_nodes_visited", |c| c.traverse_nodes_visited),
-    ("traverse_ops_advanced", |c| c.traverse_ops_advanced),
-];
-
 /// Compares a freshly measured report against a committed baseline file
-/// (`BENCH_baseline.json`): both must hold the same cells, and each of a
-/// cell's `EXACT_COUNTERS` must equal the baseline's. A cell only one
-/// side has is an error too, so a new or renamed cell is pinned the
-/// moment it appears. A changed counter is a change the author must
-/// either avoid or own by regenerating the baseline.
+/// (`BENCH_baseline.json`) byte for byte: the report's pretty JSON must be
+/// the file. Every field of a [`PerfReport`] is an exact counter or a cell
+/// name, and the cells come in the input order of `par_map`, so equal
+/// bytes mean the same scale, the same cells in the same order and equal
+/// counters in each — on any host, at any worker count and with any
+/// [`ExecOpts`] (checked on a 2-vCPU host at 1 and 2 SOU threads,
+/// claiming in slot order and heaviest first). A changed counter is a
+/// change the author must either avoid or own by regenerating the
+/// baseline; a new or renamed cell is pinned the moment it appears.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of every differing counter and
-/// unmatched cell (or of an unreadable/invalid baseline file, or a run at
-/// another scale). On success, returns a one-line summary for the log.
+/// Returns every differing line, numbered, with both sides' text (or an
+/// unreadable baseline file). On success, returns a one-line summary for
+/// the log.
 pub fn check_baseline(report: &PerfReport, baseline_path: &Path) -> Result<String, String> {
-    let text = std::fs::read_to_string(baseline_path)
+    let baseline = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
-    let baseline: PerfReport = serde_json::from_str(&text)
-        .map_err(|e| format!("cannot parse baseline {}: {e}", baseline_path.display()))?;
-    if (report.keys, report.ops) != (baseline.keys, baseline.ops) {
-        return Err(format!(
-            "the baseline was measured at {} keys / {} ops per cell, this run at {} / {}",
-            baseline.keys, baseline.ops, report.keys, report.ops
-        ));
-    }
-    let find = |cells: &[PerfCell], of: &PerfCell| {
-        cells.iter().position(|c| c.engine == of.engine && c.workload == of.workload)
-    };
-    let mut failures = Vec::new();
-    for base in &baseline.cells {
-        let Some(i) = find(&report.cells, base) else {
-            failures.push(format!(
-                "cell {}/{} present in the baseline but missing from the fresh report",
-                base.engine, base.workload
-            ));
-            continue;
-        };
-        let fresh = &report.cells[i];
-        for (name, counter) in EXACT_COUNTERS {
-            if counter(fresh) != counter(base) {
-                failures.push(format!(
-                    "{}/{}: {name} is {}, the baseline's is {}",
-                    fresh.engine,
-                    fresh.workload,
-                    counter(fresh),
-                    counter(base)
-                ));
-            }
-        }
-    }
-    for fresh in report.cells.iter().filter(|c| find(&baseline.cells, c).is_none()) {
-        failures.push(format!(
-            "cell {}/{} present in the fresh report but missing from the baseline",
-            fresh.engine, fresh.workload
-        ));
-    }
+    let fresh = serde_json::to_string_pretty(report).expect("serialize report");
+    let (base, fresh): (Vec<&str>, Vec<&str>) =
+        (baseline.split('\n').collect(), fresh.split('\n').collect());
+    let shown =
+        |line: Option<&&str>| line.map_or("nothing".to_string(), |l| format!("`{}`", l.trim()));
+    let failures: Vec<String> = (0..base.len().max(fresh.len()))
+        .filter(|&i| base.get(i) != fresh.get(i))
+        .map(|i| {
+            format!(
+                "line {}: the baseline has {}, this run {}",
+                i + 1,
+                shown(base.get(i)),
+                shown(fresh.get(i))
+            )
+        })
+        .collect();
     if failures.is_empty() {
         Ok(format!(
-            "baseline check: {} counters of {} cells equal to {}",
-            EXACT_COUNTERS.len(),
-            baseline.cells.len(),
+            "baseline check: {} cells byte-identical to {}",
+            report.cells.len(),
             baseline_path.display()
         ))
     } else {
@@ -309,8 +273,7 @@ mod tests {
             c.traverse_ops_advanced > 0 && c.traverse_nodes_visited == c.traverse_ops_advanced
         }));
         let json = std::fs::read_to_string(tmp.join("BENCH_ctt.json")).unwrap();
-        let back: PerfReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells.len(), 12);
+        assert_eq!(json, serde_json::to_string_pretty(&r).unwrap());
     }
 
     #[test]
@@ -320,11 +283,12 @@ mod tests {
         let report = run(&scale, &tmp);
         let path = tmp.join("BENCH_ctt.json");
 
-        // A report always passes against its own counters.
+        // A report always passes against its own file.
         let summary = check_baseline(&report, &path).expect("self-comparison passes");
-        assert!(summary.contains("5 counters of 12 cells"), "{summary}");
+        assert!(summary.contains("12 cells byte-identical"), "{summary}");
 
-        // Any one counter of one cell off by one fails, and is named.
+        // Any one counter of one cell off by one fails, and its line is
+        // named with both sides' text.
         type Bump = fn(&mut PerfCell);
         let perturb: [(&str, Bump); 5] = [
             ("ops", |c| c.ops += 1),
@@ -337,51 +301,61 @@ mod tests {
             let mut off = report.clone();
             bump(&mut off.cells[4]);
             let err = check_baseline(&off, &path).expect_err("a changed counter fails");
-            let cell = format!("{}/{}: {name} is", off.cells[4].engine, off.cells[4].workload);
-            assert!(err.contains(&cell), "{err}");
+            assert!(err.starts_with("line "), "{err}");
+            assert!(err.contains(&format!("the baseline has `\"{name}\": ")), "{err}");
+            assert!(err.contains(&format!("this run `\"{name}\": ")), "{err}");
             assert_eq!(err.lines().count(), 1, "{err}");
         }
 
-        // A cell on one side only fails and is named, in either direction.
+        // A renamed cell fails on its name's line.
         let mut renamed = report.clone();
         renamed.cells[4].engine = "CTT-next".to_string();
         let err = check_baseline(&renamed, &path).expect_err("a renamed cell fails");
-        let workload = &renamed.cells[4].workload;
-        assert!(
-            err.contains(&format!("cell CTT-next/{workload} present in the fresh report")),
-            "{err}"
+        let line = format!(
+            "`\"engine\": \"{}\",`, this run `\"engine\": \"CTT-next\",`",
+            report.cells[4].engine
         );
-        assert!(
-            err.contains(&format!(
-                "cell {}/{workload} present in the baseline",
-                report.cells[4].engine
-            )),
-            "{err}"
-        );
-        assert_eq!(err.lines().count(), 2, "{err}");
+        assert!(err.contains(&line), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+
+        // An extra cell fails, and its lines are named.
         let mut extra = report.clone();
         extra.cells.push(PerfCell { engine: "new".to_string(), ..report.cells[0].clone() });
         let err = check_baseline(&extra, &path).expect_err("an unpinned cell fails");
-        assert!(err.contains("cell new/"), "{err}");
-        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains("this run `\"engine\": \"new\",`"), "{err}");
+        assert!(err.contains("the baseline has nothing"), "{err}");
+
+        // Two cells trading places fail, though each cell's counters are
+        // unchanged.
+        let mut swapped = report.clone();
+        swapped.cells.swap(0, 1);
+        assert!(check_baseline(&swapped, &path).is_err());
 
         // Another scale, and a missing baseline, are errors too.
         let bigger = Scale { keys: 600, ..scale };
-        assert!(check_baseline(&run(&bigger, &tmp.join("bigger")), &path).is_err());
-        assert!(check_baseline(&report, &tmp.join("nope.json")).is_err());
+        let err = check_baseline(&run(&bigger, &tmp.join("bigger")), &path)
+            .expect_err("another scale fails");
+        assert!(
+            err.contains("line 2: the baseline has `\"keys\": 500,`, this run `\"keys\": 600,`"),
+            "{err}"
+        );
+        let err = check_baseline(&report, &tmp.join("nope.json")).expect_err("no file fails");
+        assert!(err.starts_with("cannot read baseline"), "{err}");
     }
 
-    /// The committed baseline is exactly what the harness writes: it
-    /// parses into [`PerfReport`], holds the 12 cells at smoke scale, and
-    /// re-serialises to the same bytes. A schema change that forgets to
-    /// regenerate the file fails here, not only in the CI step.
+    /// The committed baseline is exactly what the harness writes at the
+    /// smoke scale today, byte for byte: a change that moves an executor
+    /// counter, renames or reorders a cell, or changes the report's shape
+    /// fails here, not only in the CI step. If the change is meant,
+    /// regenerate with `bench --out .` and copy `BENCH_ctt.json` over
+    /// `BENCH_baseline.json`.
     #[test]
     fn committed_baseline_matches_the_report_schema() {
-        let text = include_str!("../../../BENCH_baseline.json");
-        let baseline: PerfReport = serde_json::from_str(text).expect("baseline parses");
-        let smoke = Scale::smoke();
-        assert_eq!((baseline.keys, baseline.ops), (smoke.keys, smoke.ops));
-        assert_eq!(baseline.cells.len(), 12, "4 executors x 3 workloads");
-        assert_eq!(serde_json::to_string_pretty(&baseline).unwrap(), text);
+        let tmp = std::env::temp_dir().join("dcart-committed-baseline-test");
+        let report = run(&Scale::smoke(), &tmp);
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
+        if let Err(lines) = check_baseline(&report, &path) {
+            panic!("BENCH_baseline.json differs from this run:\n{lines}");
+        }
     }
 }

@@ -26,7 +26,6 @@ use dcart_engine::{
 };
 use dcart_mem::{BufferOutcome, BufferPolicy, EnergyModel, MemoryConfig, ObjectBuffer};
 use dcart_workloads::{KeySet, Op, OpKind};
-use serde::{Deserialize, Serialize};
 
 use crate::config::DcartConfig;
 use crate::ctt::{
@@ -36,7 +35,7 @@ use crate::dispatcher::Dispatch;
 use crate::pcu::{scan_capacity_ops, OP_STREAM_BYTES};
 
 /// Per-batch timing record of the accelerator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BatchTiming {
     /// PCU combining cycles for this batch.
     pub pcu_cycles: u64,
@@ -48,7 +47,7 @@ pub struct BatchTiming {
 
 /// Utilization and traffic details of an accelerator run, beyond the
 /// common [`RunReport`].
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AccelDetails {
     /// Per-batch timings.
     pub batches: Vec<BatchTiming>,

@@ -7,7 +7,7 @@
 
 use dcart_engine::FaultPlan;
 use dcart_mem::BufferPolicy;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Full configuration of a DCART instance.
 ///
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// 4 MB Tree buffer; a conservative 230 MHz clock on the Alveo U280; and
 /// an 8-bit combining prefix (§III-B: "the first 8 bits of the key are used
 /// as the specified prefix by default").
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct DcartConfig {
     /// Prefix-based Combining Units.
     pub pcus: usize,
@@ -61,7 +61,6 @@ pub struct DcartConfig {
     /// stream and stats — never answers or the final tree. Split decisions
     /// depend only on op counts, so for a fixed threshold every observable
     /// of the run is identical at any thread count and steal setting.
-    #[serde(default)]
     pub split_threshold: Option<f64>,
     /// Deterministic fault-injection plan (default: inject nothing). See
     /// `dcart_engine::faults`.
@@ -78,7 +77,7 @@ pub struct DcartConfig {
 /// rate over a sliding window; crossing the threshold trips a sticky
 /// disable latch. Defaults are far above any rate a fault-free run
 /// produces, so degradation never fires without injected faults.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct DegradeConfig {
     /// Master switch for the degradation controller.
     pub enabled: bool,

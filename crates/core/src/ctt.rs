@@ -93,7 +93,7 @@ use dcart_art::node::Node;
 use dcart_art::{Art, DescentHint, Key, NodeId, NodeVisit, Range, RecordingTracer, ScanCursor};
 use dcart_engine::{par_for_each_mut, DegradationController, FaultInjector, FaultPlan, FaultSite};
 use dcart_workloads::{KeySet, Op, OpKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::DcartConfig;
 use crate::error::DcartError;
@@ -282,7 +282,7 @@ pub struct CttOpEvent<'a> {
 
 /// A coalesced lock: `size` operations of one bucket targeting one node
 /// acquire a single lock and trigger together.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LockGroup {
     /// Batch index.
     pub batch: usize,
@@ -329,7 +329,7 @@ pub trait CttConsumer {
 }
 
 /// Aggregate statistics of a CTT execution.
-#[derive(Clone, Copy, Default, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, Debug, Serialize)]
 pub struct CttStats {
     /// Operations executed.
     pub ops: u64,
@@ -358,10 +358,8 @@ pub struct CttStats {
     /// Hot buckets split into sub-shards (whole run). Zero under the
     /// default never-split threshold; deterministic for any fixed
     /// threshold — the split schedule depends only on per-batch op counts.
-    #[serde(default)]
     pub shard_splits: u64,
     /// Split buckets re-merged after cooling (whole run).
-    #[serde(default)]
     pub shard_merges: u64,
     /// Digest folded over every operation's answer in execution order;
     /// bit-identical across fault-free and faulted runs of the same
@@ -1426,7 +1424,7 @@ fn load_shards<'a>(
 
 /// Per-bucket load observed over a whole run, for the skew histograms in
 /// the bench report. Every field is deterministic for a fixed config.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct BucketLoad {
     /// Bucket index.
     pub bucket: usize,
@@ -1448,7 +1446,7 @@ pub struct BucketLoad {
 /// Every entry is deterministic (split schedules depend only on op
 /// counts), so the whole report is byte-identical across thread counts
 /// and steal settings, pinned by tests.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct LoadReport {
     /// Per-bucket load, in bucket order.
     pub buckets: Vec<BucketLoad>,

@@ -15,10 +15,8 @@
 //! independently of it (a machine rarely has 16 spare cores, and the
 //! timing model must not change when the host thread count does).
 
-use serde::{Deserialize, Serialize};
-
 /// A bucket → SOU assignment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dispatch {
     /// `sou_of[b]` is the SOU index handling bucket `b`.
     pub sou_of: Vec<usize>,

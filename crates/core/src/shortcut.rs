@@ -16,10 +16,10 @@ use crate::ctt::key_id;
 use crate::fxhash::FxHashSet;
 
 use dcart_art::{Art, Key, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One shortcut entry: the resolved target and its parent.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ShortcutEntry {
     /// Address (arena id) of the target node — the leaf for point ops.
     pub target: NodeId,
@@ -45,7 +45,7 @@ pub(crate) fn hash_bucket(key_id: u64) -> u32 {
 }
 
 /// Hit/miss statistics of a [`ShortcutTable`].
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize)]
 pub struct ShortcutStats {
     /// Probes that returned a valid entry.
     pub hits: u64,

@@ -1,7 +1,5 @@
 //! Clock-domain arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// A clock domain with cycle/time conversions.
 ///
 /// DCART is clocked conservatively at 230 MHz on the Alveo U280 (paper
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((clk.cycles_to_ns(230) - 1000.0).abs() < 1e-9);
 /// assert_eq!(clk.ns_to_cycles(1000.0), 230);
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Clock {
     freq_hz: f64,
 }

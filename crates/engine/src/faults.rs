@@ -25,11 +25,11 @@
 //! experiment in `crates/bench` enforces this differentially by comparing
 //! answer digests against a fault-free run.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Distinct fault sites. Each site draws from its own deterministic stream,
 /// so adding draws at one site never perturbs decisions at another.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSite {
     /// Transient error on an off-chip (HBM) read.
     HbmRead,
@@ -69,7 +69,7 @@ impl FaultSite {
 /// Which faults to inject, and how hard. All rates are probabilities in
 /// `[0, 1]` applied per *opportunity* (per off-chip read, per probe, per
 /// batch — see each field). The default plan injects nothing.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Seed for the deterministic fault streams. Two runs with the same
     /// plan and workload make identical injection decisions.
@@ -135,7 +135,7 @@ impl FaultPlan {
 }
 
 /// Bounded retry-with-exponential-backoff for transient memory errors.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Maximum number of retries before failing over (re-issuing on an
     /// alternate channel at double cost).
@@ -312,7 +312,7 @@ impl DegradationController {
 /// distinct torn state a real process crash (or power cut) leaves on disk;
 /// the crash-point matrix in `crates/bench` iterates every site at several
 /// offsets and asserts digest-identical recovery for each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashSite {
     /// Die while a WAL record's bytes are being appended: only a
     /// deterministic prefix of the record reaches the file (torn tail).
@@ -369,7 +369,7 @@ impl CrashSite {
 /// A deterministic "kill the process here" instruction: die at the
 /// `at`-th opportunity (0-based) of `site`. The `seed` additionally picks
 /// *how much* of a torn write lands on disk for the partial-write sites.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashPlan {
     /// The durability-layer site to kill.
     pub site: CrashSite,
@@ -436,7 +436,7 @@ impl CrashInjector {
 
 /// Counters for injected faults and the recovery actions they triggered.
 /// Zero everywhere on a fault-free run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct RecoveryStats {
     /// Transient HBM read errors injected.
     pub hbm_transient_errors: u64,

@@ -2,8 +2,6 @@
 //! Fig. 10, the admission-rejection vocabulary, and a bounded FIFO
 //! occupancy model.
 
-use serde::{Deserialize, Serialize};
-
 /// Records per-operation latencies and reports percentiles.
 ///
 /// # Examples
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(rec.percentile(0.99), 99.0);
 /// assert_eq!(rec.percentile(0.50), 50.0);
 /// ```
-#[derive(Clone, Default, Debug, Serialize, Deserialize)]
+#[derive(Clone, Default, Debug)]
 pub struct LatencyRecorder {
     samples: Vec<f64>,
     sorted: bool,
@@ -69,7 +67,7 @@ impl LatencyRecorder {
 /// Why an admission controller turned a request away. The serving layer
 /// returns these to clients verbatim (with a bounded retry hint), so the
 /// set is a wire-visible contract: variants are appended, never reordered.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RejectReason {
     /// The admission queue was full; retry after the hinted backoff.
     Overloaded,

@@ -1,7 +1,5 @@
 //! Shared instrumentation for the related-work indexes.
 
-use serde::{Deserialize, Serialize};
-
 /// Write-amplification and access accounting.
 ///
 /// `bytes_logical` counts the payload the caller asked to store (key +
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// (including node splits, shifts, and rehashing). Their ratio is the
 /// write amplification the paper's §V attributes to B+-trees — ART avoids
 /// most of it because inner nodes never hold full keys.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct WriteStats {
     /// Payload bytes the caller stored (key + value sizes).
     pub bytes_logical: u64,

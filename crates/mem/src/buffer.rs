@@ -11,10 +11,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Replacement policy of an [`ObjectBuffer`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum BufferPolicy {
     /// Least-recently-used: hits refresh recency; misses always fill.
     Lru,
@@ -40,7 +40,7 @@ pub enum BufferOutcome {
 }
 
 /// Counters for a buffer instance.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct BufferStats {
     /// Total object requests.
     pub requests: u64,

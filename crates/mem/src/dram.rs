@@ -7,10 +7,8 @@
 //! for how many of them overlap, peak bandwidth for the bytes that must
 //! cross the pins.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of an off-chip memory system.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MemoryConfig {
     /// Latency of one access in nanoseconds (row activation + transfer).
     pub latency_ns: f64,

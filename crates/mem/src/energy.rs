@@ -12,10 +12,8 @@
 //! busy dual-Xeon on a memory-bound index workload, an A100 under partial
 //! load, and an Alveo U280 board.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy-model parameters for one platform.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EnergyModel {
     /// Average active power draw while the workload runs, in watts.
     pub active_power_w: f64,

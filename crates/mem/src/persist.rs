@@ -11,11 +11,11 @@
 //! bytes of log does one checkpoint absorb, and how does a snapshot
 //! compare to the accelerator's Tree-buffer capacity?
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters for everything the durability layer writes, truncates, and
 /// replays. All zero when durability is off.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize)]
 pub struct PersistStats {
     /// Bytes appended to the WAL (records that reached the file,
     /// including commit marks; torn prefixes of crashed writes are not
