@@ -651,11 +651,9 @@ impl BucketShard {
                 // the probe, so validation catches it and falls back to
                 // the root traversal.
                 if self.injector.fire(FaultSite::ShortcutEntry, plan.shortcut_corrupt_rate) {
-                    self.shortcuts.corrupt(kid, &op.key);
+                    self.shortcuts.corrupt(kid);
                 }
-                let stale_before = self.shortcuts.stats().stale_invalidations;
-                let e = self.shortcuts.probe(kid, &op.key, &self.art);
-                let went_stale = self.shortcuts.stats().stale_invalidations > stale_before;
+                let (e, went_stale) = self.shortcuts.probe(kid, &op.key, &self.art);
                 if self.degrade.record(went_stale) {
                     // Error rate over the window crossed the threshold:
                     // run the rest of the workload without this shard's
@@ -731,7 +729,7 @@ impl BucketShard {
                     }
                     OpKind::Remove => {
                         let prev = self.art.remove_traced(&op.key, &mut self.tracer);
-                        self.shortcuts.invalidate(kid, &op.key);
+                        self.shortcuts.invalidate(kid);
                         prev
                     }
                     OpKind::Scan => unreachable!("scans are deferred above"),
@@ -743,12 +741,7 @@ impl BucketShard {
                         // Generate_Shortcut: only leaves are reusable
                         // point-op targets.
                         if self.art.read_leaf(target, &op.key).is_some() {
-                            self.shortcuts.generate(
-                                kid,
-                                op.key.clone(),
-                                target,
-                                self.tracer.trace.parent,
-                            );
+                            self.shortcuts.generate(kid, target, self.tracer.trace.parent);
                             generated = true;
                             hash_bucket = hash_bucket_of(kid);
                         }
@@ -822,7 +815,7 @@ impl BucketShard {
     /// none.
     fn look_ahead(&mut self, batch: &[Op], at: usize, op_i: u32, kid: u64, window: bool) {
         let op = &batch[op_i as usize];
-        match self.shortcuts.peek(kid, &op.key) {
+        match self.shortcuts.peek(kid) {
             Some(target) if self.shortcuts_active => self.art.prefetch_node(target),
             _ if window && matches!(op.kind, OpKind::Read | OpKind::Update) => {
                 self.start_descent(at, op_i);

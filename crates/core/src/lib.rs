@@ -9,7 +9,7 @@
 //! * a [PCU](pcu) combines operations into disjoint prefix buckets;
 //! * a [Dispatcher](dispatcher::Dispatch) assigns each bucket to one of 16
 //!   SOU pipelines ([`DcartAccel`]), so same-node operations never contend;
-//! * a [`ShortcutTable`] caches resolved `<key, target, parent>` triples so
+//! * a [`ShortcutTable`] caches resolved `<Key_ID, target, parent>` triples so
 //!   hot operations skip traversal entirely;
 //! * a value-aware Tree buffer keeps frequently traversed nodes on chip.
 //!

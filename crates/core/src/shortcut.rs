@@ -1,7 +1,7 @@
 //! The shortcut table (paper §III-C).
 //!
-//! A hash table mapping a key to the addresses of its target node and the
-//! target's parent: `<Key_ID, Address_Target_Node, Address_Parent_Node>`.
+//! A hash table mapping a Key_ID to the addresses of its target node and
+//! the target's parent: `<Key_ID, Address_Target_Node, Address_Parent_Node>`.
 //! Frequently traversed keys resolve through the table in one probe,
 //! skipping the top-down traversal entirely.
 //!
@@ -10,9 +10,11 @@
 //! the paper requires — an entry only becomes stale when the target node is
 //! *replaced* (path split, merge, removal), which validation detects by
 //! checking that the cached address still holds a leaf with the expected
-//! key.
+//! key. The same check keeps two keys that share a Key_ID, and so share an
+//! entry, from answering for each other.
 
-use crate::ctt::key_id;
+use std::num::NonZeroU32;
+
 use crate::fxhash::FxHashSet;
 
 use dcart_art::{Art, Key, NodeId};
@@ -91,21 +93,34 @@ impl ShortcutStats {
     }
 }
 
-/// One slot of the host-side table: half a cache line, aligned so that no
-/// slot straddles two. The key is stored inline (`dcart_art::Key` is 24
-/// bytes), the parent as a [`NodeId`] whose null sentinel means "none".
+/// One slot of the host-side table, the paper's entry
+/// `<Key_ID, target, parent>` in 16 bytes: four to a cache line, aligned
+/// so that no slot straddles two. The target is stored as its arena index
+/// plus one, whose zero is the niche that marks an empty `Option<Slot>`;
+/// the parent as a [`NodeId`] whose null sentinel means "none".
 #[derive(Clone, Debug)]
-#[repr(align(32))]
+#[repr(align(16))]
 struct Slot {
-    key: Key,
-    target: NodeId,
+    kid: u64,
+    target: NonZeroU32,
     parent: NodeId,
 }
 
 impl Slot {
+    fn new(kid: u64, target: NodeId, parent: Option<NodeId>) -> Self {
+        let target = NonZeroU32::MIN
+            .checked_add(target.index())
+            .expect("a shortcut targets a node, never the null id");
+        Slot { kid, target, parent: parent.unwrap_or_default() }
+    }
+
+    fn target(&self) -> NodeId {
+        NodeId::from_index(self.target.get() - 1)
+    }
+
     fn entry(&self) -> ShortcutEntry {
         let parent = (self.parent != NodeId::default()).then_some(self.parent);
-        ShortcutEntry { target: self.target, parent }
+        ShortcutEntry { target: self.target(), parent }
     }
 }
 
@@ -125,16 +140,17 @@ const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 /// ([`ENTRY_BYTES`], `HASH_BUCKETS`) independently of how the host lays its
 /// own copy out.
 ///
-/// On the host it is one open-addressed array of 32-byte slots: linear
-/// probing from a multiplicative spread of the key's Key_ID
-/// ([`key_id`](crate::key_id)), backward-shift deletion (no tombstones),
-/// load factor at most ¾, power-of-two growth. A probe reads one cache
-/// line unless its run crosses into the next.
+/// On the host it is one open-addressed array of 16-byte
+/// `<Key_ID, target, parent>` slots: linear probing from a multiplicative
+/// spread of the Key_ID ([`key_id`](crate::key_id)), backward-shift
+/// deletion (no tombstones), load factor at most ¾, power-of-two growth.
+/// A probe reads one cache line unless its run crosses into the next.
 ///
-/// Every method that looks a key up takes the key's Key_ID beside it, so
-/// that a caller hashes each key once however often it uses the table;
-/// the id must be [`key_id`](crate::key_id) of that key (debug builds
-/// assert it).
+/// Entries are keyed by Key_ID alone, as in the hardware's table: two keys
+/// with one Key_ID share an entry. Only [`probe`](Self::probe) takes the
+/// key, to validate the entry against the tree, so neither key is ever
+/// answered through the other's target; its Key_ID must be
+/// [`key_id`](crate::key_id) of that key (debug builds assert it).
 ///
 /// # Examples
 ///
@@ -149,8 +165,8 @@ const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 ///
 /// let mut table = ShortcutTable::new();
 /// let id = key_id(&key);
-/// table.generate(id, key.clone(), leaf, parent);
-/// let entry = table.probe(id, &key, &art).expect("valid shortcut");
+/// table.generate(id, leaf, parent);
+/// let entry = table.probe(id, &key, &art).0.expect("valid shortcut");
 /// assert_eq!(art.read_leaf(entry.target, &key), Some(&"seven"));
 /// # Ok::<(), dcart_art::ArtError>(())
 /// ```
@@ -159,9 +175,9 @@ pub struct ShortcutTable {
     /// Power-of-two length, never full: every probe run ends at a `None`.
     slots: Vec<Option<Slot>>,
     len: usize,
-    /// Entries poisoned by fault injection: validation must fail on their
-    /// next probe regardless of what the tree says.
-    poisoned: FxHashSet<Key>,
+    /// Key_IDs whose entries fault injection poisoned: validation must
+    /// fail on their next probe regardless of what the tree says.
+    poisoned: FxHashSet<u64>,
     stats: ShortcutStats,
 }
 
@@ -192,16 +208,15 @@ impl ShortcutTable {
         (key_id.wrapping_mul(SPREAD) >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// Walks `key`'s probe run to the slot holding it, or to the empty slot
-    /// that ends the run.
-    fn find(&self, key_id: u64, key: &Key) -> Option<(usize, &Slot)> {
-        debug_assert_eq!(key_id, crate::key_id(key), "a Key_ID that is not the key's");
+    /// Walks `key_id`'s probe run to the slot holding it, or to the empty
+    /// slot that ends the run.
+    fn find(&self, key_id: u64) -> Option<(usize, &Slot)> {
         let mask = self.slots.len() - 1;
         let mut at = self.home(key_id);
         loop {
             match &self.slots[at] {
                 None => return None,
-                Some(slot) if slot.key == *key => return Some((at, slot)),
+                Some(slot) if slot.kid == key_id => return Some((at, slot)),
                 Some(_) => at = (at + 1) & mask,
             }
         }
@@ -216,7 +231,7 @@ impl ShortcutTable {
         self.len -= 1;
         let mut at = (hole + 1) & mask;
         while let Some(slot) = &self.slots[at] {
-            let from_home = at.wrapping_sub(self.home(key_id(&slot.key))) & mask;
+            let from_home = at.wrapping_sub(self.home(slot.kid)) & mask;
             if from_home >= (at.wrapping_sub(hole) & mask) {
                 self.slots.swap(hole, at);
                 hole = at;
@@ -225,19 +240,17 @@ impl ShortcutTable {
         }
     }
 
-    /// Stores an entry whose key (with Key_ID `key_id`) the table does not
-    /// hold, doubling the slot array first if it would pass ¾ full.
-    fn insert_new(&mut self, key_id: u64, slot: Slot) {
+    /// Stores an entry for a Key_ID the table does not hold, doubling the
+    /// slot array first if it would pass ¾ full.
+    fn insert_new(&mut self, slot: Slot) {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             let doubled = vec![None; self.slots.len() * 2];
             let old = std::mem::replace(&mut self.slots, doubled);
             self.len = 0;
-            old.into_iter()
-                .flatten()
-                .for_each(|slot| self.insert_new(crate::key_id(&slot.key), slot));
+            old.into_iter().flatten().for_each(|slot| self.insert_new(slot));
         }
         let mask = self.slots.len() - 1;
-        let mut at = self.home(key_id);
+        let mut at = self.home(slot.kid);
         while self.slots[at].is_some() {
             at = (at + 1) & mask;
         }
@@ -252,52 +265,65 @@ impl ShortcutTable {
         dcart_art::simd::prefetch(&self.slots[self.home(key_id)]);
     }
 
-    /// The cached target for `key`, unvalidated: reads no tree, counts
+    /// The cached target for `key_id`, unvalidated: reads no tree, counts
     /// nothing, removes nothing. For lookahead — prefetch the target ahead
     /// of the [`probe`](Self::probe) that will validate it.
     #[inline]
-    pub fn peek(&self, key_id: u64, key: &Key) -> Option<NodeId> {
-        self.find(key_id, key).map(|(_, slot)| slot.target)
+    pub fn peek(&self, key_id: u64) -> Option<NodeId> {
+        self.find(key_id).map(|(_, slot)| slot.target())
     }
 
     /// Probes for `key` (whose Key_ID is `key_id`), validating the cached
-    /// target against `tree`.
+    /// target against `tree`. Returns the entry if it validates, and
+    /// whether the probe dropped a stale or corrupted entry.
     ///
     /// A stale entry (the target address no longer holds a leaf with this
     /// key) is removed and reported as a miss — exactly what the hardware's
     /// validation step does.
-    pub fn probe<V>(&mut self, key_id: u64, key: &Key, tree: &Art<V>) -> Option<ShortcutEntry> {
-        let Some((at, slot)) = self.find(key_id, key) else {
+    pub fn probe<V>(
+        &mut self,
+        key_id: u64,
+        key: &Key,
+        tree: &Art<V>,
+    ) -> (Option<ShortcutEntry>, bool) {
+        debug_assert_eq!(key_id, crate::key_id(key), "a Key_ID that is not the key's");
+        self.probe_as(key_id, key, tree)
+    }
+
+    /// [`probe`](Self::probe) without the check that `key_id` is the key's
+    /// own, so that a test can put two keys under one Key_ID.
+    fn probe_as<V>(
+        &mut self,
+        key_id: u64,
+        key: &Key,
+        tree: &Art<V>,
+    ) -> (Option<ShortcutEntry>, bool) {
+        let Some((at, slot)) = self.find(key_id) else {
             self.stats.misses += 1;
-            return None;
+            return (None, false);
         };
         let entry = slot.entry();
-        if !self.poisoned.is_empty() && self.poisoned.remove(key) {
+        if !self.poisoned.is_empty() && self.poisoned.remove(&key_id) {
             // A corrupted entry never validates: drop it and fall back to
             // the root traversal (the same slow-but-correct path a
             // naturally stale entry takes).
-            self.remove_at(at);
             self.stats.corruption_fallbacks += 1;
-            self.stats.stale_invalidations += 1;
-            self.stats.misses += 1;
-            None
         } else if tree.read_leaf(entry.target, key).is_some() {
             self.stats.hits += 1;
-            Some(entry)
-        } else {
-            self.remove_at(at);
-            self.stats.stale_invalidations += 1;
-            self.stats.misses += 1;
-            None
+            return (Some(entry), false);
         }
+        self.remove_at(at);
+        self.stats.stale_invalidations += 1;
+        self.stats.misses += 1;
+        (None, true)
     }
 
-    /// Fault injection: corrupts the entry for `key` (models a bit flip in
-    /// the off-chip table or forced staleness). The entry stays present but
-    /// its next probe fails validation and falls back to a full traversal.
-    /// Returns `true` if an entry existed to corrupt.
-    pub fn corrupt(&mut self, key_id: u64, key: &Key) -> bool {
-        if self.find(key_id, key).is_some() && self.poisoned.insert(key.clone()) {
+    /// Fault injection: corrupts the entry for `key_id` (models a bit flip
+    /// in the off-chip table or forced staleness). The entry stays present
+    /// but its next probe fails validation and falls back to a full
+    /// traversal. Returns `true` if an entry existed to corrupt.
+    pub fn corrupt(&mut self, key_id: u64) -> bool {
+        if self.find(key_id).is_some() && self.poisoned.insert(key_id) {
             self.stats.corruptions_injected += 1;
             true
         } else {
@@ -305,27 +331,26 @@ impl ShortcutTable {
         }
     }
 
-    /// Records the result of a traversal of `key` (whose Key_ID is
-    /// `key_id`) as a new shortcut (the Generate_Shortcut stage).
-    pub fn generate(&mut self, key_id: u64, key: Key, target: NodeId, parent: Option<NodeId>) {
-        let slot = Slot { key, target, parent: parent.unwrap_or_default() };
-        if let Some((at, _)) = self.find(key_id, &slot.key) {
+    /// Records the result of a traversal of the key whose Key_ID is
+    /// `key_id` as a new shortcut (the Generate_Shortcut stage).
+    pub fn generate(&mut self, key_id: u64, target: NodeId, parent: Option<NodeId>) {
+        let slot = Slot::new(key_id, target, parent);
+        if let Some((at, _)) = self.find(key_id) {
             self.slots[at] = Some(slot);
             self.stats.updated += 1;
         } else {
-            self.insert_new(key_id, slot);
+            self.insert_new(slot);
             self.stats.generated += 1;
         }
     }
 
-    /// Drops the entry for `key` (whose Key_ID is `key_id`), if any (e.g.
-    /// after a remove).
-    pub fn invalidate(&mut self, key_id: u64, key: &Key) {
-        if let Some((at, _)) = self.find(key_id, key) {
+    /// Drops the entry for `key_id`, if any (e.g. after a remove).
+    pub fn invalidate(&mut self, key_id: u64) {
+        if let Some((at, _)) = self.find(key_id) {
             self.remove_at(at);
         }
         if !self.poisoned.is_empty() {
-            self.poisoned.remove(key);
+            self.poisoned.remove(&key_id);
         }
     }
 }
@@ -333,6 +358,7 @@ impl ShortcutTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key_id;
 
     fn tree_with(keys: &[u64]) -> Art<u64> {
         let mut art = Art::new();
@@ -347,10 +373,10 @@ mod tests {
         let art = tree_with(&[1, 2, 3]);
         let key = Key::from_u64(2);
         let mut table = ShortcutTable::new();
-        assert_eq!(table.probe(key_id(&key), &key, &art), None);
+        assert_eq!(table.probe(key_id(&key), &key, &art), (None, false), "nothing to drop");
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
-        let entry = table.probe(key_id(&key), &key, &art).expect("hit after generate");
+        table.generate(key_id(&key), leaf, parent);
+        let entry = table.probe(key_id(&key), &key, &art).0.expect("hit after generate");
         assert_eq!(entry.target, leaf);
         assert_eq!(table.stats().hits, 1);
         assert_eq!(table.stats().misses, 1);
@@ -362,9 +388,9 @@ mod tests {
         let key = Key::from_u64(10);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
+        table.generate(key_id(&key), leaf, parent);
         art.remove(&key);
-        assert_eq!(table.probe(key_id(&key), &key, &art), None, "stale shortcut must miss");
+        assert_eq!(table.probe(key_id(&key), &key, &art), (None, true), "stale shortcut must miss");
         assert_eq!(table.stats().stale_invalidations, 1);
         assert!(table.len == 0);
     }
@@ -375,11 +401,15 @@ mod tests {
         let key = Key::from_u64(20);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
+        table.generate(key_id(&key), leaf, parent);
         art.remove(&key);
         // The freed slot is reused by a different key's leaf.
         art.insert(Key::from_u64(999), 999).unwrap();
-        assert_eq!(table.probe(key_id(&key), &key, &art), None, "reused slot holds the wrong key");
+        assert_eq!(
+            table.probe(key_id(&key), &key, &art),
+            (None, true),
+            "reused slot holds the wrong key"
+        );
     }
 
     #[test]
@@ -394,11 +424,11 @@ mod tests {
         let key = Key::from_u64(1 << 8 | 1);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
+        table.generate(key_id(&key), leaf, parent);
         for b in 4..20u64 {
             art.insert(Key::from_u64(b << 8 | 1), b).unwrap(); // grows the node
         }
-        assert!(table.probe(key_id(&key), &key, &art).is_some());
+        assert!(table.probe(key_id(&key), &key, &art).0.is_some());
     }
 
     #[test]
@@ -407,25 +437,25 @@ mod tests {
         let key = Key::from_u64(30);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
-        assert!(table.corrupt(key_id(&key), &key));
+        table.generate(key_id(&key), leaf, parent);
+        assert!(table.corrupt(key_id(&key)));
         // The poisoned probe must NOT return the (still structurally valid)
         // entry — it must force the fallback traversal.
-        assert_eq!(table.probe(key_id(&key), &key, &art), None);
+        assert_eq!(table.probe(key_id(&key), &key, &art), (None, true));
         let s = table.stats();
         assert_eq!(s.corruptions_injected, 1);
         assert_eq!(s.corruption_fallbacks, 1);
         assert_eq!(s.stale_invalidations, 1);
         // Regenerating afterwards works and probes cleanly again.
-        table.generate(key_id(&key), key.clone(), leaf, parent);
-        assert!(table.probe(key_id(&key), &key, &art).is_some());
+        table.generate(key_id(&key), leaf, parent);
+        assert!(table.probe(key_id(&key), &key, &art).0.is_some());
     }
 
     #[test]
     fn corrupt_without_entry_is_a_noop() {
         let mut table = ShortcutTable::new();
         let key = Key::from_u64(1);
-        assert!(!table.corrupt(key_id(&key), &key));
+        assert!(!table.corrupt(key_id(&key)));
         assert_eq!(table.stats().corruptions_injected, 0);
     }
 
@@ -435,19 +465,61 @@ mod tests {
         let key = Key::from_u64(40);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
-        table.corrupt(key_id(&key), &key);
-        table.invalidate(key_id(&key), &key);
+        table.generate(key_id(&key), leaf, parent);
+        table.corrupt(key_id(&key));
+        table.invalidate(key_id(&key));
         // A fresh entry for the same key is not tainted by old poison.
-        table.generate(key_id(&key), key.clone(), leaf, parent);
-        assert!(table.probe(key_id(&key), &key, &art).is_some());
+        table.generate(key_id(&key), leaf, parent);
+        assert!(table.probe(key_id(&key), &key, &art).0.is_some());
         assert_eq!(table.stats().corruption_fallbacks, 0);
     }
 
     #[test]
-    fn a_slot_is_half_an_aligned_cache_line() {
-        assert_eq!(std::mem::size_of::<Option<Slot>>(), 32);
-        assert_eq!(std::mem::align_of::<Option<Slot>>(), 32);
+    fn a_slot_is_a_quarter_of_an_aligned_cache_line() {
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 16);
+        assert_eq!(std::mem::align_of::<Option<Slot>>(), 16);
+    }
+
+    #[test]
+    fn two_keys_under_one_key_id_share_an_entry_and_never_answer_for_each_other() {
+        let art = tree_with(&[60, 61]);
+        let (a, b) = (Key::from_u64(60), Key::from_u64(61));
+        let (leaf_a, parent_a) = art.locate_leaf(&a, &mut dcart_art::NoopTracer).unwrap();
+        let (leaf_b, parent_b) = art.locate_leaf(&b, &mut dcart_art::NoopTracer).unwrap();
+        // Both keys are filed under `a`'s Key_ID, as two keys whose ids
+        // collide would be; `probe_as` skips the check that the id is the
+        // probed key's own.
+        let kid = key_id(&a);
+        let mut table = ShortcutTable::new();
+        let probe = |table: &mut ShortcutTable, key: &Key| {
+            let (entry, stale) = table.probe_as(kid, key, &art);
+            if let Some(entry) = entry {
+                assert!(
+                    art.read_leaf(entry.target, key).is_some(),
+                    "{key:?} answered via another key"
+                );
+            }
+            (entry, stale)
+        };
+
+        table.generate(kid, leaf_a, parent_a);
+        table.generate(kid, leaf_b, parent_b);
+        assert_eq!((table.stats().generated, table.stats().updated), (1, 1));
+        assert_eq!(table.len, 1, "one Key_ID, one entry");
+        assert_eq!(table.peek(kid), Some(leaf_b), "the second generate replaced the first");
+
+        // `a`'s probe finds `b`'s target, fails validation and drops it.
+        assert_eq!(probe(&mut table, &a), (None, true));
+        assert_eq!((table.stats().misses, table.stats().stale_invalidations), (1, 1));
+        assert_eq!(probe(&mut table, &b), (None, false), "the entry is gone");
+
+        // The other way round, then each key's own entry answers it.
+        table.generate(kid, leaf_a, parent_a);
+        assert_eq!(probe(&mut table, &b), (None, true));
+        table.generate(kid, leaf_b, parent_b);
+        assert_eq!(probe(&mut table, &b).0.map(|e| e.target), Some(leaf_b));
+        assert_eq!(table.stats().hits, 1);
+        assert_eq!(table.stats().stale_invalidations, 2);
     }
 
     /// `count` distinct keys whose probe runs start at `home` in `table`.
@@ -461,8 +533,8 @@ mod tests {
             table.slots.iter().enumerate().filter_map(|(at, s)| Some((at, s.as_ref()?))).collect();
         assert_eq!(live.len(), table.len);
         for (at, slot) in live {
-            let found = table.find(key_id(&slot.key), &slot.key).map(|(found_at, _)| found_at);
-            assert_eq!(found, Some(at), "{:?} is cut off from its home slot", slot.key);
+            let found = table.find(slot.kid).map(|(found_at, _)| found_at);
+            assert_eq!(found, Some(at), "Key_ID {:#x} is cut off from its home slot", slot.kid);
         }
     }
 
@@ -475,7 +547,7 @@ mod tests {
         let mut keys = keys_homed_at(&table, last, 3);
         keys.extend(keys_homed_at(&table, 0, 1));
         for (i, key) in keys.iter().enumerate() {
-            table.generate(key_id(key), key.clone(), NodeId::from_index(i as u32), None);
+            table.generate(key_id(key), NodeId::from_index(i as u32), None);
         }
         let occupied = |t: &ShortcutTable| -> Vec<usize> {
             (0..MIN_SLOTS).filter(|&at| t.slots[at].is_some()).collect()
@@ -484,23 +556,23 @@ mod tests {
 
         // Removing the head of the run shifts every follower back by one,
         // across the wrap, including the key homed at 0.
-        table.invalidate(key_id(&keys[0]), &keys[0]);
+        table.invalidate(key_id(&keys[0]));
         assert_eq!(occupied(&table), vec![0, 1, last]);
         assert_eq!(table.len, 3);
-        assert_eq!(table.peek(key_id(&keys[0]), &keys[0]), None);
+        assert_eq!(table.peek(key_id(&keys[0])), None);
         for (i, key) in keys.iter().enumerate().skip(1) {
-            assert_eq!(table.peek(key_id(key), key), Some(NodeId::from_index(i as u32)));
+            assert_eq!(table.peek(key_id(key)), Some(NodeId::from_index(i as u32)));
         }
         assert_all_reachable(&table);
 
         // An entry sitting at its home slot is never pulled in front of
         // it: once the run has shrunk to `last` (homed there) and 0 (homed
         // at 0), emptying `last` leaves slot 0 alone.
-        table.invalidate(key_id(&keys[1]), &keys[1]);
+        table.invalidate(key_id(&keys[1]));
         assert_eq!(occupied(&table), vec![0, last]);
-        table.invalidate(key_id(&keys[2]), &keys[2]);
+        table.invalidate(key_id(&keys[2]));
         assert_eq!(occupied(&table), vec![0]);
-        assert_eq!(table.peek(key_id(&keys[3]), &keys[3]), Some(NodeId::from_index(3)));
+        assert_eq!(table.peek(key_id(&keys[3])), Some(NodeId::from_index(3)));
     }
 
     #[test]
@@ -508,7 +580,7 @@ mod tests {
         let mut table = ShortcutTable::new();
         for i in 0..1000u64 {
             let key = Key::from_u64(i);
-            table.generate(key_id(&key), key, NodeId::from_index(i as u32), None);
+            table.generate(key_id(&key), NodeId::from_index(i as u32), None);
             assert!(table.slots.len().is_power_of_two());
             assert!(table.len * 4 <= table.slots.len() * 3, "load factor above 3/4");
         }
@@ -518,13 +590,13 @@ mod tests {
         // Interleaved removals keep every survivor reachable.
         for i in (0..1000u64).step_by(3) {
             let key = Key::from_u64(i);
-            table.invalidate(key_id(&key), &key);
+            table.invalidate(key_id(&key));
         }
         assert_all_reachable(&table);
         for i in 0..1000u64 {
             let key = Key::from_u64(i);
             let want = (i % 3 != 0).then(|| NodeId::from_index(i as u32));
-            assert_eq!(table.peek(key_id(&key), &key), want);
+            assert_eq!(table.peek(key_id(&key)), want);
         }
     }
 
@@ -534,16 +606,16 @@ mod tests {
         let key = Key::from_u64(50);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
-        table.corrupt(key_id(&key), &key);
+        table.generate(key_id(&key), leaf, parent);
+        table.corrupt(key_id(&key));
         let before = table.stats();
         table.prefetch(key_id(&key));
         // Unvalidated: even a poisoned entry is still reported.
-        assert_eq!(table.peek(key_id(&key), &key), Some(leaf));
-        assert_eq!(table.peek(key_id(&Key::from_u64(51)), &Key::from_u64(51)), None);
+        assert_eq!(table.peek(key_id(&key)), Some(leaf));
+        assert_eq!(table.peek(key_id(&Key::from_u64(51))), None);
         assert_eq!(table.stats(), before);
         assert_eq!(table.len, 1);
-        assert_eq!(table.probe(key_id(&key), &key, &art), None, "the poison is still in place");
+        assert_eq!(table.probe(key_id(&key), &key, &art).0, None, "the poison is still in place");
     }
 
     #[test]
@@ -554,9 +626,9 @@ mod tests {
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         assert_eq!(parent, None, "a single-key tree is a root leaf");
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
+        table.generate(key_id(&key), leaf, parent);
         assert_eq!(
-            table.probe(key_id(&key), &key, &art),
+            table.probe(key_id(&key), &key, &art).0,
             Some(ShortcutEntry { target: leaf, parent: None })
         );
     }
@@ -598,8 +670,8 @@ mod tests {
         let key = Key::from_u64(5);
         let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), key.clone(), leaf, parent);
-        table.generate(key_id(&key), key.clone(), leaf, parent);
+        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf, parent);
         assert_eq!(table.stats().generated, 1);
         assert_eq!(table.stats().updated, 1);
         assert_eq!(table.len, 1);

@@ -53,7 +53,7 @@ proptest! {
             let was_poisoned = poisoned.remove(key.as_bytes());
             // A `None` probe (absent, stale, or corrupted) sends the op
             // down the slow-but-correct traversal: always safe.
-            if let Some(entry) = table.probe(key_id(key), key, art) {
+            if let (Some(entry), _) = table.probe(key_id(key), key, art) {
                 prop_assert!(
                     !was_poisoned,
                     "a corrupted entry was returned instead of falling back"
@@ -82,7 +82,7 @@ proptest! {
                     prop_assert!(art.insert(key.clone(), v).is_ok());
                     truth.insert(key.as_bytes().to_vec(), v);
                     if let Some((leaf, parent)) = art.locate_leaf(&key, &mut NoopTracer) {
-                        table.generate(key_id(&key), key.clone(), leaf, parent);
+                        table.generate(key_id(&key), leaf, parent);
                         poisoned.remove(key.as_bytes());
                     }
                 }
@@ -96,13 +96,13 @@ proptest! {
                 7 => {
                     art.remove(&key);
                     truth.remove(key.as_bytes());
-                    table.invalidate(key_id(&key), &key);
+                    table.invalidate(key_id(&key));
                     poisoned.remove(key.as_bytes());
                 }
                 // Inject corruption: the entry stays present but its next
                 // probe must fall back.
                 8 => {
-                    if table.corrupt(key_id(&key), &key) {
+                    if table.corrupt(key_id(&key)) {
                         poisoned.insert(key.as_bytes().to_vec());
                     }
                 }
@@ -154,7 +154,7 @@ proptest! {
                 0..=4 => {
                     let j = if truthful { i } else { (i + 1) % 160 };
                     let (target, parent) = leaves[usize::from(j)];
-                    table.generate(key_id(&key), key.clone(), target, parent);
+                    table.generate(key_id(&key), target, parent);
                     if model.insert(bytes, ShortcutEntry { target, parent }).is_some() {
                         expect.updated += 1;
                     } else {
@@ -162,41 +162,41 @@ proptest! {
                     }
                 }
                 5 => {
-                    table.invalidate(key_id(&key), &key);
+                    table.invalidate(key_id(&key));
                     model.remove(&bytes);
                     poisoned.remove(&bytes);
                 }
                 6 => {
                     let fresh = model.contains_key(&bytes) && poisoned.insert(bytes);
-                    prop_assert_eq!(table.corrupt(key_id(&key), &key), fresh);
+                    prop_assert_eq!(table.corrupt(key_id(&key)), fresh);
                     expect.corruptions_injected += u64::from(fresh);
                 }
                 7..=8 => {
                     let before = table.stats();
                     let want = model.get(&bytes).map(|e| e.target);
-                    prop_assert_eq!(table.peek(key_id(&key), &key), want);
+                    prop_assert_eq!(table.peek(key_id(&key)), want);
                     table.prefetch(key_id(&key));
                     prop_assert_eq!(table.stats(), before, "peek and prefetch count nothing");
                 }
                 _ => {
-                    let want = match model.get(&bytes).copied() {
-                        None => None,
+                    let (want, dropped) = match model.get(&bytes).copied() {
+                        None => (None, false),
                         Some(_) if poisoned.remove(&bytes) => {
                             model.remove(&bytes);
                             expect.corruption_fallbacks += 1;
                             expect.stale_invalidations += 1;
-                            None
+                            (None, true)
                         }
-                        Some(e) if art.read_leaf(e.target, &key).is_some() => Some(e),
+                        Some(e) if art.read_leaf(e.target, &key).is_some() => (Some(e), false),
                         Some(_) => {
                             model.remove(&bytes);
                             expect.stale_invalidations += 1;
-                            None
+                            (None, true)
                         }
                     };
                     expect.hits += u64::from(want.is_some());
                     expect.misses += u64::from(want.is_none());
-                    prop_assert_eq!(table.probe(key_id(&key), &key, &art), want);
+                    prop_assert_eq!(table.probe(key_id(&key), &key, &art), (want, dropped));
                 }
             }
             prop_assert_eq!(table.stats(), expect);
@@ -206,7 +206,7 @@ proptest! {
         for i in 0..160u16 {
             let key = model_key(i);
             let want = model.get(key.as_bytes()).map(|e| e.target);
-            prop_assert_eq!(table.peek(key_id(&key), &key), want);
+            prop_assert_eq!(table.peek(key_id(&key)), want);
         }
     }
 }
