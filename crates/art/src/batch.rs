@@ -12,7 +12,7 @@
 //! The output is observationally identical to running
 //! [`Art::locate_leaf`] per op with a recording tracer: per-op visit
 //! sequences (in traversal order, with identical [`NodeVisit`] contents),
-//! partial-key-match counts, and resolved target/parent pairs. Only the
+//! partial-key-match counts, and resolved targets. Only the
 //! *node load count* changes — one load per `(node, wave)` group instead of
 //! one per op.
 //!
@@ -26,12 +26,9 @@ use crate::trace::NodeVisit;
 use crate::tree::visit_record;
 use crate::{Art, Key};
 
-/// Sentinel for "no parent" (the root's wave entry) — keeps [`WaveEntry`]
-/// at 16 bytes, which matters for the per-wave push/group/copy traffic.
-const NO_PARENT: u32 = u32::MAX;
-
 /// One op's position in the current wave: the node it is about to examine
-/// and how far into its key the traversal has advanced.
+/// and how far into its key the traversal has advanced. Sixteen bytes,
+/// which matters for the per-wave push/group/copy traffic.
 ///
 /// The running partial-key-match count rides in the entry so `outcomes`
 /// is written once per op at its terminal step, not read-modified on
@@ -44,17 +41,8 @@ struct WaveEntry {
     op: u32,
     /// Key bytes consumed so far.
     depth: u32,
-    /// Parent of `node` as a raw index ([`NO_PARENT`] at the root), for
-    /// the target/parent pair on a match.
-    parent: u32,
     /// Partial-key comparisons accumulated on the path so far.
     pkm: u32,
-}
-
-impl WaveEntry {
-    fn parent(self) -> Option<NodeId> {
-        (self.parent != NO_PARENT).then_some(NodeId::from_index(self.parent))
-    }
 }
 
 /// Terminal result for one op.
@@ -62,8 +50,8 @@ impl WaveEntry {
 struct Outcome {
     /// Total partial-key comparisons, as a per-op tracer would count them.
     pkm: u64,
-    /// `(leaf, parent)` when the key was found, like [`Art::locate_leaf`].
-    target: Option<(NodeId, Option<NodeId>)>,
+    /// The leaf when the key was found, like [`Art::locate_leaf`].
+    target: Option<NodeId>,
 }
 
 /// Reusable scratch state for [`Art::locate_leaves_level_wise`].
@@ -123,9 +111,9 @@ impl LevelWiseScratch {
         self.outcomes[i].pkm
     }
 
-    /// `(leaf, parent)` resolved for op `i`, or `None` if its key is
-    /// absent — the [`Art::locate_leaf`] return value.
-    pub fn target(&self, i: usize) -> Option<(NodeId, Option<NodeId>)> {
+    /// The leaf resolved for op `i`, or `None` if its key is absent — the
+    /// [`Art::locate_leaf`] return value.
+    pub fn target(&self, i: usize) -> Option<NodeId> {
         self.outcomes[i].target
     }
 
@@ -200,7 +188,6 @@ impl<V> Art<V> {
             node: root,
             op,
             depth: 0,
-            parent: NO_PARENT,
             pkm: 0,
         }));
 
@@ -235,7 +222,7 @@ impl<V> Art<V> {
                             let out = &mut scratch.outcomes[entry.op as usize];
                             out.pkm = u64::from(entry.pkm) + u64::from(rest.max(1));
                             if leaf_key.as_bytes() == bytes {
-                                out.target = Some((node_id, entry.parent()));
+                                out.target = Some(node_id);
                             }
                         }
                         Node::Inner(inner) => {
@@ -260,7 +247,6 @@ impl<V> Art<V> {
                                 node: child,
                                 op: entry.op,
                                 depth: next_depth as u32 + 1,
-                                parent: node_id.index(),
                                 pkm,
                             });
                         }
@@ -312,8 +298,8 @@ mod tests {
     use rand::prelude::*;
 
     /// What per-op traversal observed for one key: the visit path, the
-    /// partial-key-match count, and the `(leaf, parent)` target.
-    type PerOpResult = (Vec<NodeVisit>, u64, Option<(NodeId, Option<NodeId>)>);
+    /// partial-key-match count, and the target leaf.
+    type PerOpResult = (Vec<NodeVisit>, u64, Option<NodeId>);
 
     /// Per-key reference results from the per-op traversal.
     fn per_op_reference(art: &Art<u64>, keys: &[Key]) -> Vec<PerOpResult> {

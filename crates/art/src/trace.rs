@@ -9,8 +9,11 @@
 //! * the number of **partial-key matches** performed (Fig. 8);
 //! * each **write lock** a ROWEX-style implementation would take (Fig. 7),
 //!   including the extra parent lock on a node-type change (paper §II-A);
-//! * the resolved **target/parent** node pair — the payload of a DCART
-//!   shortcut entry (paper §III-C).
+//! * the resolved **target** node — the payload of a DCART shortcut entry
+//!   (paper §III-C). The paper's entry also records the target's parent,
+//!   which the hardware needs to patch the entry when a node changes
+//!   type; the arena keeps node ids stable across such changes, so no
+//!   host code needs the parent and the tracer reports none.
 
 use crate::node::{NodeId, NodeType};
 
@@ -61,10 +64,10 @@ pub trait Tracer {
         let _ = node;
     }
 
-    /// The operation resolved to `target` (the leaf it read/wrote, or the
-    /// inner node that gained a child) with the given parent.
-    fn target(&mut self, target: NodeId, parent: Option<NodeId>) {
-        let _ = (target, parent);
+    /// The operation resolved to `target`: the leaf it read, wrote or
+    /// removed.
+    fn target(&mut self, target: NodeId) {
+        let _ = target;
     }
 }
 
@@ -107,9 +110,8 @@ impl Tracer for RecordingTracer {
         self.trace.locks.push(node);
     }
 
-    fn target(&mut self, target: NodeId, parent: Option<NodeId>) {
+    fn target(&mut self, target: NodeId) {
         self.trace.target = Some(target);
-        self.trace.parent = parent;
     }
 }
 
@@ -124,8 +126,6 @@ pub struct OpTrace {
     pub locks: Vec<NodeId>,
     /// Resolved target node.
     pub target: Option<NodeId>,
-    /// Parent of the target node.
-    pub parent: Option<NodeId>,
 }
 
 impl OpTrace {
@@ -135,6 +135,5 @@ impl OpTrace {
         self.partial_key_matches = 0;
         self.locks.clear();
         self.target = None;
-        self.parent = None;
     }
 }

@@ -199,7 +199,7 @@ impl<V> Art<V> {
 
     /// Looks up `key`, reporting every node access to `tracer`.
     pub fn get_traced<T: Tracer>(&self, key: &Key, tracer: &mut T) -> Option<&V> {
-        let (leaf, _) = self.locate_leaf(key, tracer)?;
+        let leaf = self.locate_leaf(key, tracer)?;
         match self.arena.get(leaf) {
             Node::Leaf { value, .. } => Some(value),
             Node::Inner(_) => unreachable!("locate_leaf returned inner node"),
@@ -208,15 +208,10 @@ impl<V> Art<V> {
 
     /// Walks the tree to the leaf holding `key`, tracing visits.
     ///
-    /// Returns `(leaf, parent)` ids, or `None` if the key is absent.
-    pub fn locate_leaf<T: Tracer>(
-        &self,
-        key: &Key,
-        tracer: &mut T,
-    ) -> Option<(NodeId, Option<NodeId>)> {
+    /// Returns the leaf's id, or `None` if the key is absent.
+    pub fn locate_leaf<T: Tracer>(&self, key: &Key, tracer: &mut T) -> Option<NodeId> {
         let bytes = key.as_bytes();
         let mut cur = self.root?;
-        let mut parent = None;
         let mut depth = 0usize;
         loop {
             match self.arena.get(cur) {
@@ -225,8 +220,8 @@ impl<V> Art<V> {
                     let rest = bytes.len().saturating_sub(depth) as u32;
                     tracer.partial_key_matches(rest.max(1));
                     if leaf_key.as_bytes() == bytes {
-                        tracer.target(cur, parent);
-                        return Some((cur, parent));
+                        tracer.target(cur);
+                        return Some(cur);
                     }
                     return None;
                 }
@@ -243,7 +238,6 @@ impl<V> Art<V> {
                     // Overlap the next level's memory latency with the tail
                     // of this iteration (hint only; no effect on results).
                     self.arena.prefetch(child);
-                    parent = Some(cur);
                     cur = child;
                     depth += 1;
                 }
@@ -416,7 +410,7 @@ impl<V> Art<V> {
             self.root = Some(leaf);
             self.len = 1;
             tracer.lock(leaf);
-            tracer.target(leaf, None);
+            tracer.target(leaf);
             return Ok(None);
         };
 
@@ -501,7 +495,7 @@ impl<V> Art<V> {
                     // Updating a leaf value is the CAS/lock point of an
                     // update operation.
                     tracer.lock(cur);
-                    tracer.target(cur, parent_edge.map(|(p, _)| p));
+                    tracer.target(cur);
                     return Ok(Some(old));
                 }
                 Step::SplitLeaf { common } => {
@@ -520,7 +514,7 @@ impl<V> Art<V> {
                     self.replace_slot(parent_edge, new_inner);
                     // The structural change locks the parent slot owner.
                     tracer.lock(parent_edge.map_or(new_inner, |(p, _)| p));
-                    tracer.target(new_leaf, Some(new_inner));
+                    tracer.target(new_leaf);
                     self.len += 1;
                     return Ok(None);
                 }
@@ -545,7 +539,7 @@ impl<V> Art<V> {
                     tracer.lock(parent_edge.map_or(split_id, |(p, _)| p));
                     // Splitting a path is a structural change to `cur` too.
                     tracer.lock(cur);
-                    tracer.target(new_leaf, Some(split_id));
+                    tracer.target(new_leaf);
                     self.len += 1;
                     return Ok(None);
                 }
@@ -563,7 +557,7 @@ impl<V> Art<V> {
                     let ok = inner.children.add(edge, new_leaf);
                     debug_assert!(ok);
                     tracer.lock(cur);
-                    tracer.target(new_leaf, Some(cur));
+                    tracer.target(new_leaf);
                     self.len += 1;
                     return Ok(None);
                 }
@@ -597,7 +591,7 @@ impl<V> Art<V> {
                         Node::Inner(_) => unreachable!("remove target was matched as a leaf"),
                     };
                     self.len -= 1;
-                    tracer.target(cur, parent_edge.map(|(p, _)| p));
+                    tracer.target(cur);
                     match parent_edge {
                         None => self.root = None,
                         Some((parent, edge)) => {

@@ -21,8 +21,8 @@ use dcart_baselines::{
     ContentionWindow, Counters, IndexEngine, RedundancyWindow, RunConfig, RunReport, TimeBreakdown,
 };
 use dcart_engine::{
-    BoundedQueue, Clock, DegradationController, FaultInjector, FaultPlan, FaultSite,
-    LatencyRecorder, RecoveryStats, RetryOutcome,
+    Clock, DegradationController, FaultInjector, FaultPlan, FaultSite, LatencyRecorder,
+    RecoveryStats, RetryOutcome,
 };
 use dcart_mem::{BufferOutcome, BufferPolicy, EnergyModel, MemoryConfig, ObjectBuffer};
 use dcart_workloads::{KeySet, Op, OpKind};
@@ -150,9 +150,10 @@ struct AccelConsumer {
     dispatch: Dispatch,
     /// `true` while `dispatch` excludes a downed SOU.
     dispatch_degraded: bool,
-    /// Response queue toward the host; an injected overflow forces the
-    /// rejected tail to be re-streamed under backpressure.
-    response_queue: BoundedQueue,
+    /// Operations the Scan buffer parks on chip while an injected
+    /// response-queue overflow stalls combining; the rest of the batch is
+    /// re-streamed from host memory.
+    scan_capacity: u64,
 }
 
 impl AccelConsumer {
@@ -364,13 +365,12 @@ impl CttConsumer for AccelConsumer {
         if self.plan.is_active()
             && self.injector.fire(FaultSite::QueueOverflow, self.plan.queue_overflow_rate)
         {
-            // The response queue toward the host jams: this batch's results
-            // pile into the bounded queue, the rejected tail is re-streamed
-            // from host memory (one op per cycle) and the queue must drain
-            // before the next batch combines.
-            let rejected = self.response_queue.offer(self.current_batch_ops);
-            let stall = rejected + self.response_queue.depth();
-            self.response_queue.drain(u64::MAX);
+            // The response queue toward the host jams: the Scan buffer
+            // parks what it can hold, the rest of the batch is re-streamed
+            // from host memory, and every op of the batch costs one stall
+            // cycle (parked or re-streamed) before the next batch combines.
+            let rejected = self.current_batch_ops.saturating_sub(self.scan_capacity);
+            let stall = self.current_batch_ops;
             self.recovery.queue_overflows += 1;
             self.recovery.backpressure_cycles += stall;
             self.counters.offchip_bytes += rejected * OP_STREAM_BYTES;
@@ -421,7 +421,7 @@ impl IndexEngine for DcartAccel {
             tree_buffer_active: true,
             dispatch: Dispatch::new(self.config.buckets(), self.config.sous),
             dispatch_degraded: false,
-            response_queue: BoundedQueue::new(scan_capacity_ops(self.config.scan_buffer_bytes)),
+            scan_capacity: scan_capacity_ops(self.config.scan_buffer_bytes),
         };
 
         let (tree, stats, _) =
@@ -724,5 +724,29 @@ mod tests {
         assert!(faulty.recovery.queue_overflows > 0);
         assert!(faulty.recovery.backpressure_cycles > 0);
         assert!(faulty_t > clean_t, "losing an SOU every batch must cost time");
+    }
+
+    #[test]
+    fn every_overflowed_batch_stalls_one_cycle_per_op() {
+        let (keys, ops, run) = setup(10_000, 40_000);
+        let clean_cfg = DcartConfig::default().scaled_for_keys(10_000);
+        let mut cfg = clean_cfg;
+        cfg.faults = FaultPlan { seed: 41, queue_overflow_rate: 1.0, ..FaultPlan::none() };
+        let clean = DcartAccel::new(clean_cfg).run(&keys, &ops, &run);
+        let mut dcart = DcartAccel::new(cfg);
+        let faulty = dcart.run(&keys, &ops, &run);
+        let d = dcart.last_details();
+        let batch_ops: u64 = d.batches.iter().map(|b| b.ops).sum();
+        assert_eq!(batch_ops, ops.len() as u64);
+        assert_eq!(d.recovery.queue_overflows, d.batches.len() as u64);
+        assert_eq!(d.recovery.backpressure_cycles, batch_ops);
+        // What the Scan buffer cannot park is streamed in twice.
+        let capacity = scan_capacity_ops(cfg.scan_buffer_bytes);
+        let restreamed: u64 = d.batches.iter().map(|b| b.ops.saturating_sub(capacity)).sum();
+        assert!(restreamed > 0, "a batch larger than the Scan buffer");
+        assert_eq!(
+            faulty.counters.offchip_bytes,
+            clean.counters.offchip_bytes + restreamed * OP_STREAM_BYTES
+        );
     }
 }

@@ -645,8 +645,7 @@ impl BucketShard {
 
             // Index_Shortcut: probe for reads/updates (unless this shard's
             // degradation controller has disabled its table).
-            let entry = if self.shortcuts_active && matches!(op.kind, OpKind::Read | OpKind::Update)
-            {
+            let hit = if self.shortcuts_active && matches!(op.kind, OpKind::Read | OpKind::Update) {
                 // Injected corruption: poison the key's entry just before
                 // the probe, so validation catches it and falls back to
                 // the root traversal.
@@ -667,26 +666,23 @@ impl BucketShard {
             };
 
             let visits_start = self.visit_arena.len() as u32;
-            let record = if let Some(entry) = entry {
+            let record = if let Some(leaf) = hit {
                 // Shortcut hit: direct target fetch, one validation
                 // compare, no traversal. If a combined operation of this
                 // bucket already fetched the target this batch, the access
                 // is free (it is triggered together).
-                let target = namespaced(self.bucket, self.sub, entry.target);
+                let target = namespaced(self.bucket, self.sub, leaf);
                 if self.visited.insert(target) {
-                    let v = self
-                        .art
-                        .visit_for(entry.target)
-                        .expect("probe validated the target as live");
+                    let v = self.art.visit_for(leaf).expect("probe validated the target as live");
                     self.visit_arena.push(NodeVisit { node: target, ..v });
                 }
                 let mut locks = 0u32;
                 let value = match op.kind {
-                    OpKind::Read => self.art.read_leaf(entry.target, &op.key).copied(),
+                    OpKind::Read => self.art.read_leaf(leaf, &op.key).copied(),
                     OpKind::Update => {
                         let prev = self
                             .art
-                            .update_leaf(entry.target, &op.key, op.value)
+                            .update_leaf(leaf, &op.key, op.value)
                             .expect("probe validated the target key");
                         note_write_target(
                             &mut self.write_target_index,
@@ -741,7 +737,7 @@ impl BucketShard {
                         // Generate_Shortcut: only leaves are reusable
                         // point-op targets.
                         if self.art.read_leaf(target, &op.key).is_some() {
-                            self.shortcuts.generate(kid, target, self.tracer.trace.parent);
+                            self.shortcuts.generate(kid, target);
                             generated = true;
                             hash_bucket = hash_bucket_of(kid);
                         }

@@ -9,8 +9,12 @@
 //! * a [PCU](pcu) combines operations into disjoint prefix buckets;
 //! * a [Dispatcher](dispatcher::Dispatch) assigns each bucket to one of 16
 //!   SOU pipelines ([`DcartAccel`]), so same-node operations never contend;
-//! * a [`ShortcutTable`] caches resolved `<Key_ID, target, parent>` triples so
-//!   hot operations skip traversal entirely;
+//! * a [`ShortcutTable`] caches resolved targets so hot operations skip
+//!   traversal entirely. The paper's entry is `<Key_ID, target, parent>`,
+//!   and the accelerator model charges all 24 bytes of it
+//!   ([`ENTRY_BYTES`]); the host keeps `<Key_ID, target>`, because the
+//!   arena keeps node ids stable when a parent changes type, so no entry
+//!   ever needs its parent to be patched;
 //! * a value-aware Tree buffer keeps frequently traversed nodes on chip.
 //!
 //! Two engines implement the model over the same functional core
@@ -64,5 +68,5 @@ pub use durable::{
     CheckpointPairs, DurabilityConfig, DurableLog, DurableOutcome, Opened,
 };
 pub use error::DcartError;
-pub use shortcut::{ShortcutEntry, ShortcutStats, ShortcutTable, ENTRY_BYTES};
+pub use shortcut::{ShortcutStats, ShortcutTable, ENTRY_BYTES};
 pub use software::DcartSoftware;

@@ -1,36 +1,28 @@
 //! The shortcut table (paper §III-C).
 //!
-//! A hash table mapping a Key_ID to the addresses of its target node and
+//! The paper's table maps a Key_ID to the addresses of its target node and
 //! the target's parent: `<Key_ID, Address_Target_Node, Address_Parent_Node>`.
 //! Frequently traversed keys resolve through the table in one probe,
 //! skipping the top-down traversal entirely.
 //!
-//! Entries are validated against the live tree on use: our arena keeps node
-//! ids stable across in-place layout changes (N4 → N16), so — exactly as
-//! the paper requires — an entry only becomes stale when the target node is
-//! *replaced* (path split, merge, removal), which validation detects by
-//! checking that the cached address still holds a leaf with the expected
-//! key. The same check keeps two keys that share a Key_ID, and so share an
-//! entry, from answering for each other.
+//! The hardware needs the parent to patch an entry when the parent changes
+//! node type. Our arena keeps node ids stable across in-place layout
+//! changes (N4 → N16), so the host table keeps only `<Key_ID, target>`,
+//! while the accelerator model still charges the paper's full entry
+//! ([`ENTRY_BYTES`]). An entry only becomes stale when the target node is
+//! *replaced* (path split, merge, removal), which validation on use
+//! detects by checking that the cached address still holds a leaf with the
+//! expected key. The same check keeps two keys that share a Key_ID, and so
+//! share an entry, from answering for each other.
 
 use std::num::NonZeroU32;
-
-use crate::fxhash::FxHashSet;
 
 use dcart_art::{Art, Key, NodeId};
 use serde::Serialize;
 
-/// One shortcut entry: the resolved target and its parent.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ShortcutEntry {
-    /// Address (arena id) of the target node — the leaf for point ops.
-    pub target: NodeId,
-    /// Address of the target's parent inner node, if any.
-    pub parent: Option<NodeId>,
-}
-
 /// Approximate size of one entry in the off-chip table, for buffer and
-/// bandwidth modelling: key id + two 8-byte addresses.
+/// bandwidth modelling: the paper's `<Key_ID, target, parent>`, a key id
+/// and two 8-byte addresses.
 pub const ENTRY_BYTES: u32 = 24;
 
 /// Hash buckets of the off-chip Shortcut_Table. Two SOUs generating
@@ -93,34 +85,23 @@ impl ShortcutStats {
     }
 }
 
-/// One slot of the host-side table, the paper's entry
-/// `<Key_ID, target, parent>` in 16 bytes: four to a cache line, aligned
-/// so that no slot straddles two. The target is stored as its arena index
-/// plus one, whose zero is the niche that marks an empty `Option<Slot>`;
-/// the parent as a [`NodeId`] whose null sentinel means "none".
+/// One slot of the host-side table, `<Key_ID, target>` in 16 bytes: four
+/// to a cache line, aligned so that no slot straddles two. The target is
+/// stored as its arena index plus one, whose zero is the niche that marks
+/// an empty `Option<Slot>`. `poisoned` marks an entry that fault injection
+/// corrupted ([`ShortcutTable::corrupt`]): its next probe must fail
+/// validation whatever the tree says.
 #[derive(Clone, Debug)]
 #[repr(align(16))]
 struct Slot {
     kid: u64,
     target: NonZeroU32,
-    parent: NodeId,
+    poisoned: bool,
 }
 
 impl Slot {
-    fn new(kid: u64, target: NodeId, parent: Option<NodeId>) -> Self {
-        let target = NonZeroU32::MIN
-            .checked_add(target.index())
-            .expect("a shortcut targets a node, never the null id");
-        Slot { kid, target, parent: parent.unwrap_or_default() }
-    }
-
     fn target(&self) -> NodeId {
         NodeId::from_index(self.target.get() - 1)
-    }
-
-    fn entry(&self) -> ShortcutEntry {
-        let parent = (self.parent != NodeId::default()).then_some(self.parent);
-        ShortcutEntry { target: self.target(), parent }
     }
 }
 
@@ -141,7 +122,7 @@ const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 /// own copy out.
 ///
 /// On the host it is one open-addressed array of 16-byte
-/// `<Key_ID, target, parent>` slots: linear probing from a multiplicative
+/// `<Key_ID, target>` slots: linear probing from a multiplicative
 /// spread of the Key_ID ([`key_id`](crate::key_id)), backward-shift
 /// deletion (no tombstones), load factor at most ¾, power-of-two growth.
 /// A probe reads one cache line unless its run crosses into the next.
@@ -161,13 +142,13 @@ const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 /// let mut art = Art::new();
 /// let key = Key::from_u64(7);
 /// art.insert(key.clone(), "seven")?;
-/// let (leaf, parent) = art.locate_leaf(&key, &mut NoopTracer).unwrap();
+/// let leaf = art.locate_leaf(&key, &mut NoopTracer).unwrap();
 ///
 /// let mut table = ShortcutTable::new();
 /// let id = key_id(&key);
-/// table.generate(id, leaf, parent);
-/// let entry = table.probe(id, &key, &art).0.expect("valid shortcut");
-/// assert_eq!(art.read_leaf(entry.target, &key), Some(&"seven"));
+/// table.generate(id, leaf);
+/// let target = table.probe(id, &key, &art).0.expect("valid shortcut");
+/// assert_eq!(art.read_leaf(target, &key), Some(&"seven"));
 /// # Ok::<(), dcart_art::ArtError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -175,20 +156,12 @@ pub struct ShortcutTable {
     /// Power-of-two length, never full: every probe run ends at a `None`.
     slots: Vec<Option<Slot>>,
     len: usize,
-    /// Key_IDs whose entries fault injection poisoned: validation must
-    /// fail on their next probe regardless of what the tree says.
-    poisoned: FxHashSet<u64>,
     stats: ShortcutStats,
 }
 
 impl Default for ShortcutTable {
     fn default() -> Self {
-        ShortcutTable {
-            slots: vec![None; MIN_SLOTS],
-            len: 0,
-            poisoned: FxHashSet::default(),
-            stats: ShortcutStats::default(),
-        }
+        ShortcutTable { slots: vec![None; MIN_SLOTS], len: 0, stats: ShortcutStats::default() }
     }
 }
 
@@ -220,6 +193,12 @@ impl ShortcutTable {
                 Some(_) => at = (at + 1) & mask,
             }
         }
+    }
+
+    /// The slot holding `key_id`, for an update in place.
+    fn find_mut(&mut self, key_id: u64) -> Option<&mut Slot> {
+        let (at, _) = self.find(key_id)?;
+        self.slots[at].as_mut()
     }
 
     /// Empties slot `hole` and closes the gap: every later entry of the
@@ -274,43 +253,33 @@ impl ShortcutTable {
     }
 
     /// Probes for `key` (whose Key_ID is `key_id`), validating the cached
-    /// target against `tree`. Returns the entry if it validates, and
+    /// target against `tree`. Returns the target if it validates, and
     /// whether the probe dropped a stale or corrupted entry.
     ///
     /// A stale entry (the target address no longer holds a leaf with this
     /// key) is removed and reported as a miss — exactly what the hardware's
     /// validation step does.
-    pub fn probe<V>(
-        &mut self,
-        key_id: u64,
-        key: &Key,
-        tree: &Art<V>,
-    ) -> (Option<ShortcutEntry>, bool) {
+    pub fn probe<V>(&mut self, key_id: u64, key: &Key, tree: &Art<V>) -> (Option<NodeId>, bool) {
         debug_assert_eq!(key_id, crate::key_id(key), "a Key_ID that is not the key's");
         self.probe_as(key_id, key, tree)
     }
 
     /// [`probe`](Self::probe) without the check that `key_id` is the key's
     /// own, so that a test can put two keys under one Key_ID.
-    fn probe_as<V>(
-        &mut self,
-        key_id: u64,
-        key: &Key,
-        tree: &Art<V>,
-    ) -> (Option<ShortcutEntry>, bool) {
+    fn probe_as<V>(&mut self, key_id: u64, key: &Key, tree: &Art<V>) -> (Option<NodeId>, bool) {
         let Some((at, slot)) = self.find(key_id) else {
             self.stats.misses += 1;
             return (None, false);
         };
-        let entry = slot.entry();
-        if !self.poisoned.is_empty() && self.poisoned.remove(&key_id) {
+        let target = slot.target();
+        if slot.poisoned {
             // A corrupted entry never validates: drop it and fall back to
             // the root traversal (the same slow-but-correct path a
             // naturally stale entry takes).
             self.stats.corruption_fallbacks += 1;
-        } else if tree.read_leaf(entry.target, key).is_some() {
+        } else if tree.read_leaf(target, key).is_some() {
             self.stats.hits += 1;
-            return (Some(entry), false);
+            return (Some(target), false);
         }
         self.remove_at(at);
         self.stats.stale_invalidations += 1;
@@ -321,36 +290,41 @@ impl ShortcutTable {
     /// Fault injection: corrupts the entry for `key_id` (models a bit flip
     /// in the off-chip table or forced staleness). The entry stays present
     /// but its next probe fails validation and falls back to a full
-    /// traversal. Returns `true` if an entry existed to corrupt.
+    /// traversal. Returns `true` if an entry existed to corrupt and was
+    /// not corrupted already.
     pub fn corrupt(&mut self, key_id: u64) -> bool {
-        if self.find(key_id).is_some() && self.poisoned.insert(key_id) {
-            self.stats.corruptions_injected += 1;
-            true
-        } else {
-            false
+        match self.find_mut(key_id) {
+            Some(slot) if !slot.poisoned => {
+                slot.poisoned = true;
+                self.stats.corruptions_injected += 1;
+                true
+            }
+            _ => false,
         }
     }
 
     /// Records the result of a traversal of the key whose Key_ID is
-    /// `key_id` as a new shortcut (the Generate_Shortcut stage).
-    pub fn generate(&mut self, key_id: u64, target: NodeId, parent: Option<NodeId>) {
-        let slot = Slot::new(key_id, target, parent);
-        if let Some((at, _)) = self.find(key_id) {
-            self.slots[at] = Some(slot);
+    /// `key_id` as a new shortcut (the Generate_Shortcut stage). Replacing
+    /// a corrupted entry keeps it corrupted: the fault is in the table's
+    /// slot, not in the traversal that refills it.
+    pub fn generate(&mut self, key_id: u64, target: NodeId) {
+        let target = NonZeroU32::MIN
+            .checked_add(target.index())
+            .expect("a shortcut targets a node, never the null id");
+        if let Some(slot) = self.find_mut(key_id) {
+            slot.target = target;
             self.stats.updated += 1;
         } else {
-            self.insert_new(slot);
+            self.insert_new(Slot { kid: key_id, target, poisoned: false });
             self.stats.generated += 1;
         }
     }
 
-    /// Drops the entry for `key_id`, if any (e.g. after a remove).
+    /// Drops the entry for `key_id`, if any (e.g. after a remove), and
+    /// with it any corruption.
     pub fn invalidate(&mut self, key_id: u64) {
         if let Some((at, _)) = self.find(key_id) {
             self.remove_at(at);
-        }
-        if !self.poisoned.is_empty() {
-            self.poisoned.remove(&key_id);
         }
     }
 }
@@ -374,10 +348,10 @@ mod tests {
         let key = Key::from_u64(2);
         let mut table = ShortcutTable::new();
         assert_eq!(table.probe(key_id(&key), &key, &art), (None, false), "nothing to drop");
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
-        table.generate(key_id(&key), leaf, parent);
-        let entry = table.probe(key_id(&key), &key, &art).0.expect("hit after generate");
-        assert_eq!(entry.target, leaf);
+        let leaf = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        table.generate(key_id(&key), leaf);
+        let target = table.probe(key_id(&key), &key, &art).0.expect("hit after generate");
+        assert_eq!(target, leaf);
         assert_eq!(table.stats().hits, 1);
         assert_eq!(table.stats().misses, 1);
     }
@@ -386,9 +360,9 @@ mod tests {
     fn stale_entry_detected_after_removal() {
         let mut art = tree_with(&[10, 11]);
         let key = Key::from_u64(10);
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        let leaf = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
         art.remove(&key);
         assert_eq!(table.probe(key_id(&key), &key, &art), (None, true), "stale shortcut must miss");
         assert_eq!(table.stats().stale_invalidations, 1);
@@ -399,9 +373,9 @@ mod tests {
     fn reused_arena_slot_fails_validation() {
         let mut art = tree_with(&[20, 21]);
         let key = Key::from_u64(20);
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        let leaf = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
         art.remove(&key);
         // The freed slot is reused by a different key's leaf.
         art.insert(Key::from_u64(999), 999).unwrap();
@@ -422,9 +396,9 @@ mod tests {
             art.insert(Key::from_u64(b << 8 | 1), b).unwrap();
         }
         let key = Key::from_u64(1 << 8 | 1);
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        let leaf = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
         for b in 4..20u64 {
             art.insert(Key::from_u64(b << 8 | 1), b).unwrap(); // grows the node
         }
@@ -435,9 +409,9 @@ mod tests {
     fn corrupted_entry_fails_validation_and_falls_back() {
         let art = tree_with(&[30, 31]);
         let key = Key::from_u64(30);
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        let leaf = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
         assert!(table.corrupt(key_id(&key)));
         // The poisoned probe must NOT return the (still structurally valid)
         // entry — it must force the fallback traversal.
@@ -447,7 +421,7 @@ mod tests {
         assert_eq!(s.corruption_fallbacks, 1);
         assert_eq!(s.stale_invalidations, 1);
         // Regenerating afterwards works and probes cleanly again.
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
         assert!(table.probe(key_id(&key), &key, &art).0.is_some());
     }
 
@@ -463,15 +437,45 @@ mod tests {
     fn invalidate_clears_poison() {
         let art = tree_with(&[40]);
         let key = Key::from_u64(40);
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        let leaf = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
         table.corrupt(key_id(&key));
         table.invalidate(key_id(&key));
         // A fresh entry for the same key is not tainted by old poison.
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
         assert!(table.probe(key_id(&key), &key, &art).0.is_some());
         assert_eq!(table.stats().corruption_fallbacks, 0);
+    }
+
+    #[test]
+    fn poison_survives_a_regenerate_and_a_doubling_until_invalidated() {
+        let art = tree_with(&[70]);
+        let key = Key::from_u64(70);
+        let (kid, leaf) =
+            (key_id(&key), art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap());
+        let mut table = ShortcutTable::new();
+        table.generate(kid, leaf);
+        assert!(table.corrupt(kid));
+        assert!(!table.corrupt(kid), "an entry is corrupted once");
+        // A regenerate rewrites the target, not the fault.
+        table.generate(kid, leaf);
+        let slots = table.slots.len();
+        for i in 0..MIN_SLOTS as u32 {
+            table.generate(key_id(&Key::from_u64(1000 + u64::from(i))), NodeId::from_index(i));
+        }
+        assert!(table.slots.len() > slots, "the slot array doubled");
+        assert_eq!(table.probe(kid, &key, &art), (None, true), "still poisoned");
+        assert_eq!(table.stats().corruptions_injected, 1);
+        assert_eq!(table.stats().corruption_fallbacks, 1);
+
+        // Invalidating drops the flag with the entry.
+        table.generate(kid, leaf);
+        assert!(table.corrupt(kid));
+        table.invalidate(kid);
+        table.generate(kid, leaf);
+        assert_eq!(table.probe(kid, &key, &art), (Some(leaf), false));
+        assert_eq!(table.stats().corruption_fallbacks, 1);
     }
 
     #[test]
@@ -484,26 +488,23 @@ mod tests {
     fn two_keys_under_one_key_id_share_an_entry_and_never_answer_for_each_other() {
         let art = tree_with(&[60, 61]);
         let (a, b) = (Key::from_u64(60), Key::from_u64(61));
-        let (leaf_a, parent_a) = art.locate_leaf(&a, &mut dcart_art::NoopTracer).unwrap();
-        let (leaf_b, parent_b) = art.locate_leaf(&b, &mut dcart_art::NoopTracer).unwrap();
+        let leaf_a = art.locate_leaf(&a, &mut dcart_art::NoopTracer).unwrap();
+        let leaf_b = art.locate_leaf(&b, &mut dcart_art::NoopTracer).unwrap();
         // Both keys are filed under `a`'s Key_ID, as two keys whose ids
         // collide would be; `probe_as` skips the check that the id is the
         // probed key's own.
         let kid = key_id(&a);
         let mut table = ShortcutTable::new();
         let probe = |table: &mut ShortcutTable, key: &Key| {
-            let (entry, stale) = table.probe_as(kid, key, &art);
-            if let Some(entry) = entry {
-                assert!(
-                    art.read_leaf(entry.target, key).is_some(),
-                    "{key:?} answered via another key"
-                );
+            let (target, stale) = table.probe_as(kid, key, &art);
+            if let Some(target) = target {
+                assert!(art.read_leaf(target, key).is_some(), "{key:?} answered via another key");
             }
-            (entry, stale)
+            (target, stale)
         };
 
-        table.generate(kid, leaf_a, parent_a);
-        table.generate(kid, leaf_b, parent_b);
+        table.generate(kid, leaf_a);
+        table.generate(kid, leaf_b);
         assert_eq!((table.stats().generated, table.stats().updated), (1, 1));
         assert_eq!(table.len, 1, "one Key_ID, one entry");
         assert_eq!(table.peek(kid), Some(leaf_b), "the second generate replaced the first");
@@ -514,10 +515,10 @@ mod tests {
         assert_eq!(probe(&mut table, &b), (None, false), "the entry is gone");
 
         // The other way round, then each key's own entry answers it.
-        table.generate(kid, leaf_a, parent_a);
+        table.generate(kid, leaf_a);
         assert_eq!(probe(&mut table, &b), (None, true));
-        table.generate(kid, leaf_b, parent_b);
-        assert_eq!(probe(&mut table, &b).0.map(|e| e.target), Some(leaf_b));
+        table.generate(kid, leaf_b);
+        assert_eq!(probe(&mut table, &b).0, Some(leaf_b));
         assert_eq!(table.stats().hits, 1);
         assert_eq!(table.stats().stale_invalidations, 2);
     }
@@ -547,7 +548,7 @@ mod tests {
         let mut keys = keys_homed_at(&table, last, 3);
         keys.extend(keys_homed_at(&table, 0, 1));
         for (i, key) in keys.iter().enumerate() {
-            table.generate(key_id(key), NodeId::from_index(i as u32), None);
+            table.generate(key_id(key), NodeId::from_index(i as u32));
         }
         let occupied = |t: &ShortcutTable| -> Vec<usize> {
             (0..MIN_SLOTS).filter(|&at| t.slots[at].is_some()).collect()
@@ -580,7 +581,7 @@ mod tests {
         let mut table = ShortcutTable::new();
         for i in 0..1000u64 {
             let key = Key::from_u64(i);
-            table.generate(key_id(&key), NodeId::from_index(i as u32), None);
+            table.generate(key_id(&key), NodeId::from_index(i as u32));
             assert!(table.slots.len().is_power_of_two());
             assert!(table.len * 4 <= table.slots.len() * 3, "load factor above 3/4");
         }
@@ -604,9 +605,9 @@ mod tests {
     fn peek_and_prefetch_change_nothing() {
         let art = tree_with(&[50, 51]);
         let key = Key::from_u64(50);
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        let leaf = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
         table.corrupt(key_id(&key));
         let before = table.stats();
         table.prefetch(key_id(&key));
@@ -616,21 +617,6 @@ mod tests {
         assert_eq!(table.stats(), before);
         assert_eq!(table.len, 1);
         assert_eq!(table.probe(key_id(&key), &key, &art).0, None, "the poison is still in place");
-    }
-
-    #[test]
-    fn a_parentless_entry_round_trips() {
-        let mut art = Art::new();
-        art.insert(Key::from_u64(9), 9u64).unwrap();
-        let key = Key::from_u64(9);
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
-        assert_eq!(parent, None, "a single-key tree is a root leaf");
-        let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), leaf, parent);
-        assert_eq!(
-            table.probe(key_id(&key), &key, &art).0,
-            Some(ShortcutEntry { target: leaf, parent: None })
-        );
     }
 
     #[test]
@@ -668,10 +654,10 @@ mod tests {
     fn generate_twice_counts_update() {
         let art = tree_with(&[5]);
         let key = Key::from_u64(5);
-        let (leaf, parent) = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
+        let leaf = art.locate_leaf(&key, &mut dcart_art::NoopTracer).unwrap();
         let mut table = ShortcutTable::new();
-        table.generate(key_id(&key), leaf, parent);
-        table.generate(key_id(&key), leaf, parent);
+        table.generate(key_id(&key), leaf);
+        table.generate(key_id(&key), leaf);
         assert_eq!(table.stats().generated, 1);
         assert_eq!(table.stats().updated, 1);
         assert_eq!(table.len, 1);

@@ -2,7 +2,7 @@
 //! interleaving of inserts, removes, corruptions, and probes — including
 //! sequences that drive nodes through every adaptive layout
 //! (N4 → N16 → N48 → N256), split paths, and remove nodes — a probe either
-//! returns an entry whose target holds the key's current value, or returns
+//! returns a target that holds the key's current value, or returns
 //! `None` (miss / stale invalidation / corruption fallback). It must never
 //! be *silently wrong*, and a corrupted entry must never be returned.
 //!
@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dcart::{key_id, ShortcutEntry, ShortcutStats, ShortcutTable};
+use dcart::{key_id, ShortcutStats, ShortcutTable};
 use dcart_art::{Art, Key, NodeId, NoopTracer};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -39,8 +39,8 @@ proptest! {
         let mut art: Art<u64> = Art::new();
         let mut truth: HashMap<Vec<u8>, u64> = HashMap::new();
         let mut table = ShortcutTable::new();
-        // Keys corrupted since their last (re)generation: their next probe
-        // must fall back, never return the entry.
+        // Keys whose entry is corrupted (a regenerate keeps the fault):
+        // their next probe must fall back, never return the entry.
         let mut poisoned: HashSet<Vec<u8>> = HashSet::new();
         let mut touched: HashSet<(u8, u8)> = HashSet::new();
 
@@ -53,15 +53,15 @@ proptest! {
             let was_poisoned = poisoned.remove(key.as_bytes());
             // A `None` probe (absent, stale, or corrupted) sends the op
             // down the slow-but-correct traversal: always safe.
-            if let (Some(entry), _) = table.probe(key_id(key), key, art) {
+            if let (Some(target), _) = table.probe(key_id(key), key, art) {
                 prop_assert!(
                     !was_poisoned,
                     "a corrupted entry was returned instead of falling back"
                 );
-                let via_shortcut = art.read_leaf(entry.target, key).copied();
+                let via_shortcut = art.read_leaf(target, key).copied();
                 prop_assert!(
                     via_shortcut.is_some(),
-                    "probe returned an entry that does not validate"
+                    "probe returned a target that does not validate"
                 );
                 prop_assert_eq!(
                     via_shortcut,
@@ -81,9 +81,8 @@ proptest! {
                     let v = i as u64;
                     prop_assert!(art.insert(key.clone(), v).is_ok());
                     truth.insert(key.as_bytes().to_vec(), v);
-                    if let Some((leaf, parent)) = art.locate_leaf(&key, &mut NoopTracer) {
-                        table.generate(key_id(&key), leaf, parent);
-                        poisoned.remove(key.as_bytes());
+                    if let Some(leaf) = art.locate_leaf(&key, &mut NoopTracer) {
+                        table.generate(key_id(&key), leaf);
                     }
                 }
                 // Remove WITHOUT invalidating the table: the stale entry
@@ -132,7 +131,7 @@ proptest! {
         steps in proptest::collection::vec((0u8..12, 0u16..160, any::<bool>()), 1..600),
     ) {
         let mut art: Art<u64> = Art::new();
-        let mut leaves: Vec<(NodeId, Option<NodeId>)> = Vec::new();
+        let mut leaves: Vec<NodeId> = Vec::new();
         for i in 0..160u16 {
             art.insert(model_key(i), u64::from(i)).unwrap();
         }
@@ -141,7 +140,7 @@ proptest! {
         }
 
         let mut table = ShortcutTable::new();
-        let mut model: HashMap<Vec<u8>, ShortcutEntry> = HashMap::new();
+        let mut model: HashMap<Vec<u8>, NodeId> = HashMap::new();
         let mut poisoned: HashSet<Vec<u8>> = HashSet::new();
         let mut expect = ShortcutStats::default();
 
@@ -153,9 +152,9 @@ proptest! {
                 // that is present but will not validate).
                 0..=4 => {
                     let j = if truthful { i } else { (i + 1) % 160 };
-                    let (target, parent) = leaves[usize::from(j)];
-                    table.generate(key_id(&key), target, parent);
-                    if model.insert(bytes, ShortcutEntry { target, parent }).is_some() {
+                    let target = leaves[usize::from(j)];
+                    table.generate(key_id(&key), target);
+                    if model.insert(bytes, target).is_some() {
                         expect.updated += 1;
                     } else {
                         expect.generated += 1;
@@ -173,7 +172,7 @@ proptest! {
                 }
                 7..=8 => {
                     let before = table.stats();
-                    let want = model.get(&bytes).map(|e| e.target);
+                    let want = model.get(&bytes).copied();
                     prop_assert_eq!(table.peek(key_id(&key)), want);
                     table.prefetch(key_id(&key));
                     prop_assert_eq!(table.stats(), before, "peek and prefetch count nothing");
@@ -187,7 +186,7 @@ proptest! {
                             expect.stale_invalidations += 1;
                             (None, true)
                         }
-                        Some(e) if art.read_leaf(e.target, &key).is_some() => (Some(e), false),
+                        Some(t) if art.read_leaf(t, &key).is_some() => (Some(t), false),
                         Some(_) => {
                             model.remove(&bytes);
                             expect.stale_invalidations += 1;
@@ -205,7 +204,7 @@ proptest! {
         // Nothing was lost or duplicated along the way.
         for i in 0..160u16 {
             let key = model_key(i);
-            let want = model.get(key.as_bytes()).map(|e| e.target);
+            let want = model.get(key.as_bytes()).copied();
             prop_assert_eq!(table.peek(key_id(&key)), want);
         }
     }

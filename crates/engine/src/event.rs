@@ -1,5 +1,4 @@
-//! Discrete-event primitives: a generic event queue and a non-blocking
-//! execution-unit simulator.
+//! A non-blocking execution-unit simulator.
 //!
 //! [`NonBlockingUnit`] is the event-level twin of the accelerator model's
 //! analytic SOU formula (`max(Σ occupancy, Σ latency / outstanding)`): it
@@ -9,87 +8,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// A deterministic discrete-event queue: events pop in time order, with
-/// insertion order breaking ties.
-///
-/// # Examples
-///
-/// ```
-/// use dcart_engine::EventQueue;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(30, "late");
-/// q.schedule(10, "early");
-/// q.schedule(10, "early-too");
-/// assert_eq!(q.pop(), Some((10, "early")));
-/// assert_eq!(q.pop(), Some((10, "early-too")));
-/// assert_eq!(q.pop(), Some((30, "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug)]
-// dcart_lint::allow(U1) -- event-level twin that validates the accelerator's closed-form SOU timing
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    payloads: std::collections::BTreeMap<(u64, u64), E>,
-    seq: u64,
-    now: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue at time 0.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            payloads: std::collections::BTreeMap::new(),
-            seq: 0,
-            now: 0,
-        }
-    }
-
-    /// Schedules `event` at absolute `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is before the current simulation time (events
-    /// cannot be scheduled in the past).
-    pub fn schedule(&mut self, time: u64, event: E) {
-        assert!(time >= self.now, "event scheduled in the past ({time} < {})", self.now);
-        let key = (time, self.seq);
-        self.seq += 1;
-        self.heap.push(Reverse(key));
-        self.payloads.insert(key, event);
-    }
-
-    /// Pops the earliest event, advancing the simulation clock to it.
-    pub fn pop(&mut self) -> Option<(u64, E)> {
-        let Reverse(key) = self.heap.pop()?;
-        self.now = key.0;
-        let event = self.payloads.remove(&key).expect("heap and map in sync");
-        Some((key.0, event))
-    }
-
-    /// Current simulation time (the time of the last popped event).
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
 
 /// An execution unit with a serial issue port and a bounded window of
 /// in-flight operations (MSHR-style).
@@ -150,26 +68,6 @@ impl NonBlockingUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_queue_orders_by_time_then_insertion() {
-        let mut q = EventQueue::new();
-        q.schedule(5, 'b');
-        q.schedule(3, 'a');
-        q.schedule(5, 'c');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
-        assert_eq!(q.now(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "past")]
-    fn scheduling_in_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(10, ());
-        q.pop();
-        q.schedule(5, ());
-    }
 
     #[test]
     fn unit_pipelines_up_to_window() {

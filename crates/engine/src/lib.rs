@@ -6,8 +6,8 @@
 //! * [`Clock`] — cycle/time conversions (DCART runs at 230 MHz);
 //! * [`LatencyRecorder`] — latency percentiles for the throughput–latency
 //!   curves (paper Fig. 10);
-//! * [`EventQueue`] / [`NonBlockingUnit`] — discrete-event primitives that
-//!   validate the accelerator's closed-form SOU timing;
+//! * [`NonBlockingUnit`] — an event-level execution unit that validates
+//!   the accelerator's closed-form SOU timing;
 //! * [`par_for_each_mut`] — the scoped worker pool over disjoint `&mut`
 //!   shards, used by the CTT executor to run prefix-disjoint buckets on
 //!   host threads with deterministic (thread-count-independent) outcomes;
@@ -50,12 +50,12 @@ pub mod time;
 pub mod wal;
 
 pub use clock::Clock;
-pub use event::{EventQueue, NonBlockingUnit};
+pub use event::NonBlockingUnit;
 pub use faults::{
     CrashInjector, CrashPlan, CrashSite, DegradationController, FaultInjector, FaultPlan,
     FaultSite, RecoveryStats, RetryOutcome, RetryPolicy,
 };
 pub use handoff::SyncHandoff;
 pub use pool::par_for_each_mut;
-pub use queueing::{BoundedQueue, LatencyRecorder, RejectReason};
+pub use queueing::{LatencyRecorder, RejectReason};
 pub use wal::{WalBatch, WalError, WalScan, WalWriter};

@@ -1,6 +1,5 @@
 //! Latency percentiles, for the throughput–latency curves of the paper's
-//! Fig. 10, the admission-rejection vocabulary, and a bounded FIFO
-//! occupancy model.
+//! Fig. 10, and the admission-rejection vocabulary.
 
 /// Records per-operation latencies and reports percentiles.
 ///
@@ -112,73 +111,9 @@ impl RejectReason {
     }
 }
 
-/// A bounded FIFO occupancy model with overflow accounting, used to model
-/// queue-overflow backpressure: arrivals beyond the free space are rejected
-/// and must be re-offered after the queue drains, costing stall cycles.
-///
-/// This is an occupancy counter, not an element store — items are
-/// indistinguishable, only depth matters for timing.
-#[derive(Clone, Debug)]
-pub struct BoundedQueue {
-    capacity: u64,
-    depth: u64,
-}
-
-impl BoundedQueue {
-    /// Creates an empty queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: u64) -> Self {
-        assert!(capacity > 0, "a queue needs nonzero capacity");
-        BoundedQueue { capacity, depth: 0 }
-    }
-
-    /// Offers `items` arrivals at once; accepts up to the free space and
-    /// returns the number rejected (the overflow).
-    pub fn offer(&mut self, items: u64) -> u64 {
-        let free = self.capacity - self.depth;
-        let accepted = items.min(free);
-        self.depth += accepted;
-        items - accepted
-    }
-
-    /// Drains up to `items` from the queue, returning how many were removed.
-    pub fn drain(&mut self, items: u64) -> u64 {
-        let removed = items.min(self.depth);
-        self.depth -= removed;
-        removed
-    }
-
-    /// Current occupancy.
-    pub fn depth(&self) -> u64 {
-        self.depth
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bounded_queue_accepts_until_full_then_overflows() {
-        let mut q = BoundedQueue::new(10);
-        assert_eq!(q.offer(6), 0);
-        assert_eq!(q.offer(6), 2, "only 4 slots free");
-        assert_eq!(q.depth(), 10);
-        assert_eq!(q.drain(7), 7);
-        assert_eq!(q.depth(), 3);
-        assert_eq!(q.offer(3), 0, "no new overflow");
-    }
-
-    #[test]
-    fn bounded_queue_drain_caps_at_depth() {
-        let mut q = BoundedQueue::new(4);
-        q.offer(2);
-        assert_eq!(q.drain(100), 2);
-        assert_eq!(q.depth(), 0);
-    }
 
     #[test]
     fn percentiles_nearest_rank() {

@@ -6,15 +6,14 @@
 //! lucky schedule under `cargo test` cannot: the pool's exactly-once visit
 //! contract (over slot order and over the heaviest-first permutation the
 //! executor passes) and panic propagation under arbitrary worker
-//! schedules, the SOU response queue's backpressure latch never losing an
-//! overflow signal in a producer/consumer race, and the commit hand-off
-//! releasing every item once, in order, only by a sync begun after it was
-//! queued, and the one-job checkpoint hand-off never letting the loop
-//! append to a WAL segment a running job still absorbs.
+//! schedules, the commit hand-off releasing every item once, in order,
+//! only by a sync begun after it was queued, and the one-job checkpoint
+//! hand-off never letting the loop append to a WAL segment a running job
+//! still absorbs.
 #![cfg(feature = "loom")]
 
-use dcart_engine::{par_for_each_mut, BoundedQueue, SyncHandoff};
-use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use dcart_engine::{par_for_each_mut, SyncHandoff};
+use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};
 
 /// The pool's determinism contract, under every schedule: each slot is
@@ -75,60 +74,6 @@ fn pool_visits_every_permuted_slot_exactly_once_in_all_schedules() {
             **s += *i as u32 + 1;
         });
         assert_eq!(slots, vec![1, 2, 3]);
-    });
-}
-
-/// The SOU response-queue degradation protocol from `dcart::accel`: a
-/// producer that observes overflow trips a latch *after* releasing the
-/// queue lock. Under every producer/drainer interleaving the latch must
-/// agree with the queue's overflow accounting — an overflow signal is
-/// never lost, occupancy never exceeds capacity, and every offered item is
-/// either accepted (then possibly drained) or rejected.
-#[test]
-fn bounded_queue_backpressure_latch_never_loses_an_overflow() {
-    loom::model(|| {
-        let queue = Arc::new(Mutex::new(BoundedQueue::new(2)));
-        let latch = Arc::new(AtomicBool::new(false));
-
-        let producers: Vec<_> = (0..2)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                let latch = Arc::clone(&latch);
-                loom::thread::spawn(move || {
-                    let over = {
-                        let mut q = queue.lock().expect("no producer panics");
-                        q.offer(2)
-                    };
-                    // The racy window under test: the latch store happens
-                    // outside the queue lock, as in the accelerator model.
-                    if over > 0 {
-                        latch.store(true, Ordering::SeqCst);
-                    }
-                    over
-                })
-            })
-            .collect();
-        let drainer = {
-            let queue = Arc::clone(&queue);
-            loom::thread::spawn(move || queue.lock().expect("no producer panics").drain(1))
-        };
-
-        let rejected: u64 =
-            producers.into_iter().map(|p| p.join().expect("producer ran to completion")).sum();
-        let drained = drainer.join().expect("drainer ran to completion");
-
-        let q = queue.lock().expect("all users joined");
-        assert!(q.depth() <= 2, "occupancy within capacity");
-        assert_eq!(
-            q.depth() + drained + rejected,
-            4,
-            "every offered item is accepted-and-held, drained, or rejected"
-        );
-        assert_eq!(
-            latch.load(Ordering::SeqCst),
-            rejected > 0,
-            "the latch fires iff an offer overflowed, in every schedule"
-        );
     });
 }
 

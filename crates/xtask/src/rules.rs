@@ -782,7 +782,7 @@ fn u1_walk<'t>(
 
 /// Every `impl` block of `toks` as `(impl token, closing brace, self type)`.
 /// The self type is the last top-level identifier of the header after any
-/// `for` (`impl<E> Default for EventQueue<E>` → `EventQueue`). Only an
+/// `for` (`impl<V> Extend<(Key, V)> for Art<V>` → `Art`). Only an
 /// `impl` in item position opens a block; `-> impl Trait` does not.
 fn impl_blocks(toks: &[Tok]) -> Vec<(usize, usize, &str)> {
     let mut blocks = Vec::new();
